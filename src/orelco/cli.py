@@ -27,7 +27,7 @@ from .textio import (audit_csv, export_dot, format_complex, format_cover,
                      format_presentation, format_quotient, parse_complex,
                      parse_cover_file, parse_morphism, parse_orbi_morphism,
                      parse_orbicomplex, pipeline_csv)
-from .words import dehn_solve, format_word, parse_word
+from .words import dehn_solve, format_word, free_reduce, parse_word
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -87,7 +87,13 @@ def _cmd_group_define(args) -> int:
 def _cmd_word_solve(args) -> int:
     _echo("word solve", group=args.group, word=args.word)
     x = parse_orbicomplex(_read(args.group))
-    word = parse_word(args.word)
+    labels = {rec.label for rec in x.gamma.edges.values()} - {None}
+    try:
+        word = parse_word(args.word, alphabet=labels)
+    except ValueError as exc:
+        return _usage(f"--word: {exc}")
+    if free_reduce(word) != word:
+        return _usage("--word must be freely reduced")
     result = dehn_solve(word, x)
     for s in result.steps:
         sign = "+" if s.sign > 0 else "-"

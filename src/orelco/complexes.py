@@ -10,27 +10,21 @@ cells go homeomorphically to cells.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import InvalidComplexError
-
-Dart = tuple[str, int]
-
-
-def dart_reverse(d: Dart) -> Dart:
-    return (d[0], -d[1])
+from .words import Letter as Dart
+from .words import inverse_letter as dart_reverse
+from .words import inverse_word as reverse_path
 
 
 def dart_sort_key(d: Dart) -> tuple[str, int]:
     # forward dart of an edge sorts before the reverse dart
     return (d[0], 0 if d[1] > 0 else 1)
-
-
-def reverse_path(path: Iterable[Dart]) -> tuple[Dart, ...]:
-    return tuple(dart_reverse(d) for d in reversed(tuple(path)))
 
 
 class EdgeRec(NamedTuple):
@@ -275,15 +269,18 @@ def _check_link_injective(m: CellMorphism) -> str | None:
     return None
 
 
-def _check_side_injective(m: CellMorphism) -> str | None:
+def _check_side_injective(m: CellMorphism,
+                          period: int | None = None) -> str | None:
+    """Sides over each source edge land on distinct target sides; with a
+    ``period``, target positions count modulo it (sides of a branched disk)."""
     for e in sorted(m.source.skeleton.edges):
         seen: dict[tuple[str, int], tuple[str, int]] = {}
         for cid, pos in m.source.sides_over[e]:
-            image = m.cell_map[cid]
-            side = target_side(image, pos, len(m.source.cells[cid]))
+            side = target_side(m.cell_map[cid], pos,
+                               period or len(m.source.cells[cid]))
             if side in seen:
                 return (f"sides {seen[side]} and {(cid, pos)} over edge {e}"
-                        f" share target side {side}")
+                        f" share disk side {side}")
             seen[side] = (cid, pos)
     return None
 
@@ -331,50 +328,72 @@ def find_free_faces_and_edges(
     return faces, free_edges
 
 
-def _subcomplex(c: TwoComplex, vertices: set[str], edges: set[str],
-                cells: set[str]) -> TwoComplex:
-    g = Graph(frozenset(vertices), {e: c.skeleton.edges[e] for e in sorted(edges)})
-    return TwoComplex(g, {cid: c.cells[cid] for cid in sorted(cells)},
-                      c.base_vertex if c.base_vertex in vertices else None)
-
-
-def collapse(c: TwoComplex, mode: str = "free_faces") -> TwoComplex:
+def collapse_with_rewrites(
+        c: TwoComplex, mode: str = "free_faces"
+) -> tuple[TwoComplex, dict[Dart, tuple[Dart, ...]]]:
     """Remove free faces (cell plus edge) in (edge id, cell id) order until none
     remain.  In ``extended`` mode additionally prunes free edges dangling at a
     degree-one vertex, which deletes exactly the simply connected tree pieces
     while keeping the base vertex.  The dimension-2 Euler characteristic is
     unchanged by face collapses and by leaf pruning.
+
+    Also returns, for both darts of every removed face edge, the rest of its
+    cell's boundary between the same endpoints: the arc a path may take
+    instead.
     """
     if mode not in ("free_faces", "extended"):
         raise ValueError(f"unknown collapse mode {mode!r}")
-    vertices = set(c.skeleton.vertices)
-    edges = set(c.skeleton.edges)
-    cells = set(c.cells)
-    while True:
-        current = _subcomplex(c, vertices, edges, cells)
-        faces, free_edges = find_free_faces_and_edges(current)
-        if faces:
-            pick = min(faces, key=lambda fc: (fc[0], fc[1]))
-            edges.discard(pick[0])
-            cells.discard(pick[1])
+    sides = {e: len(over) for e, over in c.sides_over.items()}
+    cells = dict(c.cells)
+    rewrites: dict[Dart, tuple[Dart, ...]] = {}
+    free = sorted(e for e, k in sides.items() if k == 1)   # sorted is a heap
+    while free:
+        e = heapq.heappop(free)
+        if sides.get(e) != 1:
             continue
-        if mode == "extended":
-            g = current.skeleton
+        cid, pos = next((cid, pos) for cid, pos in c.sides_over[e]
+                        if cid in cells)
+        path = cells.pop(cid)
+        rest = path[pos + 1:] + path[:pos]
+        rewrites[path[pos]] = reverse_path(rest)
+        rewrites[dart_reverse(path[pos])] = rest
+        del sides[e]
+        for f, _ in path:
+            if f in sides:
+                sides[f] -= 1
+                if sides[f] == 1:
+                    heapq.heappush(free, f)
+    vertices = set(c.skeleton.vertices)
+    if mode == "extended":
+        # leaf pruning is confluent, so one sweep per round in id order
+        # reaches the same fixed point as pruning one edge at a time
+        degree = dict.fromkeys(vertices, 0)
+        for e in sides:
+            rec = c.skeleton.edges[e]
+            degree[rec.tail] += 1
+            degree[rec.head] += 1
+        pruned = True
+        while pruned:
             pruned = False
-            for e in free_edges:
-                rec = g.edges[e]
-                endpoints = {rec.tail, rec.head}
-                leaves = {v for v in endpoints
-                          if g.degree(v) == 1 and v != c.base_vertex}
+            for e in sorted(e for e, k in sides.items() if k == 0):
+                rec = c.skeleton.edges[e]
+                leaves = {v for v in (rec.tail, rec.head)
+                          if degree[v] == 1 and v != c.base_vertex}
                 if leaves:
-                    edges.discard(e)
-                    for v in leaves:
-                        vertices.discard(v)
+                    del sides[e]
+                    degree[rec.tail] -= 1
+                    degree[rec.head] -= 1
+                    vertices -= leaves
                     pruned = True
-                    break
-            if pruned:
-                continue
-        return current
+    g = Graph(frozenset(vertices), {e: c.skeleton.edges[e] for e in sorted(sides)})
+    return (TwoComplex(g, {cid: cells[cid] for cid in sorted(cells)},
+                       c.base_vertex if c.base_vertex in vertices else None),
+            rewrites)
+
+
+def collapse(c: TwoComplex, mode: str = "free_faces") -> TwoComplex:
+    """The collapsed complex of ``collapse_with_rewrites``."""
+    return collapse_with_rewrites(c, mode)[0]
 
 
 def compose(outer: CellMorphism, inner: CellMorphism) -> CellMorphism:

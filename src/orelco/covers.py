@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import (Dart, EdgeRec, Graph, MapKind, TwoComplex,
-                        euler_characteristic)
-from .errors import BudgetExhaustedError
+                        euler_characteristic, target_side)
+from .errors import BudgetExhaustedError, InvalidComplexError
 from .orbicomplex import (OneRelatorOrbicomplex, OrbiMorphism,
                           check_orbi_immersion)
 from .words import Word, free_reduce, inverse_word
@@ -249,14 +249,11 @@ def build_unwrapped_cover(x: OneRelatorOrbicomplex,
         index += 1
     cover = TwoComplex(Graph(vertices, edges), cells,
                        base_vertex=f"p{q.base_point}")
-    covering_map = OrbiMorphism(
-        cover, x,
-        {v: next(iter(x.gamma.vertices)) for v in vertices},
-        {e: (edges[e].label, 1) for e in edges},
-        {cid: (0, 1) for cid in cells},
-    )
+    covering_map = OrbiMorphism.by_labels(cover, x)
     cls = check_orbi_immersion(covering_map)
-    assert cls.kind == MapKind.IMMERSION, cls.witness
+    if cls.kind < MapKind.IMMERSION:
+        raise InvalidComplexError(
+            f"unwrapped cover does not immerse: {cls.witness}")
     return UnwrappedCover(cover, covering_map, families, q)
 
 
@@ -275,10 +272,10 @@ def verify_cover(c: UnwrappedCover) -> CoverReport:
     per-edge disk-side accounting, and the exact rational Euler identity
     chi(cover) = k (chi(rose) + 1/n)."""
     witnesses = []
-    m = c.covering_map
-    x = m.target
+    x = c.covering_map.target
+    m = c.covering_map.as_cell_morphism()
     cover = c.cover
-    cls = check_orbi_immersion(m)
+    cls = check_orbi_immersion(c.covering_map)
     if cls.kind < MapKind.IMMERSION:
         witnesses.append(f"not an immersion: {cls.witness}")
     g = cover.skeleton
@@ -299,7 +296,7 @@ def verify_cover(c: UnwrappedCover) -> CoverReport:
         for j, (sym, _) in enumerate(w):
             positions_of.setdefault(sym, []).append(j)
         for e in sorted(g.edges):
-            labels = sorted(m.side_label(cid, pos)
+            labels = sorted(target_side(m.cell_map[cid], pos, len(w))[1]
                             for cid, pos in cover.sides_over[e])
             expected = sorted(positions_of.get(m.edge_map[e][0], []))
             if labels != expected:

@@ -314,11 +314,8 @@ def build_reduced_diagram(u: Word, x: OneRelatorOrbicomplex) -> VanKampenDiagram
     if not reduced_u:
         skeleton = Graph(frozenset({"v0"}), {})
         complex_ = TwoComplex(skeleton, {}, base_vertex="v0")
-        labeling = OrbiMorphism(
-            complex_, x,
-            vertex_map={"v0": next(iter(x.gamma.vertices))},
-            edge_map={}, cell_align={})
-        return VanKampenDiagram(complex_, (), (), labeling, True)
+        return VanKampenDiagram(complex_, (), (),
+                                OrbiMorphism.by_labels(complex_, x), True)
     result = dehn_solve(reduced_u, x)
     if not result.trivial:
         raise ValueError("word is nontrivial; it bounds no disk diagram")
@@ -339,7 +336,9 @@ def build_reduced_diagram(u: Word, x: OneRelatorOrbicomplex) -> VanKampenDiagram
             raise DiagramError("boundary readout drifted during cancellation")
         builder.check_disk()
     complex_, labeling = builder.freeze(x, symbols)
-    assert check_orbi_immersion(labeling).kind >= MapKind.MORPHISM
+    cls = check_orbi_immersion(labeling)
+    if cls.kind < MapKind.MORPHISM:
+        raise DiagramError(f"diagram labelling is not a morphism: {cls.witness}")
     return VanKampenDiagram(complex_, tuple(builder.boundary),
                             builder.readout(), labeling, True)
 

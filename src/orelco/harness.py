@@ -21,8 +21,7 @@ from dataclasses import dataclass, replace
 
 from .complexes import (EdgeRec, Graph, MapKind, TwoComplex, classify_map,
                         collapse, compose, connected_components,
-                        euler_characteristic, find_free_faces_and_edges,
-                        identity_morphism)
+                        euler_characteristic, identity_morphism)
 from .complexes import CellMorphism
 from .covers import (FiniteQuotient, build_unwrapped_cover,
                      has_uniform_exponent_cycles, validate_quotient,
@@ -32,7 +31,7 @@ from .folding import factor_unique, fold
 from .orbicomplex import (OneRelatorOrbicomplex, OrbiMorphism,
                           build_orbicomplex, check_orbi_immersion,
                           wcycles_audit)
-from .words import Word
+from .words import Word, least_rotation
 
 SEED_STRIDE = 1_000_003
 
@@ -126,17 +125,8 @@ def closed_power_lifts(g: Graph, x: OneRelatorOrbicomplex):
             rec = g.edges[e]
             cur = rec.head if sign > 0 else rec.tail
         if path is not None and cur == v:
-            cycle = tuple(path)
-            found.add(min(cycle[r:] + cycle[:r] for r in range(len(cycle))))
+            found.add(least_rotation(path))
     return tuple(sorted(found))
-
-
-def _as_orbi_morphism(y: TwoComplex, x: OneRelatorOrbicomplex) -> OrbiMorphism:
-    return OrbiMorphism(
-        y, x,
-        {v: "*" for v in y.skeleton.vertices},
-        {e: (rec.label, 1) for e, rec in y.skeleton.edges.items()},
-        {cid: (0, 1) for cid in y.cells})
 
 
 def _generate_uncollapsed(seed: int, params: GeneratorParams) -> OrbiMorphism:
@@ -155,10 +145,10 @@ def _generate_uncollapsed(seed: int, params: GeneratorParams) -> OrbiMorphism:
             continue
         trial = dict(cells)
         trial[f"c{k}"] = lift
-        candidate = _as_orbi_morphism(TwoComplex(g, trial, base_vertex="u0"), x)
+        candidate = OrbiMorphism.by_labels(TwoComplex(g, trial, base_vertex="u0"), x)
         if check_orbi_immersion(candidate).kind >= MapKind.IMMERSION:
             cells = trial
-    return _as_orbi_morphism(TwoComplex(g, cells, base_vertex="u0"), x)
+    return OrbiMorphism.by_labels(TwoComplex(g, cells, base_vertex="u0"), x)
 
 
 def random_irreducible_immersion(seed: int,
@@ -167,7 +157,7 @@ def random_irreducible_immersion(seed: int,
     degenerate outputs (cell-free graphs, a single vertex) are allowed."""
     raw = _generate_uncollapsed(seed, params)
     y = collapse(raw.source)
-    return _as_orbi_morphism(y, raw.target)
+    return OrbiMorphism.by_labels(y, raw.target)
 
 
 def _fallback_loop(x: OneRelatorOrbicomplex) -> OrbiMorphism:
@@ -175,7 +165,7 @@ def _fallback_loop(x: OneRelatorOrbicomplex) -> OrbiMorphism:
     characteristic, used when a draw degenerates to a tree."""
     sym = x.relator[0][0]
     g = Graph(frozenset({"u0"}), {f"{sym}0": EdgeRec("u0", "u0", sym)})
-    return _as_orbi_morphism(TwoComplex(g, {}, base_vertex="u0"), x)
+    return OrbiMorphism.by_labels(TwoComplex(g, {}, base_vertex="u0"), x)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .complexes import (Classification, Dart, Graph, MapKind, TwoComplex,
-                        CellImage, CellMorphism, dart_reverse,
-                        euler_characteristic, find_free_faces_and_edges,
-                        non_tree_edge_count)
+                        CellImage, CellMorphism, _check_link_injective,
+                        _check_morphism, _check_side_injective, classify_map,
+                        compose, dart_reverse, euler_characteristic,
+                        find_free_faces_and_edges, non_tree_edge_count)
 from .errors import NotImmersionError
-from .words import Word
+from .words import Word, is_proper_power
 
 
 @dataclass(frozen=True)
@@ -37,6 +39,12 @@ class OneRelatorOrbicomplex:
 
     def relator_power_path(self) -> tuple[Dart, ...]:
         return self.relator * self.branch_index
+
+    @cached_property
+    def presentation_complex(self) -> TwoComplex:
+        """The ordinary complex with one disk ``d0`` glued along the full
+        relator power; maps into the orbicomplex are maps into it."""
+        return TwoComplex(self.gamma, {"d0": self.relator_power_path()})
 
     def relator_word(self) -> Word:
         """The relator as a word; requires every traversed edge to be labeled."""
@@ -66,9 +74,8 @@ def build_orbicomplex(gamma: Graph, relator: tuple[Dart, ...],
             raise ValueError("relator path is not closed")
         if relator[(i + 1) % m] == dart_reverse(relator[i]):
             raise ValueError("relator backtracks, so it is not cyclically immersed")
-    for d in range(1, m):
-        if m % d == 0 and relator == relator[:d] * (m // d):
-            raise ValueError("relator is a proper power")
+    if is_proper_power(relator)[0]:
+        raise ValueError("relator is a proper power")
     return OneRelatorOrbicomplex(gamma, tuple(relator), branch_index)
 
 
@@ -80,78 +87,41 @@ class OrbiMorphism:
     edge_map: dict[str, Dart]
     cell_align: dict[str, tuple[int, int]]
 
-    def dart_image(self, d: Dart) -> Dart:
-        e, s = self.edge_map[d[0]]
-        return (e, s * d[1])
+    @classmethod
+    def by_labels(cls, y: TwoComplex, x: OneRelatorOrbicomplex) -> "OrbiMorphism":
+        """The map onto a rose orbicomplex whose loops are named by their
+        labels: every edge onto the loop of its label, every cell at offset 0."""
+        vertex = next(iter(x.gamma.vertices))
+        return cls(y, x,
+                   {v: vertex for v in y.skeleton.vertices},
+                   {e: (rec.label, 1) for e, rec in y.skeleton.edges.items()},
+                   {cid: (0, 1) for cid in y.cells})
 
-    def boundary_position(self, cid: str, pos: int) -> int:
-        offset, orient = self.cell_align[cid]
-        m = self.target.boundary_length
-        return (pos + offset) % m if orient > 0 else (offset - pos) % m
-
-    def side_label(self, cid: str, pos: int) -> int:
-        """Side of the branched disk under boundary position ``pos`` of ``cid``."""
-        return self.boundary_position(cid, pos) % self.target.relator_length
+    def as_cell_morphism(self) -> CellMorphism:
+        """The same map as a map of complexes into the target's presentation
+        complex."""
+        return CellMorphism(
+            self.source, self.target.presentation_complex, self.vertex_map,
+            self.edge_map,
+            {cid: CellImage("d0", offset, orient)
+             for cid, (offset, orient) in self.cell_align.items()})
 
 
 def check_orbi_immersion(m: OrbiMorphism) -> Classification:
     """Classify a map into an orbicomplex as not_morphism, morphism or immersion.
 
     Immersion means the skeleton map is link-injective and, over every source
-    edge, the incident cell sides land on pairwise distinct sides of the disk.
+    edge, the incident cell sides land on pairwise distinct sides of the disk:
+    boundary positions of the presentation complex modulo |w|.
     """
-    x = m.target
-    g = m.source.skeleton
-    for v in sorted(g.vertices):
-        if v not in m.vertex_map or m.vertex_map[v] not in x.gamma.vertices:
-            return Classification(MapKind.NOT_MORPHISM, f"vertex {v} unmapped")
-    for e in sorted(g.edges):
-        if e not in m.edge_map or m.edge_map[e][0] not in x.gamma.edges:
-            return Classification(MapKind.NOT_MORPHISM, f"edge {e} unmapped")
-        d = (e, 1)
-        for dart in (d, dart_reverse(d)):
-            if x.gamma.dart_origin(m.dart_image(dart)) != m.vertex_map[g.dart_origin(dart)]:
-                return Classification(
-                    MapKind.NOT_MORPHISM, f"dart {dart} breaks origin commutation")
-    q = x.relator_power_path()
-    big = x.boundary_length
-    for cid in sorted(m.source.cells):
-        if cid not in m.cell_align:
-            return Classification(MapKind.NOT_MORPHISM, f"cell {cid} unmapped")
-        offset, orient = m.cell_align[cid]
-        if orient not in (1, -1):
-            return Classification(MapKind.NOT_MORPHISM, f"cell {cid} bad orientation")
-        path = m.source.cells[cid]
-        if len(path) != big:
-            return Classification(
-                MapKind.NOT_MORPHISM,
-                f"cell {cid} boundary length {len(path)} != {big}")
-        for i, d in enumerate(path):
-            want = (q[(i + offset) % big] if orient > 0
-                    else dart_reverse(q[(offset - i) % big]))
-            if m.dart_image(d) != want:
-                return Classification(
-                    MapKind.NOT_MORPHISM,
-                    f"cell {cid} position {i} does not spell the relator power")
-    for v in sorted(g.vertices):
-        seen: dict[Dart, Dart] = {}
-        for d in g.darts_at(v):
-            img = m.dart_image(d)
-            if img in seen:
-                return Classification(
-                    MapKind.MORPHISM,
-                    f"darts {seen[img]} and {d} at {v} share image {img}")
-            seen[img] = d
-    for e in sorted(g.edges):
-        used: dict[int, tuple[str, int]] = {}
-        for cid, pos in m.source.sides_over[e]:
-            side = m.side_label(cid, pos)
-            if side in used:
-                return Classification(
-                    MapKind.MORPHISM,
-                    f"sides {used[side]} and {(cid, pos)} over edge {e}"
-                    f" share disk side {side}")
-            used[side] = (cid, pos)
+    cm = m.as_cell_morphism()
+    witness = _check_morphism(cm)
+    if witness is not None:
+        return Classification(MapKind.NOT_MORPHISM, witness)
+    witness = (_check_link_injective(cm)
+               or _check_side_injective(cm, m.target.relator_length))
+    if witness is not None:
+        return Classification(MapKind.MORPHISM, witness)
     return Classification(MapKind.IMMERSION, None)
 
 
@@ -164,21 +134,18 @@ def degree(m) -> int:
     """
     if isinstance(m, OrbiMorphism):
         cls = check_orbi_immersion(m)
-        if cls.kind < MapKind.IMMERSION:
-            raise NotImmersionError(cls.witness or "map is not an immersion")
-        return m.target.branch_index * len(m.source.cells)
-    if isinstance(m, CellMorphism):
-        from .complexes import classify_map
+    elif isinstance(m, CellMorphism):
         cls = classify_map(m)
-        if cls.kind < MapKind.IMMERSION:
-            raise NotImmersionError(cls.witness or "map is not an immersion")
-        if not m.target.cells:
-            return 0
-        counts = {cid: 0 for cid in m.target.cells}
-        for cid in m.source.cells:
-            counts[m.cell_map[cid].cell] += 1
-        return min(counts[cid] for cid in sorted(counts))
-    raise TypeError(f"degree undefined for {type(m).__name__}")
+    else:
+        raise TypeError(f"degree undefined for {type(m).__name__}")
+    if cls.kind < MapKind.IMMERSION:
+        raise NotImmersionError(cls.witness or "map is not an immersion")
+    if isinstance(m, OrbiMorphism):
+        return m.target.branch_index * len(m.source.cells)
+    counts = {cid: 0 for cid in m.target.cells}
+    for cid in m.source.cells:
+        counts[m.cell_map[cid].cell] += 1
+    return min(counts.values(), default=0)
 
 
 @dataclass(frozen=True)
@@ -204,12 +171,9 @@ def wcycles_audit(m: OrbiMorphism) -> WCyclesAudit:
     call is refused).  A reducible source is still audited but flagged, since
     the guarantee only covers irreducible complexes.
     """
-    cls = check_orbi_immersion(m)
-    if cls.kind < MapKind.IMMERSION:
-        raise NotImmersionError(cls.witness or "map is not an immersion")
+    deg = degree(m)
     n = m.target.branch_index
     cells = len(m.source.cells)
-    deg = n * cells
     chi1 = euler_characteristic(m.source, dimension=1)
     chi2 = euler_characteristic(m.source, dimension=2)
     slack1 = chi1 + deg
@@ -231,25 +195,14 @@ def wcycles_audit(m: OrbiMorphism) -> WCyclesAudit:
 def presentation_complex(x: OneRelatorOrbicomplex) -> tuple[TwoComplex, OrbiMorphism]:
     """The ordinary complex with one disk glued along the full relator power,
     together with its natural map to the orbicomplex (offset 0, positive)."""
-    cx = TwoComplex(x.gamma, {"d0": x.relator_power_path()})
-    m = OrbiMorphism(
-        cx, x,
-        {v: v for v in x.gamma.vertices},
-        {e: (e, 1) for e in x.gamma.edges},
-        {"d0": (0, 1)},
-    )
-    return cx, m
+    cx = x.presentation_complex
+    return cx, OrbiMorphism(cx, x, {v: v for v in x.gamma.vertices},
+                            {e: (e, 1) for e in x.gamma.edges}, {"d0": (0, 1)})
 
 
 def as_orbi(m: CellMorphism, into: OrbiMorphism) -> OrbiMorphism:
     """Compose a map of complexes with a map into an orbicomplex."""
-    if m.target != into.source:
-        raise ValueError("composition mismatch")
-    vmap = {v: into.vertex_map[w] for v, w in m.vertex_map.items()}
-    emap = {e: into.dart_image(d) for e, d in m.edge_map.items()}
-    align: dict[str, tuple[int, int]] = {}
-    big = into.target.boundary_length
-    for cid, im in m.cell_map.items():
-        offset, orient = into.cell_align[im.cell]
-        align[cid] = ((offset + orient * im.offset) % big, orient * im.orient)
-    return OrbiMorphism(m.source, into.target, vmap, emap, align)
+    c = compose(into.as_cell_morphism(), m)
+    return OrbiMorphism(c.source, into.target, c.vertex_map, c.edge_map,
+                        {cid: (im.offset, im.orient)
+                         for cid, im in c.cell_map.items()})

@@ -16,16 +16,17 @@ from itertools import islice
 
 from .complexes import (CellImage, CellMorphism, Dart, EdgeRec, Graph,
                         MapKind, TwoComplex, cell_image_path, classify_map,
-                        collapse, compose, connected_components, dart_reverse,
-                        dart_sort_key, euler_characteristic,
-                        find_free_faces_and_edges, require_valid, reverse_path)
+                        collapse, collapse_with_rewrites, compose,
+                        connected_components, dart_sort_key,
+                        euler_characteristic, find_free_faces_and_edges,
+                        require_valid, reverse_path)
 from .covers import UnwrappedCover, build_unwrapped_cover, \
     find_exponent_n_quotient, pull_back_subgroup, schreier_path, verify_cover
 from .diagrams import build_reduced_diagram
 from .errors import PipelineInvariantError
 from .folding import _canonical_cell_key, fold
 from .orbicomplex import OneRelatorOrbicomplex
-from .words import Word, dehn_solve, free_reduce, inverse_word
+from .words import Word, dehn_solve, free_reduce, inverse_word, least_rotation
 
 # ---------------------------------------------------------------------------
 # state
@@ -228,14 +229,15 @@ def seed_immersion(generators: list[Word],
     require_valid(wedge)
     folded = fold(CellMorphism(wedge, x0, vmap, emap, {}))
     y0 = collapse(folded.folded)
-    assert y0 == folded.folded  # a graph has no free faces
+    if y0 != folded.folded:
+        raise PipelineInvariantError("seed graph has free faces")
     state = PipelineState(
         cover=cover, stage=0, current=y0, to_cover=folded.inclusion, chain=(),
         cursor=0, stable_for=0,
         seed_generator_count=len(kept),
         seed_free_edges=len(find_free_faces_and_edges(y0)[1]),
         max_word_len=12, max_stages=200,
-        gen_paths=tuple(reduce_dart_path(folded.projection.path_image(loop))
+        gen_paths=tuple(free_reduce(folded.projection.path_image(loop))
                         for loop in loops))
     _check_stage(state)
     return state
@@ -315,25 +317,18 @@ def candidate_words(num_gens: int, max_len: int):
             yield from extend((l,), target)
 
 
-def reduce_dart_path(path: tuple[Dart, ...]) -> tuple[Dart, ...]:
-    out: list[Dart] = []
-    for d in path:
-        if out and out[-1] == dart_reverse(d):
-            out.pop()
-        else:
-            out.append(d)
-    return tuple(out)
+def _generator_loop(d: Dart, frame: _Frame, y: TwoComplex) -> tuple[Dart, ...]:
+    """Tree path to the non-tree dart ``d``, across it, and back to the base."""
+    v, w = y.skeleton.dart_origin(d), y.skeleton.dart_terminus(d)
+    return frame.tree_paths[v] + (d,) + reverse_path(frame.tree_paths[w])
 
 
 def _candidate_loop(word, frame: _Frame, y: TwoComplex) -> tuple[Dart, ...]:
     path: list[Dart] = []
     for idx, sign in word:
-        d = frame.gens[idx]
-        v = y.skeleton.dart_origin(d)
-        w = y.skeleton.dart_terminus(d)
-        hop = frame.tree_paths[v] + (d,) + reverse_path(frame.tree_paths[w])
+        hop = _generator_loop(frame.gens[idx], frame, y)
         path.extend(hop if sign > 0 else reverse_path(hop))
-    return reduce_dart_path(tuple(path))
+    return free_reduce(path)
 
 
 def _label_table(x0: TwoComplex) -> dict[str, str]:
@@ -349,13 +344,7 @@ def _path_word(path, m: CellMorphism, labels: dict[str, str]) -> Word:
 
 
 def _cycle_key(path: tuple[Dart, ...]):
-    best = None
-    for p in (path, reverse_path(path)):
-        for r in range(len(p)):
-            rot = p[r:] + p[:r]
-            if best is None or rot < best:
-                best = rot
-    return best
+    return min(least_rotation(path), least_rotation(reverse_path(path)))
 
 
 # ---------------------------------------------------------------------------
@@ -467,30 +456,6 @@ def _glue_and_fold(state: PipelineState, diagram_vk):
     return fold(CellMorphism(z, x0, vmap, emap, cmap))
 
 
-def _collapse_with_rewrites(c: TwoComplex):
-    """Free-face collapse that records, per removed edge, the boundary arc a
-    path may traverse instead; mirrors the plain collapse exactly."""
-    current = c
-    rewrites: dict[Dart, tuple[Dart, ...]] = {}
-    while True:
-        faces, _ = find_free_faces_and_edges(current)
-        if not faces:
-            break
-        e, cid, pos = min(faces, key=lambda fc: (fc[0], fc[1]))
-        path = current.cells[cid]
-        s = path[pos][1]
-        rest = path[pos + 1:] + path[:pos]
-        rewrites[(e, s)] = reverse_path(rest)
-        rewrites[(e, -s)] = tuple(rest)
-        vertices = set(current.skeleton.vertices)
-        edges = {k: v for k, v in current.skeleton.edges.items() if k != e}
-        cells = {k: v for k, v in current.cells.items() if k != cid}
-        current = TwoComplex(Graph(frozenset(vertices), edges), cells,
-                             base_vertex=current.base_vertex)
-    assert current == collapse(c)
-    return current, rewrites
-
-
 def _apply_rewrites(path: tuple[Dart, ...], rewrites,
                     surviving: set[str]) -> tuple[Dart, ...]:
     work = list(path)
@@ -507,7 +472,7 @@ def _apply_rewrites(path: tuple[Dart, ...], rewrites,
                 dirty = True
         work = out
         if not dirty:
-            return reduce_dart_path(tuple(work))
+            return free_reduce(work)
     raise PipelineInvariantError("rewrite substitution did not terminate")
 
 
@@ -534,7 +499,7 @@ def _refine(state: PipelineState, frame: _Frame, labels, word):
                f"chain map is not an immersion: {cls.witness}", state)
     _invariant(compose(folded.inclusion, chain_map) == state.to_cover,
                "chain triangle does not commute dart-exactly", state)
-    collapsed, rewrites = _collapse_with_rewrites(folded.folded)
+    collapsed, rewrites = collapse_with_rewrites(folded.folded)
     to_cover_new = _restrict(folded.inclusion, collapsed)
     surviving = set(collapsed.skeleton.edges)
     new_paths = tuple(
@@ -573,12 +538,9 @@ def _presentation_from_stage(state: PipelineState, conclusive: bool,
     labels = _label_table(state.to_cover.target)
     symbols = tuple(f"x{k + 1}" for k in range(len(frame.gens)))
     gen_index = {d[0]: (k, d[1]) for k, d in enumerate(frame.gens)}
-    gen_words = []
-    for d in frame.gens:
-        v = y.skeleton.dart_origin(d)
-        w = y.skeleton.dart_terminus(d)
-        hop = frame.tree_paths[v] + (d,) + reverse_path(frame.tree_paths[w])
-        gen_words.append(free_reduce(_path_word(hop, state.to_cover, labels)))
+    gen_words = [free_reduce(_path_word(_generator_loop(d, frame, y),
+                                        state.to_cover, labels))
+                 for d in frame.gens]
     relators = []
     for cid in sorted(y.cells):
         raw = []

@@ -9,8 +9,10 @@ from __future__ import annotations
 from .complexes import (CellImage, CellMorphism, Dart, EdgeRec, Graph,
                         TwoComplex, require_valid)
 from .covers import FiniteQuotient, UnwrappedCover
-from .orbicomplex import OneRelatorOrbicomplex, WCyclesAudit, build_orbicomplex
+from .orbicomplex import (OneRelatorOrbicomplex, OrbiMorphism, WCyclesAudit,
+                          build_orbicomplex)
 from .words import Word, format_word, parse_word
+from .words import format_word as format_dart_path
 
 
 def _lines(text: str):
@@ -25,41 +27,39 @@ def _fail(lineno: int, why: str) -> ValueError:
 
 
 # ---------------------------------------------------------------------------
-# dart paths: `e1 e2~ e3`
+# dart paths: `e1 e2~ e3`, the word syntax over edge ids
 
 
 def format_dart(d: Dart) -> str:
-    return d[0] + ("~" if d[1] < 0 else "")
+    return format_dart_path((d,))
 
 
 def parse_dart(token: str) -> Dart:
-    if token.endswith("~"):
-        return (token[:-1], -1)
-    return (token, 1)
-
-
-def format_dart_path(path) -> str:
-    return " ".join(format_dart(d) for d in path)
+    (d,) = parse_dart_path([token])
+    return d
 
 
 def parse_dart_path(tokens) -> tuple[Dart, ...]:
-    return tuple(parse_dart(t) for t in tokens)
+    return parse_word(" ".join(tokens))
 
 
 # ---------------------------------------------------------------------------
 # complexes
 
 
-def format_complex(c: TwoComplex) -> str:
-    out = []
-    for v in sorted(c.skeleton.vertices):
-        out.append(f"vertex {v}")
-    for e in sorted(c.skeleton.edges):
-        rec = c.skeleton.edges[e]
+def _format_skeleton(g: Graph) -> list[str]:
+    out = [f"vertex {v}" for v in sorted(g.vertices)]
+    for e in sorted(g.edges):
+        rec = g.edges[e]
         line = f"edge {e} : {rec.tail} -> {rec.head}"
         if rec.label is not None:
             line += f" label {rec.label}"
         out.append(line)
+    return out
+
+
+def format_complex(c: TwoComplex) -> str:
+    out = _format_skeleton(c.skeleton)
     for cid in sorted(c.cells):
         out.append(f"cell {cid} : {format_dart_path(c.cells[cid])}")
     out.append(f"base {c.base_vertex}")
@@ -154,42 +154,27 @@ def parse_morphism(text: str, source: TwoComplex,
     return CellMorphism(source, target, vmap, emap, cmap)
 
 
-def format_orbi_morphism(m) -> str:
-    """Morphism into an orbicomplex; the single orbicell goes by `w`."""
-    out = []
-    for v in sorted(m.vertex_map):
-        out.append(f"vmap {v} {m.vertex_map[v]}")
-    for e in sorted(m.edge_map):
-        out.append(f"emap {e} {format_dart(m.edge_map[e])}")
-    for cid in sorted(m.cell_align):
-        offset, orient = m.cell_align[cid]
-        sign = "+" if orient > 0 else "-"
-        out.append(f"cmap {cid} w rot={offset} orient={sign}")
-    return "\n".join(out) + "\n"
+ORBICELL = "w"   # name of the single orbicell in morphism files
+
+
+def format_orbi_morphism(m: OrbiMorphism) -> str:
+    """Morphism into an orbicomplex: the plain format, the orbicell named `w`."""
+    cells = {cid: CellImage(ORBICELL, offset, orient)
+             for cid, (offset, orient) in m.cell_align.items()}
+    return format_morphism(CellMorphism(m.source, m.target.presentation_complex,
+                                        m.vertex_map, m.edge_map, cells))
 
 
 def parse_orbi_morphism(text: str, source: TwoComplex,
-                        target: OneRelatorOrbicomplex):
-    from .orbicomplex import OrbiMorphism
-    vmap: dict[str, str] = {}
-    emap: dict[str, Dart] = {}
-    align: dict[str, tuple[int, int]] = {}
-    for lineno, tokens in _lines(text):
-        kind = tokens[0]
-        if kind == "vmap" and len(tokens) == 3:
-            vmap[tokens[1]] = tokens[2]
-        elif kind == "emap" and len(tokens) == 3:
-            emap[tokens[1]] = parse_dart(tokens[2])
-        elif kind == "cmap" and len(tokens) == 5 and tokens[2] == "w":
-            if not tokens[3].startswith("rot=") or not tokens[4].startswith("orient="):
-                raise _fail(lineno, f"malformed cmap line: {' '.join(tokens)}")
-            sign_text = tokens[4][7:]
-            if sign_text not in ("+", "-"):
-                raise _fail(lineno, f"orientation must be + or -, got {sign_text}")
-            align[tokens[1]] = (int(tokens[3][4:]), 1 if sign_text == "+" else -1)
-        else:
-            raise _fail(lineno, f"unknown declaration {kind!r}")
-    return OrbiMorphism(source, target, vmap, emap, align)
+                        target: OneRelatorOrbicomplex) -> OrbiMorphism:
+    plain = parse_morphism(text, source, target.presentation_complex)
+    for cid in sorted(plain.cell_map):
+        if plain.cell_map[cid].cell != ORBICELL:
+            raise ValueError(f"cmap {cid}: the orbicell is named {ORBICELL!r},"
+                             f" got {plain.cell_map[cid].cell!r}")
+    return OrbiMorphism(source, target, plain.vertex_map, plain.edge_map,
+                        {cid: (im.offset, im.orient)
+                         for cid, im in plain.cell_map.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +182,7 @@ def parse_orbi_morphism(text: str, source: TwoComplex,
 
 
 def format_orbicomplex(x: OneRelatorOrbicomplex) -> str:
-    out = []
-    for v in sorted(x.gamma.vertices):
-        out.append(f"vertex {v}")
-    for e in sorted(x.gamma.edges):
-        rec = x.gamma.edges[e]
-        line = f"edge {e} : {rec.tail} -> {rec.head}"
-        if rec.label is not None:
-            line += f" label {rec.label}"
-        out.append(line)
+    out = _format_skeleton(x.gamma)
     out.append(f"relator {format_dart_path(x.relator)}")
     out.append(f"branch {x.branch_index}")
     return "\n".join(out) + "\n"

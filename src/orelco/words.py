@@ -1,8 +1,9 @@
 """Words over a free basis, free reduction, and the torsion Dehn algorithm.
 
 A letter is a pair ``(symbol, sign)`` with sign +1 or -1; a word is a tuple
-of letters.  Words spell edge paths in a rose, so the same ``(id, sign)``
-shape is used for darts elsewhere in the package.
+of letters.  A dart ``(edge, sign)`` has the same shape and a dart path is a
+word over the edge ids, so inversion, free reduction and least rotation here
+are also the package's path algebra.
 """
 
 from __future__ import annotations
@@ -39,6 +40,12 @@ def free_reduce(word: Iterable[Letter], cyclic: bool = False) -> Word:
             out.pop()
             out.pop(0)
     return tuple(out)
+
+
+def least_rotation(word: Sequence[Letter]) -> Word:
+    """The lexicographically least cyclic rotation; ``()`` for the empty word."""
+    w = tuple(word)
+    return min((w[r:] + w[:r] for r in range(len(w))), default=())
 
 
 def is_cyclically_reduced(word: Sequence[Letter]) -> bool:

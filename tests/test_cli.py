@@ -91,6 +91,22 @@ def test_word_solve_nontrivial_prints_remnant(group_file, capsys):
     assert "remnant: a" in out
 
 
+def test_word_solve_foreign_letter_is_usage_error(group_file, capsys):
+    code, out, err = run(capsys, ["word", "solve", "--group", group_file,
+                                  "--word", "c"])
+    assert code == 2
+    assert err.startswith("error:")
+    assert "result:" not in out
+
+
+def test_word_solve_unreduced_word_is_usage_error(group_file, capsys):
+    code, out, err = run(capsys, ["word", "solve", "--group", group_file,
+                                  "--word", "a a~"])
+    assert code == 2
+    assert err.startswith("error:") and "freely reduced" in err
+    assert "result:" not in out
+
+
 def test_cover_build_worked_example(group_file, capsys, tmp_path):
     out_path = tmp_path / "x0.txt"
     code, out, _ = run(capsys, ["cover", "build", "--group", group_file,

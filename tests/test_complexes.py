@@ -2,7 +2,8 @@ import pytest
 
 from orelco.complexes import (CellImage, CellMorphism, EdgeRec, Graph, MapKind,
                               TwoComplex, cell_image_path, classify_map,
-                              collapse, compose, connected_components,
+                              collapse, collapse_with_rewrites, compose,
+                              connected_components,
                               dart_reverse, euler_characteristic,
                               find_free_faces_and_edges, identity_morphism,
                               non_tree_edge_count, require_valid, target_side,
@@ -208,6 +209,23 @@ def test_collapse_x0_eats_cell():
     # lowest (edge, cell) free pair is (a0, f0), so a0 goes first
     assert "a0" not in out.skeleton.edges
     assert euler_characteristic(out, 2) == euler_characteristic(c, 2)
+
+
+def test_collapse_with_rewrites_follows_freed_faces():
+    # b is free first; removing c0 frees a, whose arc then runs over c twice
+    g = Graph(vertices=frozenset({"v"}),
+              edges={s: EdgeRec("v", "v", s) for s in "abc"})
+    c = TwoComplex(skeleton=g,
+                   cells={"c0": (("a", 1), ("b", 1)),
+                          "c1": (("a", 1), ("c", 1), ("c", 1))},
+                   base_vertex="v")
+    out, rewrites = collapse_with_rewrites(c)
+    assert out == collapse(c)
+    assert set(out.skeleton.edges) == {"c"}
+    assert out.cells == {}
+    assert rewrites == {("b", 1): (("a", -1),), ("b", -1): (("a", 1),),
+                        ("a", 1): (("c", -1), ("c", -1)),
+                        ("a", -1): (("c", 1), ("c", 1))}
 
 
 def test_collapse_extended_prunes_hanging_tree():

@@ -4,17 +4,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orelco.complexes import (Graph, MapKind, classify_map, collapse, compose,
+from orelco.complexes import (Graph, MapKind, classify_map, collapse,
+                              collapse_with_rewrites, compose,
                               euler_characteristic, identity_morphism)
 from orelco.covers import build_unwrapped_cover, find_exponent_n_quotient
 from orelco.orbicomplex import build_orbicomplex
 from orelco.pipeline import (PipelineState, _apply_rewrites, _bfs_frame,
-                             _candidate_loop, _collapse_with_rewrites,
-                             _cycle_key, _label_table, _path_word,
-                             _presentation_from_stage, candidate_words,
-                             canonical_signature, isomorphic_over_cover,
-                             present_subgroup, reduce_dart_path, refine_step,
-                             seed_immersion)
+                             _candidate_loop, _cycle_key, _label_table,
+                             _path_word, _presentation_from_stage,
+                             candidate_words, canonical_signature,
+                             isomorphic_over_cover, present_subgroup,
+                             refine_step, seed_immersion)
 from orelco.words import dehn_solve, free_reduce, inverse_word, parse_word
 
 W = parse_word
@@ -228,7 +228,7 @@ def test_cover_cell_signature_sees_the_cell(cover):
 
 def test_collapse_with_rewrites_matches_plain_collapse(cover):
     c = cover.cover
-    collapsed, rewrites = _collapse_with_rewrites(c)
+    collapsed, rewrites = collapse_with_rewrites(c)
     assert collapsed == collapse(c)
     assert not collapsed.cells
     removed = set(c.skeleton.edges) - set(collapsed.skeleton.edges)
@@ -246,7 +246,7 @@ def test_collapse_with_rewrites_matches_plain_collapse(cover):
 
 def test_reduce_dart_path_cancels_backtracks():
     p = (("e", 1), ("f", 1), ("f", -1), ("e", -1), ("g", 1))
-    assert reduce_dart_path(p) == (("g", 1),)
+    assert free_reduce(p) == (("g", 1),)
 
 
 # ---------------------------------------------------------------------------

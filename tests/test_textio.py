@@ -1,5 +1,7 @@
 """Text formats: parsing, serialization, bit-exact round-trips."""
 
+from dataclasses import replace
+
 import pytest
 
 from orelco.complexes import (CellImage, CellMorphism, EdgeRec, Graph,
@@ -10,12 +12,12 @@ from orelco.orbicomplex import build_orbicomplex, wcycles_audit
 from orelco.pipeline import PipelineReport, StageRow, present_subgroup
 from orelco.textio import (audit_csv, export_dot, format_complex,
                            format_cover, format_dart_path, format_fold_trace,
-                           format_morphism, format_orbicomplex,
-                           format_presentation, format_quotient,
-                           parse_complex, parse_cover_file, parse_dart_path,
-                           parse_fold_trace, parse_morphism,
-                           parse_orbicomplex, parse_presentation,
-                           parse_quotient, pipeline_csv)
+                           format_morphism, format_orbi_morphism,
+                           format_orbicomplex, format_presentation,
+                           format_quotient, parse_complex, parse_cover_file,
+                           parse_dart_path, parse_fold_trace, parse_morphism,
+                           parse_orbi_morphism, parse_orbicomplex,
+                           parse_presentation, parse_quotient, pipeline_csv)
 from orelco.words import parse_word
 
 W = parse_word
@@ -80,6 +82,27 @@ def test_morphism_reversal_and_negative_orientation():
     assert m.edge_map["a0"] == ("a1", -1)
     assert m.cell_map["f"] == CellImage("f", 2, -1)
     assert format_morphism(m) == text
+
+
+def test_orbi_morphism_round_trip():
+    x = build_orbicomplex(Graph.rose("ab"), W("a b"), 2)
+    m = build_unwrapped_cover(x, find_exponent_n_quotient(x, 4, 0)).covering_map
+    for cell_align in ({"f0": (0, 1)}, {"f0": (3, -1)}):
+        m = replace(m, cell_align=cell_align)
+        text = format_orbi_morphism(m)
+        offset, orient = cell_align["f0"]
+        sign = "+" if orient > 0 else "-"
+        assert f"cmap f0 w rot={offset} orient={sign}\n" in text
+        again = parse_orbi_morphism(text, m.source, x)
+        assert again == m
+        assert format_orbi_morphism(again) == text
+
+
+def test_orbi_morphism_parser_rejects_other_cell_names():
+    x = build_orbicomplex(Graph.rose("ab"), W("a b"), 2)
+    c = build_unwrapped_cover(x, find_exponent_n_quotient(x, 4, 0)).cover
+    with pytest.raises(ValueError):
+        parse_orbi_morphism("cmap c f rot=0 orient=+\n", c, x)
 
 
 def test_orbicomplex_round_trip():

@@ -5,7 +5,7 @@ from orelco.complexes import Graph
 from orelco.orbicomplex import build_orbicomplex
 from orelco.words import (DehnResult, dehn_solve, format_word, free_reduce,
                           inverse_word, is_cyclically_reduced, is_proper_power,
-                          parse_word)
+                          least_rotation, parse_word)
 
 A = ("a", 1)
 Ai = ("a", -1)
@@ -55,6 +55,13 @@ def test_proper_power():
         is_proper_power(())
     with pytest.raises(ValueError):
         is_proper_power((B, A, Bi))  # cyclically reducible
+
+
+def test_least_rotation():
+    assert least_rotation(()) == ()
+    assert least_rotation((B, A, A)) == (A, A, B)
+    assert least_rotation([Bi, A, B]) == (A, B, Bi)
+    assert least_rotation((A, B, Bi)) == (A, B, Bi)  # already least
 
 
 def test_parse_and_format():
