@@ -12,10 +12,12 @@ yields the reduced diagram.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .complexes import (Dart, EdgeRec, Graph, MapKind, TwoComplex,
-                        dart_reverse, require_valid, reverse_path)
+                        connected_components, dart_reverse, require_valid,
+                        reverse_path)
 from .errors import DiagramError
 from .orbicomplex import (OneRelatorOrbicomplex, OrbiMorphism,
                           check_orbi_immersion)
@@ -50,62 +52,50 @@ class _DiskBuilder:
     """Mutable labelled 2-complex with an explicit based boundary circuit.
 
     Edges are always oriented so that the forward dart reads a positive
-    letter; folds therefore never reverse an edge.
+    letter; folds therefore never reverse an edge.  The vertices are the
+    base plus the ends of the live edges.
     """
 
     def __init__(self, base: str):
         self.base = base
-        self.vertices: set[str] = {base}
-        self.edges: dict[str, tuple[str, str]] = {}
-        self.edge_sym: dict[str, str] = {}
+        self.edges: dict[str, EdgeRec] = {}
         self.cells: dict[str, list[Dart]] = {}
         self.cell_align: dict[str, tuple[int, int]] = {}
         self.boundary: list[Dart] = []
-        self._edge_sub: dict[str, str] = {}
-        self._vertex_sub: dict[str, str] = {}
 
-    # -- resolution through past merges ---------------------------------
+    @property
+    def vertices(self) -> set[str]:
+        return {self.base}.union(*(rec[:2] for rec in self.edges.values()))
 
-    def _vfind(self, v: str) -> str:
-        while v in self._vertex_sub:
-            v = self._vertex_sub[v]
-        return v
-
-    def resolve(self, d: Dart) -> Dart:
-        e, s = d
-        while e in self._edge_sub:
-            e = self._edge_sub[e]
-        return (e, s)
+    def snapshot(self) -> TwoComplex:
+        return TwoComplex(Graph(frozenset(self.vertices), dict(self.edges)),
+                          {cid: tuple(path) for cid, path in self.cells.items()},
+                          base_vertex=self.base)
 
     # -- primitives ------------------------------------------------------
 
     def letter(self, d: Dart) -> Letter:
-        return (self.edge_sym[d[0]], d[1])
-
-    def dart_ends(self, d: Dart) -> tuple[str, str]:
-        tail, head = self.edges[d[0]]
-        return (tail, head) if d[1] > 0 else (head, tail)
+        return (self.edges[d[0]].label, d[1])
 
     def new_edge(self, eid: str, cur: str, nxt: str, letter: Letter) -> Dart:
         sym, sign = letter
-        self.edges[eid] = (cur, nxt) if sign > 0 else (nxt, cur)
-        self.edge_sym[eid] = sym
-        self.vertices.update((cur, nxt))
+        self.edges[eid] = (EdgeRec(cur, nxt, sym) if sign > 0
+                           else EdgeRec(nxt, cur, sym))
         return (eid, sign)
 
     def merge_vertices(self, a: str, b: str) -> None:
-        a, b = self._vfind(a), self._vfind(b)
         if a == b:
             return
         if b == self.base or (a != self.base and b < a):
             a, b = b, a
-        self._vertex_sub[b] = a
-        self.edges = {e: (a if t == b else t, a if h == b else h)
-                      for e, (t, h) in self.edges.items()}
-        self.vertices.discard(b)
+        for e, (t, h, sym) in self.edges.items():
+            if b in (t, h):
+                self.edges[e] = EdgeRec(a if t == b else t, a if h == b else h,
+                                        sym)
 
     def identify_darts(self, d1: Dart, d2: Dart) -> None:
-        d1, d2 = self.resolve(d1), self.resolve(d2)
+        """Fold dart ``d2`` onto ``d1``: the ends of the two darts merge and
+        the edge of ``d2`` is renamed to that of ``d1`` everywhere."""
         if d1 == d2:
             return
         (e1, s1), (e2, s2) = d1, d2
@@ -113,19 +103,15 @@ class _DiskBuilder:
             raise DiagramError("cannot identify darts with different labels")
         if e1 == e2:
             raise DiagramError("edge folded onto its own reverse")
-        o1, t1 = self.dart_ends(d1)
-        o2, t2 = self.dart_ends(d2)
-        # orientation normalization makes every merge sign-preserving
-        assert s1 == s2
-        self._edge_sub[e2] = e1
+        if s1 != s2:
+            raise DiagramError("identified darts disagree on orientation")
+        for end in (0, 1):      # same orientation: tails meet, heads meet
+            self.merge_vertices(self.edges[e1][end], self.edges[e2][end])
         del self.edges[e2]
-        del self.edge_sym[e2]
         sub = lambda d: (e1, d[1]) if d[0] == e2 else d
         for path in self.cells.values():
             path[:] = [sub(d) for d in path]
         self.boundary = [sub(d) for d in self.boundary]
-        self.merge_vertices(o1, o2)
-        self.merge_vertices(t1, t2)
 
     # -- construction ----------------------------------------------------
 
@@ -151,116 +137,69 @@ class _DiskBuilder:
 
     # -- accounting ------------------------------------------------------
 
-    def side_count(self, e: str) -> int:
-        return sum(1 for path in self.cells.values() for d in path if d[0] == e)
-
-    def boundary_count(self, e: str) -> int:
-        return sum(1 for d in self.boundary if d[0] == e)
+    def carried(self) -> Counter[str]:
+        """Times each edge is traversed by cell sides plus the boundary."""
+        return Counter(e for path in (*self.cells.values(), self.boundary)
+                       for e, _ in path)
 
     def readout(self) -> Word:
         return tuple(self.letter(d) for d in self.boundary)
 
     def check_disk(self) -> None:
+        counts = self.carried()
         for e in self.edges:
-            carried = self.side_count(e) + self.boundary_count(e)
-            if carried != 2:
-                raise DiagramError(f"edge {e} carried {carried} times, expected 2")
+            if counts[e] != 2:
+                raise DiagramError(
+                    f"edge {e} carried {counts[e]} times, expected 2")
 
     # -- boundary sewing -------------------------------------------------
 
     def sew(self) -> None:
-        """Cancel adjacent inverse boundary letters until the readout is reduced."""
-        while True:
-            word = self.readout()
-            hit = next((i for i in range(len(word) - 1)
-                        if word[i + 1] == inverse_letter(word[i])), None)
-            if hit is None:
-                return
-            d1, d2 = self.boundary[hit], self.boundary[hit + 1]
+        """Cancel adjacent inverse boundary letters until the readout is
+        reduced.  A cancellation leaves the letters before it alone, so the
+        scan resumes one step back."""
+        counts = self.carried()
+        i = 0
+        while i < len(self.boundary) - 1:
+            d1, d2 = self.boundary[i], self.boundary[i + 1]
+            if self.letter(d2) != inverse_letter(self.letter(d1)):
+                i += 1
+                continue
+            e = d1[0]
             if d2 == dart_reverse(d1):
-                del self.boundary[hit:hit + 2]
-                e = d1[0]
-                if self.side_count(e) or self.boundary_count(e):
+                if counts[e] != 2:
                     raise DiagramError(f"spur edge {e} still carried elsewhere")
-                tip = self.dart_ends(d1)[1]
                 del self.edges[e]
-                del self.edge_sym[e]
-                if tip != self.base and all(tip not in ends
-                                            for ends in self.edges.values()):
-                    self.vertices.discard(tip)
             else:
                 self.identify_darts(dart_reverse(d1), d2)
-                del self.boundary[hit:hit + 2]
+                counts[e] += counts.pop(d2[0]) - 2
+            del self.boundary[i:i + 2]
+            i = max(i - 1, 0)
 
     # -- mirror cancellation ---------------------------------------------
 
-    def _read_forward(self, cid: str, pos: int) -> Word:
-        path = self.cells[cid]
-        m = len(path)
-        return tuple(self.letter(path[(pos + t) % m]) for t in range(m))
-
-    def _read_backward(self, cid: str, pos: int) -> Word:
-        path = self.cells[cid]
-        m = len(path)
-        return tuple(inverse_letter(self.letter(path[(pos - t) % m]))
-                     for t in range(m))
-
-    def find_mirror(self):
-        """First interior edge whose two sides read the relator power
-        inversely from the shared edge; same-cell hits are unresolvable."""
-        for e in sorted(self.edges):
-            sides = [(cid, pos) for cid in sorted(self.cells)
-                     for pos, d in enumerate(self.cells[cid]) if d[0] == e]
-            for i1 in range(len(sides)):
-                for i2 in range(i1 + 1, len(sides)):
-                    (c1, p1), (c2, p2) = sides[i1], sides[i2]
-                    if self.cells[c2][p2] != dart_reverse(self.cells[c1][p1]):
-                        continue
-                    if self._read_forward(c1, p1) != self._read_backward(c2, p2):
-                        continue
-                    if c1 == c2:
-                        raise DiagramError(
-                            "cell mirrors itself across an edge; "
-                            "cancellation impossible")
-                    return (e, c1, p1, c2, p2)
-        return None
-
     def cancel_mirror(self, hit) -> None:
+        """Zip the two cells of a mirror pair together along their
+        boundaries, then remove both cells and their shared edge."""
         e, c1, p1, c2, p2 = hit
-        path1 = self.cells.pop(c1)
-        path2 = self.cells.pop(c2)
-        del self.cell_align[c1], self.cell_align[c2]
-        if self.side_count(e) or self.boundary_count(e):
+        if self.carried()[e] != 2:
             raise DiagramError(f"mirror edge {e} still carried elsewhere")
-        del self.edges[e]
-        del self.edge_sym[e]
+        path1, path2 = self.cells[c1], self.cells[c2]
         m = len(path1)
         for t in range(1, m):
             self.identify_darts(path1[(p1 + t) % m],
                                 dart_reverse(path2[(p2 - t) % m]))
+        del self.cells[c1], self.cells[c2]
+        del self.cell_align[c1], self.cell_align[c2]
+        del self.edges[e]
         self.prune_dangling()
 
     def prune_dangling(self) -> None:
-        while True:
-            loose = [e for e in self.edges
-                     if not self.side_count(e) and not self.boundary_count(e)]
-            if not loose:
-                break
-            for e in loose:
-                del self.edges[e]
-                del self.edge_sym[e]
-        used = {v for ends in self.edges.values() for v in ends} | {self.base}
-        self.vertices &= used
-        reached = {self.base}
-        frontier = [self.base]
-        while frontier:
-            v = frontier.pop()
-            for t, h in self.edges.values():
-                for a, b in ((t, h), (h, t)):
-                    if a == v and b not in reached:
-                        reached.add(b)
-                        frontier.append(b)
-        if reached != self.vertices:
+        # deleting an uncarried edge leaves every other count as it was
+        counts = self.carried()
+        for e in [e for e in self.edges if not counts[e]]:
+            del self.edges[e]
+        if len(connected_components(self.snapshot().skeleton)) > 1:
             raise DiagramError("diagram disconnected after cancellation")
 
     # -- export ----------------------------------------------------------
@@ -268,21 +207,41 @@ class _DiskBuilder:
     def freeze(self, x: OneRelatorOrbicomplex,
                symbols: dict[str, str]) -> tuple[TwoComplex, OrbiMorphism]:
         gamma_vertex = next(iter(x.gamma.vertices))
-        skeleton = Graph(
-            frozenset(self.vertices),
-            {e: EdgeRec(t, h, self.edge_sym[e])
-             for e, (t, h) in self.edges.items()})
-        complex_ = TwoComplex(skeleton,
-                              {cid: tuple(path)
-                               for cid, path in self.cells.items()},
-                              base_vertex=self.base)
+        complex_ = self.snapshot()
         require_valid(complex_)
         labeling = OrbiMorphism(
             complex_, x,
-            vertex_map={v: gamma_vertex for v in self.vertices},
-            edge_map={e: (symbols[self.edge_sym[e]], 1) for e in self.edges},
+            vertex_map={v: gamma_vertex for v in complex_.skeleton.vertices},
+            edge_map={e: (symbols[rec.label], 1)
+                      for e, rec in self.edges.items()},
             cell_align=dict(self.cell_align))
         return complex_, labeling
+
+
+def find_mirror(c: TwoComplex):
+    """First edge, in id order, whose two sides read the relator power
+    inversely from the shared edge, as (edge, cell, position, cell,
+    position); same-cell hits are unresolvable."""
+    label = c.skeleton.dart_label
+    for e in sorted(c.sides_over):
+        sides = c.sides_over[e]
+        for i1, (c1, p1) in enumerate(sides):
+            path1 = c.cells[c1]
+            m = len(path1)
+            for c2, p2 in sides[i1 + 1:]:
+                path2 = c.cells[c2]
+                if path2[p2] != dart_reverse(path1[p1]) or len(path2) != m:
+                    continue
+                if any(label(path1[(p1 + t) % m])
+                       != inverse_letter(label(path2[(p2 - t) % m]))
+                       for t in range(m)):
+                    continue
+                if c1 == c2:
+                    raise DiagramError(
+                        "cell mirrors itself across an edge; "
+                        "cancellation impossible")
+                return (e, c1, p1, c2, p2)
+    return None
 
 
 def _replay_conjugates(u: Word, x: OneRelatorOrbicomplex, steps):
@@ -293,14 +252,16 @@ def _replay_conjugates(u: Word, x: OneRelatorOrbicomplex, steps):
     for step in steps:
         rp = q if step.sign > 0 else inverse_word(q)
         rot = rp[step.rotation:] + rp[:step.rotation]
-        assert u[step.position:step.position + step.length] == rot[:step.length]
+        if u[step.position:step.position + step.length] != rot[:step.length]:
+            raise DiagramError(f"trace step {step} does not read its rotation")
         align = (step.rotation, 1) if step.sign > 0 \
             else ((m - 1 - step.rotation) % m, -1)
         out.append((u[:step.position], rot, align))
         u = free_reduce(u[:step.position]
                         + inverse_word(rot[step.length:])
                         + u[step.position + step.length:])
-    assert u == ()
+    if u:
+        raise DiagramError("trace does not reduce the word to nothing")
     return out
 
 
@@ -312,8 +273,7 @@ def build_reduced_diagram(u: Word, x: OneRelatorOrbicomplex) -> VanKampenDiagram
     symbols = _symbol_table(x)
     reduced_u = free_reduce(u)
     if not reduced_u:
-        skeleton = Graph(frozenset({"v0"}), {})
-        complex_ = TwoComplex(skeleton, {}, base_vertex="v0")
+        complex_ = _DiskBuilder("v0").snapshot()
         return VanKampenDiagram(complex_, (), (),
                                 OrbiMorphism.by_labels(complex_, x), True)
     result = dehn_solve(reduced_u, x)
@@ -325,12 +285,13 @@ def build_reduced_diagram(u: Word, x: OneRelatorOrbicomplex) -> VanKampenDiagram
             _replay_conjugates(reduced_u, x, result.steps)):
         builder.add_lollipop(j, stem, rho, align)
     builder.check_disk()
-    assert free_reduce(builder.readout()) == reduced_u
+    if free_reduce(builder.readout()) != reduced_u:
+        raise DiagramError("lollipop wedge does not spell the word")
     builder.sew()
     if builder.readout() != reduced_u:
         raise DiagramError("boundary readout drifted during sewing")
     builder.check_disk()
-    while (hit := builder.find_mirror()) is not None:
+    while (hit := find_mirror(builder.snapshot())) is not None:
         builder.cancel_mirror(hit)
         if builder.readout() != reduced_u:
             raise DiagramError("boundary readout drifted during cancellation")
@@ -345,13 +306,4 @@ def build_reduced_diagram(u: Word, x: OneRelatorOrbicomplex) -> VanKampenDiagram
 
 def mirror_witness(d: VanKampenDiagram):
     """Re-derive the reduced certificate on a frozen diagram; None when reduced."""
-    builder = _DiskBuilder(d.diagram.base_vertex or "v0")
-    builder.vertices = set(d.diagram.skeleton.vertices)
-    builder.edges = {e: (rec.tail, rec.head)
-                     for e, rec in d.diagram.skeleton.edges.items()}
-    builder.edge_sym = {e: rec.label
-                        for e, rec in d.diagram.skeleton.edges.items()}
-    builder.cells = {cid: list(path) for cid, path in d.diagram.cells.items()}
-    builder.cell_align = dict(d.labeling.cell_align)
-    builder.boundary = list(d.boundary)
-    return builder.find_mirror()
+    return find_mirror(d.diagram)

@@ -356,8 +356,9 @@ def _cover_lookup(x0: TwoComplex):
     inn: dict[tuple[str, str], str] = {}
     for e, rec in x0.skeleton.edges.items():
         kout, kin = (rec.tail, rec.label), (rec.head, rec.label)
-        assert kout not in out and kin not in inn, \
-            "cover skeleton is not a covering of a rose"
+        if kout in out or kin in inn:
+            raise PipelineInvariantError(
+                "cover skeleton is not a covering of a rose")
         out[kout] = e
         inn[kin] = e
     return out, inn
@@ -382,33 +383,27 @@ def _lift_diagram(diagram: TwoComplex, x0: TwoComplex, start_vertex: str):
             near, far = ((lifted.tail, lifted.head) if s > 0
                          else (lifted.head, lifted.tail))
             far_v = rec.head if s > 0 else rec.tail
-            assert vmap[v] == near, "diagram lift is inconsistent"
-            if far_v in vmap:
-                assert vmap[far_v] == far, "diagram lift is inconsistent"
-            else:
+            if vmap[v] != near or vmap.get(far_v, far) != far:
+                raise PipelineInvariantError("diagram lift is inconsistent")
+            if far_v not in vmap:
                 vmap[far_v] = far
                 queue.append(far_v)
-    assert len(emap) == len(g.edges), "diagram skeleton is not connected"
+    if len(emap) != len(g.edges):
+        raise PipelineInvariantError("diagram skeleton is not connected")
     cmap: dict[str, CellImage] = {}
     for cid, path in diagram.cells.items():
+        # a reduced word is never conjugate to its inverse, so one side over
+        # the first lifted edge, read in one direction, is the image
         lifted_path = tuple((emap[e], s) for e, s in path)
-        image = None
-        for tc in sorted(x0.cells):
-            length = len(x0.cells[tc])
-            if length != len(lifted_path):
-                continue
-            for orient in (1, -1):
-                for offset in range(length):
-                    cand = CellImage(tc, offset, orient)
-                    if cell_image_path(x0, cand) == lifted_path:
-                        image = cand
-                        break
-                if image:
-                    break
-            if image:
+        first = lifted_path[0]
+        for tc, pos in x0.sides_over[first[0]]:
+            image = CellImage(tc, pos, 1 if x0.cells[tc][pos] == first else -1)
+            if cell_image_path(x0, image) == lifted_path:
+                cmap[cid] = image
                 break
-        assert image is not None, "lifted cell boundary matches no cover cell"
-        cmap[cid] = image
+        else:
+            raise PipelineInvariantError(
+                "lifted cell boundary matches no cover cell")
     return vmap, emap, cmap
 
 

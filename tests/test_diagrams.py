@@ -1,12 +1,22 @@
 """Disk diagram construction: boundary readout, reduction, cancellation."""
 
+import hashlib
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from orelco.complexes import Graph, MapKind, euler_characteristic
-from orelco.diagrams import _DiskBuilder, build_reduced_diagram, mirror_witness
+from orelco.diagrams import (VanKampenDiagram, _DiskBuilder, _replay_conjugates,
+                             _symbol_table, build_reduced_diagram, find_mirror,
+                             mirror_witness)
 from orelco.errors import DiagramError
 from orelco.orbicomplex import build_orbicomplex, check_orbi_immersion
-from orelco.words import free_reduce, inverse_word, parse_word
+from orelco.textio import format_complex
+from orelco.words import DehnStep, free_reduce, inverse_word, parse_word
 
 W = parse_word
 
@@ -117,7 +127,7 @@ def mirror_pair_builder():
 def test_mirror_pair_is_found_and_cancelled():
     b = mirror_pair_builder()
     b.check_disk()
-    hit = b.find_mirror()
+    hit = find_mirror(b.snapshot())
     assert hit is not None and hit[0] == "g"
     b.cancel_mirror(hit)
     assert not b.cells
@@ -135,7 +145,45 @@ def test_same_cell_mirror_is_a_hard_error():
     b.cells["D0"] = [("g", 1), ("g", -1), ("h", 1), ("h", -1)]
     b.cell_align["D0"] = (0, 1)
     with pytest.raises(DiagramError, match="mirrors itself"):
-        b.find_mirror()
+        find_mirror(b.snapshot())
+
+
+def test_mirror_witness_finds_the_uncancelled_pair():
+    x = x_ab2()
+    b = mirror_pair_builder()
+    complex_, labeling = b.freeze(x, _symbol_table(x))
+    d = VanKampenDiagram(complex_, tuple(b.boundary), b.readout(), labeling,
+                         False)
+    assert mirror_witness(d) == ("g", "D0", 0, "D1", 0)
+
+
+def test_step_off_its_rotation_is_a_diagram_error():
+    # rotation 1 of (ab)^2 reads "b a b a", not the "a b a b" at position 0
+    with pytest.raises(DiagramError, match="does not read its rotation"):
+        _replay_conjugates(W("a b a b"), x_ab2(), (DehnStep(0, 4, 1, 1),))
+
+
+def test_replay_check_survives_optimized_python():
+    script = (
+        "from orelco.complexes import Graph\n"
+        "from orelco.diagrams import _replay_conjugates\n"
+        "from orelco.errors import DiagramError\n"
+        "from orelco.orbicomplex import build_orbicomplex\n"
+        "from orelco.words import DehnStep, parse_word\n"
+        "x = build_orbicomplex(Graph.rose('ab'), parse_word('a b'), 2)\n"
+        "try:\n"
+        "    _replay_conjugates(parse_word('a b a b'), x,"
+        " (DehnStep(0, 4, 1, 1),))\n"
+        "except DiagramError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('no DiagramError under -O')\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
 
 
 def test_conjugate_product_corpus():
@@ -153,3 +201,39 @@ def test_conjugate_product_corpus():
     for u in words:
         d = build_reduced_diagram(u, x)
         assert_well_formed(d, u)
+
+
+CORPUS_GROUPS = (("a b", 2), ("a b a b~", 2), ("a b", 3))
+CORPUS_DIGEST = \
+    "c409ae0122cd994a137cafc8bbef0ad3b3f2f419a9344b28976f225b932e4ab5"
+
+
+def golden_corpus():
+    """108 seeded products of 2-9 conjugates of ``w^(+-n)``, with stems of
+    1-12 letters; the longer ones leave mirror pairs for the reducer."""
+    rng = random.Random(1805)
+    for rel, n in CORPUS_GROUPS:
+        x = build_orbicomplex(Graph.rose("ab"), W(rel), n)
+        q = x.relator_word() * n
+        for stem_len in (1, 4, 8, 12):
+            for k in (2, 5, 9):
+                for _ in range(3):
+                    product = []
+                    for _ in range(k):
+                        stem = tuple((rng.choice("ab"), rng.choice((1, -1)))
+                                     for _ in range(stem_len))
+                        body = q if rng.random() < 0.5 else inverse_word(q)
+                        product += stem + body + inverse_word(stem)
+                    yield x, free_reduce(product)
+
+
+def test_diagram_corpus_is_byte_stable():
+    # edge, vertex and cell names feed pipeline cell ids and digests, so
+    # the whole diagram text is pinned, not just its shape
+    h = hashlib.sha256()
+    for x, u in golden_corpus():
+        d = build_reduced_diagram(u, x)
+        h.update(format_complex(d.diagram).encode())
+        h.update(repr(d.boundary).encode())
+        h.update(repr(sorted(d.labeling.cell_align.items())).encode())
+    assert h.hexdigest() == CORPUS_DIGEST

@@ -4,14 +4,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orelco.complexes import (Graph, MapKind, classify_map, collapse,
+from orelco.complexes import (CellImage, EdgeRec, Graph, MapKind, TwoComplex,
+                              cell_image_path, classify_map, collapse,
                               collapse_with_rewrites, compose,
                               euler_characteristic, identity_morphism)
 from orelco.covers import build_unwrapped_cover, find_exponent_n_quotient
+from orelco.diagrams import build_reduced_diagram
+from orelco.errors import PipelineInvariantError
 from orelco.orbicomplex import build_orbicomplex
 from orelco.pipeline import (PipelineState, _apply_rewrites, _bfs_frame,
-                             _candidate_loop, _cycle_key, _label_table,
-                             _path_word, _presentation_from_stage,
+                             _candidate_loop, _cover_lookup, _cycle_key,
+                             _label_table, _lift_diagram, _path_word,
+                             _presentation_from_stage,
                              candidate_words, canonical_signature,
                              isomorphic_over_cover, present_subgroup,
                              refine_step, seed_immersion)
@@ -63,6 +67,31 @@ def test_seed_folds_stabilizer_wedge_onto_cover_skeleton(cover):
         assert path
         assert y.path_is_closed(path)
         assert y.skeleton.dart_origin(path[0]) == y.base_vertex
+
+
+def test_lifted_cells_have_exactly_one_cover_image(x, cover):
+    # the lift tries only the sides over a cell's first edge; check against
+    # every cover cell, orientation and offset that no other image fits
+    x0 = cover.cover
+    for u in (W("a b a b"), W("a b a b a b a b"), W("a a b a b a~"),
+              W("b~ b~ a~ b~ a~ b")):
+        d = build_reduced_diagram(u, x)
+        for start in sorted(x0.skeleton.vertices):
+            _, emap, cmap = _lift_diagram(d.diagram, x0, start)
+            for cid, path in d.diagram.cells.items():
+                lifted = tuple((emap[e], s) for e, s in path)
+                fits = [image for tc in sorted(x0.cells) for orient in (1, -1)
+                        for offset in range(len(x0.cells[tc]))
+                        if cell_image_path(x0, image := CellImage(
+                            tc, offset, orient)) == lifted]
+                assert fits == [cmap[cid]]
+
+
+def test_cover_lookup_rejects_a_non_covering_skeleton():
+    g = Graph(frozenset({"v"}), {"e": EdgeRec("v", "v", "a"),
+                                 "f": EdgeRec("v", "v", "a")})
+    with pytest.raises(PipelineInvariantError, match="not a covering"):
+        _cover_lookup(TwoComplex(g))
 
 
 # ---------------------------------------------------------------------------
