@@ -21,7 +21,8 @@ from .complexes import (Dart, EdgeRec, Graph, MapKind, TwoComplex,
 from .errors import DiagramError
 from .orbicomplex import (OneRelatorOrbicomplex, OrbiMorphism,
                           check_orbi_immersion)
-from .words import Letter, Word, dehn_solve, free_reduce, inverse_letter, inverse_word
+from .words import (Letter, Word, dehn_solve, free_reduce, inverse_letter,
+                    inverse_word, splice)
 
 
 @dataclass(frozen=True)
@@ -257,9 +258,8 @@ def _replay_conjugates(u: Word, x: OneRelatorOrbicomplex, steps):
         align = (step.rotation, 1) if step.sign > 0 \
             else ((m - 1 - step.rotation) % m, -1)
         out.append((u[:step.position], rot, align))
-        u = free_reduce(u[:step.position]
-                        + inverse_word(rot[step.length:])
-                        + u[step.position + step.length:])
+        u, _ = splice(u, step.position, step.position + step.length,
+                      inverse_word(rot[step.length:]))
     if u:
         raise DiagramError("trace does not reduce the word to nothing")
     return out

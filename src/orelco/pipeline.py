@@ -114,11 +114,14 @@ class _Frame:
     vertex_names: dict[str, str]
     tree_paths: dict[str, tuple[Dart, ...]]
     gens: tuple[Dart, ...]          # one canonical dart per non-tree edge
+    hops: tuple[tuple[tuple[Dart, ...], ...], ...]  # per gen: loop, reverse
+    hop_words: tuple[tuple[Word, Word], ...]         # their reduced labels
 
 
 def _bfs_frame(y: TwoComplex, m: CellMorphism) -> _Frame:
     """Breadth-first frame from the base, darts ordered by their images;
-    immersions over a fixed target make this ordering canonical."""
+    immersions over a fixed target make this ordering canonical.  Each
+    generator's hop runs down the tree to its dart, across it and back."""
     base = y.base_vertex
     names = {base: "v0"}
     tree_paths: dict[str, tuple[Dart, ...]] = {base: ()}
@@ -142,7 +145,16 @@ def _bfs_frame(y: TwoComplex, m: CellMorphism) -> _Frame:
                 queue.append(w)
     if len(seen_edges) != len(y.skeleton.edges):
         raise PipelineInvariantError("complex is not connected from the base")
-    return _Frame(names, tree_paths, tuple(gens))
+    labels = _label_table(m.target)
+    hops, hop_words = [], []
+    for d in gens:
+        hop = (tree_paths[y.skeleton.dart_origin(d)] + (d,)
+               + reverse_path(tree_paths[y.skeleton.dart_terminus(d)]))
+        word = free_reduce(_path_word(hop, m, labels))
+        hops.append((hop, reverse_path(hop)))
+        hop_words.append((word, inverse_word(word)))
+    return _Frame(names, tree_paths, tuple(gens), tuple(hops),
+                  tuple(hop_words))
 
 
 def canonical_signature(y: TwoComplex, m: CellMorphism):
@@ -273,62 +285,70 @@ def _check_stage(state: PipelineState) -> None:
 # candidate enumeration
 
 
-def _letter_key(letter: tuple[int, int]) -> tuple[int, int]:
-    return (letter[0], 0 if letter[1] > 0 else 1)
-
-
-def _canonical_cyclic(word: tuple[tuple[int, int], ...]) -> bool:
-    keys = tuple(_letter_key(l) for l in word)
-    m = len(word)
-    inv = tuple(_letter_key((i, -s)) for i, s in reversed(word))
-    for r in range(m):
-        if keys[r:] + keys[:r] < keys:
-            return False
-        if inv[r:] + inv[:r] < keys:
-            return False
-    return True
-
-
 def candidate_words(num_gens: int, max_len: int):
     """Freely and cyclically reduced words over the stage generators, by
     length then lexicographic order, one representative per class under
-    rotation and inversion."""
-    letters = sorted(((i, s) for i in range(num_gens) for s in (1, -1)),
-                     key=_letter_key)
+    rotation and inversion: the least word of its class.
 
-    def extend(word: tuple, target: int):
-        if len(word) == target:
-            if word[-1] != (word[0][0], -word[0][1]) and _canonical_cyclic(word):
-                yield word
-            return
-        first_key = _letter_key(word[0])
-        prev = word[-1]
-        for l in letters:
-            if _letter_key(l) < first_key:
+    Letter ``(i, s)`` has key ``2i`` for ``s = 1`` and ``2i + 1`` for
+    ``s = -1``, so inversion flips the low bit.  The least word of a class
+    is the least of its rotations, so each of its prefixes is a prenecklace.
+    The search extends only prenecklaces, tracking the period ``p`` of the
+    longest Lyndon prefix (Fredricksen-Kessler-Maiorana): a letter must be
+    at least the key ``p`` back, and a strict increase resets ``p`` to the
+    length.  A full word is least among its rotations exactly when ``p``
+    divides its length.
+
+    The inverse of a word holds the inverse of each of its letters, so the
+    least word starts with a positive letter ``f``, and a rotation of its
+    inverse can read below it only from an ``f``, the inverse of an
+    ``f^-1`` in the word.  That rotation starts with the inverse of the
+    prefix ending there, which differs from the prefix, since no reduced
+    word is its own inverse; so comparing the two, when the prefix reaches
+    that ``f^-1``, settles it.  A prefix whose inverse reads below it is
+    abandoned, and a full word with a reduced seam is kept.
+    """
+    top = 2 * num_gens
+    letter = tuple((k >> 1, -1 if k & 1 else 1) for k in range(top)).__getitem__
+    if max_len >= 1:
+        yield from (((i, 1),) for i in range(num_gens))
+    for target in range(2, max_len + 1):
+        a = [0] * target
+        period = [1] * (target + 1)     # period[t]: FKM period of a[:t]
+        t, x = 0, 0
+        while True:
+            if t == target:
+                if target % period[t] == 0 and a[-1] != a[0] ^ 1:
+                    yield tuple(map(letter, a))
+                t -= 1
+                x = a[t] + 1
                 continue
-            if l == (prev[0], -prev[1]):
+            if t:
+                floor = a[t - period[t]]
+                if x < floor:
+                    x = floor
+                if x == a[t - 1] ^ 1:
+                    x += 1
+            else:
+                x += x & 1
+            if x >= top:
+                if t == 0:
+                    break
+                t -= 1
+                x = a[t] + 1
                 continue
-            yield from extend(word + (l,), target)
-
-    for target in range(1, max_len + 1):
-        for l in letters:
-            if l[1] < 0 and target == 1:
-                continue  # inverse of a shorter representative
-            yield from extend((l,), target)
-
-
-def _generator_loop(d: Dart, frame: _Frame, y: TwoComplex) -> tuple[Dart, ...]:
-    """Tree path to the non-tree dart ``d``, across it, and back to the base."""
-    v, w = y.skeleton.dart_origin(d), y.skeleton.dart_terminus(d)
-    return frame.tree_paths[v] + (d,) + reverse_path(frame.tree_paths[w])
-
-
-def _candidate_loop(word, frame: _Frame, y: TwoComplex) -> tuple[Dart, ...]:
-    path: list[Dart] = []
-    for idx, sign in word:
-        hop = _generator_loop(frame.gens[idx], frame, y)
-        path.extend(hop if sign > 0 else reverse_path(hop))
-    return free_reduce(path)
+            a[t] = x
+            if t and x == a[0] ^ 1:
+                s = 1
+                while a[t - s] ^ 1 == a[s]:
+                    s += 1
+                if a[t - s] ^ 1 < a[s]:
+                    x += 1
+                    continue
+            period[t + 1] = (period[t] if t and x == a[t - period[t]]
+                             else t + 1)
+            t += 1
+            x = 0
 
 
 def _label_table(x0: TwoComplex) -> dict[str, str]:
@@ -341,6 +361,24 @@ def _path_word(path, m: CellMorphism, labels: dict[str, str]) -> Word:
         e, s = m.dart_image(d)
         out.append((labels[e], s))
     return tuple(out)
+
+
+def _candidate_loop(word, frame: _Frame) -> tuple[Dart, ...]:
+    path: list[Dart] = []
+    for idx, sign in word:
+        path.extend(frame.hops[idx][sign < 0])
+    return free_reduce(path)
+
+
+def _candidate_word(word, frame: _Frame) -> Word:
+    """The label word of ``_candidate_loop``.  The stage immerses into a
+    covering of the rose, so a backtrack in the loop is exactly a
+    cancellation in its labels, and reducing the labels of the hops gives
+    the labels of the reduced loop."""
+    letters: list = []
+    for idx, sign in word:
+        letters.extend(frame.hop_words[idx][sign < 0])
+    return free_reduce(letters)
 
 
 def _cycle_key(path: tuple[Dart, ...]):
@@ -443,7 +481,8 @@ def _glue_and_fold(state: PipelineState, diagram_vk):
     cmap = dict(state.to_cover.cell_map)
     for v in d.skeleton.vertices:
         vmap.setdefault(vn(v), dvmap[v])
-        assert vmap[vn(v)] == dvmap[v], "base image mismatch while gluing"
+        _invariant(vmap[vn(v)] == dvmap[v],
+                   "base image mismatch while gluing", state)
     for e in d.skeleton.edges:
         emap[prefix + e] = (demap[e], 1)
     for cid in d.cells:
@@ -471,21 +510,20 @@ def _apply_rewrites(path: tuple[Dart, ...], rewrites,
     raise PipelineInvariantError("rewrite substitution did not terminate")
 
 
-def _refine(state: PipelineState, frame: _Frame, labels, word):
-    """Process one candidate; returns (state, changed)."""
+def _refine(state: PipelineState, frame: _Frame, word,
+            f_word: Word) -> PipelineState | None:
+    """Process a candidate whose label word ``f_word`` is trivial; returns
+    the next state, or None when the complex is unchanged."""
     x = state.orbicomplex
     y = state.current
-    loop = _candidate_loop(word, frame, y)
-    assert loop, "candidate loop reduced to nothing"
-    f_word = _path_word(loop, state.to_cover, labels)
-    result = dehn_solve(f_word, x)
-    unchanged = replace(state, cursor=state.cursor + 1,
-                        stable_for=state.stable_for + 1)
-    if not result.trivial:
-        return unchanged, False
+    loop = _candidate_loop(word, frame)
+    _invariant(bool(loop), "candidate loop reduced to nothing", state)
+    labels = _label_table(state.to_cover.target)
+    _invariant(_path_word(loop, state.to_cover, labels) == f_word,
+               "candidate loop does not spell its label word", state)
     key = _cycle_key(loop)
     if any(_cycle_key(y.cells[cid]) == key for cid in y.cells):
-        return unchanged, False
+        return None
     diagram = build_reduced_diagram(f_word, x)
     folded = _glue_and_fold(state, diagram)
     chain_map = _restrict(folded.projection, y)
@@ -501,25 +539,48 @@ def _refine(state: PipelineState, frame: _Frame, labels, word):
         _apply_rewrites(chain_map.path_image(p), rewrites, surviving)
         for p in state.gen_paths)
     if isomorphic_over_cover(collapsed, to_cover_new, y, state.to_cover):
-        return unchanged, False
+        return None
     step = ChainStep(chain_map, folded.inclusion, tuple(word), f_word)
     new_state = replace(state, stage=state.stage + 1, current=collapsed,
                         to_cover=to_cover_new, chain=state.chain + (step,),
                         cursor=0, stable_for=0, gen_paths=new_paths)
     _check_stage(new_state)
-    return new_state, True
+    return new_state
+
+
+def _advance(state: PipelineState, tried: int) -> PipelineState:
+    """``state`` after ``tried`` candidates that left the complex unchanged."""
+    if not tried:
+        return state
+    return replace(state, cursor=state.cursor + tried,
+                   stable_for=state.stable_for + tried)
+
+
+def _sweep(state: PipelineState,
+           limit: int | None = None) -> tuple[PipelineState, bool]:
+    """Try candidates from the cursor on, at most ``limit`` of them; returns
+    the state after the first that changes the complex (True), or after
+    all of them (False).  The state is advanced only before a trivial
+    candidate, whose gluing may report it, and at the end."""
+    x = state.orbicomplex
+    frame = _bfs_frame(state.current, state.to_cover)
+    stop = None if limit is None else state.cursor + limit
+    tried = 0
+    for word in islice(candidate_words(len(frame.gens), state.max_word_len),
+                       state.cursor, stop):
+        f_word = _candidate_word(word, frame)
+        if dehn_solve(f_word, x).trivial:
+            state, tried = _advance(state, tried), 0
+            new_state = _refine(state, frame, word, f_word)
+            if new_state is not None:
+                return new_state, True
+        tried += 1
+    return _advance(state, tried), False
 
 
 def refine_step(state: PipelineState) -> PipelineState:
     """Advance the cursor by one candidate (no-op when exhausted)."""
-    frame = _bfs_frame(state.current, state.to_cover)
-    labels = _label_table(state.to_cover.target)
-    stream = candidate_words(len(frame.gens), state.max_word_len)
-    picked = next(islice(stream, state.cursor, state.cursor + 1), None)
-    if picked is None:
-        return state
-    new_state, _ = _refine(state, frame, labels, picked)
-    return new_state
+    return _sweep(state, limit=1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -530,12 +591,9 @@ def _presentation_from_stage(state: PipelineState, conclusive: bool,
                              notes: tuple[str, ...]) -> Presentation:
     y = state.current
     frame = _bfs_frame(y, state.to_cover)
-    labels = _label_table(state.to_cover.target)
     symbols = tuple(f"x{k + 1}" for k in range(len(frame.gens)))
     gen_index = {d[0]: (k, d[1]) for k, d in enumerate(frame.gens)}
-    gen_words = [free_reduce(_path_word(_generator_loop(d, frame, y),
-                                        state.to_cover, labels))
-                 for d in frame.gens]
+    gen_words = [word for word, _ in frame.hop_words]
     relators = []
     for cid in sorted(y.cells):
         raw = []
@@ -596,13 +654,7 @@ def present_subgroup(generators: list[Word], x: OneRelatorOrbicomplex, *,
     rows: list[StageRow] = []
     conclusive = False
     while True:
-        frame = _bfs_frame(state.current, state.to_cover)
-        labels = _label_table(state.to_cover.target)
-        changed = False
-        for word in candidate_words(len(frame.gens), state.max_word_len):
-            state, changed = _refine(state, frame, labels, word)
-            if changed:
-                break
+        state, changed = _sweep(state)
         if not changed:
             conclusive = True
             rows.append(_stage_row(state))

@@ -9,6 +9,7 @@ are also the package's path algebra.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -31,7 +32,7 @@ def free_reduce(word: Iterable[Letter], cyclic: bool = False) -> Word:
     """Cancel adjacent inverse pairs; with ``cyclic`` also reduce around the seam."""
     out: list[Letter] = []
     for letter in word:
-        if out and out[-1] == inverse_letter(letter):
+        if out and out[-1] == (letter[0], -letter[1]):
             out.pop()
         else:
             out.append(letter)
@@ -112,14 +113,45 @@ class DehnResult:
     steps: tuple[DehnStep, ...]
 
 
-def _rotation_table(relator: Word) -> list[tuple[int, int, Word]]:
+def splice(u: Word, start: int, stop: int,
+           r: Sequence[Letter]) -> tuple[Word, int]:
+    """Free reduction of ``u[:start] + r + u[stop:]`` for freely reduced
+    ``u`` and ``r``, and how many letters of ``u[:start]`` it keeps.  Only
+    the seams can cancel, so the letters away from them are never visited."""
+    left, k = start, 0
+    while left and k < len(r) and u[left - 1] == (r[k][0], -r[k][1]):
+        left -= 1
+        k += 1
+    right, j = stop, len(r)
+    while j > k and right < len(u) and r[j - 1] == (u[right][0], -u[right][1]):
+        j -= 1
+        right += 1
+    if j == k:      # r is used up: the two ends of u meet
+        while left and right < len(u) and \
+                u[left - 1] == (u[right][0], -u[right][1]):
+            left -= 1
+            right += 1
+    return u[:left] + tuple(r[k:j]) + u[right:], left
+
+
+@lru_cache(maxsize=64)
+def _match_index(relator: Word, threshold: int):
+    """Each rotation of ``relator`` and of its inverse, keyed by its first
+    ``threshold`` letters, as ``(rotation, sign, rot, inverse of rot)``.
+
+    Every rotation has period ``|w|``, and the threshold exceeds ``|w|``, so
+    a key names one rotation word; where several rotations spell it, the
+    first in table order (rotation 0 up, sign +1 before -1) is kept.
+    """
     m = len(relator)
     inv = inverse_word(relator)
-    table = []
+    index: dict[Word, tuple[int, int, Word, Word]] = {}
     for idx in range(m):
-        table.append((idx, 1, relator[idx:] + relator[:idx]))
-        table.append((idx, -1, inv[idx:] + inv[:idx]))
-    return table
+        for sign, src in ((1, relator), (-1, inv)):
+            rot = src[idx:] + src[:idx]
+            index.setdefault(rot[:threshold], (idx, sign, rot,
+                                               inverse_word(rot)))
+    return index
 
 
 def dehn_solve(word: Sequence[Letter], x: "OneRelatorOrbicomplex",
@@ -132,6 +164,12 @@ def dehn_solve(word: Sequence[Letter], x: "OneRelatorOrbicomplex",
     strictly shortens the word, and a freely reduced word with no such factor
     is nontrivial, so reaching the empty word is a complete triviality test.
     ``strong_threshold`` raises the bar to (n-1)|w| + 1.
+
+    The first position with a match wins.  A match begins with
+    ``threshold`` letters of its rotation, which name that rotation, so each
+    position costs one lookup.  After a swap that keeps ``a`` letters of the
+    old prefix, no position before ``a - threshold + 1`` can match: those
+    letters lie in that prefix, where the previous scan found none.
     """
     n = x.branch_index
     if n < 2:
@@ -140,31 +178,26 @@ def dehn_solve(word: Sequence[Letter], x: "OneRelatorOrbicomplex",
     u = free_reduce(word)
     if tuple(word) != u:
         raise ValueError("input word must be freely reduced")
-    relator = base * n
-    m = len(relator)
+    m = len(base) * n
     threshold = (n - 1) * len(base) + 1 if strong_threshold else m // 2 + 1
-    table = _rotation_table(base * n)
+    index = _match_index(base * n, threshold)
     steps: list[DehnStep] = []
+    start = 0
     while u:
-        found = None
-        for i in range(len(u)):
-            best = None
-            cap = min(len(u) - i, m)
-            if cap < threshold:
-                continue
-            for idx, sign, rot in table:
-                match = 0
-                while match < cap and u[i + match] == rot[match]:
-                    match += 1
-                if match >= threshold and (best is None or match > best[0]):
-                    best = (match, idx, sign, rot)
-            if best is not None:
-                found = (i, best)
+        for i in range(start, len(u) - threshold + 1):
+            hit = index.get(u[i:i + threshold])
+            if hit is not None:
                 break
-        if found is None:
+        else:
             return DehnResult(False, u, tuple(steps))
-        i, (length, idx, sign, rot) = found
-        replacement = inverse_word(rot[length:])
-        u = free_reduce(u[:i] + replacement + u[i + length:])
+        idx, sign, rot, inv_rot = hit
+        cap = min(len(u) - i, m)
+        length = threshold
+        while length < cap and u[i + length] == rot[length]:
+            length += 1
+        # a match is a reduced factor longer than |w| of a word of period
+        # |w|, so the relator power is cyclically reduced and so is the swap
+        u, kept = splice(u, i, i + length, inv_rot[:m - length])
         steps.append(DehnStep(i, length, idx, sign))
+        start = max(0, kept - threshold + 1)
     return DehnResult(True, (), tuple(steps))

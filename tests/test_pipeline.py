@@ -1,5 +1,10 @@
 """Subgroup presentation pipeline: seeding, refinement, stabilization."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,6 +132,48 @@ def brute_classes(num_gens, max_len):
     return classes
 
 
+def reference_candidate_words(num_gens, max_len):
+    """Reference stream: extend every reduced word whose letters are no
+    smaller than its first, then keep those that no rotation of the word or
+    of its inverse undercuts, by an O(L^2) check per word."""
+    def key(letter):
+        return (letter[0], 0 if letter[1] > 0 else 1)
+
+    def canonical(word):
+        keys = tuple(key(l) for l in word)
+        inv = tuple(key((i, -s)) for i, s in reversed(word))
+        return not any(keys[r:] + keys[:r] < keys or inv[r:] + inv[:r] < keys
+                       for r in range(len(word)))
+
+    letters = sorted(((i, s) for i in range(num_gens) for s in (1, -1)),
+                     key=key)
+
+    def extend(word, target):
+        if len(word) == target:
+            if word[-1] != (word[0][0], -word[0][1]) and canonical(word):
+                yield word
+            return
+        for l in letters:
+            if key(l) >= key(word[0]) and l != (word[-1][0], -word[-1][1]):
+                yield from extend(word + (l,), target)
+
+    for target in range(1, max_len + 1):
+        for l in letters:
+            if l[1] > 0 or target > 1:
+                yield from extend((l,), target)
+
+
+@pytest.mark.parametrize("num_gens,max_len", [(1, 10), (2, 10), (3, 7)])
+def test_candidate_stream_matches_the_reference_word_for_word(num_gens,
+                                                               max_len):
+    assert (list(candidate_words(num_gens, max_len))
+            == list(reference_candidate_words(num_gens, max_len)))
+
+
+def test_candidate_stream_size_at_the_default_budget():
+    assert sum(1 for _ in candidate_words(2, 12)) == 34998
+
+
 def test_candidate_stream_matches_brute_force_classes():
     got = list(candidate_words(2, 4))
     assert len(got) == len(set(got))
@@ -179,7 +226,7 @@ def test_candidate_loop_spells_the_reduced_generator_product(word):
     for idx, sign in word:
         formal.extend(gen_fwords[idx] if sign > 0
                       else inverse_word(gen_fwords[idx]))
-    loop = _candidate_loop(tuple(word), frame, state.current)
+    loop = _candidate_loop(tuple(word), frame)
     assert _path_word(loop, state.to_cover, labels) == free_reduce(formal)
 
 
@@ -333,6 +380,34 @@ def test_runs_are_deterministic(x):
     b = present_subgroup(STAB, x, seed=0)
     assert a[0] == b[0]
     assert a[1] == b[1]
+
+
+def test_empty_candidate_loop_is_a_typed_error_under_optimized_python():
+    # the loop of a trivial candidate is built only to be glued; a loop that
+    # reduces to nothing must stop the run with the pipeline's own error,
+    # also when python -O strips asserts
+    script = (
+        "import orelco.pipeline as p\n"
+        "from orelco.complexes import Graph\n"
+        "from orelco.errors import PipelineInvariantError\n"
+        "from orelco.orbicomplex import build_orbicomplex\n"
+        "from orelco.words import parse_word as W\n"
+        "x = build_orbicomplex(Graph.rose('ab'), W('a b'), 2)\n"
+        "p._candidate_loop = lambda word, frame: ()\n"
+        "try:\n"
+        "    p.present_subgroup([W('b'), W('a a'), W('a b a~')], x, seed=0)\n"
+        "except PipelineInvariantError as err:\n"
+        "    if 'candidate loop reduced to nothing' in str(err):\n"
+        "        raise SystemExit(0)\n"
+        "    raise\n"
+        "raise SystemExit('no PipelineInvariantError under -O')\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 def test_refine_step_walks_to_the_same_first_change(x, cover):

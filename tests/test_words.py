@@ -1,11 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from orelco.complexes import Graph
 from orelco.orbicomplex import build_orbicomplex
-from orelco.words import (DehnResult, dehn_solve, format_word, free_reduce,
-                          inverse_word, is_cyclically_reduced, is_proper_power,
-                          least_rotation, parse_word)
+from orelco.words import (DehnResult, DehnStep, dehn_solve, format_word,
+                          free_reduce, inverse_word, is_cyclically_reduced,
+                          is_proper_power, least_rotation, parse_word, splice)
 
 A = ("a", 1)
 Ai = ("a", -1)
@@ -181,3 +183,93 @@ def test_dehn_strong_threshold_agrees():
     ]
     for u in samples:
         assert dehn_solve(u, x).trivial == dehn_solve(u, x, strong_threshold=True).trivial
+
+
+def _random_word(rng, length):
+    return tuple(rng.choice((A, Ai, B, Bi)) for _ in range(length))
+
+
+def test_splice_cancels_only_at_the_seams():
+    u = (A, B, A, B)
+    assert splice(u, 1, 3, (Bi,)) == ((A,), 1)       # a [b a] b -> a b~ b
+    assert splice(u, 2, 4, (Bi, Ai)) == ((), 0)      # a b [a b] -> a b b~ a~
+    assert splice(u, 0, 2, ()) == ((A, B), 0)
+    assert splice((A, B, B), 1, 2, (Bi, Ai)) == ((A, Bi, Ai, B), 1)
+    rng = random.Random(5)
+    for _ in range(500):
+        u = free_reduce(_random_word(rng, rng.randint(0, 12)))
+        r = free_reduce(_random_word(rng, rng.randint(0, 6)))
+        i = rng.randint(0, len(u))
+        j = rng.randint(i, len(u))
+        got, kept = splice(u, i, j, r)
+        assert got == free_reduce(u[:i] + r + u[j:])
+        assert got[:kept] == u[:kept] and kept <= i
+
+
+# Reference solver: the full rotation table built per call, every table
+# entry matched letter by letter at every position (longest match, first
+# entry among equals), and the whole word reduced after each swap.
+# dehn_solve must give the same DehnResult, step for step.
+
+
+def reference_dehn_solve(word, x, strong_threshold=False):
+    n = x.branch_index
+    base = x.relator_word()
+    u = free_reduce(word)
+    relator = base * n
+    m = len(relator)
+    threshold = (n - 1) * len(base) + 1 if strong_threshold else m // 2 + 1
+    inv = inverse_word(relator)
+    table = []
+    for idx in range(m):
+        table.append((idx, 1, relator[idx:] + relator[:idx]))
+        table.append((idx, -1, inv[idx:] + inv[:idx]))
+    steps = []
+    while u:
+        found = None
+        for i in range(len(u)):
+            best = None
+            cap = min(len(u) - i, m)
+            if cap < threshold:
+                continue
+            for idx, sign, rot in table:
+                match = 0
+                while match < cap and u[i + match] == rot[match]:
+                    match += 1
+                if match >= threshold and (best is None or match > best[0]):
+                    best = (match, idx, sign, rot)
+            if best is not None:
+                found = (i, best)
+                break
+        if found is None:
+            return DehnResult(False, u, tuple(steps))
+        i, (length, idx, sign, rot) = found
+        replacement = inverse_word(rot[length:])
+        u = free_reduce(u[:i] + replacement + u[i + length:])
+        steps.append(DehnStep(i, length, idx, sign))
+    return DehnResult(True, (), tuple(steps))
+
+
+@pytest.mark.parametrize("relator,n", [
+    ((A, B), 2), ((A, B, A, Bi), 2), ((A, B), 3), ((A, A, B, B, B), 2)])
+def test_dehn_matches_the_reference_solver(relator, n):
+    x = make_x(relator, n)
+    power = x.relator_word() * n
+    rng = random.Random(len(relator) * 10 + n)
+    corpus = []
+    for _ in range(60):         # products of conjugates of the relator power
+        u = ()
+        for _ in range(rng.randint(1, 5)):
+            conj = _random_word(rng, rng.randint(0, 6))
+            core = power if rng.random() < 0.5 else inverse_word(power)
+            u += conj + core + inverse_word(conj)
+        corpus.append(free_reduce(u))
+    for _ in range(60):         # random reduced words, mostly nontrivial
+        corpus.append(free_reduce(_random_word(rng, rng.randint(0, 40))))
+    trivial = 0
+    for u in corpus:
+        for strong in (False, True):
+            got = dehn_solve(u, x, strong_threshold=strong)
+            assert got == reference_dehn_solve(u, x, strong), (u, strong)
+            trivial += got.trivial
+    assert trivial >= 60
