@@ -9,8 +9,8 @@ from .covers import (CoverReport, FiniteQuotient, UnwrappedCover,
                      pull_back_subgroup, schreier_path, verify_cover)
 from .diagrams import build_reduced_diagram
 from .errors import (BudgetExhaustedError, DiagramError, FactorizationError,
-                     InvalidComplexError, NotImmersionError, NotMorphismError,
-                     OrelcoError, PipelineInvariantError)
+                     InvalidComplexError, InvariantError, NotImmersionError,
+                     NotMorphismError, OrelcoError, PipelineInvariantError)
 from .folding import FoldResult, factor_unique, fold
 from .harness import (CampaignConfig, CampaignReport, GeneratorParams,
                       random_irreducible_immersion, random_uniform_quotient,
@@ -31,7 +31,8 @@ __all__ = [
     "BudgetExhaustedError", "CampaignConfig", "CampaignReport", "CellImage",
     "CellMorphism", "CoverReport", "DehnResult", "DehnStep", "DiagramError",
     "EdgeRec", "FactorizationError", "FiniteQuotient", "FoldResult",
-    "GeneratorParams", "Graph", "InvalidComplexError", "MapKind",
+    "GeneratorParams", "Graph", "InvalidComplexError", "InvariantError",
+    "MapKind",
     "NotImmersionError", "NotMorphismError", "OneRelatorOrbicomplex",
     "OrbiMorphism", "OrelcoError", "PipelineInvariantError", "PipelineReport",
     "PipelineState", "Presentation", "Stacking", "StackingVerdict",

@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from .complexes import (Dart, EdgeRec, Graph, MapKind, TwoComplex,
                         euler_characteristic, target_side)
-from .errors import BudgetExhaustedError, InvalidComplexError
+from .errors import (BudgetExhaustedError, InvalidComplexError,
+                     InvariantError)
 from .orbicomplex import (OneRelatorOrbicomplex, OrbiMorphism,
                           check_orbi_immersion)
 from .words import Word, free_reduce, inverse_word
@@ -165,7 +166,10 @@ def find_exponent_n_quotient(x: OneRelatorOrbicomplex, max_degree: int,
             perms = {s: tuple((i + c) % m for i in range(m))
                      for s, c in zip(symbols, assignment)}
             q = FiniteQuotient(m, perms)
-            assert not validate_quotient(q, x)
+            problems = validate_quotient(q, x)
+            if problems:
+                raise InvariantError(
+                    "cyclic quotient fails validation: " + "; ".join(problems))
             return q
     rng = random.Random(seed)
     for k in range(n, max_degree + 1):
@@ -242,7 +246,8 @@ def build_unwrapped_cover(x: OneRelatorOrbicomplex,
             orbit.append(j)
             j = eta_w[j]
         path, end = schreier_path(q, power_word, p)
-        assert end == p, "relator power lift failed to close"
+        if end != p:
+            raise InvariantError("relator power lift failed to close")
         cid = f"f{index}"
         cells[cid] = path
         families[cid] = tuple(orbit)

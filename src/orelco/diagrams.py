@@ -12,12 +12,13 @@ yields the reduced diagram.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 
 from .complexes import (Dart, EdgeRec, Graph, MapKind, TwoComplex,
-                        connected_components, dart_reverse, require_valid,
-                        reverse_path)
+                        dart_reverse, require_valid, reverse_path)
 from .errors import DiagramError
 from .orbicomplex import (OneRelatorOrbicomplex, OrbiMorphism,
                           check_orbi_immersion)
@@ -55,6 +56,11 @@ class _DiskBuilder:
     Edges are always oriented so that the forward dart reads a positive
     letter; folds therefore never reverse an edge.  The vertices are the
     base plus the ends of the live edges.
+
+    Identifications are recorded in two union-finds and not written into
+    the complex: cell paths and the boundary may name a folded edge, and
+    edge records a merged vertex, until ``settle`` rewrites them.  Readers
+    resolve names through ``edge_of`` and ``vertex_of``.
     """
 
     def __init__(self, base: str):
@@ -63,12 +69,49 @@ class _DiskBuilder:
         self.cells: dict[str, list[Dart]] = {}
         self.cell_align: dict[str, tuple[int, int]] = {}
         self.boundary: list[Dart] = []
+        self._edge_parent: dict[str, str] = {}     # folded edge -> survivor
+        self._vertex_parent: dict[str, str] = {}   # merged vertex -> survivor
+
+    @staticmethod
+    def _find(parent: dict[str, str], x: str) -> str:
+        root = x
+        while root in parent:
+            root = parent[root]
+        while x != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def edge_of(self, e: str) -> str:
+        return self._find(self._edge_parent, e)
+
+    def vertex_of(self, v: str) -> str:
+        return self._find(self._vertex_parent, v)
+
+    def settle(self) -> None:
+        """Write the surviving edge and vertex names into the complex.  A
+        name read before a settle is not resolved after it."""
+        merged = self._vertex_parent
+        if merged:
+            vx = self.vertex_of
+            for e, (t, h, sym) in self.edges.items():
+                if t in merged or h in merged:
+                    self.edges[e] = EdgeRec(vx(t), vx(h), sym)
+            merged.clear()
+        if self._edge_parent:
+            folded = self._edge_parent
+            for path in (*self.cells.values(), self.boundary):
+                for i, (e, s) in enumerate(path):
+                    if e in folded:
+                        path[i] = (self.edge_of(e), s)
+            folded.clear()
 
     @property
     def vertices(self) -> set[str]:
+        self.settle()
         return {self.base}.union(*(rec[:2] for rec in self.edges.values()))
 
     def snapshot(self) -> TwoComplex:
+        self.settle()
         return TwoComplex(Graph(frozenset(self.vertices), dict(self.edges)),
                           {cid: tuple(path) for cid, path in self.cells.items()},
                           base_vertex=self.base)
@@ -76,7 +119,7 @@ class _DiskBuilder:
     # -- primitives ------------------------------------------------------
 
     def letter(self, d: Dart) -> Letter:
-        return (self.edges[d[0]].label, d[1])
+        return (self.edges[self.edge_of(d[0])].label, d[1])
 
     def new_edge(self, eid: str, cur: str, nxt: str, letter: Letter) -> Dart:
         sym, sign = letter
@@ -85,18 +128,18 @@ class _DiskBuilder:
         return (eid, sign)
 
     def merge_vertices(self, a: str, b: str) -> None:
+        """The base survives a merge, otherwise the smaller name."""
+        a, b = self.vertex_of(a), self.vertex_of(b)
         if a == b:
             return
         if b == self.base or (a != self.base and b < a):
             a, b = b, a
-        for e, (t, h, sym) in self.edges.items():
-            if b in (t, h):
-                self.edges[e] = EdgeRec(a if t == b else t, a if h == b else h,
-                                        sym)
+        self._vertex_parent[b] = a
 
     def identify_darts(self, d1: Dart, d2: Dart) -> None:
         """Fold dart ``d2`` onto ``d1``: the ends of the two darts merge and
-        the edge of ``d2`` is renamed to that of ``d1`` everywhere."""
+        the edge of ``d2`` becomes that of ``d1``."""
+        d1, d2 = (self.edge_of(d1[0]), d1[1]), (self.edge_of(d2[0]), d2[1])
         if d1 == d2:
             return
         (e1, s1), (e2, s2) = d1, d2
@@ -109,10 +152,7 @@ class _DiskBuilder:
         for end in (0, 1):      # same orientation: tails meet, heads meet
             self.merge_vertices(self.edges[e1][end], self.edges[e2][end])
         del self.edges[e2]
-        sub = lambda d: (e1, d[1]) if d[0] == e2 else d
-        for path in self.cells.values():
-            path[:] = [sub(d) for d in path]
-        self.boundary = [sub(d) for d in self.boundary]
+        self._edge_parent[e2] = e1
 
     # -- construction ----------------------------------------------------
 
@@ -140,11 +180,14 @@ class _DiskBuilder:
 
     def carried(self) -> Counter[str]:
         """Times each edge is traversed by cell sides plus the boundary."""
-        return Counter(e for path in (*self.cells.values(), self.boundary)
-                       for e, _ in path)
+        self.settle()
+        return Counter(map(itemgetter(0),
+                           chain(*self.cells.values(), self.boundary)))
 
     def readout(self) -> Word:
-        return tuple(self.letter(d) for d in self.boundary)
+        self.settle()
+        edges = self.edges
+        return tuple((edges[e].label, s) for e, s in self.boundary)
 
     def check_disk(self) -> None:
         counts = self.carried()
@@ -160,9 +203,11 @@ class _DiskBuilder:
         reduced.  A cancellation leaves the letters before it alone, so the
         scan resumes one step back."""
         counts = self.carried()
+        edge_of = self.edge_of
         i = 0
         while i < len(self.boundary) - 1:
-            d1, d2 = self.boundary[i], self.boundary[i + 1]
+            (e1, s1), (e2, s2) = self.boundary[i], self.boundary[i + 1]
+            d1, d2 = (edge_of(e1), s1), (edge_of(e2), s2)
             if self.letter(d2) != inverse_letter(self.letter(d1)):
                 i += 1
                 continue
@@ -200,7 +245,17 @@ class _DiskBuilder:
         counts = self.carried()
         for e in [e for e in self.edges if not counts[e]]:
             del self.edges[e]
-        if len(connected_components(self.snapshot().skeleton)) > 1:
+        links: defaultdict[str, list[str]] = defaultdict(list)
+        for t, h, _ in self.edges.values():
+            links[t].append(h)
+            links[h].append(t)
+        seen, todo = {self.base}, [self.base]
+        while todo:
+            for w in links[todo.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        if len(seen) < len(links):
             raise DiagramError("diagram disconnected after cancellation")
 
     # -- export ----------------------------------------------------------

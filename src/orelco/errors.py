@@ -25,6 +25,10 @@ class NotImmersionError(OrelcoError):
         self.witness = witness
 
 
+class InvariantError(OrelcoError):
+    """A computation breached one of its own hard invariants on valid input."""
+
+
 class FactorizationError(OrelcoError):
     """Inputs to a factorization do not satisfy its commuting contract."""
 

@@ -11,12 +11,15 @@ factored immersion through any other immersion D -> B is unique, which
 
 from __future__ import annotations
 
+import heapq
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 
-from .complexes import (CellImage, CellMorphism, EdgeRec, Graph, MapKind,
-                        TwoComplex, _check_morphism, cell_image_path,
-                        classify_map, compose, dart_sort_key, reverse_path)
-from .errors import FactorizationError, NotImmersionError, NotMorphismError
+from .complexes import (CellImage, CellMorphism, Dart, EdgeRec, Graph,
+                        MapKind, TwoComplex, _check_morphism, cell_image_path,
+                        classify_map, compose, reverse_path)
+from .errors import (FactorizationError, InvariantError, NotImmersionError,
+                     NotMorphismError)
 
 TraceEntry = tuple  # ("dart", dart, dart) or ("cell", kept_id, dropped_id)
 
@@ -51,7 +54,8 @@ class _SignedEdgeClasses:
         if r1 == r2:
             # identifications are driven by equal images, which makes every
             # relation cycle orientation-consistent
-            assert rel == 1, "edge folded onto its own reverse"
+            if rel != 1:
+                raise InvariantError("edge folded onto its own reverse")
             return
         if r1 < r2:
             self.parent[r2] = (r1, rel)
@@ -75,13 +79,17 @@ def _canonical_cell_key(path, image: CellImage):
 def fold(m: CellMorphism) -> FoldResult:
     """Fold ``m`` into projection ∘ inclusion with the inclusion an immersion.
 
-    The lowest clashing dart pair is always identified first, so the trace is
+    Stallings folding on a worklist.  The live darts at each quotient vertex
+    sit in sorted buckets by image, and a heap holds the least dart of every
+    bucket with two or more darts.  Each step identifies the two least darts
+    of the bucket whose least dart is least overall, so the trace is
     deterministic; the folded complex is independent of the order anyway.
     """
     witness = _check_morphism(m)
     if witness is not None:
         raise NotMorphismError(witness)
     a = m.source
+    skel = a.skeleton.edges
     vparent = {v: v for v in a.skeleton.vertices}
 
     def vfind(v: str) -> str:
@@ -90,54 +98,70 @@ def fold(m: CellMorphism) -> FoldResult:
             v = vparent[v]
         return v
 
-    def vunion(u: str, v: str) -> None:
-        ru, rv = vfind(u), vfind(v)
-        if ru != rv:
-            if rv < ru:
-                ru, rv = rv, ru
-            vparent[rv] = ru
-
-    euf = _SignedEdgeClasses(a.skeleton.edges)
+    euf = _SignedEdgeClasses(skel)
     trace: list[TraceEntry] = []
 
-    def quotient_state():
-        roots = sorted({euf.find(e)[0] for e in a.skeleton.edges})
-        ends = {}
-        at: dict[str, list] = {}
-        for r in roots:
-            rec = a.skeleton.edges[r]
-            tail, head = vfind(rec.tail), vfind(rec.head)
-            ends[r] = (tail, head)
-            at.setdefault(tail, []).append((r, 1))
-            at.setdefault(head, []).append((r, -1))
-        return roots, ends, at
+    # A dart is handled as its sort key (edge, 0 forward / 1 reverse), so
+    # EdgeRec field ``bit`` is its origin and ``1 - bit`` its terminus.
+    buckets: dict[str, dict[Dart, list[tuple[str, int]]]] = {
+        v: {} for v in vparent}
 
-    while True:
-        _, ends, at = quotient_state()
-        pick = None
-        for v in sorted(at):
-            groups: dict = {}
-            for d in sorted(at[v], key=dart_sort_key):
-                f, g = m.edge_map[d[0]]
-                img = (f, g * d[1])
-                groups.setdefault(img, []).append(d)
-            for img in groups:
-                ds = groups[img]
-                if len(ds) >= 2:
-                    cand = (ds[0], ds[1])
-                    if pick is None or (dart_sort_key(cand[0]), dart_sort_key(cand[1])) < (
-                            dart_sort_key(pick[0]), dart_sort_key(pick[1])):
-                        pick = cand
-        if pick is None:
-            break
-        d1, d2 = pick
+    def bucket_of(k: tuple[str, int]):
+        e, bit = k
+        f, g = m.edge_map[e]
+        return buckets[vfind(skel[e][bit])], (f, -g if bit else g)
+
+    for e in sorted(skel):
+        for k in ((e, 0), (e, 1)):
+            at, img = bucket_of(k)
+            at.setdefault(img, []).append(k)
+    heap = [b[0] for at in buckets.values() for b in at.values() if len(b) > 1]
+    heapq.heapify(heap)
+    while heap:
+        k1 = heapq.heappop(heap)
+        at, img = bucket_of(k1)
+        b = at.get(img)
+        if b is None or len(b) < 2 or b[0] != k1:
+            continue    # stale: the bucket changed after this entry
+        k2 = b.pop(1)
+        if len(b) > 1:
+            heapq.heappush(heap, k1)
+        (e1, bit1), (e2, bit2) = k1, k2
+        d1, d2 = (e1, 1 - 2 * bit1), (e2, 1 - 2 * bit2)
         trace.append(("dart", d1, d2))
-        t1 = ends[d1[0]][0 if d1[1] < 0 else 1]
-        t2 = ends[d2[0]][0 if d2[1] < 0 else 1]
-        vunion(t1, t2)
-        euf.union_darts(d1[0], d1[1], d2[0], d2[1])
+        # k1 < k2 in different edges, so e1 < e2 and e1 stays the root.
+        # Both darts of e2 leave their buckets.  The reverse of e2 shares
+        # its bucket with the smaller reverse of e1, or the two buckets
+        # merge below, so no entry is lost.
+        back = (e2, 1 - bit2)
+        at2, img2 = bucket_of(back)
+        rb = at2[img2]
+        del rb[bisect_left(rb, back)]
+        if not rb:
+            del at2[img2]
+        t1, t2 = vfind(skel[e1][1 - bit1]), vfind(skel[e2][1 - bit2])
+        euf.union_darts(e1, d1[1], e2, d2[1])
+        if t1 == t2:
+            continue
+        if t2 < t1:
+            t1, t2 = t2, t1
+        vparent[t2] = t1    # the smaller name survives
+        keep, lose = buckets.pop(t1), buckets.pop(t2)
+        if len(keep) < len(lose):
+            keep, lose = lose, keep
+        for image, small in lose.items():
+            big = keep.setdefault(image, small)
+            if big is small:
+                continue
+            if len(big) < len(small):
+                big, small = small, big
+                keep[image] = big
+            for k in small:
+                insort(big, k)
+            heapq.heappush(heap, big[0])
+        buckets[t1] = keep
 
-    roots, ends, _ = quotient_state()
+    roots = [e for e in sorted(skel) if euf.find(e)[0] == e]
     edges = {}
     for r in roots:
         rec = a.skeleton.edges[r]
@@ -179,9 +203,9 @@ def fold(m: CellMorphism) -> FoldResult:
         orient = im_c.orient * im_k.orient
         offset = (im_k.orient * (im_c.offset - im_k.offset)) % length
         proj_cells[cid] = CellImage(rep, offset, orient)
-        want = cell_image_path(folded, proj_cells[cid])
-        assert pushed_path(a.cells[cid]) == want, \
-            f"cell {cid} does not project onto its representative {rep}"
+        if pushed_path(a.cells[cid]) != cell_image_path(folded, proj_cells[cid]):
+            raise InvariantError(
+                f"cell {cid} does not project onto its representative {rep}")
 
     projection = CellMorphism(
         a, folded,
@@ -195,8 +219,11 @@ def fold(m: CellMorphism) -> FoldResult:
         {r: m.edge_map[r] for r in roots},
         {rep: m.cell_map[rep] for rep in kept_cells},
     )
-    assert _check_morphism(projection) is None
-    assert compose(inclusion, projection) == m, "fold composite drifted"
+    witness = _check_morphism(projection)
+    if witness is not None:
+        raise InvariantError(f"fold projection is not a morphism: {witness}")
+    if compose(inclusion, projection) != m:
+        raise InvariantError("fold composite drifted")
     cls = classify_map(inclusion)
     if cls.kind < MapKind.IMMERSION:
         raise NotImmersionError(f"folded map failed its immersion check: {cls.witness}")

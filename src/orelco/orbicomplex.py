@@ -48,6 +48,10 @@ class OneRelatorOrbicomplex:
 
     def relator_word(self) -> Word:
         """The relator as a word; requires every traversed edge to be labeled."""
+        return self._relator_word
+
+    @cached_property
+    def _relator_word(self) -> Word:
         letters = []
         for d in self.relator:
             letter = self.gamma.dart_label(d)

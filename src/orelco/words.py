@@ -49,10 +49,20 @@ def least_rotation(word: Sequence[Letter]) -> Word:
     return min((w[r:] + w[:r] for r in range(len(w))), default=())
 
 
+def is_reduced(word: Sequence[Letter]) -> bool:
+    """No letter is followed by its inverse."""
+    last_sym, last_sign = None, 0
+    for sym, sign in word:
+        if sym == last_sym and sign != last_sign:
+            return False
+        last_sym, last_sign = sym, sign
+    return True
+
+
 def is_cyclically_reduced(word: Sequence[Letter]) -> bool:
     if not word:
         return True
-    if tuple(word) != free_reduce(word):
+    if not is_reduced(word):
         return False
     return word[0] != inverse_letter(word[-1]) or len(word) == 1
 
@@ -175,8 +185,8 @@ def dehn_solve(word: Sequence[Letter], x: "OneRelatorOrbicomplex",
     if n < 2:
         raise ValueError("word problem routine requires branch index >= 2")
     base = x.relator_word()
-    u = free_reduce(word)
-    if tuple(word) != u:
+    u = tuple(word)
+    if not is_reduced(u):
         raise ValueError("input word must be freely reduced")
     m = len(base) * n
     threshold = (n - 1) * len(base) + 1 if strong_threshold else m // 2 + 1

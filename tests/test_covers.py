@@ -9,7 +9,8 @@ from orelco.covers import (FiniteQuotient, build_unwrapped_cover,
                            has_uniform_exponent_cycles, permutation_order,
                            pull_back_subgroup, schreier_path, validate_quotient,
                            verify_cover, UnwrappedCover)
-from orelco.errors import BudgetExhaustedError
+import orelco.covers as covers
+from orelco.errors import BudgetExhaustedError, InvariantError
 from orelco.orbicomplex import (OrbiMorphism, build_orbicomplex,
                                 check_orbi_immersion, degree,
                                 presentation_complex, wcycles_audit)
@@ -43,6 +44,21 @@ def test_find_quotient_worked_examples():
     q2 = find_exponent_n_quotient(make_x("a", 3), 9, 7)
     assert q2.degree == 3
     assert q2.perms == {"a": (1, 2, 0), "b": (0, 1, 2)}
+
+
+def test_cover_invariants_raise_typed_errors(monkeypatch):
+    # both checks guard code paths that are right by construction, so
+    # break the helpers they rely on
+    x = make_x("a b", 2)
+    with monkeypatch.context() as mp:
+        mp.setattr(covers, "validate_quotient", lambda q, x: ["broken"])
+        with pytest.raises(InvariantError, match="broken"):
+            find_exponent_n_quotient(x, 8, 7)
+    with monkeypatch.context() as mp:
+        mp.setattr(covers, "schreier_path",
+                   lambda q, word, start: ((), start + 1))
+        with pytest.raises(InvariantError, match="failed to close"):
+            build_unwrapped_cover(x, Q_AB2)
 
 
 def test_find_quotient_budget_error():

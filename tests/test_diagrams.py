@@ -138,6 +138,21 @@ def test_mirror_pair_is_found_and_cancelled():
     assert b.boundary == []
 
 
+def test_prune_keeps_carried_edges_and_rejects_a_second_component():
+    b = _DiskBuilder("T")
+    b.new_edge("g", "T", "U", ("a", 1))
+    b.new_edge("h", "U", "V", ("b", 1))
+    b.new_edge("k", "T", "W", ("a", 1))
+    b.boundary = [("g", 1), ("h", 1), ("h", -1), ("g", -1)]
+    b.prune_dangling()
+    assert list(b.edges) == ["g", "h"]
+    assert b.vertices == {"T", "U", "V"}
+    b.new_edge("m", "X", "Y", ("b", 1))
+    b.boundary += [("m", 1), ("m", -1)]
+    with pytest.raises(DiagramError, match="disconnected"):
+        b.prune_dangling()
+
+
 def test_same_cell_mirror_is_a_hard_error():
     b = _DiskBuilder("T")
     b.new_edge("g", "T", "U", ("a", 1))

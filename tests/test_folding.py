@@ -1,13 +1,25 @@
+import hashlib
 import itertools
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from orelco.complexes import (CellImage, CellMorphism, EdgeRec, Graph,
-                              MapKind, TwoComplex, classify_map,
-                              identity_morphism, non_tree_edge_count)
+                              MapKind, TwoComplex, _check_morphism,
+                              cell_image_path, classify_map, dart_sort_key,
+                              identity_morphism, non_tree_edge_count,
+                              reverse_path)
+from orelco.diagrams import build_reduced_diagram
 from orelco.errors import FactorizationError, NotImmersionError, NotMorphismError
-from orelco.folding import factor_unique, fold
-from orelco.words import free_reduce
+from orelco.folding import FoldResult, _canonical_cell_key, factor_unique, fold
+from orelco.harness import _random_rose_morphism
+from orelco.orbicomplex import build_orbicomplex
+from orelco.textio import format_complex, format_fold_trace, format_morphism
+from orelco.words import free_reduce, inverse_word, parse_word as W
 
 ROSE_AB = TwoComplex(skeleton=Graph.rose(["a", "b"]), cells={})
 ROSE_A = TwoComplex(skeleton=Graph.rose(["a"]), cells={})
@@ -262,3 +274,344 @@ def test_factor_unique_rejects_unimmersed_target():
     res = fold(two_loop_wedge())
     with pytest.raises(NotImmersionError):
         factor_unique(res, two_loop_wedge(), identity_morphism(two_loop_wedge().source))
+
+
+# ---------------------------------------------------------------------------
+# the worklist fold against the quadratic fold it replaced
+
+
+class _ReferenceEdgeClasses:
+    def __init__(self, edges):
+        self.parent = {e: (e, 1) for e in edges}
+
+    def find(self, e):
+        root, sign = self.parent[e]
+        if root != e:
+            root2, sign2 = self.find(root)
+            root, sign = root2, sign * sign2
+            self.parent[e] = (root, sign)
+        return root, sign
+
+    def union_darts(self, e1, s1, e2, s2):
+        r1, g1 = self.find(e1)
+        r2, g2 = self.find(e2)
+        rel = s1 * g1 * s2 * g2
+        if r1 == r2:
+            assert rel == 1, "edge folded onto its own reverse"
+            return
+        if r1 < r2:
+            self.parent[r2] = (r1, rel)
+        else:
+            self.parent[r1] = (r2, rel)
+
+
+def reference_fold(m):
+    """The fold as first written: rebuild the quotient's darts after every
+    identification and take the clashing pair least under dart_sort_key."""
+    witness = _check_morphism(m)
+    if witness is not None:
+        raise NotMorphismError(witness)
+    a = m.source
+    vparent = {v: v for v in a.skeleton.vertices}
+
+    def vfind(v):
+        while vparent[v] != v:
+            vparent[v] = vparent[vparent[v]]
+            v = vparent[v]
+        return v
+
+    def vunion(u, v):
+        ru, rv = vfind(u), vfind(v)
+        if ru != rv:
+            if rv < ru:
+                ru, rv = rv, ru
+            vparent[rv] = ru
+
+    euf = _ReferenceEdgeClasses(a.skeleton.edges)
+    trace = []
+
+    def quotient_state():
+        roots = sorted({euf.find(e)[0] for e in a.skeleton.edges})
+        ends = {}
+        at = {}
+        for r in roots:
+            rec = a.skeleton.edges[r]
+            tail, head = vfind(rec.tail), vfind(rec.head)
+            ends[r] = (tail, head)
+            at.setdefault(tail, []).append((r, 1))
+            at.setdefault(head, []).append((r, -1))
+        return roots, ends, at
+
+    while True:
+        _, ends, at = quotient_state()
+        pick = None
+        for v in sorted(at):
+            groups = {}
+            for d in sorted(at[v], key=dart_sort_key):
+                f, g = m.edge_map[d[0]]
+                groups.setdefault((f, g * d[1]), []).append(d)
+            for ds in groups.values():
+                if len(ds) >= 2:
+                    cand = (ds[0], ds[1])
+                    if pick is None or (dart_sort_key(cand[0]),
+                                        dart_sort_key(cand[1])) < (
+                            dart_sort_key(pick[0]), dart_sort_key(pick[1])):
+                        pick = cand
+        if pick is None:
+            break
+        d1, d2 = pick
+        trace.append(("dart", d1, d2))
+        t1 = ends[d1[0]][0 if d1[1] < 0 else 1]
+        t2 = ends[d2[0]][0 if d2[1] < 0 else 1]
+        vunion(t1, t2)
+        euf.union_darts(d1[0], d1[1], d2[0], d2[1])
+
+    roots, ends, _ = quotient_state()
+    edges = {}
+    for r in roots:
+        rec = a.skeleton.edges[r]
+        edges[r] = EdgeRec(vfind(rec.tail), vfind(rec.head), rec.label)
+    vertices = frozenset(vfind(v) for v in a.skeleton.vertices)
+    base = vfind(a.base_vertex) if a.base_vertex is not None else None
+
+    def pushed_path(path):
+        out = []
+        for e, s in path:
+            root, sign = euf.find(e)
+            out.append((root, s * sign))
+        return tuple(out)
+
+    groups = {}
+    for cid in sorted(a.cells):
+        path = pushed_path(a.cells[cid])
+        key = _canonical_cell_key(path, m.cell_map[cid])
+        groups.setdefault(key, []).append((cid, path))
+
+    kept_cells = {}
+    rep_of = {}
+    for key in groups:
+        members = groups[key]
+        rep, rep_path = members[0]
+        kept_cells[rep] = rep_path
+        for cid, _ in members:
+            rep_of[cid] = rep
+        for cid, _ in members[1:]:
+            trace.append(("cell", rep, cid))
+
+    folded = TwoComplex(Graph(vertices, edges), kept_cells, base)
+
+    proj_cells = {}
+    for cid in sorted(a.cells):
+        rep = rep_of[cid]
+        im_c, im_k = m.cell_map[cid], m.cell_map[rep]
+        length = len(a.cells[cid])
+        orient = im_c.orient * im_k.orient
+        offset = (im_k.orient * (im_c.offset - im_k.offset)) % length
+        proj_cells[cid] = CellImage(rep, offset, orient)
+
+    projection = CellMorphism(
+        a, folded,
+        {v: vfind(v) for v in a.skeleton.vertices},
+        {e: euf.find(e) for e in a.skeleton.edges},
+        proj_cells,
+    )
+    inclusion = CellMorphism(
+        folded, m.target,
+        {v: m.vertex_map[v] for v in vertices},
+        {r: m.edge_map[r] for r in roots},
+        {rep: m.cell_map[rep] for rep in kept_cells},
+    )
+    cls = classify_map(inclusion)
+    if cls.kind < MapKind.IMMERSION:
+        raise NotImmersionError(
+            f"folded map failed its immersion check: {cls.witness}")
+    return FoldResult(folded, projection, inclusion, tuple(trace))
+
+
+CELL_TARGET = TwoComplex(
+    Graph.rose(["a", "b"]),
+    {"T": W("a b a b~"), "U": W("a a b"), "V": W("a b a b")})
+
+
+def _images(path_image):
+    """Every (cell, offset, orientation) whose boundary is ``path_image``."""
+    out = []
+    for cid in sorted(CELL_TARGET.cells):
+        m = len(CELL_TARGET.cells[cid])
+        for orient in (1, -1):
+            for offset in range(m):
+                image = CellImage(cid, offset, orient)
+                if cell_image_path(CELL_TARGET, image) == path_image:
+                    out.append(image)
+    return out
+
+
+def random_cell_morphism(rng):
+    """A map into CELL_TARGET: each source cell reads a target cell from a
+    random offset in a random orientation along fresh edges of random
+    direction, or repeats an earlier cell's edges rotated or reversed; loose
+    edges are added and vertices glued at random, which makes loops and
+    parallel edges.  Edge and cell ids are drawn unsorted."""
+    pool = rng.randint(1, 6)
+    names = iter(rng.sample(range(1000), 200))
+    vertex = lambda: f"u{rng.randrange(pool)}"
+    edges, emap, cells, cmap = {}, {}, {}, {}
+    for _ in range(rng.randint(0, 4)):
+        cid = f"c{next(names)}"
+        if cells and rng.random() < 0.4:
+            path = cells[rng.choice(sorted(cells))]
+            r = rng.randrange(len(path))
+            path = path[r:] + path[:r]
+            if rng.random() < 0.5:
+                path = reverse_path(path)
+        else:
+            target = CELL_TARGET.cells[rng.choice(sorted(CELL_TARGET.cells))]
+            r = rng.randrange(len(target))
+            word = target[r:] + target[:r]
+            if rng.random() < 0.5:
+                word = reverse_path(word)
+            start = cur = vertex()
+            path = []
+            for i, (sym, sign) in enumerate(word):
+                nxt = start if i == len(word) - 1 else vertex()
+                e = f"e{next(names)}"
+                s = rng.choice((1, -1))
+                edges[e] = EdgeRec(cur, nxt, sym) if s > 0 \
+                    else EdgeRec(nxt, cur, sym)
+                emap[e] = (sym, sign * s)
+                path.append((e, s))
+                cur = nxt
+            path = tuple(path)
+        cells[cid] = path
+        cmap[cid] = rng.choice(_images(tuple(
+            (emap[e][0], emap[e][1] * s) for e, s in path)))
+    for _ in range(rng.randint(0, 6)):
+        e, sym, s = f"e{next(names)}", rng.choice("ab"), rng.choice((1, -1))
+        edges[e] = EdgeRec(vertex(), vertex(), sym)
+        emap[e] = (sym, s)
+    order = list(edges)
+    rng.shuffle(order)
+    vertices = frozenset(v for rec in edges.values() for v in rec[:2]) \
+        | {"u0"}
+    src = TwoComplex(Graph(vertices, {e: edges[e] for e in order}),
+                     cells, base_vertex="u0")
+    return CellMorphism(src, CELL_TARGET, {v: "*" for v in vertices},
+                        {e: emap[e] for e in order}, cmap)
+
+
+def random_rose_morphisms(rng, count):
+    rose = TwoComplex(Graph.rose(["a", "b"]), {})
+    return [_random_rose_morphism(rng, rng.randint(1, 12), ["a", "b"], rose)
+            for _ in range(count)]
+
+
+def diagram_morphisms(count, seed):
+    """Reduced disk diagrams of conjugate products as maps into the
+    presentation complex, labelled the way the benchmark labels them."""
+    rng = random.Random(seed)
+    out = []
+    for rel, n in (("a b", 2), ("a b a b~", 2), ("a b", 3)):
+        x = build_orbicomplex(Graph.rose("ab"), W(rel), n)
+        cx = x.presentation_complex
+        q = x.relator_word() * n
+        for _ in range(count):
+            product = []
+            for _ in range(rng.randint(2, 6)):
+                stem = tuple((rng.choice("ab"), rng.choice((1, -1)))
+                             for _ in range(rng.randint(0, 5)))
+                body = q if rng.random() < 0.5 else inverse_word(q)
+                product += stem + body + inverse_word(stem)
+            d = build_reduced_diagram(free_reduce(product), x)
+            out.append(CellMorphism(
+                d.diagram, cx,
+                {v: "*" for v in d.diagram.skeleton.vertices},
+                dict(d.labeling.edge_map),
+                {cid: CellImage("d0", off, orient)
+                 for cid, (off, orient) in d.labeling.cell_align.items()}))
+    return out
+
+
+def fold_corpus():
+    rng = random.Random(2006)
+    return ([random_cell_morphism(rng) for _ in range(150)]
+            + random_rose_morphisms(rng, 150) + diagram_morphisms(4, 2006))
+
+
+def _outcome(fold_fn, m):
+    try:
+        return fold_fn(m)
+    except (NotImmersionError, NotMorphismError) as err:
+        return type(err).__name__, str(err)
+
+
+def _dict_orders(res: FoldResult):
+    return [list(d) for d in (
+        res.folded.skeleton.edges, res.folded.cells,
+        res.projection.vertex_map, res.projection.edge_map,
+        res.projection.cell_map, res.inclusion.vertex_map,
+        res.inclusion.edge_map, res.inclusion.cell_map)]
+
+
+def test_worklist_fold_matches_the_reference():
+    rng = random.Random(1805)
+    corpus = ([random_cell_morphism(rng) for _ in range(300)]
+              + random_rose_morphisms(rng, 300) + diagram_morphisms(3, 11))
+    folds = 0
+    for m in corpus:
+        got, want = _outcome(fold, m), _outcome(reference_fold, m)
+        assert got == want
+        if isinstance(want, FoldResult):
+            assert _dict_orders(got) == _dict_orders(want)
+            folds += len(want.trace) > 0
+    assert folds > 400
+
+
+FOLD_CORPUS_DIGEST = \
+    "5403c41752ecb1752cd145edcc5974eb0db90fe2a62b38ed976bf1ab8ede3a2f"
+
+
+def test_fold_corpus_is_byte_stable():
+    h = hashlib.sha256()
+    for m in fold_corpus():
+        res = _outcome(fold, m)
+        if not isinstance(res, FoldResult):
+            h.update(repr(res).encode())
+            continue
+        h.update(format_complex(res.folded).encode())
+        h.update(format_morphism(res.projection).encode())
+        h.update(format_morphism(res.inclusion).encode())
+        h.update(format_fold_trace(res.trace).encode())
+    assert h.hexdigest() == FOLD_CORPUS_DIGEST
+
+
+def test_fold_invariant_checks_survive_optimized_python():
+    # a union-find that mis-signs a merge leaves a projection whose
+    # composite with the inclusion is not the input; python -O strips
+    # asserts, so the check must raise the package's own error
+    script = (
+        "import orelco.folding as f\n"
+        "from orelco.complexes import (CellMorphism, EdgeRec, Graph,\n"
+        "                              TwoComplex)\n"
+        "from orelco.errors import InvariantError\n"
+        "union = f._SignedEdgeClasses.union_darts\n"
+        "f._SignedEdgeClasses.union_darts = (\n"
+        "    lambda self, e1, s1, e2, s2: union(self, e1, s1, e2, -s2))\n"
+        "g = Graph(frozenset({'v'}), {n: EdgeRec('v', 'v', 'a')\n"
+        "                              for n in ('e1', 'e2')})\n"
+        "rose = TwoComplex(Graph.rose(['a']), {})\n"
+        "m = CellMorphism(TwoComplex(g, {}, 'v'), rose, {'v': '*'},\n"
+        "                 {'e1': ('a', 1), 'e2': ('a', 1)}, {})\n"
+        "try:\n"
+        "    f.fold(m)\n"
+        "except InvariantError as err:\n"
+        "    if 'fold composite drifted' in str(err):\n"
+        "        raise SystemExit(0)\n"
+        "    raise\n"
+        "raise SystemExit('no InvariantError under -O')\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr

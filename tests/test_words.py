@@ -7,7 +7,8 @@ from orelco.complexes import Graph
 from orelco.orbicomplex import build_orbicomplex
 from orelco.words import (DehnResult, DehnStep, dehn_solve, format_word,
                           free_reduce, inverse_word, is_cyclically_reduced,
-                          is_proper_power, least_rotation, parse_word, splice)
+                          is_proper_power, is_reduced, least_rotation,
+                          parse_word, splice)
 
 A = ("a", 1)
 Ai = ("a", -1)
@@ -80,6 +81,21 @@ def test_parse_and_format():
 @given(words)
 def test_word_roundtrip(w):
     assert parse_word(format_word(w)) == w
+
+
+@given(words)
+def test_reduced_predicate_agrees_with_free_reduction(w):
+    assert is_reduced(w) == (free_reduce(w) == w)
+    assert is_reduced(list(w)) == is_reduced(w)
+
+
+def test_dehn_rejects_unreduced_input_after_the_branch_check():
+    with pytest.raises(ValueError, match="freely reduced"):
+        dehn_solve((A, B, Bi, A), make_x([A, B], 2))
+    with pytest.raises(ValueError, match="branch index"):
+        dehn_solve((A, B, Bi, A), make_x([A, B], 1))
+    x = make_x([A, B], 2)
+    assert x.relator_word() is x.relator_word()
 
 
 def test_cyclically_reduced_predicate():
