@@ -19,7 +19,7 @@ from .orbicomplex import (OneRelatorOrbicomplex, OrbiMorphism, WCyclesAudit,
                           build_orbicomplex, check_orbi_immersion, degree,
                           wcycles_audit)
 from .pipeline import (Presentation, PipelineReport, PipelineState,
-                       present_subgroup, refine_step, seed_immersion)
+                       present_subgroup, seed_immersion)
 from .stacking import (Stacking, StackingVerdict, check_good_stacking,
                        is_branched, parse_stacking)
 from .words import (DehnResult, DehnStep, dehn_solve, format_word,
@@ -45,6 +45,6 @@ __all__ = [
     "identity_morphism", "inverse_word",
     "is_branched", "parse_stacking", "parse_word", "present_subgroup",
     "pull_back_subgroup", "random_irreducible_immersion",
-    "random_uniform_quotient", "refine_step", "run_property_campaign",
+    "random_uniform_quotient", "run_property_campaign",
     "schreier_path", "seed_immersion", "verify_cover", "wcycles_audit",
 ]

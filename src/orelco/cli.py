@@ -67,8 +67,16 @@ def _emit(args, text: str) -> None:
         print(text, end="" if text.endswith("\n") else "\n")
 
 
-def _read(path: str) -> str:
-    return Path(path).read_text()
+def _load(parse, path: str, *context):
+    return _parse(path, parse, Path(path).read_text(), *context)
+
+
+def _parse(source: str, parse, text: str, *context):
+    # input that does not parse is a usage error, reported against its source
+    try:
+        return parse(text, *context)
+    except ValueError as exc:
+        raise SystemExit(_usage(f"{source}: {exc}")) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +85,7 @@ def _read(path: str) -> str:
 
 def _cmd_group_define(args) -> int:
     _echo("group define", group=args.group)
-    x = parse_orbicomplex(_read(args.group))
+    x = _load(parse_orbicomplex, args.group)
     print(f"group: vertices={len(x.gamma.vertices)} "
           f"edges={len(x.gamma.edges)} relator-length={len(x.relator)} "
           f"branch={x.branch_index} boundary-length={x.boundary_length}")
@@ -86,12 +94,9 @@ def _cmd_group_define(args) -> int:
 
 def _cmd_word_solve(args) -> int:
     _echo("word solve", group=args.group, word=args.word)
-    x = parse_orbicomplex(_read(args.group))
+    x = _load(parse_orbicomplex, args.group)
     labels = {rec.label for rec in x.gamma.edges.values()} - {None}
-    try:
-        word = parse_word(args.word, alphabet=labels)
-    except ValueError as exc:
-        return _usage(f"--word: {exc}")
+    word = _parse("--word", parse_word, args.word, labels)
     if free_reduce(word) != word:
         return _usage("--word must be freely reduced")
     result = dehn_solve(word, x)
@@ -110,7 +115,7 @@ def _cmd_cover_build(args) -> int:
     seed = _resolve_seed(args.seed)
     _echo("cover build", group=args.group, max_degree=args.max_degree,
           seed=seed)
-    x = parse_orbicomplex(_read(args.group))
+    x = _load(parse_orbicomplex, args.group)
     q = find_exponent_n_quotient(x, args.max_degree, seed)
     cover = build_unwrapped_cover(x, q)
     report = verify_cover(cover)
@@ -133,8 +138,9 @@ def _cmd_subgroup_present(args) -> int:
     _echo("subgroup present", group=args.group, gens=args.gens,
           max_degree=args.max_degree, max_stages=args.max_stages,
           max_word_len=args.max_word_len, seed=seed, format=args.format)
-    x = parse_orbicomplex(_read(args.group))
-    gens = [parse_word(chunk) for chunk in args.gens.split(";")]
+    x = _load(parse_orbicomplex, args.group)
+    gens = [_parse("--gens", parse_word, chunk)
+            for chunk in args.gens.split(";")]
     gens = [g for g in gens if g]
     pres, report = present_subgroup(
         gens, x, max_degree=args.max_degree,
@@ -162,7 +168,7 @@ def _cmd_audit_wcycles(args) -> int:
         _echo("audit wcycles", group=args.group, trials=args.trials,
               seed=seed, vertex_budget=args.vertex_budget,
               attach_prob=args.attach_prob, suites=args.suites)
-        x = parse_orbicomplex(_read(args.group))
+        x = _load(parse_orbicomplex, args.group)
         params = GeneratorParams(args.vertex_budget, x.relator_word(),
                                  x.branch_index, args.attach_prob)
         cfg = CampaignConfig(seed, args.trials, params,
@@ -181,9 +187,9 @@ def _cmd_audit_wcycles(args) -> int:
                       "or --trials for a campaign")
     _echo("audit wcycles", group=args.group, complex=args.complex,
           map=args.map, format=args.format)
-    x = parse_orbicomplex(_read(args.group))
-    y = parse_complex(_read(args.complex))
-    m = parse_orbi_morphism(_read(args.map), y, x)
+    x = _load(parse_orbicomplex, args.group)
+    y = _load(parse_complex, args.complex)
+    m = _load(parse_orbi_morphism, args.map, y, x)
     audit = wcycles_audit(m)
     name = Path(args.complex).stem
     if args.format == "csv":
@@ -208,9 +214,9 @@ def _usage(message: str) -> int:
 def _cmd_fold(args) -> int:
     _echo("fold", source=args.source, target=args.target, map=args.map,
           trace=args.trace)
-    source = parse_complex(_read(args.source))
-    target = parse_complex(_read(args.target))
-    m = parse_morphism(_read(args.map), source, target)
+    source = _load(parse_complex, args.source)
+    target = _load(parse_complex, args.target)
+    m = _load(parse_morphism, args.map, source, target)
     result = fold(m)
     _emit(args, format_complex(result.folded))
     print(format_morphism(result.inclusion), end="")
@@ -225,9 +231,9 @@ def _cmd_stacking_check(args) -> int:
     if (args.group is None) == (args.complex is None):
         return _usage("stacking check needs exactly one of "
                       "--group or --complex")
-    base = (parse_orbicomplex(_read(args.group)) if args.group
-            else parse_complex(_read(args.complex)))
-    s = parse_stacking(_read(args.stacking), base)
+    base = (_load(parse_orbicomplex, args.group) if args.group
+            else _load(parse_complex, args.complex))
+    s = _load(parse_stacking, args.stacking, base)
     verdict = check_good_stacking(s)
     print(f"branched: {1 if is_branched(s) else 0}")
     if verdict.good:
@@ -240,7 +246,7 @@ def _cmd_stacking_check(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     _echo("export dot", complex=args.complex)
-    c, _ = parse_cover_file(_read(args.complex))
+    c, _ = _load(parse_cover_file, args.complex)
     _emit(args, export_dot(c, name=Path(args.complex).stem or "complex"))
     return EXIT_OK
 
@@ -324,12 +330,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_USAGE
-    if not hasattr(args, "handler"):
-        return _usage("missing subcommand; try --help")
-    try:
+        if not hasattr(args, "handler"):
+            return _usage("missing subcommand; try --help")
         return args.handler(args)
     except SystemExit as exc:
         code = exc.code

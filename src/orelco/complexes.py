@@ -67,16 +67,14 @@ class Graph:
 
     @cached_property
     def _adjacency(self) -> dict[str, tuple[Dart, ...]]:
+        # darts() runs in dart_sort_key order, so each list is already sorted
         table: dict[str, list[Dart]] = {v: [] for v in self.vertices}
         for d in self.darts():
             table[self.dart_origin(d)].append(d)
-        return {v: tuple(sorted(ds, key=dart_sort_key)) for v, ds in table.items()}
+        return {v: tuple(ds) for v, ds in table.items()}
 
     def darts_at(self, v: str) -> tuple[Dart, ...]:
         return self._adjacency[v]
-
-    def degree(self, v: str) -> int:
-        return len(self.darts_at(v))
 
 
 @dataclass(frozen=True)
@@ -329,20 +327,15 @@ def find_free_faces_and_edges(
 
 
 def collapse_with_rewrites(
-        c: TwoComplex, mode: str = "free_faces"
-) -> tuple[TwoComplex, dict[Dart, tuple[Dart, ...]]]:
+        c: TwoComplex) -> tuple[TwoComplex, dict[Dart, tuple[Dart, ...]]]:
     """Remove free faces (cell plus edge) in (edge id, cell id) order until none
-    remain.  In ``extended`` mode additionally prunes free edges dangling at a
-    degree-one vertex, which deletes exactly the simply connected tree pieces
-    while keeping the base vertex.  The dimension-2 Euler characteristic is
-    unchanged by face collapses and by leaf pruning.
+    remain.  The dimension-2 Euler characteristic is unchanged by face
+    collapses.
 
     Also returns, for both darts of every removed face edge, the rest of its
     cell's boundary between the same endpoints: the arc a path may take
     instead.
     """
-    if mode not in ("free_faces", "extended"):
-        raise ValueError(f"unknown collapse mode {mode!r}")
     sides = {e: len(over) for e, over in c.sides_over.items()}
     cells = dict(c.cells)
     rewrites: dict[Dart, tuple[Dart, ...]] = {}
@@ -363,37 +356,16 @@ def collapse_with_rewrites(
                 sides[f] -= 1
                 if sides[f] == 1:
                     heapq.heappush(free, f)
-    vertices = set(c.skeleton.vertices)
-    if mode == "extended":
-        # leaf pruning is confluent, so one sweep per round in id order
-        # reaches the same fixed point as pruning one edge at a time
-        degree = dict.fromkeys(vertices, 0)
-        for e in sides:
-            rec = c.skeleton.edges[e]
-            degree[rec.tail] += 1
-            degree[rec.head] += 1
-        pruned = True
-        while pruned:
-            pruned = False
-            for e in sorted(e for e, k in sides.items() if k == 0):
-                rec = c.skeleton.edges[e]
-                leaves = {v for v in (rec.tail, rec.head)
-                          if degree[v] == 1 and v != c.base_vertex}
-                if leaves:
-                    del sides[e]
-                    degree[rec.tail] -= 1
-                    degree[rec.head] -= 1
-                    vertices -= leaves
-                    pruned = True
-    g = Graph(frozenset(vertices), {e: c.skeleton.edges[e] for e in sorted(sides)})
+    vertices = c.skeleton.vertices
+    g = Graph(vertices, {e: c.skeleton.edges[e] for e in sorted(sides)})
     return (TwoComplex(g, {cid: cells[cid] for cid in sorted(cells)},
                        c.base_vertex if c.base_vertex in vertices else None),
             rewrites)
 
 
-def collapse(c: TwoComplex, mode: str = "free_faces") -> TwoComplex:
+def collapse(c: TwoComplex) -> TwoComplex:
     """The collapsed complex of ``collapse_with_rewrites``."""
-    return collapse_with_rewrites(c, mode)[0]
+    return collapse_with_rewrites(c)[0]
 
 
 def compose(outer: CellMorphism, inner: CellMorphism) -> CellMorphism:

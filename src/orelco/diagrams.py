@@ -34,7 +34,6 @@ class VanKampenDiagram:
     boundary: tuple[Dart, ...]
     boundary_word: Word
     labeling: OrbiMorphism
-    reduced: bool
 
 
 def _symbol_table(x: OneRelatorOrbicomplex) -> dict[str, str]:
@@ -330,7 +329,7 @@ def build_reduced_diagram(u: Word, x: OneRelatorOrbicomplex) -> VanKampenDiagram
     if not reduced_u:
         complex_ = _DiskBuilder("v0").snapshot()
         return VanKampenDiagram(complex_, (), (),
-                                OrbiMorphism.by_labels(complex_, x), True)
+                                OrbiMorphism.by_labels(complex_, x))
     result = dehn_solve(reduced_u, x)
     if not result.trivial:
         raise ValueError("word is nontrivial; it bounds no disk diagram")
@@ -356,7 +355,7 @@ def build_reduced_diagram(u: Word, x: OneRelatorOrbicomplex) -> VanKampenDiagram
     if cls.kind < MapKind.MORPHISM:
         raise DiagramError(f"diagram labelling is not a morphism: {cls.witness}")
     return VanKampenDiagram(complex_, tuple(builder.boundary),
-                            builder.readout(), labeling, True)
+                            builder.readout(), labeling)
 
 
 def mirror_witness(d: VanKampenDiagram):

@@ -34,6 +34,7 @@ from .orbicomplex import (OneRelatorOrbicomplex, OrbiMorphism,
 from .words import Word, least_rotation
 
 SEED_STRIDE = 1_000_003
+QUOTIENT_ATTEMPTS = 500
 
 
 @dataclass(frozen=True)
@@ -235,13 +236,12 @@ def _run_fold_trial(rng: random.Random, seed: int, cfg: CampaignConfig,
 
 
 def random_uniform_quotient(rng: random.Random, x: OneRelatorOrbicomplex,
-                            max_degree: int,
-                            attempts: int = 500) -> FiniteQuotient | None:
+                            max_degree: int) -> FiniteQuotient | None:
     """Rejection-sample a transitive quotient with uniform exponent cycles."""
     n = x.branch_index
     symbols = sorted({sym for sym, _ in x.relator})
     degrees = [d for d in range(n, max_degree + 1) if d % n == 0]
-    for _ in range(attempts):
+    for _ in range(QUOTIENT_ATTEMPTS):
         d = rng.choice(degrees)
         perms = {}
         for sym in symbols:

@@ -17,7 +17,7 @@ from functools import cached_property
 from .complexes import (Classification, Dart, Graph, MapKind, TwoComplex,
                         CellImage, CellMorphism, _check_link_injective,
                         _check_morphism, _check_side_injective, classify_map,
-                        compose, dart_reverse, euler_characteristic,
+                        dart_reverse, euler_characteristic,
                         find_free_faces_and_edges, non_tree_edge_count)
 from .errors import NotImmersionError
 from .words import Word, is_proper_power
@@ -203,10 +203,3 @@ def presentation_complex(x: OneRelatorOrbicomplex) -> tuple[TwoComplex, OrbiMorp
     return cx, OrbiMorphism(cx, x, {v: v for v in x.gamma.vertices},
                             {e: (e, 1) for e in x.gamma.edges}, {"d0": (0, 1)})
 
-
-def as_orbi(m: CellMorphism, into: OrbiMorphism) -> OrbiMorphism:
-    """Compose a map of complexes with a map into an orbicomplex."""
-    c = compose(into.as_cell_morphism(), m)
-    return OrbiMorphism(c.source, into.target, c.vertex_map, c.edge_map,
-                        {cid: (im.offset, im.orient)
-                         for cid, im in c.cell_map.items()})

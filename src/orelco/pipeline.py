@@ -12,7 +12,6 @@ the combinatorial type unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import islice
 
 from .complexes import (CellImage, CellMorphism, Dart, EdgeRec, Graph,
                         MapKind, TwoComplex, cell_image_path, classify_map,
@@ -33,25 +32,12 @@ from .words import Word, dehn_solve, free_reduce, inverse_word, least_rotation
 
 
 @dataclass(frozen=True)
-class ChainStep:
-    """One refinement that changed the complex: the map into the folded
-    intermediate, and that intermediate's immersion into the cover."""
-
-    chain_map: CellMorphism
-    intermediate_to_cover: CellMorphism
-    candidate: tuple
-    f_word: Word
-
-
-@dataclass(frozen=True)
 class PipelineState:
     cover: UnwrappedCover
     stage: int
     current: TwoComplex
     to_cover: CellMorphism
-    chain: tuple[ChainStep, ...]
     cursor: int
-    stable_for: int
     seed_generator_count: int
     seed_free_edges: int
     max_word_len: int
@@ -244,8 +230,7 @@ def seed_immersion(generators: list[Word],
     if y0 != folded.folded:
         raise PipelineInvariantError("seed graph has free faces")
     state = PipelineState(
-        cover=cover, stage=0, current=y0, to_cover=folded.inclusion, chain=(),
-        cursor=0, stable_for=0,
+        cover=cover, stage=0, current=y0, to_cover=folded.inclusion, cursor=0,
         seed_generator_count=len(kept),
         seed_free_edges=len(find_free_faces_and_edges(y0)[1]),
         max_word_len=12, max_stages=200,
@@ -540,47 +525,29 @@ def _refine(state: PipelineState, frame: _Frame, word,
         for p in state.gen_paths)
     if isomorphic_over_cover(collapsed, to_cover_new, y, state.to_cover):
         return None
-    step = ChainStep(chain_map, folded.inclusion, tuple(word), f_word)
     new_state = replace(state, stage=state.stage + 1, current=collapsed,
-                        to_cover=to_cover_new, chain=state.chain + (step,),
-                        cursor=0, stable_for=0, gen_paths=new_paths)
+                        to_cover=to_cover_new, cursor=0, gen_paths=new_paths)
     _check_stage(new_state)
     return new_state
 
 
-def _advance(state: PipelineState, tried: int) -> PipelineState:
-    """``state`` after ``tried`` candidates that left the complex unchanged."""
-    if not tried:
-        return state
-    return replace(state, cursor=state.cursor + tried,
-                   stable_for=state.stable_for + tried)
-
-
-def _sweep(state: PipelineState,
-           limit: int | None = None) -> tuple[PipelineState, bool]:
-    """Try candidates from the cursor on, at most ``limit`` of them; returns
-    the state after the first that changes the complex (True), or after
-    all of them (False).  The state is advanced only before a trivial
-    candidate, whose gluing may report it, and at the end."""
+def _sweep(state: PipelineState) -> tuple[PipelineState, bool]:
+    """Try the stage's candidates in order from the first; returns the state
+    after the first that changes the complex (True), or after all of them
+    (False).  The cursor counts the candidates tried; a gluing gets it with
+    the state, so that its checks may report it."""
     x = state.orbicomplex
     frame = _bfs_frame(state.current, state.to_cover)
-    stop = None if limit is None else state.cursor + limit
     tried = 0
-    for word in islice(candidate_words(len(frame.gens), state.max_word_len),
-                       state.cursor, stop):
+    for word in candidate_words(len(frame.gens), state.max_word_len):
         f_word = _candidate_word(word, frame)
         if dehn_solve(f_word, x).trivial:
-            state, tried = _advance(state, tried), 0
-            new_state = _refine(state, frame, word, f_word)
+            new_state = _refine(replace(state, cursor=tried), frame, word,
+                                f_word)
             if new_state is not None:
                 return new_state, True
         tried += 1
-    return _advance(state, tried), False
-
-
-def refine_step(state: PipelineState) -> PipelineState:
-    """Advance the cursor by one candidate (no-op when exhausted)."""
-    return _sweep(state, limit=1)[0]
+    return replace(state, cursor=tried), False
 
 
 # ---------------------------------------------------------------------------
@@ -612,11 +579,13 @@ def _presentation_from_stage(state: PipelineState, conclusive: bool,
 
 
 def _stage_row(state: PipelineState) -> StageRow:
+    # every sweep starts at the first candidate, and any change resets the
+    # cursor, so the candidates that left the stage unchanged are ``cursor``
     y = state.current
     _, free_edges = find_free_faces_and_edges(y)
     return StageRow(state.stage, euler_characteristic(y, dimension=1),
                     euler_characteristic(y), len(y.cells), len(free_edges),
-                    state.cursor, state.stable_for)
+                    state.cursor, state.cursor)
 
 
 def present_subgroup(generators: list[Word], x: OneRelatorOrbicomplex, *,

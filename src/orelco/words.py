@@ -164,8 +164,7 @@ def _match_index(relator: Word, threshold: int):
     return index
 
 
-def dehn_solve(word: Sequence[Letter], x: "OneRelatorOrbicomplex",
-               strong_threshold: bool = False) -> DehnResult:
+def dehn_solve(word: Sequence[Letter], x: "OneRelatorOrbicomplex") -> DehnResult:
     """Decide triviality in the group of ``x`` by greedy long-subword replacement.
 
     Repeatedly finds a factor of a cyclic rotation of the relator power (or
@@ -173,7 +172,6 @@ def dehn_solve(word: Sequence[Letter], x: "OneRelatorOrbicomplex",
     inverse of the complementary piece, free-reducing in between.  Each swap
     strictly shortens the word, and a freely reduced word with no such factor
     is nontrivial, so reaching the empty word is a complete triviality test.
-    ``strong_threshold`` raises the bar to (n-1)|w| + 1.
 
     The first position with a match wins.  A match begins with
     ``threshold`` letters of its rotation, which name that rotation, so each
@@ -189,7 +187,7 @@ def dehn_solve(word: Sequence[Letter], x: "OneRelatorOrbicomplex",
     if not is_reduced(u):
         raise ValueError("input word must be freely reduced")
     m = len(base) * n
-    threshold = (n - 1) * len(base) + 1 if strong_threshold else m // 2 + 1
+    threshold = m // 2 + 1
     index = _match_index(base * n, threshold)
     steps: list[DehnStep] = []
     start = 0

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+import orelco
 from orelco.cli import main
 from orelco.covers import (FiniteQuotient, build_unwrapped_cover,
                            find_exponent_n_quotient, validate_quotient,
@@ -302,3 +303,77 @@ def test_cli_outputs_hash_stable(tmp_path, capsys):
         assert code == 0
         runs.append((_sha(out), _sha(target.read_text())))
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# 9. outputs pinned across commits
+#
+# The digests below were computed once and must not change with the code.
+# Each covers the exit code and both output streams; the inputs live in the
+# working directory, so the echoed configuration holds no absolute path.
+
+PINNED_CLI = {
+    "cover-build": (
+        ["cover", "build", "--group", "ab2.txt", "--seed", "4"],
+        "3a98ee5284c670b45fa1710192ffeb9d176982828ca939028817e0eec1747922"),
+    "present-text": (
+        ["subgroup", "present", "--group", "ab2.txt",
+         "--gens", "b ; a a ; a b a~", "--seed", "0"],
+        "bfd666878b47b89338bdccf88c890a29cb6c5788866665c7cffec12f5e1b7be8"),
+    "present-csv": (
+        ["subgroup", "present", "--group", "abab2.txt", "--gens", "a ; b a b~",
+         "--max-word-len", "6", "--seed", "0", "--format", "csv"],
+        "d0813bb2d33b7a16532d885185c9c81d9daa39e13364a2a1c33bc94ae960718f"),
+    "audit-csv": (
+        ["audit", "wcycles", "--group", "ab2.txt", "--trials", "200",
+         "--seed", "5", "--format", "csv"],
+        "1639fc9aa6158ba0a982d28349a11a70498f4fca623318420748b57beec42cdf"),
+    "solve-trivial": (
+        ["word", "solve", "--group", "ab2.txt",
+         "--word", "a a b a b a~ b~ a~ b~ a~"],
+        "d686c6923a63529a1f94397de31d5347106b4f9deaee48bf64162fa4438f4c24"),
+    "solve-nontrivial": (
+        ["word", "solve", "--group", "abab2.txt", "--word", "a b b a a b"],
+        "64e938444bd8ceac566f5d514f047e55f60cb87f5710657be50db3009296c9a2"),
+}
+
+PINNED_CAMPAIGNS = {
+    "ab2": (
+        AB2,
+        "3f5417b30e83d59500055fc9c40e33fa6f090d4f7ba4157fd20c1325d26a0859"),
+    "abab2": (
+        ABAB_INV,
+        "121835c4dc26e7f17dda17989a00f38202e4e1466de1e9dade0d61c99bbe290b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CLI))
+def test_cli_output_pinned_across_commits(name, tmp_path, capsys,
+                                          monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ORELCO_SEED", raising=False)
+    (tmp_path / "ab2.txt").write_text(GROUP_FILE)
+    (tmp_path / "abab2.txt").write_text(
+        GROUP_FILE.replace("relator a b\n", "relator a b a b~\n"))
+    argv, digest = PINNED_CLI[name]
+    code = main(argv)
+    captured = capsys.readouterr()
+    record = f"exit {code}\n{captured.out}\0{captured.err}"
+    assert _sha(record) == digest
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CAMPAIGNS))
+def test_campaign_output_pinned_across_commits(name):
+    relator, digest = PINNED_CAMPAIGNS[name]
+    params = GeneratorParams(vertex_budget=5, relator=relator, branch_index=2)
+    cfg = CampaignConfig(master_seed=77, trials=120, params=params)
+    assert _sha(campaign_csv(run_property_campaign(cfg))) == digest
+
+
+# ---------------------------------------------------------------------------
+# 10. public surface
+
+
+def test_every_public_name_resolves():
+    assert len(set(orelco.__all__)) == len(orelco.__all__)
+    assert [name for name in orelco.__all__ if not hasattr(orelco, name)] == []

@@ -63,7 +63,7 @@ def test_group_define_rejects_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("vertex v\nrelator a\nbranch 2\n")
     code, _, err = run(capsys, ["group", "define", "--group", str(bad)])
-    assert code == 1
+    assert code == 2
     assert err.startswith("error:")
 
 
@@ -164,6 +164,14 @@ def test_subgroup_present_budget_exhausted_exits_3(group_file, capsys,
     symbols, _ = parse_presentation(out_path.read_text())
     assert symbols  # a presentation is still emitted
 
+def test_subgroup_present_bad_gens_token_is_usage_error(group_file, capsys):
+    code, out, err = run(capsys, ["subgroup", "present", "--group",
+                                  group_file, "--gens", "a ; b~~"])
+    assert code == 2
+    assert err.startswith("error: --gens:") and "'b~~'" in err
+    assert out.startswith("config:") and out.count("\n") == 1
+
+
 def test_subgroup_present_csv_report(group_file, capsys):
     code, out, _ = run(capsys, ["subgroup", "present", "--group", group_file,
                                 "--gens", "a a", "--format", "csv"])
@@ -181,6 +189,19 @@ def test_audit_single_immersion(group_file, capsys, tmp_path):
                                 "--format", "csv"])
     assert code == 0
     assert "y,-2,2,0,-1,1,0,1" in out
+
+
+def test_audit_single_malformed_map_is_usage_error(group_file, capsys,
+                                                   tmp_path):
+    y = tmp_path / "y.txt"
+    y.write_text(COVER_COMPLEX)
+    m = tmp_path / "m.txt"
+    m.write_text(COVER_MAP.replace("rot=0", "rot=zero"))
+    code, out, err = run(capsys, ["audit", "wcycles", "--group", group_file,
+                                  "--complex", str(y), "--map", str(m)])
+    assert code == 2
+    assert err.startswith(f"error: {m}:")
+    assert out.startswith("config:") and out.count("\n") == 1
 
 
 def test_audit_single_needs_map(group_file, capsys, tmp_path):

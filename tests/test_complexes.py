@@ -1,10 +1,12 @@
+import random
+
 import pytest
 
 from orelco.complexes import (CellImage, CellMorphism, EdgeRec, Graph, MapKind,
                               TwoComplex, cell_image_path, classify_map,
                               collapse, collapse_with_rewrites, compose,
-                              connected_components,
-                              dart_reverse, euler_characteristic,
+                              connected_components, dart_reverse,
+                              dart_sort_key, euler_characteristic,
                               find_free_faces_and_edges, identity_morphism,
                               non_tree_edge_count, require_valid, target_side,
                               validate_complex)
@@ -39,6 +41,23 @@ def test_rose_darts():
     assert g.dart_label(("a", -1)) == ("a", -1)
     assert dart_reverse(("a", 1)) == ("a", -1)
     assert g.darts() == [("a", 1), ("a", -1), ("b", 1), ("b", -1)]
+
+
+def test_darts_at_follows_dart_sort_key_order():
+    rng = random.Random(3)
+    for _ in range(300):
+        vertices = [f"v{k}" for k in range(rng.randint(1, 5))]
+        edges = {f"e{rng.randrange(60)}": EdgeRec(rng.choice(vertices),
+                                                  rng.choice(vertices))
+                 for _ in range(rng.randint(0, 14))}
+        g = Graph(frozenset(vertices), edges)
+        seen = []
+        for v in vertices:
+            darts = g.darts_at(v)
+            assert list(darts) == sorted(darts, key=dart_sort_key)
+            assert all(g.dart_origin(d) == v for d in darts)
+            seen.extend(darts)
+        assert sorted(seen) == sorted(g.darts())
 
 
 def test_x0_incidence_and_euler():
@@ -200,6 +219,12 @@ def test_collapse_disk_to_point():
     assert out.skeleton.edges == {}
     assert out.cells == {}
     assert euler_characteristic(out, 2) == 1
+    # only free faces go: a tree hanging off the base stays
+    g = Graph(vertices=frozenset({"v", "u", "t"}),
+              edges={"a": EdgeRec("v", "v", "a"), "s": EdgeRec("v", "u"),
+                     "r": EdgeRec("u", "t")})
+    tree = TwoComplex(skeleton=g, cells={}, base_vertex="v")
+    assert collapse(tree) == tree
 
 
 def test_collapse_x0_eats_cell():
@@ -226,32 +251,6 @@ def test_collapse_with_rewrites_follows_freed_faces():
     assert rewrites == {("b", 1): (("a", -1),), ("b", -1): (("a", 1),),
                         ("a", 1): (("c", -1), ("c", -1)),
                         ("a", -1): (("c", 1), ("c", 1))}
-
-
-def test_collapse_extended_prunes_hanging_tree():
-    g = Graph(
-        vertices=frozenset({"v", "u", "t"}),
-        edges={"a": EdgeRec("v", "v", "a"),
-               "s": EdgeRec("v", "u"),
-               "r": EdgeRec("u", "t")},
-    )
-    c = TwoComplex(skeleton=g, cells={}, base_vertex="v")
-    plain = collapse(c, mode="free_faces")
-    assert set(plain.skeleton.edges) == {"a", "s", "r"}
-    ext = collapse(c, mode="extended")
-    assert set(ext.skeleton.edges) == {"a"}
-    assert set(ext.skeleton.vertices) == {"v"}
-    assert ext.base_vertex == "v"
-
-
-def test_collapse_extended_keeps_base_vertex():
-    # a tree hanging off the base gets pruned down to the base vertex itself
-    g = Graph(vertices=frozenset({"v", "u"}), edges={"s": EdgeRec("v", "u")})
-    c = TwoComplex(skeleton=g, cells={}, base_vertex="u")
-    ext = collapse(c, mode="extended")
-    assert set(ext.skeleton.vertices) == {"u"}
-    assert ext.skeleton.edges == {}
-    assert ext.base_vertex == "u"
 
 
 def test_compose_rotation_squares_to_identity():

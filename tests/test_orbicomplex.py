@@ -2,10 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from orelco.complexes import (CellImage, CellMorphism, EdgeRec, Graph, MapKind,
-                              TwoComplex, identity_morphism)
+from orelco.complexes import (EdgeRec, Graph, MapKind, TwoComplex,
+                              identity_morphism)
 from orelco.errors import NotImmersionError
-from orelco.orbicomplex import (OrbiMorphism, as_orbi, build_orbicomplex,
+from orelco.orbicomplex import (OrbiMorphism, build_orbicomplex,
                                 check_orbi_immersion, degree,
                                 presentation_complex, wcycles_audit)
 
@@ -155,22 +155,3 @@ def test_audit_refuses_non_immersion():
     _, m = presentation_complex(x)
     with pytest.raises(NotImmersionError):
         wcycles_audit(m)
-
-
-def test_as_orbi_composition_matches_direct_map():
-    x = make_x()
-    cx, into = presentation_complex(x)
-    c = build_x0()
-    skel = CellMorphism(
-        source=c, target=cx,
-        vertex_map={"p0": "*", "p1": "*"},
-        edge_map={"a0": ("a", 1), "a1": ("a", 1), "b0": ("b", 1), "b1": ("b", 1)},
-        cell_map={"f0": CellImage("d0", 0, 1)},
-    )
-    composite = as_orbi(skel, into)
-    direct = x0_to_x()
-    assert composite.vertex_map == direct.vertex_map
-    assert composite.edge_map == direct.edge_map
-    assert composite.cell_align == direct.cell_align
-    assert check_orbi_immersion(composite).kind == MapKind.IMMERSION
-    assert degree(composite) == 2

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from orelco.complexes import (CellImage, EdgeRec, Graph, MapKind, TwoComplex,
                               cell_image_path, classify_map, collapse,
-                              collapse_with_rewrites, compose,
-                              euler_characteristic, identity_morphism)
+                              collapse_with_rewrites, euler_characteristic,
+                              identity_morphism)
 from orelco.covers import build_unwrapped_cover, find_exponent_n_quotient
 from orelco.diagrams import build_reduced_diagram
 from orelco.errors import PipelineInvariantError
@@ -20,10 +20,10 @@ from orelco.orbicomplex import build_orbicomplex
 from orelco.pipeline import (PipelineState, _apply_rewrites, _bfs_frame,
                              _candidate_loop, _cover_lookup, _cycle_key,
                              _label_table, _lift_diagram, _path_word,
-                             _presentation_from_stage,
+                             _presentation_from_stage, _sweep,
                              candidate_words, canonical_signature,
                              isomorphic_over_cover, present_subgroup,
-                             refine_step, seed_immersion)
+                             seed_immersion)
 from orelco.words import dehn_solve, free_reduce, inverse_word, parse_word
 
 W = parse_word
@@ -280,13 +280,8 @@ def test_signature_is_invariant_under_edge_reorientation(cover):
 
 def test_signature_separates_different_stages(x, cover):
     state = seed_immersion(STAB, cover)
-    final = state
-    while True:
-        nxt = refine_step(final)
-        if nxt.stage > state.stage:
-            final = nxt
-            break
-        final = nxt
+    final, changed = _sweep(state)
+    assert changed and final.stage == state.stage + 1
     assert not isomorphic_over_cover(state.current, state.to_cover,
                                      final.current, final.to_cover)
 
@@ -410,29 +405,11 @@ def test_empty_candidate_loop_is_a_typed_error_under_optimized_python():
     assert run.returncode == 0, run.stderr
 
 
-def test_refine_step_walks_to_the_same_first_change(x, cover):
-    state = seed_immersion(STAB, cover)
-    steps = 0
-    while state.stage == 0:
-        state = refine_step(state)
-        steps += 1
-        assert steps < 200
-    assert state.stage == 1
-    assert len(state.chain) == 1
-    step = state.chain[0]
-    assert classify_map(step.chain_map).kind >= MapKind.IMMERSION
-    composite = compose(step.intermediate_to_cover, step.chain_map)
-    fresh = seed_immersion(STAB, cover)
-    assert composite == fresh.to_cover
-    assert dehn_solve(step.f_word, build_orbicomplex(
-        Graph.rose("ab"), W("a b"), 2)).trivial
-
-
 def test_presentation_extraction_reads_cell_relators(x, cover):
     y = cover.cover
     state = PipelineState(
         cover=cover, stage=0, current=y, to_cover=identity_morphism(y),
-        chain=(), cursor=0, stable_for=0, seed_generator_count=3,
+        cursor=0, seed_generator_count=3,
         seed_free_edges=4, max_word_len=12, max_stages=200, gen_paths=())
     pres = _presentation_from_stage(state, True, ())
     assert len(pres.symbols) == 3

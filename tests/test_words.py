@@ -189,18 +189,6 @@ def test_dehn_quotient_certified_nontrivial():
             assert not dehn_solve(u, x).trivial
 
 
-def test_dehn_strong_threshold_agrees():
-    x = make_x((A, B), 3)
-    samples = [
-        (A, B, A, B, A, B),
-        free_reduce((A,) + (A, B) * 3 + (Ai,)),
-        (A, B, Ai, B),
-        (B, A) * 4,
-    ]
-    for u in samples:
-        assert dehn_solve(u, x).trivial == dehn_solve(u, x, strong_threshold=True).trivial
-
-
 def _random_word(rng, length):
     return tuple(rng.choice((A, Ai, B, Bi)) for _ in range(length))
 
@@ -228,13 +216,13 @@ def test_splice_cancels_only_at_the_seams():
 # dehn_solve must give the same DehnResult, step for step.
 
 
-def reference_dehn_solve(word, x, strong_threshold=False):
+def reference_dehn_solve(word, x):
     n = x.branch_index
     base = x.relator_word()
     u = free_reduce(word)
     relator = base * n
     m = len(relator)
-    threshold = (n - 1) * len(base) + 1 if strong_threshold else m // 2 + 1
+    threshold = m // 2 + 1
     inv = inverse_word(relator)
     table = []
     for idx in range(m):
@@ -284,8 +272,7 @@ def test_dehn_matches_the_reference_solver(relator, n):
         corpus.append(free_reduce(_random_word(rng, rng.randint(0, 40))))
     trivial = 0
     for u in corpus:
-        for strong in (False, True):
-            got = dehn_solve(u, x, strong_threshold=strong)
-            assert got == reference_dehn_solve(u, x, strong), (u, strong)
-            trivial += got.trivial
+        got = dehn_solve(u, x)
+        assert got == reference_dehn_solve(u, x), u
+        trivial += got.trivial
     assert trivial >= 60
