@@ -138,6 +138,9 @@ def _cmd_subgroup_present(args) -> int:
     _echo("subgroup present", group=args.group, gens=args.gens,
           max_degree=args.max_degree, max_stages=args.max_stages,
           max_word_len=args.max_word_len, seed=seed, format=args.format)
+    if args.max_word_len < 1:
+        # no candidate would be tried, and the seed would pass as stable
+        return _usage("--max-word-len must be at least 1")
     x = _load(parse_orbicomplex, args.group)
     gens = [_parse("--gens", parse_word, chunk)
             for chunk in args.gens.split(";")]
@@ -168,6 +171,9 @@ def _cmd_audit_wcycles(args) -> int:
         _echo("audit wcycles", group=args.group, trials=args.trials,
               seed=seed, vertex_budget=args.vertex_budget,
               attach_prob=args.attach_prob, suites=args.suites)
+        if args.trials < 1:
+            # no trial would run, and every suite would pass as 0/0
+            return _usage("--trials must be at least 1")
         x = _load(parse_orbicomplex, args.group)
         params = GeneratorParams(args.vertex_budget, x.relator_word(),
                                  x.branch_index, args.attach_prob)

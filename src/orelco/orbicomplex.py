@@ -174,6 +174,10 @@ def wcycles_audit(m: OrbiMorphism) -> WCyclesAudit:
     The map must be an immersion (otherwise the degree is undefined and the
     call is refused).  A reducible source is still audited but flagged, since
     the guarantee only covers irreducible complexes.
+
+    For a connected source the two inequalities are equivalent: chi(Y) is
+    chi(Y^1) + |cells| and deg is n|cells|, so slack2 equals slack1.  Both
+    are still reported, as the output format has both columns.
     """
     deg = degree(m)
     n = m.target.branch_index

@@ -370,6 +370,59 @@ def _cycle_key(path: tuple[Dart, ...]):
     return min(least_rotation(path), least_rotation(reverse_path(path)))
 
 
+_P = (1 << 61) - 1                  # a prime
+_MIX = 0x9E3779B97F4A7C15 % _P      # fixed coefficients: its powers mod _P
+
+
+def _cell_cocycle(x0: TwoComplex) -> dict[str, int]:
+    """A weight mod ``_P`` per edge of ``x0`` whose signed sum vanishes on
+    every cell boundary: a null-space vector of the cells x edges boundary
+    matrix, by Gauss-Jordan elimination mod ``_P``.  The free columns get
+    the powers of ``_MIX`` as coefficients, so that the weight is a fixed
+    generic combination of the null space, and the pivot columns follow."""
+    edges = sorted(x0.skeleton.edges)
+    col = {e: j for j, e in enumerate(edges)}
+    rows = []
+    for cid in sorted(x0.cells):
+        row = [0] * len(edges)
+        for e, s in x0.cells[cid]:
+            row[col[e]] += s
+        rows.append(row)
+    pivots: list[int] = []
+    for j in range(len(edges)):
+        r = len(pivots)
+        hit = next((i for i in range(r, len(rows)) if rows[i][j] % _P), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        inv = pow(rows[r][j], -1, _P)
+        rows[r] = [v * inv % _P for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[j] % _P:
+                f = row[j]
+                rows[i] = [(a - f * b) % _P for a, b in zip(row, rows[r])]
+        pivots.append(j)
+    weight = [0] * len(edges)
+    free = sorted(set(range(len(edges))) - set(pivots))
+    for k, j in enumerate(free):
+        weight[j] = pow(_MIX, k + 1, _P)
+    for r, j in enumerate(pivots):
+        weight[j] = -sum(rows[r][f] * weight[f] for f in free) % _P
+    return dict(zip(edges, weight))
+
+
+def _hop_codes(frame: _Frame, m: CellMorphism) -> dict[tuple[int, int], int]:
+    """The code of each generator letter: the weight of ``_cell_cocycle``
+    summed, with signs, over the image of its hop.  A candidate's code is
+    the sum over its letters mod ``_P``; backtracks do not change it."""
+    weight = _cell_cocycle(m.target)
+    code = {}
+    for i, (hop, _) in enumerate(frame.hops):
+        c = sum(s * weight[e] for e, s in m.path_image(hop)) % _P
+        code[(i, 1)], code[(i, -1)] = c, -c % _P
+    return code
+
+
 # ---------------------------------------------------------------------------
 # gluing and refinement
 
@@ -535,17 +588,33 @@ def _sweep(state: PipelineState) -> tuple[PipelineState, bool]:
     """Try the stage's candidates in order from the first; returns the state
     after the first that changes the complex (True), or after all of them
     (False).  The cursor counts the candidates tried; a gluing gets it with
-    the state, so that its checks may report it."""
+    the state, so that its checks may report it.
+
+    A candidate whose loop has a nonzero code, the weight of
+    ``_cell_cocycle`` summed over its image in the unwrapped cover ``X0``,
+    is nontrivial in ``G`` and is passed over without its label word or a
+    Dehn call; it still counts as tried.  Proof: a word trivial in ``G``
+    is freely equal to a product of conjugates ``u w^(+-n) u^-1``.  Lift
+    that product from any vertex of ``X0``'s 1-skeleton, the Schreier graph
+    of the cover: each ``w^(+-n)`` piece closes into one cell boundary,
+    read forwards or backwards, because every cycle of ``w`` has length
+    exactly ``n``; the lift of each conjugator is cancelled by the lift of
+    its inverse, and backtracks cancel, so the signed edge count of the
+    lift is a sum of +-cell boundaries, on which the weight vanishes.  The
+    lift of the reduced word has the same signed edge count.  The Dehn
+    solver stays the only judge of the candidates with code zero."""
     x = state.orbicomplex
     frame = _bfs_frame(state.current, state.to_cover)
+    code = _hop_codes(frame, state.to_cover).__getitem__
     tried = 0
     for word in candidate_words(len(frame.gens), state.max_word_len):
-        f_word = _candidate_word(word, frame)
-        if dehn_solve(f_word, x).trivial:
-            new_state = _refine(replace(state, cursor=tried), frame, word,
-                                f_word)
-            if new_state is not None:
-                return new_state, True
+        if sum(map(code, word)) % _P == 0:
+            f_word = _candidate_word(word, frame)
+            if dehn_solve(f_word, x).trivial:
+                new_state = _refine(replace(state, cursor=tried), frame,
+                                    word, f_word)
+                if new_state is not None:
+                    return new_state, True
         tried += 1
     return replace(state, cursor=tried), False
 
@@ -596,6 +665,10 @@ def present_subgroup(generators: list[Word], x: OneRelatorOrbicomplex, *,
     and refinement sweeps until stabilization or budget exhaustion."""
     if x.branch_index < 2:
         raise ValueError("subgroup presentation requires branch index >= 2")
+    if max_word_len < 1:
+        # no candidate would be tried, and the seed would pass as stable
+        raise ValueError(
+            f"max_word_len must be at least 1, got {max_word_len}")
     notes: list[str] = []
     cleaned = [free_reduce(g) for g in generators]
     cleaned = [g for g in cleaned if g]

@@ -222,6 +222,20 @@ def test_audit_campaign_all_pass(group_file, capsys):
     assert "suite covers: 40/40" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["subgroup", "present", "--gens", "b ; a a", "--max-word-len", "0"],
+    ["subgroup", "present", "--gens", "b ; a a", "--max-word-len", "-3"],
+    ["audit", "wcycles", "--trials", "0"],
+    ["audit", "wcycles", "--trials", "-5"],
+])
+def test_empty_budgets_are_usage_errors(group_file, capsys, argv):
+    # a budget that tries nothing must not print a vacuous pass
+    code, out, err = run(capsys, argv + ["--group", group_file])
+    assert code == 2
+    assert err.startswith("error: --") and "at least 1" in err
+    assert out.startswith("config:") and out.count("\n") == 1
+
+
 def test_audit_campaign_csv_deterministic(group_file, capsys):
     argv = ["audit", "wcycles", "--group", group_file, "--trials", "25",
             "--seed", "9", "--format", "csv"]

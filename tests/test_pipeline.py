@@ -1,8 +1,11 @@
 """Subgroup presentation pipeline: seeding, refinement, stabilization."""
 
+import functools
+import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,18 +16,21 @@ from orelco.complexes import (CellImage, EdgeRec, Graph, MapKind, TwoComplex,
                               cell_image_path, classify_map, collapse,
                               collapse_with_rewrites, euler_characteristic,
                               identity_morphism)
-from orelco.covers import build_unwrapped_cover, find_exponent_n_quotient
+from orelco.covers import (build_unwrapped_cover, find_exponent_n_quotient,
+                           pull_back_subgroup, schreier_path)
 from orelco.diagrams import build_reduced_diagram
 from orelco.errors import PipelineInvariantError
 from orelco.orbicomplex import build_orbicomplex
-from orelco.pipeline import (PipelineState, _apply_rewrites, _bfs_frame,
-                             _candidate_loop, _cover_lookup, _cycle_key,
+from orelco.pipeline import (_P, PipelineState, _apply_rewrites, _bfs_frame,
+                             _candidate_loop, _candidate_word, _cell_cocycle,
+                             _cover_lookup, _cycle_key, _hop_codes,
                              _label_table, _lift_diagram, _path_word,
-                             _presentation_from_stage, _sweep,
+                             _presentation_from_stage, _refine, _sweep,
                              candidate_words, canonical_signature,
                              isomorphic_over_cover, present_subgroup,
                              seed_immersion)
-from orelco.words import dehn_solve, free_reduce, inverse_word, parse_word
+from orelco.words import (dehn_solve, format_word, free_reduce, inverse_word,
+                          parse_word)
 
 W = parse_word
 
@@ -231,6 +237,122 @@ def test_candidate_loop_spells_the_reduced_generator_product(word):
 
 
 # ---------------------------------------------------------------------------
+# the homology screen
+
+
+@functools.lru_cache(maxsize=None)
+def screen_cover(relator, n):
+    x = build_orbicomplex(Graph.rose("ab"), W(relator), n)
+    return x, build_unwrapped_cover(x, find_exponent_n_quotient(x, 8, 0))
+
+
+SCREEN_GROUPS = [("a b", 2), ("a b a b~", 2), ("a b", 3)]
+
+
+@pytest.mark.parametrize("relator,n", SCREEN_GROUPS)
+def test_cell_cocycle_vanishes_on_every_cover_cell(relator, n):
+    _, cover = screen_cover(relator, n)
+    x0 = cover.cover
+    weight = _cell_cocycle(x0)
+    assert sorted(weight) == sorted(x0.skeleton.edges)
+    assert all(0 <= v < _P for v in weight.values())
+    for path in x0.cells.values():
+        assert sum(s * weight[e] for e, s in path) % _P == 0
+
+
+letters_ab = st.tuples(st.sampled_from("ab"), st.sampled_from((1, -1)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SCREEN_GROUPS),
+       st.lists(st.tuples(st.lists(letters_ab, max_size=6),
+                          st.sampled_from((1, -1))), min_size=1, max_size=4),
+       st.integers(0, 7))
+def test_products_of_relator_power_conjugates_have_code_zero(group, factors,
+                                                              start):
+    x, cover = screen_cover(*group)
+    weight = _cell_cocycle(cover.cover)
+    power = x.relator_word() * x.branch_index
+    word: list = []
+    for u, sign in factors:
+        word += [*u, *(power if sign > 0 else inverse_word(power)),
+                 *inverse_word(tuple(u))]
+    q = cover.quotient
+    start %= q.degree
+    path, end = schreier_path(q, free_reduce(tuple(word)), start)
+    assert end == start
+    assert sum(s * weight[e] for e, s in path) % _P == 0
+
+
+# The perfbench present instances and the acceptance subgroups at L <= 6,
+# and a subgroup of seed rank 5.
+SCREEN_RUNS = [
+    ("a b", 2, ("b", "a a", "a b a~")),
+    ("a b", 2, ("a",)),
+    ("a b", 3, ("a b a", "b a b", "a a")),
+    ("a b a b~", 2, ("a", "b a b~")),
+    ("a b a b~", 2, ("a a", "b a b")),
+]
+
+
+@pytest.mark.parametrize("relator,n,gens", SCREEN_RUNS)
+def test_screen_passes_over_nontrivial_candidates_only(relator, n, gens):
+    # a sweep without the screen, Dehn-solving every candidate: each one
+    # the screen passes over is nontrivial, and both sweeps end in the same
+    # state at every stage
+    x, cover = screen_cover(relator, n)
+    pulled = pull_back_subgroup([W(g) for g in gens], cover.quotient)
+    state = replace(seed_immersion(pulled, cover), max_word_len=6)
+    screened = total = 0
+    changed = True
+    while changed:
+        frame = _bfs_frame(state.current, state.to_cover)
+        code = _hop_codes(frame, state.to_cover)
+        expected = None
+        for tried, word in enumerate(
+                candidate_words(len(frame.gens), state.max_word_len)):
+            total += 1
+            f_word = _candidate_word(word, frame)
+            trivial = dehn_solve(f_word, x).trivial
+            if sum(code[letter] for letter in word) % _P:
+                screened += 1
+                assert not trivial
+            elif trivial:
+                expected = _refine(replace(state, cursor=tried), frame, word,
+                                   f_word)
+                if expected is not None:
+                    break
+        if expected is None:
+            expected = replace(state, cursor=tried + 1)
+        state, changed = _sweep(state)
+        assert state == expected
+    assert screened >= 0.8 * total
+
+
+RANK_FIVE_DIGEST = (
+    "34146916e076086fe0d1a8585cb0354865ea5ccc819b5dc92b100bef4c93b31e")
+
+
+def test_rank_five_presentation_pinned_across_commits():
+    # <a^2, bab> in <a, b | (abab~)^2> seeds five generators, past the rank
+    # the sweep reached without the screen; the digest was computed before
+    # the screen existed
+    x, _ = screen_cover("a b a b~", 2)
+    pres, report = present_subgroup([W("a a"), W("b a b")], x,
+                                    max_word_len=6, seed=0)
+    lines = [f"symbols {' '.join(pres.symbols)}",
+             f"stage {pres.stage} conclusive {pres.conclusive}"]
+    lines += [f"gen {format_word(g)}" for g in pres.gen_words]
+    lines += [f"rel {format_word(r)}" for r in pres.relators]
+    lines += [f"note {note}" for note in pres.notes]
+    lines += [f"row {r.stage} {r.chi1} {r.chi2} {r.cells} {r.free_edges} "
+              f"{r.cursor} {r.stable_for}" for r in report.rows]
+    text = "\n".join(lines) + "\n"
+    assert len(pres.symbols) == 5
+    assert hashlib.sha256(text.encode()).hexdigest() == RANK_FIVE_DIGEST
+
+
+# ---------------------------------------------------------------------------
 # signatures
 
 
@@ -362,6 +484,13 @@ def test_trivial_input_short_circuits(x):
     pres, report = present_subgroup([], x)
     assert pres.conclusive and pres.symbols == () and pres.relators == ()
     assert report.rows == ()
+
+
+@pytest.mark.parametrize("max_word_len", [0, -3])
+def test_empty_word_budget_is_rejected(x, max_word_len):
+    # no candidate would be tried, and the seed would pass as conclusive
+    with pytest.raises(ValueError, match="max_word_len"):
+        present_subgroup(STAB, x, max_word_len=max_word_len)
 
 
 def test_budget_exhaustion_is_flagged_not_raised(x):
