@@ -17,7 +17,7 @@ from .covers import build_unwrapped_cover, find_exponent_n_quotient, \
     verify_cover
 from .errors import BudgetExhaustedError, OrelcoError
 from .folding import fold
-from .harness import (CampaignConfig, GeneratorParams, campaign_csv,
+from .harness import (SUITES, CampaignConfig, GeneratorParams, campaign_csv,
                       run_property_campaign)
 from .orbicomplex import wcycles_audit
 from .pipeline import present_subgroup
@@ -157,7 +157,7 @@ def _cmd_subgroup_present(args) -> int:
         for r in report.rows:
             print(f"stage {r.stage}: chi1={r.chi1} chi2={r.chi2} "
                   f"cells={r.cells} free_edges={r.free_edges} "
-                  f"cursor={r.cursor} stable_for={r.stable_for}")
+                  f"cursor={r.cursor} stable_for={r.cursor}")
     _emit(args, format_presentation(pres.symbols, pres.relators))
     if not pres.conclusive:
         print("error: presentation is inconclusive within the stage budget")
@@ -174,11 +174,18 @@ def _cmd_audit_wcycles(args) -> int:
         if args.trials < 1:
             # no trial would run, and every suite would pass as 0/0
             return _usage("--trials must be at least 1")
+        suites = tuple(args.suites.split(","))
+        if not set(suites) <= set(SUITES):
+            return _usage(f"--suites must name some of {','.join(SUITES)},"
+                          f" got {args.suites!r}")
+        if args.vertex_budget < 1:
+            return _usage("--vertex-budget must be at least 1")
+        if not 0 <= args.attach_prob <= 1:
+            return _usage("--attach-prob must be in [0, 1]")
         x = _load(parse_orbicomplex, args.group)
         params = GeneratorParams(args.vertex_budget, x.relator_word(),
                                  x.branch_index, args.attach_prob)
-        cfg = CampaignConfig(seed, args.trials, params,
-                             tuple(args.suites.split(",")))
+        cfg = CampaignConfig(seed, args.trials, params, suites)
         report = run_property_campaign(cfg)
         if args.format == "csv":
             _emit(args, campaign_csv(report))
@@ -304,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--vertex-budget", type=int, default=6)
     p.add_argument("--attach-prob", type=float, default=0.5)
-    p.add_argument("--suites", default="wcycles,fold,covers")
+    p.add_argument("--suites", default=",".join(SUITES))
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--format", choices=("csv", "text"), default="text")
     p.add_argument("--out")

@@ -76,6 +76,39 @@ class Graph:
     def darts_at(self, v: str) -> tuple[Dart, ...]:
         return self._adjacency[v]
 
+    @cached_property
+    def _reader(self) -> dict[tuple[str, tuple[str, int]], Dart]:
+        # dart (e, s) of a labelled edge reads the letter (label, s)
+        table: dict[tuple[str, tuple[str, int]], Dart] = {}
+        for d in self.darts():
+            letter = self.dart_label(d)
+            if letter is None:
+                continue
+            key = (self.dart_origin(d), letter)
+            if key in table:
+                raise InvalidComplexError(
+                    f"darts {table[key]} and {d} at vertex {key[0]} both"
+                    f" read {letter}")
+            table[key] = d
+        return table
+
+    def read(self, word: Iterable[tuple[str, int]],
+             start: str) -> tuple[tuple[Dart, ...], str] | None:
+        """Walk ``word`` from ``start`` along the darts reading its letters;
+        returns (dart path, end vertex), or None where no dart reads the next
+        letter.  The labels must make the graph immersed over the rose: two
+        darts at one vertex reading one letter raise InvalidComplexError."""
+        table = self._reader
+        path = []
+        v = start
+        for letter in word:
+            d = table.get((v, letter))
+            if d is None:
+                return None
+            path.append(d)
+            v = self.dart_terminus(d)
+        return tuple(path), v
+
 
 @dataclass(frozen=True)
 class TwoComplex:

@@ -67,7 +67,6 @@ def permutation_order(p: Perm) -> int:
 class FiniteQuotient:
     degree: int
     perms: dict[str, Perm]
-    base_point: int = 0
 
     def permutation_of(self, word: Word) -> Perm:
         out = tuple(range(self.degree))
@@ -104,10 +103,8 @@ def validate_quotient(q: FiniteQuotient, x: OneRelatorOrbicomplex) -> list[str]:
         if not _is_perm(q.perms[s], q.degree):
             problems.append(f"image of {s} is not a permutation of degree {q.degree}")
             return problems
-    if not (0 <= q.base_point < q.degree):
-        problems.append("distinguished point out of range")
-    reached = {q.base_point}
-    frontier = [q.base_point]
+    reached = {0}
+    frontier = [0]
     while frontier:
         p = frontier.pop()
         for s in symbols:
@@ -187,21 +184,6 @@ def find_exponent_n_quotient(x: OneRelatorOrbicomplex, max_degree: int,
         f"no exponent-{n} quotient of degree <= {max_degree} found")
 
 
-def schreier_path(q: FiniteQuotient, word: Word,
-                  start: int) -> tuple[tuple[Dart, ...], int]:
-    """Lift a word to a dart path in the Schreier graph; returns (path, end)."""
-    darts = []
-    point = start
-    for sym, sign in word:
-        if sign > 0:
-            darts.append((f"{sym}{point}", 1))
-            point = q.perms[sym][point]
-        else:
-            point = _inverse(q.perms[sym])[point]
-            darts.append((f"{sym}{point}", -1))
-    return tuple(darts), point
-
-
 @dataclass(frozen=True)
 class UnwrappedCover:
     cover: TwoComplex
@@ -226,11 +208,11 @@ def build_unwrapped_cover(x: OneRelatorOrbicomplex,
             "exponent condition violated: relator image has a cycle shorter "
             f"than {n}, families would not have size {n}")
     k = q.degree
-    vertices = frozenset(f"p{i}" for i in range(k))
     edges = {}
     for s in symbols:
         for i in range(k):
             edges[f"{s}{i}"] = EdgeRec(f"p{i}", f"p{q.perms[s][i]}", s)
+    g = Graph(frozenset(f"p{i}" for i in range(k)), edges)
     cells: dict[str, tuple[Dart, ...]] = {}
     families: dict[str, tuple[int, ...]] = {}
     seen = [False] * k
@@ -245,15 +227,14 @@ def build_unwrapped_cover(x: OneRelatorOrbicomplex,
             seen[j] = True
             orbit.append(j)
             j = eta_w[j]
-        path, end = schreier_path(q, power_word, p)
-        if end != p:
+        lift = g.read(power_word, f"p{p}")
+        if lift is None or lift[1] != f"p{p}":
             raise InvariantError("relator power lift failed to close")
         cid = f"f{index}"
-        cells[cid] = path
+        cells[cid] = lift[0]
         families[cid] = tuple(orbit)
         index += 1
-    cover = TwoComplex(Graph(vertices, edges), cells,
-                       base_vertex=f"p{q.base_point}")
+    cover = TwoComplex(g, cells, base_vertex="p0")
     covering_map = OrbiMorphism.by_labels(cover, x)
     cls = check_orbi_immersion(covering_map)
     if cls.kind < MapKind.IMMERSION:
@@ -344,15 +325,14 @@ def pull_back_subgroup(generators: list[Word],
     """Generators of the subgroup's intersection with the point stabilizer.
 
     Builds the coset graph of the generated subgroup acting on the orbit of
-    the distinguished point, takes a breadth-first spanning tree, and returns
-    the Schreier generators t_p h t_{p.h}^{-1} of the non-tree edges, freely
-    reduced, in breadth-first point order and input generator order.
+    point 0, takes a breadth-first spanning tree, and returns the Schreier
+    generators t_p h t_{p.h}^{-1} of the non-tree edges, freely reduced, in
+    breadth-first point order and input generator order.
     """
-    base = q.base_point
-    transversal: dict[int, Word] = {base: ()}
-    order = [base]
+    transversal: dict[int, Word] = {0: ()}
+    order = [0]
     tree: set[tuple[int, int]] = set()
-    queue = [base]
+    queue = [0]
     while queue:
         p = queue.pop(0)
         for i, h in enumerate(generators):

@@ -35,6 +35,7 @@ from .words import Word, least_rotation
 
 SEED_STRIDE = 1_000_003
 QUOTIENT_ATTEMPTS = 500
+SUITES = ("wcycles", "fold", "covers")
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ class CampaignConfig:
     master_seed: int
     trials: int
     params: GeneratorParams
-    suites: tuple[str, ...] = ("wcycles", "fold", "covers")
+    suites: tuple[str, ...] = SUITES
 
 
 @dataclass(frozen=True)
@@ -109,24 +110,12 @@ def _random_labeled_graph(rng: random.Random, v: int,
 def closed_power_lifts(g: Graph, x: OneRelatorOrbicomplex):
     """Closed lifts of the relator power, one canonical representative per
     rotation class of the full cycle."""
-    out = {(rec.tail, rec.label): e for e, rec in g.edges.items()}
-    inn = {(rec.head, rec.label): e for e, rec in g.edges.items()}
     power = x.relator_word() * x.branch_index
     found = set()
     for v in sorted(g.vertices):
-        cur = v
-        path = []
-        for sym, sign in power:
-            table, orient = (out, 1) if sign > 0 else (inn, -1)
-            e = table.get((cur, sym))
-            if e is None:
-                path = None
-                break
-            path.append((e, orient))
-            rec = g.edges[e]
-            cur = rec.head if sign > 0 else rec.tail
-        if path is not None and cur == v:
-            found.add(least_rotation(path))
+        lift = g.read(power, v)
+        if lift is not None and lift[1] == v:
+            found.add(least_rotation(lift[0]))
     return tuple(sorted(found))
 
 

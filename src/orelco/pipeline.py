@@ -20,7 +20,7 @@ from .complexes import (CellImage, CellMorphism, Dart, EdgeRec, Graph,
                         euler_characteristic, find_free_faces_and_edges,
                         require_valid, reverse_path)
 from .covers import UnwrappedCover, build_unwrapped_cover, \
-    find_exponent_n_quotient, pull_back_subgroup, schreier_path, verify_cover
+    find_exponent_n_quotient, pull_back_subgroup, verify_cover
 from .diagrams import build_reduced_diagram
 from .errors import PipelineInvariantError
 from .folding import _canonical_cell_key, fold
@@ -40,8 +40,6 @@ class PipelineState:
     cursor: int
     seed_generator_count: int
     seed_free_edges: int
-    max_word_len: int
-    max_stages: int
     gen_paths: tuple[tuple[Dart, ...], ...]
 
     @property
@@ -68,7 +66,13 @@ class StageRow:
     cells: int
     free_edges: int
     cursor: int
-    stable_for: int
+
+    @property
+    def stable_for(self) -> int:
+        """Candidates that left the stage unchanged: every sweep starts at
+        the first candidate and any change resets the cursor, so this is
+        ``cursor``.  Kept as a name because ``perfbench`` reads it."""
+        return self.cursor
 
 
 @dataclass(frozen=True)
@@ -190,6 +194,48 @@ def _restrict(m: CellMorphism, sub: TwoComplex) -> CellMorphism:
         {c: m.cell_map[c] for c in sub.cells})
 
 
+def _lift(z: TwoComplex, x0: TwoComplex, start: str) -> CellMorphism:
+    """The map of ``z`` into ``x0`` that sends the base of ``z`` to ``start``
+    and each dart to the dart of ``x0`` reading its label.  The 1-skeleton of
+    ``x0`` covers the rose, so the labels fix this lift (Stallings 1983), and
+    a vertex reached with two images is a typed error."""
+    g, h = z.skeleton, x0.skeleton
+    vmap = {z.base_vertex: start}
+    emap: dict[str, Dart] = {}
+    queue = [z.base_vertex]
+    for v in queue:
+        for d in g.darts_at(v):
+            step = h.read((g.dart_label(d),), vmap[v])
+            if step is None:
+                raise PipelineInvariantError(
+                    f"no cover dart at {vmap[v]} reads the label of {d}")
+            ((e, s),), far = step
+            emap[d[0]] = (e, s * d[1])
+            w = g.dart_terminus(d)
+            if w not in vmap:
+                vmap[w] = far
+                queue.append(w)
+            elif vmap[w] != far:
+                raise PipelineInvariantError("label lift is inconsistent")
+    if len(vmap) != len(g.vertices):
+        raise PipelineInvariantError("complex is not connected from the base")
+    cmap: dict[str, CellImage] = {}
+    for cid, path in z.cells.items():
+        # a reduced word is never conjugate to its inverse, so one side over
+        # the first lifted edge, read in one direction, is the image
+        lifted = tuple((emap[e][0], emap[e][1] * s) for e, s in path)
+        first = lifted[0]
+        for tc, pos in x0.sides_over[first[0]]:
+            image = CellImage(tc, pos, 1 if x0.cells[tc][pos] == first else -1)
+            if cell_image_path(x0, image) == lifted:
+                cmap[cid] = image
+                break
+        else:
+            raise PipelineInvariantError(
+                "lifted cell boundary matches no cover cell")
+    return CellMorphism(z, x0, vmap, emap, cmap)
+
+
 def seed_immersion(generators: list[Word],
                    cover: UnwrappedCover) -> PipelineState:
     """Fold a wedge of loops spelling the generators as paths in the cover."""
@@ -198,34 +244,29 @@ def seed_immersion(generators: list[Word],
     if not kept:
         raise ValueError("at least one nonempty generator is required")
     x0 = cover.covering_map.source
-    base = f"p{cover.quotient.base_point}"
-    vertices = {"v0"}
+    base = x0.base_vertex
     edges: dict[str, EdgeRec] = {}
-    vmap = {"v0": base}
-    emap: dict[str, Dart] = {}
     loops: list[tuple[Dart, ...]] = []
     for j, gen in enumerate(kept):
-        path, end = schreier_path(cover.quotient, gen, cover.quotient.base_point)
-        if end != cover.quotient.base_point:
+        lift = x0.skeleton.read(gen, base)
+        if lift is None or lift[1] != base:
             raise ValueError(
                 f"generator {j} is not a closed loop at the base vertex")
         cur = "v0"
         loop: list[Dart] = []
-        for t, dart in enumerate(path):
-            nxt = "v0" if t == len(path) - 1 else f"v{j}.{t + 1}"
+        for t, (sym, sign) in enumerate(gen):
+            nxt = "v0" if t == len(gen) - 1 else f"v{j}.{t + 1}"
             eid = f"w{j}.{t}"
-            tail, head = (cur, nxt) if dart[1] > 0 else (nxt, cur)
-            edges[eid] = EdgeRec(tail, head, None)
-            vertices.update((cur, nxt))
-            emap[eid] = (dart[0], 1)
-            vmap[cur] = x0.skeleton.dart_origin(dart)
-            vmap[nxt] = x0.skeleton.dart_terminus(dart)
-            loop.append((eid, dart[1]))
+            tail, head = (cur, nxt) if sign > 0 else (nxt, cur)
+            edges[eid] = EdgeRec(tail, head, sym)
+            loop.append((eid, sign))
             cur = nxt
         loops.append(tuple(loop))
-    wedge = TwoComplex(Graph(frozenset(vertices), edges), {}, base_vertex="v0")
+    vertices = frozenset(v for rec in edges.values()
+                         for v in (rec.tail, rec.head))
+    wedge = TwoComplex(Graph(vertices, edges), {}, base_vertex="v0")
     require_valid(wedge)
-    folded = fold(CellMorphism(wedge, x0, vmap, emap, {}))
+    folded = fold(_lift(wedge, x0, base))
     y0 = collapse(folded.folded)
     if y0 != folded.folded:
         raise PipelineInvariantError("seed graph has free faces")
@@ -233,7 +274,6 @@ def seed_immersion(generators: list[Word],
         cover=cover, stage=0, current=y0, to_cover=folded.inclusion, cursor=0,
         seed_generator_count=len(kept),
         seed_free_edges=len(find_free_faces_and_edges(y0)[1]),
-        max_word_len=12, max_stages=200,
         gen_paths=tuple(free_reduce(folded.projection.path_image(loop))
                         for loop in loops))
     _check_stage(state)
@@ -427,71 +467,15 @@ def _hop_codes(frame: _Frame, m: CellMorphism) -> dict[tuple[int, int], int]:
 # gluing and refinement
 
 
-def _cover_lookup(x0: TwoComplex):
-    out: dict[tuple[str, str], str] = {}
-    inn: dict[tuple[str, str], str] = {}
-    for e, rec in x0.skeleton.edges.items():
-        kout, kin = (rec.tail, rec.label), (rec.head, rec.label)
-        if kout in out or kin in inn:
-            raise PipelineInvariantError(
-                "cover skeleton is not a covering of a rose")
-        out[kout] = e
-        inn[kin] = e
-    return out, inn
-
-
-def _lift_diagram(diagram: TwoComplex, x0: TwoComplex, start_vertex: str):
-    """Lift the rose-level diagram labeling through the covering skeleton,
-    starting from the image of the diagram base."""
-    out, inn = _cover_lookup(x0)
-    g = diagram.skeleton
-    vmap = {diagram.base_vertex: start_vertex}
-    emap: dict[str, str] = {}
-    queue = [diagram.base_vertex]
-    while queue:
-        v = queue.pop(0)
-        for e, s in sorted(g.darts_at(v)):
-            rec = g.edges[e]
-            if e not in emap:
-                table = out if s > 0 else inn
-                emap[e] = table[(vmap[v], rec.label)]
-            lifted = x0.skeleton.edges[emap[e]]
-            near, far = ((lifted.tail, lifted.head) if s > 0
-                         else (lifted.head, lifted.tail))
-            far_v = rec.head if s > 0 else rec.tail
-            if vmap[v] != near or vmap.get(far_v, far) != far:
-                raise PipelineInvariantError("diagram lift is inconsistent")
-            if far_v not in vmap:
-                vmap[far_v] = far
-                queue.append(far_v)
-    if len(emap) != len(g.edges):
-        raise PipelineInvariantError("diagram skeleton is not connected")
-    cmap: dict[str, CellImage] = {}
-    for cid, path in diagram.cells.items():
-        # a reduced word is never conjugate to its inverse, so one side over
-        # the first lifted edge, read in one direction, is the image
-        lifted_path = tuple((emap[e], s) for e, s in path)
-        first = lifted_path[0]
-        for tc, pos in x0.sides_over[first[0]]:
-            image = CellImage(tc, pos, 1 if x0.cells[tc][pos] == first else -1)
-            if cell_image_path(x0, image) == lifted_path:
-                cmap[cid] = image
-                break
-        else:
-            raise PipelineInvariantError(
-                "lifted cell boundary matches no cover cell")
-    return vmap, emap, cmap
-
-
 def _glue_and_fold(state: PipelineState, diagram_vk):
-    """Disjoint union with the diagram, base points merged, then fold.
+    """Disjoint union with the diagram, base points merged, lifted to the
+    cover by labels, then folded.
 
     The diagram boundary and the candidate loop spell the same reduced word
     from the same base image, so folding zips the boundary onto the loop one
     vertex pair at a time; no explicit boundary identification is needed.
     """
     y = state.current
-    x0 = state.to_cover.target
     prefix = f"Q{state.stage}."
     d = diagram_vk.diagram
     dbase = d.base_vertex
@@ -511,21 +495,8 @@ def _glue_and_fold(state: PipelineState, diagram_vk):
     z = TwoComplex(Graph(frozenset(vertices), edges), cells,
                    base_vertex=y.base_vertex)
     require_valid(z)
-
-    dvmap, demap, dcmap = _lift_diagram(
-        d, x0, state.to_cover.vertex_map[y.base_vertex])
-    vmap = dict(state.to_cover.vertex_map)
-    emap = dict(state.to_cover.edge_map)
-    cmap = dict(state.to_cover.cell_map)
-    for v in d.skeleton.vertices:
-        vmap.setdefault(vn(v), dvmap[v])
-        _invariant(vmap[vn(v)] == dvmap[v],
-                   "base image mismatch while gluing", state)
-    for e in d.skeleton.edges:
-        emap[prefix + e] = (demap[e], 1)
-    for cid in d.cells:
-        cmap[prefix + cid] = dcmap[cid]
-    return fold(CellMorphism(z, x0, vmap, emap, cmap))
+    return fold(_lift(z, state.to_cover.target,
+                      state.to_cover.vertex_map[y.base_vertex]))
 
 
 def _apply_rewrites(path: tuple[Dart, ...], rewrites,
@@ -584,7 +555,8 @@ def _refine(state: PipelineState, frame: _Frame, word,
     return new_state
 
 
-def _sweep(state: PipelineState) -> tuple[PipelineState, bool]:
+def _sweep(state: PipelineState,
+           max_word_len: int) -> tuple[PipelineState, bool]:
     """Try the stage's candidates in order from the first; returns the state
     after the first that changes the complex (True), or after all of them
     (False).  The cursor counts the candidates tried; a gluing gets it with
@@ -607,7 +579,7 @@ def _sweep(state: PipelineState) -> tuple[PipelineState, bool]:
     frame = _bfs_frame(state.current, state.to_cover)
     code = _hop_codes(frame, state.to_cover).__getitem__
     tried = 0
-    for word in candidate_words(len(frame.gens), state.max_word_len):
+    for word in candidate_words(len(frame.gens), max_word_len):
         if sum(map(code, word)) % _P == 0:
             f_word = _candidate_word(word, frame)
             if dehn_solve(f_word, x).trivial:
@@ -623,7 +595,8 @@ def _sweep(state: PipelineState) -> tuple[PipelineState, bool]:
 # presentation extraction and the full run
 
 
-def _presentation_from_stage(state: PipelineState, conclusive: bool,
+def _presentation_from_stage(state: PipelineState, max_word_len: int,
+                             conclusive: bool,
                              notes: tuple[str, ...]) -> Presentation:
     y = state.current
     frame = _bfs_frame(y, state.to_cover)
@@ -639,7 +612,7 @@ def _presentation_from_stage(state: PipelineState, conclusive: bool,
                 raw.append((symbols[k], s * orient))
         relators.append(free_reduce(tuple(raw), cyclic=True))
     pres = Presentation(symbols, tuple(relators), tuple(gen_words),
-                        state.stage, state.max_word_len, conclusive, notes)
+                        state.stage, max_word_len, conclusive, notes)
     chi = 1 - len(symbols) + len(relators)
     _invariant(chi == euler_characteristic(y),
                "presentation deficiency disagrees with the Euler "
@@ -648,13 +621,11 @@ def _presentation_from_stage(state: PipelineState, conclusive: bool,
 
 
 def _stage_row(state: PipelineState) -> StageRow:
-    # every sweep starts at the first candidate, and any change resets the
-    # cursor, so the candidates that left the stage unchanged are ``cursor``
     y = state.current
     _, free_edges = find_free_faces_and_edges(y)
     return StageRow(state.stage, euler_characteristic(y, dimension=1),
                     euler_characteristic(y), len(y.cells), len(free_edges),
-                    state.cursor, state.cursor)
+                    state.cursor)
 
 
 def present_subgroup(generators: list[Word], x: OneRelatorOrbicomplex, *,
@@ -682,7 +653,7 @@ def present_subgroup(generators: list[Word], x: OneRelatorOrbicomplex, *,
     if not audit.passed:
         raise PipelineInvariantError("cover audit failed",
                                      "; ".join(audit.witnesses))
-    if any(q.act(q.base_point, g) != q.base_point for g in cleaned):
+    if any(q.act(0, g) != 0 for g in cleaned):
         notes.append("input generators move the base point; presenting the "
                      "finite-index intersection with the cover stabilizer")
     pulled = pull_back_subgroup(cleaned, q)
@@ -692,21 +663,21 @@ def present_subgroup(generators: list[Word], x: OneRelatorOrbicomplex, *,
         return (Presentation((), (), (), 0, max_word_len, True, tuple(notes)),
                 PipelineReport((), tuple(notes)))
     state = seed_immersion(pulled, cover)
-    state = replace(state, max_word_len=max_word_len, max_stages=max_stages)
     rows: list[StageRow] = []
     conclusive = False
     while True:
-        state, changed = _sweep(state)
+        state, changed = _sweep(state, max_word_len)
         if not changed:
             conclusive = True
             rows.append(_stage_row(state))
             break
         rows.append(_stage_row(state))
-        if state.stage >= state.max_stages:
+        if state.stage >= max_stages:
             notes.append("stage budget exhausted before stabilization; "
                          "presentation is inconclusive")
             break
-    pres = _presentation_from_stage(state, conclusive, tuple(notes))
+    pres = _presentation_from_stage(state, max_word_len, conclusive,
+                                    tuple(notes))
     for rel in pres.relators:
         sub = {sym: gw for sym, gw in zip(pres.symbols, pres.gen_words)}
         expanded: list = []

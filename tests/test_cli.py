@@ -236,6 +236,22 @@ def test_empty_budgets_are_usage_errors(group_file, capsys, argv):
     assert out.startswith("config:") and out.count("\n") == 1
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--suites", "nosuch"),
+    ("--vertex-budget", "0"),
+    ("--attach-prob", "5"),
+])
+def test_out_of_range_campaign_flags_are_usage_errors(group_file, capsys,
+                                                      flag, value):
+    # each once ran: a vacuous 0/0 pass, a randrange error with exit 1, and
+    # a pass with every cell attached
+    code, out, err = run(capsys, ["audit", "wcycles", "--group", group_file,
+                                  "--trials", "20", flag, value])
+    assert code == 2
+    assert err.startswith(f"error: {flag} ")
+    assert out.startswith("config:") and out.count("\n") == 1
+
+
 def test_audit_campaign_csv_deterministic(group_file, capsys):
     argv = ["audit", "wcycles", "--group", group_file, "--trials", "25",
             "--seed", "9", "--format", "csv"]

@@ -60,6 +60,32 @@ def test_darts_at_follows_dart_sort_key_order():
         assert sorted(seen) == sorted(g.darts())
 
 
+def test_read_walks_loops_both_ways():
+    g = build_x0().skeleton
+    assert g.read((("b", 1), ("b", 1)), "p0") == ((("b0", 1), ("b0", 1)), "p0")
+    assert g.read((("b", -1),), "p1") == ((("b1", -1),), "p1")
+    assert g.read((("a", -1), ("b", -1)), "p0") == (
+        (("a1", -1), ("b1", -1)), "p1")
+    assert g.read((), "p1") == ((), "p1")
+
+
+def test_read_stops_where_a_partial_graph_ends():
+    g = Graph(frozenset({"u", "v"}), {"a0": EdgeRec("u", "v", "a"),
+                                      "b0": EdgeRec("v", "v", "b")})
+    assert g.read((("a", 1), ("b", 1), ("b", -1)), "u") == (
+        (("a0", 1), ("b0", 1), ("b0", -1)), "v")
+    assert g.read((("a", 1), ("a", 1)), "u") is None
+    assert g.read((("a", -1),), "u") is None
+    assert g.read((("c", 1),), "v") is None
+
+
+def test_read_rejects_a_graph_that_is_not_immersed():
+    g = Graph(frozenset({"u", "v"}), {"a0": EdgeRec("u", "v", "a"),
+                                      "a1": EdgeRec("v", "v", "a")})
+    with pytest.raises(InvalidComplexError, match="a0.*a1.*both read"):
+        g.read((("b", 1),), "u")
+
+
 def test_x0_incidence_and_euler():
     c = build_x0()
     require_valid(c)

@@ -7,7 +7,7 @@ from orelco.complexes import (EdgeRec, Graph, MapKind, TwoComplex,
 from orelco.covers import (FiniteQuotient, build_unwrapped_cover,
                            cycle_lengths, find_exponent_n_quotient,
                            has_uniform_exponent_cycles, permutation_order,
-                           pull_back_subgroup, schreier_path, validate_quotient,
+                           pull_back_subgroup, validate_quotient,
                            verify_cover, UnwrappedCover)
 import orelco.covers as covers
 from orelco.errors import BudgetExhaustedError, InvariantError
@@ -55,8 +55,7 @@ def test_cover_invariants_raise_typed_errors(monkeypatch):
         with pytest.raises(InvariantError, match="broken"):
             find_exponent_n_quotient(x, 8, 7)
     with monkeypatch.context() as mp:
-        mp.setattr(covers, "schreier_path",
-                   lambda q, word, start: ((), start + 1))
+        mp.setattr(Graph, "read", lambda g, word, start: ((), start + "'"))
         with pytest.raises(InvariantError, match="failed to close"):
             build_unwrapped_cover(x, Q_AB2)
 
@@ -91,12 +90,11 @@ def test_validate_quotient_catches_problems():
 
 
 def test_schreier_path():
-    path, end = schreier_path(Q_AB2, (A,), 0)
-    assert path == (("a0", 1),) and end == 1
-    path, end = schreier_path(Q_AB2, (("a", -1),), 0)
-    assert path == (("a1", -1),) and end == 1
-    path, end = schreier_path(Q_AB2, (A, B, A, B), 0)
-    assert path == (("a0", 1), ("b1", 1), ("a1", 1), ("b0", 1)) and end == 0
+    g = build_unwrapped_cover(make_x("a b", 2), Q_AB2).cover.skeleton
+    assert g.read((A,), "p0") == ((("a0", 1),), "p1")
+    assert g.read((("a", -1),), "p0") == ((("a1", -1),), "p1")
+    assert g.read((A, B, A, B), "p0") == (
+        (("a0", 1), ("b1", 1), ("a1", 1), ("b0", 1)), "p0")
 
 
 def test_build_worked_cover():

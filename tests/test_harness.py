@@ -8,7 +8,8 @@ from orelco.covers import (build_unwrapped_cover, find_exponent_n_quotient,
                            has_uniform_exponent_cycles, validate_quotient)
 from orelco.errors import OrelcoError
 from orelco.harness import (CSV_HEADER, CampaignConfig, GeneratorParams,
-                            TrialRow, _generate_uncollapsed, campaign_csv,
+                            TrialRow, _generate_uncollapsed,
+                            _random_labeled_graph, campaign_csv,
                             closed_power_lifts, random_irreducible_immersion,
                             random_uniform_quotient, run_property_campaign,
                             trial_seed)
@@ -77,6 +78,19 @@ def test_lift_classes_are_deduplicated_by_full_rotation_only():
                {"a0": EdgeRec("u0", "u1", "a"), "a1": EdgeRec("u1", "u0", "a"),
                 "b0": EdgeRec("u0", "u1", "b"), "b1": EdgeRec("u1", "u0", "b")})
     assert len(closed_power_lifts(g2, x)) == 2
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "closed_power_lifts keeps each lift's least rotation by edge id, which "
+    "can start mid-relator, while OrbiMorphism.by_labels claims offset 0"))
+def test_every_closed_lift_spells_the_relator_power():
+    for relator, n in (("a b a b~", 2), ("a a b b b", 2)):
+        x = build_orbicomplex(Graph.rose("ab"), W(relator), n)
+        power = x.relator_word() * n
+        for seed in range(100):
+            g = _random_labeled_graph(random.Random(seed), 12, ["a", "b"])
+            for lift in closed_power_lifts(g, x):
+                assert tuple(map(g.dart_label, lift)) == power
 
 
 def test_zero_trials_gives_an_empty_passing_report():

@@ -17,15 +17,15 @@ from orelco.complexes import (CellImage, EdgeRec, Graph, MapKind, TwoComplex,
                               collapse_with_rewrites, euler_characteristic,
                               identity_morphism)
 from orelco.covers import (build_unwrapped_cover, find_exponent_n_quotient,
-                           pull_back_subgroup, schreier_path)
+                           pull_back_subgroup)
 from orelco.diagrams import build_reduced_diagram
-from orelco.errors import PipelineInvariantError
+from orelco.errors import InvalidComplexError
 from orelco.orbicomplex import build_orbicomplex
 from orelco.pipeline import (_P, PipelineState, _apply_rewrites, _bfs_frame,
                              _candidate_loop, _candidate_word, _cell_cocycle,
-                             _cover_lookup, _cycle_key, _hop_codes,
-                             _label_table, _lift_diagram, _path_word,
-                             _presentation_from_stage, _refine, _sweep,
+                             _cycle_key, _hop_codes, _label_table, _lift,
+                             _path_word, _presentation_from_stage, _refine,
+                             _sweep,
                              candidate_words, canonical_signature,
                              isomorphic_over_cover, present_subgroup,
                              seed_immersion)
@@ -88,21 +88,23 @@ def test_lifted_cells_have_exactly_one_cover_image(x, cover):
               W("b~ b~ a~ b~ a~ b")):
         d = build_reduced_diagram(u, x)
         for start in sorted(x0.skeleton.vertices):
-            _, emap, cmap = _lift_diagram(d.diagram, x0, start)
+            m = _lift(d.diagram, x0, start)
             for cid, path in d.diagram.cells.items():
-                lifted = tuple((emap[e], s) for e, s in path)
+                lifted = m.path_image(path)
                 fits = [image for tc in sorted(x0.cells) for orient in (1, -1)
                         for offset in range(len(x0.cells[tc]))
                         if cell_image_path(x0, image := CellImage(
                             tc, offset, orient)) == lifted]
-                assert fits == [cmap[cid]]
+                assert fits == [m.cell_map[cid]]
 
 
 def test_cover_lookup_rejects_a_non_covering_skeleton():
     g = Graph(frozenset({"v"}), {"e": EdgeRec("v", "v", "a"),
                                  "f": EdgeRec("v", "v", "a")})
-    with pytest.raises(PipelineInvariantError, match="not a covering"):
-        _cover_lookup(TwoComplex(g))
+    loop = TwoComplex(Graph(frozenset({"u"}), {"l": EdgeRec("u", "u", "a")}),
+                      base_vertex="u")
+    with pytest.raises(InvalidComplexError, match="both read"):
+        _lift(loop, TwoComplex(g), "v")
 
 
 # ---------------------------------------------------------------------------
@@ -277,9 +279,8 @@ def test_products_of_relator_power_conjugates_have_code_zero(group, factors,
     for u, sign in factors:
         word += [*u, *(power if sign > 0 else inverse_word(power)),
                  *inverse_word(tuple(u))]
-    q = cover.quotient
-    start %= q.degree
-    path, end = schreier_path(q, free_reduce(tuple(word)), start)
+    start = f"p{start % cover.quotient.degree}"
+    path, end = cover.cover.skeleton.read(free_reduce(tuple(word)), start)
     assert end == start
     assert sum(s * weight[e] for e, s in path) % _P == 0
 
@@ -293,6 +294,7 @@ SCREEN_RUNS = [
     ("a b a b~", 2, ("a", "b a b~")),
     ("a b a b~", 2, ("a a", "b a b")),
 ]
+SCREEN_WORD_LEN = 6
 
 
 @pytest.mark.parametrize("relator,n,gens", SCREEN_RUNS)
@@ -302,7 +304,7 @@ def test_screen_passes_over_nontrivial_candidates_only(relator, n, gens):
     # state at every stage
     x, cover = screen_cover(relator, n)
     pulled = pull_back_subgroup([W(g) for g in gens], cover.quotient)
-    state = replace(seed_immersion(pulled, cover), max_word_len=6)
+    state = seed_immersion(pulled, cover)
     screened = total = 0
     changed = True
     while changed:
@@ -310,7 +312,7 @@ def test_screen_passes_over_nontrivial_candidates_only(relator, n, gens):
         code = _hop_codes(frame, state.to_cover)
         expected = None
         for tried, word in enumerate(
-                candidate_words(len(frame.gens), state.max_word_len)):
+                candidate_words(len(frame.gens), SCREEN_WORD_LEN)):
             total += 1
             f_word = _candidate_word(word, frame)
             trivial = dehn_solve(f_word, x).trivial
@@ -324,9 +326,25 @@ def test_screen_passes_over_nontrivial_candidates_only(relator, n, gens):
                     break
         if expected is None:
             expected = replace(state, cursor=tried + 1)
-        state, changed = _sweep(state)
+        state, changed = _sweep(state, SCREEN_WORD_LEN)
         assert state == expected
     assert screened >= 0.8 * total
+
+
+@pytest.mark.parametrize("relator,n,gens", SCREEN_RUNS)
+def test_every_stage_map_is_the_label_lift(relator, n, gens):
+    # the seed and every glued stage carry a label on each edge, and reading
+    # those labels from the base rebuilds the stage map exactly
+    _, cover = screen_cover(relator, n)
+    x0 = cover.cover
+    pulled = pull_back_subgroup([W(g) for g in gens], cover.quotient)
+    state = seed_immersion(pulled, cover)
+    changed = True
+    while changed:
+        y = state.current
+        assert all(rec.label is not None for rec in y.skeleton.edges.values())
+        assert _lift(y, x0, x0.base_vertex) == state.to_cover
+        state, changed = _sweep(state, SCREEN_WORD_LEN)
 
 
 RANK_FIVE_DIGEST = (
@@ -346,7 +364,7 @@ def test_rank_five_presentation_pinned_across_commits():
     lines += [f"rel {format_word(r)}" for r in pres.relators]
     lines += [f"note {note}" for note in pres.notes]
     lines += [f"row {r.stage} {r.chi1} {r.chi2} {r.cells} {r.free_edges} "
-              f"{r.cursor} {r.stable_for}" for r in report.rows]
+              f"{r.cursor} {r.cursor}" for r in report.rows]
     text = "\n".join(lines) + "\n"
     assert len(pres.symbols) == 5
     assert hashlib.sha256(text.encode()).hexdigest() == RANK_FIVE_DIGEST
@@ -402,7 +420,7 @@ def test_signature_is_invariant_under_edge_reorientation(cover):
 
 def test_signature_separates_different_stages(x, cover):
     state = seed_immersion(STAB, cover)
-    final, changed = _sweep(state)
+    final, changed = _sweep(state, 12)
     assert changed and final.stage == state.stage + 1
     assert not isomorphic_over_cover(state.current, state.to_cover,
                                      final.current, final.to_cover)
@@ -539,8 +557,8 @@ def test_presentation_extraction_reads_cell_relators(x, cover):
     state = PipelineState(
         cover=cover, stage=0, current=y, to_cover=identity_morphism(y),
         cursor=0, seed_generator_count=3,
-        seed_free_edges=4, max_word_len=12, max_stages=200, gen_paths=())
-    pres = _presentation_from_stage(state, True, ())
+        seed_free_edges=4, gen_paths=())
+    pres = _presentation_from_stage(state, 12, True, ())
     assert len(pres.symbols) == 3
     assert len(pres.relators) == 1
     assert 1 - len(pres.symbols) + len(pres.relators) == euler_characteristic(y)

@@ -182,7 +182,7 @@ def test_audit_csv_schema():
 
 def test_pipeline_csv_schema():
     report = PipelineReport(
-        rows=(StageRow(0, -2, -2, 0, 4, 7, 7), StageRow(1, -1, -1, 0, 3, 0, 0)),
+        rows=(StageRow(0, -2, -2, 0, 4, 7), StageRow(1, -1, -1, 0, 3, 0)),
         notes=())
     text = pipeline_csv(report)
     assert text == ("stage,chi1,chi2,cells,free_edges,cursor,stable_for\n"
