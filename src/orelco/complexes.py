@@ -224,10 +224,14 @@ class CellImage(NamedTuple):
 def cell_image_path(target: TwoComplex, image: CellImage) -> tuple[Dart, ...]:
     """Boundary path traced in the target by a cell mapped with the given data."""
     q = target.cells[image.cell]
-    m = len(q)
+    if not q:
+        return ()
     if image.orient > 0:
-        return tuple(q[(i + image.offset) % m] for i in range(m))
-    return tuple(dart_reverse(q[(image.offset - i) % m]) for i in range(m))
+        k = image.offset % len(q)
+        return tuple(q[k:] + q[:k])
+    # read backwards from the offset: the reverse of the rotation ending there
+    k = (image.offset + 1) % len(q)
+    return reverse_path(q[k:] + q[:k])
 
 
 def target_side(image: CellImage, pos: int, length: int) -> tuple[str, int]:
@@ -253,43 +257,67 @@ class CellMorphism:
         return tuple(self.dart_image(d) for d in path)
 
 
-def _check_morphism(m: CellMorphism) -> str | None:
+def _morphism_fault(m: CellMorphism, order) -> str | None:
+    """First broken morphism condition met scanning vertices, then edges,
+    then cells, each in ``order``; None when ``m`` is a morphism."""
     src, tgt = m.source, m.target
-    for v in sorted(src.skeleton.vertices):
-        if v not in m.vertex_map:
+    vmap, emap, cmap = m.vertex_map, m.edge_map, m.cell_map
+    tverts, tedges, tcells = tgt.skeleton.vertices, tgt.skeleton.edges, tgt.cells
+    for v in order(src.skeleton.vertices):
+        if v not in vmap:
             return f"vertex {v} has no image"
-        if m.vertex_map[v] not in tgt.skeleton.vertices:
-            return f"vertex {v} maps to missing vertex {m.vertex_map[v]}"
-    for e in sorted(src.skeleton.edges):
-        if e not in m.edge_map:
+        if vmap[v] not in tverts:
+            return f"vertex {v} maps to missing vertex {vmap[v]}"
+    sedges = src.skeleton.edges
+    for e in order(sedges):
+        if e not in emap:
             return f"edge {e} has no image"
-        image = m.edge_map[e]
-        if image[0] not in tgt.skeleton.edges:
-            return f"edge {e} maps to missing edge {image[0]}"
-        d = (e, 1)
-        for dart in (d, dart_reverse(d)):
-            want = m.vertex_map[src.skeleton.dart_origin(dart)]
-            got = tgt.skeleton.dart_origin(m.dart_image(dart))
-            if want != got:
-                return f"dart {dart} breaks origin commutation"
-    for cid in sorted(src.cells):
-        if cid not in m.cell_map:
+        f, s = emap[e]
+        if f not in tedges:
+            return f"edge {e} maps to missing edge {f}"
+        if s != 1 and s != -1:
+            return f"edge {e} has bad orientation sign {s}"
+        rec, image = sedges[e], tedges[f]
+        if vmap[rec.tail] != (image.tail if s > 0 else image.head):
+            return f"dart {(e, 1)} breaks origin commutation"
+        if vmap[rec.head] != (image.head if s > 0 else image.tail):
+            return f"dart {(e, -1)} breaks origin commutation"
+    scells = src.cells
+    for cid in order(scells):
+        if cid not in cmap:
             return f"cell {cid} has no image"
-        image = m.cell_map[cid]
-        if image.cell not in tgt.cells:
+        image = cmap[cid]
+        if image.cell not in tcells:
             return f"cell {cid} maps to missing cell {image.cell}"
         if image.orient not in (1, -1):
             return f"cell {cid} has bad orientation flag"
-        path = src.cells[cid]
-        want_path = cell_image_path(tgt, image)
-        if len(path) != len(want_path):
+        path = scells[cid]
+        if len(path) != len(tcells[image.cell]):
             return f"cell {cid} boundary length differs from its image"
-        if m.path_image(path) != want_path:
+        if (tuple([(emap[e][0], emap[e][1] * s) for e, s in path])
+                != cell_image_path(tgt, image)):
             return f"cell {cid} boundary does not match its image boundary"
     return None
 
 
+def _check_morphism(m: CellMorphism) -> str | None:
+    if _morphism_fault(m, iter) is None:
+        return None
+    # the witness is the first fault of an ordered scan
+    return _morphism_fault(m, sorted)
+
+
 def _check_link_injective(m: CellMorphism) -> str | None:
+    edges = m.source.skeleton.edges
+    # one (origin, image) pair per dart, so a clash shrinks the set; the
+    # ordered scan below only names the first clash
+    pairs = set()
+    for e, rec in edges.items():
+        f, s = m.edge_map[e]
+        pairs.add((rec.tail, f, s))
+        pairs.add((rec.head, f, -s))
+    if len(pairs) == 2 * len(edges):
+        return None
     for v in sorted(m.source.skeleton.vertices):
         seen: dict[Dart, Dart] = {}
         for d in m.source.skeleton.darts_at(v):
@@ -304,6 +332,19 @@ def _check_side_injective(m: CellMorphism,
                           period: int | None = None) -> str | None:
     """Sides over each source edge land on distinct target sides; with a
     ``period``, target positions count modulo it (sides of a branched disk)."""
+    # one (edge, target side) pair per side, so a clash shrinks the set;
+    # the ordered scan below only names the first clash
+    pairs = set()
+    count = 0
+    for cid, path in m.source.cells.items():
+        cell, offset, orient = m.cell_map[cid]
+        length = period or len(path)
+        step = 1 if orient > 0 else -1
+        pairs.update((d[0], cell, (offset + step * pos) % length)
+                     for pos, d in enumerate(path))
+        count += len(path)
+    if len(pairs) == count:
+        return None
     for e in sorted(m.source.skeleton.edges):
         seen: dict[tuple[str, int], tuple[str, int]] = {}
         for cid, pos in m.source.sides_over[e]:
@@ -316,14 +357,24 @@ def _check_side_injective(m: CellMorphism,
     return None
 
 
-def classify_map(m: CellMorphism) -> Classification:
-    """Place a map on the ladder not_morphism < morphism < immersion < covering."""
+def _immersion_fault(m: CellMorphism,
+                     period: int | None = None) -> Classification | None:
+    """The classification below IMMERSION that ``m`` earns, or None when it
+    immerses; ``period`` as in ``_check_side_injective``."""
     witness = _check_morphism(m)
     if witness is not None:
         return Classification(MapKind.NOT_MORPHISM, witness)
-    witness = _check_link_injective(m) or _check_side_injective(m)
+    witness = _check_link_injective(m) or _check_side_injective(m, period)
     if witness is not None:
         return Classification(MapKind.MORPHISM, witness)
+    return None
+
+
+def classify_map(m: CellMorphism) -> Classification:
+    """Place a map on the ladder not_morphism < morphism < immersion < covering."""
+    cls = _immersion_fault(m)
+    if cls is not None:
+        return cls
     # bijectivity of links and side sets over every vertex and edge
     for v in sorted(m.source.skeleton.vertices):
         have = {m.dart_image(d) for d in m.source.skeleton.darts_at(v)}

@@ -16,6 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .complexes import (Dart, EdgeRec, Graph, MapKind, TwoComplex,
                         euler_characteristic, target_side)
@@ -30,11 +31,6 @@ Perm = tuple[int, ...]
 
 def _is_perm(p: Perm, k: int) -> bool:
     return len(p) == k and sorted(p) == list(range(k))
-
-
-def _compose(p1: Perm, p2: Perm) -> Perm:
-    """Permutation doing p1 first, then p2 (points act on the right)."""
-    return tuple(p2[p1[i]] for i in range(len(p1)))
 
 
 def _inverse(p: Perm) -> Perm:
@@ -68,17 +64,21 @@ class FiniteQuotient:
     degree: int
     perms: dict[str, Perm]
 
+    @cached_property
+    def _inverses(self) -> dict[str, Perm]:
+        return {s: _inverse(p) for s, p in self.perms.items()}
+
     def permutation_of(self, word: Word) -> Perm:
-        out = tuple(range(self.degree))
+        out = range(self.degree)
         for sym, sign in word:
-            p = self.perms[sym]
-            out = _compose(out, p if sign > 0 else _inverse(p))
-        return out
+            p = self.perms[sym] if sign > 0 else self._inverses[sym]
+            out = [p[i] for i in out]
+        return tuple(out)
 
     def act(self, point: int, word: Word) -> int:
         for sym, sign in word:
-            p = self.perms[sym]
-            point = p[point] if sign > 0 else _inverse(p)[point]
+            p = self.perms[sym] if sign > 0 else self._inverses[sym]
+            point = p[point]
         return point
 
 
@@ -108,7 +108,7 @@ def validate_quotient(q: FiniteQuotient, x: OneRelatorOrbicomplex) -> list[str]:
     while frontier:
         p = frontier.pop()
         for s in symbols:
-            for image in (q.perms[s][p], _inverse(q.perms[s])[p]):
+            for image in (q.perms[s][p], q._inverses[s][p]):
                 if image not in reached:
                     reached.add(image)
                     frontier.append(image)
@@ -265,10 +265,14 @@ def verify_cover(c: UnwrappedCover) -> CoverReport:
     if cls.kind < MapKind.IMMERSION:
         witnesses.append(f"not an immersion: {cls.witness}")
     g = cover.skeleton
+    # the images of the darts at each vertex, in one pass over the edges
+    links: dict[str, set[Dart]] = {v: set() for v in g.vertices}
+    for e, rec in g.edges.items():
+        f, s = m.edge_map[e]
+        links[rec.tail].add((f, s))
+        links[rec.head].add((f, -s))
     for v in sorted(g.vertices):
-        have = {m.dart_image(d) for d in g.darts_at(v)}
-        want = set(x.gamma.darts_at(m.vertex_map[v]))
-        if have != want:
+        if links[v] != set(x.gamma.darts_at(m.vertex_map[v])):
             witnesses.append(f"link at {v} is not onto the rose link")
     w = x.relator_word()
     n = x.branch_index

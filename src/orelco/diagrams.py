@@ -17,11 +17,10 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
 
-from .complexes import (Dart, EdgeRec, Graph, MapKind, TwoComplex,
+from .complexes import (Dart, EdgeRec, Graph, TwoComplex, _check_morphism,
                         dart_reverse, require_valid, reverse_path)
 from .errors import DiagramError
-from .orbicomplex import (OneRelatorOrbicomplex, OrbiMorphism,
-                          check_orbi_immersion)
+from .orbicomplex import OneRelatorOrbicomplex, OrbiMorphism
 from .words import (Letter, Word, dehn_solve, free_reduce, inverse_letter,
                     inverse_word, splice)
 
@@ -351,9 +350,9 @@ def build_reduced_diagram(u: Word, x: OneRelatorOrbicomplex) -> VanKampenDiagram
             raise DiagramError("boundary readout drifted during cancellation")
         builder.check_disk()
     complex_, labeling = builder.freeze(x, symbols)
-    cls = check_orbi_immersion(labeling)
-    if cls.kind < MapKind.MORPHISM:
-        raise DiagramError(f"diagram labelling is not a morphism: {cls.witness}")
+    witness = _check_morphism(labeling.as_cell_morphism())
+    if witness is not None:
+        raise DiagramError(f"diagram labelling is not a morphism: {witness}")
     return VanKampenDiagram(complex_, tuple(builder.boundary),
                             builder.readout(), labeling)
 

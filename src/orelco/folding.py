@@ -16,8 +16,8 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .complexes import (CellImage, CellMorphism, Dart, EdgeRec, Graph,
-                        MapKind, TwoComplex, _check_morphism, cell_image_path,
-                        classify_map, compose, reverse_path)
+                        TwoComplex, _check_morphism, _immersion_fault,
+                        cell_image_path, compose, reverse_path)
 from .errors import (FactorizationError, InvariantError, NotImmersionError,
                      NotMorphismError)
 
@@ -224,8 +224,8 @@ def fold(m: CellMorphism) -> FoldResult:
         raise InvariantError(f"fold projection is not a morphism: {witness}")
     if compose(inclusion, projection) != m:
         raise InvariantError("fold composite drifted")
-    cls = classify_map(inclusion)
-    if cls.kind < MapKind.IMMERSION:
+    cls = _immersion_fault(inclusion)
+    if cls is not None:
         raise NotImmersionError(f"folded map failed its immersion check: {cls.witness}")
     return FoldResult(folded, projection, inclusion, tuple(trace))
 
@@ -244,8 +244,8 @@ def factor_unique(folded: FoldResult, through: CellMorphism,
     """The unique immersion C -> D with through ∘ it = inclusion and
     it ∘ projection = lift_of; every choice is cross-checked and any clash
     reported, since a clash means the inputs do not actually commute."""
-    cls = classify_map(through)
-    if cls.kind < MapKind.IMMERSION:
+    cls = _immersion_fault(through)
+    if cls is not None:
         raise NotImmersionError(f"factorization target is not immersed: {cls.witness}")
     if lift_of.source != folded.projection.source:
         raise FactorizationError("lift source differs from the folded map's source")
@@ -304,7 +304,7 @@ def factor_unique(folded: FoldResult, through: CellMorphism,
         raise FactorizationError("factored map does not recover the folded immersion")
     if compose(factor, proj) != lift_of:
         raise FactorizationError("factored map does not recover the lift")
-    cls = classify_map(factor)
-    if cls.kind < MapKind.IMMERSION:
+    cls = _immersion_fault(factor)
+    if cls is not None:
         raise NotImmersionError(f"factored map is not an immersion: {cls.witness}")
     return factor

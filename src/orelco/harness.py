@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .complexes import (EdgeRec, Graph, MapKind, TwoComplex, classify_map,
+from .complexes import (EdgeRec, Graph, MapKind, TwoComplex, _immersion_fault,
                         collapse, compose, connected_components,
                         euler_characteristic, identity_morphism)
 from .complexes import CellMorphism
@@ -211,7 +211,7 @@ def _run_fold_trial(rng: random.Random, seed: int, cfg: CampaignConfig,
     m = _random_rose_morphism(rng, rng.randint(1, cfg.params.vertex_budget),
                               symbols, rose_complex)
     res = fold(m)
-    if classify_map(res.inclusion).kind < MapKind.IMMERSION:
+    if _immersion_fault(res.inclusion) is not None:
         raise _violation("fold-laws", seed, "folded map is not an immersion")
     if compose(res.inclusion, res.projection) != m:
         raise _violation("fold-laws", seed, "fold does not factor the input")
@@ -238,7 +238,7 @@ def random_uniform_quotient(rng: random.Random, x: OneRelatorOrbicomplex,
             rng.shuffle(p)
             perms[sym] = tuple(p)
         q = FiniteQuotient(d, perms)
-        if not validate_quotient(q, x) and has_uniform_exponent_cycles(q, x):
+        if has_uniform_exponent_cycles(q, x) and not validate_quotient(q, x):
             return q
     return None
 

@@ -15,8 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .complexes import (Classification, Dart, Graph, MapKind, TwoComplex,
-                        CellImage, CellMorphism, _check_link_injective,
-                        _check_morphism, _check_side_injective, classify_map,
+                        CellImage, CellMorphism, _immersion_fault,
                         dart_reverse, euler_characteristic,
                         find_free_faces_and_edges, non_tree_edge_count)
 from .errors import NotImmersionError
@@ -118,15 +117,8 @@ def check_orbi_immersion(m: OrbiMorphism) -> Classification:
     edge, the incident cell sides land on pairwise distinct sides of the disk:
     boundary positions of the presentation complex modulo |w|.
     """
-    cm = m.as_cell_morphism()
-    witness = _check_morphism(cm)
-    if witness is not None:
-        return Classification(MapKind.NOT_MORPHISM, witness)
-    witness = (_check_link_injective(cm)
-               or _check_side_injective(cm, m.target.relator_length))
-    if witness is not None:
-        return Classification(MapKind.MORPHISM, witness)
-    return Classification(MapKind.IMMERSION, None)
+    cls = _immersion_fault(m.as_cell_morphism(), m.target.relator_length)
+    return Classification(MapKind.IMMERSION, None) if cls is None else cls
 
 
 def degree(m) -> int:
@@ -137,12 +129,12 @@ def degree(m) -> int:
     2-complex target it is the minimum preimage count over target cells.
     """
     if isinstance(m, OrbiMorphism):
-        cls = check_orbi_immersion(m)
+        cls = _immersion_fault(m.as_cell_morphism(), m.target.relator_length)
     elif isinstance(m, CellMorphism):
-        cls = classify_map(m)
+        cls = _immersion_fault(m)
     else:
         raise TypeError(f"degree undefined for {type(m).__name__}")
-    if cls.kind < MapKind.IMMERSION:
+    if cls is not None:
         raise NotImmersionError(cls.witness or "map is not an immersion")
     if isinstance(m, OrbiMorphism):
         return m.target.branch_index * len(m.source.cells)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .complexes import (CellImage, CellMorphism, Dart, EdgeRec, Graph,
-                        MapKind, TwoComplex, cell_image_path, classify_map,
+                        TwoComplex, _immersion_fault, cell_image_path,
                         collapse, collapse_with_rewrites, compose,
                         connected_components, dart_sort_key,
                         euler_characteristic, find_free_faces_and_edges,
@@ -281,9 +281,10 @@ def seed_immersion(generators: list[Word],
 
 
 def _check_stage(state: PipelineState) -> None:
-    cls = classify_map(state.to_cover)
-    _invariant(cls.kind >= MapKind.IMMERSION,
-               f"stage map is not an immersion: {cls.witness}", state)
+    cls = _immersion_fault(state.to_cover)
+    if cls is not None:
+        _invariant(False, f"stage map is not an immersion: {cls.witness}",
+                   state)
     faces, free_edges = find_free_faces_and_edges(state.current)
     _invariant(not faces, "stage complex has free faces", state)
     n = state.orbicomplex.branch_index
@@ -536,9 +537,10 @@ def _refine(state: PipelineState, frame: _Frame, word,
     diagram = build_reduced_diagram(f_word, x)
     folded = _glue_and_fold(state, diagram)
     chain_map = _restrict(folded.projection, y)
-    cls = classify_map(chain_map)
-    _invariant(cls.kind >= MapKind.IMMERSION,
-               f"chain map is not an immersion: {cls.witness}", state)
+    cls = _immersion_fault(chain_map)
+    if cls is not None:
+        _invariant(False, f"chain map is not an immersion: {cls.witness}",
+                   state)
     _invariant(compose(folded.inclusion, chain_map) == state.to_cover,
                "chain triangle does not commute dart-exactly", state)
     collapsed, rewrites = collapse_with_rewrites(folded.folded)

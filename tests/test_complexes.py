@@ -1,15 +1,16 @@
 import random
+import re
 
 import pytest
 
-from orelco.complexes import (CellImage, CellMorphism, EdgeRec, Graph, MapKind,
-                              TwoComplex, cell_image_path, classify_map,
+from orelco.complexes import (CellImage, CellMorphism, Classification, EdgeRec,
+                              Graph, MapKind, TwoComplex, cell_image_path, classify_map,
                               collapse, collapse_with_rewrites, compose,
                               connected_components, dart_reverse,
                               dart_sort_key, euler_characteristic,
                               find_free_faces_and_edges, identity_morphism,
-                              non_tree_edge_count, require_valid, target_side,
-                              validate_complex)
+                              non_tree_edge_count, require_valid, reverse_path,
+                              target_side, validate_complex)
 from orelco.errors import InvalidComplexError
 
 
@@ -309,3 +310,304 @@ def test_degree_dispatch_for_graph_cover():
     m = cover_map_x0()
     from orelco.orbicomplex import degree
     assert degree(m) == 1  # one cell over the single target cell
+
+
+# ---------------------------------------------------------------------------
+# the map checks against the ordered scans they replaced
+
+
+@pytest.mark.parametrize("sign", [0, 5, -2])
+def test_edge_image_with_a_bad_sign_is_not_a_morphism(sign):
+    from orelco.errors import NotMorphismError
+    from orelco.folding import fold
+    loop = TwoComplex(Graph(frozenset({"u"}), {"x": EdgeRec("u", "u", "a")}),
+                      {})
+    m = CellMorphism(loop, build_rose_complex(), {"u": "*"},
+                     {"x": ("a", sign)}, {})
+    witness = f"edge x has bad orientation sign {sign}"
+    assert classify_map(m) == Classification(MapKind.NOT_MORPHISM, witness)
+    with pytest.raises(NotMorphismError, match=witness):
+        fold(m)
+
+
+def reference_cell_image_path(target, image):
+    q = target.cells[image.cell]
+    m = len(q)
+    if image.orient > 0:
+        return tuple(q[(i + image.offset) % m] for i in range(m))
+    return tuple(dart_reverse(q[(image.offset - i) % m]) for i in range(m))
+
+
+def reference_check_morphism(m):
+    """The morphism check as first written: one ordered scan, every dart
+    through ``dart_origin`` and ``dart_image``."""
+    src, tgt = m.source, m.target
+    for v in sorted(src.skeleton.vertices):
+        if v not in m.vertex_map:
+            return f"vertex {v} has no image"
+        if m.vertex_map[v] not in tgt.skeleton.vertices:
+            return f"vertex {v} maps to missing vertex {m.vertex_map[v]}"
+    for e in sorted(src.skeleton.edges):
+        if e not in m.edge_map:
+            return f"edge {e} has no image"
+        image = m.edge_map[e]
+        if image[0] not in tgt.skeleton.edges:
+            return f"edge {e} maps to missing edge {image[0]}"
+        d = (e, 1)
+        for dart in (d, dart_reverse(d)):
+            want = m.vertex_map[src.skeleton.dart_origin(dart)]
+            got = tgt.skeleton.dart_origin(m.dart_image(dart))
+            if want != got:
+                return f"dart {dart} breaks origin commutation"
+    for cid in sorted(src.cells):
+        if cid not in m.cell_map:
+            return f"cell {cid} has no image"
+        image = m.cell_map[cid]
+        if image.cell not in tgt.cells:
+            return f"cell {cid} maps to missing cell {image.cell}"
+        if image.orient not in (1, -1):
+            return f"cell {cid} has bad orientation flag"
+        path = src.cells[cid]
+        want_path = reference_cell_image_path(tgt, image)
+        if len(path) != len(want_path):
+            return f"cell {cid} boundary length differs from its image"
+        if m.path_image(path) != want_path:
+            return f"cell {cid} boundary does not match its image boundary"
+    return None
+
+
+def reference_check_link_injective(m):
+    for v in sorted(m.source.skeleton.vertices):
+        seen = {}
+        for d in m.source.skeleton.darts_at(v):
+            img = m.dart_image(d)
+            if img in seen:
+                return f"darts {seen[img]} and {d} at vertex {v} share image {img}"
+            seen[img] = d
+    return None
+
+
+def reference_check_side_injective(m, period=None):
+    for e in sorted(m.source.skeleton.edges):
+        seen = {}
+        for cid, pos in m.source.sides_over[e]:
+            side = target_side(m.cell_map[cid], pos,
+                               period or len(m.source.cells[cid]))
+            if side in seen:
+                return (f"sides {seen[side]} and {(cid, pos)} over edge {e}"
+                        f" share disk side {side}")
+            seen[side] = (cid, pos)
+    return None
+
+
+def reference_classify_map(m):
+    witness = reference_check_morphism(m)
+    if witness is not None:
+        return Classification(MapKind.NOT_MORPHISM, witness)
+    witness = (reference_check_link_injective(m)
+               or reference_check_side_injective(m))
+    if witness is not None:
+        return Classification(MapKind.MORPHISM, witness)
+    for v in sorted(m.source.skeleton.vertices):
+        have = {m.dart_image(d) for d in m.source.skeleton.darts_at(v)}
+        want = set(m.target.skeleton.darts_at(m.vertex_map[v]))
+        if have != want:
+            return Classification(
+                MapKind.IMMERSION, f"link at {v} is not onto the target link")
+    for e in sorted(m.source.skeleton.edges):
+        have = {
+            target_side(m.cell_map[cid], pos, len(m.source.cells[cid]))
+            for cid, pos in m.source.sides_over[e]
+        }
+        want = set(m.target.sides_over[m.edge_map[e][0]])
+        if have != want:
+            return Classification(
+                MapKind.IMMERSION, f"sides over {e} are not onto the target sides")
+    return Classification(MapKind.COVERING, None)
+
+
+def reference_check_orbi_immersion(m):
+    cm = m.as_cell_morphism()
+    witness = reference_check_morphism(cm)
+    if witness is not None:
+        return Classification(MapKind.NOT_MORPHISM, witness)
+    witness = (reference_check_link_injective(cm)
+               or reference_check_side_injective(cm, m.target.relator_length))
+    if witness is not None:
+        return Classification(MapKind.MORPHISM, witness)
+    return Classification(MapKind.IMMERSION, None)
+
+
+def _reread(rng, path, image, reverse):
+    """The same cell read from another start, and backwards with
+    probability ``reverse``, with the image that keeps the map."""
+    r = rng.randrange(len(path)) if path else 0
+    path, image = (path[r:] + path[:r],
+                   image._replace(offset=image.offset + image.orient * r))
+    if rng.random() < reverse:
+        path, image = reverse_path(path), image._replace(
+            offset=image.offset - image.orient, orient=-image.orient)
+    return path, image
+
+
+def _shuffled(rng, m, reverse=0.0):
+    """``m`` with its source's edges and cells listed in a random order and
+    each cell reread as in ``_reread``."""
+    src = m.source
+    edges = list(src.skeleton.edges.items())
+    rng.shuffle(edges)
+    cells, cmap = {}, dict(m.cell_map)
+    for cid in rng.sample(sorted(src.cells), len(src.cells)):
+        cells[cid] = src.cells[cid]
+        if cid in cmap and cmap[cid].orient in (1, -1):
+            cells[cid], cmap[cid] = _reread(rng, cells[cid], cmap[cid],
+                                            reverse)
+    y = TwoComplex(Graph(src.skeleton.vertices, dict(edges)), cells,
+                   src.base_vertex)
+    return CellMorphism(y, m.target, m.vertex_map, m.edge_map, cmap)
+
+
+def _base_morphism(rng):
+    """A seeded morphism, with the orbicomplex it maps into when its target
+    is a presentation complex: a generated immersion, the identity of a
+    generated complex, a fold's projection or inclusion, or an unwrapped
+    cover; some cells read backwards."""
+    from orelco.covers import build_unwrapped_cover
+    from orelco.folding import fold
+    from orelco.harness import (GeneratorParams, _generate_uncollapsed,
+                                _random_rose_morphism, random_uniform_quotient)
+    from orelco.words import parse_word
+    relator, n = rng.choice([("a b", 2), ("a b a b~", 2), ("a b", 3)])
+    params = GeneratorParams(rng.randint(1, 6), parse_word(relator), n,
+                             attach_probability=0.8)
+    x = params.orbicomplex()
+    kind = rng.randrange(4)
+    if kind == 0:
+        m = _generate_uncollapsed(rng.getrandbits(32), params).as_cell_morphism()
+    elif kind == 1:
+        y = _generate_uncollapsed(rng.getrandbits(32), params).source
+        m, x = identity_morphism(y), None
+    elif kind == 2:
+        rose = TwoComplex(Graph.rose(["a", "b"]), {}, base_vertex="*")
+        res = fold(_random_rose_morphism(rng, rng.randint(1, 6), ["a", "b"],
+                                         rose))
+        m, x = rng.choice([res.projection, res.inclusion]), None
+    else:
+        q = random_uniform_quotient(rng, x, 3 * n)
+        m = (identity_morphism(x.presentation_complex) if q is None
+             else build_unwrapped_cover(x, q).covering_map.as_cell_morphism())
+    return _shuffled(rng, m, reverse=0.3), x
+
+
+def _mutate(rng, m):
+    """``m`` with one to three faults: vertex, edge or cell images changed, a
+    link or side clash forced, or a cell boundary cut short; never an edge
+    image sign other than +-1."""
+    for _ in range(rng.randint(1, 3)):
+        m = _shuffled(rng, _fault(rng, m))
+    return m
+
+
+def _fault(rng, m):
+    src, tgt = m.source, m.target
+    vmap, emap, cmap = dict(m.vertex_map), dict(m.edge_map), dict(m.cell_map)
+    sverts, sedges, scells = (sorted(src.skeleton.vertices),
+                              sorted(src.skeleton.edges), sorted(src.cells))
+    tverts, tedges, tcells = (sorted(tgt.skeleton.vertices),
+                              sorted(tgt.skeleton.edges), sorted(tgt.cells))
+    kinds = ["vertex"] + ["edge", "link"] * bool(sedges) \
+        + ["cell", "side", "short"] * bool(set(scells) & set(cmap))
+    kind = rng.choice(kinds)
+    if kind == "vertex":
+        v = rng.choice(sverts)
+        choice = rng.random()
+        if choice < 0.2:
+            vmap.pop(v, None)
+        else:
+            vmap[v] = "missing" if choice < 0.3 else rng.choice(tverts)
+    elif kind == "edge":
+        e = rng.choice(sedges)
+        choice = rng.random()
+        if choice < 0.15 or e not in emap:
+            emap.pop(e, None)
+        elif choice < 0.25:
+            emap[e] = ("missing", 1)
+        elif choice < 0.6:
+            emap[e] = (emap[e][0], -emap[e][1])
+        else:
+            emap[e] = (rng.choice(tedges), rng.choice((1, -1)))
+    elif kind == "link":
+        e, f = rng.choice(sedges), rng.choice(sedges)
+        if e in emap:
+            emap[f] = (emap[e][0], rng.choice((1, -1)) * emap[e][1])
+    else:
+        cid = rng.choice(sorted(set(scells) & set(cmap)))
+        image = cmap[cid]
+        cells = dict(src.cells)
+        if kind == "side":
+            # a second copy of a cell, reread: the two cover the same sides
+            cells[cid + "'"], cmap[cid + "'"] = _reread(rng, src.cells[cid],
+                                                        image, 0.5)
+        elif kind == "short":
+            cells[cid] = src.cells[cid][:-1]
+        else:
+            choice = rng.random()
+            if choice < 0.1:
+                del cmap[cid]
+            elif choice < 0.2:
+                cmap[cid] = image._replace(cell="missing")
+            elif choice < 0.35:
+                cmap[cid] = image._replace(cell=rng.choice(tcells))
+            elif choice < 0.6:
+                cmap[cid] = image._replace(offset=image.offset
+                                           + rng.randint(-9, 9))
+            elif choice < 0.85:
+                cmap[cid] = image._replace(orient=-image.orient)
+            else:
+                cmap[cid] = image._replace(orient=rng.choice((0, 2)))
+        src = TwoComplex(src.skeleton, cells, src.base_vertex)
+    return CellMorphism(src, tgt, vmap, emap, cmap)
+
+
+# every witness text the checks can give, but the bad edge sign
+WITNESS_FORMS = (
+    r"vertex \S+ has no image", r"vertex \S+ maps to missing vertex \S+",
+    r"edge \S+ has no image", r"edge \S+ maps to missing edge \S+",
+    r"dart \('\S+', -?1\) breaks origin commutation",
+    r"cell \S+ has no image", r"cell \S+ maps to missing cell \S+",
+    r"cell \S+ has bad orientation flag",
+    r"cell \S+ boundary length differs from its image",
+    r"cell \S+ boundary does not match its image boundary",
+    r"darts .+ and .+ at vertex \S+ share image .+",
+    r"sides .+ and .+ over edge \S+ share disk side .+",
+    r"link at \S+ is not onto the target link",
+    r"sides over \S+ are not onto the target sides")
+
+
+def test_checks_name_the_witnesses_of_the_ordered_scans():
+    from orelco.orbicomplex import OrbiMorphism, check_orbi_immersion
+    rng = random.Random(2018)
+    kinds = set()
+    forms = set()
+    compared = orbi_compared = 0
+    for trial in range(2000):
+        m, x = _base_morphism(rng)
+        if trial % 2:
+            m = _mutate(rng, m)
+        cls = classify_map(m)
+        assert cls == reference_classify_map(m), trial
+        compared += 1
+        kinds.add(cls.kind)
+        if cls.witness is not None:
+            form, = (f for f in WITNESS_FORMS if re.fullmatch(f, cls.witness))
+            forms.add(form)
+        if x is None or any(im.cell != "d0" for im in m.cell_map.values()):
+            continue
+        om = OrbiMorphism(m.source, x, m.vertex_map, m.edge_map,
+                          {cid: (im.offset, im.orient)
+                           for cid, im in m.cell_map.items()})
+        assert check_orbi_immersion(om) == reference_check_orbi_immersion(om)
+        orbi_compared += 1
+    assert compared == 2000 and orbi_compared > 600
+    assert kinds == set(MapKind)
+    assert forms == set(WITNESS_FORMS)

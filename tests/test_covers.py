@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -35,6 +36,32 @@ def test_perm_helpers():
     assert q.permutation_of((A, B)) == (1, 0)
     assert q.act(0, (A, B, A, B)) == 0
     assert q.act(0, (("a", -1),)) == 1
+
+
+def _naive_compose(p1, p2):
+    return tuple(p2[p1[i]] for i in range(len(p1)))
+
+
+def _naive_inverse(p):
+    out = [0] * len(p)
+    for i, j in enumerate(p):
+        out[j] = i
+    return tuple(out)
+
+
+def test_permutation_of_and_act_match_a_letter_by_letter_fold():
+    rng = random.Random(9)
+    for _ in range(300):
+        k = rng.randint(1, 9)
+        q = FiniteQuotient(k, {s: tuple(rng.sample(range(k), k)) for s in "ab"})
+        word = tuple((rng.choice("ab"), rng.choice((1, -1)))
+                     for _ in range(rng.randint(0, 12)))
+        want = tuple(range(k))
+        for sym, sign in word:
+            p = q.perms[sym]
+            want = _naive_compose(want, p if sign > 0 else _naive_inverse(p))
+        assert q.permutation_of(word) == want
+        assert [q.act(i, word) for i in range(k)] == list(want)
 
 
 def test_find_quotient_worked_examples():
@@ -198,6 +225,22 @@ def test_verify_cell_free_identity_cover():
     rep = verify_cover(fake)
     assert rep.passed
     assert rep.euler_expected is None
+
+
+def test_verify_names_each_vertex_whose_link_is_not_onto():
+    # a is a segment u -> v, so u lacks the dart a~ and v the dart a
+    x = make_x("a b", 2)
+    g = Graph(frozenset({"u", "v", "w"}),
+              {"a0": EdgeRec("u", "v", "a"), "b0": EdgeRec("u", "u", "b"),
+               "b1": EdgeRec("v", "v", "b"), "a2": EdgeRec("w", "w", "a"),
+               "b2": EdgeRec("w", "w", "b")})
+    y = TwoComplex(g, {})
+    fake = UnwrappedCover(
+        cover=y, covering_map=OrbiMorphism.by_labels(y, x), families={},
+        quotient=FiniteQuotient(1, {"a": (0,), "b": (0,)}))
+    assert verify_cover(fake).witnesses == (
+        "link at u is not onto the rose link",
+        "link at v is not onto the rose link")
 
 
 def test_pull_back_full_group():

@@ -4,11 +4,12 @@ import pytest
 
 from orelco.complexes import (EdgeRec, Graph, MapKind, TwoComplex,
                               euler_characteristic, find_free_faces_and_edges)
-from orelco.covers import (build_unwrapped_cover, find_exponent_n_quotient,
+from orelco.covers import (FiniteQuotient, build_unwrapped_cover,
+                           find_exponent_n_quotient,
                            has_uniform_exponent_cycles, validate_quotient)
 from orelco.errors import OrelcoError
-from orelco.harness import (CSV_HEADER, CampaignConfig, GeneratorParams,
-                            TrialRow, _generate_uncollapsed,
+from orelco.harness import (CSV_HEADER, QUOTIENT_ATTEMPTS, CampaignConfig,
+                            GeneratorParams, TrialRow, _generate_uncollapsed,
                             _random_labeled_graph, campaign_csv,
                             closed_power_lifts, random_irreducible_immersion,
                             random_uniform_quotient, run_property_campaign,
@@ -161,3 +162,32 @@ def test_violation_aborts_with_the_reproduction_seed(monkeypatch):
                          suites=("wcycles",))
     with pytest.raises(OrelcoError, match="reproduce with trial seed"):
         run_property_campaign(cfg)
+
+
+def _random_uniform_quotient_validating_first(rng, x, max_degree):
+    """random_uniform_quotient with its two tests in their first order:
+    validation before the exponent cycles."""
+    n = x.branch_index
+    symbols = sorted({sym for sym, _ in x.relator})
+    degrees = [d for d in range(n, max_degree + 1) if d % n == 0]
+    for _ in range(QUOTIENT_ATTEMPTS):
+        d = rng.choice(degrees)
+        perms = {}
+        for sym in symbols:
+            p = list(range(d))
+            rng.shuffle(p)
+            perms[sym] = tuple(p)
+        q = FiniteQuotient(d, perms)
+        if not validate_quotient(q, x) and has_uniform_exponent_cycles(q, x):
+            return q
+    return None
+
+
+@pytest.mark.parametrize("relator,n", [("a b", 2), ("a b a b~", 2), ("a b", 3)])
+def test_uniform_quotient_draws_do_not_depend_on_the_test_order(relator, n):
+    x = build_orbicomplex(Graph.rose(["a", "b"]), W(relator), n)
+    for seed in range(500):
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        q = random_uniform_quotient(rng, x, 3 * n)
+        assert q == _random_uniform_quotient_validating_first(ref_rng, x, 3 * n)
+        assert rng.getstate() == ref_rng.getstate()
