@@ -67,6 +67,10 @@ def _emit(args, text: str) -> None:
         print(text, end="" if text.endswith("\n") else "\n")
 
 
+def _alphabet(x) -> set[str]:
+    return {rec.label for rec in x.gamma.edges.values()} - {None}
+
+
 def _load(parse, path: str, *context):
     return _parse(path, parse, Path(path).read_text(), *context)
 
@@ -95,8 +99,7 @@ def _cmd_group_define(args) -> int:
 def _cmd_word_solve(args) -> int:
     _echo("word solve", group=args.group, word=args.word)
     x = _load(parse_orbicomplex, args.group)
-    labels = {rec.label for rec in x.gamma.edges.values()} - {None}
-    word = _parse("--word", parse_word, args.word, labels)
+    word = _parse("--word", parse_word, args.word, _alphabet(x))
     if free_reduce(word) != word:
         return _usage("--word must be freely reduced")
     result = dehn_solve(word, x)
@@ -142,7 +145,8 @@ def _cmd_subgroup_present(args) -> int:
         # no candidate would be tried, and the seed would pass as stable
         return _usage("--max-word-len must be at least 1")
     x = _load(parse_orbicomplex, args.group)
-    gens = [_parse("--gens", parse_word, chunk)
+    labels = _alphabet(x)
+    gens = [_parse("--gens", parse_word, chunk, labels)
             for chunk in args.gens.split(";")]
     gens = [g for g in gens if g]
     pres, report = present_subgroup(

@@ -203,10 +203,6 @@ def build_unwrapped_cover(x: OneRelatorOrbicomplex,
         raise ValueError("; ".join(problems))
     n = x.branch_index
     eta_w = q.permutation_of(x.relator_word())
-    if not has_uniform_exponent_cycles(q, x):
-        raise ValueError(
-            "exponent condition violated: relator image has a cycle shorter "
-            f"than {n}, families would not have size {n}")
     k = q.degree
     edges = {}
     for s in symbols:
@@ -227,6 +223,10 @@ def build_unwrapped_cover(x: OneRelatorOrbicomplex,
             seen[j] = True
             orbit.append(j)
             j = eta_w[j]
+        if len(orbit) != n:
+            raise ValueError(
+                "exponent condition violated: relator image has a cycle "
+                f"shorter than {n}, families would not have size {n}")
         lift = g.read(power_word, f"p{p}")
         if lift is None or lift[1] != f"p{p}":
             raise InvariantError("relator power lift failed to close")

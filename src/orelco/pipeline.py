@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 from .complexes import (CellImage, CellMorphism, Dart, EdgeRec, Graph,
                         TwoComplex, _immersion_fault, cell_image_path,
-                        collapse, collapse_with_rewrites, compose,
+                        collapse_with_rewrites, compose,
                         connected_components, dart_sort_key,
                         euler_characteristic, find_free_faces_and_edges,
                         require_valid, reverse_path)
@@ -102,10 +102,9 @@ def _invariant(cond: bool, message: str, state: PipelineState) -> None:
 @dataclass(frozen=True)
 class _Frame:
     vertex_names: dict[str, str]
-    tree_paths: dict[str, tuple[Dart, ...]]
     gens: tuple[Dart, ...]          # one canonical dart per non-tree edge
-    hops: tuple[tuple[tuple[Dart, ...], ...], ...]  # per gen: loop, reverse
-    hop_words: tuple[tuple[Word, Word], ...]         # their reduced labels
+    hops: tuple[tuple[Dart, ...], ...]      # per gen: its loop at the base
+    hop_words: tuple[tuple[Word, Word], ...]  # reduced labels, and inverse
 
 
 def _bfs_frame(y: TwoComplex, m: CellMorphism) -> _Frame:
@@ -135,16 +134,15 @@ def _bfs_frame(y: TwoComplex, m: CellMorphism) -> _Frame:
                 queue.append(w)
     if len(seen_edges) != len(y.skeleton.edges):
         raise PipelineInvariantError("complex is not connected from the base")
-    labels = _label_table(m.target)
+    g = y.skeleton
     hops, hop_words = [], []
     for d in gens:
-        hop = (tree_paths[y.skeleton.dart_origin(d)] + (d,)
-               + reverse_path(tree_paths[y.skeleton.dart_terminus(d)]))
-        word = free_reduce(_path_word(hop, m, labels))
-        hops.append((hop, reverse_path(hop)))
+        hop = (tree_paths[g.dart_origin(d)] + (d,)
+               + reverse_path(tree_paths[g.dart_terminus(d)]))
+        word = free_reduce(tuple(map(g.dart_label, hop)))
+        hops.append(hop)
         hop_words.append((word, inverse_word(word)))
-    return _Frame(names, tree_paths, tuple(gens), tuple(hops),
-                  tuple(hop_words))
+    return _Frame(names, tuple(gens), tuple(hops), tuple(hop_words))
 
 
 def canonical_signature(y: TwoComplex, m: CellMorphism):
@@ -246,36 +244,31 @@ def seed_immersion(generators: list[Word],
     x0 = cover.covering_map.source
     base = x0.base_vertex
     edges: dict[str, EdgeRec] = {}
-    loops: list[tuple[Dart, ...]] = []
     for j, gen in enumerate(kept):
         lift = x0.skeleton.read(gen, base)
         if lift is None or lift[1] != base:
             raise ValueError(
                 f"generator {j} is not a closed loop at the base vertex")
         cur = "v0"
-        loop: list[Dart] = []
         for t, (sym, sign) in enumerate(gen):
             nxt = "v0" if t == len(gen) - 1 else f"v{j}.{t + 1}"
-            eid = f"w{j}.{t}"
             tail, head = (cur, nxt) if sign > 0 else (nxt, cur)
-            edges[eid] = EdgeRec(tail, head, sym)
-            loop.append((eid, sign))
+            edges[f"w{j}.{t}"] = EdgeRec(tail, head, sym)
             cur = nxt
-        loops.append(tuple(loop))
     vertices = frozenset(v for rec in edges.values()
                          for v in (rec.tail, rec.head))
     wedge = TwoComplex(Graph(vertices, edges), {}, base_vertex="v0")
     require_valid(wedge)
     folded = fold(_lift(wedge, x0, base))
-    y0 = collapse(folded.folded)
-    if y0 != folded.folded:
-        raise PipelineInvariantError("seed graph has free faces")
+    y0 = folded.folded
+    reads = [y0.skeleton.read(gen, y0.base_vertex) for gen in kept]
+    if None in reads:
+        raise PipelineInvariantError("generator does not read on the seed")
     state = PipelineState(
         cover=cover, stage=0, current=y0, to_cover=folded.inclusion, cursor=0,
         seed_generator_count=len(kept),
         seed_free_edges=len(find_free_faces_and_edges(y0)[1]),
-        gen_paths=tuple(free_reduce(folded.projection.path_image(loop))
-                        for loop in loops))
+        gen_paths=tuple(path for path, _ in reads))
     _check_stage(state)
     return state
 
@@ -377,30 +370,11 @@ def candidate_words(num_gens: int, max_len: int):
             x = 0
 
 
-def _label_table(x0: TwoComplex) -> dict[str, str]:
-    return {e: rec.label for e, rec in x0.skeleton.edges.items()}
-
-
-def _path_word(path, m: CellMorphism, labels: dict[str, str]) -> Word:
-    out = []
-    for d in path:
-        e, s = m.dart_image(d)
-        out.append((labels[e], s))
-    return tuple(out)
-
-
-def _candidate_loop(word, frame: _Frame) -> tuple[Dart, ...]:
-    path: list[Dart] = []
-    for idx, sign in word:
-        path.extend(frame.hops[idx][sign < 0])
-    return free_reduce(path)
-
-
 def _candidate_word(word, frame: _Frame) -> Word:
-    """The label word of ``_candidate_loop``.  The stage immerses into a
-    covering of the rose, so a backtrack in the loop is exactly a
-    cancellation in its labels, and reducing the labels of the hops gives
-    the labels of the reduced loop."""
+    """The label word of the candidate ``word`` over the stage generators:
+    the product of its hop words, reduced.  The stage's 1-skeleton immerses
+    over the rose, so this word reads from the base along exactly one path,
+    the candidate's loop with its backtracks cancelled."""
     letters: list = []
     for idx, sign in word:
         letters.extend(frame.hop_words[idx][sign < 0])
@@ -458,7 +432,7 @@ def _hop_codes(frame: _Frame, m: CellMorphism) -> dict[tuple[int, int], int]:
     the sum over its letters mod ``_P``; backtracks do not change it."""
     weight = _cell_cocycle(m.target)
     code = {}
-    for i, (hop, _) in enumerate(frame.hops):
+    for i, hop in enumerate(frame.hops):
         c = sum(s * weight[e] for e, s in m.path_image(hop)) % _P
         code[(i, 1)], code[(i, -1)] = c, -c % _P
     return code
@@ -520,17 +494,17 @@ def _apply_rewrites(path: tuple[Dart, ...], rewrites,
     raise PipelineInvariantError("rewrite substitution did not terminate")
 
 
-def _refine(state: PipelineState, frame: _Frame, word,
-            f_word: Word) -> PipelineState | None:
-    """Process a candidate whose label word ``f_word`` is trivial; returns
-    the next state, or None when the complex is unchanged."""
+def _refine(state: PipelineState, f_word: Word) -> PipelineState | None:
+    """Process a candidate whose label word ``f_word`` is trivial, with the
+    path reading it from the base as its loop; returns the next state, or
+    None when the complex is unchanged."""
     x = state.orbicomplex
     y = state.current
-    loop = _candidate_loop(word, frame)
+    read = y.skeleton.read(f_word, y.base_vertex)
+    _invariant(read is not None and read[1] == y.base_vertex,
+               "candidate word does not close at the base", state)
+    loop = read[0]
     _invariant(bool(loop), "candidate loop reduced to nothing", state)
-    labels = _label_table(state.to_cover.target)
-    _invariant(_path_word(loop, state.to_cover, labels) == f_word,
-               "candidate loop does not spell its label word", state)
     key = _cycle_key(loop)
     if any(_cycle_key(y.cells[cid]) == key for cid in y.cells):
         return None
@@ -585,8 +559,7 @@ def _sweep(state: PipelineState,
         if sum(map(code, word)) % _P == 0:
             f_word = _candidate_word(word, frame)
             if dehn_solve(f_word, x).trivial:
-                new_state = _refine(replace(state, cursor=tried), frame,
-                                    word, f_word)
+                new_state = _refine(replace(state, cursor=tried), f_word)
                 if new_state is not None:
                     return new_state, True
         tried += 1

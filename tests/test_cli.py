@@ -172,6 +172,14 @@ def test_subgroup_present_bad_gens_token_is_usage_error(group_file, capsys):
     assert out.startswith("config:") and out.count("\n") == 1
 
 
+def test_subgroup_present_gens_letter_outside_the_group(group_file, capsys):
+    code, out, err = run(capsys, ["subgroup", "present", "--group",
+                                  group_file, "--gens", "a ; c"])
+    assert code == 2
+    assert err.startswith("error: --gens: letter 'c' not in alphabet")
+    assert out.startswith("config:") and out.count("\n") == 1
+
+
 def test_subgroup_present_csv_report(group_file, capsys):
     code, out, _ = run(capsys, ["subgroup", "present", "--group", group_file,
                                 "--gens", "a a", "--format", "csv"])

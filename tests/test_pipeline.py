@@ -15,20 +15,18 @@ from hypothesis import strategies as st
 from orelco.complexes import (CellImage, EdgeRec, Graph, MapKind, TwoComplex,
                               cell_image_path, classify_map, collapse,
                               collapse_with_rewrites, euler_characteristic,
-                              identity_morphism)
+                              identity_morphism, reverse_path)
 from orelco.covers import (build_unwrapped_cover, find_exponent_n_quotient,
                            pull_back_subgroup)
 from orelco.diagrams import build_reduced_diagram
-from orelco.errors import InvalidComplexError
+from orelco.errors import InvalidComplexError, PipelineInvariantError
 from orelco.orbicomplex import build_orbicomplex
 from orelco.pipeline import (_P, PipelineState, _apply_rewrites, _bfs_frame,
-                             _candidate_loop, _candidate_word, _cell_cocycle,
-                             _cycle_key, _hop_codes, _label_table, _lift,
-                             _path_word, _presentation_from_stage, _refine,
-                             _sweep,
-                             candidate_words, canonical_signature,
-                             isomorphic_over_cover, present_subgroup,
-                             seed_immersion)
+                             _candidate_word, _cell_cocycle, _cycle_key,
+                             _hop_codes, _lift, _presentation_from_stage,
+                             _refine, _sweep, candidate_words,
+                             canonical_signature, isomorphic_over_cover,
+                             present_subgroup, seed_immersion)
 from orelco.words import (dehn_solve, format_word, free_reduce, inverse_word,
                           parse_word)
 
@@ -74,10 +72,12 @@ def test_seed_folds_stabilizer_wedge_onto_cover_skeleton(cover):
     assert classify_map(state.to_cover).kind >= MapKind.IMMERSION
     assert state.seed_generator_count == 3
     assert state.seed_free_edges == 4
-    for path in state.gen_paths:
+    assert len(state.gen_paths) == len(STAB)
+    for path, gen in zip(state.gen_paths, STAB):
         assert path
         assert y.path_is_closed(path)
         assert y.skeleton.dart_origin(path[0]) == y.base_vertex
+        assert tuple(map(y.skeleton.dart_label, path)) == gen
 
 
 def test_lifted_cells_have_exactly_one_cover_image(x, cover):
@@ -216,26 +216,34 @@ def test_cycle_key_identifies_rotations_and_reversals():
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from((1, -1))),
                 max_size=6))
-def test_candidate_loop_spells_the_reduced_generator_product(word):
+def test_candidate_word_reads_the_reduced_hop_product(word):
+    # the word read from the base is the product of the generators' hops
+    # with its backtracks cancelled, and its image in the cover spells it
     x = build_orbicomplex(Graph.rose("ab"), W("a b"), 2)
     q = find_exponent_n_quotient(x, 4, 0)
     cover = build_unwrapped_cover(x, q)
     state = seed_immersion(STAB, cover)
-    frame = _bfs_frame(state.current, state.to_cover)
-    labels = _label_table(state.to_cover.target)
-    gen_fwords = []
-    for d in frame.gens:
-        g = state.current.skeleton
-        hop = (frame.tree_paths[g.dart_origin(d)] + (d,)
-               + tuple(reversed([(e, -s) for e, s in
-                                 frame.tree_paths[g.dart_terminus(d)]])))
-        gen_fwords.append(_path_word(hop, state.to_cover, labels))
-    formal = []
+    y = state.current
+    frame = _bfs_frame(y, state.to_cover)
+    hops: list = []
     for idx, sign in word:
-        formal.extend(gen_fwords[idx] if sign > 0
-                      else inverse_word(gen_fwords[idx]))
-    loop = _candidate_loop(tuple(word), frame)
-    assert _path_word(loop, state.to_cover, labels) == free_reduce(formal)
+        hops.extend(frame.hops[idx] if sign > 0
+                    else reverse_path(frame.hops[idx]))
+    f_word = _candidate_word(tuple(word), frame)
+    read = y.skeleton.read(f_word, y.base_vertex)
+    assert read is not None and read[1] == y.base_vertex
+    assert read[0] == free_reduce(hops)
+    labels = state.to_cover.target.skeleton.edges
+    assert tuple((labels[e].label, s)
+                 for e, s in state.to_cover.path_image(read[0])) == f_word
+
+
+def test_refine_refuses_a_word_that_does_not_close(cover):
+    # the seed covers the rose with two vertices, and ``a`` leaves the base
+    state = seed_immersion(STAB, cover)
+    with pytest.raises(PipelineInvariantError,
+                       match="candidate word does not close at the base"):
+        _refine(state, W("a"))
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +328,7 @@ def test_screen_passes_over_nontrivial_candidates_only(relator, n, gens):
                 screened += 1
                 assert not trivial
             elif trivial:
-                expected = _refine(replace(state, cursor=tried), frame, word,
-                                   f_word)
+                expected = _refine(replace(state, cursor=tried), f_word)
                 if expected is not None:
                     break
         if expected is None:
@@ -525,9 +532,9 @@ def test_runs_are_deterministic(x):
 
 
 def test_empty_candidate_loop_is_a_typed_error_under_optimized_python():
-    # the loop of a trivial candidate is built only to be glued; a loop that
-    # reduces to nothing must stop the run with the pipeline's own error,
-    # also when python -O strips asserts
+    # the loop of a trivial candidate is read only to be glued; a candidate
+    # word that reads no edge must stop the run with the pipeline's own
+    # error, also when python -O strips asserts
     script = (
         "import orelco.pipeline as p\n"
         "from orelco.complexes import Graph\n"
@@ -535,7 +542,7 @@ def test_empty_candidate_loop_is_a_typed_error_under_optimized_python():
         "from orelco.orbicomplex import build_orbicomplex\n"
         "from orelco.words import parse_word as W\n"
         "x = build_orbicomplex(Graph.rose('ab'), W('a b'), 2)\n"
-        "p._candidate_loop = lambda word, frame: ()\n"
+        "p._candidate_word = lambda word, frame: ()\n"
         "try:\n"
         "    p.present_subgroup([W('b'), W('a a'), W('a b a~')], x, seed=0)\n"
         "except PipelineInvariantError as err:\n"
