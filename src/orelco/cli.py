@@ -118,6 +118,8 @@ def _cmd_cover_build(args) -> int:
     seed = _resolve_seed(args.seed)
     _echo("cover build", group=args.group, max_degree=args.max_degree,
           seed=seed)
+    if args.max_degree < 1:
+        return _usage("--max-degree must be at least 1")
     x = _load(parse_orbicomplex, args.group)
     q = find_exponent_n_quotient(x, args.max_degree, seed)
     cover = build_unwrapped_cover(x, q)
@@ -144,6 +146,8 @@ def _cmd_subgroup_present(args) -> int:
     if args.max_word_len < 1:
         # no candidate would be tried, and the seed would pass as stable
         return _usage("--max-word-len must be at least 1")
+    if args.max_degree < 1:
+        return _usage("--max-degree must be at least 1")
     x = _load(parse_orbicomplex, args.group)
     labels = _alphabet(x)
     gens = [_parse("--gens", parse_word, chunk, labels)

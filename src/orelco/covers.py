@@ -40,23 +40,20 @@ def _inverse(p: Perm) -> Perm:
     return tuple(out)
 
 
-def cycle_lengths(p: Perm) -> list[int]:
+def cycles(p: Perm):
+    """The cycles of a permutation, each from its least point, in order of
+    least points."""
     seen = [False] * len(p)
-    out = []
     for i in range(len(p)):
         if seen[i]:
             continue
-        length, j = 0, i
+        cycle = []
+        j = i
         while not seen[j]:
             seen[j] = True
+            cycle.append(j)
             j = p[j]
-            length += 1
-        out.append(length)
-    return sorted(out)
-
-
-def permutation_order(p: Perm) -> int:
-    return math.lcm(*cycle_lengths(p)) if p else 1
+        yield tuple(cycle)
 
 
 @dataclass(frozen=True)
@@ -82,27 +79,27 @@ class FiniteQuotient:
         return point
 
 
-def _rose_symbols(x: OneRelatorOrbicomplex) -> list[str]:
-    g = x.gamma
-    if len(g.vertices) != 1:
-        raise ValueError("cover construction needs a one-vertex (rose) graph")
-    for e in sorted(g.edges):
-        if g.edges[e].label != e:
-            raise ValueError("cover construction needs rose edges named by their labels")
-    return sorted(g.edges)
-
-
 def validate_quotient(q: FiniteQuotient, x: OneRelatorOrbicomplex) -> list[str]:
-    """Structural problems of a quotient relative to an orbicomplex."""
-    problems = []
-    symbols = _rose_symbols(x)
+    """The first problem that keeps a quotient from unwrapping the orbicomplex,
+    or an empty list.
+
+    The rule: the quotient acts transitively by permutations of the rose's
+    symbols, and every cycle of the relator image has length exactly the
+    branch index n.  That is stronger than the image having order n, and is
+    what makes the unwrapped cover an honest complex: a shorter cycle would
+    leave residual branching, a torsion element in the cover's group.
+    """
+    symbols = x._rose_symbols
     if sorted(q.perms) != symbols:
-        problems.append("permutations do not match the rose symbols")
-        return problems
+        return ["permutations do not match the rose symbols"]
     for s in symbols:
         if not _is_perm(q.perms[s], q.degree):
-            problems.append(f"image of {s} is not a permutation of degree {q.degree}")
-            return problems
+            return [f"image of {s} is not a permutation of degree {q.degree}"]
+    n = x.branch_index
+    for cycle in cycles(q.permutation_of(x.relator_word())):
+        if len(cycle) != n:
+            return ["exponent condition violated: relator image has a cycle"
+                    f" of order {len(cycle)}, expected {n}"]
     reached = {0}
     frontier = [0]
     while frontier:
@@ -113,25 +110,8 @@ def validate_quotient(q: FiniteQuotient, x: OneRelatorOrbicomplex) -> list[str]:
                     reached.add(image)
                     frontier.append(image)
     if len(reached) != q.degree:
-        problems.append("action is not transitive")
-    order = permutation_order(q.permutation_of(x.relator_word()))
-    if order != x.branch_index:
-        problems.append(
-            f"relator image has order {order}, expected {x.branch_index}")
-    return problems
-
-
-def has_uniform_exponent_cycles(q: FiniteQuotient,
-                                x: OneRelatorOrbicomplex) -> bool:
-    """Every cycle of the relator image has length exactly the branch index.
-
-    This is strictly stronger than the order condition and is what makes the
-    unwrapped cover an honest complex: a shorter cycle would leave residual
-    branching (equivalently, a torsion element in the cover's group).
-    """
-    n = x.branch_index
-    return all(length == n for length in
-               cycle_lengths(q.permutation_of(x.relator_word())))
+        return ["action is not transitive"]
+    return []
 
 
 RANDOM_ATTEMPTS_PER_DEGREE = 500
@@ -144,7 +124,9 @@ def find_exponent_n_quotient(x: OneRelatorOrbicomplex, max_degree: int,
     exhaustively first; their regular actions have uniform cycles for free.
     Then seeded random permutation assignments of increasing degree.
     """
-    symbols = _rose_symbols(x)
+    if max_degree < 1:
+        raise ValueError(f"max_degree must be at least 1, got {max_degree}")
+    symbols = x._rose_symbols
     n = x.branch_index
     w = x.relator_word()
     if n == 1:
@@ -175,11 +157,8 @@ def find_exponent_n_quotient(x: OneRelatorOrbicomplex, max_degree: int,
         for _ in range(RANDOM_ATTEMPTS_PER_DEGREE):
             perms = {s: tuple(rng.sample(range(k), k)) for s in symbols}
             q = FiniteQuotient(k, perms)
-            if not has_uniform_exponent_cycles(q, x):
-                continue
-            if validate_quotient(q, x):
-                continue
-            return q
+            if not validate_quotient(q, x):
+                return q
     raise BudgetExhaustedError(
         f"no exponent-{n} quotient of degree <= {max_degree} found")
 
@@ -197,43 +176,25 @@ def build_unwrapped_cover(x: OneRelatorOrbicomplex,
     """Schreier cover of the rose with one 2-cell per orbit of the relator
     image, each the lift of the full relator power based at the least orbit
     point."""
-    symbols = _rose_symbols(x)
     problems = validate_quotient(q, x)
     if problems:
         raise ValueError("; ".join(problems))
-    n = x.branch_index
-    eta_w = q.permutation_of(x.relator_word())
     k = q.degree
     edges = {}
-    for s in symbols:
+    for s in x._rose_symbols:
         for i in range(k):
             edges[f"{s}{i}"] = EdgeRec(f"p{i}", f"p{q.perms[s][i]}", s)
     g = Graph(frozenset(f"p{i}" for i in range(k)), edges)
     cells: dict[str, tuple[Dart, ...]] = {}
     families: dict[str, tuple[int, ...]] = {}
-    seen = [False] * k
-    index = 0
-    power_word = x.relator_word() * n
-    for p in range(k):
-        if seen[p]:
-            continue
-        orbit = []
-        j = p
-        while not seen[j]:
-            seen[j] = True
-            orbit.append(j)
-            j = eta_w[j]
-        if len(orbit) != n:
-            raise ValueError(
-                "exponent condition violated: relator image has a cycle "
-                f"shorter than {n}, families would not have size {n}")
-        lift = g.read(power_word, f"p{p}")
-        if lift is None or lift[1] != f"p{p}":
+    power_word = x.relator_word() * x.branch_index
+    for index, orbit in enumerate(cycles(q.permutation_of(x.relator_word()))):
+        start = f"p{orbit[0]}"
+        lift = g.read(power_word, start)
+        if lift is None or lift[1] != start:
             raise InvariantError("relator power lift failed to close")
-        cid = f"f{index}"
-        cells[cid] = lift[0]
-        families[cid] = tuple(orbit)
-        index += 1
+        cells[f"f{index}"] = lift[0]
+        families[f"f{index}"] = orbit
     cover = TwoComplex(g, cells, base_vertex="p0")
     covering_map = OrbiMorphism.by_labels(cover, x)
     cls = check_orbi_immersion(covering_map)
@@ -312,8 +273,7 @@ def verify_cover(c: UnwrappedCover) -> CoverReport:
                                  f" {len(cover.cells[cid])}, expected {n * len(w)}")
     else:
         expected_chi = None
-    certified = has_uniform_exponent_cycles(c.quotient, x) \
-        if sorted(c.quotient.perms) == sorted(x.gamma.edges) else False
+    certified = not validate_quotient(c.quotient, x)
     return CoverReport(
         passed=not witnesses,
         witnesses=tuple(witnesses),

@@ -59,6 +59,16 @@ class OneRelatorOrbicomplex:
             letters.append(letter)
         return tuple(letters)
 
+    @cached_property
+    def _rose_symbols(self) -> list[str]:
+        """The loop names of a rose whose loops are named by their labels,
+        in sorted order; what a finite quotient must assign permutations to."""
+        if len(self.gamma.vertices) != 1:
+            raise ValueError("cover construction needs a one-vertex (rose) graph")
+        if any(rec.label != e for e, rec in self.gamma.edges.items()):
+            raise ValueError("cover construction needs rose edges named by their labels")
+        return sorted(self.gamma.edges)
+
 
 def build_orbicomplex(gamma: Graph, relator: tuple[Dart, ...],
                       branch_index: int) -> OneRelatorOrbicomplex:
@@ -167,9 +177,9 @@ def wcycles_audit(m: OrbiMorphism) -> WCyclesAudit:
     call is refused).  A reducible source is still audited but flagged, since
     the guarantee only covers irreducible complexes.
 
-    For a connected source the two inequalities are equivalent: chi(Y) is
-    chi(Y^1) + |cells| and deg is n|cells|, so slack2 equals slack1.  Both
-    are still reported, as the output format has both columns.
+    The two inequalities are one: chi(Y) is chi(Y^1) + |cells| and deg is
+    n|cells|, so slack2 always equals slack1, and ``passed`` reads slack1
+    alone.  Both are still reported, as the output format has both columns.
     """
     deg = degree(m)
     n = m.target.branch_index
@@ -187,7 +197,7 @@ def wcycles_audit(m: OrbiMorphism) -> WCyclesAudit:
         bound, bound_ok = None, None
     return WCyclesAudit(
         chi1=chi1, deg=deg, slack1=slack1, chi2=chi2, cells=cells,
-        slack2=slack2, passed=(slack1 <= 0 and slack2 <= 0),
+        slack2=slack2, passed=slack1 <= 0,
         irreducible=not faces, free_face_count=len(faces),
         nontree_edges=g, cell_bound=bound, cell_bound_ok=bound_ok)
 

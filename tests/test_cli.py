@@ -141,6 +141,21 @@ def test_cover_build_budget_exhausted_exits_3(group_file, capsys):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", [["cover", "build"],
+                                     ["subgroup", "present", "--gens", "b"]])
+@pytest.mark.parametrize("group", [GROUP, GROUP.replace("branch 2", "branch 1")])
+def test_max_degree_below_one_is_a_usage_error(tmp_path, capsys, command,
+                                                group):
+    # with branch 1 the degree-1 cover would be built over the budget
+    path = tmp_path / "g.txt"
+    path.write_text(group)
+    code, out, err = run(capsys, command + ["--group", str(path),
+                                            "--max-degree", "0"])
+    assert code == 2
+    assert err == "error: --max-degree must be at least 1\n"
+    assert out.startswith("config:") and out.count("\n") == 1
+
+
 def test_subgroup_present_conclusive(group_file, capsys, tmp_path):
     out_path = tmp_path / "pres.txt"
     code, out, _ = run(capsys, ["subgroup", "present", "--group", group_file,

@@ -5,17 +5,18 @@ import pytest
 
 from orelco.complexes import (EdgeRec, Graph, MapKind, TwoComplex,
                               euler_characteristic)
-from orelco.covers import (FiniteQuotient, build_unwrapped_cover,
-                           cycle_lengths, find_exponent_n_quotient,
-                           has_uniform_exponent_cycles, permutation_order,
-                           pull_back_subgroup, validate_quotient,
-                           verify_cover, UnwrappedCover)
+from orelco.covers import (FiniteQuotient, build_unwrapped_cover, cycles,
+                           find_exponent_n_quotient, pull_back_subgroup,
+                           validate_quotient, verify_cover, UnwrappedCover)
 import orelco.covers as covers
 from orelco.errors import BudgetExhaustedError, InvariantError
+from orelco.harness import random_uniform_quotient
 from orelco.orbicomplex import (OrbiMorphism, build_orbicomplex,
                                 check_orbi_immersion, degree,
                                 presentation_complex, wcycles_audit)
 from orelco.words import parse_word
+
+import old_quotient_rule as old
 
 A = ("a", 1)
 B = ("b", 1)
@@ -29,9 +30,10 @@ Q_AB2 = FiniteQuotient(2, {"a": (1, 0), "b": (0, 1)})
 
 
 def test_perm_helpers():
-    assert cycle_lengths((1, 0, 2)) == [1, 2]
-    assert permutation_order((1, 2, 0)) == 3
-    assert permutation_order((1, 0, 3, 2)) == 2
+    assert list(cycles((1, 0, 2))) == [(0, 1), (2,)]
+    assert list(cycles((2, 0, 1))) == [(0, 2, 1)]
+    assert list(cycles((3, 2, 1, 0))) == [(0, 3), (1, 2)]
+    assert list(cycles(())) == []
     q = Q_AB2
     assert q.permutation_of((A, B)) == (1, 0)
     assert q.act(0, (A, B, A, B)) == 0
@@ -98,7 +100,7 @@ def test_find_quotient_random_phase():
     q = find_exponent_n_quotient(x, 12, 11)
     assert q.degree % 2 == 0
     assert validate_quotient(q, x) == []
-    assert has_uniform_exponent_cycles(q, x)
+    assert old.accepts(q, x)
     again = find_exponent_n_quotient(x, 12, 11)
     assert again == q
 
@@ -114,6 +116,126 @@ def test_validate_quotient_catches_problems():
         2, {"a": (0, 1), "b": (0, 1)})
     assert any("transitive" in p or "order" in p
                for p in validate_quotient(intransitive, x))
+
+
+def test_find_quotient_refuses_an_empty_degree_budget():
+    # degree 1 would already be over a budget below 1
+    for x in (make_x("a b", 1), make_x("a b", 2)):
+        for max_degree in (0, -3):
+            with pytest.raises(ValueError, match="max_degree must be at least 1"):
+                find_exponent_n_quotient(x, max_degree, 7)
+
+
+RULE_GROUPS = (("a b", 2), ("a b a~ b~", 2), ("a b", 3), ("a a b", 2),
+               ("a b a b~", 3), ("a", 2))
+
+
+def _block_preserving(rng, blocks):
+    """A random permutation that maps each block of points onto itself."""
+    out = [0] * sum(map(len, blocks))
+    for block in blocks:
+        for i, j in zip(block, rng.sample(block, len(block))):
+            out[i] = j
+    return tuple(out)
+
+
+def _nonuniform_draw(rng, x):
+    """A random quotient the old order check accepts whose relator image
+    still has a cycle shorter than n, or None."""
+    for _ in range(1000):
+        k = rng.randint(x.branch_index + 1, 9)
+        q = FiniteQuotient(k, {s: tuple(rng.sample(range(k), k)) for s in "ab"})
+        if not old.validate_quotient(q, x) and \
+                not old.has_uniform_exponent_cycles(q, x):
+            return q
+    return None
+
+
+def _quotient_corpus(seed, count):
+    """(orbicomplex, quotient) pairs of every kind the rule must sort: random
+    permutations of degree 1-9, images that are not permutations, wrong
+    symbol sets, intransitive actions and order-n images whose cycles are
+    not all of length n."""
+    rng = random.Random(seed)
+    for i in range(count):
+        relator, n = RULE_GROUPS[i % len(RULE_GROUPS)]
+        x = make_x(relator, n)
+        kind = i // len(RULE_GROUPS) % 5
+        k = rng.choice((n, 2 * n, rng.randint(1, 9)))
+        perms = {s: tuple(rng.sample(range(k), k)) for s in "ab"}
+        if kind == 1:
+            s = rng.choice("ab")
+            perms[s] = rng.choice((tuple(rng.choices(range(k), k=k)),
+                                   perms[s] + (k,), perms[s][1:]))
+        elif kind == 2:
+            perms = rng.choice(({"a": perms["a"]},
+                                {**perms, "c": perms["a"]},
+                                {"a": perms["a"], "c": perms["b"]}))
+        elif kind == 3:
+            k = rng.randint(2, 9)
+            points = rng.sample(range(k), k)
+            cut = rng.randint(1, k - 1)
+            blocks = (points[:cut], points[cut:])
+            perms = {s: _block_preserving(rng, blocks) for s in "ab"}
+        elif kind == 4:
+            q = _nonuniform_draw(rng, x)
+            if q is not None:
+                yield x, q
+                continue
+        yield x, FiniteQuotient(k, perms)
+
+
+def test_validate_quotient_accepts_what_the_two_old_checks_accepted():
+    tally = {"accepted": 0, "symbols": 0, "permutation": 0, "transitive": 0,
+             "order": 0, "nonuniform": 0}
+    for x, q in _quotient_corpus(3, 600):
+        problems = validate_quotient(q, x)
+        old_problems = old.validate_quotient(q, x)
+        assert (not problems) == old.accepts(q, x), (q, x.relator)
+        assert len(problems) <= 1
+        if old.accepts(q, x):
+            tally["accepted"] += 1
+        elif not old_problems:
+            tally["nonuniform"] += 1
+            assert problems[0].startswith("exponent condition violated")
+        elif "rose symbols" in old_problems[0]:
+            tally["symbols"] += 1
+            assert problems == old_problems
+        elif "not a permutation" in old_problems[0]:
+            tally["permutation"] += 1
+            assert problems == old_problems
+        elif "transitive" in old_problems[0]:
+            tally["transitive"] += 1
+        else:
+            tally["order"] += 1
+    # every kind of quotient is in the corpus, not just the easy ones
+    assert min(tally.values()) >= 20, tally
+
+
+def test_cover_families_are_the_old_orbit_walk():
+    pairs = [(x, q) for x, q in _quotient_corpus(3, 600) if old.accepts(q, x)]
+    rng = random.Random(4)
+    for relator, n in RULE_GROUPS[:3]:
+        x = make_x(relator, n)
+        pairs += [(x, random_uniform_quotient(rng, x, 3 * n))
+                  for _ in range(40)]
+    assert len(pairs) >= 140
+    for x, q in pairs:
+        c = build_unwrapped_cover(x, q)
+        orbits = old.orbits(q.permutation_of(x.relator_word()))
+        assert c.families == {f"f{i}": orbit for i, orbit in enumerate(orbits)}
+        assert list(c.families.values()) == list(
+            cycles(q.permutation_of(x.relator_word())))
+
+
+def test_certificate_is_false_not_raised_for_other_symbols():
+    x = make_x("a b", 2)
+    c = build_unwrapped_cover(x, Q_AB2)
+    for perms in ({"a": (1, 0)}, {"a": (1, 0), "c": (0, 1)},
+                  {"a": (1, 0), "b": (0, 1), "c": (0, 1)}):
+        other = UnwrappedCover(c.cover, c.covering_map, c.families,
+                               FiniteQuotient(2, perms))
+        assert verify_cover(other).torsion_free_certified is False
 
 
 def test_schreier_path():
@@ -195,8 +317,11 @@ def test_build_rejects_nonuniform_quotient():
     # a is a 4-cycle (transitive), chosen so the relator image is the
     # transposition (0 1): order two but with two fixed points
     q = FiniteQuotient(4, {"a": (1, 2, 3, 0), "b": (3, 1, 0, 2)})
-    assert validate_quotient(q, x) == []
-    assert not has_uniform_exponent_cycles(q, x)
+    assert q.permutation_of(x.relator_word()) == (1, 0, 2, 3)
+    assert old.validate_quotient(q, x) == []
+    assert validate_quotient(q, x) == [
+        "exponent condition violated: relator image has a cycle of order 1,"
+        " expected 2"]
     with pytest.raises(ValueError, match="exponent condition"):
         build_unwrapped_cover(x, q)
 

@@ -5,8 +5,7 @@ import pytest
 from orelco.complexes import (EdgeRec, Graph, MapKind, TwoComplex,
                               euler_characteristic, find_free_faces_and_edges)
 from orelco.covers import (FiniteQuotient, build_unwrapped_cover,
-                           find_exponent_n_quotient,
-                           has_uniform_exponent_cycles, validate_quotient)
+                           find_exponent_n_quotient, validate_quotient)
 from orelco.errors import OrelcoError
 from orelco.harness import (CSV_HEADER, QUOTIENT_ATTEMPTS, CampaignConfig,
                             GeneratorParams, TrialRow, _generate_uncollapsed,
@@ -19,6 +18,8 @@ from orelco.orbicomplex import (build_orbicomplex, check_orbi_immersion,
 from orelco.words import parse_word
 
 import random
+
+import old_quotient_rule as old
 
 W = parse_word
 AB2 = GeneratorParams(1, W("a b"), 2, attach_probability=1.0)
@@ -123,6 +124,26 @@ def test_campaign_covers_other_relators():
         assert rep.pass_counts["wcycles"] == (60, 60)
 
 
+@pytest.mark.parametrize("relator,n", [("a b", 2), ("a b a b~", 2), ("a b", 3)])
+def test_the_two_wcycles_slacks_are_one(relator, n):
+    # chi(Y) = chi(Y^1) + |cells| and deg = n|cells|, so the second
+    # inequality repeats the first on every row
+    for budget in (6, 12):
+        cfg = CampaignConfig(5, 150, GeneratorParams(budget, W(relator), n),
+                             suites=("wcycles",))
+        rows = run_property_campaign(cfg).rows
+        assert len(rows) == 150
+        assert all(r.slack2 == r.slack1 and r.passed == (r.slack1 <= 0)
+                   for r in rows)
+    # the campaign rows rarely carry a cell, so audit covers, which do
+    x = build_orbicomplex(Graph.rose(["a", "b"]), W(relator), n)
+    rng = random.Random(5)
+    for _ in range(20):
+        cover = build_unwrapped_cover(x, random_uniform_quotient(rng, x, 3 * n))
+        audit = wcycles_audit(cover.covering_map)
+        assert audit.cells > 0 and audit.slack2 == audit.slack1
+
+
 def test_degenerate_draws_are_substituted_not_failed():
     cfg = CampaignConfig(1, 80, GeneratorParams(1, W("a b"), 2, 0.0),
                          suites=("wcycles",))
@@ -145,7 +166,7 @@ def test_random_uniform_quotients_validate_and_vary():
         q = random_uniform_quotient(rng, x, max_degree=6)
         assert q is not None
         assert validate_quotient(q, x) == []
-        assert has_uniform_exponent_cycles(q, x)
+        assert old.accepts(q, x)
         seen.add((q.degree, tuple(sorted(q.perms.items()))))
     assert len(seen) >= 5
 
@@ -165,7 +186,7 @@ def test_violation_aborts_with_the_reproduction_seed(monkeypatch):
 
 
 def _random_uniform_quotient_validating_first(rng, x, max_degree):
-    """random_uniform_quotient with its two tests in their first order:
+    """random_uniform_quotient with the two old checks in their first order:
     validation before the exponent cycles."""
     n = x.branch_index
     symbols = sorted({sym for sym, _ in x.relator})
@@ -178,7 +199,8 @@ def _random_uniform_quotient_validating_first(rng, x, max_degree):
             rng.shuffle(p)
             perms[sym] = tuple(p)
         q = FiniteQuotient(d, perms)
-        if not validate_quotient(q, x) and has_uniform_exponent_cycles(q, x):
+        if not old.validate_quotient(q, x) and \
+                old.has_uniform_exponent_cycles(q, x):
             return q
     return None
 

@@ -16,3 +16,22 @@ def test_library_states_invariants_as_typed_errors_not_asserts():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert sorted(LIBRARY.glob("*.py")) and not found, found
+
+
+def test_only_covers_walks_the_relator_image():
+    # the exponent rule lives in covers.validate_quotient; a call of
+    # permutation_of or cycles elsewhere would be a second home for it
+    found = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        if path.name == "covers.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else \
+                getattr(f, "id", None)
+            if name in ("permutation_of", "cycles"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert sorted(LIBRARY.glob("*.py")) and not found, found
