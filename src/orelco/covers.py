@@ -100,6 +100,8 @@ def validate_quotient(q: FiniteQuotient, x: OneRelatorOrbicomplex) -> list[str]:
         if len(cycle) != n:
             return ["exponent condition violated: relator image has a cycle"
                     f" of order {len(cycle)}, expected {n}"]
+    if q.degree < 1:
+        return ["degree must be at least 1"]
     reached = {0}
     frontier = [0]
     while frontier:

@@ -12,6 +12,7 @@ yields the reduced diagram.
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain
@@ -134,23 +135,23 @@ class _DiskBuilder:
             a, b = b, a
         self._vertex_parent[b] = a
 
-    def identify_darts(self, d1: Dart, d2: Dart) -> None:
+    def identify_darts(self, d1: Dart, d2: Dart) -> tuple[str, str] | None:
         """Fold dart ``d2`` onto ``d1``: the ends of the two darts merge and
-        the edge of ``d2`` becomes that of ``d1``."""
+        the edge of ``d2`` becomes that of ``d1``.  Returns the surviving and
+        the folded edge, or None when the darts are already one."""
         d1, d2 = (self.edge_of(d1[0]), d1[1]), (self.edge_of(d2[0]), d2[1])
         if d1 == d2:
-            return
-        (e1, s1), (e2, s2) = d1, d2
+            return None
+        # a letter carries its dart's sign, so equal letters of two distinct
+        # darts lie on distinct edges with one orientation
         if self.letter(d1) != self.letter(d2):
             raise DiagramError("cannot identify darts with different labels")
-        if e1 == e2:
-            raise DiagramError("edge folded onto its own reverse")
-        if s1 != s2:
-            raise DiagramError("identified darts disagree on orientation")
+        e1, e2 = d1[0], d2[0]
         for end in (0, 1):      # same orientation: tails meet, heads meet
             self.merge_vertices(self.edges[e1][end], self.edges[e2][end])
         del self.edges[e2]
         self._edge_parent[e2] = e1
+        return e1, e2
 
     # -- construction ----------------------------------------------------
 
@@ -222,27 +223,65 @@ class _DiskBuilder:
 
     # -- mirror cancellation ---------------------------------------------
 
-    def cancel_mirror(self, hit) -> None:
-        """Zip the two cells of a mirror pair together along their
-        boundaries, then remove both cells and their shared edge."""
-        e, c1, p1, c2, p2 = hit
-        if self.carried()[e] != 2:
-            raise DiagramError(f"mirror edge {e} still carried elsewhere")
-        path1, path2 = self.cells[c1], self.cells[c2]
-        m = len(path1)
-        for t in range(1, m):
-            self.identify_darts(path1[(p1 + t) % m],
-                                dart_reverse(path2[(p2 - t) % m]))
-        del self.cells[c1], self.cells[c2]
-        del self.cell_align[c1], self.cell_align[c2]
-        del self.edges[e]
-        self.prune_dangling()
+    def cancel_mirrors(self) -> None:
+        """Cancel mirror pairs, the first edge in id order first, until none
+        is left: zip the two cells of a pair together along their
+        boundaries, then remove both cells and every edge left uncarried.
 
-    def prune_dangling(self) -> None:
-        # deleting an uncarried edge leaves every other count as it was
+        The sides over each edge and the carried counts are built once and
+        kept up to date: a zip moves the folded edge's sides to the
+        survivor, and the cancelled cells' sides go.  Whether an edge has a
+        mirror pair depends only on the sides over it, so an edge that was
+        tested and whose sides have not grown since cannot have one.  The
+        candidate heap therefore holds every edge with two sides at the
+        start and takes back each survivor of a zip."""
         counts = self.carried()
-        for e in [e for e in self.edges if not counts[e]]:
-            del self.edges[e]
+        cells, edges = self.cells, self.edges
+        sides: dict[str, list[tuple[str, int]]] = {e: [] for e in edges}
+        for cid in sorted(cells):
+            for pos, (e, _) in enumerate(cells[cid]):
+                sides[e].append((cid, pos))
+        todo = sorted(e for e, over in sides.items() if len(over) > 1)
+        while todo:             # a sorted list is a heap
+            e = heapq.heappop(todo)
+            if e not in sides:      # folded or deleted since it was pushed
+                continue
+            hit = _mirror_at(e, sides[e], cells.__getitem__, self.letter)
+            if hit is None:
+                continue
+            _, c1, p1, c2, p2 = hit
+            if counts[e] != 2:
+                raise DiagramError(f"mirror edge {e} still carried elsewhere")
+            path1, path2 = cells[c1], cells[c2]
+            m = len(path1)
+            for t in range(1, m):
+                folded = self.identify_darts(path1[(p1 + t) % m],
+                                             dart_reverse(path2[(p2 - t) % m]))
+                if folded is None:
+                    continue
+                e1, e2 = folded
+                for cid, pos in sides[e2]:
+                    cells[cid][pos] = (e1, cells[cid][pos][1])
+                sides[e1] = sorted(sides[e1] + sides.pop(e2))
+                counts[e1] += counts.pop(e2)
+                heapq.heappush(todo, e1)
+            touched = set()
+            for cid in (c1, c2):
+                for pos, (f, _) in enumerate(cells.pop(cid)):
+                    sides[f].remove((cid, pos))
+                    counts[f] -= 1
+                    touched.add(f)
+                del self.cell_align[cid]
+            for f in sorted(touched):
+                if not counts[f]:
+                    del edges[f], sides[f], counts[f]
+                elif counts[f] != 2:
+                    raise DiagramError(
+                        f"edge {f} carried {counts[f]} times, expected 2")
+        # No step adds an edge, and a zip merges only vertices of two cells
+        # that share an edge, so a component split off from the base stays
+        # split: one search after the loop finds every split.
+        self.settle()
         links: defaultdict[str, list[str]] = defaultdict(list)
         for t, h, _ in self.edges.values():
             links[t].append(h)
@@ -272,29 +311,40 @@ class _DiskBuilder:
         return complex_, labeling
 
 
+def _mirror_at(e: str, sides, path_of, label):
+    """The first two of ``sides``, the (cell, position) pairs over edge
+    ``e`` in order, whose cells read the relator power inversely from it, as
+    (edge, cell, position, cell, position), or None; ``path_of`` gives a
+    cell's dart path and ``label`` a dart's letter.  A cell that mirrors
+    itself is unresolvable."""
+    for i1, (c1, p1) in enumerate(sides):
+        path1 = path_of(c1)
+        m = len(path1)
+        for c2, p2 in sides[i1 + 1:]:
+            path2 = path_of(c2)
+            if path2[p2] != dart_reverse(path1[p1]) or len(path2) != m:
+                continue
+            if any(label(path1[(p1 + t) % m])
+                   != inverse_letter(label(path2[(p2 - t) % m]))
+                   for t in range(m)):
+                continue
+            if c1 == c2:
+                raise DiagramError(
+                    "cell mirrors itself across an edge; "
+                    "cancellation impossible")
+            return (e, c1, p1, c2, p2)
+    return None
+
+
 def find_mirror(c: TwoComplex):
     """First edge, in id order, whose two sides read the relator power
     inversely from the shared edge, as (edge, cell, position, cell,
     position); same-cell hits are unresolvable."""
-    label = c.skeleton.dart_label
     for e in sorted(c.sides_over):
-        sides = c.sides_over[e]
-        for i1, (c1, p1) in enumerate(sides):
-            path1 = c.cells[c1]
-            m = len(path1)
-            for c2, p2 in sides[i1 + 1:]:
-                path2 = c.cells[c2]
-                if path2[p2] != dart_reverse(path1[p1]) or len(path2) != m:
-                    continue
-                if any(label(path1[(p1 + t) % m])
-                       != inverse_letter(label(path2[(p2 - t) % m]))
-                       for t in range(m)):
-                    continue
-                if c1 == c2:
-                    raise DiagramError(
-                        "cell mirrors itself across an edge; "
-                        "cancellation impossible")
-                return (e, c1, p1, c2, p2)
+        hit = _mirror_at(e, c.sides_over[e], c.cells.__getitem__,
+                         c.skeleton.dart_label)
+        if hit is not None:
+            return hit
     return None
 
 
@@ -344,11 +394,10 @@ def build_reduced_diagram(u: Word, x: OneRelatorOrbicomplex) -> VanKampenDiagram
     if builder.readout() != reduced_u:
         raise DiagramError("boundary readout drifted during sewing")
     builder.check_disk()
-    while (hit := find_mirror(builder.snapshot())) is not None:
-        builder.cancel_mirror(hit)
-        if builder.readout() != reduced_u:
-            raise DiagramError("boundary readout drifted during cancellation")
-        builder.check_disk()
+    builder.cancel_mirrors()
+    if builder.readout() != reduced_u:
+        raise DiagramError("boundary readout drifted during cancellation")
+    builder.check_disk()
     complex_, labeling = builder.freeze(x, symbols)
     witness = _check_morphism(labeling.as_cell_morphism())
     if witness is not None:

@@ -16,8 +16,9 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .complexes import (CellImage, CellMorphism, Dart, EdgeRec, Graph,
-                        TwoComplex, _check_morphism, _immersion_fault,
-                        cell_image_path, compose, reverse_path)
+                        TwoComplex, _check_morphism, _composite_equals,
+                        _immersion_fault, cell_image_path, compose,
+                        reverse_path)
 from .errors import (FactorizationError, InvariantError, NotImmersionError,
                      NotMorphismError)
 
@@ -222,7 +223,7 @@ def fold(m: CellMorphism) -> FoldResult:
     witness = _check_morphism(projection)
     if witness is not None:
         raise InvariantError(f"fold projection is not a morphism: {witness}")
-    if compose(inclusion, projection) != m:
+    if not _composite_equals(inclusion, projection, m):
         raise InvariantError("fold composite drifted")
     cls = _immersion_fault(inclusion)
     if cls is not None:
@@ -257,7 +258,7 @@ def factor_unique(folded: FoldResult, through: CellMorphism,
     if witness is not None:
         raise FactorizationError(f"lift is not a morphism: {witness}")
     original = compose(folded.inclusion, folded.projection)
-    if compose(through, lift_of) != original:
+    if not _composite_equals(through, lift_of, original):
         raise FactorizationError("through ∘ lift does not equal the folded map")
 
     a = lift_of.source
@@ -300,9 +301,9 @@ def factor_unique(folded: FoldResult, through: CellMorphism,
     witness = _check_morphism(factor)
     if witness is not None:
         raise FactorizationError(f"factored map is not a morphism: {witness}")
-    if compose(through, factor) != folded.inclusion:
+    if not _composite_equals(through, factor, folded.inclusion):
         raise FactorizationError("factored map does not recover the folded immersion")
-    if compose(factor, proj) != lift_of:
+    if not _composite_equals(factor, proj, lift_of):
         raise FactorizationError("factored map does not recover the lift")
     cls = _immersion_fault(factor)
     if cls is not None:

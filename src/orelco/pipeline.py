@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .complexes import (CellImage, CellMorphism, Dart, EdgeRec, Graph,
-                        TwoComplex, _immersion_fault, cell_image_path,
-                        collapse_with_rewrites, compose,
+                        TwoComplex, _composite_equals, _immersion_fault,
+                        cell_image_path, collapse_with_rewrites,
                         connected_components, dart_sort_key,
                         euler_characteristic, find_free_faces_and_edges,
                         require_valid, reverse_path)
@@ -515,7 +515,8 @@ def _refine(state: PipelineState, f_word: Word) -> PipelineState | None:
     if cls is not None:
         _invariant(False, f"chain map is not an immersion: {cls.witness}",
                    state)
-    _invariant(compose(folded.inclusion, chain_map) == state.to_cover,
+    _invariant(_composite_equals(folded.inclusion, chain_map,
+                                 state.to_cover),
                "chain triangle does not commute dart-exactly", state)
     collapsed, rewrites = collapse_with_rewrites(folded.folded)
     to_cover_new = _restrict(folded.inclusion, collapsed)

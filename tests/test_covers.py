@@ -118,6 +118,16 @@ def test_validate_quotient_catches_problems():
                for p in validate_quotient(intransitive, x))
 
 
+def test_validate_quotient_reports_an_empty_degree():
+    # the transitivity walk starts at point 0, which a degree-0 quotient lacks
+    for x in (make_x("a b", 2), make_x("a b", 1)):
+        empty = FiniteQuotient(0, {"a": (), "b": ()})
+        assert validate_quotient(empty, x) == ["degree must be at least 1"]
+    wrong_symbols = FiniteQuotient(0, {"a": ()})
+    assert validate_quotient(wrong_symbols, make_x("a b", 2)) == [
+        "permutations do not match the rose symbols"]
+
+
 def test_find_quotient_refuses_an_empty_degree_budget():
     # degree 1 would already be over a budget below 1
     for x in (make_x("a b", 1), make_x("a b", 2)):

@@ -9,14 +9,17 @@ from pathlib import Path
 
 import pytest
 
-from orelco.complexes import Graph, MapKind, euler_characteristic
+import orelco.diagrams as diagrams
+from orelco.complexes import (Graph, MapKind, connected_components,
+                              dart_reverse, euler_characteristic)
 from orelco.diagrams import (VanKampenDiagram, _DiskBuilder, _replay_conjugates,
                              _symbol_table, build_reduced_diagram, find_mirror,
                              mirror_witness)
 from orelco.errors import DiagramError
 from orelco.orbicomplex import build_orbicomplex, check_orbi_immersion
 from orelco.textio import format_complex
-from orelco.words import DehnStep, free_reduce, inverse_word, parse_word
+from orelco.words import (DehnStep, dehn_solve, free_reduce, inverse_word,
+                          parse_word)
 
 W = parse_word
 
@@ -128,28 +131,45 @@ def test_mirror_pair_is_found_and_cancelled():
     b.check_disk()
     hit = find_mirror(b.snapshot())
     assert hit is not None and hit[0] == "g"
-    b.cancel_mirror(hit)
-    assert not b.cells
+    b.cancel_mirrors()
+    assert not b.cells and not b.cell_align
+    assert "g" not in b.edges
     b.sew()
-    b.prune_dangling()
+    b.check_disk()
     assert b.vertices == {"T"}
     assert not b.edges
     assert b.boundary == []
 
 
-def test_prune_keeps_carried_edges_and_rejects_a_second_component():
+def pillow_builder():
+    """A square and its mirror image sewn along their whole boundary, plus
+    a spur edge ``h`` that only the boundary carries."""
     b = _DiskBuilder("T")
-    b.new_edge("g", "T", "U", ("a", 1))
-    b.new_edge("h", "U", "V", ("b", 1))
-    b.new_edge("k", "T", "W", ("a", 1))
-    b.boundary = [("g", 1), ("h", 1), ("h", -1), ("g", -1)]
-    b.prune_dangling()
-    assert list(b.edges) == ["g", "h"]
-    assert b.vertices == {"T", "U", "V"}
+    b.new_edge("g", "T", "r1", ("a", 1))
+    b.new_edge("c1", "r1", "r2", ("b", 1))
+    b.new_edge("c2", "r2", "r3", ("a", 1))
+    b.new_edge("c3", "r3", "T", ("b", 1))
+    b.new_edge("h", "T", "U", ("a", 1))
+    b.cells["D0"] = [("g", 1), ("c1", 1), ("c2", 1), ("c3", 1)]
+    b.cell_align["D0"] = (0, 1)
+    b.cells["D1"] = [("c3", -1), ("c2", -1), ("c1", -1), ("g", -1)]
+    b.cell_align["D1"] = (3, -1)
+    b.boundary = [("h", 1), ("h", -1)]
+    return b
+
+
+def test_prune_keeps_carried_edges_and_rejects_a_second_component():
+    b = pillow_builder()
+    b.check_disk()
+    b.cancel_mirrors()
+    # the pillow's edges lose both sides and go; the spur keeps its two
+    assert list(b.edges) == ["h"]
+    assert b.vertices == {"T", "U"}
+    b = pillow_builder()
     b.new_edge("m", "X", "Y", ("b", 1))
     b.boundary += [("m", 1), ("m", -1)]
     with pytest.raises(DiagramError, match="disconnected"):
-        b.prune_dangling()
+        b.cancel_mirrors()
 
 
 def test_same_cell_mirror_is_a_hard_error():
@@ -160,6 +180,71 @@ def test_same_cell_mirror_is_a_hard_error():
     b.cell_align["D0"] = (0, 1)
     with pytest.raises(DiagramError, match="mirrors itself"):
         find_mirror(b.snapshot())
+    with pytest.raises(DiagramError, match="mirrors itself"):
+        b.cancel_mirrors()
+
+
+def test_identify_darts_refuses_unlike_letters():
+    # a fold onto the edge's own reverse reads the inverse letter
+    b = _DiskBuilder("T")
+    b.new_edge("g", "T", "U", ("a", 1))
+    b.new_edge("h", "T", "V", ("b", 1))
+    for d1, d2 in ((("g", 1), ("h", 1)), (("g", 1), ("g", -1))):
+        with pytest.raises(DiagramError, match="different labels"):
+            b.identify_darts(d1, d2)
+
+
+def test_miscounted_edges_are_diagram_errors():
+    b = _DiskBuilder("T")
+    b.new_edge("g", "T", "U", ("a", 1))
+    b.cells["D0"] = [("g", 1)]
+    b.boundary = [("g", 1), ("g", -1)]
+    with pytest.raises(DiagramError, match="spur edge g still carried"):
+        b.sew()
+    with pytest.raises(DiagramError, match="edge g carried 3 times"):
+        b.check_disk()
+    b = mirror_pair_builder()
+    b.boundary += [("g", 1), ("g", -1)]
+    with pytest.raises(DiagramError, match="mirror edge g still carried"):
+        b.cancel_mirrors()
+    # d3 folds onto c1, which keeps two extra boundary passes after the zip
+    b = mirror_pair_builder()
+    b.boundary += [("c1", 1), ("c1", -1)]
+    with pytest.raises(DiagramError, match="carried 4 times, expected 2"):
+        b.cancel_mirrors()
+
+
+def _reverse_boundary(builder):
+    builder.boundary.reverse()
+
+
+def _shift_cells(freeze):
+    def shifted(builder, x, symbols):
+        builder.cell_align = {c: (off + 1, s)
+                              for c, (off, s) in builder.cell_align.items()}
+        return freeze(builder, x, symbols)
+    return shifted
+
+
+@pytest.mark.parametrize("target, make, message", [
+    ("_replay_conjugates",
+     lambda old: lambda u, x, steps: [((), W("b a b a"), (1, 1))],
+     "lollipop wedge does not spell the word"),
+    ("_DiskBuilder.sew", lambda old: _reverse_boundary,
+     "drifted during sewing"),
+    ("_DiskBuilder.cancel_mirrors", lambda old: _reverse_boundary,
+     "drifted during cancellation"),
+    ("_DiskBuilder.freeze", _shift_cells, "labelling is not a morphism"),
+])
+def test_build_checks_raise_diagram_errors(monkeypatch, target, make, message):
+    # each check guards a step that is right by construction, so break it
+    owner = diagrams
+    for name in target.split(".")[:-1]:
+        owner = getattr(owner, name)
+    attr = target.split(".")[-1]
+    monkeypatch.setattr(owner, attr, make(getattr(owner, attr)))
+    with pytest.raises(DiagramError, match=message):
+        build_reduced_diagram(W("a b a b"), x_ab2())
 
 
 def test_mirror_witness_finds_the_uncancelled_pair():
@@ -174,6 +259,8 @@ def test_step_off_its_rotation_is_a_diagram_error():
     # rotation 1 of (ab)^2 reads "b a b a", not the "a b a b" at position 0
     with pytest.raises(DiagramError, match="does not read its rotation"):
         _replay_conjugates(W("a b a b"), x_ab2(), (DehnStep(0, 4, 1, 1),))
+    with pytest.raises(DiagramError, match="does not reduce the word"):
+        _replay_conjugates(W("a b a b"), x_ab2(), ())
 
 
 def test_replay_check_survives_optimized_python():
@@ -250,3 +337,149 @@ def test_diagram_corpus_is_byte_stable():
         h.update(repr(d.boundary).encode())
         h.update(repr(sorted(d.labeling.cell_align.items())).encode())
     assert h.hexdigest() == CORPUS_DIGEST
+
+
+def long_corpus():
+    """66 seeded products of 10-20 conjugates of ``w^(+-n)`` with reduced
+    stems of up to 20 letters; they leave more mirror pairs per word than
+    the golden corpus, as the long words of the benchmark do."""
+    rng = random.Random(12)
+    for i in range(66):
+        rel, n = CORPUS_GROUPS[i % len(CORPUS_GROUPS)]
+        x = build_orbicomplex(Graph.rose("ab"), W(rel), n)
+        q = x.relator_word() * n
+        product = []
+        for _ in range(rng.randint(10, 20)):
+            stem = []
+            for _ in range(rng.randint(0, 20)):
+                letter = (rng.choice("ab"), rng.choice((1, -1)))
+                if not stem or stem[-1] != inverse_word((letter,))[0]:
+                    stem.append(letter)
+            body = q if rng.random() < 0.5 else inverse_word(q)
+            product += stem + list(body) + list(inverse_word(stem))
+        yield x, free_reduce(product)
+
+
+def reference_cancel(b):
+    """The plain mirror loop, kept as the reference: a fresh snapshot
+    searched by ``find_mirror``, then a full recount, a connectivity search
+    and a readout after every cancellation.  Returns the hits in order."""
+    readout = b.readout()
+    hits = []
+    while (hit := find_mirror(b.snapshot())) is not None:
+        hits.append(hit)
+        e, c1, p1, c2, p2 = hit
+        assert b.carried()[e] == 2
+        path1, path2 = b.cells[c1], b.cells[c2]
+        m = len(path1)
+        for t in range(1, m):
+            b.identify_darts(path1[(p1 + t) % m],
+                             dart_reverse(path2[(p2 - t) % m]))
+        del b.cells[c1], b.cells[c2]
+        del b.cell_align[c1], b.cell_align[c2]
+        del b.edges[e]
+        counts = b.carried()
+        for f in [f for f in b.edges if not counts[f]]:
+            del b.edges[f]
+        assert len(connected_components(b.snapshot().skeleton)) == 1
+        assert b.readout() == readout
+        b.check_disk()
+    return hits
+
+
+def reference_diagram(u, x):
+    """The sewn lollipop wedge of ``u``, reduced by ``reference_cancel``;
+    returns the hits and the builder."""
+    reduced_u = free_reduce(u)
+    b = _DiskBuilder("v0")
+    steps = dehn_solve(reduced_u, x).steps
+    for j, (stem, rho, align) in enumerate(
+            _replay_conjugates(reduced_u, x, steps)):
+        b.add_lollipop(j, stem, rho, align)
+    b.sew()
+    return reference_cancel(b), b
+
+
+def mirror_strip_builder():
+    """Four squares in a row, D2 D0 D1 D3.  D1 mirrors D0 across ``e``; D3
+    mirrors D2 across the edge that ``a2`` and ``q2`` become once D0 and D1
+    are zipped, and not before.  ``a2`` sorts before ``e``, so it has been
+    tested and found no pair by then."""
+    b = _DiskBuilder("T")
+    for eid, tail, head, sym in (
+            ("e", "T", "r1", "a"), ("p1", "r1", "r2", "b"),
+            ("a2", "r2", "r3", "a"), ("p3", "r3", "T", "b"),
+            ("q1", "r1", "s2", "b"), ("q2", "s2", "s3", "a"),
+            ("q3", "s3", "T", "b"), ("x1", "y1", "r2", "a"),
+            ("x2", "y2", "y1", "a"), ("x3", "r3", "y2", "a"),
+            ("z3", "s3", "w1", "a"), ("z2", "w1", "w2", "a"),
+            ("z1", "w2", "s2", "a")):
+        b.new_edge(eid, tail, head, (sym, 1))
+    b.cells["D0"] = [("e", 1), ("p1", 1), ("a2", 1), ("p3", 1)]
+    b.cells["D1"] = [("e", -1), ("q3", -1), ("q2", -1), ("q1", -1)]
+    b.cells["D2"] = [("a2", -1), ("x1", -1), ("x2", -1), ("x3", -1)]
+    b.cells["D3"] = [("q2", 1), ("z3", 1), ("z2", 1), ("z1", 1)]
+    b.cell_align.update(D0=(0, 1), D1=(0, -1), D2=(0, -1), D3=(0, 1))
+    b.boundary = [("q3", -1), ("z3", 1), ("z2", 1), ("z1", 1), ("q1", -1),
+                  ("p1", 1), ("x1", -1), ("x2", -1), ("x3", -1), ("p3", 1)]
+    return b
+
+
+@pytest.fixture
+def mirror_calls(monkeypatch):
+    """Record every ``_mirror_at`` call the builder makes, as (edge, hit,
+    length of the hit's cells), and the number of edges with two sides or
+    more when each ``cancel_mirrors`` starts."""
+    log = {"calls": [], "starts": []}
+    mirror_at, cancel = diagrams._mirror_at, _DiskBuilder.cancel_mirrors
+
+    def counted(e, sides, path_of, label):
+        hit = mirror_at(e, sides, path_of, label)
+        log["calls"].append((e, hit, hit and len(path_of(hit[1]))))
+        return hit
+
+    def started(builder):
+        over = builder.snapshot().sides_over
+        log["starts"].append(sum(len(s) > 1 for s in over.values()))
+        cancel(builder)
+
+    monkeypatch.setattr(diagrams, "_mirror_at", counted)
+    monkeypatch.setattr(_DiskBuilder, "cancel_mirrors", started)
+    return log
+
+
+def test_incremental_cancellation_matches_the_reference_loop(mirror_calls):
+    # no diagram of the corpus has a pair that only a zip makes, so the
+    # strip checks that each zip's survivor is searched again
+    b = mirror_strip_builder()
+    b.check_disk()
+    b.cancel_mirrors()
+    got = [hit for _, hit, _ in mirror_calls["calls"] if hit]
+    ref = mirror_strip_builder()
+    assert reference_cancel(ref) == got
+    assert [hit[0] for hit in got] == ["e", "a2"]
+    assert format_complex(b.snapshot()) == format_complex(ref.snapshot())
+    assert b.boundary == ref.boundary
+    cancelled = 0
+    for x, u in long_corpus():
+        del mirror_calls["calls"][:]
+        d = build_reduced_diagram(u, x)
+        got = [hit for _, hit, _ in mirror_calls["calls"] if hit]
+        hits, ref = reference_diagram(u, x)
+        assert got == hits
+        assert format_complex(d.diagram) == format_complex(ref.snapshot())
+        assert d.boundary == tuple(ref.boundary)
+        assert d.labeling.cell_align == ref.cell_align
+        cancelled += len(hits)
+    assert cancelled >= 120
+
+
+def test_mirror_search_is_bounded_by_the_zips(mirror_calls):
+    # every call tests an edge that had two sides at the start or that a
+    # zip step merged; a whole-diagram rescan per cancellation breaks this
+    for x, u in long_corpus():
+        del mirror_calls["calls"][:], mirror_calls["starts"][:]
+        build_reduced_diagram(u, x)
+        (start,) = mirror_calls["starts"]
+        zips = sum(m - 1 for _, hit, m in mirror_calls["calls"] if hit)
+        assert len(mirror_calls["calls"]) <= start + zips
