@@ -19,14 +19,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .complexes import (EdgeRec, Graph, MapKind, TwoComplex,
-                        _composite_equals, _immersion_fault, collapse,
+from .complexes import (EdgeRec, Graph, MapKind, TwoComplex, collapse,
                         connected_components, euler_characteristic,
                         identity_morphism)
 from .complexes import CellMorphism
 from .covers import (FiniteQuotient, build_unwrapped_cover,
                      validate_quotient, verify_cover)
-from .errors import OrelcoError
+from .errors import InvariantError, NotImmersionError, OrelcoError
 from .folding import factor_unique, fold
 from .orbicomplex import (OneRelatorOrbicomplex, OrbiMorphism,
                           build_orbicomplex, check_orbi_immersion,
@@ -210,11 +209,15 @@ def _run_fold_trial(rng: random.Random, seed: int, cfg: CampaignConfig,
     symbols = sorted({sym for sym, _ in cfg.params.relator})
     m = _random_rose_morphism(rng, rng.randint(1, cfg.params.vertex_budget),
                               symbols, rose_complex)
-    res = fold(m)
-    if _immersion_fault(res.inclusion) is not None:
-        raise _violation("fold-laws", seed, "folded map is not an immersion")
-    if not _composite_equals(res.inclusion, res.projection, m):
-        raise _violation("fold-laws", seed, "fold does not factor the input")
+    # fold checks both laws itself and raises on the first one broken
+    try:
+        res = fold(m)
+    except NotImmersionError as err:
+        raise _violation("fold-laws", seed,
+                         "folded map is not an immersion") from err
+    except InvariantError as err:
+        raise _violation("fold-laws", seed,
+                         "fold does not factor the input") from err
     again = fold(res.inclusion)
     if again.folded != res.folded:
         raise _violation("fold-laws", seed, "fold is not idempotent")

@@ -304,10 +304,16 @@ def _check_stage(state: PipelineState) -> None:
 # candidate enumeration
 
 
-def candidate_words(num_gens: int, max_len: int):
+_P = (1 << 61) - 1                  # a prime
+
+
+def candidate_words(codes: list[int], max_len: int):
     """Freely and cyclically reduced words over the stage generators, by
     length then lexicographic order, one representative per class under
-    rotation and inversion: the least word of its class.
+    rotation and inversion: the least word of its class.  Only the words
+    whose code, the sum mod ``_P`` of ``codes[k]`` over their letter keys
+    ``k``, is zero are built, as ``(index, word)`` with ``index`` counting
+    every class; a last ``(count, None)`` counts them all.
 
     Letter ``(i, s)`` has key ``2i`` for ``s = 1`` and ``2i + 1`` for
     ``s = -1``, so inversion flips the low bit.  The least word of a class
@@ -327,18 +333,20 @@ def candidate_words(num_gens: int, max_len: int):
     that ``f^-1``, settles it.  A prefix whose inverse reads below it is
     abandoned, and a full word with a reduced seam is kept.
     """
-    top = 2 * num_gens
+    top = len(codes)
     letter = tuple((k >> 1, -1 if k & 1 else 1) for k in range(top)).__getitem__
-    if max_len >= 1:
-        yield from (((i, 1),) for i in range(num_gens))
-    for target in range(2, max_len + 1):
+    count = 0
+    for target in range(1, max_len + 1):
         a = [0] * target
         period = [1] * (target + 1)     # period[t]: FKM period of a[:t]
+        code = [0] * (target + 1)       # code[t]: code of a[:t], mod _P
         t, x = 0, 0
         while True:
             if t == target:
                 if target % period[t] == 0 and a[-1] != a[0] ^ 1:
-                    yield tuple(map(letter, a))
+                    if not code[t]:
+                        yield count, tuple(map(letter, a))
+                    count += 1
                 t -= 1
                 x = a[t] + 1
                 continue
@@ -366,8 +374,10 @@ def candidate_words(num_gens: int, max_len: int):
                     continue
             period[t + 1] = (period[t] if t and x == a[t - period[t]]
                              else t + 1)
+            code[t + 1] = (code[t] + codes[x]) % _P
             t += 1
             x = 0
+    yield count, None
 
 
 def _candidate_word(word, frame: _Frame) -> Word:
@@ -385,7 +395,6 @@ def _cycle_key(path: tuple[Dart, ...]):
     return min(least_rotation(path), least_rotation(reverse_path(path)))
 
 
-_P = (1 << 61) - 1                  # a prime
 _MIX = 0x9E3779B97F4A7C15 % _P      # fixed coefficients: its powers mod _P
 
 
@@ -426,16 +435,17 @@ def _cell_cocycle(x0: TwoComplex) -> dict[str, int]:
     return dict(zip(edges, weight))
 
 
-def _hop_codes(frame: _Frame, m: CellMorphism) -> dict[tuple[int, int], int]:
-    """The code of each generator letter: the weight of ``_cell_cocycle``
-    summed, with signs, over the image of its hop.  A candidate's code is
-    the sum over its letters mod ``_P``; backtracks do not change it."""
+def _hop_codes(frame: _Frame, m: CellMorphism) -> list[int]:
+    """The code of each letter key of ``candidate_words``: the weight of
+    ``_cell_cocycle`` summed, with signs, over the image of its hop.  A
+    candidate's code is the sum over its letters mod ``_P``; backtracks do
+    not change it."""
     weight = _cell_cocycle(m.target)
-    code = {}
-    for i, hop in enumerate(frame.hops):
+    codes = []
+    for hop in frame.hops:
         c = sum(s * weight[e] for e, s in m.path_image(hop)) % _P
-        code[(i, 1)], code[(i, -1)] = c, -c % _P
-    return code
+        codes += (c, -c % _P)
+    return codes
 
 
 # ---------------------------------------------------------------------------
@@ -541,30 +551,30 @@ def _sweep(state: PipelineState,
 
     A candidate whose loop has a nonzero code, the weight of
     ``_cell_cocycle`` summed over its image in the unwrapped cover ``X0``,
-    is nontrivial in ``G`` and is passed over without its label word or a
-    Dehn call; it still counts as tried.  Proof: a word trivial in ``G``
-    is freely equal to a product of conjugates ``u w^(+-n) u^-1``.  Lift
-    that product from any vertex of ``X0``'s 1-skeleton, the Schreier graph
-    of the cover: each ``w^(+-n)`` piece closes into one cell boundary,
-    read forwards or backwards, because every cycle of ``w`` has length
-    exactly ``n``; the lift of each conjugator is cancelled by the lift of
-    its inverse, and backtracks cancel, so the signed edge count of the
-    lift is a sum of +-cell boundaries, on which the weight vanishes.  The
-    lift of the reduced word has the same signed edge count.  The Dehn
-    solver stays the only judge of the candidates with code zero."""
+    is nontrivial in ``G``; ``candidate_words`` never builds it, so it
+    gets no label word or Dehn call, but it still counts as tried.  Proof:
+    a word trivial in ``G`` is freely equal to a product of conjugates
+    ``u w^(+-n) u^-1``.  Lift that product from any vertex of ``X0``'s
+    1-skeleton, the Schreier graph of the cover: each ``w^(+-n)`` piece
+    closes into one cell boundary, read forwards or backwards, because
+    every cycle of ``w`` has length exactly ``n``; the lift of each
+    conjugator is cancelled by the lift of its inverse, and backtracks
+    cancel, so the signed edge count of the lift is a sum of +-cell
+    boundaries, on which the weight vanishes.  The lift of the reduced word
+    has the same signed edge count.  The Dehn solver stays the only judge
+    of the candidates with code zero."""
     x = state.orbicomplex
     frame = _bfs_frame(state.current, state.to_cover)
-    code = _hop_codes(frame, state.to_cover).__getitem__
-    tried = 0
-    for word in candidate_words(len(frame.gens), max_word_len):
-        if sum(map(code, word)) % _P == 0:
-            f_word = _candidate_word(word, frame)
-            if dehn_solve(f_word, x).trivial:
-                new_state = _refine(replace(state, cursor=tried), f_word)
-                if new_state is not None:
-                    return new_state, True
-        tried += 1
-    return replace(state, cursor=tried), False
+    codes = _hop_codes(frame, state.to_cover)
+    for cursor, word in candidate_words(codes, max_word_len):
+        if word is None:
+            break
+        f_word = _candidate_word(word, frame)
+        if dehn_solve(f_word, x).trivial:
+            new_state = _refine(replace(state, cursor=cursor), f_word)
+            if new_state is not None:
+                return new_state, True
+    return replace(state, cursor=cursor), False
 
 
 # ---------------------------------------------------------------------------

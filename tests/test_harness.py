@@ -1,5 +1,7 @@
 """Random immersion generator and property campaigns."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from orelco.complexes import (EdgeRec, Graph, MapKind, TwoComplex,
@@ -182,6 +184,24 @@ def test_violation_aborts_with_the_reproduction_seed(monkeypatch):
     cfg = CampaignConfig(2, 3, GeneratorParams(3, W("a b"), 2),
                          suites=("wcycles",))
     with pytest.raises(OrelcoError, match="reproduce with trial seed"):
+        run_property_campaign(cfg)
+
+
+@pytest.mark.parametrize("check,broken,detail", [
+    ("_composite_equals", lambda *args: False,
+     "fold does not factor the input"),
+    ("_immersion_fault", lambda m: SimpleNamespace(witness="forced"),
+     "folded map is not an immersion"),
+], ids=["composite", "immersion"])
+def test_broken_fold_law_is_a_fold_trial_violation(monkeypatch, check,
+                                                   broken, detail):
+    # fold checks its own laws; the fold trial reports fold's refusal
+    import orelco.folding as folding
+
+    monkeypatch.setattr(folding, check, broken)
+    cfg = CampaignConfig(2, 3, GeneratorParams(3, W("a b"), 2),
+                         suites=("fold",))
+    with pytest.raises(OrelcoError, match=f"fold-laws violation: {detail}"):
         run_property_campaign(cfg)
 
 

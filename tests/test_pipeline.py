@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -171,26 +172,71 @@ def reference_candidate_words(num_gens, max_len):
                 yield from extend((l,), target)
 
 
-@pytest.mark.parametrize("num_gens,max_len", [(1, 10), (2, 10), (3, 7)])
+def zero_code_stream(num_gens, max_len):
+    """Every class: the enumerator with all letter codes zero, whose
+    indices count up and whose last item counts the classes."""
+    *items, last = candidate_words([0] * (2 * num_gens), max_len)
+    assert [i for i, _ in items] == list(range(len(items)))
+    assert last == (len(items), None)
+    return [w for _, w in items]
+
+
+def word_code(codes, word):
+    return sum(codes[2 * i + (s < 0)] for i, s in word) % _P
+
+
+STREAM_CASES = [(1, 10), (2, 10), (3, 7)]
+
+
+@pytest.mark.parametrize("num_gens,max_len", STREAM_CASES)
 def test_candidate_stream_matches_the_reference_word_for_word(num_gens,
                                                                max_len):
-    assert (list(candidate_words(num_gens, max_len))
+    assert (zero_code_stream(num_gens, max_len)
             == list(reference_candidate_words(num_gens, max_len)))
 
 
+def code_vectors(num_gens, seed):
+    """Letter codes by key: all zero, all nonzero, some generators zero,
+    and ``c_1 = -c_0`` so that classes other than the empty one pass."""
+    rng = random.Random(seed)
+
+    def draw():
+        return rng.randrange(1, _P)
+
+    gens = [[0] * num_gens, [draw() for _ in range(num_gens)],
+            [draw() if i % 2 else 0 for i in range(num_gens)]]
+    if num_gens >= 2:
+        c = draw()
+        gens.append([c, _P - c] + [draw() for _ in range(num_gens - 2)])
+    return [[v for c in g for v in (c, -c % _P)] for g in gens]
+
+
+@pytest.mark.parametrize("num_gens,max_len", STREAM_CASES)
+def test_screened_stream_is_the_zero_code_part_of_every_class(num_gens,
+                                                               max_len):
+    every = zero_code_stream(num_gens, max_len)
+    for codes in code_vectors(num_gens, seed=num_gens * 100 + max_len):
+        *items, last = candidate_words(codes, max_len)
+        assert items == [(i, w) for i, w in enumerate(every)
+                         if word_code(codes, w) == 0]
+        assert last == (len(every), None)
+        if codes[0] and codes[2:3] == [_P - codes[0]]:   # c_1 = -c_0
+            assert any(len(w) > 1 for _, w in items)
+
+
 def test_candidate_stream_size_at_the_default_budget():
-    assert sum(1 for _ in candidate_words(2, 12)) == 34998
+    assert len(zero_code_stream(2, 12)) == 34998
 
 
 def test_candidate_stream_matches_brute_force_classes():
-    got = list(candidate_words(2, 4))
+    got = zero_code_stream(2, 4)
     assert len(got) == len(set(got))
     assert len(got) == len(brute_classes(2, 4))
 
 
 def test_candidate_stream_is_cyclically_reduced_and_ordered():
     prev = None
-    for w in candidate_words(3, 3):
+    for w in zero_code_stream(3, 3):
         assert w[-1] != (w[0][0], -w[0][1]) or len(w) == 1
         for a, b in zip(w, w[1:]):
             assert b != (a[0], -a[1])
@@ -201,7 +247,7 @@ def test_candidate_stream_is_cyclically_reduced_and_ordered():
 
 
 def test_single_generator_stream_is_powers():
-    assert list(candidate_words(1, 3)) == [
+    assert zero_code_stream(1, 3) == [
         (((0, 1),)), ((0, 1), (0, 1)), ((0, 1), (0, 1), (0, 1))]
 
 
@@ -317,14 +363,14 @@ def test_screen_passes_over_nontrivial_candidates_only(relator, n, gens):
     changed = True
     while changed:
         frame = _bfs_frame(state.current, state.to_cover)
-        code = _hop_codes(frame, state.to_cover)
+        codes = _hop_codes(frame, state.to_cover)
         expected = None
         for tried, word in enumerate(
-                candidate_words(len(frame.gens), SCREEN_WORD_LEN)):
+                zero_code_stream(len(frame.gens), SCREEN_WORD_LEN)):
             total += 1
             f_word = _candidate_word(word, frame)
             trivial = dehn_solve(f_word, x).trivial
-            if sum(code[letter] for letter in word) % _P:
+            if word_code(codes, word):
                 screened += 1
                 assert not trivial
             elif trivial:
@@ -336,6 +382,48 @@ def test_screen_passes_over_nontrivial_candidates_only(relator, n, gens):
         state, changed = _sweep(state, SCREEN_WORD_LEN)
         assert state == expected
     assert screened >= 0.8 * total
+
+
+@pytest.mark.parametrize("relator,n,gens", SCREEN_RUNS)
+def test_sweep_builds_label_words_for_code_zero_candidates_only(
+        monkeypatch, relator, n, gens):
+    # each sweep reads and Dehn-solves exactly the code-zero candidates it
+    # tries, up to the glued one or to the end of the stream
+    import orelco.pipeline as pipeline
+
+    calls = {"word": 0, "dehn": 0}
+    glued_at = []
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    def refine(state, f_word):
+        glued_at.append(state.cursor)
+        return _refine(state, f_word)
+
+    monkeypatch.setattr(pipeline, "_candidate_word",
+                        counted("word", _candidate_word))
+    monkeypatch.setattr(pipeline, "dehn_solve", counted("dehn", dehn_solve))
+    monkeypatch.setattr(pipeline, "_refine", refine)
+    _, cover = screen_cover(relator, n)
+    pulled = pull_back_subgroup([W(g) for g in gens], cover.quotient)
+    state = seed_immersion(pulled, cover)
+    screened = 0
+    changed = True
+    while changed:
+        frame = _bfs_frame(state.current, state.to_cover)
+        codes = _hop_codes(frame, state.to_cover)
+        every = zero_code_stream(len(frame.gens), SCREEN_WORD_LEN)
+        calls.update(word=0, dehn=0)
+        state, changed = _sweep(state, SCREEN_WORD_LEN)
+        tried = every[:glued_at[-1] + 1] if changed else every
+        passed = sum(1 for w in tried if word_code(codes, w) == 0)
+        assert calls == {"word": passed, "dehn": passed}
+        screened += len(tried) - passed
+    assert screened > 0
 
 
 @pytest.mark.parametrize("relator,n,gens", SCREEN_RUNS)
