@@ -75,6 +75,14 @@ def _load(parse, path: str, *context):
     return _parse(path, parse, Path(path).read_text(), *context)
 
 
+def _load_torsion_group(path: str):
+    x = _load(parse_orbicomplex, path)
+    if x.branch_index < 2:
+        raise SystemExit(_usage(f"{path}: branch index must be at least 2, "
+                                f"got {x.branch_index}"))
+    return x
+
+
 def _parse(source: str, parse, text: str, *context):
     # input that does not parse is a usage error, reported against its source
     try:
@@ -98,7 +106,7 @@ def _cmd_group_define(args) -> int:
 
 def _cmd_word_solve(args) -> int:
     _echo("word solve", group=args.group, word=args.word)
-    x = _load(parse_orbicomplex, args.group)
+    x = _load_torsion_group(args.group)
     word = _parse("--word", parse_word, args.word, _alphabet(x))
     if free_reduce(word) != word:
         return _usage("--word must be freely reduced")
@@ -148,7 +156,9 @@ def _cmd_subgroup_present(args) -> int:
         return _usage("--max-word-len must be at least 1")
     if args.max_degree < 1:
         return _usage("--max-degree must be at least 1")
-    x = _load(parse_orbicomplex, args.group)
+    if args.max_stages < 0:
+        return _usage("--max-stages must be at least 0")
+    x = _load_torsion_group(args.group)
     labels = _alphabet(x)
     gens = [_parse("--gens", parse_word, chunk, labels)
             for chunk in args.gens.split(";")]
@@ -190,7 +200,13 @@ def _cmd_audit_wcycles(args) -> int:
             return _usage("--vertex-budget must be at least 1")
         if not 0 <= args.attach_prob <= 1:
             return _usage("--attach-prob must be in [0, 1]")
-        x = _load(parse_orbicomplex, args.group)
+        x = _load_torsion_group(args.group)
+        # the campaign runs over the rose of the relator's letters
+        missing = _alphabet(x) - {sym for sym, _ in x.relator_word()}
+        if missing:
+            return _usage(f"{args.group}: letter {min(missing)!r} is not in "
+                          "the relator, and a campaign covers only the "
+                          "relator's letters")
         params = GeneratorParams(args.vertex_budget, x.relator_word(),
                                  x.branch_index, args.attach_prob)
         cfg = CampaignConfig(seed, args.trials, params, suites)

@@ -125,8 +125,7 @@ def _generate_uncollapsed(seed: int, params: GeneratorParams) -> OrbiMorphism:
     if x.branch_index < 2:
         raise ValueError("branch index must be >= 2")
     rng = random.Random(seed)
-    g = _random_labeled_graph(rng, params.vertex_budget,
-                              sorted({sym for sym, _ in params.relator}))
+    g = _random_labeled_graph(rng, params.vertex_budget, x._rose_symbols)
     cells: dict[str, tuple] = {}
     for k, lift in enumerate(closed_power_lifts(g, x)):
         wanted = rng.random() < params.attach_probability
@@ -229,9 +228,10 @@ def _run_fold_trial(rng: random.Random, seed: int, cfg: CampaignConfig,
 
 def random_uniform_quotient(rng: random.Random, x: OneRelatorOrbicomplex,
                             max_degree: int) -> FiniteQuotient | None:
-    """Rejection-sample a quotient that ``validate_quotient`` accepts."""
+    """Rejection-sample a quotient that ``validate_quotient`` accepts, with
+    one permutation per loop of the rose."""
     n = x.branch_index
-    symbols = sorted({sym for sym, _ in x.relator})
+    symbols = x._rose_symbols
     degrees = [d for d in range(n, max_degree + 1) if d % n == 0]
     for _ in range(QUOTIENT_ATTEMPTS):
         d = rng.choice(degrees)
@@ -264,9 +264,7 @@ def _run_cover_trial(rng: random.Random, seed: int,
 
 def run_property_campaign(cfg: CampaignConfig) -> CampaignReport:
     x = cfg.params.orbicomplex()
-    rose_complex = TwoComplex(Graph.rose(sorted({s for s, _ in
-                                                 cfg.params.relator})),
-                              {}, base_vertex="*")
+    rose_complex = TwoComplex(x.gamma, {}, base_vertex="*")
     rows: list[TrialRow] = []
     counts = {suite: [0, 0] for suite in cfg.suites}
     hist: dict[int, int] = {}

@@ -2,11 +2,10 @@
 
 Given subgroup generators, the pipeline intersects with the cover stabilizer,
 seeds an immersed wedge over the unwrapped cover, and then repeatedly tests
-candidate loops for triviality, gluing a reduced disk diagram whenever a
-trivial candidate is not yet witnessed by an existing cell.  Each gluing is a
-base-point merge followed by an ordinary fold, then a free-face collapse.  The
-run stabilizes when a full sweep of candidates up to the length budget leaves
-the combinatorial type unchanged.
+candidate loops for triviality, gluing a reduced disk diagram along each
+trivial one.  Each gluing is a base-point merge followed by an ordinary fold,
+then a free-face collapse.  The run stabilizes when a full sweep of
+candidates up to the length budget leaves the complex unchanged.
 """
 
 from __future__ import annotations
@@ -23,9 +22,9 @@ from .covers import UnwrappedCover, build_unwrapped_cover, \
     find_exponent_n_quotient, pull_back_subgroup, verify_cover
 from .diagrams import build_reduced_diagram
 from .errors import PipelineInvariantError
-from .folding import _canonical_cell_key, fold
+from .folding import fold
 from .orbicomplex import OneRelatorOrbicomplex
-from .words import Word, dehn_solve, free_reduce, inverse_word, least_rotation
+from .words import Word, dehn_solve, free_reduce, inverse_word
 
 # ---------------------------------------------------------------------------
 # state
@@ -53,7 +52,6 @@ class Presentation:
     relators: tuple[Word, ...]
     gen_words: tuple[Word, ...]
     stage: int
-    certificate_level: int
     conclusive: bool
     notes: tuple[str, ...] = ()
 
@@ -96,12 +94,11 @@ def _invariant(cond: bool, message: str, state: PipelineState) -> None:
 
 
 # ---------------------------------------------------------------------------
-# canonical traversal
+# breadth-first frame
 
 
 @dataclass(frozen=True)
 class _Frame:
-    vertex_names: dict[str, str]
     gens: tuple[Dart, ...]          # one canonical dart per non-tree edge
     hops: tuple[tuple[Dart, ...], ...]      # per gen: its loop at the base
     hop_words: tuple[tuple[Word, Word], ...]  # reduced labels, and inverse
@@ -112,7 +109,6 @@ def _bfs_frame(y: TwoComplex, m: CellMorphism) -> _Frame:
     immersions over a fixed target make this ordering canonical.  Each
     generator's hop runs down the tree to its dart, across it and back."""
     base = y.base_vertex
-    names = {base: "v0"}
     tree_paths: dict[str, tuple[Dart, ...]] = {base: ()}
     gens: list[Dart] = []
     seen_edges: set[str] = set()
@@ -126,10 +122,9 @@ def _bfs_frame(y: TwoComplex, m: CellMorphism) -> _Frame:
                 continue
             seen_edges.add(e)
             w = y.skeleton.dart_terminus(d)
-            if w in names:
+            if w in tree_paths:
                 gens.append(d)
             else:
-                names[w] = f"v{len(names)}"
                 tree_paths[w] = tree_paths[v] + (d,)
                 queue.append(w)
     if len(seen_edges) != len(y.skeleton.edges):
@@ -142,42 +137,7 @@ def _bfs_frame(y: TwoComplex, m: CellMorphism) -> _Frame:
         word = free_reduce(tuple(map(g.dart_label, hop)))
         hops.append(hop)
         hop_words.append((word, inverse_word(word)))
-    return _Frame(names, tuple(gens), tuple(hops), tuple(hop_words))
-
-
-def canonical_signature(y: TwoComplex, m: CellMorphism):
-    """Isomorphism-over-target invariant: relabel by breadth-first discovery,
-    orient each edge to read its image positively, and normalize each cell up
-    to rotation and reflection."""
-    frame = _bfs_frame(y, m)
-    keyed = []
-    for e in y.skeleton.edges:
-        rec = y.skeleton.edges[e]
-        img_e, img_s = m.edge_map[e]
-        if img_s > 0:
-            key = (frame.vertex_names[rec.tail], frame.vertex_names[rec.head],
-                   img_e)
-        else:
-            key = (frame.vertex_names[rec.head], frame.vertex_names[rec.tail],
-                   img_e)
-        keyed.append((key, e, img_s))
-    edge_names: dict[str, tuple[str, int]] = {}
-    edge_items = []
-    for k, (key, e, flip) in enumerate(sorted(keyed)):
-        edge_names[e] = (f"e{k}", flip)
-        edge_items.append(key)
-    cell_keys = []
-    for cid in y.cells:
-        path = tuple((edge_names[e][0], s * edge_names[e][1])
-                     for e, s in y.cells[cid])
-        cell_keys.append(_canonical_cell_key(path, m.cell_map[cid]))
-    return (len(frame.vertex_names), tuple(edge_items),
-            tuple(sorted(cell_keys)))
-
-
-def isomorphic_over_cover(y1: TwoComplex, m1: CellMorphism,
-                          y2: TwoComplex, m2: CellMorphism) -> bool:
-    return canonical_signature(y1, m1) == canonical_signature(y2, m2)
+    return _Frame(tuple(gens), tuple(hops), tuple(hop_words))
 
 
 # ---------------------------------------------------------------------------
@@ -391,10 +351,6 @@ def _candidate_word(word, frame: _Frame) -> Word:
     return free_reduce(letters)
 
 
-def _cycle_key(path: tuple[Dart, ...]):
-    return min(least_rotation(path), least_rotation(reverse_path(path)))
-
-
 _MIX = 0x9E3779B97F4A7C15 % _P      # fixed coefficients: its powers mod _P
 
 
@@ -504,20 +460,30 @@ def _apply_rewrites(path: tuple[Dart, ...], rewrites,
     raise PipelineInvariantError("rewrite substitution did not terminate")
 
 
+def _is_bijection(m: CellMorphism, onto: TwoComplex) -> bool:
+    """Whether ``m`` is one to one onto the parts of every dimension of
+    ``onto``."""
+    return all(len(images) == len(parts) and set(images) == set(parts)
+               for images, parts in (
+                   (m.vertex_map.values(), onto.skeleton.vertices),
+                   ([e for e, _ in m.edge_map.values()], onto.skeleton.edges),
+                   ([c.cell for c in m.cell_map.values()], onto.cells)))
+
+
 def _refine(state: PipelineState, f_word: Word) -> PipelineState | None:
     """Process a candidate whose label word ``f_word`` is trivial, with the
     path reading it from the base as its loop; returns the next state, or
-    None when the complex is unchanged."""
+    None when the complex is unchanged: when the chain map, an immersion
+    over ``X0``, is a bijection of the stage onto the collapsed complex.
+    Based lifts through an immersion are unique (Stallings 1983), so this
+    holds exactly when the two are isomorphic over ``X0``; ``PAPER.md``
+    gives the stopping rule and its proof."""
     x = state.orbicomplex
     y = state.current
     read = y.skeleton.read(f_word, y.base_vertex)
     _invariant(read is not None and read[1] == y.base_vertex,
                "candidate word does not close at the base", state)
-    loop = read[0]
-    _invariant(bool(loop), "candidate loop reduced to nothing", state)
-    key = _cycle_key(loop)
-    if any(_cycle_key(y.cells[cid]) == key for cid in y.cells):
-        return None
+    _invariant(bool(read[0]), "candidate loop reduced to nothing", state)
     diagram = build_reduced_diagram(f_word, x)
     folded = _glue_and_fold(state, diagram)
     chain_map = _restrict(folded.projection, y)
@@ -529,15 +495,15 @@ def _refine(state: PipelineState, f_word: Word) -> PipelineState | None:
                                  state.to_cover),
                "chain triangle does not commute dart-exactly", state)
     collapsed, rewrites = collapse_with_rewrites(folded.folded)
-    to_cover_new = _restrict(folded.inclusion, collapsed)
+    if _is_bijection(chain_map, collapsed):
+        return None
     surviving = set(collapsed.skeleton.edges)
     new_paths = tuple(
         _apply_rewrites(chain_map.path_image(p), rewrites, surviving)
         for p in state.gen_paths)
-    if isomorphic_over_cover(collapsed, to_cover_new, y, state.to_cover):
-        return None
     new_state = replace(state, stage=state.stage + 1, current=collapsed,
-                        to_cover=to_cover_new, cursor=0, gen_paths=new_paths)
+                        to_cover=_restrict(folded.inclusion, collapsed),
+                        cursor=0, gen_paths=new_paths)
     _check_stage(new_state)
     return new_state
 
@@ -581,8 +547,7 @@ def _sweep(state: PipelineState,
 # presentation extraction and the full run
 
 
-def _presentation_from_stage(state: PipelineState, max_word_len: int,
-                             conclusive: bool,
+def _presentation_from_stage(state: PipelineState, conclusive: bool,
                              notes: tuple[str, ...]) -> Presentation:
     y = state.current
     frame = _bfs_frame(y, state.to_cover)
@@ -598,7 +563,7 @@ def _presentation_from_stage(state: PipelineState, max_word_len: int,
                 raw.append((symbols[k], s * orient))
         relators.append(free_reduce(tuple(raw), cyclic=True))
     pres = Presentation(symbols, tuple(relators), tuple(gen_words),
-                        state.stage, max_word_len, conclusive, notes)
+                        state.stage, conclusive, notes)
     chi = 1 - len(symbols) + len(relators)
     _invariant(chi == euler_characteristic(y),
                "presentation deficiency disagrees with the Euler "
@@ -626,12 +591,14 @@ def present_subgroup(generators: list[Word], x: OneRelatorOrbicomplex, *,
         # no candidate would be tried, and the seed would pass as stable
         raise ValueError(
             f"max_word_len must be at least 1, got {max_word_len}")
+    if max_stages < 0:
+        raise ValueError(f"max_stages must be at least 0, got {max_stages}")
     notes: list[str] = []
     cleaned = [free_reduce(g) for g in generators]
     cleaned = [g for g in cleaned if g]
     if not cleaned:
         notes.append("trivial subgroup; empty presentation emitted directly")
-        return (Presentation((), (), (), 0, max_word_len, True, tuple(notes)),
+        return (Presentation((), (), (), 0, True, tuple(notes)),
                 PipelineReport((), tuple(notes)))
     q = find_exponent_n_quotient(x, max_degree, seed)
     cover = build_unwrapped_cover(x, q)
@@ -646,24 +613,19 @@ def present_subgroup(generators: list[Word], x: OneRelatorOrbicomplex, *,
     pulled = [p for p in pulled if p]
     if not pulled:
         notes.append("stabilizer intersection is trivial")
-        return (Presentation((), (), (), 0, max_word_len, True, tuple(notes)),
+        return (Presentation((), (), (), 0, True, tuple(notes)),
                 PipelineReport((), tuple(notes)))
     state = seed_immersion(pulled, cover)
     rows: list[StageRow] = []
-    conclusive = False
     while True:
         state, changed = _sweep(state, max_word_len)
-        if not changed:
-            conclusive = True
-            rows.append(_stage_row(state))
-            break
         rows.append(_stage_row(state))
-        if state.stage >= max_stages:
-            notes.append("stage budget exhausted before stabilization; "
-                         "presentation is inconclusive")
+        if not changed or state.stage >= max_stages:
             break
-    pres = _presentation_from_stage(state, max_word_len, conclusive,
-                                    tuple(notes))
+    if changed:
+        notes.append("stage budget exhausted before stabilization; "
+                     "presentation is inconclusive")
+    pres = _presentation_from_stage(state, not changed, tuple(notes))
     for rel in pres.relators:
         sub = {sym: gw for sym, gw in zip(pres.symbols, pres.gen_words)}
         expanded: list = []

@@ -285,6 +285,63 @@ def test_audit_campaign_csv_deterministic(group_file, capsys):
         hashlib.sha256(out2.encode()).digest()
 
 
+@pytest.mark.parametrize("argv", [
+    ["word", "solve", "--word", "a"],
+    ["subgroup", "present", "--gens", "a"],
+    ["audit", "wcycles", "--trials", "3"],
+], ids=["word-solve", "subgroup-present", "audit-trials"])
+def test_branch_one_is_a_usage_error_where_n_must_be_two(tmp_path, capsys,
+                                                         argv):
+    # each once exited 1, the property-violation status, on the library's
+    # ValueError
+    path = tmp_path / "g.txt"
+    path.write_text(GROUP.replace("branch 2", "branch 1"))
+    code, out, err = run(capsys, argv + ["--group", str(path)])
+    assert code == 2
+    assert err == f"error: {path}: branch index must be at least 2, got 1\n"
+    assert out.startswith("config:") and out.count("\n") == 1
+
+
+def test_branch_one_builds_covers_and_audits_maps(tmp_path, capsys):
+    group = tmp_path / "g.txt"
+    group.write_text(GROUP.replace("branch 2", "branch 1"))
+    y = tmp_path / "y.txt"
+    y.write_text("vertex p\nedge a : p -> p label a\n"
+                 "edge b : p -> p label b\ncell f0 : a b\nbase p\n")
+    m = tmp_path / "m.txt"
+    m.write_text("vmap p *\nemap a a\nemap b b\ncmap f0 w rot=0 orient=+\n")
+    code, out, _ = run(capsys, ["cover", "build", "--group", str(group)])
+    assert code == 0 and "cover: degree=1" in out
+    code, out, _ = run(capsys, ["audit", "wcycles", "--group", str(group),
+                                "--complex", str(y), "--map", str(m)])
+    assert code == 0 and "audit y: chi1=-1 deg=1 slack1=0" in out
+
+
+def test_campaign_over_a_letter_the_relator_lacks_is_a_usage_error(
+        tmp_path, capsys):
+    # <a, b | a^3> once ran as <a | a^3>, and all its trials passed
+    path = tmp_path / "g.txt"
+    path.write_text(GROUP.replace("relator a b", "relator a")
+                    .replace("branch 2", "branch 3"))
+    code, out, err = run(capsys, ["audit", "wcycles", "--group", str(path),
+                                  "--trials", "20"])
+    assert code == 2
+    assert err.startswith(f"error: {path}: letter 'b' is not in the relator")
+    assert out.startswith("config:") and out.count("\n") == 1
+
+
+def test_negative_stage_budget_is_a_usage_error(group_file, capsys):
+    # it once behaved as 0; 0 keeps its meaning
+    argv = ["subgroup", "present", "--group", group_file,
+            "--gens", "b ; a a ; a b a~"]
+    code, out, err = run(capsys, argv + ["--max-stages", "-1"])
+    assert code == 2
+    assert err == "error: --max-stages must be at least 0\n"
+    assert out.startswith("config:") and out.count("\n") == 1
+    code, _, _ = run(capsys, argv + ["--max-stages", "0"])
+    assert code == 3
+
+
 def test_fold_output_round_trips(capsys, tmp_path):
     src = tmp_path / "src.txt"
     src.write_text("vertex u\nedge e1 : u -> u label a\n"

@@ -206,8 +206,10 @@ def test_broken_fold_law_is_a_fold_trial_violation(monkeypatch, check,
 
 
 def _random_uniform_quotient_validating_first(rng, x, max_degree):
-    """random_uniform_quotient with the two old checks in their first order:
-    validation before the exponent cycles."""
+    """random_uniform_quotient with the two old checks in their first order,
+    validation before the exponent cycles, and with permutations drawn for
+    the relator's letters only.  Where the relator spans the rose, these
+    are the same draws."""
     n = x.branch_index
     symbols = sorted({sym for sym, _ in x.relator})
     degrees = [d for d in range(n, max_degree + 1) if d % n == 0]
@@ -233,3 +235,16 @@ def test_uniform_quotient_draws_do_not_depend_on_the_test_order(relator, n):
         q = random_uniform_quotient(rng, x, 3 * n)
         assert q == _random_uniform_quotient_validating_first(ref_rng, x, 3 * n)
         assert rng.getstate() == ref_rng.getstate()
+
+
+
+def test_uniform_quotients_draw_for_every_rose_loop():
+    # <a, b | a^3>: the relator lacks b, and the reference, which draws for
+    # the relator's letters only, never finds a quotient
+    x = build_orbicomplex(Graph.rose(["a", "b"]), W("a"), 3)
+    for seed in range(5):
+        assert _random_uniform_quotient_validating_first(
+            random.Random(seed), x, 9) is None
+        q = random_uniform_quotient(random.Random(seed), x, 9)
+        assert q is not None and sorted(q.perms) == ["a", "b"]
+        assert validate_quotient(q, x) == []

@@ -13,21 +13,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orelco.complexes import (CellImage, EdgeRec, Graph, MapKind, TwoComplex,
-                              cell_image_path, classify_map, collapse,
-                              collapse_with_rewrites, euler_characteristic,
-                              identity_morphism, reverse_path)
+from orelco.complexes import (CellImage, CellMorphism, EdgeRec, Graph,
+                              MapKind, TwoComplex, cell_image_path,
+                              classify_map, collapse, collapse_with_rewrites,
+                              dart_sort_key, euler_characteristic,
+                              find_free_faces_and_edges, identity_morphism,
+                              reverse_path)
 from orelco.covers import (build_unwrapped_cover, find_exponent_n_quotient,
                            pull_back_subgroup)
 from orelco.diagrams import build_reduced_diagram
 from orelco.errors import InvalidComplexError, PipelineInvariantError
+from orelco.folding import _canonical_cell_key
+from orelco.harness import random_uniform_quotient
 from orelco.orbicomplex import build_orbicomplex
 from orelco.pipeline import (_P, PipelineState, _apply_rewrites, _bfs_frame,
-                             _candidate_word, _cell_cocycle, _cycle_key,
-                             _hop_codes, _lift, _presentation_from_stage,
-                             _refine, _sweep, candidate_words,
-                             canonical_signature, isomorphic_over_cover,
-                             present_subgroup, seed_immersion)
+                             _candidate_word, _cell_cocycle, _glue_and_fold,
+                             _hop_codes, _is_bijection, _lift,
+                             _presentation_from_stage, _refine, _restrict,
+                             _sweep, candidate_words, present_subgroup,
+                             seed_immersion)
 from orelco.words import (dehn_solve, format_word, free_reduce, inverse_word,
                           parse_word)
 
@@ -251,14 +255,6 @@ def test_single_generator_stream_is_powers():
         (((0, 1),)), ((0, 1), (0, 1)), ((0, 1), (0, 1), (0, 1))]
 
 
-def test_cycle_key_identifies_rotations_and_reversals():
-    p = (("e1", 1), ("e2", -1), ("e3", 1))
-    rot = p[1:] + p[:1]
-    rev = tuple((e, -s) for e, s in reversed(p))
-    assert _cycle_key(p) == _cycle_key(rot) == _cycle_key(rev)
-    assert _cycle_key(p) != _cycle_key((("e1", 1), ("e2", 1), ("e3", 1)))
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 2), st.sampled_from((1, -1))),
                 max_size=6))
@@ -466,11 +462,40 @@ def test_rank_five_presentation_pinned_across_commits():
 
 
 # ---------------------------------------------------------------------------
-# signatures
+# signatures and the unchanged rule
+
+
+def canonical_signature(y, m):
+    """Reference invariant of a complex over the target of ``m``: vertices
+    named by breadth-first discovery from the base, darts ordered by their
+    images, each edge oriented to read its image positively, and each cell
+    normalized up to rotation and reflection.  Equal signatures mean an
+    isomorphism over the target that keeps the base."""
+    names = {y.base_vertex: "v0"}
+    for v in (queue := [y.base_vertex]):
+        for d in sorted(y.skeleton.darts_at(v),
+                        key=lambda d: dart_sort_key(m.dart_image(d))):
+            w = y.skeleton.dart_terminus(d)
+            if w not in names:
+                names[w] = f"v{len(names)}"
+                queue.append(w)
+    keyed = []
+    for e, rec in y.skeleton.edges.items():
+        img_e, img_s = m.edge_map[e]
+        tail, head = (rec.tail, rec.head) if img_s > 0 else (rec.head,
+                                                              rec.tail)
+        keyed.append(((names[tail], names[head], img_e), e, img_s))
+    keyed.sort()
+    edge_names = {e: (f"e{k}", flip) for k, (_, e, flip) in enumerate(keyed)}
+    cell_keys = [
+        _canonical_cell_key(tuple((edge_names[e][0], s * edge_names[e][1])
+                                  for e, s in path), m.cell_map[cid])
+        for cid, path in y.cells.items()]
+    return (len(names), tuple(key for key, _, _ in keyed),
+            tuple(sorted(cell_keys)))
 
 
 def rename(y, m, vpre="zz_", epre="qq_"):
-    from orelco.complexes import CellMorphism, EdgeRec, TwoComplex
     vren = {v: vpre + v for v in y.skeleton.vertices}
     eren = {e: epre + e for e in y.skeleton.edges}
     g = Graph(frozenset(vren.values()),
@@ -486,7 +511,6 @@ def rename(y, m, vpre="zz_", epre="qq_"):
 
 
 def flip_edge(y, m, e):
-    from orelco.complexes import CellMorphism, EdgeRec, TwoComplex
     rec = y.skeleton.edges[e]
     edges = dict(y.skeleton.edges)
     edges[e] = EdgeRec(rec.head, rec.tail, rec.label)
@@ -503,22 +527,24 @@ def flip_edge(y, m, e):
 def test_signature_is_invariant_under_renaming(cover):
     state = seed_immersion(STAB, cover)
     y2, m2 = rename(state.current, state.to_cover)
-    assert isomorphic_over_cover(state.current, state.to_cover, y2, m2)
+    assert (canonical_signature(state.current, state.to_cover)
+            == canonical_signature(y2, m2))
 
 
 def test_signature_is_invariant_under_edge_reorientation(cover):
     state = seed_immersion(STAB, cover)
     e = sorted(state.current.skeleton.edges)[0]
     y2, m2 = flip_edge(state.current, state.to_cover, e)
-    assert isomorphic_over_cover(state.current, state.to_cover, y2, m2)
+    assert (canonical_signature(state.current, state.to_cover)
+            == canonical_signature(y2, m2))
 
 
 def test_signature_separates_different_stages(x, cover):
     state = seed_immersion(STAB, cover)
     final, changed = _sweep(state, 12)
     assert changed and final.stage == state.stage + 1
-    assert not isomorphic_over_cover(state.current, state.to_cover,
-                                     final.current, final.to_cover)
+    assert (canonical_signature(state.current, state.to_cover)
+            != canonical_signature(final.current, final.to_cover))
 
 
 def test_cover_cell_signature_sees_the_cell(cover):
@@ -526,6 +552,126 @@ def test_cover_cell_signature_sees_the_cell(cover):
     m = identity_morphism(y)
     sig = canonical_signature(y, m)
     assert sig[0] == 2 and len(sig[1]) == 4 and len(sig[2]) == 1
+
+
+def hand_built_state(cover, y):
+    """A stage over ``cover`` whose complex ``y`` is the cover or a part of
+    it through the base, with bounds that no gluing reaches."""
+    return PipelineState(
+        cover=cover, stage=0, current=y,
+        to_cover=_restrict(identity_morphism(cover.cover), y), cursor=0,
+        seed_generator_count=99, seed_free_edges=99, gen_paths=())
+
+
+def one_skeleton(c):
+    return TwoComplex(c.skeleton, {}, base_vertex=c.base_vertex)
+
+
+def trivial_word(rng, x):
+    """A reduced product of one or two conjugates of ``w^(+-n)``."""
+    power = x.relator_word() * x.branch_index
+    word: list = []
+    for _ in range(rng.randint(1, 2)):
+        u = tuple((rng.choice("ab"), rng.choice((1, -1)))
+                  for _ in range(rng.randint(0, 3)))
+        word += [*u, *(power if rng.random() < 0.5 else inverse_word(power)),
+                 *inverse_word(u)]
+    return free_reduce(tuple(word))
+
+
+UNCHANGED_GROUPS = [("a b a b~", 2), ("a a b b b", 2), ("a b a b~", 3),
+                    ("a b", 2), ("a b", 3)]
+
+
+def test_unchanged_rule_agrees_with_the_signature_on_a_corpus():
+    # gluings onto three covers per group, read as hand-built stages with
+    # cells and as their cell-free 1-skeletons; the walks from a 1-skeleton
+    # go on from each changed stage.  Each answer of the chain-map rule
+    # matches the reference signatures and decides _refine.
+    answers = {True: 0, False: 0}
+    for k, (relator, n) in enumerate(UNCHANGED_GROUPS):
+        x = build_orbicomplex(Graph.rose("ab"), W(relator), n)
+        rng = random.Random(k)
+        for _ in range(3):
+            cover = build_unwrapped_cover(
+                x, random_uniform_quotient(rng, x, 2 * n))
+            for start, walk in ((cover.cover, False),
+                                (one_skeleton(cover.cover), False),
+                                (one_skeleton(cover.cover), True)):
+                state = hand_built_state(cover, start)
+                for _ in range(12):
+                    y, word = state.current, trivial_word(rng, x)
+                    read = y.skeleton.read(word, y.base_vertex)
+                    if not word or read is None or read[1] != y.base_vertex:
+                        continue
+                    folded = _glue_and_fold(state,
+                                            build_reduced_diagram(word, x))
+                    collapsed, _ = collapse_with_rewrites(folded.folded)
+                    unchanged = _is_bijection(
+                        _restrict(folded.projection, y), collapsed)
+                    assert unchanged == (
+                        canonical_signature(
+                            collapsed, _restrict(folded.inclusion, collapsed))
+                        == canonical_signature(y, state.to_cover))
+                    answers[unchanged] += 1
+                    refined = _refine(state, word)
+                    assert (refined is None) == unchanged
+                    if walk and refined is not None:
+                        state = refined
+    assert answers[True] >= 100 and answers[False] >= 100, answers
+
+
+def test_a_cell_boundary_glues_to_an_unchanged_stage():
+    # each boundary word of the cover's cells, read from the base in either
+    # direction, glues one cell that fold merges into the cell it bounds
+    x = build_orbicomplex(Graph.rose("ab"), W("a b a b~"), 2)
+    cover = build_unwrapped_cover(x, find_exponent_n_quotient(x, 4, 0))
+    c = cover.cover
+    assert (len(c.skeleton.vertices), len(c.skeleton.edges), len(c.cells)) \
+        == (4, 8, 2)
+    assert not find_free_faces_and_edges(c)[0]
+    state = hand_built_state(cover, c)
+    words = set()
+    for path in c.cells.values():
+        for r in range(len(path)):
+            loop = path[r:] + path[:r]
+            for p in (loop, reverse_path(loop)):
+                if c.skeleton.dart_origin(p[0]) == c.base_vertex:
+                    words.add(tuple(map(c.skeleton.dart_label, p)))
+    assert len(words) >= 4
+    for word in sorted(words):
+        assert len(build_reduced_diagram(word, x).diagram.cells) == 1
+        assert _refine(state, word) is None
+
+
+def test_a_glued_cell_on_the_same_skeleton_is_a_change():
+    # the chain map of the cover's 1-skeleton is a bijection on vertices
+    # and edges; only the cells tell the stages apart
+    x = build_orbicomplex(Graph.rose("ab"), W("a a b b b"), 2)
+    cover = build_unwrapped_cover(x, find_exponent_n_quotient(x, 4, 0))
+    c = cover.cover
+    path = next(iter(c.cells.values()))
+    r = next(r for r, d in enumerate(path)
+             if c.skeleton.dart_origin(d) == c.base_vertex)
+    word = tuple(map(c.skeleton.dart_label, path[r:] + path[:r]))
+    refined = _refine(hand_built_state(cover, one_skeleton(c)), word)
+    assert refined is not None
+    y = refined.current
+    assert (len(y.skeleton.vertices), len(y.skeleton.edges), len(y.cells)) \
+        == (2, 4, 1)
+
+
+def test_bijection_needs_a_one_to_one_map():
+    # a 2-cycle onto a one-vertex loop reaches every vertex and edge
+    two = TwoComplex(Graph(frozenset({"u", "v"}),
+                           {"e": EdgeRec("u", "v", "a"),
+                            "f": EdgeRec("v", "u", "a")}), base_vertex="u")
+    loop = TwoComplex(Graph(frozenset({"p"}), {"l": EdgeRec("p", "p", "a")}),
+                      base_vertex="p")
+    m = CellMorphism(two, loop, {"u": "p", "v": "p"},
+                     {"e": ("l", 1), "f": ("l", 1)}, {})
+    assert not _is_bijection(m, loop)
+    assert _is_bijection(identity_morphism(loop), loop)
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +752,11 @@ def test_empty_word_budget_is_rejected(x, max_word_len):
         present_subgroup(STAB, x, max_word_len=max_word_len)
 
 
+def test_negative_stage_budget_is_rejected(x):
+    with pytest.raises(ValueError, match="max_stages must be at least 0"):
+        present_subgroup(STAB, x, max_stages=-1)
+
+
 def test_budget_exhaustion_is_flagged_not_raised(x):
     pres, report = present_subgroup(STAB, x, max_stages=0)
     assert not pres.conclusive
@@ -653,7 +804,7 @@ def test_presentation_extraction_reads_cell_relators(x, cover):
         cover=cover, stage=0, current=y, to_cover=identity_morphism(y),
         cursor=0, seed_generator_count=3,
         seed_free_edges=4, gen_paths=())
-    pres = _presentation_from_stage(state, 12, True, ())
+    pres = _presentation_from_stage(state, True, ())
     assert len(pres.symbols) == 3
     assert len(pres.relators) == 1
     assert 1 - len(pres.symbols) + len(pres.relators) == euler_characteristic(y)
