@@ -67,10 +67,6 @@ def _emit(args, text: str) -> None:
         print(text, end="" if text.endswith("\n") else "\n")
 
 
-def _alphabet(x) -> set[str]:
-    return {rec.label for rec in x.gamma.edges.values()} - {None}
-
-
 def _load(parse, path: str, *context):
     return _parse(path, parse, Path(path).read_text(), *context)
 
@@ -107,7 +103,7 @@ def _cmd_group_define(args) -> int:
 def _cmd_word_solve(args) -> int:
     _echo("word solve", group=args.group, word=args.word)
     x = _load_torsion_group(args.group)
-    word = _parse("--word", parse_word, args.word, _alphabet(x))
+    word = _parse("--word", parse_word, args.word, x._rose_symbols)
     if free_reduce(word) != word:
         return _usage("--word must be freely reduced")
     result = dehn_solve(word, x)
@@ -159,8 +155,7 @@ def _cmd_subgroup_present(args) -> int:
     if args.max_stages < 0:
         return _usage("--max-stages must be at least 0")
     x = _load_torsion_group(args.group)
-    labels = _alphabet(x)
-    gens = [_parse("--gens", parse_word, chunk, labels)
+    gens = [_parse("--gens", parse_word, chunk, x._rose_symbols)
             for chunk in args.gens.split(";")]
     gens = [g for g in gens if g]
     pres, report = present_subgroup(
@@ -202,7 +197,7 @@ def _cmd_audit_wcycles(args) -> int:
             return _usage("--attach-prob must be in [0, 1]")
         x = _load_torsion_group(args.group)
         # the campaign runs over the rose of the relator's letters
-        missing = _alphabet(x) - {sym for sym, _ in x.relator_word()}
+        missing = set(x._rose_symbols) - {sym for sym, _ in x.relator_word()}
         if missing:
             return _usage(f"{args.group}: letter {min(missing)!r} is not in "
                           "the relator, and a campaign covers only the "

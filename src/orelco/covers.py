@@ -189,10 +189,9 @@ def build_unwrapped_cover(x: OneRelatorOrbicomplex,
     g = Graph(frozenset(f"p{i}" for i in range(k)), edges)
     cells: dict[str, tuple[Dart, ...]] = {}
     families: dict[str, tuple[int, ...]] = {}
-    power_word = x.relator_word() * x.branch_index
     for index, orbit in enumerate(cycles(q.permutation_of(x.relator_word()))):
         start = f"p{orbit[0]}"
-        lift = g.read(power_word, start)
+        lift = g.read(x.relator_power_path(), start)
         if lift is None or lift[1] != start:
             raise InvariantError("relator power lift failed to close")
         cells[f"f{index}"] = lift[0]
@@ -302,19 +301,14 @@ def pull_back_subgroup(generators: list[Word],
     while queue:
         p = queue.pop(0)
         for i, h in enumerate(generators):
-            r = q.act(p, h)
-            if r not in transversal:
-                transversal[r] = free_reduce(transversal[p] + tuple(h))
-                tree.add((p, i))
-                order.append(r)
-                queue.append(r)
-            r2 = q.act(p, inverse_word(h))
-            if r2 not in transversal:
-                transversal[r2] = free_reduce(
-                    transversal[p] + inverse_word(h))
-                tree.add((r2, i))
-                order.append(r2)
-                queue.append(r2)
+            # the tree edge is keyed by the point the generator leaves
+            for step, forward in ((tuple(h), True), (inverse_word(h), False)):
+                r = q.act(p, step)
+                if r not in transversal:
+                    transversal[r] = free_reduce(transversal[p] + step)
+                    tree.add((p if forward else r, i))
+                    order.append(r)
+                    queue.append(r)
     out: list[Word] = []
     for p in order:
         for i, h in enumerate(generators):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 from operator import itemgetter
 
@@ -34,19 +34,6 @@ class VanKampenDiagram:
     boundary: tuple[Dart, ...]
     boundary_word: Word
     labeling: OrbiMorphism
-
-
-def _symbol_table(x: OneRelatorOrbicomplex) -> dict[str, str]:
-    # label -> edge id of the base graph; diagrams only make sense over a
-    # one-vertex base with uniquely labelled edges (words are label sequences).
-    if len(x.gamma.vertices) != 1:
-        raise ValueError("diagram construction requires a one-vertex base graph")
-    table: dict[str, str] = {}
-    for eid, rec in x.gamma.edges.items():
-        if rec.label is None or rec.label in table:
-            raise ValueError("base graph edges must carry distinct labels")
-        table[rec.label] = eid
-    return table
 
 
 class _DiskBuilder:
@@ -297,17 +284,12 @@ class _DiskBuilder:
 
     # -- export ----------------------------------------------------------
 
-    def freeze(self, x: OneRelatorOrbicomplex,
-               symbols: dict[str, str]) -> tuple[TwoComplex, OrbiMorphism]:
-        gamma_vertex = next(iter(x.gamma.vertices))
+    def freeze(self,
+               x: OneRelatorOrbicomplex) -> tuple[TwoComplex, OrbiMorphism]:
         complex_ = self.snapshot()
         require_valid(complex_)
-        labeling = OrbiMorphism(
-            complex_, x,
-            vertex_map={v: gamma_vertex for v in complex_.skeleton.vertices},
-            edge_map={e: (symbols[rec.label], 1)
-                      for e, rec in self.edges.items()},
-            cell_align=dict(self.cell_align))
+        labeling = replace(OrbiMorphism.by_labels(complex_, x),
+                           cell_align=dict(self.cell_align))
         return complex_, labeling
 
 
@@ -350,7 +332,7 @@ def find_mirror(c: TwoComplex):
 
 def _replay_conjugates(u: Word, x: OneRelatorOrbicomplex, steps):
     """Recover (prefix, rotation word, cell alignment) per trace step."""
-    q = x.relator_word() * x.branch_index
+    q = x.relator_power_path()
     m = len(q)
     out = []
     for step in steps:
@@ -373,7 +355,6 @@ def build_reduced_diagram(u: Word, x: OneRelatorOrbicomplex) -> VanKampenDiagram
 
     Raises ValueError when ``u`` is nontrivial in the group of ``x``.
     """
-    symbols = _symbol_table(x)
     reduced_u = free_reduce(u)
     if not reduced_u:
         complex_ = _DiskBuilder("v0").snapshot()
@@ -398,7 +379,7 @@ def build_reduced_diagram(u: Word, x: OneRelatorOrbicomplex) -> VanKampenDiagram
     if builder.readout() != reduced_u:
         raise DiagramError("boundary readout drifted during cancellation")
     builder.check_disk()
-    complex_, labeling = builder.freeze(x, symbols)
+    complex_, labeling = builder.freeze(x)
     witness = _check_morphism(labeling.as_cell_morphism())
     if witness is not None:
         raise DiagramError(f"diagram labelling is not a morphism: {witness}")

@@ -109,7 +109,7 @@ def _random_labeled_graph(rng: random.Random, v: int,
 def closed_power_lifts(g: Graph, x: OneRelatorOrbicomplex):
     """Closed lifts of the relator power, one canonical representative per
     rotation class of the full cycle."""
-    power = x.relator_word() * x.branch_index
+    power = x.relator_power_path()
     found = set()
     for v in sorted(g.vertices):
         lift = g.read(power, v)
@@ -231,6 +231,9 @@ def random_uniform_quotient(rng: random.Random, x: OneRelatorOrbicomplex,
     """Rejection-sample a quotient that ``validate_quotient`` accepts, with
     one permutation per loop of the rose."""
     n = x.branch_index
+    if max_degree < n:
+        raise ValueError(f"max_degree must be at least the branch index {n},"
+                         f" got {max_degree}")
     symbols = x._rose_symbols
     degrees = [d for d in range(n, max_degree + 1) if d % n == 0]
     for _ in range(QUOTIENT_ATTEMPTS):

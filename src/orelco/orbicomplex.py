@@ -1,8 +1,10 @@
 """One-relator orbicomplexes and maps of complexes into them.
 
-An orbicomplex here is a graph together with a single cyclically immersed,
-primitive relator loop w and a branch index n: the 2-cell is a disk whose
-boundary wraps n times around w.  A complex mapping in has every 2-cell
+An orbicomplex here is a rose, one vertex with one loop per generator named
+by its label, together with a cyclically reduced, primitive relator word w
+and a branch index n: the 2-cell is a disk whose boundary wraps n times
+around w.  As the loops are named by their labels, the relator's path in the
+rose is the relator word itself.  A complex mapping in has every 2-cell
 boundary of length n|w| spelling the n-th power of w up to rotation and
 orientation; boundary position p lies over side (p + offset) mod |w| of the
 disk.
@@ -16,10 +18,10 @@ from functools import cached_property
 
 from .complexes import (Classification, Dart, Graph, MapKind, TwoComplex,
                         CellImage, CellMorphism, _immersion_fault,
-                        dart_reverse, euler_characteristic,
+                        euler_characteristic,
                         find_free_faces_and_edges, non_tree_edge_count)
 from .errors import NotImmersionError
-from .words import Word, is_proper_power
+from .words import Word, is_cyclically_reduced, is_proper_power
 
 
 @dataclass(frozen=True)
@@ -46,34 +48,26 @@ class OneRelatorOrbicomplex:
         return TwoComplex(self.gamma, {"d0": self.relator_power_path()})
 
     def relator_word(self) -> Word:
-        """The relator as a word; requires every traversed edge to be labeled."""
-        return self._relator_word
-
-    @cached_property
-    def _relator_word(self) -> Word:
-        letters = []
-        for d in self.relator:
-            letter = self.gamma.dart_label(d)
-            if letter is None:
-                raise ValueError(f"relator crosses unlabeled edge {d[0]}")
-            letters.append(letter)
-        return tuple(letters)
+        """The relator as a word: on a rose it is the relator path."""
+        return self.relator
 
     @cached_property
     def _rose_symbols(self) -> list[str]:
-        """The loop names of a rose whose loops are named by their labels,
-        in sorted order; what a finite quotient must assign permutations to."""
-        if len(self.gamma.vertices) != 1:
-            raise ValueError("cover construction needs a one-vertex (rose) graph")
-        if any(rec.label != e for e, rec in self.gamma.edges.items()):
-            raise ValueError("cover construction needs rose edges named by their labels")
+        """The loop names of the rose, in sorted order; what a finite
+        quotient must assign permutations to."""
         return sorted(self.gamma.edges)
 
 
 def build_orbicomplex(gamma: Graph, relator: tuple[Dart, ...],
                       branch_index: int) -> OneRelatorOrbicomplex:
-    """Validated constructor: relator must be a closed, cyclically immersed,
-    primitive loop and the branch index a positive integer."""
+    """Validated constructor: the graph must be a rose whose loops are named
+    by their labels, the relator a cyclically reduced, primitive word over
+    those loops and the branch index a positive integer."""
+    vertex = min(gamma.vertices, default=None)
+    if len(gamma.vertices) != 1 or any(
+            rec != (vertex, vertex, e) for e, rec in gamma.edges.items()):
+        raise ValueError("the graph must be a rose: one vertex, "
+                         "each loop named by its label")
     if branch_index < 1:
         raise ValueError("branch index must be >= 1")
     if not relator:
@@ -81,12 +75,8 @@ def build_orbicomplex(gamma: Graph, relator: tuple[Dart, ...],
     for d in relator:
         if d[0] not in gamma.edges:
             raise ValueError(f"relator references missing edge {d[0]}")
-    m = len(relator)
-    for i in range(m):
-        if gamma.dart_terminus(relator[i]) != gamma.dart_origin(relator[(i + 1) % m]):
-            raise ValueError("relator path is not closed")
-        if relator[(i + 1) % m] == dart_reverse(relator[i]):
-            raise ValueError("relator backtracks, so it is not cyclically immersed")
+    if not is_cyclically_reduced(relator):
+        raise ValueError("relator backtracks, so it is not cyclically immersed")
     if is_proper_power(relator)[0]:
         raise ValueError("relator is a proper power")
     return OneRelatorOrbicomplex(gamma, tuple(relator), branch_index)
@@ -102,8 +92,8 @@ class OrbiMorphism:
 
     @classmethod
     def by_labels(cls, y: TwoComplex, x: OneRelatorOrbicomplex) -> "OrbiMorphism":
-        """The map onto a rose orbicomplex whose loops are named by their
-        labels: every edge onto the loop of its label, every cell at offset 0."""
+        """The map onto the orbicomplex by labels: every edge onto the loop
+        of its label, every cell at offset 0."""
         vertex = next(iter(x.gamma.vertices))
         return cls(y, x,
                    {v: vertex for v in y.skeleton.vertices},
@@ -206,6 +196,4 @@ def presentation_complex(x: OneRelatorOrbicomplex) -> tuple[TwoComplex, OrbiMorp
     """The ordinary complex with one disk glued along the full relator power,
     together with its natural map to the orbicomplex (offset 0, positive)."""
     cx = x.presentation_complex
-    return cx, OrbiMorphism(cx, x, {v: v for v in x.gamma.vertices},
-                            {e: (e, 1) for e in x.gamma.edges}, {"d0": (0, 1)})
-
+    return cx, OrbiMorphism.by_labels(cx, x)

@@ -26,6 +26,13 @@ def _fail(lineno: int, why: str) -> ValueError:
     return ValueError(f"line {lineno}: {why}")
 
 
+def _put(table: dict, key: str, value, lineno: int, what: str) -> None:
+    # a second declaration of one name is refused, never read over the first
+    if key in table:
+        raise _fail(lineno, f"duplicate {what}")
+    table[key] = value
+
+
 # ---------------------------------------------------------------------------
 # dart paths: `e1 e2~ e3`, the word syntax over edge ids
 
@@ -84,16 +91,16 @@ def _parse_skeleton_lines(text: str, allow: set[str]):
                 if tokens[6] != "label":
                     raise _fail(lineno, f"malformed edge line: {' '.join(tokens)}")
                 label = tokens[7]
-            if tokens[1] in edges:
-                raise _fail(lineno, f"duplicate edge {tokens[1]}")
-            edges[tokens[1]] = EdgeRec(tokens[3], tokens[5], label)
+            _put(edges, tokens[1], EdgeRec(tokens[3], tokens[5], label),
+                 lineno, f"edge {tokens[1]}")
         elif kind == "cell" and "cell" in allow:
             if len(tokens) < 4 or tokens[2] != ":":
                 raise _fail(lineno, f"malformed cell line: {' '.join(tokens)}")
-            if tokens[1] in cells:
-                raise _fail(lineno, f"duplicate cell {tokens[1]}")
-            cells[tokens[1]] = parse_dart_path(tokens[3:])
+            _put(cells, tokens[1], parse_dart_path(tokens[3:]), lineno,
+                 f"cell {tokens[1]}")
         elif kind == "base" and "base" in allow and len(tokens) == 2:
+            if base is not None:
+                raise _fail(lineno, "duplicate base")
             base = tokens[1]
         elif kind in allow - {"vertex", "edge", "cell", "base"}:
             extra.append((lineno, tokens))
@@ -137,9 +144,10 @@ def parse_morphism(text: str, source: TwoComplex,
     for lineno, tokens in _lines(text):
         kind = tokens[0]
         if kind == "vmap" and len(tokens) == 3:
-            vmap[tokens[1]] = tokens[2]
+            _put(vmap, tokens[1], tokens[2], lineno, f"vmap {tokens[1]}")
         elif kind == "emap" and len(tokens) == 3:
-            emap[tokens[1]] = parse_dart(tokens[2])
+            _put(emap, tokens[1], parse_dart(tokens[2]), lineno,
+                 f"emap {tokens[1]}")
         elif kind == "cmap" and len(tokens) == 5:
             if not tokens[3].startswith("rot=") or not tokens[4].startswith("orient="):
                 raise _fail(lineno, f"malformed cmap line: {' '.join(tokens)}")
@@ -147,8 +155,9 @@ def parse_morphism(text: str, source: TwoComplex,
             sign_text = tokens[4][7:]
             if sign_text not in ("+", "-"):
                 raise _fail(lineno, f"orientation must be + or -, got {sign_text}")
-            cmap[tokens[1]] = CellImage(tokens[2], rot,
-                                        1 if sign_text == "+" else -1)
+            _put(cmap, tokens[1],
+                 CellImage(tokens[2], rot, 1 if sign_text == "+" else -1),
+                 lineno, f"cmap {tokens[1]}")
         else:
             raise _fail(lineno, f"unknown declaration {kind!r}")
     return CellMorphism(source, target, vmap, emap, cmap)
@@ -191,18 +200,19 @@ def format_orbicomplex(x: OneRelatorOrbicomplex) -> str:
 def parse_orbicomplex(text: str) -> OneRelatorOrbicomplex:
     vertices, edges, _, _, extra = _parse_skeleton_lines(
         text, {"vertex", "edge", "relator", "branch"})
-    relator = None
-    branch = None
-    for lineno, tokens in extra:
-        if tokens[0] == "relator":
-            relator = parse_dart_path(tokens[1:])
-        elif tokens[0] == "branch":
-            if len(tokens) != 2 or not tokens[1].isdigit():
-                raise _fail(lineno, "branch takes one integer")
-            branch = int(tokens[1])
-    if relator is None or branch is None:
+    found: dict[str, object] = {}     # the relator and branch lines
+    for lineno, (kind, *rest) in extra:
+        if kind == "relator":
+            value = parse_dart_path(rest)
+        elif len(rest) == 1 and rest[0].isdigit():
+            value = int(rest[0])
+        else:
+            raise _fail(lineno, "branch takes one integer")
+        _put(found, kind, value, lineno, kind)
+    if len(found) < 2:
         raise ValueError("orbicomplex file needs relator and branch lines")
-    return build_orbicomplex(Graph(frozenset(vertices), edges), relator, branch)
+    return build_orbicomplex(Graph(frozenset(vertices), edges),
+                             found["relator"], found["branch"])
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +232,14 @@ def parse_quotient(text: str) -> FiniteQuotient:
     perms: dict[str, tuple[int, ...]] = {}
     for lineno, tokens in _lines(text):
         if tokens[0] == "degree" and len(tokens) == 2:
+            if degree is not None:
+                raise _fail(lineno, "duplicate degree")
             degree = int(tokens[1])
         elif tokens[0] == "perm":
             if len(tokens) < 4 or tokens[2] != ":":
                 raise _fail(lineno, f"malformed perm line: {' '.join(tokens)}")
-            perms[tokens[1]] = tuple(int(t) for t in tokens[3:])
+            _put(perms, tokens[1], tuple(int(t) for t in tokens[3:]), lineno,
+                 f"perm {tokens[1]}")
         else:
             raise _fail(lineno, f"unknown declaration {tokens[0]!r}")
     if degree is None:
@@ -249,13 +262,14 @@ def parse_cover_file(text: str) -> tuple[TwoComplex, dict[str, tuple[int, ...]]]
     """A cover file re-parses to its complex and family table."""
     complex_lines = []
     families: dict[str, tuple[int, ...]] = {}
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if stripped.startswith("family "):
             tokens = stripped.split()
             if len(tokens) < 4 or tokens[2] != ":":
                 raise ValueError(f"malformed family line: {raw!r}")
-            families[tokens[1]] = tuple(int(t) for t in tokens[3:])
+            _put(families, tokens[1], tuple(int(t) for t in tokens[3:]),
+                 lineno, f"family {tokens[1]}")
         else:
             complex_lines.append(raw)
     return parse_complex("\n".join(complex_lines)), families

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: exit codes, reason lines, round-trips."""
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -328,6 +329,60 @@ def test_campaign_over_a_letter_the_relator_lacks_is_a_usage_error(
     assert code == 2
     assert err.startswith(f"error: {path}: letter 'b' is not in the relator")
     assert out.startswith("config:") and out.count("\n") == 1
+
+
+NOT_A_ROSE = {
+    # the rose {a, b} was once rebuilt from the relator's letters, and the
+    # campaign passed over that different group
+    "two-vertices": "vertex u\nvertex v\nedge a : u -> v label a\n"
+                    "edge b : v -> u label b\nrelator a b\nbranch 2\n",
+    "relabelled-rose": "vertex *\nedge e1 : * -> * label a\n"
+                       "edge e2 : * -> * label b\nrelator e1 e2\nbranch 2\n",
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["group", "define"],
+    ["word", "solve", "--word", "a b"],
+    ["cover", "build"],
+    ["subgroup", "present", "--gens", "a"],
+    ["audit", "wcycles", "--trials", "5"],
+    ["audit", "wcycles", "--complex", "y.txt", "--map", "m.txt"],
+    ["stacking", "check", "--stacking", "s.txt"],
+], ids=["group-define", "word-solve", "cover-build", "subgroup-present",
+        "audit-trials", "audit-map", "stacking-check"])
+@pytest.mark.parametrize("group", NOT_A_ROSE.values(), ids=NOT_A_ROSE)
+def test_a_group_file_that_is_not_a_rose_is_a_usage_error(
+        tmp_path, capsys, monkeypatch, argv, group):
+    monkeypatch.chdir(tmp_path)
+    Path("y.txt").write_text(COVER_COMPLEX)
+    Path("m.txt").write_text(COVER_MAP)
+    Path("s.txt").write_text("h w 0 0\nh w 1 1/2\n")
+    Path("g.txt").write_text(group)
+    code, out, err = run(capsys, argv + ["--group", "g.txt"])
+    assert code == 2
+    assert err == ("error: g.txt: the graph must be a rose: one vertex, "
+                   "each loop named by its label\n")
+    assert out.startswith("config:") and out.count("\n") == 1
+
+
+def test_a_repeated_declaration_is_a_usage_error(tmp_path, capsys):
+    # `branch 2` then `branch 3` once defined the group with branch 3
+    group = tmp_path / "g.txt"
+    group.write_text(GROUP + "branch 3\n")
+    code, out, err = run(capsys, ["group", "define", "--group", str(group)])
+    assert code == 2
+    assert err == f"error: {group}: line 6: duplicate branch\n"
+    src = tmp_path / "src.txt"
+    src.write_text("vertex u\nedge e1 : u -> u label a\nbase u\n")
+    tgt = tmp_path / "rose.txt"
+    tgt.write_text("vertex *\nedge a : * -> * label a\nbase *\n")
+    mp = tmp_path / "m.txt"
+    mp.write_text("vmap u *\nemap e1 a\nemap e1 a~\n")
+    code, _, err = run(capsys, ["fold", "--source", str(src), "--target",
+                                str(tgt), "--map", str(mp)])
+    assert code == 2
+    assert err == f"error: {mp}: line 3: duplicate emap e1\n"
 
 
 def test_negative_stage_budget_is_a_usage_error(group_file, capsys):

@@ -13,8 +13,7 @@ import orelco.diagrams as diagrams
 from orelco.complexes import (Graph, MapKind, connected_components,
                               dart_reverse, euler_characteristic)
 from orelco.diagrams import (VanKampenDiagram, _DiskBuilder, _replay_conjugates,
-                             _symbol_table, build_reduced_diagram, find_mirror,
-                             mirror_witness)
+                             build_reduced_diagram, find_mirror, mirror_witness)
 from orelco.errors import DiagramError
 from orelco.orbicomplex import build_orbicomplex, check_orbi_immersion
 from orelco.textio import format_complex
@@ -219,10 +218,10 @@ def _reverse_boundary(builder):
 
 
 def _shift_cells(freeze):
-    def shifted(builder, x, symbols):
+    def shifted(builder, x):
         builder.cell_align = {c: (off + 1, s)
                               for c, (off, s) in builder.cell_align.items()}
-        return freeze(builder, x, symbols)
+        return freeze(builder, x)
     return shifted
 
 
@@ -250,7 +249,7 @@ def test_build_checks_raise_diagram_errors(monkeypatch, target, make, message):
 def test_mirror_witness_finds_the_uncancelled_pair():
     x = x_ab2()
     b = mirror_pair_builder()
-    complex_, labeling = b.freeze(x, _symbol_table(x))
+    complex_, labeling = b.freeze(x)
     d = VanKampenDiagram(complex_, tuple(b.boundary), b.readout(), labeling)
     assert mirror_witness(d) == ("g", "D0", 0, "D1", 0)
 

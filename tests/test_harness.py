@@ -160,6 +160,14 @@ def test_trial_seed_derivation_is_affine():
     assert trial_seed(7, 5) - trial_seed(7, 4) == 1
 
 
+@pytest.mark.parametrize("max_degree", [0, 1])
+def test_random_quotient_degree_bound_below_the_branch_index(max_degree):
+    # rng.choice once raised IndexError on the empty degree list
+    x = build_orbicomplex(Graph.rose("ab"), W("a b"), 2)
+    with pytest.raises(ValueError, match="max_degree must be at least"):
+        random_uniform_quotient(random.Random(0), x, max_degree)
+
+
 def test_random_uniform_quotients_validate_and_vary():
     x = build_orbicomplex(Graph.rose("ab"), W("a b"), 2)
     rng = random.Random(99)

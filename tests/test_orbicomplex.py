@@ -64,9 +64,21 @@ def test_build_rejects_bad_input():
         build_orbicomplex(rose, (A, B, ("a", -1)), 2)  # seam backtrack
     with pytest.raises(ValueError):
         build_orbicomplex(rose, (A, B, A, B), 2)  # proper power
-    seg = Graph(vertices=frozenset({"u", "v"}), edges={"e": EdgeRec("u", "v")})
-    with pytest.raises(ValueError):
-        build_orbicomplex(seg, (("e", 1),), 2)  # not closed
+
+
+@pytest.mark.parametrize("gamma, relator", [
+    (Graph(frozenset({"u", "v"}), {"a": EdgeRec("u", "v", "a"),
+                                   "b": EdgeRec("v", "u", "b")}), (A, B)),
+    (Graph(frozenset({"*"}), {"e1": EdgeRec("*", "*", "a"),
+                              "e2": EdgeRec("*", "*", "b")}),
+     (("e1", 1), ("e2", 1))),
+    (Graph(frozenset({"*"}), {"a": EdgeRec("*", "*", "a"),
+                              "b": EdgeRec("*", "*")}), (A, B)),
+], ids=["two-vertices", "loop-id-not-label", "unlabelled-loop"])
+def test_build_rejects_a_graph_that_is_not_a_rose(gamma, relator):
+    # each relator is a closed path, so only the rose rule refuses it
+    with pytest.raises(ValueError, match="must be a rose"):
+        build_orbicomplex(gamma, relator, 2)
 
 
 def test_presentation_complex_is_morphism_not_immersion():

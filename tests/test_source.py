@@ -35,3 +35,23 @@ def test_only_covers_walks_the_relator_image():
             if name in ("permutation_of", "cycles"):
                 found.append(f"{path.name}:{node.lineno}")
     assert sorted(LIBRARY.glob("*.py")) and not found, found
+
+
+def test_only_orbicomplex_spells_the_relator_power():
+    # relator_power_path() is the one spelling of w^n; a product with
+    # relator_word() elsewhere would be a second
+    found = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        if path.name == "orbicomplex.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.BinOp)
+                    and isinstance(node.op, ast.Mult)):
+                continue
+            for side in (node.left, node.right):
+                if (isinstance(side, ast.Call)
+                        and isinstance(side.func, ast.Attribute)
+                        and side.func.attr == "relator_word"):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert sorted(LIBRARY.glob("*.py")) and not found, found

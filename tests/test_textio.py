@@ -52,6 +52,44 @@ def test_complex_parser_rejects_malformed_lines():
         parse_complex("vertex v\nedge e : v -> v\nedge e : v -> v\nbase v\n")
 
 
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_complex, "vertex v\nbase v\nbase w\n", "line 3: duplicate base"),
+    (parse_orbicomplex, "vertex *\nedge a : * -> * label a\nrelator a\n"
+     "relator a a~ a\nbranch 2\n", "line 4: duplicate relator"),
+    (parse_orbicomplex, "vertex *\nedge a : * -> * label a\nrelator a\n"
+     "branch 2\nbranch 3\n", "line 5: duplicate branch"),
+    (parse_quotient, "degree 2\ndegree 2\nperm a : 1 0\n",
+     "line 2: duplicate degree"),
+    (parse_quotient, "degree 2\nperm a : 1 0\nperm a : 0 1\n",
+     "line 3: duplicate perm a"),
+    (parse_cover_file, "vertex p0\nbase p0\nfamily f0 : 0\nfamily f0 : 1\n",
+     "line 4: duplicate family f0"),
+], ids=["complex-base", "group-relator", "group-branch", "quotient-degree",
+        "quotient-perm", "cover-family"])
+def test_a_repeated_declaration_is_refused(parse, text, message):
+    # each was once read over by its last value
+    with pytest.raises(ValueError, match=message):
+        parse(text)
+
+
+@pytest.mark.parametrize("kind, lines", [
+    ("vmap", "vmap v *\nvmap v *\n"),
+    ("emap", "vmap v *\nemap e a\nemap e a~\n"),
+    ("cmap", "cmap f w rot=0 orient=+\ncmap f w rot=1 orient=+\n"),
+], ids=["vmap", "emap", "cmap"])
+def test_a_repeated_map_declaration_is_refused(kind, lines):
+    c = parse_complex("vertex v\nedge e : v -> v label a\ncell f : e e\n"
+                      "base v\n")
+    target = TwoComplex(Graph.rose("a"), {"w": (("a", 1),)})
+    with pytest.raises(ValueError, match=f"duplicate {kind} "):
+        parse_morphism(lines, c, target)
+
+
+def test_a_repeated_vertex_line_is_allowed():
+    c = parse_complex("vertex v\nvertex v\nbase v\n")
+    assert c.skeleton.vertices == frozenset({"v"})
+
+
 def test_comments_and_blank_lines_are_ignored():
     c = parse_complex("# header\nvertex v\n\nedge e : v -> v label a # loop\n"
                       "base v\n")
