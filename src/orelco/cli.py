@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .covers import build_unwrapped_cover, find_exponent_n_quotient, \
     verify_cover
-from .errors import BudgetExhaustedError, OrelcoError
+from .errors import BudgetExhaustedError, NotImmersionError, OrelcoError
 from .folding import fold
 from .harness import (SUITES, CampaignConfig, GeneratorParams, campaign_csv,
                       run_property_campaign)
@@ -222,7 +222,11 @@ def _cmd_audit_wcycles(args) -> int:
     x = _load(parse_orbicomplex, args.group)
     y = _load(parse_complex, args.complex)
     m = _load(parse_orbi_morphism, args.map, y, x)
-    audit = wcycles_audit(m)
+    try:
+        audit = wcycles_audit(m)
+    except NotImmersionError as exc:
+        # the inequality is claimed for immersions only: no counterexample
+        return _usage(f"{args.map}: not an immersion: {exc}")
     name = Path(args.complex).stem
     if args.format == "csv":
         _emit(args, audit_csv([(name, audit)]))

@@ -292,21 +292,49 @@ def candidate_words(codes: list[int], max_len: int):
     word is its own inverse; so comparing the two, when the prefix reaches
     that ``f^-1``, settles it.  A prefix whose inverse reads below it is
     abandoned, and a full word with a reduced seam is kept.
+
+    The last letter needs no walk.  After a prefix ``a`` of ``t = L - 1``
+    letters with period ``p``, a last key ``k`` equal to ``a[t - p]`` keeps
+    the period, so the word is least among its rotations when ``p`` divides
+    ``L``, and a greater ``k`` makes the whole word Lyndon.  So the last
+    keys are those from ``lo`` (``a[t - p]``, plus one unless ``p``
+    divides ``L``) up to ``len(codes)``, less two: ``a[t - 1] ^ 1``, which
+    would not reduce freely, and ``f^-1 = a[0] ^ 1``, which would not reduce
+    across the seam.  The inversion test fires only on ``f^-1``, so it
+    removes nothing more.  Their number advances the count in one step, and
+    a last key of code zero, looked up by the residue the prefix needs,
+    has for index the count so far plus its rank among the last keys: the
+    keys from ``lo`` below it, less the two exclusions among them.
     """
     top = len(codes)
     letter = tuple((k >> 1, -1 if k & 1 else 1) for k in range(top)).__getitem__
+    closing: dict[int, list[int]] = {}  # prefix code -> keys taking it to 0
+    for k in range(top):
+        closing.setdefault(-codes[k] % _P, []).append(k)
     count = 0
-    for target in range(1, max_len + 1):
-        a = [0] * target
-        period = [1] * (target + 1)     # period[t]: FKM period of a[:t]
-        code = [0] * (target + 1)       # code[t]: code of a[:t], mod _P
+    if max_len >= 1:
+        for k in range(0, top, 2):      # length 1: each positive letter
+            if not codes[k] % _P:
+                yield count, (letter(k),)
+            count += 1
+    for target in range(2, max_len + 1):
+        last = target - 1
+        a = [0] * last
+        period = [1] * target           # period[t]: FKM period of a[:t]
+        code = [0] * target             # code[t]: code of a[:t], mod _P
         t, x = 0, 0
         while True:
-            if t == target:
-                if target % period[t] == 0 and a[-1] != a[0] ^ 1:
-                    if not code[t]:
-                        yield count, tuple(map(letter, a))
-                    count += 1
+            if t == last:
+                p = period[t]
+                lo = a[t - p] if target % p == 0 else a[t - p] + 1
+                free, seam = a[t - 1] ^ 1, a[0] ^ 1
+                if seam == free:
+                    seam = -1           # one exclusion, counted once
+                for k in closing.get(code[t], ()):
+                    if k >= lo and k != free and k != seam:
+                        rank = k - lo - (lo <= free < k) - (lo <= seam < k)
+                        yield count + rank, tuple(map(letter, a + [k]))
+                count += top - lo - (free >= lo) - (seam >= lo)
                 t -= 1
                 x = a[t] + 1
                 continue
@@ -626,8 +654,8 @@ def present_subgroup(generators: list[Word], x: OneRelatorOrbicomplex, *,
         notes.append("stage budget exhausted before stabilization; "
                      "presentation is inconclusive")
     pres = _presentation_from_stage(state, not changed, tuple(notes))
+    sub = dict(zip(pres.symbols, pres.gen_words))
     for rel in pres.relators:
-        sub = {sym: gw for sym, gw in zip(pres.symbols, pres.gen_words)}
         expanded: list = []
         for sym, sign in rel:
             expanded.extend(sub[sym] if sign > 0 else inverse_word(sub[sym]))

@@ -237,6 +237,33 @@ def test_audit_single_needs_map(group_file, capsys, tmp_path):
     assert err.startswith("error:")
 
 
+ONE_VERTEX_SQUARE = ("vertex p\nedge a : p -> p label a\n"
+                     "edge b : p -> p label b\ncell f0 : a b a b\nbase p\n")
+NOT_IMMERSIONS = {
+    # a cell reading all of (ab)^2 puts both its a-sides on one side of
+    # the branched disk
+    "cell-folds": "vmap p *\nemap a a\nemap b b\ncmap f0 w rot=0 orient=+\n",
+    "edge-unmapped": "vmap p *\nemap a a\ncmap f0 w rot=0 orient=+\n",
+}
+
+
+@pytest.mark.parametrize("map_text", NOT_IMMERSIONS.values(),
+                         ids=NOT_IMMERSIONS)
+def test_audit_single_map_that_is_not_an_immersion_is_a_usage_error(
+        group_file, capsys, tmp_path, map_text):
+    # the inequality is claimed for immersions only, so such a map is no
+    # counterexample, and the audit names the map file
+    y = tmp_path / "y.txt"
+    y.write_text(ONE_VERTEX_SQUARE)
+    m = tmp_path / "m.txt"
+    m.write_text(map_text)
+    code, out, err = run(capsys, ["audit", "wcycles", "--group", group_file,
+                                  "--complex", str(y), "--map", str(m)])
+    assert code == 2
+    assert err.startswith(f"error: {m}: not an immersion: ")
+    assert out.startswith("config:") and out.count("\n") == 1
+
+
 def test_audit_campaign_all_pass(group_file, capsys):
     code, out, _ = run(capsys, ["audit", "wcycles", "--group", group_file,
                                 "--trials", "40", "--seed", "5"])

@@ -228,6 +228,116 @@ def test_screened_stream_is_the_zero_code_part_of_every_class(num_gens,
             assert any(len(w) > 1 for _, w in items)
 
 
+def plain_candidate_words(codes, max_len):
+    """The enumerator as it was before it settled the last letter without
+    a walk, kept verbatim: every leaf of the necklace tree is visited."""
+    top = len(codes)
+    letter = tuple((k >> 1, -1 if k & 1 else 1) for k in range(top)).__getitem__
+    count = 0
+    for target in range(1, max_len + 1):
+        a = [0] * target
+        period = [1] * (target + 1)     # period[t]: FKM period of a[:t]
+        code = [0] * (target + 1)       # code[t]: code of a[:t], mod _P
+        t, x = 0, 0
+        while True:
+            if t == target:
+                if target % period[t] == 0 and a[-1] != a[0] ^ 1:
+                    if not code[t]:
+                        yield count, tuple(map(letter, a))
+                    count += 1
+                t -= 1
+                x = a[t] + 1
+                continue
+            if t:
+                floor = a[t - period[t]]
+                if x < floor:
+                    x = floor
+                if x == a[t - 1] ^ 1:
+                    x += 1
+            else:
+                x += x & 1
+            if x >= top:
+                if t == 0:
+                    break
+                t -= 1
+                x = a[t] + 1
+                continue
+            a[t] = x
+            if t and x == a[0] ^ 1:
+                s = 1
+                while a[t - s] ^ 1 == a[s]:
+                    s += 1
+                if a[t - s] ^ 1 < a[s]:
+                    x += 1
+                    continue
+            period[t + 1] = (period[t] if t and x == a[t - period[t]]
+                             else t + 1)
+            code[t + 1] = (code[t] + codes[x]) % _P
+            t += 1
+            x = 0
+    yield count, None
+
+
+def settling_code_vectors(num_gens, seed):
+    """Letter codes by key under which many last letters settle at once:
+    small codes from {0, 1, 2}, a generator of code 0 (both its letters
+    settle together), two generators sharing one code (several letters
+    settle at one node), and ``c_1 = -c_0``."""
+    rng = random.Random(seed)
+
+    def draw():
+        return rng.randrange(1, _P)
+
+    gens = [[rng.choice((0, 1, 2)) for _ in range(num_gens)],
+            [0] + [draw() for _ in range(num_gens - 1)]]
+    if num_gens >= 2:
+        c = draw()
+        rest = [draw() for _ in range(num_gens - 2)]
+        gens += [[c, c] + rest, [c, _P - c] + rest]
+    return [[v for c in g for v in (c, -c % _P)] for g in gens]
+
+
+@pytest.mark.parametrize("num_gens,max_len",
+                         [(1, 12), (2, 12), (3, 8), (4, 6), (5, 5)])
+def test_settled_last_letters_match_the_plain_walk_item_for_item(num_gens,
+                                                                 max_len):
+    for codes in settling_code_vectors(num_gens, seed=num_gens * 31 + max_len):
+        assert (list(candidate_words(codes, max_len))
+                == list(plain_candidate_words(codes, max_len)))
+
+
+# The benchmark's present instances at their word budgets.
+PRESENT_RUNS = [
+    ("a b", 2, ("b", "a a", "a b a~"), 12),
+    ("a b", 3, ("a b a", "b a b", "a a"), 6),
+    ("a b a b~", 2, ("a", "b a b~"), 6),
+]
+# The first instance seeds a stage of rank 3, whose stream at 12 letters
+# takes the plain walk half a minute; its sweep glues at the first
+# candidate there, and walks the whole stream only at the stable stage.
+SEED_STAGE_MAX_LEN = 9
+
+
+@pytest.mark.parametrize("relator,n,gens,max_len", PRESENT_RUNS)
+def test_present_stage_streams_match_the_plain_walk(relator, n, gens,
+                                                     max_len):
+    # the streams over the real letter codes of the seed stage and of the
+    # stable stage, whose stream the sweep walks to its last item
+    _, cover = screen_cover(relator, n)
+    pulled = pull_back_subgroup([W(g) for g in gens], cover.quotient)
+    seed = state = seed_immersion([p for p in pulled if p], cover)
+    changed = True
+    while changed:
+        state, changed = _sweep(state, max_len)
+    for stage, budget in ((seed, min(max_len, SEED_STAGE_MAX_LEN)),
+                          (state, max_len)):
+        codes = _hop_codes(_bfs_frame(stage.current, stage.to_cover),
+                           stage.to_cover)
+        got = list(candidate_words(codes, budget))
+        assert got == list(plain_candidate_words(codes, budget))
+        assert len(got) > 1
+
+
 def test_candidate_stream_size_at_the_default_budget():
     assert len(zero_code_stream(2, 12)) == 34998
 
