@@ -200,18 +200,23 @@ def test_candidate_stream_matches_the_reference_word_for_word(num_gens,
 
 
 def code_vectors(num_gens, seed):
-    """Letter codes by key: all zero, all nonzero, some generators zero,
-    and ``c_1 = -c_0`` so that classes other than the empty one pass."""
+    """Letter codes by key: all zero, all nonzero, some generators zero
+    (both letters of such a generator settle together), small codes from
+    {0, 1, 2}, and with two generators ``c_1 = -c_0``, so that classes
+    other than the empty one pass, and ``c_1 = c_0``, so that several last
+    letters settle at one prefix."""
     rng = random.Random(seed)
 
     def draw():
         return rng.randrange(1, _P)
 
     gens = [[0] * num_gens, [draw() for _ in range(num_gens)],
-            [draw() if i % 2 else 0 for i in range(num_gens)]]
+            [draw() if i % 2 else 0 for i in range(num_gens)],
+            [rng.choice((0, 1, 2)) for _ in range(num_gens)]]
     if num_gens >= 2:
         c = draw()
-        gens.append([c, _P - c] + [draw() for _ in range(num_gens - 2)])
+        rest = [draw() for _ in range(num_gens - 2)]
+        gens += [[c, _P - c] + rest, [c, c] + rest]
     return [[v for c in g for v in (c, -c % _P)] for g in gens]
 
 
@@ -278,30 +283,11 @@ def plain_candidate_words(codes, max_len):
     yield count, None
 
 
-def settling_code_vectors(num_gens, seed):
-    """Letter codes by key under which many last letters settle at once:
-    small codes from {0, 1, 2}, a generator of code 0 (both its letters
-    settle together), two generators sharing one code (several letters
-    settle at one node), and ``c_1 = -c_0``."""
-    rng = random.Random(seed)
-
-    def draw():
-        return rng.randrange(1, _P)
-
-    gens = [[rng.choice((0, 1, 2)) for _ in range(num_gens)],
-            [0] + [draw() for _ in range(num_gens - 1)]]
-    if num_gens >= 2:
-        c = draw()
-        rest = [draw() for _ in range(num_gens - 2)]
-        gens += [[c, c] + rest, [c, _P - c] + rest]
-    return [[v for c in g for v in (c, -c % _P)] for g in gens]
-
-
 @pytest.mark.parametrize("num_gens,max_len",
                          [(1, 12), (2, 12), (3, 8), (4, 6), (5, 5)])
 def test_settled_last_letters_match_the_plain_walk_item_for_item(num_gens,
                                                                  max_len):
-    for codes in settling_code_vectors(num_gens, seed=num_gens * 31 + max_len):
+    for codes in code_vectors(num_gens, seed=num_gens * 31 + max_len):
         assert (list(candidate_words(codes, max_len))
                 == list(plain_candidate_words(codes, max_len)))
 
