@@ -21,7 +21,7 @@ from .orbicomplex import (OneRelatorOrbicomplex, OrbiMorphism, WCyclesAudit,
 from .pipeline import (Presentation, PipelineReport, PipelineState,
                        present_subgroup, seed_immersion)
 from .stacking import (Stacking, StackingVerdict, check_good_stacking,
-                       is_branched, parse_stacking)
+                       is_branched)
 from .words import (DehnResult, DehnStep, dehn_solve, format_word,
                     free_reduce, inverse_word, parse_word)
 
@@ -48,3 +48,10 @@ __all__ = [
     "random_uniform_quotient", "run_property_campaign",
     "seed_immersion", "verify_cover", "wcycles_audit",
 ]
+
+
+def __getattr__(name):  # the text formats load on first use
+    if name == "parse_stacking":
+        from .textio import parse_stacking
+        return parse_stacking
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,18 +15,19 @@ from pathlib import Path
 
 from .covers import build_unwrapped_cover, find_exponent_n_quotient, \
     verify_cover
-from .errors import BudgetExhaustedError, NotImmersionError, OrelcoError
+from .errors import (BudgetExhaustedError, NotImmersionError,
+                     NotMorphismError, OrelcoError)
 from .folding import fold
 from .harness import (SUITES, CampaignConfig, GeneratorParams, campaign_csv,
                       run_property_campaign)
 from .orbicomplex import wcycles_audit
 from .pipeline import present_subgroup
-from .stacking import check_good_stacking, is_branched, parse_stacking
+from .stacking import check_good_stacking, is_branched
 from .textio import (audit_csv, export_dot, format_complex, format_cover,
                      format_fold_trace, format_morphism,
                      format_presentation, format_quotient, parse_complex,
                      parse_cover_file, parse_morphism, parse_orbi_morphism,
-                     parse_orbicomplex, pipeline_csv)
+                     parse_orbicomplex, parse_stacking, pipeline_csv)
 from .words import dehn_solve, format_word, free_reduce, parse_word
 
 EXIT_OK = 0
@@ -253,7 +254,10 @@ def _cmd_fold(args) -> int:
     source = _load(parse_complex, args.source)
     target = _load(parse_complex, args.target)
     m = _load(parse_morphism, args.map, source, target)
-    result = fold(m)
+    try:
+        result = fold(m)
+    except NotMorphismError as exc:
+        return _usage(f"{args.map}: not a morphism: {exc}")
     _emit(args, format_complex(result.folded))
     print(format_morphism(result.inclusion), end="")
     if args.trace:
@@ -270,7 +274,10 @@ def _cmd_stacking_check(args) -> int:
     base = (_load(parse_orbicomplex, args.group) if args.group
             else _load(parse_complex, args.complex))
     s = _load(parse_stacking, args.stacking, base)
-    verdict = check_good_stacking(s)
+    try:
+        verdict = check_good_stacking(s)
+    except ValueError as exc:
+        return _usage(f"{args.stacking}: {exc}")
     print(f"branched: {1 if is_branched(s) else 0}")
     if verdict.good:
         print("result: good")

@@ -102,39 +102,3 @@ def is_branched(s: Stacking) -> bool:
     every 2-cell carries a cone point of index at least 2."""
     return (isinstance(s.complex, OneRelatorOrbicomplex)
             and s.complex.branch_index >= 2)
-
-
-# ---------------------------------------------------------------------------
-# text format
-
-
-def format_stacking(s: Stacking) -> str:
-    lines = [f"h {cid} {i} {h}" for (cid, i), h in sorted(s.heights.items())]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def parse_stacking(text: str, complex) -> Stacking:
-    """Read `h <cell> <position> <rational>` lines; other lines are ignored
-    so a stacking may ride along in a complex file."""
-    heights: dict[Position, Fraction] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if tokens[0] != "h":
-            continue
-        if len(tokens) != 4:
-            raise ValueError(f"line {lineno}: expected 'h <cell> <position> "
-                             f"<rational>', got {raw!r}")
-        cid, pos_text, h_text = tokens[1], tokens[2], tokens[3]
-        try:
-            pos = int(pos_text)
-            h = Fraction(h_text)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: {exc}") from exc
-        if (cid, pos) in heights:
-            raise ValueError(f"line {lineno}: duplicate height for "
-                             f"({cid}, {pos})")
-        heights[(cid, pos)] = h
-    return Stacking(complex, heights)

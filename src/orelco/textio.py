@@ -1,18 +1,22 @@
-"""Plain-text formats: complexes, morphisms, orbicomplexes, quotients,
-covers, presentations, fold traces, report CSVs, and DOT export.
+"""Plain-text formats: complexes, morphisms, orbicomplexes, stackings,
+quotients, covers, presentations, fold traces, report CSVs, and DOT export.
 
 One declaration per line, `#` starts a comment, round-trips are bit-exact.
+Every reader goes through `_lines` and names a faulty line as `line N: ...`;
+a dart path is written as a word over edge ids (`e1 e2~ e3`).
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .complexes import (CellImage, CellMorphism, Dart, EdgeRec, Graph,
-                        TwoComplex, require_valid)
+                        TwoComplex, validate_complex)
 from .covers import FiniteQuotient, UnwrappedCover
 from .orbicomplex import (OneRelatorOrbicomplex, OrbiMorphism, WCyclesAudit,
                           build_orbicomplex)
+from .stacking import ORBI_CIRCLE, Position, Stacking
 from .words import Word, format_word, parse_word
-from .words import format_word as format_dart_path
 
 
 def _lines(text: str):
@@ -34,23 +38,6 @@ def _put(table: dict, key: str, value, lineno: int, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# dart paths: `e1 e2~ e3`, the word syntax over edge ids
-
-
-def format_dart(d: Dart) -> str:
-    return format_dart_path((d,))
-
-
-def parse_dart(token: str) -> Dart:
-    (d,) = parse_dart_path([token])
-    return d
-
-
-def parse_dart_path(tokens) -> tuple[Dart, ...]:
-    return parse_word(" ".join(tokens))
-
-
-# ---------------------------------------------------------------------------
 # complexes
 
 
@@ -68,7 +55,7 @@ def _format_skeleton(g: Graph) -> list[str]:
 def format_complex(c: TwoComplex) -> str:
     out = _format_skeleton(c.skeleton)
     for cid in sorted(c.cells):
-        out.append(f"cell {cid} : {format_dart_path(c.cells[cid])}")
+        out.append(f"cell {cid} : {format_word(c.cells[cid])}")
     out.append(f"base {c.base_vertex}")
     return "\n".join(out) + "\n"
 
@@ -96,7 +83,7 @@ def _parse_skeleton_lines(text: str, allow: set[str]):
         elif kind == "cell" and "cell" in allow:
             if len(tokens) < 4 or tokens[2] != ":":
                 raise _fail(lineno, f"malformed cell line: {' '.join(tokens)}")
-            _put(cells, tokens[1], parse_dart_path(tokens[3:]), lineno,
+            _put(cells, tokens[1], parse_word(" ".join(tokens[3:])), lineno,
                  f"cell {tokens[1]}")
         elif kind == "base" and "base" in allow and len(tokens) == 2:
             if base is not None:
@@ -109,14 +96,19 @@ def _parse_skeleton_lines(text: str, allow: set[str]):
     return vertices, edges, cells, base, extra
 
 
-def parse_complex(text: str) -> TwoComplex:
-    vertices, edges, cells, base, _ = _parse_skeleton_lines(
-        text, {"vertex", "edge", "cell", "base"})
+def _build_complex(vertices, edges, cells, base) -> TwoComplex:
     if base is None:
         raise ValueError("complex file is missing its base line")
     c = TwoComplex(Graph(frozenset(vertices), edges), cells, base_vertex=base)
-    require_valid(c)
+    problems = validate_complex(c)
+    if problems:
+        raise ValueError("; ".join(problems))
     return c
+
+
+def parse_complex(text: str) -> TwoComplex:
+    *parts, _ = _parse_skeleton_lines(text, {"vertex", "edge", "cell", "base"})
+    return _build_complex(*parts)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +120,7 @@ def format_morphism(m: CellMorphism) -> str:
     for v in sorted(m.vertex_map):
         out.append(f"vmap {v} {m.vertex_map[v]}")
     for e in sorted(m.edge_map):
-        out.append(f"emap {e} {format_dart(m.edge_map[e])}")
+        out.append(f"emap {e} {format_word((m.edge_map[e],))}")
     for cid in sorted(m.cell_map):
         im = m.cell_map[cid]
         sign = "+" if im.orient > 0 else "-"
@@ -146,7 +138,7 @@ def parse_morphism(text: str, source: TwoComplex,
         if kind == "vmap" and len(tokens) == 3:
             _put(vmap, tokens[1], tokens[2], lineno, f"vmap {tokens[1]}")
         elif kind == "emap" and len(tokens) == 3:
-            _put(emap, tokens[1], parse_dart(tokens[2]), lineno,
+            _put(emap, tokens[1], parse_word(tokens[2])[0], lineno,
                  f"emap {tokens[1]}")
         elif kind == "cmap" and len(tokens) == 5:
             if not tokens[3].startswith("rot=") or not tokens[4].startswith("orient="):
@@ -163,12 +155,9 @@ def parse_morphism(text: str, source: TwoComplex,
     return CellMorphism(source, target, vmap, emap, cmap)
 
 
-ORBICELL = "w"   # name of the single orbicell in morphism files
-
-
 def format_orbi_morphism(m: OrbiMorphism) -> str:
     """Morphism into an orbicomplex: the plain format, the orbicell named `w`."""
-    cells = {cid: CellImage(ORBICELL, offset, orient)
+    cells = {cid: CellImage(ORBI_CIRCLE, offset, orient)
              for cid, (offset, orient) in m.cell_align.items()}
     return format_morphism(CellMorphism(m.source, m.target.presentation_complex,
                                         m.vertex_map, m.edge_map, cells))
@@ -178,8 +167,8 @@ def parse_orbi_morphism(text: str, source: TwoComplex,
                         target: OneRelatorOrbicomplex) -> OrbiMorphism:
     plain = parse_morphism(text, source, target.presentation_complex)
     for cid in sorted(plain.cell_map):
-        if plain.cell_map[cid].cell != ORBICELL:
-            raise ValueError(f"cmap {cid}: the orbicell is named {ORBICELL!r},"
+        if plain.cell_map[cid].cell != ORBI_CIRCLE:
+            raise ValueError(f"cmap {cid}: the orbicell is named {ORBI_CIRCLE!r},"
                              f" got {plain.cell_map[cid].cell!r}")
     return OrbiMorphism(source, target, plain.vertex_map, plain.edge_map,
                         {cid: (im.offset, im.orient)
@@ -192,7 +181,7 @@ def parse_orbi_morphism(text: str, source: TwoComplex,
 
 def format_orbicomplex(x: OneRelatorOrbicomplex) -> str:
     out = _format_skeleton(x.gamma)
-    out.append(f"relator {format_dart_path(x.relator)}")
+    out.append(f"relator {format_word(x.relator)}")
     out.append(f"branch {x.branch_index}")
     return "\n".join(out) + "\n"
 
@@ -203,7 +192,7 @@ def parse_orbicomplex(text: str) -> OneRelatorOrbicomplex:
     found: dict[str, object] = {}     # the relator and branch lines
     for lineno, (kind, *rest) in extra:
         if kind == "relator":
-            value = parse_dart_path(rest)
+            value = parse_word(" ".join(rest))
         elif len(rest) == 1 and rest[0].isdigit():
             value = int(rest[0])
         else:
@@ -213,6 +202,33 @@ def parse_orbicomplex(text: str) -> OneRelatorOrbicomplex:
         raise ValueError("orbicomplex file needs relator and branch lines")
     return build_orbicomplex(Graph(frozenset(vertices), edges),
                              found["relator"], found["branch"])
+
+
+# ---------------------------------------------------------------------------
+# stackings
+
+
+def format_stacking(s: Stacking) -> str:
+    lines = [f"h {cid} {i} {h}" for (cid, i), h in sorted(s.heights.items())]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def parse_stacking(text: str, complex) -> Stacking:
+    """Read `h <cell> <position> <rational>` lines; other declarations are
+    skipped, so a stacking may ride along in a complex file."""
+    heights: dict[Position, Fraction] = {}
+    for lineno, tokens in _lines(text):
+        if tokens[0] != "h":
+            continue
+        if len(tokens) != 4:
+            raise _fail(lineno, f"malformed height line: {' '.join(tokens)}")
+        try:
+            pos, h = int(tokens[2]), Fraction(tokens[3])
+        except ValueError as exc:
+            raise _fail(lineno, str(exc)) from exc
+        _put(heights, (tokens[1], pos), h, lineno,
+             f"height for ({tokens[1]}, {pos})")
+    return Stacking(complex, heights)
 
 
 # ---------------------------------------------------------------------------
@@ -260,19 +276,15 @@ def format_cover(c: UnwrappedCover) -> str:
 
 def parse_cover_file(text: str) -> tuple[TwoComplex, dict[str, tuple[int, ...]]]:
     """A cover file re-parses to its complex and family table."""
-    complex_lines = []
+    *parts, extra = _parse_skeleton_lines(
+        text, {"vertex", "edge", "cell", "base", "family"})
     families: dict[str, tuple[int, ...]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
-        if stripped.startswith("family "):
-            tokens = stripped.split()
-            if len(tokens) < 4 or tokens[2] != ":":
-                raise ValueError(f"malformed family line: {raw!r}")
-            _put(families, tokens[1], tuple(int(t) for t in tokens[3:]),
-                 lineno, f"family {tokens[1]}")
-        else:
-            complex_lines.append(raw)
-    return parse_complex("\n".join(complex_lines)), families
+    for lineno, tokens in extra:
+        if len(tokens) < 4 or tokens[2] != ":":
+            raise _fail(lineno, f"malformed family line: {' '.join(tokens)}")
+        _put(families, tokens[1], tuple(int(t) for t in tokens[3:]), lineno,
+             f"family {tokens[1]}")
+    return _build_complex(*parts), families
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +320,7 @@ def format_fold_trace(trace) -> str:
     out = []
     for entry in trace:
         if entry[0] == "dart":
-            out.append(f"identify dart {format_dart(entry[1])} "
-                       f"{format_dart(entry[2])}")
+            out.append(f"identify dart {format_word(entry[1:])}")
         elif entry[0] == "cell":
             out.append(f"identify cell {entry[1]} {entry[2]}")
         else:
@@ -323,7 +334,7 @@ def parse_fold_trace(text: str):
         if len(tokens) != 4 or tokens[0] != "identify":
             raise _fail(lineno, f"malformed trace line: {' '.join(tokens)}")
         if tokens[1] == "dart":
-            entries.append(("dart", parse_dart(tokens[2]), parse_dart(tokens[3])))
+            entries.append(("dart", *parse_word(" ".join(tokens[2:]))))
         elif tokens[1] == "cell":
             entries.append(("cell", tokens[2], tokens[3]))
         else:

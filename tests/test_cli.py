@@ -453,8 +453,26 @@ def test_fold_rejects_non_morphism(capsys, tmp_path):
     mp.write_text("vmap u p\nemap e1 c\n")
     code, _, err = run(capsys, ["fold", "--source", str(src), "--target",
                                 str(tgt), "--map", str(mp)])
-    assert code == 1
-    assert err.startswith("error:")
+    assert code == 2
+    assert err == (f"error: {mp}: not a morphism: dart ('e1', -1) breaks "
+                   "origin commutation\n")
+
+
+def test_fold_map_with_an_unmapped_edge_is_a_usage_error(capsys, tmp_path):
+    # it once exited 1, as if the fold had broken an invariant
+    src = tmp_path / "src.txt"
+    src.write_text("vertex p\nedge a : p -> p label a\n"
+                   "edge b : p -> p label b\nbase p\n")
+    tgt = tmp_path / "rose.txt"
+    tgt.write_text("vertex *\nedge a : * -> * label a\n"
+                   "edge b : * -> * label b\nbase *\n")
+    mp = tmp_path / "m.txt"
+    mp.write_text("vmap p *\nemap a a\n")
+    code, out, err = run(capsys, ["fold", "--source", str(src), "--target",
+                                  str(tgt), "--map", str(mp)])
+    assert code == 2
+    assert err == f"error: {mp}: not a morphism: edge b has no image\n"
+    assert out.startswith("config:") and out.count("\n") == 1
 
 
 def test_stacking_check_good(capsys, tmp_path):
@@ -479,6 +497,58 @@ def test_stacking_check_not_good(capsys, tmp_path):
     assert code == 1
     assert "result: not_good" in out
     assert "error: component A has no global-maximum position" in out
+
+
+TWO_CELLS_ON_ONE_LOOP = ("vertex v\nedge e : v -> v label a\ncell A : e\n"
+                         "cell B : e\nbase v\n")
+
+
+@pytest.mark.parametrize("domain, stacking, message", [
+    ("--group", "", "no height for position ('w', 0); "
+                    "no height for position ('w', 1)"),
+    ("--group", "h w 0 1\nh w 1 2\nh w 5 3\n",
+     "height for unknown position ('w', 5)"),
+    ("--complex", "h A 0 1\nh B 0 1\n",
+     "positions ('A', 0) and ('B', 0) over edge e share height 1"),
+], ids=["empty", "unknown-position", "shared-height"])
+def test_an_invalid_stacking_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                              domain, stacking, message):
+    # each once exited 1, as if the stacking were merely not good
+    monkeypatch.chdir(tmp_path)
+    Path("g.txt").write_text(GROUP)
+    Path("c.txt").write_text(TWO_CELLS_ON_ONE_LOOP)
+    Path("s.txt").write_text(stacking)
+    base = "g.txt" if domain == "--group" else "c.txt"
+    code, out, err = run(capsys, ["stacking", "check", domain, base,
+                                  "--stacking", "s.txt"])
+    assert code == 2
+    assert err == f"error: s.txt: stacking is not an embedding: {message}\n"
+    assert out.startswith("config:") and out.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["export", "dot", "--complex", "y.txt"],
+    ["fold", "--source", "y.txt", "--target", "rose.txt", "--map", "m.txt"],
+    ["stacking", "check", "--complex", "y.txt", "--stacking", "s.txt"],
+    ["audit", "wcycles", "--group", "g.txt", "--complex", "y.txt",
+     "--map", "m.txt"],
+], ids=["export-dot", "fold", "stacking-check", "audit-map"])
+def test_a_complex_naming_a_missing_vertex_is_a_usage_error(
+        tmp_path, capsys, monkeypatch, argv):
+    # the complex reader once raised past the usage check, and each exited 1
+    monkeypatch.chdir(tmp_path)
+    Path("y.txt").write_text(
+        COVER_COMPLEX.replace("edge a0 : p0 -> p1", "edge a0 : p0 -> p9"))
+    Path("rose.txt").write_text("vertex *\nedge a : * -> * label a\n"
+                                "edge b : * -> * label b\nbase *\n")
+    Path("m.txt").write_text(COVER_MAP)
+    Path("s.txt").write_text("h f0 0 0\nh f0 1 1\nh f0 2 2\nh f0 3 3\n")
+    Path("g.txt").write_text(GROUP)
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert err.startswith(
+        "error: y.txt: edge a0 references missing vertex p9; ")
+    assert out.startswith("config:") and out.count("\n") == 1
 
 
 def test_stacking_check_orbicomplex_domain(group_file, capsys, tmp_path):

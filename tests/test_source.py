@@ -55,3 +55,17 @@ def test_only_orbicomplex_spells_the_relator_power():
                         and side.func.attr == "relator_word"):
                     found.append(f"{path.name}:{node.lineno}")
     assert sorted(LIBRARY.glob("*.py")) and not found, found
+
+
+def test_only_textio_reads_text():
+    # textio._lines is the one line reader; a splitlines call elsewhere
+    # would be a second text format with its own comment and error rules
+    found = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        if path.name == "textio.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr == "splitlines"]
+    assert sorted(LIBRARY.glob("*.py")) and not found, found

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from orelco.complexes import EdgeRec, Graph, TwoComplex
 from orelco.orbicomplex import build_orbicomplex
 from orelco.stacking import (ORBI_CIRCLE, Stacking, boundary_circles,
-                             check_good_stacking, format_stacking,
-                             is_branched, parse_stacking, validate_stacking)
+                             check_good_stacking, is_branched,
+                             validate_stacking)
+from orelco.textio import format_stacking, parse_stacking
 from orelco.words import parse_word
 
 F = Fraction
@@ -136,3 +137,9 @@ def test_parse_ignores_complex_lines_and_rejects_duplicates():
     assert s.heights == {("A", 0): F(2), ("B", 0): F(1)}
     with pytest.raises(ValueError, match="duplicate"):
         parse_stacking("h A 0 1\nh A 0 2\n", c)
+
+
+def test_package_still_exports_the_stacking_reader():
+    import orelco
+    from orelco import textio
+    assert orelco.parse_stacking is textio.parse_stacking

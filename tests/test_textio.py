@@ -11,13 +11,13 @@ from orelco.folding import fold
 from orelco.orbicomplex import build_orbicomplex, wcycles_audit
 from orelco.pipeline import PipelineReport, StageRow, present_subgroup
 from orelco.textio import (audit_csv, export_dot, format_complex,
-                           format_cover, format_dart_path, format_fold_trace,
-                           format_morphism, format_orbi_morphism,
-                           format_orbicomplex, format_presentation,
-                           format_quotient, parse_complex, parse_cover_file,
-                           parse_dart_path, parse_fold_trace, parse_morphism,
-                           parse_orbi_morphism, parse_orbicomplex,
-                           parse_presentation, parse_quotient, pipeline_csv)
+                           format_cover, format_fold_trace, format_morphism,
+                           format_orbi_morphism, format_orbicomplex,
+                           format_presentation, format_quotient,
+                           parse_complex, parse_cover_file, parse_fold_trace,
+                           parse_morphism, parse_orbi_morphism,
+                           parse_orbicomplex, parse_presentation,
+                           parse_quotient, pipeline_csv)
 from orelco.words import parse_word
 
 W = parse_word
@@ -85,6 +85,24 @@ def test_a_repeated_map_declaration_is_refused(kind, lines):
         parse_morphism(lines, c, target)
 
 
+def test_complex_parser_refuses_a_missing_vertex_as_a_value_error():
+    # an InvalidComplexError once slipped past the command line's usage check
+    with pytest.raises(ValueError, match="edge a0 references missing vertex p9"):
+        parse_complex("vertex p0\nedge a0 : p0 -> p9\nbase p0\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("vertex p0\nbase p0\nfamily f0 : 0\nwidget w\n",
+     "line 4: unknown declaration 'widget'"),
+    ("vertex p0\nbase p0\nfamily f0 0\n", "line 3: malformed family line"),
+], ids=["after-family", "family"])
+def test_cover_file_faults_carry_their_own_line(text, message):
+    # the family lines were once cut out and the rest parsed again, which
+    # moved every later line number up by one
+    with pytest.raises(ValueError, match=message):
+        parse_cover_file(text)
+
+
 def test_a_repeated_vertex_line_is_allowed():
     c = parse_complex("vertex v\nvertex v\nbase v\n")
     assert c.skeleton.vertices == frozenset({"v"})
@@ -94,12 +112,6 @@ def test_comments_and_blank_lines_are_ignored():
     c = parse_complex("# header\nvertex v\n\nedge e : v -> v label a # loop\n"
                       "base v\n")
     assert c.skeleton.edges["e"].label == "a"
-
-
-def test_dart_path_syntax():
-    assert parse_dart_path(["e1", "e2~", "e3"]) == (("e1", 1), ("e2", -1),
-                                                    ("e3", 1))
-    assert format_dart_path((("e1", 1), ("e2", -1))) == "e1 e2~"
 
 
 def test_morphism_round_trip():
