@@ -79,6 +79,59 @@ class FiniteQuotient:
         return point
 
 
+def _unwrap_cycles(q: FiniteQuotient, x: OneRelatorOrbicomplex
+                   ) -> tuple[str | None, list[tuple[int, ...]]]:
+    """``validate_quotient``'s problem, or None, and, when there is none,
+    the cycles of the relator image in ``cycles`` order.
+
+    Each cycle is walked point by point through the permutations of the
+    relator's letters, and the walk stops at the first cycle whose length is
+    not the branch index.  Transitivity is checked by forward images alone:
+    in a finite group, the orbits of the generators are the group's orbits.
+    """
+    symbols = x._rose_symbols
+    perms = q.perms
+    if sorted(perms) != symbols:
+        return "permutations do not match the rose symbols", []
+    k = q.degree
+    for s in symbols:
+        if not _is_perm(perms[s], k):
+            return f"image of {s} is not a permutation of degree {k}", []
+    steps = [perms[sym] if sign > 0 else _inverse(perms[sym])
+             for sym, sign in x.relator_word()]
+    n = x.branch_index
+    found: list[tuple[int, ...]] = []
+    seen = [False] * k
+    for i in range(k):
+        if seen[i]:
+            continue
+        cycle = []
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            cycle.append(j)
+            for p in steps:
+                j = p[j]
+        if len(cycle) != n:
+            return ("exponent condition violated: relator image has a cycle"
+                    f" of order {len(cycle)}, expected {n}"), []
+        found.append(tuple(cycle))
+    if k < 1:
+        return "degree must be at least 1", []
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        p = frontier.pop()
+        for s in symbols:
+            image = perms[s][p]
+            if image not in reached:
+                reached.add(image)
+                frontier.append(image)
+    if len(reached) != k:
+        return "action is not transitive", []
+    return None, found
+
+
 def validate_quotient(q: FiniteQuotient, x: OneRelatorOrbicomplex) -> list[str]:
     """The first problem that keeps a quotient from unwrapping the orbicomplex,
     or an empty list.
@@ -88,32 +141,13 @@ def validate_quotient(q: FiniteQuotient, x: OneRelatorOrbicomplex) -> list[str]:
     branch index n.  That is stronger than the image having order n, and is
     what makes the unwrapped cover an honest complex: a shorter cycle would
     leave residual branching, a torsion element in the cover's group.
+
+    The checks run in that order: symbols, permutations, the relator image,
+    the degree, transitivity.  The relator image is walked once, one cycle
+    at a time, and the walk stops at the first cycle of the wrong length.
     """
-    symbols = x._rose_symbols
-    if sorted(q.perms) != symbols:
-        return ["permutations do not match the rose symbols"]
-    for s in symbols:
-        if not _is_perm(q.perms[s], q.degree):
-            return [f"image of {s} is not a permutation of degree {q.degree}"]
-    n = x.branch_index
-    for cycle in cycles(q.permutation_of(x.relator_word())):
-        if len(cycle) != n:
-            return ["exponent condition violated: relator image has a cycle"
-                    f" of order {len(cycle)}, expected {n}"]
-    if q.degree < 1:
-        return ["degree must be at least 1"]
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        p = frontier.pop()
-        for s in symbols:
-            for image in (q.perms[s][p], q._inverses[s][p]):
-                if image not in reached:
-                    reached.add(image)
-                    frontier.append(image)
-    if len(reached) != q.degree:
-        return ["action is not transitive"]
-    return []
+    problem, _ = _unwrap_cycles(q, x)
+    return [problem] if problem else []
 
 
 RANDOM_ATTEMPTS_PER_DEGREE = 500
@@ -178,9 +212,9 @@ def build_unwrapped_cover(x: OneRelatorOrbicomplex,
     """Schreier cover of the rose with one 2-cell per orbit of the relator
     image, each the lift of the full relator power based at the least orbit
     point."""
-    problems = validate_quotient(q, x)
-    if problems:
-        raise ValueError("; ".join(problems))
+    problem, orbits = _unwrap_cycles(q, x)
+    if problem:
+        raise ValueError(problem)
     k = q.degree
     edges = {}
     for s in x._rose_symbols:
@@ -189,7 +223,7 @@ def build_unwrapped_cover(x: OneRelatorOrbicomplex,
     g = Graph(frozenset(f"p{i}" for i in range(k)), edges)
     cells: dict[str, tuple[Dart, ...]] = {}
     families: dict[str, tuple[int, ...]] = {}
-    for index, orbit in enumerate(cycles(q.permutation_of(x.relator_word()))):
+    for index, orbit in enumerate(orbits):
         start = f"p{orbit[0]}"
         lift = g.read(x.relator_power_path(), start)
         if lift is None or lift[1] != start:
@@ -239,6 +273,7 @@ def verify_cover(c: UnwrappedCover) -> CoverReport:
     w = x.relator_word()
     n = x.branch_index
     k = c.quotient.degree
+    chi = euler_characteristic(cover, 2)
     if sorted(c.families) != sorted(cover.cells):
         witnesses.append("family record does not match the cover's cells")
     # the unwrap accounting below is vacuous for a cell-free candidate, which
@@ -255,11 +290,9 @@ def verify_cover(c: UnwrappedCover) -> CoverReport:
                 witnesses.append(
                     f"edge {e} carries disk sides {labels}, expected {expected}")
         expected_chi = k * (Fraction(euler_characteristic(
-            TwoComplex(x.gamma, {}), 1)) + Fraction(1, n))
-        if Fraction(euler_characteristic(cover, 2)) != expected_chi:
-            witnesses.append(
-                f"Euler characteristic {euler_characteristic(cover, 2)}"
-                f" != {expected_chi}")
+            x.presentation_complex, 1)) + Fraction(1, n))
+        if chi != expected_chi:
+            witnesses.append(f"Euler characteristic {chi} != {expected_chi}")
         points = [p for orbit in c.families.values() for p in orbit]
         if sorted(points) != list(range(k)):
             witnesses.append("families do not partition the quotient points")
@@ -278,7 +311,7 @@ def verify_cover(c: UnwrappedCover) -> CoverReport:
     return CoverReport(
         passed=not witnesses,
         witnesses=tuple(witnesses),
-        euler=euler_characteristic(cover, 2),
+        euler=chi,
         euler_expected=expected_chi,
         degree=k,
         torsion_free_certified=certified,

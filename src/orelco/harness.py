@@ -45,9 +45,22 @@ class GeneratorParams:
     attach_probability: float = 0.5
 
     def orbicomplex(self) -> OneRelatorOrbicomplex:
-        symbols = sorted({sym for sym, _ in self.relator})
-        return build_orbicomplex(Graph.rose(symbols), tuple(self.relator),
-                                 self.branch_index)
+        """The rose orbicomplex of the relator, built on the first call and
+        kept on this instance, so that its cached properties last too."""
+        x = self.__dict__.get("_orbicomplex")
+        if x is None:
+            symbols = sorted({sym for sym, _ in self.relator})
+            x = build_orbicomplex(Graph.rose(symbols), tuple(self.relator),
+                                  self.branch_index)
+            object.__setattr__(self, "_orbicomplex", x)
+        return x
+
+    def _with_budget(self, vertex_budget: int) -> GeneratorParams:
+        """These parameters with another vertex budget, sharing this
+        instance's orbicomplex, which the budget does not change."""
+        out = replace(self, vertex_budget=vertex_budget)
+        object.__setattr__(out, "_orbicomplex", self.orbicomplex())
+        return out
 
 
 @dataclass(frozen=True)
@@ -169,8 +182,7 @@ def _run_wcycles_trial(rng: random.Random, seed: int,
                        cfg: CampaignConfig, trial: int):
     v = rng.randint(1, cfg.params.vertex_budget)
     gen_seed = rng.getrandbits(32)
-    m = random_irreducible_immersion(gen_seed,
-                                     replace(cfg.params, vertex_budget=v))
+    m = random_irreducible_immersion(gen_seed, cfg.params._with_budget(v))
     cls = check_orbi_immersion(m)
     if cls.kind < MapKind.IMMERSION:
         raise _violation("generator-soundness", seed, cls.witness or "?")

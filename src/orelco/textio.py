@@ -30,6 +30,18 @@ def _fail(lineno: int, why: str) -> ValueError:
     return ValueError(f"line {lineno}: {why}")
 
 
+def _read(lineno: int, parse, text: str, what: str):
+    """``parse(text)``; text that does not parse is a fault of its line."""
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _fail(lineno, f"cannot read {text!r} as {what}") from exc
+
+
+def _points(lineno: int, tokens: list[str]) -> tuple[int, ...]:
+    return tuple(_read(lineno, int, t, "an integer") for t in tokens)
+
+
 def _put(table: dict, key: str, value, lineno: int, what: str) -> None:
     # a second declaration of one name is refused, never read over the first
     if key in table:
@@ -83,8 +95,9 @@ def _parse_skeleton_lines(text: str, allow: set[str]):
         elif kind == "cell" and "cell" in allow:
             if len(tokens) < 4 or tokens[2] != ":":
                 raise _fail(lineno, f"malformed cell line: {' '.join(tokens)}")
-            _put(cells, tokens[1], parse_word(" ".join(tokens[3:])), lineno,
-                 f"cell {tokens[1]}")
+            _put(cells, tokens[1],
+                 _read(lineno, parse_word, " ".join(tokens[3:]), "a word"),
+                 lineno, f"cell {tokens[1]}")
         elif kind == "base" and "base" in allow and len(tokens) == 2:
             if base is not None:
                 raise _fail(lineno, "duplicate base")
@@ -138,12 +151,12 @@ def parse_morphism(text: str, source: TwoComplex,
         if kind == "vmap" and len(tokens) == 3:
             _put(vmap, tokens[1], tokens[2], lineno, f"vmap {tokens[1]}")
         elif kind == "emap" and len(tokens) == 3:
-            _put(emap, tokens[1], parse_word(tokens[2])[0], lineno,
-                 f"emap {tokens[1]}")
+            (dart,) = _read(lineno, parse_word, tokens[2], "a dart")
+            _put(emap, tokens[1], dart, lineno, f"emap {tokens[1]}")
         elif kind == "cmap" and len(tokens) == 5:
             if not tokens[3].startswith("rot=") or not tokens[4].startswith("orient="):
                 raise _fail(lineno, f"malformed cmap line: {' '.join(tokens)}")
-            rot = int(tokens[3][4:])
+            rot = _read(lineno, int, tokens[3][4:], "an integer")
             sign_text = tokens[4][7:]
             if sign_text not in ("+", "-"):
                 raise _fail(lineno, f"orientation must be + or -, got {sign_text}")
@@ -192,7 +205,7 @@ def parse_orbicomplex(text: str) -> OneRelatorOrbicomplex:
     found: dict[str, object] = {}     # the relator and branch lines
     for lineno, (kind, *rest) in extra:
         if kind == "relator":
-            value = parse_word(" ".join(rest))
+            value = _read(lineno, parse_word, " ".join(rest), "a word")
         elif len(rest) == 1 and rest[0].isdigit():
             value = int(rest[0])
         else:
@@ -222,10 +235,8 @@ def parse_stacking(text: str, complex) -> Stacking:
             continue
         if len(tokens) != 4:
             raise _fail(lineno, f"malformed height line: {' '.join(tokens)}")
-        try:
-            pos, h = int(tokens[2]), Fraction(tokens[3])
-        except ValueError as exc:
-            raise _fail(lineno, str(exc)) from exc
+        pos = _read(lineno, int, tokens[2], "an integer")
+        h = _read(lineno, Fraction, tokens[3], "a rational")
         _put(heights, (tokens[1], pos), h, lineno,
              f"height for ({tokens[1]}, {pos})")
     return Stacking(complex, heights)
@@ -250,11 +261,11 @@ def parse_quotient(text: str) -> FiniteQuotient:
         if tokens[0] == "degree" and len(tokens) == 2:
             if degree is not None:
                 raise _fail(lineno, "duplicate degree")
-            degree = int(tokens[1])
+            degree = _read(lineno, int, tokens[1], "an integer")
         elif tokens[0] == "perm":
             if len(tokens) < 4 or tokens[2] != ":":
                 raise _fail(lineno, f"malformed perm line: {' '.join(tokens)}")
-            _put(perms, tokens[1], tuple(int(t) for t in tokens[3:]), lineno,
+            _put(perms, tokens[1], _points(lineno, tokens[3:]), lineno,
                  f"perm {tokens[1]}")
         else:
             raise _fail(lineno, f"unknown declaration {tokens[0]!r}")
@@ -282,7 +293,7 @@ def parse_cover_file(text: str) -> tuple[TwoComplex, dict[str, tuple[int, ...]]]
     for lineno, tokens in extra:
         if len(tokens) < 4 or tokens[2] != ":":
             raise _fail(lineno, f"malformed family line: {' '.join(tokens)}")
-        _put(families, tokens[1], tuple(int(t) for t in tokens[3:]), lineno,
+        _put(families, tokens[1], _points(lineno, tokens[3:]), lineno,
              f"family {tokens[1]}")
     return _build_complex(*parts), families
 
@@ -334,7 +345,8 @@ def parse_fold_trace(text: str):
         if len(tokens) != 4 or tokens[0] != "identify":
             raise _fail(lineno, f"malformed trace line: {' '.join(tokens)}")
         if tokens[1] == "dart":
-            entries.append(("dart", *parse_word(" ".join(tokens[2:]))))
+            entries.append(("dart", *_read(lineno, parse_word,
+                                           " ".join(tokens[2:]), "a word")))
         elif tokens[1] == "cell":
             entries.append(("cell", tokens[2], tokens[3]))
         else:

@@ -68,6 +68,15 @@ def test_group_define_rejects_bad_file(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def test_a_cover_file_with_a_bad_family_point_names_its_line(tmp_path,
+                                                            capsys):
+    bad = tmp_path / "cf.txt"
+    bad.write_text(COVER_COMPLEX + "family f0 : 0 x\n")
+    code, _, err = run(capsys, ["export", "dot", "--complex", str(bad)])
+    assert code == 2
+    assert err == f"error: {bad}: line 9: cannot read 'x' as an integer\n"
+
+
 def test_missing_input_file_is_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, ["group", "define", "--group",
                                 str(tmp_path / "nope.txt")])

@@ -222,6 +222,100 @@ def test_validate_quotient_accepts_what_the_two_old_checks_accepted():
     assert min(tally.values()) >= 20, tally
 
 
+def _parent_validate_quotient(q, x):
+    """``validate_quotient`` as it read before it walked the relator image
+    one cycle at a time, verbatim: the full image, then its cycles."""
+    symbols = x._rose_symbols
+    if sorted(q.perms) != symbols:
+        return ["permutations do not match the rose symbols"]
+    for s in symbols:
+        if not covers._is_perm(q.perms[s], q.degree):
+            return [f"image of {s} is not a permutation of degree {q.degree}"]
+    n = x.branch_index
+    for cycle in cycles(q.permutation_of(x.relator_word())):
+        if len(cycle) != n:
+            return ["exponent condition violated: relator image has a cycle"
+                    f" of order {len(cycle)}, expected {n}"]
+    if q.degree < 1:
+        return ["degree must be at least 1"]
+    reached = {0}
+    frontier = [0]
+    while frontier:
+        p = frontier.pop()
+        for s in symbols:
+            for image in (q.perms[s][p], q._inverses[s][p]):
+                if image not in reached:
+                    reached.add(image)
+                    frontier.append(image)
+    if len(reached) != q.degree:
+        return ["action is not transitive"]
+    return []
+
+
+def _rule_kind(problems, n):
+    if not problems:
+        return "valid"
+    for key, kind in (("rose symbols", "symbols"),
+                      ("not a permutation", "permutation"),
+                      ("degree must", "degree"), ("transitive", "transitive")):
+        if key in problems[0]:
+            return kind
+    order = int(problems[0].split("order ")[1].split(",")[0])
+    return "short" if order < n else "long"
+
+
+def _rule_corpus(seed, count):
+    """(orbicomplex, quotient) pairs of every shape the rule sorts: random
+    permutations of degree 1-9 and multiples of n, wrong symbol sets, images
+    that are not permutations, actions that keep two blocks of points (each
+    a multiple of n, so some pass the cycle check) and degree 0."""
+    rng = random.Random(seed)
+    # branch index 1 lets a single point that no generator moves pass the
+    # cycle check, so only the transitivity walk can refuse it
+    groups = RULE_GROUPS + (("a b", 1),)
+    for i in range(count):
+        relator, n = groups[i % len(groups)]
+        x = make_x(relator, n)
+        shape = rng.randrange(5)
+        k = rng.choice((n, 2 * n, 3 * n, rng.randint(1, 9)))
+        perms = {s: tuple(rng.sample(range(k), k)) for s in "ab"}
+        if shape == 1:
+            perms = rng.choice(({"a": perms["a"]},
+                                {**perms, "c": perms["a"]}))
+        elif shape == 2:
+            perms["b"] = rng.choice((tuple(rng.choices(range(k), k=k)),
+                                     perms["b"] + (k,), perms["b"][1:]))
+        elif shape == 3:
+            cut = n * rng.randint(1, 2)
+            k = cut + n * rng.randint(1, 2)
+            points = rng.sample(range(k), k)
+            blocks = (points[:cut], points[cut:])
+            perms = {s: _block_preserving(rng, blocks) for s in "ab"}
+        elif shape == 4 and rng.random() < 0.2:
+            k, perms = 0, {"a": (), "b": ()}
+        yield x, FiniteQuotient(k, perms)
+
+
+def test_one_walk_rule_gives_the_parent_message_for_message():
+    tally = dict.fromkeys(("valid", "symbols", "permutation", "short", "long",
+                           "transitive", "degree"), 0)
+    for x, q in _rule_corpus(18, 2000):
+        want = _parent_validate_quotient(q, x)
+        assert validate_quotient(q, x) == want, (q, x.relator)
+        tally[_rule_kind(want, x.branch_index)] += 1
+        if not want:
+            c = build_unwrapped_cover(x, q)
+            orbits = old.orbits(q.permutation_of(x.relator_word()))
+            assert c.families == {f"f{i}": orbit
+                                  for i, orbit in enumerate(orbits)}
+        else:
+            with pytest.raises(ValueError) as info:
+                build_unwrapped_cover(x, q)
+            assert str(info.value) == want[0]
+    # every kind of verdict is in the corpus, not just the easy ones
+    assert min(tally.values()) >= 20, tally
+
+
 def test_cover_families_are_the_old_orbit_walk():
     pairs = [(x, q) for x, q in _quotient_corpus(3, 600) if old.accepts(q, x)]
     rng = random.Random(4)

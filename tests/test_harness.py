@@ -9,6 +9,7 @@ from orelco.complexes import (EdgeRec, Graph, MapKind, TwoComplex,
 from orelco.covers import (FiniteQuotient, build_unwrapped_cover,
                            find_exponent_n_quotient, validate_quotient)
 from orelco.errors import OrelcoError
+import orelco.harness as harness
 from orelco.harness import (CSV_HEADER, QUOTIENT_ATTEMPTS, CampaignConfig,
                             GeneratorParams, TrialRow, _generate_uncollapsed,
                             _random_labeled_graph, campaign_csv,
@@ -117,6 +118,30 @@ def test_campaign_passes_and_reproduces_byte_identically():
     text = campaign_csv(rep1)
     assert text == campaign_csv(rep2)
     assert text.splitlines()[0] == CSV_HEADER
+
+
+def test_a_campaign_builds_its_orbicomplex_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build_orbicomplex(*args)
+    monkeypatch.setattr(harness, "build_orbicomplex", counted)
+    params = GeneratorParams(5, W("a b a b~"), 2)
+    assert calls == []      # lazily, so setting up costs no build
+    cfg = CampaignConfig(4, 5, params)
+    rep = run_property_campaign(cfg)
+    assert len(calls) == 1
+    run_property_campaign(CampaignConfig(9, 5, params))
+    assert len(calls) == 1
+    # the memo is not part of the parameters' value
+    assert params == GeneratorParams(5, W("a b a b~"), 2)
+    assert hash(params) == hash(GeneratorParams(5, W("a b a b~"), 2))
+    monkeypatch.undo()
+    fresh = run_property_campaign(CampaignConfig(4, 5, GeneratorParams(
+        5, W("a b a b~"), 2)))
+    assert campaign_csv(fresh) == campaign_csv(rep)
+    assert fresh.pass_counts == rep.pass_counts
 
 
 def test_campaign_covers_other_relators():

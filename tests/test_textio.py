@@ -17,7 +17,7 @@ from orelco.textio import (audit_csv, export_dot, format_complex,
                            parse_complex, parse_cover_file, parse_fold_trace,
                            parse_morphism, parse_orbi_morphism,
                            parse_orbicomplex, parse_presentation,
-                           parse_quotient, pipeline_csv)
+                           parse_quotient, parse_stacking, pipeline_csv)
 from orelco.words import parse_word
 
 W = parse_word
@@ -101,6 +101,41 @@ def test_cover_file_faults_carry_their_own_line(text, message):
     # moved every later line number up by one
     with pytest.raises(ValueError, match=message):
         parse_cover_file(text)
+
+
+ROSE_A = TwoComplex(Graph.rose("a"), {"w": (("a", 1),)})
+LOOP = "vertex v\nedge e : v -> v label a\ncell f : e e\nbase v\n"
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_quotient, "degree x\n", "line 1: cannot read 'x' as an integer"),
+    (parse_quotient, "degree 2\nperm a : 1 y\n",
+     "line 2: cannot read 'y' as an integer"),
+    (parse_cover_file, "vertex p0\nbase p0\nfamily f0 : x\n",
+     "line 3: cannot read 'x' as an integer"),
+    (lambda text: parse_morphism(text, parse_complex(LOOP), ROSE_A),
+     "vmap v *\ncmap f w rot=1.5 orient=+\n",
+     "line 2: cannot read '1.5' as an integer"),
+    (parse_complex, "vertex v\nedge e : v -> v\ncell f : e~~\nbase v\n",
+     "line 3: cannot read 'e~~' as a word"),
+    (lambda text: parse_morphism(text, parse_complex(LOOP), ROSE_A),
+     "emap e ~\n", "line 1: cannot read '~' as a dart"),
+    (parse_orbicomplex, "vertex *\nedge a : * -> * label a\nrelator a ~a\n"
+     "branch 2\n", "line 3: cannot read 'a ~a' as a word"),
+    (parse_fold_trace, "identify dart e1 e2~~\n",
+     "line 1: cannot read 'e1 e2~~' as a word"),
+    (lambda text: parse_stacking(text, parse_complex(LOOP)), "h f z 1\n",
+     "line 1: cannot read 'z' as an integer"),
+    (lambda text: parse_stacking(text, parse_complex(LOOP)), "h f 0 1/0\n",
+     "line 1: cannot read '1/0' as a rational"),
+], ids=["degree", "perm", "family", "cmap-rot", "cell-dart", "emap-dart",
+        "relator", "trace-dart", "height-position", "height-zero-division"])
+def test_a_field_that_does_not_parse_names_its_line(parse, text, message):
+    # each raised the bare int(), Fraction() or parse_word error, with no
+    # line number, and 1/0 escaped as a ZeroDivisionError
+    with pytest.raises(ValueError) as info:
+        parse(text)
+    assert str(info.value) == message
 
 
 def test_a_repeated_vertex_line_is_allowed():
