@@ -22,8 +22,8 @@ from .complexes import (Dart, EdgeRec, Graph, TwoComplex, _check_morphism,
                         dart_reverse, require_valid, reverse_path)
 from .errors import DiagramError
 from .orbicomplex import OneRelatorOrbicomplex, OrbiMorphism
-from .words import (Letter, Word, dehn_solve, free_reduce, inverse_letter,
-                    inverse_word, splice)
+from .words import (Letter, Word, _foreign_letter, dehn_solve, free_reduce,
+                    inverse_letter, inverse_word, splice)
 
 
 @dataclass(frozen=True)
@@ -47,6 +47,11 @@ class _DiskBuilder:
     the complex: cell paths and the boundary may name a folded edge, and
     edge records a merged vertex, until ``settle`` rewrites them.  Readers
     resolve names through ``edge_of`` and ``vertex_of``.
+
+    A label table maps every edge id ``new_edge`` made, folded or not, to
+    its symbol, so ``letter`` reads a dart's letter without resolving its
+    edge: ``identify_darts`` folds only darts of one letter, so an id and
+    its survivor always carry the same symbol.
     """
 
     def __init__(self, base: str):
@@ -55,6 +60,7 @@ class _DiskBuilder:
         self.cells: dict[str, list[Dart]] = {}
         self.cell_align: dict[str, tuple[int, int]] = {}
         self.boundary: list[Dart] = []
+        self._label: dict[str, str] = {}           # edge id -> symbol
         self._edge_parent: dict[str, str] = {}     # folded edge -> survivor
         self._vertex_parent: dict[str, str] = {}   # merged vertex -> survivor
 
@@ -105,10 +111,11 @@ class _DiskBuilder:
     # -- primitives ------------------------------------------------------
 
     def letter(self, d: Dart) -> Letter:
-        return (self.edges[self.edge_of(d[0])].label, d[1])
+        return (self._label[d[0]], d[1])
 
     def new_edge(self, eid: str, cur: str, nxt: str, letter: Letter) -> Dart:
         sym, sign = letter
+        self._label[eid] = sym
         self.edges[eid] = (EdgeRec(cur, nxt, sym) if sign > 0
                            else EdgeRec(nxt, cur, sym))
         return (eid, sign)
@@ -171,9 +178,8 @@ class _DiskBuilder:
                            chain(*self.cells.values(), self.boundary)))
 
     def readout(self) -> Word:
-        self.settle()
-        edges = self.edges
-        return tuple((edges[e].label, s) for e, s in self.boundary)
+        label = self._label
+        return tuple([(label[e], s) for e, s in self.boundary])
 
     def check_disk(self) -> None:
         counts = self.carried()
@@ -186,27 +192,31 @@ class _DiskBuilder:
 
     def sew(self) -> None:
         """Cancel adjacent inverse boundary letters until the readout is
-        reduced.  A cancellation leaves the letters before it alone, so the
-        scan resumes one step back."""
+        reduced, in one pass: the stack holds the reduced boundary read so
+        far, and each next dart either cancels its top or goes on it.  The
+        darts are compared by their letters, and only a cancelling pair is
+        resolved: a dart followed by its own reverse is a spur, whose edge
+        goes, and any other pair folds its second dart onto the reverse of
+        its first.  This makes the cancellations of a left-to-right free
+        reduction, in its order."""
         counts = self.carried()
-        edge_of = self.edge_of
-        i = 0
-        while i < len(self.boundary) - 1:
-            (e1, s1), (e2, s2) = self.boundary[i], self.boundary[i + 1]
-            d1, d2 = (edge_of(e1), s1), (edge_of(e2), s2)
-            if self.letter(d2) != inverse_letter(self.letter(d1)):
-                i += 1
+        edge_of, label = self.edge_of, self._label
+        stack: list[Dart] = []
+        for d in self.boundary:
+            if not (stack and stack[-1][1] == -d[1]
+                    and label[stack[-1][0]] == label[d[0]]):
+                stack.append(d)
                 continue
-            e = d1[0]
-            if d2 == dart_reverse(d1):
+            e1, s1 = stack.pop()
+            e, e2 = edge_of(e1), edge_of(d[0])
+            if e == e2:
                 if counts[e] != 2:
                     raise DiagramError(f"spur edge {e} still carried elsewhere")
                 del self.edges[e]
             else:
-                self.identify_darts(dart_reverse(d1), d2)
-                counts[e] += counts.pop(d2[0]) - 2
-            del self.boundary[i:i + 2]
-            i = max(i - 1, 0)
+                self.identify_darts((e, -s1), (e2, d[1]))
+                counts[e] += counts.pop(e2) - 2
+        self.boundary = stack
 
     # -- mirror cancellation ---------------------------------------------
 
@@ -353,10 +363,15 @@ def _replay_conjugates(u: Word, x: OneRelatorOrbicomplex, steps):
 def build_reduced_diagram(u: Word, x: OneRelatorOrbicomplex) -> VanKampenDiagram:
     """Disk diagram whose boundary spells the free reduction of ``u``.
 
-    Raises ValueError when ``u`` is nontrivial in the group of ``x``.
+    Raises ValueError when ``u`` has a letter that is not a loop of the
+    rose or is nontrivial in the group of ``x``.
     """
     reduced_u = free_reduce(u)
     if not reduced_u:
+        # dehn_solve checks the letters of a word that does not cancel away
+        for sym, _ in u:
+            if sym not in x.gamma.edges:
+                raise _foreign_letter(sym)
         complex_ = _DiskBuilder("v0").snapshot()
         return VanKampenDiagram(complex_, (), (),
                                 OrbiMorphism.by_labels(complex_, x))

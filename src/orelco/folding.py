@@ -15,9 +15,9 @@ import heapq
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 
-from .complexes import (CellImage, CellMorphism, Dart, EdgeRec, Graph,
-                        TwoComplex, _check_morphism, _composite_equals,
-                        _immersion_fault, compose, reverse_path)
+from .complexes import (CellImage, CellMorphism, EdgeRec, Graph, TwoComplex,
+                        _check_morphism, _composite_equals, _immersion_fault,
+                        compose, reverse_path)
 from .errors import (FactorizationError, InvariantError, NotImmersionError,
                      NotMorphismError)
 
@@ -33,13 +33,14 @@ class FoldResult:
 
 
 class _SignedEdgeClasses:
-    """Union-find on edges carrying the orientation relating each edge's
-    forward dart to the forward dart of its class representative."""
+    """Union-find on edge numbers ``0 .. count - 1`` carrying the
+    orientation relating each edge's forward dart to the forward dart of
+    its class representative, the least number of the class."""
 
-    def __init__(self, edges):
-        self.parent: dict[str, tuple[str, int]] = {e: (e, 1) for e in edges}
+    def __init__(self, count: int):
+        self.parent: list[tuple[int, int]] = [(e, 1) for e in range(count)]
 
-    def find(self, e: str) -> tuple[str, int]:
+    def find(self, e: int) -> tuple[int, int]:
         root, sign = self.parent[e]
         if root != e:
             root2, sign2 = self.find(root)
@@ -47,7 +48,7 @@ class _SignedEdgeClasses:
             self.parent[e] = (root, sign)
         return root, sign
 
-    def union_darts(self, e1: str, s1: int, e2: str, s2: int) -> None:
+    def union_darts(self, e1: int, s1: int, e2: int, s2: int) -> None:
         r1, g1 = self.find(e1)
         r2, g2 = self.find(e2)
         rel = s1 * g1 * s2 * g2
@@ -61,6 +62,18 @@ class _SignedEdgeClasses:
             self.parent[r2] = (r1, rel)
         else:
             self.parent[r1] = (r2, rel)
+
+    def classes(self) -> list[tuple[int, int]]:
+        """``find`` of every edge, in one pass: a merge hangs the larger
+        root under the smaller, so an edge's parent is resolved before it."""
+        out: list[tuple[int, int]] = []
+        for e, (p, g) in enumerate(self.parent):
+            if p == e:
+                out.append((e, 1))
+            else:
+                root, sign = out[p]
+                out.append((root, sign * g))
+        return out
 
 
 def _canonical_cell_key(path, image: CellImage):
@@ -84,95 +97,119 @@ def fold(m: CellMorphism) -> FoldResult:
     bucket with two or more darts.  Each step identifies the two least darts
     of the bucket whose least dart is least overall, so the trace is
     deterministic; the folded complex is independent of the order anyway.
+
+    The loop runs on numbers.  Edge ``i`` is the ``i``-th edge id in sorted
+    order and its darts are ``2i`` (forward) and ``2i + 1`` (reverse), so
+    the order of dart numbers is the order of (edge id, reverse) pairs.
+    Vertices are numbered in name order, so the smaller number of two
+    merged vertices is the smaller name, which survives.  The image of a
+    dart is numbered ``2j`` for ``(f, +1)`` and ``2j + 1`` for ``(f, -1)``,
+    with ``j`` counting target edges ``f`` as they are met.
     """
     witness = _check_morphism(m)
     if witness is not None:
         raise NotMorphismError(witness)
     a = m.source
     skel = a.skeleton.edges
-    vparent = {v: v for v in a.skeleton.vertices}
-
-    def vfind(v: str) -> str:
-        while vparent[v] != v:
-            vparent[v] = vparent[vparent[v]]
-            v = vparent[v]
-        return v
-
-    euf = _SignedEdgeClasses(skel)
-    trace: list[TraceEntry] = []
-
-    # A dart is handled as its sort key (edge, 0 forward / 1 reverse), so
-    # EdgeRec field ``bit`` is its origin and ``1 - bit`` its terminus.
-    buckets: dict[str, dict[Dart, list[tuple[str, int]]]] = {
-        v: {} for v in vparent}
-
-    def bucket_of(k: tuple[str, int]):
-        e, bit = k
+    edge_names = sorted(skel)
+    vertex_names = sorted(a.skeleton.vertices)
+    vertex_no = {v: i for i, v in enumerate(vertex_names)}
+    vparent = list(range(len(vertex_names)))
+    target_no: dict[str, int] = {}
+    origin: list[int] = []      # origin[k]: vertex number where dart k starts
+    image: list[int] = []       # image[k]: image number of dart k
+    buckets: list[dict[int, list[int]] | None] = [{} for _ in vertex_names]
+    for i, e in enumerate(edge_names):
+        tail, head, _ = skel[e]
         f, g = m.edge_map[e]
-        return buckets[vfind(skel[e][bit])], (f, -g if bit else g)
+        j = target_no.get(f)
+        if j is None:
+            j = target_no[f] = len(target_no)
+        img = 2 * j + (g < 0)
+        t, h = vertex_no[tail], vertex_no[head]
+        origin.append(t)
+        origin.append(h)
+        image.append(img)
+        image.append(img ^ 1)
+        buckets[t].setdefault(img, []).append(2 * i)
+        buckets[h].setdefault(img ^ 1, []).append(2 * i + 1)
 
-    for e in sorted(skel):
-        for k in ((e, 0), (e, 1)):
-            at, img = bucket_of(k)
-            at.setdefault(img, []).append(k)
-    heap = [b[0] for at in buckets.values() for b in at.values() if len(b) > 1]
+    euf = _SignedEdgeClasses(len(edge_names))
+    trace: list[TraceEntry] = []
+    heap = [b[0] for at in buckets for b in at.values() if len(b) > 1]
     heapq.heapify(heap)
     while heap:
         k1 = heapq.heappop(heap)
-        at, img = bucket_of(k1)
-        b = at.get(img)
+        v = origin[k1]
+        while vparent[v] != v:
+            vparent[v] = v = vparent[vparent[v]]
+        b = buckets[v].get(image[k1])
         if b is None or len(b) < 2 or b[0] != k1:
             continue    # stale: the bucket changed after this entry
         k2 = b.pop(1)
         if len(b) > 1:
             heapq.heappush(heap, k1)
-        (e1, bit1), (e2, bit2) = k1, k2
-        d1, d2 = (e1, 1 - 2 * bit1), (e2, 1 - 2 * bit2)
-        trace.append(("dart", d1, d2))
+        e1, e2 = k1 >> 1, k2 >> 1
+        s1, s2 = 1 - 2 * (k1 & 1), 1 - 2 * (k2 & 1)
+        trace.append(("dart", (edge_names[e1], s1), (edge_names[e2], s2)))
         # k1 < k2 in different edges, so e1 < e2 and e1 stays the root.
         # Both darts of e2 leave their buckets.  The reverse of e2 shares
         # its bucket with the smaller reverse of e1, or the two buckets
         # merge below, so no entry is lost.
-        back = (e2, 1 - bit2)
-        at2, img2 = bucket_of(back)
-        rb = at2[img2]
+        back = k2 ^ 1
+        t1, t2 = origin[k1 ^ 1], origin[back]
+        while vparent[t1] != t1:
+            vparent[t1] = t1 = vparent[vparent[t1]]
+        while vparent[t2] != t2:
+            vparent[t2] = t2 = vparent[vparent[t2]]
+        at2 = buckets[t2]
+        rb = at2[image[back]]
         del rb[bisect_left(rb, back)]
         if not rb:
-            del at2[img2]
-        t1, t2 = vfind(skel[e1][1 - bit1]), vfind(skel[e2][1 - bit2])
-        euf.union_darts(e1, d1[1], e2, d2[1])
+            del at2[image[back]]
+        euf.union_darts(e1, s1, e2, s2)
         if t1 == t2:
             continue
         if t2 < t1:
             t1, t2 = t2, t1
         vparent[t2] = t1    # the smaller name survives
-        keep, lose = buckets.pop(t1), buckets.pop(t2)
+        keep, lose = buckets[t1], buckets[t2]
+        buckets[t2] = None
         if len(keep) < len(lose):
             keep, lose = lose, keep
-        for image, small in lose.items():
-            big = keep.setdefault(image, small)
+        for img, small in lose.items():
+            big = keep.setdefault(img, small)
             if big is small:
                 continue
             if len(big) < len(small):
                 big, small = small, big
-                keep[image] = big
+                keep[img] = big
             for k in small:
                 insort(big, k)
             heapq.heappush(heap, big[0])
         buckets[t1] = keep
 
-    roots = [e for e in sorted(skel) if euf.find(e)[0] == e]
+    edge_map = {e: (edge_names[r], g)
+                for e, (r, g) in zip(edge_names, euf.classes())}
+    roots = [e for e, (r, _) in edge_map.items() if r == e]
+    vroot: list[int] = []   # a merge hangs the larger root under the smaller
+    for v, p in enumerate(vparent):
+        vroot.append(v if p == v else vroot[p])
+    vertex_map = {v: vertex_names[vroot[vertex_no[v]]]
+                  for v in a.skeleton.vertices}
     edges = {}
     for r in roots:
-        rec = a.skeleton.edges[r]
-        edges[r] = EdgeRec(vfind(rec.tail), vfind(rec.head), rec.label)
-    vertices = frozenset(vfind(v) for v in a.skeleton.vertices)
-    base = vfind(a.base_vertex) if a.base_vertex is not None else None
+        rec = skel[r]
+        tail, head = vertex_map[rec.tail], vertex_map[rec.head]
+        edges[r] = (rec if tail == rec.tail and head == rec.head
+                    else EdgeRec(tail, head, rec.label))
+    vertices = frozenset(vertex_map.values())
+    base = vertex_map[a.base_vertex] if a.base_vertex is not None else None
 
     def pushed_path(path):
         out = []
         for e, s in path:
-            root, sign = euf.find(e)
+            root, sign = edge_map[e]
             out.append((root, s * sign))
         return tuple(out)
 
@@ -205,11 +242,7 @@ def fold(m: CellMorphism) -> FoldResult:
         proj_cells[cid] = CellImage(rep, offset, orient)
 
     projection = CellMorphism(
-        a, folded,
-        {v: vfind(v) for v in a.skeleton.vertices},
-        {e: euf.find(e) for e in a.skeleton.edges},
-        proj_cells,
-    )
+        a, folded, vertex_map, {e: edge_map[e] for e in skel}, proj_cells)
     inclusion = CellMorphism(
         folded, m.target,
         {v: m.vertex_map[v] for v in vertices},

@@ -106,6 +106,11 @@ def format_word(word: Sequence[Letter]) -> str:
     return " ".join(sym + ("~" if sign < 0 else "") for sym, sign in word)
 
 
+def _foreign_letter(sym: str) -> ValueError:
+    """The error for a letter that names no loop of the rose."""
+    return ValueError(f"letter {sym!r} is not a loop of the rose")
+
+
 @dataclass(frozen=True)
 class DehnStep:
     """One replacement: the matched subword and the rotation that supplied it."""
@@ -167,6 +172,9 @@ def _match_index(relator: Word, threshold: int):
 def dehn_solve(word: Sequence[Letter], x: "OneRelatorOrbicomplex") -> DehnResult:
     """Decide triviality in the group of ``x`` by greedy long-subword replacement.
 
+    Raises ValueError when ``word`` is not freely reduced or has a letter
+    that is not a loop of the rose.
+
     Repeatedly finds a factor of a cyclic rotation of the relator power (or
     its inverse) of length at least floor(n|w|/2) + 1 and swaps it for the
     inverse of the complementary piece, free-reducing in between.  Each swap
@@ -184,8 +192,15 @@ def dehn_solve(word: Sequence[Letter], x: "OneRelatorOrbicomplex") -> DehnResult
         raise ValueError("word problem routine requires branch index >= 2")
     base = x.relator_word()
     u = tuple(word)
-    if not is_reduced(u):
-        raise ValueError("input word must be freely reduced")
+    symbols = x.gamma.edges
+    last_sym, last_sign = None, 0
+    for sym, sign in u:
+        if sym != last_sym:
+            if sym not in symbols:
+                raise _foreign_letter(sym)
+        elif sign != last_sign:
+            raise ValueError("input word must be freely reduced")
+        last_sym, last_sign = sym, sign
     m = len(base) * n
     threshold = m // 2 + 1
     index = _match_index(base * n, threshold)

@@ -96,6 +96,15 @@ def test_nontrivial_word_is_rejected():
         build_reduced_diagram(W("a b"), x_ab2())
 
 
+def test_a_letter_outside_the_rose_is_refused_before_any_build(monkeypatch):
+    def no_build(*args):
+        raise AssertionError("a lollipop was built")
+    monkeypatch.setattr(_DiskBuilder, "add_lollipop", no_build)
+    for text in ("c a b a b c~", "c c~", "a b a b c"):
+        with pytest.raises(ValueError, match="letter 'c' is not a loop"):
+            build_reduced_diagram(W(text), x_ab2())
+
+
 def test_stem_sews_onto_second_disk():
     # trace: prefix a around one relator disk, then a bare relator disk;
     # the stem return edge cancels against the second disk's first edge
@@ -386,15 +395,21 @@ def reference_cancel(b):
     return hits
 
 
-def reference_diagram(u, x):
-    """The sewn lollipop wedge of ``u``, reduced by ``reference_cancel``;
-    returns the hits and the builder."""
+def wedge_builder(u, x):
+    """The unsewn lollipop wedge of the free reduction of ``u``."""
     reduced_u = free_reduce(u)
     b = _DiskBuilder("v0")
     steps = dehn_solve(reduced_u, x).steps
     for j, (stem, rho, align) in enumerate(
             _replay_conjugates(reduced_u, x, steps)):
         b.add_lollipop(j, stem, rho, align)
+    return b
+
+
+def reference_diagram(u, x):
+    """The sewn lollipop wedge of ``u``, reduced by ``reference_cancel``;
+    returns the hits and the builder."""
+    b = wedge_builder(u, x)
     b.sew()
     return reference_cancel(b), b
 
@@ -482,3 +497,105 @@ def test_mirror_search_is_bounded_by_the_zips(mirror_calls):
         (start,) = mirror_calls["starts"]
         zips = sum(m - 1 for _, hit, m in mirror_calls["calls"] if hit)
         assert len(mirror_calls["calls"]) <= start + zips
+
+
+# ---------------------------------------------------------------------------
+# the one-pass sew against the index scan it replaced
+
+
+def reference_sew(b):
+    """The sew as first written: scan the boundary by index, read each
+    pair's letters through its resolved edges, and step back one place
+    after each cancellation."""
+    counts = b.carried()
+    edge_of = b.edge_of
+    i = 0
+    while i < len(b.boundary) - 1:
+        (e1, s1), (e2, s2) = b.boundary[i], b.boundary[i + 1]
+        d1, d2 = (edge_of(e1), s1), (edge_of(e2), s2)
+        if (b.edges[d2[0]].label, s2) != (b.edges[d1[0]].label, -s1):
+            i += 1
+            continue
+        e = d1[0]
+        if d2 == dart_reverse(d1):
+            if counts[e] != 2:
+                raise DiagramError(f"spur edge {e} still carried elsewhere")
+            del b.edges[e]
+        else:
+            b.identify_darts(dart_reverse(d1), d2)
+            counts[e] += counts.pop(d2[0]) - 2
+        del b.boundary[i:i + 2]
+        i = max(i - 1, 0)
+
+
+def benchmark_corpus():
+    """12 seeded products the size of the benchmark's long words: 150 to
+    900 letters before reduction, in 10 to 35 conjugates of ``w^(+-n)``."""
+    rng = random.Random(19)
+    for length in (150, 400, 650, 900):
+        k = round(10 + 25 * (length - 150) / 750)
+        for rel, n in CORPUS_GROUPS:
+            x = build_orbicomplex(Graph.rose("ab"), W(rel), n)
+            q = x.relator_word() * n
+            stem_len = max(0, round((length / k - len(q)) / 2))
+            product = []
+            for _ in range(k):
+                stem = tuple((rng.choice("ab"), rng.choice((1, -1)))
+                             for _ in range(stem_len))
+                body = q if rng.random() < 0.5 else inverse_word(q)
+                product += stem + body + inverse_word(stem)
+            yield x, free_reduce(product)
+
+
+def _sewn(sew, u, x, doctor=None):
+    """Sew the wedge of ``u`` with ``sew`` and return what it left: the
+    boundary and the edges as the builder holds them, the survivor of
+    every edge and vertex, the carried counts and the settled boundary; or
+    the DiagramError it raised.  ``doctor`` edits the wedge first."""
+    b = wedge_builder(u, x)
+    if doctor is not None:
+        doctor(b)
+    ids, names = list(b.edges), sorted(b.vertices)
+    try:
+        sew(b)
+    except DiagramError as err:
+        return str(err)
+    raw = (list(b.boundary), list(b.edges.items()),
+           {e: b.edge_of(e) for e in ids}, {v: b.vertex_of(v) for v in names})
+    return raw + (b.carried(), list(b.boundary))
+
+
+def _spur_first(b):
+    """Put ``h g~ g h~`` in front of the boundary, with ``h`` out of the
+    base and ``g`` into the head of ``h``: ``h g~`` folds ``g`` onto ``h``,
+    and then ``g h~`` is a spur on ``h``."""
+    b.new_edge("h", b.base, "H", ("a", 1))
+    b.new_edge("g", "G", "H", ("a", 1))
+    b.boundary[:0] = [("h", 1), ("g", -1), ("g", 1), ("h", -1)]
+
+
+def _carried_spur_first(b):
+    """The same, with a cell side over ``g``: the spur ``h`` that ``g``
+    folds onto is carried three times."""
+    _spur_first(b)
+    b.cells["X"] = [("g", 1)]
+
+
+def test_one_pass_sew_matches_the_index_scan():
+    # no wedge of these corpora sews a spur, so a doctored copy of each
+    # adds one: first a clean spur, then one that a cell side also carries
+    corpora = list(golden_corpus()) + list(long_corpus()) \
+        + list(benchmark_corpus())
+    assert len(corpora) == 186
+    folds = 0
+    for x, u in corpora:
+        got = _sewn(_DiskBuilder.sew, u, x)
+        assert got == _sewn(reference_sew, u, x)
+        folds += sum(root != e for e, root in got[2].items())
+        got = _sewn(_DiskBuilder.sew, u, x, _spur_first)
+        assert got == _sewn(reference_sew, u, x, _spur_first)
+        assert not {"g", "h"} & dict(got[1]).keys()
+        got = _sewn(_DiskBuilder.sew, u, x, _carried_spur_first)
+        assert got == _sewn(reference_sew, u, x, _carried_spur_first)
+        assert got == "spur edge h still carried elsewhere"
+    assert folds > 1000

@@ -507,9 +507,11 @@ def random_rose_morphisms(rng, count):
             for _ in range(count)]
 
 
-def diagram_morphisms(count, seed):
+def diagram_morphisms(count, seed, conjugates=(2, 6), stems=(0, 5)):
     """Reduced disk diagrams of conjugate products as maps into the
-    presentation complex, labelled the way the benchmark labels them."""
+    presentation complex, labelled the way the benchmark labels them; each
+    product has ``conjugates`` conjugates, each stem ``stems`` letters
+    (both inclusive ranges)."""
     rng = random.Random(seed)
     out = []
     for rel, n in (("a b", 2), ("a b a b~", 2), ("a b", 3)):
@@ -518,9 +520,9 @@ def diagram_morphisms(count, seed):
         q = x.relator_word() * n
         for _ in range(count):
             product = []
-            for _ in range(rng.randint(2, 6)):
+            for _ in range(rng.randint(*conjugates)):
                 stem = tuple((rng.choice("ab"), rng.choice((1, -1)))
-                             for _ in range(rng.randint(0, 5)))
+                             for _ in range(rng.randint(*stems)))
                 body = q if rng.random() < 0.5 else inverse_word(q)
                 product += stem + body + inverse_word(stem)
             d = build_reduced_diagram(free_reduce(product), x)
@@ -555,9 +557,17 @@ def _dict_orders(res: FoldResult):
 
 
 def test_worklist_fold_matches_the_reference():
+    # the long diagrams, of benchmark size, merge buckets of many darts:
+    # they swap the big and the small bucket and insort into long lists
     rng = random.Random(1805)
+    long = diagram_morphisms(2, 26, conjugates=(10, 35), stems=(4, 14))
+    # each edge of a disk is carried twice by the cells and the boundary
+    boundaries = [2 * len(m.source.skeleton.edges)
+                  - sum(map(len, m.source.cells.values())) for m in long]
+    assert min(boundaries) >= 150 and max(boundaries) <= 900
     corpus = ([random_cell_morphism(rng) for _ in range(300)]
-              + random_rose_morphisms(rng, 300) + diagram_morphisms(3, 11))
+              + random_rose_morphisms(rng, 300) + diagram_morphisms(3, 11)
+              + long)
     folds = 0
     for m in corpus:
         got, want = _outcome(fold, m), _outcome(reference_fold, m)

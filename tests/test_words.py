@@ -153,6 +153,16 @@ def test_dehn_rejects_unreduced_input():
         dehn_solve((A, Ai), x)
 
 
+def test_dehn_rejects_a_letter_outside_the_rose():
+    # c c~ would cancel once the relator between them is swapped out
+    x = make_x((A, B), 2)
+    for text in ("c a b a b c~", "a b c", "c"):
+        with pytest.raises(ValueError, match="letter 'c' is not a loop"):
+            dehn_solve(parse_word(text), x)
+    with pytest.raises(ValueError, match="freely reduced"):
+        dehn_solve(parse_word("a a~ c"), x)
+
+
 def test_dehn_rejects_branch_one():
     x = make_x((A, B, A, Bi), 1)
     with pytest.raises(ValueError):
