@@ -13,13 +13,14 @@ yields the reduced diagram.
 from __future__ import annotations
 
 import heapq
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, replace
-from itertools import chain
+from functools import partial
+from itertools import chain, compress, repeat
 from operator import itemgetter
 
 from .complexes import (Dart, EdgeRec, Graph, TwoComplex, _check_morphism,
-                        dart_reverse, require_valid, reverse_path)
+                        require_valid)
 from .errors import DiagramError
 from .orbicomplex import OneRelatorOrbicomplex, OrbiMorphism
 from .words import (Letter, Word, _foreign_letter, dehn_solve, free_reduce,
@@ -37,253 +38,271 @@ class VanKampenDiagram:
 
 
 class _DiskBuilder:
-    """Mutable labelled 2-complex with an explicit based boundary circuit.
+    """Mutable labelled 2-complex with an explicit based boundary circuit,
+    on numbers: edge ``i`` has the darts ``2i``, which reads a positive
+    letter, and ``2i + 1``; vertex 0 is the base; cells and the boundary
+    are lists of darts; the vertices are the base and the ends of the live
+    edges.  Folds are recorded in two union-finds and resolved by readers;
+    they join darts of one letter, so the letter table ``_letters`` holds.
 
-    Edges are always oriented so that the forward dart reads a positive
-    letter; folds therefore never reverse an edge.  The vertices are the
-    base plus the ends of the live edges.
-
-    Identifications are recorded in two union-finds and not written into
-    the complex: cell paths and the boundary may name a folded edge, and
-    edge records a merged vertex, until ``settle`` rewrites them.  Readers
-    resolve names through ``edge_of`` and ``vertex_of``.
-
-    A label table maps every edge id ``new_edge`` made, folded or not, to
-    its symbol, so ``letter`` reads a dart's letter without resolving its
-    edge: ``identify_darts`` folds only darts of one letter, so an id and
-    its survivor always carry the same symbol.
+    An edge or vertex is named ``prefix + str(index)`` from its origin:
+    lollipop ``j`` makes ``s{j}.t``, ``e{j}.i``, ``u{j}.t`` and ``c{j}.i``,
+    and a name given whole has the index ``""``.  Names are formatted where
+    they are read: in errors, in the merge and mirror orders, and for the
+    survivors in ``snapshot``.
     """
 
     def __init__(self, base: str):
-        self.base = base
-        self.edges: dict[str, EdgeRec] = {}
-        self.cells: dict[str, list[Dart]] = {}
+        self.cells: dict[str, list[int]] = {}
         self.cell_align: dict[str, tuple[int, int]] = {}
-        self.boundary: list[Dart] = []
-        self._label: dict[str, str] = {}           # edge id -> symbol
-        self._edge_parent: dict[str, str] = {}     # folded edge -> survivor
-        self._vertex_parent: dict[str, str] = {}   # merged vertex -> survivor
+        self.boundary: list[int] = []
+        self._vertex_origin: tuple[list[str], list] = ([base], [""])
+        self._vertex_parent = [0]
+        self._edge_origin: tuple[list[str], list] = ([], [])
+        self._edge_parent: list[int] = []
+        self._live: list[bool] = []
+        self._letters: list[Letter] = []
+        self._pairs: dict[str, tuple[Letter, Letter]] = {}   # symbol -> letters
+        self._ends: tuple[list[int], list[int]] = ([], [])
 
     @staticmethod
-    def _find(parent: dict[str, str], x: str) -> str:
-        root = x
-        while root in parent:
-            root = parent[root]
-        while x != root:
-            parent[x], x = root, parent[x]
-        return root
+    def _find(parent: list[int], x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]     # path halving
+        return x
 
-    def edge_of(self, e: str) -> str:
-        return self._find(self._edge_parent, e)
+    @staticmethod
+    def _flatten(parent: list[int]) -> list[int]:
+        """Point every number at its root; returns ``parent``."""
+        for x, root in enumerate(parent):
+            while parent[root] != root:
+                root = parent[root]
+            parent[x] = root
+        return parent
 
-    def vertex_of(self, v: str) -> str:
-        return self._find(self._vertex_parent, v)
+    def edge_name(self, e: int) -> str:
+        return self._edge_origin[0][e] + str(self._edge_origin[1][e])
 
-    def settle(self) -> None:
-        """Write the surviving edge and vertex names into the complex.  A
-        name read before a settle is not resolved after it."""
-        merged = self._vertex_parent
-        if merged:
-            vx = self.vertex_of
-            for e, (t, h, sym) in self.edges.items():
-                if t in merged or h in merged:
-                    self.edges[e] = EdgeRec(vx(t), vx(h), sym)
-            merged.clear()
-        if self._edge_parent:
-            folded = self._edge_parent
-            for path in (*self.cells.values(), self.boundary):
-                for i, (e, s) in enumerate(path):
-                    if e in folded:
-                        path[i] = (self.edge_of(e), s)
-            folded.clear()
+    def vertex_name(self, v: int) -> str:
+        return self._vertex_origin[0][v] + str(self._vertex_origin[1][v])
 
-    @property
-    def vertices(self) -> set[str]:
-        self.settle()
-        return {self.base}.union(*(rec[:2] for rec in self.edges.values()))
-
-    def snapshot(self) -> TwoComplex:
-        self.settle()
-        return TwoComplex(Graph(frozenset(self.vertices), dict(self.edges)),
-                          {cid: tuple(path) for cid, path in self.cells.items()},
-                          base_vertex=self.base)
+    def snapshot(self) -> tuple[TwoComplex, tuple[Dart, ...]]:
+        """The complex and its boundary under the surviving names."""
+        vertex = self._flatten(self._vertex_parent)
+        live, letters = self._live, self._letters
+        tails, heads = (list(map(vertex.__getitem__, compress(end, live)))
+                        for end in self._ends)
+        prefix, index = self._vertex_origin
+        name = {v: prefix[v] + str(index[v]) for v in {0, *tails, *heads}}
+        tails, heads = (list(map(name.__getitem__, end)) for end in (tails, heads))
+        prefix, index = self._edge_origin
+        ids = list(compress(range(len(live)), live))
+        names = [prefix[e] + str(index[e]) for e in ids]
+        # EdgeRec(...) is this tuple.__new__ behind a Python call
+        edges = dict(zip(names, map(partial(tuple.__new__, EdgeRec), zip(
+            tails, heads, map(itemgetter(0), compress(letters[::2], live))))))
+        # every dart, folded or not, under its survivor's name
+        names = list(map(dict(zip(ids, names)).get,
+                         self._flatten(self._edge_parent)))
+        darts: list = [None] * len(letters)
+        darts[::2], darts[1::2] = zip(names, repeat(1)), zip(names, repeat(-1))
+        vertices = {name[0]}.union(*zip(tails, heads))
+        return (TwoComplex(Graph(frozenset(vertices), edges),
+                           {cid: tuple(map(darts.__getitem__, path))
+                            for cid, path in self.cells.items()},
+                           base_vertex=name[0]),
+                tuple(map(darts.__getitem__, self.boundary)))
 
     # -- primitives ------------------------------------------------------
 
-    def letter(self, d: Dart) -> Letter:
-        return (self._label[d[0]], d[1])
+    def new_vertices(self, prefixes: list[str], indices: list) -> range:
+        first = len(self._vertex_parent)
+        self._vertex_origin[0].extend(prefixes)
+        self._vertex_origin[1].extend(indices)
+        self._vertex_parent += range(first, first + len(prefixes))
+        return range(first, first + len(prefixes))
 
-    def new_edge(self, eid: str, cur: str, nxt: str, letter: Letter) -> Dart:
-        sym, sign = letter
-        self._label[eid] = sym
-        self.edges[eid] = (EdgeRec(cur, nxt, sym) if sign > 0
-                           else EdgeRec(nxt, cur, sym))
-        return (eid, sign)
+    def new_edges(self, prefixes: list[str], indices: list, walk,
+                  word: Word) -> list[int]:
+        """New edges, the ``k``-th reading ``word[k]`` from vertex
+        ``walk[k]`` to ``walk[k + 1]``; returns the darts that read it."""
+        first = len(self._edge_parent)
+        self._edge_origin[0].extend(prefixes)
+        self._edge_origin[1].extend(indices)
+        self._edge_parent += range(first, first + len(word))
+        self._live += [True] * len(word)
+        letters, pairs = self._letters, self._pairs
+        (tails, heads), darts = self._ends, []
+        for k, (sym, sign) in enumerate(word):
+            letters += pairs.get(sym) or pairs.setdefault(
+                sym, ((sym, 1), (sym, -1)))
+            back = sign < 0     # the edge runs from walk[k + 1] to walk[k]
+            tails.append(walk[k + back])
+            heads.append(walk[k + 1 - back])
+            darts.append(2 * (first + k) + back)
+        return darts
 
-    def merge_vertices(self, a: str, b: str) -> None:
+    def merge_vertices(self, a: int, b: int) -> None:
         """The base survives a merge, otherwise the smaller name."""
-        a, b = self.vertex_of(a), self.vertex_of(b)
+        parent = self._vertex_parent
+        a, b = self._find(parent, a), self._find(parent, b)
         if a == b:
             return
-        if b == self.base or (a != self.base and b < a):
+        if b == 0 or (a != 0 and self.vertex_name(b) < self.vertex_name(a)):
             a, b = b, a
-        self._vertex_parent[b] = a
+        parent[b] = a
 
-    def identify_darts(self, d1: Dart, d2: Dart) -> tuple[str, str] | None:
+    def identify_darts(self, d1: int, d2: int) -> tuple[int, int] | None:
         """Fold dart ``d2`` onto ``d1``: the ends of the two darts merge and
         the edge of ``d2`` becomes that of ``d1``.  Returns the surviving and
         the folded edge, or None when the darts are already one."""
-        d1, d2 = (self.edge_of(d1[0]), d1[1]), (self.edge_of(d2[0]), d2[1])
-        if d1 == d2:
+        parent = self._edge_parent
+        e1, e2 = self._find(parent, d1 >> 1), self._find(parent, d2 >> 1)
+        if e1 == e2 and d1 & 1 == d2 & 1:
             return None
-        # a letter carries its dart's sign, so equal letters of two distinct
-        # darts lie on distinct edges with one orientation
-        if self.letter(d1) != self.letter(d2):
+        if self._letters[d1] != self._letters[d2]:
             raise DiagramError("cannot identify darts with different labels")
-        e1, e2 = d1[0], d2[0]
-        for end in (0, 1):      # same orientation: tails meet, heads meet
-            self.merge_vertices(self.edges[e1][end], self.edges[e2][end])
-        del self.edges[e2]
-        self._edge_parent[e2] = e1
+        for end in self._ends:  # same orientation: tails meet, heads meet
+            self.merge_vertices(end[e1], end[e2])
+        self._live[e2] = False
+        parent[e2] = e1
         return e1, e2
 
     # -- construction ----------------------------------------------------
 
     def add_lollipop(self, j: int, stem: Word, rho: Word,
                      align: tuple[int, int]) -> None:
-        cur = self.base
-        stem_darts: list[Dart] = []
-        for t, letter in enumerate(stem):
-            nxt = f"u{j}.{t + 1}"
-            stem_darts.append(self.new_edge(f"s{j}.{t}", cur, nxt, letter))
-            cur = nxt
-        tip = cur
-        ring: list[Dart] = []
-        m = len(rho)
-        for i, letter in enumerate(rho):
-            nxt = tip if i == m - 1 else f"c{j}.{i + 1}"
-            ring.append(self.new_edge(f"e{j}.{i}", cur, nxt, letter))
-            cur = nxt
-        cid = f"D{j}"
-        self.cells[cid] = list(ring)
-        self.cell_align[cid] = align
-        self.boundary.extend(stem_darts + ring + list(reverse_path(stem_darts)))
+        n, m = len(stem), len(rho)
+        walk = [0, *self.new_vertices([f"u{j}."] * n + [f"c{j}."] * (m - 1),
+                                      [*range(1, n + 1), *range(1, m)])]
+        walk.append(walk[n])
+        darts = self.new_edges([f"s{j}."] * n + [f"e{j}."] * m,
+                               [*range(n), *range(m)], walk, stem + rho)
+        self.cells[f"D{j}"] = darts[n:]
+        self.cell_align[f"D{j}"] = align
+        self.boundary += darts + [d ^ 1 for d in reversed(darts[:n])]
 
     # -- accounting ------------------------------------------------------
 
-    def carried(self) -> Counter[str]:
-        """Times each edge is traversed by cell sides plus the boundary."""
-        self.settle()
-        return Counter(map(itemgetter(0),
-                           chain(*self.cells.values(), self.boundary)))
+    def carried(self) -> list[int]:
+        """Times each surviving edge is carried by cell sides and boundary."""
+        counts = [0] * len(self._live)
+        find, parent = self._find, self._edge_parent
+        for d in chain(*self.cells.values(), self.boundary):
+            e = d >> 1
+            counts[e if parent[e] == e else find(parent, e)] += 1
+        return counts
 
     def readout(self) -> Word:
-        label = self._label
-        return tuple([(label[e], s) for e, s in self.boundary])
+        return tuple(map(self._letters.__getitem__, self.boundary))
 
-    def check_disk(self) -> None:
+    def check_disk(self) -> list[int]:
+        """Check that every edge is carried twice; returns the counts."""
         counts = self.carried()
-        for e in self.edges:
-            if counts[e] != 2:
-                raise DiagramError(
-                    f"edge {e} carried {counts[e]} times, expected 2")
+        if list(compress(counts, self._live)).count(2) < sum(self._live):
+            for e in compress(range(len(counts)), self._live):
+                if counts[e] != 2:
+                    raise DiagramError(f"edge {self.edge_name(e)} carried "
+                                       f"{counts[e]} times, expected 2")
+        return counts
 
     # -- boundary sewing -------------------------------------------------
 
-    def sew(self) -> None:
-        """Cancel adjacent inverse boundary letters until the readout is
-        reduced, in one pass: the stack holds the reduced boundary read so
-        far, and each next dart either cancels its top or goes on it.  The
-        darts are compared by their letters, and only a cancelling pair is
-        resolved: a dart followed by its own reverse is a spur, whose edge
-        goes, and any other pair folds its second dart onto the reverse of
-        its first.  This makes the cancellations of a left-to-right free
-        reduction, in its order."""
-        counts = self.carried()
-        edge_of, label = self.edge_of, self._label
-        stack: list[Dart] = []
+    def sew(self, counts: list[int]) -> None:
+        """Cancel adjacent inverse boundary letters in one stack pass, in
+        the order of a left-to-right free reduction, resolving only the
+        pairs that cancel: a spur, a dart and its own reverse, loses its
+        edge, and any other pair folds its second dart onto the reverse of
+        its first.  ``counts``, the carried counts, are kept up to date."""
+        find, parent, letters = self._find, self._edge_parent, self._letters
+        stack: list[int] = []
         for d in self.boundary:
-            if not (stack and stack[-1][1] == -d[1]
-                    and label[stack[-1][0]] == label[d[0]]):
+            if not stack or letters[stack[-1] ^ 1] != letters[d]:
                 stack.append(d)
                 continue
-            e1, s1 = stack.pop()
-            e, e2 = edge_of(e1), edge_of(d[0])
+            d1 = stack.pop()
+            e, e2 = find(parent, d1 >> 1), find(parent, d >> 1)
             if e == e2:
                 if counts[e] != 2:
-                    raise DiagramError(f"spur edge {e} still carried elsewhere")
-                del self.edges[e]
+                    raise DiagramError(f"spur edge {self.edge_name(e)} "
+                                       "still carried elsewhere")
+                self._live[e] = False
             else:
-                self.identify_darts((e, -s1), (e2, d[1]))
-                counts[e] += counts.pop(e2) - 2
+                self.identify_darts(d1 ^ 1, d)
+                counts[e] += counts[e2] - 2
         self.boundary = stack
 
     # -- mirror cancellation ---------------------------------------------
 
-    def cancel_mirrors(self) -> None:
-        """Cancel mirror pairs, the first edge in id order first, until none
-        is left: zip the two cells of a pair together along their
+    def cancel_mirrors(self, counts: list[int]) -> None:
+        """Cancel mirror pairs, the first edge in name order first, until
+        none is left: zip the two cells of a pair together along their
         boundaries, then remove both cells and every edge left uncarried.
 
-        The sides over each edge and the carried counts are built once and
-        kept up to date: a zip moves the folded edge's sides to the
-        survivor, and the cancelled cells' sides go.  Whether an edge has a
-        mirror pair depends only on the sides over it, so an edge that was
-        tested and whose sides have not grown since cannot have one.  The
-        candidate heap therefore holds every edge with two sides at the
-        start and takes back each survivor of a zip."""
-        counts = self.carried()
-        cells, edges = self.cells, self.edges
-        sides: dict[str, list[tuple[str, int]]] = {e: [] for e in edges}
+        The resolved cell paths, the sides over each edge and ``counts``,
+        the carried counts, are kept up to date: a zip moves the folded
+        edge's sides to the survivor.  An edge whose sides have not grown
+        since it was tested has no mirror pair, so the candidate heap holds
+        the edges with two sides at the start and each survivor of a zip."""
+        cells, live, name = self.cells, self._live, self.edge_name
+        edge = self._flatten(self._edge_parent)
+        sides: defaultdict[int, list[tuple[str, int]]] = defaultdict(list)
         for cid in sorted(cells):
-            for pos, (e, _) in enumerate(cells[cid]):
-                sides[e].append((cid, pos))
-        todo = sorted(e for e, over in sides.items() if len(over) > 1)
+            path = cells[cid] = [2 * edge[d >> 1] | d & 1 for d in cells[cid]]
+            for pos, d in enumerate(path):
+                sides[d >> 1].append((cid, pos))
+        todo = sorted((name(e), e) for e, over in sides.items() if len(over) > 1)
         while todo:             # a sorted list is a heap
-            e = heapq.heappop(todo)
-            if e not in sides:      # folded or deleted since it was pushed
+            _, e = heapq.heappop(todo)
+            if not live[e]:     # folded or deleted since it was pushed
                 continue
-            hit = _mirror_at(e, sides[e], cells.__getitem__, self.letter)
+            hit = _mirror_at(e, sides[e], cells.__getitem__, self._letters.__getitem__)
             if hit is None:
                 continue
             _, c1, p1, c2, p2 = hit
             if counts[e] != 2:
-                raise DiagramError(f"mirror edge {e} still carried elsewhere")
+                raise DiagramError(
+                    f"mirror edge {name(e)} still carried elsewhere")
             path1, path2 = cells[c1], cells[c2]
             m = len(path1)
             for t in range(1, m):
                 folded = self.identify_darts(path1[(p1 + t) % m],
-                                             dart_reverse(path2[(p2 - t) % m]))
+                                             path2[(p2 - t) % m] ^ 1)
                 if folded is None:
                     continue
                 e1, e2 = folded
                 for cid, pos in sides[e2]:
-                    cells[cid][pos] = (e1, cells[cid][pos][1])
+                    cells[cid][pos] = 2 * e1 | cells[cid][pos] & 1
                 sides[e1] = sorted(sides[e1] + sides.pop(e2))
-                counts[e1] += counts.pop(e2)
-                heapq.heappush(todo, e1)
+                counts[e1] += counts[e2]
+                heapq.heappush(todo, (name(e1), e1))
             touched = set()
             for cid in (c1, c2):
-                for pos, (f, _) in enumerate(cells.pop(cid)):
-                    sides[f].remove((cid, pos))
-                    counts[f] -= 1
-                    touched.add(f)
+                for pos, d in enumerate(cells.pop(cid)):
+                    sides[d >> 1].remove((cid, pos))
+                    counts[d >> 1] -= 1
+                    touched.add(d >> 1)
                 del self.cell_align[cid]
-            for f in sorted(touched):
+            bad = sorted((name(f), counts[f]) for f in touched
+                         if counts[f] not in (0, 2))
+            if bad:
+                raise DiagramError("edge %s carried %d times, expected 2"
+                                   % bad[0])
+            for f in touched:
                 if not counts[f]:
-                    del edges[f], sides[f], counts[f]
-                elif counts[f] != 2:
-                    raise DiagramError(
-                        f"edge {f} carried {counts[f]} times, expected 2")
+                    live[f] = False
+                    del sides[f]
         # No step adds an edge, and a zip merges only vertices of two cells
         # that share an edge, so a component split off from the base stays
         # split: one search after the loop finds every split.
-        self.settle()
-        links: defaultdict[str, list[str]] = defaultdict(list)
-        for t, h, _ in self.edges.values():
+        vertex = self._flatten(self._vertex_parent)
+        tails, heads = (map(vertex.__getitem__, compress(end, live))
+                        for end in self._ends)
+        links: defaultdict[int, list[int]] = defaultdict(list)
+        for t, h in zip(tails, heads):
             links[t].append(h)
             links[h].append(t)
-        seen, todo = {self.base}, [self.base]
+        seen, todo = {0}, [0]
         while todo:
             for w in links[todo.pop()]:
                 if w not in seen:
@@ -294,27 +313,26 @@ class _DiskBuilder:
 
     # -- export ----------------------------------------------------------
 
-    def freeze(self,
-               x: OneRelatorOrbicomplex) -> tuple[TwoComplex, OrbiMorphism]:
-        complex_ = self.snapshot()
+    def freeze(self, x: OneRelatorOrbicomplex) -> VanKampenDiagram:
+        complex_, boundary = self.snapshot()
         require_valid(complex_)
         labeling = replace(OrbiMorphism.by_labels(complex_, x),
                            cell_align=dict(self.cell_align))
-        return complex_, labeling
+        return VanKampenDiagram(complex_, boundary, self.readout(), labeling)
 
 
-def _mirror_at(e: str, sides, path_of, label):
+def _mirror_at(e, sides, path_of, label):
     """The first two of ``sides``, the (cell, position) pairs over edge
     ``e`` in order, whose cells read the relator power inversely from it, as
     (edge, cell, position, cell, position), or None; ``path_of`` gives a
-    cell's dart path and ``label`` a dart's letter.  A cell that mirrors
-    itself is unresolvable."""
+    cell's dart path and ``label`` a dart's letter.  Both darts lie over
+    ``e``.  A cell that mirrors itself is unresolvable."""
     for i1, (c1, p1) in enumerate(sides):
         path1 = path_of(c1)
         m = len(path1)
         for c2, p2 in sides[i1 + 1:]:
             path2 = path_of(c2)
-            if path2[p2] != dart_reverse(path1[p1]) or len(path2) != m:
+            if len(path2) != m:
                 continue
             if any(label(path1[(p1 + t) % m])
                    != inverse_letter(label(path2[(p2 - t) % m]))
@@ -344,17 +362,19 @@ def _replay_conjugates(u: Word, x: OneRelatorOrbicomplex, steps):
     """Recover (prefix, rotation word, cell alignment) per trace step."""
     q = x.relator_power_path()
     m = len(q)
+    # a rotation of q or q^-1 is a window of that word written twice, and
+    # the inverse of the rotation's tail is a window of the other one
+    twice = {1: q * 2, -1: inverse_word(q) * 2}
     out = []
     for step in steps:
-        rp = q if step.sign > 0 else inverse_word(q)
-        rot = rp[step.rotation:] + rp[:step.rotation]
-        if u[step.position:step.position + step.length] != rot[:step.length]:
+        r, length = step.rotation, step.length
+        rot = twice[step.sign][r:r + m]
+        if u[step.position:step.position + length] != rot[:length]:
             raise DiagramError(f"trace step {step} does not read its rotation")
-        align = (step.rotation, 1) if step.sign > 0 \
-            else ((m - 1 - step.rotation) % m, -1)
+        align = (r, 1) if step.sign > 0 else ((m - 1 - r) % m, -1)
         out.append((u[:step.position], rot, align))
-        u, _ = splice(u, step.position, step.position + step.length,
-                      inverse_word(rot[step.length:]))
+        u, _ = splice(u, step.position, step.position + length,
+                      twice[-step.sign][m - r:2 * m - r - length])
     if u:
         raise DiagramError("trace does not reduce the word to nothing")
     return out
@@ -372,9 +392,7 @@ def build_reduced_diagram(u: Word, x: OneRelatorOrbicomplex) -> VanKampenDiagram
         for sym, _ in u:
             if sym not in x.gamma.edges:
                 raise _foreign_letter(sym)
-        complex_ = _DiskBuilder("v0").snapshot()
-        return VanKampenDiagram(complex_, (), (),
-                                OrbiMorphism.by_labels(complex_, x))
+        return _DiskBuilder("v0").freeze(x)
     result = dehn_solve(reduced_u, x)
     if not result.trivial:
         raise ValueError("word is nontrivial; it bounds no disk diagram")
@@ -383,23 +401,21 @@ def build_reduced_diagram(u: Word, x: OneRelatorOrbicomplex) -> VanKampenDiagram
     for j, (stem, rho, align) in enumerate(
             _replay_conjugates(reduced_u, x, result.steps)):
         builder.add_lollipop(j, stem, rho, align)
-    builder.check_disk()
+    counts = builder.check_disk()
     if free_reduce(builder.readout()) != reduced_u:
         raise DiagramError("lollipop wedge does not spell the word")
-    builder.sew()
+    builder.sew(counts)
     if builder.readout() != reduced_u:
         raise DiagramError("boundary readout drifted during sewing")
-    builder.check_disk()
-    builder.cancel_mirrors()
+    builder.cancel_mirrors(builder.check_disk())
     if builder.readout() != reduced_u:
         raise DiagramError("boundary readout drifted during cancellation")
     builder.check_disk()
-    complex_, labeling = builder.freeze(x)
-    witness = _check_morphism(labeling.as_cell_morphism())
+    diagram = builder.freeze(x)
+    witness = _check_morphism(diagram.labeling.as_cell_morphism())
     if witness is not None:
         raise DiagramError(f"diagram labelling is not a morphism: {witness}")
-    return VanKampenDiagram(complex_, tuple(builder.boundary),
-                            builder.readout(), labeling)
+    return diagram
 
 
 def mirror_witness(d: VanKampenDiagram):

@@ -24,7 +24,7 @@ from .diagrams import build_reduced_diagram
 from .errors import PipelineInvariantError
 from .folding import fold
 from .orbicomplex import OneRelatorOrbicomplex
-from .words import Word, dehn_solve, free_reduce, inverse_word
+from .words import Word, _foreign_letter, dehn_solve, free_reduce, inverse_word
 
 # ---------------------------------------------------------------------------
 # state
@@ -621,6 +621,9 @@ def present_subgroup(generators: list[Word], x: OneRelatorOrbicomplex, *,
             f"max_word_len must be at least 1, got {max_word_len}")
     if max_stages < 0:
         raise ValueError(f"max_stages must be at least 0, got {max_stages}")
+    foreign = [s for g in generators for s, _ in g if s not in x.gamma.edges]
+    if foreign:
+        raise _foreign_letter(foreign[0])
     notes: list[str] = []
     cleaned = [free_reduce(g) for g in generators]
     cleaned = [g for g in cleaned if g]

@@ -853,6 +853,19 @@ def test_negative_stage_budget_is_rejected(x):
         present_subgroup(STAB, x, max_stages=-1)
 
 
+def test_a_letter_outside_the_rose_is_refused_before_the_quotient_search(
+        x, monkeypatch):
+    # the letter check comes before free reduction, so c c~ is refused too
+    import orelco.pipeline as pipeline
+
+    def no_search(*args):
+        raise AssertionError("the quotient search ran")
+    monkeypatch.setattr(pipeline, "find_exponent_n_quotient", no_search)
+    for gens in ([W("c")], [W("c c~")], [W("a b"), W("a c")]):
+        with pytest.raises(ValueError, match="letter 'c' is not a loop"):
+            present_subgroup(gens, x, max_word_len=4)
+
+
 def test_budget_exhaustion_is_flagged_not_raised(x):
     pres, report = present_subgroup(STAB, x, max_stages=0)
     assert not pres.conclusive
