@@ -202,6 +202,22 @@ def non_tree_edge_count(g: Graph) -> int:
     return len(g.edges) - len(g.vertices) + len(connected_components(g))
 
 
+def _find(parent: list[int], x: int) -> int:
+    """The root of ``x`` in the union-find forest ``parent``."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]     # path halving
+    return x
+
+
+def _flatten(parent: list[int]) -> list[int]:
+    """Point every number at its root; returns ``parent``."""
+    for x, root in enumerate(parent):
+        while parent[root] != root:
+            root = parent[root]
+        parent[x] = root
+    return parent
+
+
 class MapKind(IntEnum):
     NOT_MORPHISM = 0
     MORPHISM = 1

@@ -20,7 +20,7 @@ from itertools import chain, compress, repeat
 from operator import itemgetter
 
 from .complexes import (Dart, EdgeRec, Graph, TwoComplex, _check_morphism,
-                        require_valid)
+                        _find, _flatten, require_valid)
 from .errors import DiagramError
 from .orbicomplex import OneRelatorOrbicomplex, OrbiMorphism
 from .words import (Letter, Word, _foreign_letter, dehn_solve, free_reduce,
@@ -65,21 +65,6 @@ class _DiskBuilder:
         self._pairs: dict[str, tuple[Letter, Letter]] = {}   # symbol -> letters
         self._ends: tuple[list[int], list[int]] = ([], [])
 
-    @staticmethod
-    def _find(parent: list[int], x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]     # path halving
-        return x
-
-    @staticmethod
-    def _flatten(parent: list[int]) -> list[int]:
-        """Point every number at its root; returns ``parent``."""
-        for x, root in enumerate(parent):
-            while parent[root] != root:
-                root = parent[root]
-            parent[x] = root
-        return parent
-
     def edge_name(self, e: int) -> str:
         return self._edge_origin[0][e] + str(self._edge_origin[1][e])
 
@@ -88,7 +73,7 @@ class _DiskBuilder:
 
     def snapshot(self) -> tuple[TwoComplex, tuple[Dart, ...]]:
         """The complex and its boundary under the surviving names."""
-        vertex = self._flatten(self._vertex_parent)
+        vertex = _flatten(self._vertex_parent)
         live, letters = self._live, self._letters
         tails, heads = (list(map(vertex.__getitem__, compress(end, live)))
                         for end in self._ends)
@@ -103,7 +88,7 @@ class _DiskBuilder:
             tails, heads, map(itemgetter(0), compress(letters[::2], live))))))
         # every dart, folded or not, under its survivor's name
         names = list(map(dict(zip(ids, names)).get,
-                         self._flatten(self._edge_parent)))
+                         _flatten(self._edge_parent)))
         darts: list = [None] * len(letters)
         darts[::2], darts[1::2] = zip(names, repeat(1)), zip(names, repeat(-1))
         vertices = {name[0]}.union(*zip(tails, heads))
@@ -145,7 +130,7 @@ class _DiskBuilder:
     def merge_vertices(self, a: int, b: int) -> None:
         """The base survives a merge, otherwise the smaller name."""
         parent = self._vertex_parent
-        a, b = self._find(parent, a), self._find(parent, b)
+        a, b = _find(parent, a), _find(parent, b)
         if a == b:
             return
         if b == 0 or (a != 0 and self.vertex_name(b) < self.vertex_name(a)):
@@ -157,7 +142,7 @@ class _DiskBuilder:
         the edge of ``d2`` becomes that of ``d1``.  Returns the surviving and
         the folded edge, or None when the darts are already one."""
         parent = self._edge_parent
-        e1, e2 = self._find(parent, d1 >> 1), self._find(parent, d2 >> 1)
+        e1, e2 = _find(parent, d1 >> 1), _find(parent, d2 >> 1)
         if e1 == e2 and d1 & 1 == d2 & 1:
             return None
         if self._letters[d1] != self._letters[d2]:
@@ -187,10 +172,10 @@ class _DiskBuilder:
     def carried(self) -> list[int]:
         """Times each surviving edge is carried by cell sides and boundary."""
         counts = [0] * len(self._live)
-        find, parent = self._find, self._edge_parent
+        parent = self._edge_parent
         for d in chain(*self.cells.values(), self.boundary):
             e = d >> 1
-            counts[e if parent[e] == e else find(parent, e)] += 1
+            counts[e if parent[e] == e else _find(parent, e)] += 1
         return counts
 
     def readout(self) -> Word:
@@ -214,14 +199,14 @@ class _DiskBuilder:
         pairs that cancel: a spur, a dart and its own reverse, loses its
         edge, and any other pair folds its second dart onto the reverse of
         its first.  ``counts``, the carried counts, are kept up to date."""
-        find, parent, letters = self._find, self._edge_parent, self._letters
+        parent, letters = self._edge_parent, self._letters
         stack: list[int] = []
         for d in self.boundary:
             if not stack or letters[stack[-1] ^ 1] != letters[d]:
                 stack.append(d)
                 continue
             d1 = stack.pop()
-            e, e2 = find(parent, d1 >> 1), find(parent, d >> 1)
+            e, e2 = _find(parent, d1 >> 1), _find(parent, d >> 1)
             if e == e2:
                 if counts[e] != 2:
                     raise DiagramError(f"spur edge {self.edge_name(e)} "
@@ -245,7 +230,7 @@ class _DiskBuilder:
         since it was tested has no mirror pair, so the candidate heap holds
         the edges with two sides at the start and each survivor of a zip."""
         cells, live, name = self.cells, self._live, self.edge_name
-        edge = self._flatten(self._edge_parent)
+        edge = _flatten(self._edge_parent)
         sides: defaultdict[int, list[tuple[str, int]]] = defaultdict(list)
         for cid in sorted(cells):
             path = cells[cid] = [2 * edge[d >> 1] | d & 1 for d in cells[cid]]
@@ -295,7 +280,7 @@ class _DiskBuilder:
         # No step adds an edge, and a zip merges only vertices of two cells
         # that share an edge, so a component split off from the base stays
         # split: one search after the loop finds every split.
-        vertex = self._flatten(self._vertex_parent)
+        vertex = _flatten(self._vertex_parent)
         tails, heads = (map(vertex.__getitem__, compress(end, live))
                         for end in self._ends)
         links: defaultdict[int, list[int]] = defaultdict(list)

@@ -16,8 +16,8 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .complexes import (CellImage, CellMorphism, EdgeRec, Graph, TwoComplex,
-                        _check_morphism, _composite_equals, _immersion_fault,
-                        compose, reverse_path)
+                        _check_morphism, _composite_equals, _find, _flatten,
+                        _immersion_fault, compose, reverse_path)
 from .errors import (FactorizationError, InvariantError, NotImmersionError,
                      NotMorphismError)
 
@@ -140,10 +140,7 @@ def fold(m: CellMorphism) -> FoldResult:
     heapq.heapify(heap)
     while heap:
         k1 = heapq.heappop(heap)
-        v = origin[k1]
-        while vparent[v] != v:
-            vparent[v] = v = vparent[vparent[v]]
-        b = buckets[v].get(image[k1])
+        b = buckets[_find(vparent, origin[k1])].get(image[k1])
         if b is None or len(b) < 2 or b[0] != k1:
             continue    # stale: the bucket changed after this entry
         k2 = b.pop(1)
@@ -157,11 +154,7 @@ def fold(m: CellMorphism) -> FoldResult:
         # its bucket with the smaller reverse of e1, or the two buckets
         # merge below, so no entry is lost.
         back = k2 ^ 1
-        t1, t2 = origin[k1 ^ 1], origin[back]
-        while vparent[t1] != t1:
-            vparent[t1] = t1 = vparent[vparent[t1]]
-        while vparent[t2] != t2:
-            vparent[t2] = t2 = vparent[vparent[t2]]
+        t1, t2 = _find(vparent, origin[k1 ^ 1]), _find(vparent, origin[back])
         at2 = buckets[t2]
         rb = at2[image[back]]
         del rb[bisect_left(rb, back)]
@@ -192,9 +185,7 @@ def fold(m: CellMorphism) -> FoldResult:
     edge_map = {e: (edge_names[r], g)
                 for e, (r, g) in zip(edge_names, euf.classes())}
     roots = [e for e, (r, _) in edge_map.items() if r == e]
-    vroot: list[int] = []   # a merge hangs the larger root under the smaller
-    for v, p in enumerate(vparent):
-        vroot.append(v if p == v else vroot[p])
+    vroot = _flatten(vparent)
     vertex_map = {v: vertex_names[vroot[vertex_no[v]]]
                   for v in a.skeleton.vertices}
     edges = {}

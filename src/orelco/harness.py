@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from .complexes import (EdgeRec, Graph, MapKind, TwoComplex, collapse,
                         connected_components, euler_characteristic,
@@ -30,7 +31,7 @@ from .folding import factor_unique, fold
 from .orbicomplex import (OneRelatorOrbicomplex, OrbiMorphism,
                           build_orbicomplex, check_orbi_immersion,
                           wcycles_audit)
-from .words import Word, least_rotation
+from .words import Word
 
 SEED_STRIDE = 1_000_003
 QUOTIENT_ATTEMPTS = 500
@@ -44,22 +45,19 @@ class GeneratorParams:
     branch_index: int
     attach_probability: float = 0.5
 
+    @cached_property
     def orbicomplex(self) -> OneRelatorOrbicomplex:
-        """The rose orbicomplex of the relator, built on the first call and
-        kept on this instance, so that its cached properties last too."""
-        x = self.__dict__.get("_orbicomplex")
-        if x is None:
-            symbols = sorted({sym for sym, _ in self.relator})
-            x = build_orbicomplex(Graph.rose(symbols), tuple(self.relator),
-                                  self.branch_index)
-            object.__setattr__(self, "_orbicomplex", x)
-        return x
+        """The rose orbicomplex of the relator, built on first use and kept
+        on this instance, so that its cached properties last too."""
+        symbols = sorted({sym for sym, _ in self.relator})
+        return build_orbicomplex(Graph.rose(symbols), tuple(self.relator),
+                                 self.branch_index)
 
     def _with_budget(self, vertex_budget: int) -> GeneratorParams:
         """These parameters with another vertex budget, sharing this
         instance's orbicomplex, which the budget does not change."""
         out = replace(self, vertex_budget=vertex_budget)
-        object.__setattr__(out, "_orbicomplex", self.orbicomplex())
+        out.__dict__["orbicomplex"] = self.orbicomplex
         return out
 
 
@@ -120,21 +118,24 @@ def _random_labeled_graph(rng: random.Random, v: int,
 
 
 def closed_power_lifts(g: Graph, x: OneRelatorOrbicomplex):
-    """Closed lifts of the relator power, one canonical representative per
-    rotation class of the full cycle."""
-    power = x.relator_power_path()
+    """Closed lifts of the relator power, one per cycle: the least of its
+    rotations by multiples of the relator length, so every lift reads the
+    power from offset 0."""
+    power, step = x.relator_power_path(), x.relator_length
     found = set()
     for v in sorted(g.vertices):
         lift = g.read(power, v)
         if lift is not None and lift[1] == v:
-            found.add(least_rotation(lift[0]))
+            path = lift[0]
+            found.add(min(path[k:] + path[:k]
+                          for k in range(0, len(path), step)))
     return tuple(sorted(found))
 
 
 def _generate_uncollapsed(seed: int, params: GeneratorParams) -> OrbiMorphism:
     if params.vertex_budget < 1:
         raise ValueError("vertex budget must be >= 1")
-    x = params.orbicomplex()
+    x = params.orbicomplex
     if x.branch_index < 2:
         raise ValueError("branch index must be >= 2")
     rng = random.Random(seed)
@@ -278,7 +279,7 @@ def _run_cover_trial(rng: random.Random, seed: int,
 
 
 def run_property_campaign(cfg: CampaignConfig) -> CampaignReport:
-    x = cfg.params.orbicomplex()
+    x = cfg.params.orbicomplex
     rose_complex = TwoComplex(x.gamma, {}, base_vertex="*")
     rows: list[TrialRow] = []
     counts = {suite: [0, 0] for suite in cfg.suites}

@@ -12,6 +12,7 @@ disk.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -130,18 +131,18 @@ def degree(m) -> int:
     """
     if isinstance(m, OrbiMorphism):
         cls = _immersion_fault(m.as_cell_morphism(), m.target.relator_length)
+        count = m.target.branch_index * len(m.source.cells)
     elif isinstance(m, CellMorphism):
         cls = _immersion_fault(m)
+        # counted before the check raises, so a missing image is skipped
+        hits = Counter(m.cell_map[cid].cell for cid in m.source.cells
+                       if cid in m.cell_map)
+        count = min((hits[cid] for cid in m.target.cells), default=0)
     else:
         raise TypeError(f"degree undefined for {type(m).__name__}")
     if cls is not None:
         raise NotImmersionError(cls.witness or "map is not an immersion")
-    if isinstance(m, OrbiMorphism):
-        return m.target.branch_index * len(m.source.cells)
-    counts = {cid: 0 for cid in m.target.cells}
-    for cid in m.source.cells:
-        counts[m.cell_map[cid].cell] += 1
-    return min(counts.values(), default=0)
+    return count
 
 
 @dataclass(frozen=True)

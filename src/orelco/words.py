@@ -43,12 +43,6 @@ def free_reduce(word: Iterable[Letter], cyclic: bool = False) -> Word:
     return tuple(out)
 
 
-def least_rotation(word: Sequence[Letter]) -> Word:
-    """The lexicographically least cyclic rotation; ``()`` for the empty word."""
-    w = tuple(word)
-    return min((w[r:] + w[:r] for r in range(len(w))), default=())
-
-
 def is_reduced(word: Sequence[Letter]) -> bool:
     """No letter is followed by its inverse."""
     last_sym, last_sign = None, 0

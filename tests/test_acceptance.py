@@ -343,7 +343,7 @@ PINNED_CAMPAIGNS = {
         "3f5417b30e83d59500055fc9c40e33fa6f090d4f7ba4157fd20c1325d26a0859"),
     "abab2": (
         ABAB_INV,
-        "121835c4dc26e7f17dda17989a00f38202e4e1466de1e9dade0d61c99bbe290b"),
+        "88fe9ff3b574a558b4c6c9a0bdc6c08ee27949f592d1e3b127bf7d62aafd4c4d"),
 }
 
 

@@ -480,7 +480,7 @@ def _base_morphism(rng):
     relator, n = rng.choice([("a b", 2), ("a b a b~", 2), ("a b", 3)])
     params = GeneratorParams(rng.randint(1, 6), parse_word(relator), n,
                              attach_probability=0.8)
-    x = params.orbicomplex()
+    x = params.orbicomplex
     kind = rng.randrange(4)
     if kind == 0:
         m = _generate_uncollapsed(rng.getrandbits(32), params).as_cell_morphism()

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import orelco.complexes as complexes
 import orelco.diagrams as diagrams
 from orelco.complexes import (EdgeRec, Graph, MapKind, connected_components,
                               dart_reverse, euler_characteristic)
@@ -607,7 +608,7 @@ def _sewn(sew, make, u, x, doctor=None):
                {v: b.vertex_of(v) for v in names})
         return raw + (b.carried(), list(b.boundary))
     edge, vertex = b.edge_name, b.vertex_name
-    (tails, heads), find = b._ends, b._find
+    (tails, heads), find = b._ends, complexes._find
     raw = ([(edge(d >> 1), -1 if d & 1 else 1) for d in b.boundary],
            [(edge(e), EdgeRec(vertex(tails[e]), vertex(heads[e]),
                               b._letters[2 * e][0]))
@@ -699,7 +700,7 @@ def test_numbered_builder_matches_the_string_builder():
 def _merge_by_number(self, a, b):
     """The merge rule broken: the smaller vertex number survives."""
     parent = self._vertex_parent
-    a, b = self._find(parent, a), self._find(parent, b)
+    a, b = complexes._find(parent, a), complexes._find(parent, b)
     if a != b:
         parent[max(a, b)] = min(a, b)
 

@@ -16,8 +16,8 @@ from orelco.harness import (CSV_HEADER, QUOTIENT_ATTEMPTS, CampaignConfig,
                             closed_power_lifts, random_irreducible_immersion,
                             random_uniform_quotient, run_property_campaign,
                             trial_seed)
-from orelco.orbicomplex import (build_orbicomplex, check_orbi_immersion,
-                                wcycles_audit)
+from orelco.orbicomplex import (OrbiMorphism, build_orbicomplex,
+                                check_orbi_immersion, wcycles_audit)
 from orelco.words import parse_word
 
 import random
@@ -85,9 +85,6 @@ def test_lift_classes_are_deduplicated_by_full_rotation_only():
     assert len(closed_power_lifts(g2, x)) == 2
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "closed_power_lifts keeps each lift's least rotation by edge id, which "
-    "can start mid-relator, while OrbiMorphism.by_labels claims offset 0"))
 def test_every_closed_lift_spells_the_relator_power():
     for relator, n in (("a b a b~", 2), ("a a b b b", 2)):
         x = build_orbicomplex(Graph.rose("ab"), W(relator), n)
@@ -96,6 +93,23 @@ def test_every_closed_lift_spells_the_relator_power():
             g = _random_labeled_graph(random.Random(seed), 12, ["a", "b"])
             for lift in closed_power_lifts(g, x):
                 assert tuple(map(g.dart_label, lift)) == power
+
+
+def test_the_generator_keeps_both_cells_of_the_degree_4_cover():
+    # a is a 4-cycle and b the identity: the cover's two cells both read
+    # (a b a b~)^2 from offset 0 only when their lifts start at the relator
+    x = build_orbicomplex(Graph.rose("ab"), W("a b a b~"), 2)
+    cover = build_unwrapped_cover(
+        x, FiniteQuotient(4, {"a": (1, 2, 3, 0), "b": (0, 1, 2, 3)})).cover
+    assert len(cover.cells) == 2
+    cells = {}
+    for k, lift in enumerate(closed_power_lifts(cover.skeleton, x)):
+        trial = {**cells, f"c{k}": lift}
+        m = OrbiMorphism.by_labels(
+            TwoComplex(cover.skeleton, trial, base_vertex=cover.base_vertex), x)
+        if check_orbi_immersion(m).kind >= MapKind.IMMERSION:
+            cells = trial
+    assert len(cells) == 2
 
 
 def test_zero_trials_gives_an_empty_passing_report():

@@ -69,3 +69,28 @@ def test_only_textio_reads_text():
                   if isinstance(node, ast.Attribute)
                   and node.attr == "splitlines"]
     assert sorted(LIBRARY.glob("*.py")) and not found, found
+
+
+def _halves_a_path(node) -> bool:
+    """``p[x] = x = p[p[x]]``: a read of ``p`` through ``p`` stored in ``p``."""
+    if not (isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Subscript)
+            and isinstance(node.value.slice, ast.Subscript)):
+        return False
+    base = ast.dump(node.value.value)
+    return ast.dump(node.value.slice.value) == base and any(
+        isinstance(t, ast.Subscript) and ast.dump(t.value) == base
+        for t in node.targets)
+
+
+def test_only_complexes_finds_union_find_roots():
+    # complexes._find is the one union-find root search; a path-halving
+    # loop elsewhere would be a second copy of it
+    found = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        if path.name == "complexes.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if _halves_a_path(node)]
+    assert sorted(LIBRARY.glob("*.py")) and not found, found

@@ -7,8 +7,8 @@ from orelco.complexes import Graph
 from orelco.orbicomplex import build_orbicomplex
 from orelco.words import (DehnResult, DehnStep, dehn_solve, format_word,
                           free_reduce, inverse_word, is_cyclically_reduced,
-                          is_proper_power, is_reduced, least_rotation,
-                          parse_word, splice)
+                          is_proper_power, is_reduced, parse_word,
+                          splice)
 
 A = ("a", 1)
 Ai = ("a", -1)
@@ -58,13 +58,6 @@ def test_proper_power():
         is_proper_power(())
     with pytest.raises(ValueError):
         is_proper_power((B, A, Bi))  # cyclically reducible
-
-
-def test_least_rotation():
-    assert least_rotation(()) == ()
-    assert least_rotation((B, A, A)) == (A, A, B)
-    assert least_rotation([Bi, A, B]) == (A, B, Bi)
-    assert least_rotation((A, B, Bi)) == (A, B, Bi)  # already least
 
 
 def test_parse_and_format():
