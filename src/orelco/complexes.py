@@ -67,10 +67,14 @@ class Graph:
 
     @cached_property
     def _adjacency(self) -> dict[str, tuple[Dart, ...]]:
-        # darts() runs in dart_sort_key order, so each list is already sorted
+        # the darts of each edge in turn, by edge id, are in dart_sort_key
+        # order, so each list is already sorted
         table: dict[str, list[Dart]] = {v: [] for v in self.vertices}
-        for d in self.darts():
-            table[self.dart_origin(d)].append(d)
+        edges = self.edges
+        for e in sorted(edges):
+            tail, head, _ = edges[e]
+            table[tail].append((e, 1))
+            table[head].append((e, -1))
         return {v: tuple(ds) for v, ds in table.items()}
 
     def darts_at(self, v: str) -> tuple[Dart, ...]:
@@ -80,16 +84,18 @@ class Graph:
     def _reader(self) -> dict[tuple[str, tuple[str, int]], Dart]:
         # dart (e, s) of a labelled edge reads the letter (label, s)
         table: dict[tuple[str, tuple[str, int]], Dart] = {}
-        for d in self.darts():
-            letter = self.dart_label(d)
-            if letter is None:
+        edges = self.edges
+        for e in sorted(edges):
+            tail, head, label = edges[e]
+            if label is None:
                 continue
-            key = (self.dart_origin(d), letter)
-            if key in table:
-                raise InvalidComplexError(
-                    f"darts {table[key]} and {d} at vertex {key[0]} both"
-                    f" read {letter}")
-            table[key] = d
+            for key, d in (((tail, (label, 1)), (e, 1)),
+                           ((head, (label, -1)), (e, -1))):
+                if key in table:
+                    raise InvalidComplexError(
+                        f"darts {table[key]} and {d} at vertex {key[0]} both"
+                        f" read {key[1]}")
+                table[key] = d
         return table
 
     def read(self, word: Iterable[tuple[str, int]],
@@ -98,7 +104,7 @@ class Graph:
         returns (dart path, end vertex), or None where no dart reads the next
         letter.  The labels must make the graph immersed over the rose: two
         darts at one vertex reading one letter raise InvalidComplexError."""
-        table = self._reader
+        table, edges = self._reader, self.edges
         path = []
         v = start
         for letter in word:
@@ -106,7 +112,8 @@ class Graph:
             if d is None:
                 return None
             path.append(d)
-            v = self.dart_terminus(d)
+            tail, head, _ = edges[d[0]]
+            v = head if d[1] > 0 else tail
         return tuple(path), v
 
 
@@ -177,24 +184,36 @@ def euler_characteristic(c: TwoComplex, dimension: int = 2) -> int:
     return chi
 
 
-def connected_components(g: Graph) -> list[frozenset[str]]:
+def _components(g: Graph, roots: Iterable[str]):
+    """The component of each root that no earlier one holds, each by one
+    search from its root over the edge records."""
+    links: dict[str, list[str]] = {v: [] for v in g.vertices}
+    for tail, head, _ in g.edges.values():
+        links[tail].append(head)
+        links[head].append(tail)
     seen: set[str] = set()
-    comps: list[frozenset[str]] = []
-    for root in sorted(g.vertices):
+    for root in roots:
         if root in seen:
             continue
         comp = {root}
-        queue = [root]
-        while queue:
-            v = queue.pop()
-            for d in g.darts_at(v):
-                w = g.dart_terminus(d)
+        stack = [root]
+        while stack:
+            for w in links[stack.pop()]:
                 if w not in comp:
                     comp.add(w)
-                    queue.append(w)
+                    stack.append(w)
         seen |= comp
-        comps.append(frozenset(comp))
-    return comps
+        yield frozenset(comp)
+
+
+def component_of(g: Graph, root: str) -> frozenset[str]:
+    """The vertices that a path from ``root`` reaches."""
+    return next(_components(g, (root,)))
+
+
+def connected_components(g: Graph) -> list[frozenset[str]]:
+    """The components, each found from its least vertex, in that order."""
+    return list(_components(g, sorted(g.vertices)))
 
 
 def non_tree_edge_count(g: Graph) -> int:

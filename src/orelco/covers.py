@@ -19,7 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .complexes import (Dart, EdgeRec, Graph, MapKind, TwoComplex,
-                        euler_characteristic, target_side)
+                        euler_characteristic)
 from .errors import (BudgetExhaustedError, InvalidComplexError,
                      InvariantError)
 from .orbicomplex import (OneRelatorOrbicomplex, OrbiMorphism,
@@ -79,13 +79,49 @@ class FiniteQuotient:
         return point
 
 
+def relator_cycles(perms: dict[str, Perm], x: OneRelatorOrbicomplex,
+                   degree: int):
+    """The cycles of the relator image under ``perms`` (a permutation of
+    {0..degree-1} per letter) in ``cycles`` order, each walked point by
+    point through the letters' permutations, and only when asked for.
+
+    The first is the cycle through point 0.  When its length is not n, the
+    exponent rule fails whatever the other cycles are: that is the
+    samplers' screen, ``screen_draw``.
+    """
+    steps = [perms[sym] if sign > 0 else _inverse(perms[sym])
+             for sym, sign in x.relator_word()]
+    seen = [False] * degree
+    for i in range(degree):
+        if seen[i]:
+            continue
+        cycle = []
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            cycle.append(j)
+            for p in steps:
+                j = p[j]
+        yield tuple(cycle)
+
+
+def screen_draw(perms: dict[str, Perm], x: OneRelatorOrbicomplex,
+                degree: int) -> bool:
+    """Whether the relator image's cycle through point 0 has length n.
+
+    A draw that fails breaks the exponent rule, so the campaign sampler and
+    the quotient search drop it before they build a quotient;
+    ``validate_quotient`` decides every draw that passes.
+    """
+    return len(next(relator_cycles(perms, x, degree))) == x.branch_index
+
+
 def _unwrap_cycles(q: FiniteQuotient, x: OneRelatorOrbicomplex
                    ) -> tuple[str | None, list[tuple[int, ...]]]:
     """``validate_quotient``'s problem, or None, and, when there is none,
     the cycles of the relator image in ``cycles`` order.
 
-    Each cycle is walked point by point through the permutations of the
-    relator's letters, and the walk stops at the first cycle whose length is
+    The walk of ``relator_cycles`` stops at the first cycle whose length is
     not the branch index.  Transitivity is checked by forward images alone:
     in a finite group, the orbits of the generators are the group's orbits.
     """
@@ -97,25 +133,13 @@ def _unwrap_cycles(q: FiniteQuotient, x: OneRelatorOrbicomplex
     for s in symbols:
         if not _is_perm(perms[s], k):
             return f"image of {s} is not a permutation of degree {k}", []
-    steps = [perms[sym] if sign > 0 else _inverse(perms[sym])
-             for sym, sign in x.relator_word()]
     n = x.branch_index
     found: list[tuple[int, ...]] = []
-    seen = [False] * k
-    for i in range(k):
-        if seen[i]:
-            continue
-        cycle = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            cycle.append(j)
-            for p in steps:
-                j = p[j]
+    for cycle in relator_cycles(perms, x, k):
         if len(cycle) != n:
             return ("exponent condition violated: relator image has a cycle"
                     f" of order {len(cycle)}, expected {n}"), []
-        found.append(tuple(cycle))
+        found.append(cycle)
     if k < 1:
         return "degree must be at least 1", []
     reached = {0}
@@ -158,7 +182,9 @@ def find_exponent_n_quotient(x: OneRelatorOrbicomplex, max_degree: int,
     """Search for a transitive quotient whose relator image has every cycle of
     length exactly n.  Cyclic quotients Z/m (m a multiple of n) are tried
     exhaustively first; their regular actions have uniform cycles for free.
-    Then seeded random permutation assignments of increasing degree.
+    Then seeded random permutation assignments of increasing degree, each
+    screened on the relator image's cycle through point 0 (``screen_draw``)
+    before ``validate_quotient`` decides it.
     """
     if max_degree < 1:
         raise ValueError(f"max_degree must be at least 1, got {max_degree}")
@@ -192,6 +218,8 @@ def find_exponent_n_quotient(x: OneRelatorOrbicomplex, max_degree: int,
             continue
         for _ in range(RANDOM_ATTEMPTS_PER_DEGREE):
             perms = {s: tuple(rng.sample(range(k), k)) for s in symbols}
+            if not screen_draw(perms, x, k):
+                continue
             q = FiniteQuotient(k, perms)
             if not validate_quotient(q, x):
                 return q
@@ -267,8 +295,9 @@ def verify_cover(c: UnwrappedCover) -> CoverReport:
         f, s = m.edge_map[e]
         links[rec.tail].add((f, s))
         links[rec.head].add((f, -s))
+    onto = {u: set(x.gamma.darts_at(u)) for u in x.gamma.vertices}
     for v in sorted(g.vertices):
-        if links[v] != set(x.gamma.darts_at(m.vertex_map[v])):
+        if links[v] != onto[m.vertex_map[v]]:
             witnesses.append(f"link at {v} is not onto the rose link")
     w = x.relator_word()
     n = x.branch_index
@@ -282,15 +311,23 @@ def verify_cover(c: UnwrappedCover) -> CoverReport:
         positions_of = {}
         for j, (sym, _) in enumerate(w):
             positions_of.setdefault(sym, []).append(j)
+        # each edge's disk-side positions, as target_side gives them, in
+        # one pass over the cells
+        sides: dict[str, list[int]] = {e: [] for e in g.edges}
+        period = len(w)
+        for cid in sorted(cover.cells):
+            _, offset, orient = m.cell_map[cid]
+            step = 1 if orient > 0 else -1
+            for pos, (e, _) in enumerate(cover.cells[cid]):
+                sides[e].append((offset + step * pos) % period)
         for e in sorted(g.edges):
-            labels = sorted(target_side(m.cell_map[cid], pos, len(w))[1]
-                            for cid, pos in cover.sides_over[e])
-            expected = sorted(positions_of.get(m.edge_map[e][0], []))
+            labels = sorted(sides[e])
+            expected = positions_of.get(m.edge_map[e][0], [])
             if labels != expected:
                 witnesses.append(
                     f"edge {e} carries disk sides {labels}, expected {expected}")
-        expected_chi = k * (Fraction(euler_characteristic(
-            x.presentation_complex, 1)) + Fraction(1, n))
+        expected_chi = Fraction(k * (n * euler_characteristic(
+            x.presentation_complex, 1) + 1), n)
         if chi != expected_chi:
             witnesses.append(f"Euler characteristic {chi} != {expected_chi}")
         points = [p for orbit in c.families.values() for p in orbit]

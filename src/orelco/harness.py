@@ -21,10 +21,10 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .complexes import (EdgeRec, Graph, MapKind, TwoComplex, collapse,
-                        connected_components, euler_characteristic,
+                        component_of, euler_characteristic,
                         identity_morphism)
 from .complexes import CellMorphism
-from .covers import (FiniteQuotient, build_unwrapped_cover,
+from .covers import (FiniteQuotient, build_unwrapped_cover, screen_draw,
                      validate_quotient, verify_cover)
 from .errors import InvariantError, NotImmersionError, OrelcoError
 from .folding import factor_unique, fold
@@ -112,7 +112,7 @@ def _random_labeled_graph(rng: random.Random, v: int,
         for t, h in zip(tails, heads):
             edges[f"{sym}{t}"] = EdgeRec(f"u{t}", f"u{h}", sym)
     full = Graph(frozenset(f"u{i}" for i in range(v)), edges)
-    comp = next(c for c in connected_components(full) if "u0" in c)
+    comp = component_of(full, "u0")
     kept = {e: rec for e, rec in edges.items() if rec.tail in comp}
     return Graph(comp, kept)
 
@@ -242,7 +242,12 @@ def _run_fold_trial(rng: random.Random, seed: int, cfg: CampaignConfig,
 def random_uniform_quotient(rng: random.Random, x: OneRelatorOrbicomplex,
                             max_degree: int) -> FiniteQuotient | None:
     """Rejection-sample a quotient that ``validate_quotient`` accepts, with
-    one permutation per loop of the rose."""
+    one permutation per loop of the rose.
+
+    Each draw is screened first (``screen_draw``): when the relator image's
+    cycle through point 0 is not of length n, the draw breaks the exponent
+    rule and is dropped unbuilt.  ``validate_quotient`` decides every draw
+    that passes, so the screen changes no draw and no random state."""
     n = x.branch_index
     if max_degree < n:
         raise ValueError(f"max_degree must be at least the branch index {n},"
@@ -256,6 +261,8 @@ def random_uniform_quotient(rng: random.Random, x: OneRelatorOrbicomplex,
             p = list(range(d))
             rng.shuffle(p)
             perms[sym] = tuple(p)
+        if not screen_draw(perms, x, d):
+            continue
         q = FiniteQuotient(d, perms)
         if not validate_quotient(q, x):
             return q

@@ -11,6 +11,7 @@ from orelco.complexes import (CellImage, CellMorphism, Classification, EdgeRec,
                               find_free_faces_and_edges, identity_morphism,
                               non_tree_edge_count, require_valid, reverse_path,
                               target_side, validate_complex)
+from orelco.complexes import component_of
 from orelco.errors import InvalidComplexError
 
 
@@ -611,3 +612,112 @@ def test_checks_name_the_witnesses_of_the_ordered_scans():
     assert compared == 2000 and orbi_compared > 600
     assert kinds == set(MapKind)
     assert forms == set(WITNESS_FORMS)
+
+
+def _dart_walk_adjacency(g):
+    """``Graph._adjacency`` as it read when it walked ``darts()``."""
+    table = {v: [] for v in g.vertices}
+    for d in g.darts():
+        table[g.dart_origin(d)].append(d)
+    return {v: tuple(ds) for v, ds in table.items()}
+
+
+def _dart_walk_reader(g):
+    """``Graph._reader`` as it read when it walked ``darts()``."""
+    table = {}
+    for d in g.darts():
+        letter = g.dart_label(d)
+        if letter is None:
+            continue
+        key = (g.dart_origin(d), letter)
+        if key in table:
+            raise InvalidComplexError(
+                f"darts {table[key]} and {d} at vertex {key[0]} both"
+                f" read {letter}")
+        table[key] = d
+    return table
+
+
+def _random_table_graph(rng):
+    """A labelled graph with loops, multi-edges, unlabelled edges and
+    isolated vertices; every other one is immersed, so it reads cleanly."""
+    vertices = [f"v{k}" for k in range(rng.randint(1, 7))]
+    edges = {}
+    if rng.random() < 0.5:
+        # one partial injection per label: no two darts at a vertex read
+        # one letter
+        for label in "abc":
+            heads = rng.sample(vertices, rng.randint(0, len(vertices)))
+            for tail, head in zip(rng.sample(vertices, len(heads)), heads):
+                edges[f"{label}{rng.randrange(100)}"] = EdgeRec(tail, head,
+                                                                label)
+    else:
+        for _ in range(rng.randint(0, 12)):
+            tail = rng.choice(vertices)
+            head = tail if rng.random() < 0.2 else rng.choice(vertices)
+            edges[f"e{rng.randrange(40)}"] = EdgeRec(
+                tail, head, rng.choice(("a", "b", None)))
+    for _ in range(rng.randint(0, 3)):      # a few extra parallel edges
+        if edges:
+            rec = edges[rng.choice(sorted(edges))]
+            edges[f"m{rng.randrange(40)}"] = EdgeRec(rec.tail, rec.head,
+                                                     rng.choice(("a", None)))
+    vertices.append("iso")                 # touched by no edge
+    return Graph(frozenset(vertices), edges)
+
+
+def _table_outcome(build, g):
+    try:
+        return list(build(g).items())
+    except InvalidComplexError as err:
+        return ("error", str(err))
+
+
+def test_graph_tables_match_the_dart_walk():
+    tally = {"loops": 0, "multi": 0, "unlabelled": 0, "reads": 0,
+             "clashes": 0}
+    rng = random.Random(22)
+    for _ in range(600):
+        g = _random_table_graph(rng)
+        recs = list(g.edges.values())
+        tally["loops"] += any(r.tail == r.head for r in recs)
+        tally["multi"] += len({(r.tail, r.head) for r in recs}) < len(recs)
+        tally["unlabelled"] += any(r.label is None for r in recs)
+        # the tuples and their order, vertex by vertex
+        want = _dart_walk_adjacency(g)
+        assert [(v, g.darts_at(v)) for v in sorted(g.vertices)] == [
+            (v, want[v]) for v in sorted(g.vertices)]
+        assert g.darts_at("iso") == ()
+        want = _table_outcome(_dart_walk_reader, g)
+        assert _table_outcome(lambda g: g._reader, g) == want
+        tally["clashes" if isinstance(want, tuple) else "reads"] += 1
+    assert min(tally.values()) >= 50, tally
+
+
+def test_a_read_clash_names_the_first_of_two():
+    # a clash at v over a and one at u over b~; edge order decides the first
+    for edges, first in (
+            ({"a0": EdgeRec("v", "u", "a"), "a1": EdgeRec("v", "v", "a"),
+              "b0": EdgeRec("v", "u", "b"), "b1": EdgeRec("w", "u", "b")},
+             "darts ('a0', 1) and ('a1', 1) at vertex v both read ('a', 1)"),
+            ({"b0": EdgeRec("v", "u", "b"), "b1": EdgeRec("w", "u", "b"),
+              "c0": EdgeRec("v", "u", "a"), "c1": EdgeRec("v", "v", "a")},
+             "darts ('b0', -1) and ('b1', -1) at vertex u both read"
+             " ('b', -1)"),
+            ({"x": EdgeRec("u", "u", "a"), "y": EdgeRec("w", "u", None),
+              "z0": EdgeRec("u", "w", "a"), "z1": EdgeRec("w", "w", "b"),
+              "z2": EdgeRec("w", "w", "b")},
+             "darts ('x', 1) and ('z0', 1) at vertex u both read ('a', 1)")):
+        g = Graph(frozenset({"u", "v", "w"}), edges)
+        assert _table_outcome(_dart_walk_reader, g) == ("error", first)
+        assert _table_outcome(lambda g: g._reader, g) == ("error", first)
+
+
+def test_component_of_is_the_component_that_holds_its_root():
+    rng = random.Random(5)
+    for _ in range(300):
+        g = _random_table_graph(rng)
+        comps = connected_components(g)
+        assert sorted(v for c in comps for v in c) == sorted(g.vertices)
+        for v in sorted(g.vertices):
+            assert component_of(g, v) == next(c for c in comps if v in c)

@@ -5,6 +5,7 @@ import pytest
 
 from orelco.complexes import (EdgeRec, Graph, MapKind, TwoComplex,
                               euler_characteristic)
+from orelco.complexes import target_side
 from orelco.covers import (FiniteQuotient, build_unwrapped_cover, cycles,
                            find_exponent_n_quotient, pull_back_subgroup,
                            validate_quotient, verify_cover, UnwrappedCover)
@@ -492,3 +493,242 @@ def test_pull_back_outputs_fix_base_point():
     for gens in [[(A,), (B,)], [(A, B)], [(A, B, ("a", -1)), (B, B)]]:
         for word in pull_back_subgroup(gens, Q_AB2):
             assert Q_AB2.act(0, word) == 0
+
+
+def _parent_random_phase(x, max_degree, seed):
+    """``find_exponent_n_quotient``'s random phase as it read before it
+    screened each draw: every draw is built and validated."""
+    symbols = x._rose_symbols
+    n = x.branch_index
+    rng = random.Random(seed)
+    for k in range(n, max_degree + 1):
+        if k % n != 0:
+            continue
+        for _ in range(covers.RANDOM_ATTEMPTS_PER_DEGREE):
+            perms = {s: tuple(rng.sample(range(k), k)) for s in symbols}
+            q = FiniteQuotient(k, perms)
+            if not validate_quotient(q, x):
+                return q
+    raise BudgetExhaustedError(
+        f"no exponent-{n} quotient of degree <= {max_degree} found")
+
+
+def _search_outcome(search, *args):
+    try:
+        return search(*args)
+    except BudgetExhaustedError as err:
+        return str(err)
+
+
+def test_screened_random_phase_finds_the_parents_quotients():
+    # no cyclic quotient of the commutator works, so the random phase runs;
+    # at degree 2 the image is always trivial, so the budget runs out
+    x = make_x("a b a~ b~", 2)
+    found = {}
+    for max_degree in (3, 8, 12):
+        for seed in range(50):
+            want = _search_outcome(_parent_random_phase, x, max_degree, seed)
+            got = _search_outcome(find_exponent_n_quotient, x, max_degree,
+                                  seed)
+            assert got == want, (max_degree, seed)
+            found[max_degree] = found.get(max_degree, 0) + isinstance(
+                want, FiniteQuotient)
+    assert found == {3: 0, 8: 50, 12: 50}
+
+
+SCREEN_GROUPS = (("a b", 2), ("a b a b~", 2), ("a b", 3), ("a a b b b", 2),
+                 ("a b a~ b~", 2))
+
+
+def _screen_draws(rng, count, n):
+    """(intransitive, degree, permutations): random permutations of degree
+    1-12, and intransitive actions that keep two blocks of points, each a
+    multiple of n in size, so that some of them pass the cycle rule."""
+    for _ in range(count):
+        if rng.random() < 0.3:
+            k = n * rng.randint(2, 12 // n)
+            points = rng.sample(range(k), k)
+            cut = n * rng.randint(1, k // n - 1)
+            blocks = (points[:cut], points[cut:])
+            yield True, k, {s: _block_preserving(rng, blocks) for s in "ab"}
+        else:
+            k = rng.randint(1, 12)
+            yield False, k, {s: tuple(rng.sample(range(k), k)) for s in "ab"}
+
+
+def test_the_screen_refuses_only_what_the_exponent_rule_refuses():
+    rng = random.Random(22)
+    for relator, n in SCREEN_GROUPS:
+        x = make_x(relator, n)
+        tally = {"accepted": 0, "screened": 0, "passed, refused": 0,
+                 "intransitive": 0, "degree not a multiple": 0}
+        for intransitive, k, perms in _screen_draws(rng, 2400, n):
+            q = FiniteQuotient(k, perms)
+            # the cycle through point 0, from the permutation of the word
+            image = q.permutation_of(x.relator_word())
+            zero = next(cycles(image))
+            assert next(covers.relator_cycles(perms, x, k)) == zero
+            problems = validate_quotient(q, x)
+            passed = covers.screen_draw(perms, x, k)
+            assert passed == (len(zero) == n), (perms, relator)
+            if not passed:
+                tally["screened"] += 1
+                assert problems == [
+                    "exponent condition violated: relator image has a"
+                    f" cycle of order {len(zero)}, expected {n}"]
+            elif problems:
+                tally["passed, refused"] += 1
+            else:
+                tally["accepted"] += 1
+            tally["intransitive"] += intransitive
+            tally["degree not a multiple"] += k % n != 0
+        # accepted draws, screened draws and draws that only the full rule
+        # refuses all occur, for every relator and kind of input
+        assert min(tally.values()) >= 20, (relator, tally)
+
+
+def _parent_verify_cover(c):
+    """``verify_cover`` as it read before it counted disk sides in one pass
+    over the cells: a sorted generator per edge over ``sides_over``."""
+    witnesses = []
+    x = c.covering_map.target
+    m = c.covering_map.as_cell_morphism()
+    cover = c.cover
+    cls = check_orbi_immersion(c.covering_map)
+    if cls.kind < MapKind.IMMERSION:
+        witnesses.append(f"not an immersion: {cls.witness}")
+    g = cover.skeleton
+    links = {v: set() for v in g.vertices}
+    for e, rec in g.edges.items():
+        f, s = m.edge_map[e]
+        links[rec.tail].add((f, s))
+        links[rec.head].add((f, -s))
+    for v in sorted(g.vertices):
+        if links[v] != set(x.gamma.darts_at(m.vertex_map[v])):
+            witnesses.append(f"link at {v} is not onto the rose link")
+    w = x.relator_word()
+    n = x.branch_index
+    k = c.quotient.degree
+    chi = euler_characteristic(cover, 2)
+    if sorted(c.families) != sorted(cover.cells):
+        witnesses.append("family record does not match the cover's cells")
+    if cover.cells or c.families:
+        positions_of = {}
+        for j, (sym, _) in enumerate(w):
+            positions_of.setdefault(sym, []).append(j)
+        for e in sorted(g.edges):
+            labels = sorted(target_side(m.cell_map[cid], pos, len(w))[1]
+                            for cid, pos in cover.sides_over[e])
+            expected = sorted(positions_of.get(m.edge_map[e][0], []))
+            if labels != expected:
+                witnesses.append(
+                    f"edge {e} carries disk sides {labels}, expected {expected}")
+        expected_chi = k * (Fraction(euler_characteristic(
+            x.presentation_complex, 1)) + Fraction(1, n))
+        if chi != expected_chi:
+            witnesses.append(f"Euler characteristic {chi} != {expected_chi}")
+        points = [p for orbit in c.families.values() for p in orbit]
+        if sorted(points) != list(range(k)):
+            witnesses.append("families do not partition the quotient points")
+        for cid in sorted(c.families):
+            if cid not in cover.cells:
+                continue
+            if len(c.families[cid]) != n:
+                witnesses.append(f"family of {cid} has size"
+                                 f" {len(c.families[cid])}, expected {n}")
+            if len(cover.cells[cid]) != n * len(w):
+                witnesses.append(f"cell {cid} has boundary length"
+                                 f" {len(cover.cells[cid])}, expected {n * len(w)}")
+    else:
+        expected_chi = None
+    certified = not validate_quotient(c.quotient, x)
+    return covers.CoverReport(
+        passed=not witnesses, witnesses=tuple(witnesses), euler=chi,
+        euler_expected=expected_chi, degree=k,
+        torsion_free_certified=certified)
+
+
+def _seeded_covers():
+    """Every cover this file builds from a seeded or worked quotient."""
+    out = [build_unwrapped_cover(make_x("a b", 2), Q_AB2),
+           build_unwrapped_cover(make_x("a", 3), FiniteQuotient(
+               3, {"a": (1, 2, 0), "b": (0, 1, 2)}))]
+    for relator, n, max_degree, seed in (("a b", 1, 4, 0),
+                                         ("a b a~ b~", 2, 12, 11),
+                                         ("a b", 2, 8, 7), ("a", 3, 9, 7)):
+        x = make_x(relator, n)
+        out.append(build_unwrapped_cover(
+            x, find_exponent_n_quotient(x, max_degree, seed)))
+    out += [build_unwrapped_cover(x, q) for x, q in _quotient_corpus(3, 600)
+            if old.accepts(q, x)]
+    out += [build_unwrapped_cover(x, q) for x, q in _rule_corpus(18, 2000)
+            if not validate_quotient(q, x)]
+    rng = random.Random(4)
+    for relator, n in RULE_GROUPS[:3]:
+        x = make_x(relator, n)
+        out += [build_unwrapped_cover(x, random_uniform_quotient(rng, x, 3 * n))
+                for _ in range(40)]
+    return out
+
+
+def _doctored(c, rng):
+    """(kind, cover) pairs that break the audit on purpose, each from
+    ``c``; the last kind, with no cells and no families, is a plain graph
+    cover that passes."""
+    x, cover, align = c.covering_map.target, c.cover, c.covering_map.cell_align
+
+    def remap(y, cell_align=None, families=None):
+        m = OrbiMorphism.by_labels(y, x)
+        if cell_align is not None:
+            m = OrbiMorphism(y, x, m.vertex_map, m.edge_map, cell_align)
+        return UnwrappedCover(y, m, c.families if families is None
+                              else families, c.quotient)
+
+    cid = rng.choice(sorted(cover.cells))
+    offset, orient = align[cid]
+    yield "offset", remap(cover, {**align, cid: (offset + 1, orient)})
+    yield "orientation", remap(cover, {**align, cid: (offset, -orient)})
+    path = list(cover.cells[cid])
+    pos = rng.randrange(len(path))
+    label = cover.skeleton.edges[path[pos][0]].label
+    path[pos] = (rng.choice(sorted(e for e, rec in cover.skeleton.edges.items()
+                                   if rec.label != label)), path[pos][1])
+    yield "dart", remap(TwoComplex(cover.skeleton, {**cover.cells,
+                                                    cid: tuple(path)},
+                                   cover.base_vertex))
+    yield "no families", remap(cover, families={})
+    bare = TwoComplex(cover.skeleton, {}, cover.base_vertex)
+    yield "no cells", remap(bare)
+    yield "graph only", remap(bare, families={})
+
+
+def test_one_pass_cover_audit_reports_as_the_parent():
+    seeded = _seeded_covers()
+    assert len(seeded) >= 250
+    rng = random.Random(22)
+    failed = {}
+    for c in seeded:
+        assert verify_cover(c) == _parent_verify_cover(c)
+        for kind, bad in _doctored(c, rng):
+            report = verify_cover(bad)
+            assert report == _parent_verify_cover(bad)
+            failed[kind] = failed.get(kind, 0) + (not report.passed)
+    # every doctored kind breaks the audit, except a rotation of a cell
+    # that reads the same; a cover of graphs alone still passes
+    assert failed.pop("graph only") == 0
+    assert min(failed.values()) >= 0.8 * len(seeded), failed
+    # and the hand-made candidates of the tests above
+    x = make_x("a b", 2)
+    trivial = FiniteQuotient(1, {"a": (0,), "b": (0,)})
+    cx, m = presentation_complex(x)
+    rose_cx = TwoComplex(skeleton=Graph.rose(["a", "b"]), cells={})
+    segment = TwoComplex(Graph(frozenset({"u", "v"}),
+                               {"a0": EdgeRec("u", "v", "a"),
+                                "b0": EdgeRec("u", "u", "b"),
+                                "b1": EdgeRec("v", "v", "b")}), {})
+    for fake in (UnwrappedCover(cx, m, {"d0": (0,)}, trivial),
+                 UnwrappedCover(rose_cx, OrbiMorphism.by_labels(rose_cx, x),
+                                {}, trivial),
+                 UnwrappedCover(segment, OrbiMorphism.by_labels(segment, x),
+                                {}, trivial)):
+        assert verify_cover(fake) == _parent_verify_cover(fake)

@@ -295,3 +295,35 @@ def test_uniform_quotients_draw_for_every_rose_loop():
         q = random_uniform_quotient(random.Random(seed), x, 9)
         assert q is not None and sorted(q.perms) == ["a", "b"]
         assert validate_quotient(q, x) == []
+
+
+def _parent_random_labeled_graph(rng, v, symbols):
+    """``_random_labeled_graph`` as it read when it found every component
+    of the draw and kept the one that holds u0."""
+    from orelco.complexes import connected_components
+    edges = {}
+    for sym in symbols:
+        k = rng.randint(0, v)
+        tails = sorted(rng.sample(range(v), k))
+        heads = rng.sample(range(v), k)
+        for t, h in zip(tails, heads):
+            edges[f"{sym}{t}"] = EdgeRec(f"u{t}", f"u{h}", sym)
+    full = Graph(frozenset(f"u{i}" for i in range(v)), edges)
+    comp = next(c for c in connected_components(full) if "u0" in c)
+    kept = {e: rec for e, rec in edges.items() if rec.tail in comp}
+    return Graph(comp, kept)
+
+
+def test_the_drawn_graph_is_the_component_of_u0_as_before():
+    sizes = set()
+    for seed in range(400):
+        v = 1 + seed % 12
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        g = _random_labeled_graph(rng, v, ["a", "b"])
+        want = _parent_random_labeled_graph(ref_rng, v, ["a", "b"])
+        assert g == want
+        assert list(g.edges) == list(want.edges)
+        assert rng.getstate() == ref_rng.getstate()
+        sizes.add(len(g.vertices) < v)
+    # both draws that keep every vertex and draws that drop some occur
+    assert sizes == {False, True}
