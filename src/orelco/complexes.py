@@ -487,19 +487,23 @@ def collapse(c: TwoComplex) -> TwoComplex:
     return collapse_with_rewrites(c)[0]
 
 
+def _compose_image(outer: CellMorphism, image: CellImage) -> CellImage:
+    """Where ``outer`` sends a cell that maps with ``image`` onto one of its
+    source's cells: (r2 + s2·r1, s1·s2)."""
+    im2 = outer.cell_map[image.cell]
+    length = len(outer.target.cells[im2.cell])
+    return CellImage(im2.cell, (im2.offset + im2.orient * image.offset) % length,
+                     image.orient * im2.orient)
+
+
 def compose(outer: CellMorphism, inner: CellMorphism) -> CellMorphism:
-    """Composite outer ∘ inner with cell data (r2 + s2·r1, s1·s2)."""
+    """Composite outer ∘ inner, each cell sent by ``_compose_image``."""
     if inner.target is not outer.source and inner.target != outer.source:
         raise ValueError("composition mismatch: inner target is not outer source")
     vmap = {v: outer.vertex_map[w] for v, w in inner.vertex_map.items()}
     emap = {e: outer.dart_image(d) for e, d in inner.edge_map.items()}
-    cmap: dict[str, CellImage] = {}
-    for cid, im1 in inner.cell_map.items():
-        im2 = outer.cell_map[im1.cell]
-        length = len(outer.target.cells[im2.cell])
-        cmap[cid] = CellImage(im2.cell,
-                              (im2.offset + im2.orient * im1.offset) % length,
-                              im1.orient * im2.orient)
+    cmap = {cid: _compose_image(outer, im1)
+            for cid, im1 in inner.cell_map.items()}
     return CellMorphism(inner.source, outer.target, vmap, emap, cmap)
 
 
@@ -523,14 +527,8 @@ def _composite_equals(outer: CellMorphism, inner: CellMorphism,
     if any(emap.get(e) != outer.dart_image(d)
            for e, d in inner.edge_map.items()):
         return False
-    for cid, im1 in inner.cell_map.items():
-        im2 = outer.cell_map[im1.cell]
-        length = len(outer.target.cells[im2.cell])
-        if cmap.get(cid) != (im2.cell,
-                             (im2.offset + im2.orient * im1.offset) % length,
-                             im1.orient * im2.orient):
-            return False
-    return True
+    return all(cmap.get(cid) == _compose_image(outer, im1)
+               for cid, im1 in inner.cell_map.items())
 
 
 def identity_morphism(c: TwoComplex) -> CellMorphism:

@@ -12,7 +12,6 @@ subgroup pull-back used to intersect a subgroup with the cover's group.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -179,43 +178,27 @@ RANDOM_ATTEMPTS_PER_DEGREE = 500
 
 def find_exponent_n_quotient(x: OneRelatorOrbicomplex, max_degree: int,
                              seed: int) -> FiniteQuotient:
-    """Search for a transitive quotient whose relator image has every cycle of
-    length exactly n.  Cyclic quotients Z/m (m a multiple of n) are tried
-    exhaustively first; their regular actions have uniform cycles for free.
-    Then seeded random permutation assignments of increasing degree, each
-    screened on the relator image's cycle through point 0 (``screen_draw``)
-    before ``validate_quotient`` decides it.
+    """Search for a quotient that ``validate_quotient`` accepts.  Cyclic
+    quotients Z/m (m a multiple of n), each letter a shift, are tried
+    exhaustively first.  Then seeded random permutation assignments of
+    increasing degree, each screened on the relator image's cycle through
+    point 0 (``screen_draw``).  ``validate_quotient`` decides every
+    candidate of both phases.
     """
     if max_degree < 1:
         raise ValueError(f"max_degree must be at least 1, got {max_degree}")
     symbols = x._rose_symbols
     n = x.branch_index
-    w = x.relator_word()
-    if n == 1:
-        return FiniteQuotient(1, {s: (0,) for s in symbols})
-    exponents = {}
-    for s in symbols:
-        exponents[s] = sum(sign for sym, sign in w if sym == s)
-    for m in range(n, max_degree + 1, n):
+    degrees = range(n, max_degree + 1, n)
+    for m in degrees:
         for rev in itertools.product(range(m), repeat=len(symbols)):
-            assignment = tuple(reversed(rev))
-            if math.gcd(m, *assignment) != 1:
-                continue  # not transitive
-            value = sum(c * exponents[s] for c, s in zip(assignment, symbols)) % m
-            if m // math.gcd(value, m) != n:
-                continue
             perms = {s: tuple((i + c) % m for i in range(m))
-                     for s, c in zip(symbols, assignment)}
+                     for s, c in zip(symbols, reversed(rev))}
             q = FiniteQuotient(m, perms)
-            problems = validate_quotient(q, x)
-            if problems:
-                raise InvariantError(
-                    "cyclic quotient fails validation: " + "; ".join(problems))
-            return q
+            if not validate_quotient(q, x):
+                return q
     rng = random.Random(seed)
-    for k in range(n, max_degree + 1):
-        if k % n != 0:
-            continue
+    for k in degrees:
         for _ in range(RANDOM_ATTEMPTS_PER_DEGREE):
             perms = {s: tuple(rng.sample(range(k), k)) for s in symbols}
             if not screen_draw(perms, x, k):

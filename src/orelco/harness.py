@@ -21,8 +21,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .complexes import (EdgeRec, Graph, MapKind, TwoComplex, collapse,
-                        component_of, euler_characteristic,
-                        identity_morphism)
+                        component_of, identity_morphism)
 from .complexes import CellMorphism
 from .covers import (FiniteQuotient, build_unwrapped_cover, screen_draw,
                      validate_quotient, verify_cover)
@@ -184,12 +183,15 @@ def _run_wcycles_trial(rng: random.Random, seed: int,
     v = rng.randint(1, cfg.params.vertex_budget)
     gen_seed = rng.getrandbits(32)
     m = random_irreducible_immersion(gen_seed, cfg.params._with_budget(v))
-    cls = check_orbi_immersion(m)
-    if cls.kind < MapKind.IMMERSION:
-        raise _violation("generator-soundness", seed, cls.witness or "?")
-    if not m.source.cells and euler_characteristic(m.source, dimension=1) > 0:
+    # the audit refuses a map that does not immerse; a drawn tree is audited
+    # too, before the fallback loop replaces it
+    try:
+        audit = wcycles_audit(m)
+    except NotImmersionError as err:
+        raise _violation("generator-soundness", seed, err.witness) from err
+    if not m.source.cells and audit.chi1 > 0:
         m = _fallback_loop(m.target)
-    audit = wcycles_audit(m)
+        audit = wcycles_audit(m)
     row = TrialRow(
         trial=trial, seed=seed,
         vertices=len(m.source.skeleton.vertices),
@@ -218,9 +220,9 @@ def _random_rose_morphism(rng: random.Random, v: int,
 
 def _run_fold_trial(rng: random.Random, seed: int, cfg: CampaignConfig,
                     rose_complex: TwoComplex) -> None:
-    symbols = sorted({sym for sym, _ in cfg.params.relator})
     m = _random_rose_morphism(rng, rng.randint(1, cfg.params.vertex_budget),
-                              symbols, rose_complex)
+                              sorted(rose_complex.skeleton.edges),
+                              rose_complex)
     # fold checks both laws itself and raises on the first one broken
     try:
         res = fold(m)
@@ -253,7 +255,7 @@ def random_uniform_quotient(rng: random.Random, x: OneRelatorOrbicomplex,
         raise ValueError(f"max_degree must be at least the branch index {n},"
                          f" got {max_degree}")
     symbols = x._rose_symbols
-    degrees = [d for d in range(n, max_degree + 1) if d % n == 0]
+    degrees = range(n, max_degree + 1, n)
     for _ in range(QUOTIENT_ATTEMPTS):
         d = rng.choice(degrees)
         perms = {}

@@ -2,8 +2,8 @@
 
 A letter is a pair ``(symbol, sign)`` with sign +1 or -1; a word is a tuple
 of letters.  A dart ``(edge, sign)`` has the same shape and a dart path is a
-word over the edge ids, so inversion, free reduction and least rotation here
-are also the package's path algebra.
+word over the edge ids, so inversion and free reduction here are also the
+package's path algebra.
 """
 
 from __future__ import annotations

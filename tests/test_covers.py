@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,13 +8,16 @@ import pytest
 from orelco.complexes import (EdgeRec, Graph, MapKind, TwoComplex,
                               euler_characteristic)
 from orelco.complexes import target_side
-from orelco.covers import (FiniteQuotient, build_unwrapped_cover, cycles,
+from orelco.covers import (RANDOM_ATTEMPTS_PER_DEGREE, FiniteQuotient,
+                           build_unwrapped_cover, cycles,
                            find_exponent_n_quotient, pull_back_subgroup,
-                           validate_quotient, verify_cover, UnwrappedCover)
+                           screen_draw, validate_quotient, verify_cover,
+                           UnwrappedCover)
 import orelco.covers as covers
-from orelco.errors import BudgetExhaustedError, InvariantError
+from orelco.errors import BudgetExhaustedError, InvariantError, OrelcoError
 from orelco.harness import random_uniform_quotient
-from orelco.orbicomplex import (OrbiMorphism, build_orbicomplex,
+from orelco.orbicomplex import (OneRelatorOrbicomplex, OrbiMorphism,
+                                build_orbicomplex,
                                 check_orbi_immersion, degree,
                                 presentation_complex, wcycles_audit)
 from orelco.words import parse_word
@@ -77,12 +82,13 @@ def test_find_quotient_worked_examples():
 
 
 def test_cover_invariants_raise_typed_errors(monkeypatch):
-    # both checks guard code paths that are right by construction, so
-    # break the helpers they rely on
+    # validate_quotient decides every candidate of the search, so a rule
+    # that refuses everything exhausts its budget; the cover build's check
+    # guards a path that is right by construction, so break its helper
     x = make_x("a b", 2)
     with monkeypatch.context() as mp:
         mp.setattr(covers, "validate_quotient", lambda q, x: ["broken"])
-        with pytest.raises(InvariantError, match="broken"):
+        with pytest.raises(BudgetExhaustedError):
             find_exponent_n_quotient(x, 8, 7)
     with monkeypatch.context() as mp:
         mp.setattr(Graph, "read", lambda g, word, start: ((), start + "'"))
@@ -493,6 +499,94 @@ def test_pull_back_outputs_fix_base_point():
     for gens in [[(A,), (B,)], [(A, B)], [(A, B, ("a", -1)), (B, B)]]:
         for word in pull_back_subgroup(gens, Q_AB2):
             assert Q_AB2.act(0, word) == 0
+
+
+def _parent_find_exponent_n_quotient(x: OneRelatorOrbicomplex,
+                                     max_degree: int,
+                                     seed: int) -> FiniteQuotient:
+    """``find_exponent_n_quotient`` as it read when its cyclic phase derived
+    the exponent rule from exponent sums and gcds."""
+    if max_degree < 1:
+        raise ValueError(f"max_degree must be at least 1, got {max_degree}")
+    symbols = x._rose_symbols
+    n = x.branch_index
+    w = x.relator_word()
+    if n == 1:
+        return FiniteQuotient(1, {s: (0,) for s in symbols})
+    exponents = {}
+    for s in symbols:
+        exponents[s] = sum(sign for sym, sign in w if sym == s)
+    for m in range(n, max_degree + 1, n):
+        for rev in itertools.product(range(m), repeat=len(symbols)):
+            assignment = tuple(reversed(rev))
+            if math.gcd(m, *assignment) != 1:
+                continue  # not transitive
+            value = sum(c * exponents[s] for c, s in zip(assignment, symbols)) % m
+            if m // math.gcd(value, m) != n:
+                continue
+            perms = {s: tuple((i + c) % m for i in range(m))
+                     for s, c in zip(symbols, assignment)}
+            q = FiniteQuotient(m, perms)
+            problems = validate_quotient(q, x)
+            if problems:
+                raise InvariantError(
+                    "cyclic quotient fails validation: " + "; ".join(problems))
+            return q
+    rng = random.Random(seed)
+    for k in range(n, max_degree + 1):
+        if k % n != 0:
+            continue
+        for _ in range(RANDOM_ATTEMPTS_PER_DEGREE):
+            perms = {s: tuple(rng.sample(range(k), k)) for s in symbols}
+            if not screen_draw(perms, x, k):
+                continue
+            q = FiniteQuotient(k, perms)
+            if not validate_quotient(q, x):
+                return q
+    raise BudgetExhaustedError(
+        f"no exponent-{n} quotient of degree <= {max_degree} found")
+
+
+# letters missing from w (b, and c on the rose on a, b, c) and zero exponent
+# sums (the last three), where no cyclic quotient works
+CYCLIC_GRID_RELATORS = ("a", "a b", "a b~", "a a b", "a b b b",
+                        "a a b~ a~ b~", "a b a b~", "a~ b a b", "a b a~ b~")
+
+
+def _search_result(search, *args):
+    try:
+        return search(*args)
+    except (OrelcoError, ValueError) as err:
+        return type(err).__name__, str(err)
+
+
+def _is_cyclic(q):
+    return all(p == tuple((i + p[0]) % q.degree for i in range(q.degree))
+               for p in q.perms.values())
+
+
+def test_cyclic_phase_finds_the_parents_quotients():
+    # the same quotient or the same error, message and all, as the search
+    # that derived the rule itself
+    seen = {}
+    for word, n, rose, max_degree, seed in itertools.product(
+            CYCLIC_GRID_RELATORS, (1, 2, 3, 4), ("ab", "abc"),
+            (0, 1, 2, 3, 4, 6, 8, 12), (0, 7)):
+        x = build_orbicomplex(Graph.rose(list(rose)), parse_word(word), n)
+        want = _search_result(_parent_find_exponent_n_quotient, x,
+                              max_degree, seed)
+        got = _search_result(find_exponent_n_quotient, x, max_degree, seed)
+        assert got == want, (word, n, rose, max_degree, seed)
+        if isinstance(want, FiniteQuotient):
+            kind = "cyclic" if _is_cyclic(want) else "random"
+            kind += ", n = 1" if n == 1 else ""
+        else:
+            kind = want[0] + (", max_degree < n" if max_degree < n else "")
+        seen[kind] = seen.get(kind, 0) + 1
+    assert sorted(seen) == [
+        "BudgetExhaustedError", "BudgetExhaustedError, max_degree < n",
+        "ValueError, max_degree < n", "cyclic", "cyclic, n = 1", "random"]
+    assert min(seen.values()) >= 20, seen
 
 
 def _parent_random_phase(x, max_degree, seed):

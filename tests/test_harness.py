@@ -17,7 +17,8 @@ from orelco.harness import (CSV_HEADER, QUOTIENT_ATTEMPTS, CampaignConfig,
                             random_uniform_quotient, run_property_campaign,
                             trial_seed)
 from orelco.orbicomplex import (OrbiMorphism, build_orbicomplex,
-                                check_orbi_immersion, wcycles_audit)
+                                check_orbi_immersion, presentation_complex,
+                                wcycles_audit)
 from orelco.words import parse_word
 
 import random
@@ -232,6 +233,33 @@ def test_violation_aborts_with_the_reproduction_seed(monkeypatch):
                          suites=("wcycles",))
     with pytest.raises(OrelcoError, match="reproduce with trial seed"):
         run_property_campaign(cfg)
+
+
+def _two_a_darts_leave_u0(x):
+    g = Graph(frozenset({"u0", "u1", "u2"}),
+              {"a0": EdgeRec("u0", "u1", "a"), "a1": EdgeRec("u0", "u2", "a")})
+    return OrbiMorphism.by_labels(TwoComplex(g, {}, base_vertex="u0"), x)
+
+
+@pytest.mark.parametrize("drawn", [
+    lambda x: presentation_complex(x)[1],
+    _two_a_darts_leave_u0,
+], ids=["cell-side-clash", "tree"])
+def test_a_drawn_map_that_does_not_immerse_is_a_generator_violation(
+        monkeypatch, drawn):
+    # a tree is audited before the fallback loop replaces it
+    params = GeneratorParams(3, W("a b"), 2)
+    m = drawn(params.orbicomplex)
+    witness = check_orbi_immersion(m).witness
+    assert witness
+    monkeypatch.setattr(harness, "random_irreducible_immersion",
+                        lambda seed, params: m)
+    cfg = CampaignConfig(4, 2, params, suites=("wcycles",))
+    with pytest.raises(OrelcoError) as err:
+        run_property_campaign(cfg)
+    assert str(err.value) == (
+        f"generator-soundness violation: {witness};"
+        f" reproduce with trial seed {trial_seed(4, 0)}")
 
 
 @pytest.mark.parametrize("check,broken,detail", [

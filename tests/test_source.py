@@ -94,3 +94,20 @@ def test_only_complexes_finds_union_find_roots():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if _halves_a_path(node)]
     assert sorted(LIBRARY.glob("*.py")) and not found, found
+
+
+def test_no_library_module_calls_gcd():
+    # covers.validate_quotient is the one home of the exponent-n rule; a gcd
+    # of exponent sums would be a second derivation of it
+    found = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else \
+                getattr(f, "id", None)
+            if name == "gcd":
+                found.append(f"{path.name}:{node.lineno}")
+    assert sorted(LIBRARY.glob("*.py")) and not found, found
