@@ -184,14 +184,15 @@ def euler_characteristic(c: TwoComplex, dimension: int = 2) -> int:
     return chi
 
 
-def _components(g: Graph, roots: Iterable[str]):
+def _components(vertices: Iterable, ends: Iterable, roots: Iterable):
     """The component of each root that no earlier one holds, each by one
-    search from its root over the edge records."""
-    links: dict[str, list[str]] = {v: [] for v in g.vertices}
-    for tail, head, _ in g.edges.values():
+    search from its root over ``ends``, the (tail, head, ...) of each edge."""
+    links: dict = {v: [] for v in vertices}
+    for end in ends:
+        tail, head = end[0], end[1]
         links[tail].append(head)
         links[head].append(tail)
-    seen: set[str] = set()
+    seen: set = set()
     for root in roots:
         if root in seen:
             continue
@@ -208,12 +209,13 @@ def _components(g: Graph, roots: Iterable[str]):
 
 def component_of(g: Graph, root: str) -> frozenset[str]:
     """The vertices that a path from ``root`` reaches."""
-    return next(_components(g, (root,)))
+    return next(_components(g.vertices, g.edges.values(), (root,)))
 
 
 def connected_components(g: Graph) -> list[frozenset[str]]:
     """The components, each found from its least vertex, in that order."""
-    return list(_components(g, sorted(g.vertices)))
+    return list(_components(g.vertices, g.edges.values(),
+                            sorted(g.vertices)))
 
 
 def non_tree_edge_count(g: Graph) -> int:

@@ -173,6 +173,16 @@ def validate_quotient(q: FiniteQuotient, x: OneRelatorOrbicomplex) -> list[str]:
     return [problem] if problem else []
 
 
+def _accept_draw(perms: dict[str, Perm], x: OneRelatorOrbicomplex,
+                 degree: int) -> FiniteQuotient | None:
+    """The quotient of ``perms`` when ``validate_quotient`` accepts it, or
+    None; a draw that fails ``screen_draw`` is dropped unbuilt."""
+    if not screen_draw(perms, x, degree):
+        return None
+    q = FiniteQuotient(degree, perms)
+    return None if validate_quotient(q, x) else q
+
+
 RANDOM_ATTEMPTS_PER_DEGREE = 500
 
 
@@ -181,9 +191,9 @@ def find_exponent_n_quotient(x: OneRelatorOrbicomplex, max_degree: int,
     """Search for a quotient that ``validate_quotient`` accepts.  Cyclic
     quotients Z/m (m a multiple of n), each letter a shift, are tried
     exhaustively first.  Then seeded random permutation assignments of
-    increasing degree, each screened on the relator image's cycle through
-    point 0 (``screen_draw``).  ``validate_quotient`` decides every
-    candidate of both phases.
+    increasing degree.  Every candidate of both phases is screened on the
+    relator image's cycle through point 0 (``screen_draw``), and
+    ``validate_quotient`` decides every candidate that passes.
     """
     if max_degree < 1:
         raise ValueError(f"max_degree must be at least 1, got {max_degree}")
@@ -192,19 +202,16 @@ def find_exponent_n_quotient(x: OneRelatorOrbicomplex, max_degree: int,
     degrees = range(n, max_degree + 1, n)
     for m in degrees:
         for rev in itertools.product(range(m), repeat=len(symbols)):
-            perms = {s: tuple((i + c) % m for i in range(m))
-                     for s, c in zip(symbols, reversed(rev))}
-            q = FiniteQuotient(m, perms)
-            if not validate_quotient(q, x):
+            q = _accept_draw({s: tuple((i + c) % m for i in range(m))
+                              for s, c in zip(symbols, reversed(rev))}, x, m)
+            if q is not None:
                 return q
     rng = random.Random(seed)
     for k in degrees:
         for _ in range(RANDOM_ATTEMPTS_PER_DEGREE):
-            perms = {s: tuple(rng.sample(range(k), k)) for s in symbols}
-            if not screen_draw(perms, x, k):
-                continue
-            q = FiniteQuotient(k, perms)
-            if not validate_quotient(q, x):
+            q = _accept_draw({s: tuple(rng.sample(range(k), k))
+                              for s in symbols}, x, k)
+            if q is not None:
                 return q
     raise BudgetExhaustedError(
         f"no exponent-{n} quotient of degree <= {max_degree} found")

@@ -20,7 +20,7 @@ from itertools import chain, compress, repeat
 from operator import itemgetter
 
 from .complexes import (Dart, EdgeRec, Graph, TwoComplex, _check_morphism,
-                        _find, _flatten, require_valid)
+                        _components, _find, _flatten, require_valid)
 from .errors import DiagramError
 from .orbicomplex import OneRelatorOrbicomplex, OrbiMorphism
 from .words import (Letter, Word, _foreign_letter, dehn_solve, free_reduce,
@@ -283,17 +283,9 @@ class _DiskBuilder:
         vertex = _flatten(self._vertex_parent)
         tails, heads = (map(vertex.__getitem__, compress(end, live))
                         for end in self._ends)
-        links: defaultdict[int, list[int]] = defaultdict(list)
-        for t, h in zip(tails, heads):
-            links[t].append(h)
-            links[h].append(t)
-        seen, todo = {0}, [0]
-        while todo:
-            for w in links[todo.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        if len(seen) < len(links):
+        ends = list(zip(tails, heads))
+        vertices = {0}.union(*ends)
+        if len(next(_components(vertices, ends, (0,)))) < len(vertices):
             raise DiagramError("diagram disconnected after cancellation")
 
     # -- export ----------------------------------------------------------

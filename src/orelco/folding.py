@@ -32,48 +32,20 @@ class FoldResult:
     trace: tuple[TraceEntry, ...]
 
 
-class _SignedEdgeClasses:
-    """Union-find on edge numbers ``0 .. count - 1`` carrying the
-    orientation relating each edge's forward dart to the forward dart of
-    its class representative, the least number of the class."""
-
-    def __init__(self, count: int):
-        self.parent: list[tuple[int, int]] = [(e, 1) for e in range(count)]
-
-    def find(self, e: int) -> tuple[int, int]:
-        root, sign = self.parent[e]
-        if root != e:
-            root2, sign2 = self.find(root)
-            root, sign = root2, sign * sign2
-            self.parent[e] = (root, sign)
-        return root, sign
-
-    def union_darts(self, e1: int, s1: int, e2: int, s2: int) -> None:
-        r1, g1 = self.find(e1)
-        r2, g2 = self.find(e2)
-        rel = s1 * g1 * s2 * g2
-        if r1 == r2:
-            # identifications are driven by equal images, which makes every
-            # relation cycle orientation-consistent
-            if rel != 1:
-                raise InvariantError("edge folded onto its own reverse")
-            return
-        if r1 < r2:
-            self.parent[r2] = (r1, rel)
-        else:
-            self.parent[r1] = (r2, rel)
-
-    def classes(self) -> list[tuple[int, int]]:
-        """``find`` of every edge, in one pass: a merge hangs the larger
-        root under the smaller, so an edge's parent is resolved before it."""
-        out: list[tuple[int, int]] = []
-        for e, (p, g) in enumerate(self.parent):
-            if p == e:
-                out.append((e, 1))
-            else:
-                root, sign = out[p]
-                out.append((root, sign * g))
-        return out
+def _union_darts(parent: list[int], k1: int, k2: int) -> None:
+    """Join the classes of darts ``k1`` and ``k2``, and those of their
+    reverses, in the union-find ``parent``.  The larger root hangs under the
+    smaller, so a class is rooted at its least dart and its reverse class at
+    the reverse of that dart."""
+    r1, r2 = _find(parent, k1), _find(parent, k2)
+    if r1 == r2:
+        return
+    if r2 == r1 ^ 1:
+        raise InvariantError("edge folded onto its own reverse")
+    if r2 < r1:
+        r1, r2 = r2, r1
+    parent[r2] = r1
+    parent[r2 ^ 1] = r1 ^ 1
 
 
 def _canonical_cell_key(path, image: CellImage):
@@ -105,6 +77,10 @@ def fold(m: CellMorphism) -> FoldResult:
     merged vertices is the smaller name, which survives.  The image of a
     dart is numbered ``2j`` for ``(f, +1)`` and ``2j + 1`` for ``(f, -1)``,
     with ``j`` counting target edges ``f`` as they are met.
+
+    Identified vertices and darts are two union-finds on ``complexes._find``.
+    A dart class holds one dart of each of its edges and is rooted at its
+    least dart, so edge ``i`` folds onto the edge of the root of ``2i``.
     """
     witness = _check_morphism(m)
     if witness is not None:
@@ -134,7 +110,7 @@ def fold(m: CellMorphism) -> FoldResult:
         buckets[t].setdefault(img, []).append(2 * i)
         buckets[h].setdefault(img ^ 1, []).append(2 * i + 1)
 
-    euf = _SignedEdgeClasses(len(edge_names))
+    dparent = list(range(2 * len(edge_names)))
     trace: list[TraceEntry] = []
     heap = [b[0] for at in buckets for b in at.values() if len(b) > 1]
     heapq.heapify(heap)
@@ -149,7 +125,7 @@ def fold(m: CellMorphism) -> FoldResult:
         e1, e2 = k1 >> 1, k2 >> 1
         s1, s2 = 1 - 2 * (k1 & 1), 1 - 2 * (k2 & 1)
         trace.append(("dart", (edge_names[e1], s1), (edge_names[e2], s2)))
-        # k1 < k2 in different edges, so e1 < e2 and e1 stays the root.
+        # k1 < k2 in different edges, so e1 < e2 and k1 stays the root.
         # Both darts of e2 leave their buckets.  The reverse of e2 shares
         # its bucket with the smaller reverse of e1, or the two buckets
         # merge below, so no entry is lost.
@@ -160,7 +136,7 @@ def fold(m: CellMorphism) -> FoldResult:
         del rb[bisect_left(rb, back)]
         if not rb:
             del at2[image[back]]
-        euf.union_darts(e1, s1, e2, s2)
+        _union_darts(dparent, k1, k2)
         if t1 == t2:
             continue
         if t2 < t1:
@@ -182,8 +158,8 @@ def fold(m: CellMorphism) -> FoldResult:
             heapq.heappush(heap, big[0])
         buckets[t1] = keep
 
-    edge_map = {e: (edge_names[r], g)
-                for e, (r, g) in zip(edge_names, euf.classes())}
+    edge_map = {e: (edge_names[r >> 1], 1 - 2 * (r & 1))
+                for e, r in zip(edge_names, _flatten(dparent)[::2])}
     roots = [e for e, (r, _) in edge_map.items() if r == e]
     vroot = _flatten(vparent)
     vertex_map = {v: vertex_names[vroot[vertex_no[v]]]

@@ -23,8 +23,8 @@ from functools import cached_property
 from .complexes import (EdgeRec, Graph, MapKind, TwoComplex, collapse,
                         component_of, identity_morphism)
 from .complexes import CellMorphism
-from .covers import (FiniteQuotient, build_unwrapped_cover, screen_draw,
-                     validate_quotient, verify_cover)
+from .covers import (FiniteQuotient, _accept_draw, build_unwrapped_cover,
+                     verify_cover)
 from .errors import InvariantError, NotImmersionError, OrelcoError
 from .folding import factor_unique, fold
 from .orbicomplex import (OneRelatorOrbicomplex, OrbiMorphism,
@@ -263,10 +263,8 @@ def random_uniform_quotient(rng: random.Random, x: OneRelatorOrbicomplex,
             p = list(range(d))
             rng.shuffle(p)
             perms[sym] = tuple(p)
-        if not screen_draw(perms, x, d):
-            continue
-        q = FiniteQuotient(d, perms)
-        if not validate_quotient(q, x):
+        q = _accept_draw(perms, x, d)
+        if q is not None:
             return q
     return None
 

@@ -630,6 +630,24 @@ def test_screened_random_phase_finds_the_parents_quotients():
     assert found == {3: 0, 8: 50, 12: 50}
 
 
+def test_every_candidate_the_search_validates_passes_the_screen(monkeypatch):
+    # both phases screen a candidate before they build and validate it
+    validate, received = covers.validate_quotient, []
+
+    def spy(q, x):
+        received.append(q)
+        return validate(q, x)
+
+    monkeypatch.setattr(covers, "validate_quotient", spy)
+    for rose in ("ab", "abc"):
+        x = build_orbicomplex(Graph.rose(list(rose)),
+                              parse_word("a b a~ b~"), 2)
+        find_exponent_n_quotient(x, 12, 0)
+        assert received and all(screen_draw(q.perms, x, q.degree)
+                                for q in received), rose
+        received.clear()
+
+
 SCREEN_GROUPS = (("a b", 2), ("a b a b~", 2), ("a b", 3), ("a a b b b", 2),
                  ("a b a~ b~", 2))
 

@@ -224,6 +224,14 @@ def test_prune_keeps_carried_edges_and_rejects_a_second_component():
         n.b.cancel_mirrors(n.b.carried())
 
 
+def test_a_lone_loop_away_from_the_base_is_a_second_component():
+    # the base counts as a vertex even when no live edge reaches it
+    b = named_builder("T", (("m", "X", "X", "b"),), {},
+                      [("m", 1), ("m", -1)]).b
+    with pytest.raises(DiagramError, match="disconnected"):
+        b.cancel_mirrors(b.carried())
+
+
 def test_same_cell_mirror_is_a_hard_error():
     b = named_builder(
         "T", (("g", "T", "U", "a"), ("h", "T", "V", "b")),

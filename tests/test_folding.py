@@ -11,13 +11,15 @@ import pytest
 
 from orelco.complexes import (CellImage, CellMorphism, EdgeRec, Graph,
                               MapKind, TwoComplex, _check_morphism,
-                              _composite_equals, cell_image_path,
+                              _composite_equals, _flatten, cell_image_path,
                               classify_map, compose, dart_sort_key,
                               identity_morphism, non_tree_edge_count,
                               reverse_path)
 from orelco.diagrams import build_reduced_diagram
-from orelco.errors import FactorizationError, NotImmersionError, NotMorphismError
-from orelco.folding import FoldResult, _canonical_cell_key, factor_unique, fold
+from orelco.errors import (FactorizationError, InvariantError,
+                           NotImmersionError, NotMorphismError)
+from orelco.folding import (FoldResult, _canonical_cell_key, _union_darts,
+                            factor_unique, fold)
 from orelco.harness import _random_rose_morphism
 from orelco.orbicomplex import build_orbicomplex
 from orelco.textio import format_complex, format_fold_trace, format_morphism
@@ -645,9 +647,8 @@ def test_fold_invariant_checks_survive_optimized_python():
         "from orelco.complexes import (CellMorphism, EdgeRec, Graph,\n"
         "                              TwoComplex)\n"
         "from orelco.errors import InvariantError\n"
-        "union = f._SignedEdgeClasses.union_darts\n"
-        "f._SignedEdgeClasses.union_darts = (\n"
-        "    lambda self, e1, s1, e2, s2: union(self, e1, s1, e2, -s2))\n"
+        "union = f._union_darts\n"
+        "f._union_darts = lambda parent, k1, k2: union(parent, k1, k2 ^ 1)\n"
         "g = Graph(frozenset({'v'}), {n: EdgeRec('v', 'v', 'a')\n"
         "                              for n in ('e1', 'e2')})\n"
         "rose = TwoComplex(Graph.rose(['a']), {})\n"
@@ -667,3 +668,17 @@ def test_fold_invariant_checks_survive_optimized_python():
     run = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
+
+
+def test_union_darts_roots_each_class_and_its_reverse_at_the_least_dart():
+    p = list(range(6))
+    _union_darts(p, 4, 2)
+    _union_darts(p, 1, 5)
+    assert _flatten(p) == [0, 1, 0, 1, 0, 1]
+
+
+def test_union_darts_refuses_an_edge_folded_onto_its_own_reverse():
+    p = list(range(4))
+    _union_darts(p, 0, 2)
+    with pytest.raises(InvariantError, match="edge folded onto its own reverse"):
+        _union_darts(p, 0, 3)

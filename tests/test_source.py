@@ -8,67 +8,68 @@ import orelco
 LIBRARY = Path(orelco.__file__).parent
 
 
+def _library(skip=None):
+    """(file name, parsed tree) of each library module but ``skip``; the
+    glob must find at least one module, or every rule would pass vacuously."""
+    paths = sorted(LIBRARY.glob("*.py"))
+    assert paths, f"no modules under {LIBRARY}"
+    for path in paths:
+        if path.name != skip:
+            yield path.name, ast.parse(path.read_text(), filename=str(path))
+
+
+def _where(skip, wanted):
+    """``name:line`` of every node that ``wanted`` accepts, in every library
+    module but ``skip``."""
+    return [f"{name}:{node.lineno}" for name, tree in _library(skip)
+            for node in ast.walk(tree) if wanted(node)]
+
+
+def _calls(*names):
+    def wanted(node):
+        if not isinstance(node, ast.Call):
+            return False
+        f = node.func
+        return (f.attr if isinstance(f, ast.Attribute)
+                else getattr(f, "id", None)) in names
+    return wanted
+
+
 def test_library_states_invariants_as_typed_errors_not_asserts():
     # python -O strips assert statements, and with them the check
-    found = []
-    for path in sorted(LIBRARY.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Assert)]
-    assert sorted(LIBRARY.glob("*.py")) and not found, found
+    found = _where(None, lambda node: isinstance(node, ast.Assert))
+    assert not found, found
 
 
 def test_only_covers_walks_the_relator_image():
     # the exponent rule lives in covers.validate_quotient; a call of
     # permutation_of or cycles elsewhere would be a second home for it
-    found = []
-    for path in sorted(LIBRARY.glob("*.py")):
-        if path.name == "covers.py":
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            f = node.func
-            name = f.attr if isinstance(f, ast.Attribute) else \
-                getattr(f, "id", None)
-            if name in ("permutation_of", "cycles"):
-                found.append(f"{path.name}:{node.lineno}")
-    assert sorted(LIBRARY.glob("*.py")) and not found, found
+    found = _where("covers.py", _calls("permutation_of", "cycles"))
+    assert not found, found
+
+
+def _relator_power(node) -> bool:
+    """A product with a ``relator_word()`` call on either side."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and any(isinstance(side, ast.Call)
+                    and isinstance(side.func, ast.Attribute)
+                    and side.func.attr == "relator_word"
+                    for side in (node.left, node.right)))
 
 
 def test_only_orbicomplex_spells_the_relator_power():
     # relator_power_path() is the one spelling of w^n; a product with
     # relator_word() elsewhere would be a second
-    found = []
-    for path in sorted(LIBRARY.glob("*.py")):
-        if path.name == "orbicomplex.py":
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if not (isinstance(node, ast.BinOp)
-                    and isinstance(node.op, ast.Mult)):
-                continue
-            for side in (node.left, node.right):
-                if (isinstance(side, ast.Call)
-                        and isinstance(side.func, ast.Attribute)
-                        and side.func.attr == "relator_word"):
-                    found.append(f"{path.name}:{node.lineno}")
-    assert sorted(LIBRARY.glob("*.py")) and not found, found
+    found = _where("orbicomplex.py", _relator_power)
+    assert not found, found
 
 
 def test_only_textio_reads_text():
     # textio._lines is the one line reader; a splitlines call elsewhere
     # would be a second text format with its own comment and error rules
-    found = []
-    for path in sorted(LIBRARY.glob("*.py")):
-        if path.name == "textio.py":
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if isinstance(node, ast.Attribute)
-                  and node.attr == "splitlines"]
-    assert sorted(LIBRARY.glob("*.py")) and not found, found
+    found = _where("textio.py", lambda node: isinstance(node, ast.Attribute)
+                   and node.attr == "splitlines")
+    assert not found, found
 
 
 def _halves_a_path(node) -> bool:
@@ -86,28 +87,21 @@ def _halves_a_path(node) -> bool:
 def test_only_complexes_finds_union_find_roots():
     # complexes._find is the one union-find root search; a path-halving
     # loop elsewhere would be a second copy of it
-    found = []
-    for path in sorted(LIBRARY.glob("*.py")):
-        if path.name == "complexes.py":
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
-                  if _halves_a_path(node)]
-    assert sorted(LIBRARY.glob("*.py")) and not found, found
+    found = _where("complexes.py", _halves_a_path)
+    assert not found, found
+
+
+def test_only_complexes_defines_a_find():
+    # a recursive root search halves no path, so the rule above misses it;
+    # a function or method named find or _find elsewhere is a second copy
+    found = _where("complexes.py", lambda node: isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name in ("find", "_find"))
+    assert not found, found
 
 
 def test_no_library_module_calls_gcd():
     # covers.validate_quotient is the one home of the exponent-n rule; a gcd
     # of exponent sums would be a second derivation of it
-    found = []
-    for path in sorted(LIBRARY.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            f = node.func
-            name = f.attr if isinstance(f, ast.Attribute) else \
-                getattr(f, "id", None)
-            if name == "gcd":
-                found.append(f"{path.name}:{node.lineno}")
-    assert sorted(LIBRARY.glob("*.py")) and not found, found
+    found = _where(None, _calls("gcd"))
+    assert not found, found
