@@ -198,12 +198,12 @@ def _cmd_audit_wcycles(args) -> int:
             return _usage("--attach-prob must be in [0, 1]")
         x = _load_torsion_group(args.group)
         # the campaign runs over the rose of the relator's letters
-        missing = set(x._rose_symbols) - {sym for sym, _ in x.relator_word()}
+        missing = set(x._rose_symbols) - {sym for sym, _ in x.relator}
         if missing:
             return _usage(f"{args.group}: letter {min(missing)!r} is not in "
                           "the relator, and a campaign covers only the "
                           "relator's letters")
-        params = GeneratorParams(args.vertex_budget, x.relator_word(),
+        params = GeneratorParams(args.vertex_budget, x.relator,
                                  x.branch_index, args.attach_prob)
         cfg = CampaignConfig(seed, args.trials, params, suites)
         report = run_property_campaign(cfg)

@@ -39,22 +39,6 @@ def _inverse(p: Perm) -> Perm:
     return tuple(out)
 
 
-def cycles(p: Perm):
-    """The cycles of a permutation, each from its least point, in order of
-    least points."""
-    seen = [False] * len(p)
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        cycle = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            cycle.append(j)
-            j = p[j]
-        yield tuple(cycle)
-
-
 @dataclass(frozen=True)
 class FiniteQuotient:
     degree: int
@@ -81,15 +65,15 @@ class FiniteQuotient:
 def relator_cycles(perms: dict[str, Perm], x: OneRelatorOrbicomplex,
                    degree: int):
     """The cycles of the relator image under ``perms`` (a permutation of
-    {0..degree-1} per letter) in ``cycles`` order, each walked point by
-    point through the letters' permutations, and only when asked for.
+    {0..degree-1} per letter) in order of least points, each walked from its
+    least point through the letters' permutations, only when asked for.
 
     The first is the cycle through point 0.  When its length is not n, the
     exponent rule fails whatever the other cycles are: that is the
     samplers' screen, ``screen_draw``.
     """
     steps = [perms[sym] if sign > 0 else _inverse(perms[sym])
-             for sym, sign in x.relator_word()]
+             for sym, sign in x.relator]
     seen = [False] * degree
     for i in range(degree):
         if seen[i]:
@@ -118,7 +102,7 @@ def screen_draw(perms: dict[str, Perm], x: OneRelatorOrbicomplex,
 def _unwrap_cycles(q: FiniteQuotient, x: OneRelatorOrbicomplex
                    ) -> tuple[str | None, list[tuple[int, ...]]]:
     """``validate_quotient``'s problem, or None, and, when there is none,
-    the cycles of the relator image in ``cycles`` order.
+    the cycles of the relator image in ``relator_cycles`` order.
 
     The walk of ``relator_cycles`` stops at the first cycle whose length is
     not the branch index.  Transitivity is checked by forward images alone:
@@ -289,7 +273,7 @@ def verify_cover(c: UnwrappedCover) -> CoverReport:
     for v in sorted(g.vertices):
         if links[v] != onto[m.vertex_map[v]]:
             witnesses.append(f"link at {v} is not onto the rose link")
-    w = x.relator_word()
+    w = x.relator
     n = x.branch_index
     k = c.quotient.degree
     chi = euler_characteristic(cover, 2)

@@ -360,16 +360,15 @@ def _replay_conjugates(u: Word, x: OneRelatorOrbicomplex, steps):
 def build_reduced_diagram(u: Word, x: OneRelatorOrbicomplex) -> VanKampenDiagram:
     """Disk diagram whose boundary spells the free reduction of ``u``.
 
-    Raises ValueError when ``u`` has a letter that is not a loop of the
-    rose or is nontrivial in the group of ``x``.
+    Raises ValueError when the branch index is below 2, or when ``u`` has a
+    letter that is not a loop of the rose or is nontrivial in the group.
     """
     reduced_u = free_reduce(u)
-    if not reduced_u:
-        # dehn_solve checks the letters of a word that does not cancel away
+    if len(reduced_u) < len(u):
+        # dehn_solve checks the letters that are left, not those that cancel
         for sym, _ in u:
             if sym not in x.gamma.edges:
                 raise _foreign_letter(sym)
-        return _DiskBuilder("v0").freeze(x)
     result = dehn_solve(reduced_u, x)
     if not result.trivial:
         raise ValueError("word is nontrivial; it bounds no disk diagram")

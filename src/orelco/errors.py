@@ -9,20 +9,20 @@ class InvalidComplexError(OrelcoError):
     """A combinatorial complex violates one of its structural invariants."""
 
 
-class NotMorphismError(OrelcoError):
-    """A map fails structure preservation; carries a human-readable witness."""
+class _WitnessError(OrelcoError):
+    """A map is refused; carries a human-readable witness."""
 
     def __init__(self, witness: str):
         super().__init__(witness)
         self.witness = witness
 
 
-class NotImmersionError(OrelcoError):
+class NotMorphismError(_WitnessError):
+    """A map fails structure preservation."""
+
+
+class NotImmersionError(_WitnessError):
     """An operation required an immersion but the map is not one."""
-
-    def __init__(self, witness: str):
-        super().__init__(witness)
-        self.witness = witness
 
 
 class InvariantError(OrelcoError):

@@ -22,7 +22,7 @@ from .complexes import (Classification, Dart, Graph, MapKind, TwoComplex,
                         euler_characteristic,
                         find_free_faces_and_edges, non_tree_edge_count)
 from .errors import NotImmersionError
-from .words import Word, is_cyclically_reduced, is_proper_power
+from .words import is_cyclically_reduced, is_proper_power
 
 
 @dataclass(frozen=True)
@@ -47,10 +47,6 @@ class OneRelatorOrbicomplex:
         """The ordinary complex with one disk ``d0`` glued along the full
         relator power; maps into the orbicomplex are maps into it."""
         return TwoComplex(self.gamma, {"d0": self.relator_power_path()})
-
-    def relator_word(self) -> Word:
-        """The relator as a word: on a rose it is the relator path."""
-        return self.relator
 
     @cached_property
     def _rose_symbols(self) -> list[str]:

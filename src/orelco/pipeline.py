@@ -76,7 +76,6 @@ class StageRow:
 @dataclass(frozen=True)
 class PipelineReport:
     rows: tuple[StageRow, ...]
-    notes: tuple[str, ...]
 
 
 def _cell_bound(state: PipelineState) -> int:
@@ -630,7 +629,7 @@ def present_subgroup(generators: list[Word], x: OneRelatorOrbicomplex, *,
     if not cleaned:
         notes.append("trivial subgroup; empty presentation emitted directly")
         return (Presentation((), (), (), 0, True, tuple(notes)),
-                PipelineReport((), tuple(notes)))
+                PipelineReport(()))
     q = find_exponent_n_quotient(x, max_degree, seed)
     cover = build_unwrapped_cover(x, q)
     audit = verify_cover(cover)
@@ -645,7 +644,7 @@ def present_subgroup(generators: list[Word], x: OneRelatorOrbicomplex, *,
     if not pulled:
         notes.append("stabilizer intersection is trivial")
         return (Presentation((), (), (), 0, True, tuple(notes)),
-                PipelineReport((), tuple(notes)))
+                PipelineReport(()))
     state = seed_immersion(pulled, cover)
     rows: list[StageRow] = []
     while True:
@@ -664,4 +663,4 @@ def present_subgroup(generators: list[Word], x: OneRelatorOrbicomplex, *,
             expanded.extend(sub[sym] if sign > 0 else inverse_word(sub[sym]))
         check = dehn_solve(free_reduce(tuple(expanded)), x)
         _invariant(check.trivial, "emitted relator is not trivial", state)
-    return pres, PipelineReport(tuple(rows), tuple(notes))
+    return pres, PipelineReport(tuple(rows))

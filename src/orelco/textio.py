@@ -30,6 +30,10 @@ def _fail(lineno: int, why: str) -> ValueError:
     return ValueError(f"line {lineno}: {why}")
 
 
+def _malformed(lineno: int, tokens: list[str]) -> ValueError:
+    return _fail(lineno, f"malformed {tokens[0]} line: {' '.join(tokens)}")
+
+
 def _read(lineno: int, parse, text: str, what: str):
     """``parse(text)``; text that does not parse is a fault of its line."""
     try:
@@ -73,40 +77,39 @@ def format_complex(c: TwoComplex) -> str:
 
 
 def _parse_skeleton_lines(text: str, allow: set[str]):
+    """Read the lines whose kinds ``allow`` names (``vertex`` and ``edge``
+    always); a kind beyond the four of a complex comes back in ``extra``."""
     vertices: set[str] = set()
     edges: dict[str, EdgeRec] = {}
     cells: dict[str, tuple[Dart, ...]] = {}
-    base = None
+    base: dict[str, str] = {}     # the base line
     extra = []
     for lineno, tokens in _lines(text):
         kind = tokens[0]
-        if kind == "vertex" and len(tokens) == 2:
+        if kind not in allow:
+            raise _fail(lineno, f"unknown declaration {kind!r}")
+        if kind in ("vertex", "base") and len(tokens) != 2:
+            raise _malformed(lineno, tokens)
+        if kind == "vertex":
             vertices.add(tokens[1])
         elif kind == "edge":
-            if len(tokens) not in (6, 8) or tokens[2] != ":" or tokens[4] != "->":
-                raise _fail(lineno, f"malformed edge line: {' '.join(tokens)}")
-            label = None
-            if len(tokens) == 8:
-                if tokens[6] != "label":
-                    raise _fail(lineno, f"malformed edge line: {' '.join(tokens)}")
-                label = tokens[7]
+            if (len(tokens) not in (6, 8) or tokens[2] != ":"
+                    or tokens[4] != "->" or tokens[6:7] not in ([], ["label"])):
+                raise _malformed(lineno, tokens)
+            label = tokens[7] if len(tokens) == 8 else None
             _put(edges, tokens[1], EdgeRec(tokens[3], tokens[5], label),
                  lineno, f"edge {tokens[1]}")
-        elif kind == "cell" and "cell" in allow:
+        elif kind == "cell":
             if len(tokens) < 4 or tokens[2] != ":":
-                raise _fail(lineno, f"malformed cell line: {' '.join(tokens)}")
+                raise _malformed(lineno, tokens)
             _put(cells, tokens[1],
                  _read(lineno, parse_word, " ".join(tokens[3:]), "a word"),
                  lineno, f"cell {tokens[1]}")
-        elif kind == "base" and "base" in allow and len(tokens) == 2:
-            if base is not None:
-                raise _fail(lineno, "duplicate base")
-            base = tokens[1]
-        elif kind in allow - {"vertex", "edge", "cell", "base"}:
-            extra.append((lineno, tokens))
+        elif kind == "base":
+            _put(base, kind, tokens[1], lineno, kind)
         else:
-            raise _fail(lineno, f"unknown declaration {kind!r}")
-    return vertices, edges, cells, base, extra
+            extra.append((lineno, tokens))
+    return vertices, edges, cells, base.get("base"), extra
 
 
 def _build_complex(vertices, edges, cells, base) -> TwoComplex:
@@ -148,14 +151,17 @@ def parse_morphism(text: str, source: TwoComplex,
     cmap: dict[str, CellImage] = {}
     for lineno, tokens in _lines(text):
         kind = tokens[0]
-        if kind == "vmap" and len(tokens) == 3:
+        if kind not in ("vmap", "emap", "cmap"):
+            raise _fail(lineno, f"unknown declaration {kind!r}")
+        if len(tokens) != (5 if kind == "cmap" else 3) or kind == "cmap" and (
+                tokens[3][:4], tokens[4][:7]) != ("rot=", "orient="):
+            raise _malformed(lineno, tokens)
+        if kind == "vmap":
             _put(vmap, tokens[1], tokens[2], lineno, f"vmap {tokens[1]}")
-        elif kind == "emap" and len(tokens) == 3:
+        elif kind == "emap":
             (dart,) = _read(lineno, parse_word, tokens[2], "a dart")
             _put(emap, tokens[1], dart, lineno, f"emap {tokens[1]}")
-        elif kind == "cmap" and len(tokens) == 5:
-            if not tokens[3].startswith("rot=") or not tokens[4].startswith("orient="):
-                raise _fail(lineno, f"malformed cmap line: {' '.join(tokens)}")
+        else:
             rot = _read(lineno, int, tokens[3][4:], "an integer")
             sign_text = tokens[4][7:]
             if sign_text not in ("+", "-"):
@@ -163,8 +169,6 @@ def parse_morphism(text: str, source: TwoComplex,
             _put(cmap, tokens[1],
                  CellImage(tokens[2], rot, 1 if sign_text == "+" else -1),
                  lineno, f"cmap {tokens[1]}")
-        else:
-            raise _fail(lineno, f"unknown declaration {kind!r}")
     return CellMorphism(source, target, vmap, emap, cmap)
 
 
@@ -206,8 +210,8 @@ def parse_orbicomplex(text: str) -> OneRelatorOrbicomplex:
     for lineno, (kind, *rest) in extra:
         if kind == "relator":
             value = _read(lineno, parse_word, " ".join(rest), "a word")
-        elif len(rest) == 1 and rest[0].isdigit():
-            value = int(rest[0])
+        elif len(rest) == 1:
+            value = _read(lineno, int, rest[0], "an integer")
         else:
             raise _fail(lineno, "branch takes one integer")
         _put(found, kind, value, lineno, kind)
@@ -258,13 +262,15 @@ def parse_quotient(text: str) -> FiniteQuotient:
     degree = None
     perms: dict[str, tuple[int, ...]] = {}
     for lineno, tokens in _lines(text):
-        if tokens[0] == "degree" and len(tokens) == 2:
+        if tokens[0] == "degree":
+            if len(tokens) != 2:
+                raise _malformed(lineno, tokens)
             if degree is not None:
                 raise _fail(lineno, "duplicate degree")
             degree = _read(lineno, int, tokens[1], "an integer")
         elif tokens[0] == "perm":
             if len(tokens) < 4 or tokens[2] != ":":
-                raise _fail(lineno, f"malformed perm line: {' '.join(tokens)}")
+                raise _malformed(lineno, tokens)
             _put(perms, tokens[1], _points(lineno, tokens[3:]), lineno,
                  f"perm {tokens[1]}")
         else:
@@ -292,7 +298,7 @@ def parse_cover_file(text: str) -> tuple[TwoComplex, dict[str, tuple[int, ...]]]
     families: dict[str, tuple[int, ...]] = {}
     for lineno, tokens in extra:
         if len(tokens) < 4 or tokens[2] != ":":
-            raise _fail(lineno, f"malformed family line: {' '.join(tokens)}")
+            raise _malformed(lineno, tokens)
         _put(families, tokens[1], _points(lineno, tokens[3:]), lineno,
              f"family {tokens[1]}")
     return _build_complex(*parts), families

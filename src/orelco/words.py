@@ -184,7 +184,7 @@ def dehn_solve(word: Sequence[Letter], x: "OneRelatorOrbicomplex") -> DehnResult
     n = x.branch_index
     if n < 2:
         raise ValueError("word problem routine requires branch index >= 2")
-    base = x.relator_word()
+    base = x.relator
     u = tuple(word)
     symbols = x.gamma.edges
     last_sym, last_sign = None, 0

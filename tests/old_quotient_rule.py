@@ -69,7 +69,7 @@ def validate_quotient(q, x):
                     frontier.append(image)
     if len(reached) != q.degree:
         problems.append("action is not transitive")
-    order = permutation_order(q.permutation_of(x.relator_word()))
+    order = permutation_order(q.permutation_of(x.relator))
     if order != x.branch_index:
         problems.append(
             f"relator image has order {order}, expected {x.branch_index}")
@@ -79,7 +79,7 @@ def validate_quotient(q, x):
 def has_uniform_exponent_cycles(q, x):
     n = x.branch_index
     return all(length == n for length in
-               cycle_lengths(q.permutation_of(x.relator_word())))
+               cycle_lengths(q.permutation_of(x.relator)))
 
 
 def accepts(q, x):

@@ -9,10 +9,9 @@ from orelco.complexes import (EdgeRec, Graph, MapKind, TwoComplex,
                               euler_characteristic)
 from orelco.complexes import target_side
 from orelco.covers import (RANDOM_ATTEMPTS_PER_DEGREE, FiniteQuotient,
-                           build_unwrapped_cover, cycles,
-                           find_exponent_n_quotient, pull_back_subgroup,
-                           screen_draw, validate_quotient, verify_cover,
-                           UnwrappedCover)
+                           build_unwrapped_cover, find_exponent_n_quotient,
+                           pull_back_subgroup, screen_draw, validate_quotient,
+                           verify_cover, UnwrappedCover)
 import orelco.covers as covers
 from orelco.errors import BudgetExhaustedError, InvariantError, OrelcoError
 from orelco.harness import random_uniform_quotient
@@ -36,10 +35,6 @@ Q_AB2 = FiniteQuotient(2, {"a": (1, 0), "b": (0, 1)})
 
 
 def test_perm_helpers():
-    assert list(cycles((1, 0, 2))) == [(0, 1), (2,)]
-    assert list(cycles((2, 0, 1))) == [(0, 2, 1)]
-    assert list(cycles((3, 2, 1, 0))) == [(0, 3), (1, 2)]
-    assert list(cycles(())) == []
     q = Q_AB2
     assert q.permutation_of((A, B)) == (1, 0)
     assert q.act(0, (A, B, A, B)) == 0
@@ -239,7 +234,7 @@ def _parent_validate_quotient(q, x):
         if not covers._is_perm(q.perms[s], q.degree):
             return [f"image of {s} is not a permutation of degree {q.degree}"]
     n = x.branch_index
-    for cycle in cycles(q.permutation_of(x.relator_word())):
+    for cycle in old.orbits(q.permutation_of(x.relator)):
         if len(cycle) != n:
             return ["exponent condition violated: relator image has a cycle"
                     f" of order {len(cycle)}, expected {n}"]
@@ -312,7 +307,7 @@ def test_one_walk_rule_gives_the_parent_message_for_message():
         tally[_rule_kind(want, x.branch_index)] += 1
         if not want:
             c = build_unwrapped_cover(x, q)
-            orbits = old.orbits(q.permutation_of(x.relator_word()))
+            orbits = old.orbits(q.permutation_of(x.relator))
             assert c.families == {f"f{i}": orbit
                                   for i, orbit in enumerate(orbits)}
         else:
@@ -333,10 +328,9 @@ def test_cover_families_are_the_old_orbit_walk():
     assert len(pairs) >= 140
     for x, q in pairs:
         c = build_unwrapped_cover(x, q)
-        orbits = old.orbits(q.permutation_of(x.relator_word()))
+        orbits = old.orbits(q.permutation_of(x.relator))
         assert c.families == {f"f{i}": orbit for i, orbit in enumerate(orbits)}
-        assert list(c.families.values()) == list(
-            cycles(q.permutation_of(x.relator_word())))
+        assert list(c.families.values()) == orbits
 
 
 def test_certificate_is_false_not_raised_for_other_symbols():
@@ -428,7 +422,7 @@ def test_build_rejects_nonuniform_quotient():
     # a is a 4-cycle (transitive), chosen so the relator image is the
     # transposition (0 1): order two but with two fixed points
     q = FiniteQuotient(4, {"a": (1, 2, 3, 0), "b": (3, 1, 0, 2)})
-    assert q.permutation_of(x.relator_word()) == (1, 0, 2, 3)
+    assert q.permutation_of(x.relator) == (1, 0, 2, 3)
     assert old.validate_quotient(q, x) == []
     assert validate_quotient(q, x) == [
         "exponent condition violated: relator image has a cycle of order 1,"
@@ -510,7 +504,7 @@ def _parent_find_exponent_n_quotient(x: OneRelatorOrbicomplex,
         raise ValueError(f"max_degree must be at least 1, got {max_degree}")
     symbols = x._rose_symbols
     n = x.branch_index
-    w = x.relator_word()
+    w = x.relator
     if n == 1:
         return FiniteQuotient(1, {s: (0,) for s in symbols})
     exponents = {}
@@ -677,8 +671,8 @@ def test_the_screen_refuses_only_what_the_exponent_rule_refuses():
         for intransitive, k, perms in _screen_draws(rng, 2400, n):
             q = FiniteQuotient(k, perms)
             # the cycle through point 0, from the permutation of the word
-            image = q.permutation_of(x.relator_word())
-            zero = next(cycles(image))
+            image = q.permutation_of(x.relator)
+            zero = old.orbits(image)[0]
             assert next(covers.relator_cycles(perms, x, k)) == zero
             problems = validate_quotient(q, x)
             passed = covers.screen_draw(perms, x, k)
@@ -718,7 +712,7 @@ def _parent_verify_cover(c):
     for v in sorted(g.vertices):
         if links[v] != set(x.gamma.darts_at(m.vertex_map[v])):
             witnesses.append(f"link at {v} is not onto the rose link")
-    w = x.relator_word()
+    w = x.relator
     n = x.branch_index
     k = c.quotient.degree
     chi = euler_characteristic(cover, 2)

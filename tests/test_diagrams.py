@@ -13,12 +13,15 @@ import pytest
 
 import orelco.complexes as complexes
 import orelco.diagrams as diagrams
-from orelco.complexes import (EdgeRec, Graph, MapKind, connected_components,
-                              dart_reverse, euler_characteristic)
-from orelco.diagrams import (_DiskBuilder, _replay_conjugates,
-                             build_reduced_diagram, find_mirror, mirror_witness)
+from orelco.complexes import (EdgeRec, Graph, MapKind, TwoComplex,
+                              connected_components, dart_reverse,
+                              euler_characteristic)
+from orelco.diagrams import (VanKampenDiagram, _DiskBuilder,
+                             _replay_conjugates, build_reduced_diagram,
+                             find_mirror, mirror_witness)
 from orelco.errors import DiagramError
-from orelco.orbicomplex import build_orbicomplex, check_orbi_immersion
+from orelco.orbicomplex import (OrbiMorphism, build_orbicomplex,
+                                check_orbi_immersion)
 from orelco.textio import format_complex
 from orelco.words import (DehnStep, dehn_solve, free_reduce, inverse_word,
                           parse_word)
@@ -107,6 +110,21 @@ def test_a_letter_outside_the_rose_is_refused_before_any_build(monkeypatch):
     for text in ("c a b a b c~", "c c~", "a b a b c"):
         with pytest.raises(ValueError, match="letter 'c' is not a loop"):
             build_reduced_diagram(W(text), x_ab2())
+
+
+@pytest.mark.parametrize("text", ["c c~ a b a b", "a b c c~ a b", "c c~ d"])
+def test_a_foreign_letter_that_cancels_is_refused(text):
+    # only a word that cancelled away entirely once had its letters checked
+    with pytest.raises(ValueError, match="letter 'c' is not a loop"):
+        build_reduced_diagram(W(text), x_ab2())
+
+
+@pytest.mark.parametrize("text", ["", "a a~", "a b b~ a~"])
+def test_a_word_that_cancels_away_bounds_one_vertex(text):
+    x = x_ab2()
+    point = TwoComplex(Graph(frozenset({"v0"}), {}), {}, base_vertex="v0")
+    assert build_reduced_diagram(W(text), x) == VanKampenDiagram(
+        point, (), (), OrbiMorphism.by_labels(point, x))
 
 
 def test_stem_sews_onto_second_disk():
@@ -340,7 +358,7 @@ def test_replay_check_survives_optimized_python():
 
 def test_conjugate_product_corpus():
     x = x_ab2()
-    q = x.relator_word() * 2
+    q = x.relator * 2
     conjugators = [W(t) for t in ["", "a", "b~", "a b", "b a~", "a b a"]]
     words = []
     for c1 in conjugators:
@@ -366,7 +384,7 @@ def golden_corpus():
     rng = random.Random(1805)
     for rel, n in CORPUS_GROUPS:
         x = build_orbicomplex(Graph.rose("ab"), W(rel), n)
-        q = x.relator_word() * n
+        q = x.relator * n
         for stem_len in (1, 4, 8, 12):
             for k in (2, 5, 9):
                 for _ in range(3):
@@ -399,7 +417,7 @@ def long_corpus():
     for i in range(66):
         rel, n = CORPUS_GROUPS[i % len(CORPUS_GROUPS)]
         x = build_orbicomplex(Graph.rose("ab"), W(rel), n)
-        q = x.relator_word() * n
+        q = x.relator * n
         product = []
         for _ in range(rng.randint(10, 20)):
             stem = []
@@ -581,7 +599,7 @@ def benchmark_corpus():
         k = round(10 + 25 * (length - 150) / 750)
         for rel, n in CORPUS_GROUPS:
             x = build_orbicomplex(Graph.rose("ab"), W(rel), n)
-            q = x.relator_word() * n
+            q = x.relator * n
             stem_len = max(0, round((length / k - len(q)) / 2))
             product = []
             for _ in range(k):

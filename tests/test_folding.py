@@ -519,7 +519,7 @@ def diagram_morphisms(count, seed, conjugates=(2, 6), stems=(0, 5)):
     for rel, n in (("a b", 2), ("a b a b~", 2), ("a b", 3)):
         x = build_orbicomplex(Graph.rose("ab"), W(rel), n)
         cx = x.presentation_complex
-        q = x.relator_word() * n
+        q = x.relator * n
         for _ in range(count):
             product = []
             for _ in range(rng.randint(*conjugates)):

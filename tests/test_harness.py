@@ -89,7 +89,7 @@ def test_lift_classes_are_deduplicated_by_full_rotation_only():
 def test_every_closed_lift_spells_the_relator_power():
     for relator, n in (("a b a b~", 2), ("a a b b b", 2)):
         x = build_orbicomplex(Graph.rose("ab"), W(relator), n)
-        power = x.relator_word() * n
+        power = x.relator * n
         for seed in range(100):
             g = _random_labeled_graph(random.Random(seed), 12, ["a", "b"])
             for lift in closed_power_lifts(g, x):

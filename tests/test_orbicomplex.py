@@ -47,7 +47,7 @@ def test_build_accessors():
     assert x.relator_length == 2
     assert x.boundary_length == 4
     assert x.relator_power_path() == (A, B, A, B)
-    assert x.relator_word() == (A, B)
+    assert x.relator == (A, B)
 
 
 def test_build_rejects_bad_input():

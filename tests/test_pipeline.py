@@ -420,7 +420,7 @@ def test_products_of_relator_power_conjugates_have_code_zero(group, factors,
                                                               start):
     x, cover = screen_cover(*group)
     weight = _cell_cocycle(cover.cover)
-    power = x.relator_word() * x.branch_index
+    power = x.relator * x.branch_index
     word: list = []
     for u, sign in factors:
         word += [*u, *(power if sign > 0 else inverse_word(power)),
@@ -665,7 +665,7 @@ def one_skeleton(c):
 
 def trivial_word(rng, x):
     """A reduced product of one or two conjugates of ``w^(+-n)``."""
-    power = x.relator_word() * x.branch_index
+    power = x.relator * x.branch_index
     word: list = []
     for _ in range(rng.randint(1, 2)):
         u = tuple((rng.choice("ab"), rng.choice((1, -1)))

@@ -1,6 +1,7 @@
 """Rules the library source keeps."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 import orelco
@@ -49,17 +50,15 @@ def test_only_covers_walks_the_relator_image():
 
 
 def _relator_power(node) -> bool:
-    """A product with a ``relator_word()`` call on either side."""
+    """A product with a ``.relator`` attribute on either side."""
     return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
-            and any(isinstance(side, ast.Call)
-                    and isinstance(side.func, ast.Attribute)
-                    and side.func.attr == "relator_word"
+            and any(isinstance(side, ast.Attribute) and side.attr == "relator"
                     for side in (node.left, node.right)))
 
 
 def test_only_orbicomplex_spells_the_relator_power():
     # relator_power_path() is the one spelling of w^n; a product with
-    # relator_word() elsewhere would be a second
+    # x.relator elsewhere would be a second
     found = _where("orbicomplex.py", _relator_power)
     assert not found, found
 
@@ -105,3 +104,35 @@ def test_no_library_module_calls_gcd():
     # of exponent sums would be a second derivation of it
     found = _where(None, _calls("gcd"))
     assert not found, found
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _is_format(module: str, name: str) -> bool:
+    # the text formats round-trip by promise, whoever calls them
+    return module == "textio.py" and name.startswith(("format_", "parse_"))
+
+
+def test_every_library_function_has_a_caller():
+    # a module-level function that nothing names outside its own def is dead
+    bench = sorted(PERFBENCH.glob("*.py"))
+    assert bench, f"no modules under {PERFBENCH}"
+    library = list(_library())
+    named_in = defaultdict(set)     # name -> the top-level statements naming it
+    for tree in [t for _, t in library] + [ast.parse(p.read_text(), str(p))
+                                           for p in bench]:
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    named_in[node.id].add(stmt)
+                elif isinstance(node, ast.Attribute):
+                    named_in[node.attr].add(stmt)
+    dead = [f"{module}:{stmt.name}" for module, tree in library
+            for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not stmt.name.startswith("__")
+            and not _is_format(module, stmt.name)
+            and stmt.name not in orelco.__all__
+            and not named_in[stmt.name] - {stmt}]
+    assert not dead, dead

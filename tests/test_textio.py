@@ -138,6 +138,48 @@ def test_a_field_that_does_not_parse_names_its_line(parse, text, message):
     assert str(info.value) == message
 
 
+def _map_onto_rose(text):
+    return parse_morphism(text, parse_complex(LOOP), ROSE_A)
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_complex, "vertex a b\nbase a\n",
+     "line 1: malformed vertex line: vertex a b"),
+    (parse_complex, "vertex v\nbase\n", "line 2: malformed base line: base"),
+    (_map_onto_rose, "vmap p\n", "line 1: malformed vmap line: vmap p"),
+    (_map_onto_rose, "emap e a b\n", "line 1: malformed emap line: emap e a b"),
+    (_map_onto_rose, "cmap c d0 rot=0\n",
+     "line 1: malformed cmap line: cmap c d0 rot=0"),
+    (parse_quotient, "degree 2 3\n",
+     "line 1: malformed degree line: degree 2 3"),
+], ids=["vertex", "base", "vmap", "emap", "cmap", "degree"])
+def test_a_known_keyword_with_the_wrong_arity_is_malformed(parse, text,
+                                                           message):
+    # each was once reported as an unknown declaration
+    with pytest.raises(ValueError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
+def test_a_keyword_the_format_lacks_stays_unknown():
+    group = "vertex *\nedge a : * -> * label a\nrelator a\nbranch 2\n"
+    with pytest.raises(ValueError, match="line 5: unknown declaration 'base'"):
+        parse_orbicomplex(group + "base *\n")
+
+
+@pytest.mark.parametrize("branch, message", [
+    ("branch \u00b2", "line 4: cannot read '\u00b2' as an integer"),
+    ("branch 2 3", "line 4: branch takes one integer"),
+], ids=["superscript", "arity"])
+def test_a_branch_line_that_does_not_read_names_its_line(branch, message):
+    # str.isdigit accepts a superscript two, which int() then refused with
+    # no line number
+    with pytest.raises(ValueError) as info:
+        parse_orbicomplex("vertex *\nedge a : * -> * label a\nrelator a\n"
+                          f"{branch}\n")
+    assert str(info.value) == message
+
+
 def test_a_repeated_vertex_line_is_allowed():
     c = parse_complex("vertex v\nvertex v\nbase v\n")
     assert c.skeleton.vertices == frozenset({"v"})
@@ -267,8 +309,7 @@ def test_audit_csv_schema():
 
 def test_pipeline_csv_schema():
     report = PipelineReport(
-        rows=(StageRow(0, -2, -2, 0, 4, 7), StageRow(1, -1, -1, 0, 3, 0)),
-        notes=())
+        rows=(StageRow(0, -2, -2, 0, 4, 7), StageRow(1, -1, -1, 0, 3, 0)))
     text = pipeline_csv(report)
     assert text == ("stage,chi1,chi2,cells,free_edges,cursor,stable_for\n"
                     "0,-2,-2,0,4,7,7\n1,-1,-1,0,3,0,0\n")

@@ -88,7 +88,7 @@ def test_dehn_rejects_unreduced_input_after_the_branch_check():
     with pytest.raises(ValueError, match="branch index"):
         dehn_solve((A, B, Bi, A), make_x([A, B], 1))
     x = make_x([A, B], 2)
-    assert x.relator_word() is x.relator_word()
+    assert x.relator is x.relator
 
 
 def test_cyclically_reduced_predicate():
@@ -163,7 +163,7 @@ def test_dehn_rejects_branch_one():
 
 
 def _conjugates_sample(x, rng_words):
-    relator = x.relator_word() * x.branch_index
+    relator = x.relator * x.branch_index
     out = []
     for conj in rng_words:
         for sign in (1, -1):
@@ -221,7 +221,7 @@ def test_splice_cancels_only_at_the_seams():
 
 def reference_dehn_solve(word, x):
     n = x.branch_index
-    base = x.relator_word()
+    base = x.relator
     u = free_reduce(word)
     relator = base * n
     m = len(relator)
@@ -261,7 +261,7 @@ def reference_dehn_solve(word, x):
     ((A, B), 2), ((A, B, A, Bi), 2), ((A, B), 3), ((A, A, B, B, B), 2)])
 def test_dehn_matches_the_reference_solver(relator, n):
     x = make_x(relator, n)
-    power = x.relator_word() * n
+    power = x.relator * n
     rng = random.Random(len(relator) * 10 + n)
     corpus = []
     for _ in range(60):         # products of conjugates of the relator power
