@@ -43,15 +43,9 @@ __all__ = [
     "factor_unique", "find_exponent_n_quotient",
     "find_free_faces_and_edges", "fold", "format_word", "free_reduce",
     "identity_morphism", "inverse_word",
-    "is_branched", "parse_stacking", "parse_word", "present_subgroup",
+    "is_branched", "parse_word", "present_subgroup",
     "pull_back_subgroup", "random_irreducible_immersion",
     "random_uniform_quotient", "run_property_campaign",
     "seed_immersion", "verify_cover", "wcycles_audit",
 ]
 
-
-def __getattr__(name):  # the text formats load on first use
-    if name == "parse_stacking":
-        from .textio import parse_stacking
-        return parse_stacking
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,7 +9,6 @@ configuration first so reruns are unambiguous.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -38,22 +37,7 @@ EXIT_BUDGET = 3
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        print(f"error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
-def _resolve_seed(flag_value) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("ORELCO_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            print(f"error: ORELCO_SEED must be an integer, got {env!r}",
-                  file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-    return 0
+        raise SystemExit(_usage(message))
 
 
 def _echo(command: str, **settings) -> None:
@@ -97,7 +81,8 @@ def _cmd_group_define(args) -> int:
     x = _load(parse_orbicomplex, args.group)
     print(f"group: vertices={len(x.gamma.vertices)} "
           f"edges={len(x.gamma.edges)} relator-length={len(x.relator)} "
-          f"branch={x.branch_index} boundary-length={x.boundary_length}")
+          f"branch={x.branch_index} "
+          f"boundary-length={x.branch_index * len(x.relator)}")
     return EXIT_OK
 
 
@@ -120,13 +105,12 @@ def _cmd_word_solve(args) -> int:
 
 
 def _cmd_cover_build(args) -> int:
-    seed = _resolve_seed(args.seed)
     _echo("cover build", group=args.group, max_degree=args.max_degree,
-          seed=seed)
+          seed=args.seed)
     if args.max_degree < 1:
         return _usage("--max-degree must be at least 1")
     x = _load(parse_orbicomplex, args.group)
-    q = find_exponent_n_quotient(x, args.max_degree, seed)
+    q = find_exponent_n_quotient(x, args.max_degree, args.seed)
     cover = build_unwrapped_cover(x, q)
     report = verify_cover(cover)
     print(format_quotient(q), end="")
@@ -144,10 +128,9 @@ def _cmd_cover_build(args) -> int:
 
 
 def _cmd_subgroup_present(args) -> int:
-    seed = _resolve_seed(args.seed)
     _echo("subgroup present", group=args.group, gens=args.gens,
           max_degree=args.max_degree, max_stages=args.max_stages,
-          max_word_len=args.max_word_len, seed=seed, format=args.format)
+          max_word_len=args.max_word_len, seed=args.seed, format=args.format)
     if args.max_word_len < 1:
         # no candidate would be tried, and the seed would pass as stable
         return _usage("--max-word-len must be at least 1")
@@ -162,7 +145,7 @@ def _cmd_subgroup_present(args) -> int:
     pres, report = present_subgroup(
         gens, x, max_degree=args.max_degree,
         max_word_len=args.max_word_len, max_stages=args.max_stages,
-        seed=seed)
+        seed=args.seed)
     for note in pres.notes:
         print(f"note: {note}")
     if args.format == "csv":
@@ -180,10 +163,9 @@ def _cmd_subgroup_present(args) -> int:
 
 
 def _cmd_audit_wcycles(args) -> int:
-    seed = _resolve_seed(args.seed)
     if args.trials is not None:
         _echo("audit wcycles", group=args.group, trials=args.trials,
-              seed=seed, vertex_budget=args.vertex_budget,
+              seed=args.seed, vertex_budget=args.vertex_budget,
               attach_prob=args.attach_prob, suites=args.suites)
         if args.trials < 1:
             # no trial would run, and every suite would pass as 0/0
@@ -205,7 +187,7 @@ def _cmd_audit_wcycles(args) -> int:
                           "relator's letters")
         params = GeneratorParams(args.vertex_budget, x.relator,
                                  x.branch_index, args.attach_prob)
-        cfg = CampaignConfig(seed, args.trials, params, suites)
+        cfg = CampaignConfig(args.seed, args.trials, params, suites)
         report = run_property_campaign(cfg)
         if args.format == "csv":
             _emit(args, campaign_csv(report))
@@ -319,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subparsers(sub, "cover").add_parser("build")
     p.add_argument("--group", required=True)
     p.add_argument("--max-degree", type=int, default=8)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_cover_build)
 
@@ -329,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, default=8)
     p.add_argument("--max-word-len", type=int, default=12)
     p.add_argument("--max-stages", type=int, default=200)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("csv", "text"), default="text")
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_subgroup_present)
@@ -342,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vertex-budget", type=int, default=6)
     p.add_argument("--attach-prob", type=float, default=0.5)
     p.add_argument("--suites", default=",".join(SUITES))
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("csv", "text"), default="text")
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_audit_wcycles)

@@ -120,7 +120,7 @@ def closed_power_lifts(g: Graph, x: OneRelatorOrbicomplex):
     """Closed lifts of the relator power, one per cycle: the least of its
     rotations by multiples of the relator length, so every lift reads the
     power from offset 0."""
-    power, step = x.relator_power_path(), x.relator_length
+    power, step = x.relator_power_path(), len(x.relator)
     found = set()
     for v in sorted(g.vertices):
         lift = g.read(power, v)

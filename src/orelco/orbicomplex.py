@@ -31,14 +31,6 @@ class OneRelatorOrbicomplex:
     relator: tuple[Dart, ...]
     branch_index: int
 
-    @property
-    def relator_length(self) -> int:
-        return len(self.relator)
-
-    @property
-    def boundary_length(self) -> int:
-        return self.branch_index * len(self.relator)
-
     def relator_power_path(self) -> tuple[Dart, ...]:
         return self.relator * self.branch_index
 
@@ -114,7 +106,7 @@ def check_orbi_immersion(m: OrbiMorphism) -> Classification:
     edge, the incident cell sides land on pairwise distinct sides of the disk:
     boundary positions of the presentation complex modulo |w|.
     """
-    cls = _immersion_fault(m.as_cell_morphism(), m.target.relator_length)
+    cls = _immersion_fault(m.as_cell_morphism(), len(m.target.relator))
     return Classification(MapKind.IMMERSION, None) if cls is None else cls
 
 
@@ -126,7 +118,7 @@ def degree(m) -> int:
     2-complex target it is the minimum preimage count over target cells.
     """
     if isinstance(m, OrbiMorphism):
-        cls = _immersion_fault(m.as_cell_morphism(), m.target.relator_length)
+        cls = _immersion_fault(m.as_cell_morphism(), len(m.target.relator))
         count = m.target.branch_index * len(m.source.cells)
     elif isinstance(m, CellMorphism):
         cls = _immersion_fault(m)

@@ -390,18 +390,29 @@ def pipeline_csv(report) -> str:
 # DOT export
 
 
+_DOT_KEYWORDS = {"digraph", "edge", "graph", "node", "strict", "subgraph"}
+
+
+def _dot_quote(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(c: TwoComplex, name: str = "complex") -> str:
     """1-skeleton as a digraph; edges carry their label and how many cell
-    sides traverse them."""
+    sides traverse them.  A graph name is bare only as an ASCII identifier
+    and no DOT keyword; all else is quoted, with `\\` and `"` escaped."""
+    bare = (name.isascii() and name.isidentifier()
+            and name.lower() not in _DOT_KEYWORDS)
     sides = c.sides_over
-    out = [f"digraph {name} {{"]
+    out = [f"digraph {name if bare else _dot_quote(name)} {{"]
     for v in sorted(c.skeleton.vertices):
         shape = "doublecircle" if v == c.base_vertex else "circle"
-        out.append(f'  "{v}" [shape={shape}];')
+        out.append(f"  {_dot_quote(v)} [shape={shape}];")
     for e in sorted(c.skeleton.edges):
         rec = c.skeleton.edges[e]
-        label = rec.label if rec.label is not None else e
-        out.append(f'  "{rec.tail}" -> "{rec.head}" '
-                   f'[label="{e}:{label} sides={len(sides[e])}"];')
+        label = (f"{e}:{e if rec.label is None else rec.label} "
+                 f"sides={len(sides[e])}")
+        out.append(f"  {_dot_quote(rec.tail)} -> {_dot_quote(rec.head)} "
+                   f"[label={_dot_quote(label)}];")
     out.append("}")
     return "\n".join(out) + "\n"

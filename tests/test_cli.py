@@ -604,21 +604,12 @@ def test_missing_subcommand_is_usage_error(capsys):
     assert run(capsys, ["group"])[0] == 2
 
 
-def test_seed_env_fallback_and_flag_precedence(group_file, capsys,
-                                               monkeypatch):
-    monkeypatch.setenv("ORELCO_SEED", "7")
-    _, out_env, _ = run(capsys, ["cover", "build", "--group", group_file])
-    assert "seed=7" in out_env.splitlines()[0]
+def test_seed_defaults_to_zero_and_the_flag_sets_it(group_file, capsys):
+    _, out_default, _ = run(capsys, ["cover", "build", "--group", group_file])
+    assert "seed=0" in out_default.splitlines()[0]
     _, out_flag, _ = run(capsys, ["cover", "build", "--group", group_file,
                                   "--seed", "3"])
     assert "seed=3" in out_flag.splitlines()[0]
-
-
-def test_bad_seed_env_is_usage_error(group_file, capsys, monkeypatch):
-    monkeypatch.setenv("ORELCO_SEED", "notanint")
-    code, _, err = run(capsys, ["cover", "build", "--group", group_file])
-    assert code == 2
-    assert "ORELCO_SEED" in err
 
 
 def test_identical_invocations_are_byte_identical(group_file, capsys,

@@ -121,6 +121,15 @@ def test_validate_complex_catches_bad_cells():
     assert any("closed" in msg for msg in validate_complex(not_closed))
 
 
+@pytest.mark.parametrize("cells, base, message", [
+    ({"c": ()}, "*", "cell c has empty attaching path"),
+    ({}, "v", "base vertex v missing"),
+], ids=["empty-path", "missing-base"])
+def test_validate_complex_names_each_fault(cells, base, message):
+    c = TwoComplex(skeleton=Graph.rose(["a"]), cells=cells, base_vertex=base)
+    assert validate_complex(c) == [message]
+
+
 def build_triangle_target():
     g = Graph.rose(["a", "b", "c"])
     return TwoComplex(skeleton=g,
@@ -433,7 +442,7 @@ def reference_check_orbi_immersion(m):
     if witness is not None:
         return Classification(MapKind.NOT_MORPHISM, witness)
     witness = (reference_check_link_injective(cm)
-               or reference_check_side_injective(cm, m.target.relator_length))
+               or reference_check_side_injective(cm, len(m.target.relator)))
     if witness is not None:
         return Classification(MapKind.MORPHISM, witness)
     return Classification(MapKind.IMMERSION, None)

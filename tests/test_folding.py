@@ -280,6 +280,26 @@ def test_factor_unique_rejects_unimmersed_target():
         factor_unique(res, two_loop_wedge(), identity_morphism(two_loop_wedge().source))
 
 
+@pytest.mark.parametrize("through, lift_of, message", [
+    (lambda: identity_morphism(ROSE_A), lambda: two_loop_wedge(("z", "w")),
+     "lift source differs from the folded map's source"),
+    (lambda: identity_morphism(ROSE_AB), two_loop_wedge,
+     "lift target differs from the immersion's source"),
+    (lambda: CellMorphism(ROSE_A, ROSE_AB, {"*": "*"}, {"a": ("a", 1)}, {}),
+     two_loop_wedge,
+     "immersion target differs from the fold target"),
+    (lambda: identity_morphism(ROSE_A),
+     lambda: dataclasses.replace(two_loop_wedge(), edge_map={"e1": ("a", 1)}),
+     "lift is not a morphism: edge e2 has no image"),
+], ids=["lift-source", "lift-target", "fold-target", "lift-not-morphism"])
+def test_factor_unique_refuses_inputs_outside_its_contract(through, lift_of,
+                                                           message):
+    res = fold(two_loop_wedge())
+    with pytest.raises(FactorizationError) as info:
+        factor_unique(res, through(), lift_of())
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # the worklist fold against the quadratic fold it replaced
 

@@ -44,8 +44,6 @@ def x0_to_x(offset=0):
 
 def test_build_accessors():
     x = make_x()
-    assert x.relator_length == 2
-    assert x.boundary_length == 4
     assert x.relator_power_path() == (A, B, A, B)
     assert x.relator == (A, B)
 

@@ -106,6 +106,24 @@ def test_no_library_module_calls_gcd():
     assert not found, found
 
 
+_ENVIRONMENT = ("environ", "environb", "getenv", "getenvb")
+
+
+def _reads_environment(node) -> bool:
+    """``os.environ``, ``os.getenv`` and kin, by attribute or by import."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in _ENVIRONMENT
+    return isinstance(node, ast.ImportFrom) and any(
+        alias.name in _ENVIRONMENT for alias in node.names)
+
+
+def test_no_library_module_reads_the_environment():
+    # a run's output depends on its command line alone; an environment
+    # variable beside a flag would be a second way in to the same value
+    found = _where(None, _reads_environment)
+    assert not found, found
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 

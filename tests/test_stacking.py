@@ -137,9 +137,3 @@ def test_parse_ignores_complex_lines_and_rejects_duplicates():
     assert s.heights == {("A", 0): F(2), ("B", 0): F(1)}
     with pytest.raises(ValueError, match="duplicate"):
         parse_stacking("h A 0 1\nh A 0 2\n", c)
-
-
-def test_package_still_exports_the_stacking_reader():
-    import orelco
-    from orelco import textio
-    assert orelco.parse_stacking is textio.parse_stacking

@@ -128,11 +128,21 @@ LOOP = "vertex v\nedge e : v -> v label a\ncell f : e e\nbase v\n"
      "line 1: cannot read 'z' as an integer"),
     (lambda text: parse_stacking(text, parse_complex(LOOP)), "h f 0 1/0\n",
      "line 1: cannot read '1/0' as a rational"),
+    (lambda text: parse_morphism(text, parse_complex(LOOP), ROSE_A),
+     "cmap f w rot=0 orient=*\n", "line 1: orientation must be + or -, got *"),
+    (lambda text: parse_morphism(text, parse_complex(LOOP), ROSE_A),
+     "vmap v *\nwidget w\n", "line 2: unknown declaration 'widget'"),
+    (parse_quotient, "degree 2\nwidget w\n",
+     "line 2: unknown declaration 'widget'"),
+    (parse_fold_trace, "identify edge e1 e2\n",
+     "line 1: unknown identification 'edge'"),
 ], ids=["degree", "perm", "family", "cmap-rot", "cell-dart", "emap-dart",
-        "relator", "trace-dart", "height-position", "height-zero-division"])
+        "relator", "trace-dart", "height-position", "height-zero-division",
+        "cmap-orient", "morphism-keyword", "quotient-keyword", "trace-kind"])
 def test_a_field_that_does_not_parse_names_its_line(parse, text, message):
-    # each raised the bare int(), Fraction() or parse_word error, with no
-    # line number, and 1/0 escaped as a ZeroDivisionError
+    # the number and word rows each raised the bare int(), Fraction() or
+    # parse_word error, with no line number, and 1/0 escaped as a
+    # ZeroDivisionError
     with pytest.raises(ValueError) as info:
         parse(text)
     assert str(info.value) == message
@@ -152,7 +162,16 @@ def _map_onto_rose(text):
      "line 1: malformed cmap line: cmap c d0 rot=0"),
     (parse_quotient, "degree 2 3\n",
      "line 1: malformed degree line: degree 2 3"),
-], ids=["vertex", "base", "vmap", "emap", "cmap", "degree"])
+    (parse_complex, "vertex v\ncell f e\nbase v\n",
+     "line 2: malformed cell line: cell f e"),
+    (parse_quotient, "degree 2\nperm a 1 0\n",
+     "line 2: malformed perm line: perm a 1 0"),
+    (lambda text: parse_stacking(text, parse_complex(LOOP)), "h f 0\n",
+     "line 1: malformed height line: h f 0"),
+    (parse_fold_trace, "identify dart e1\n",
+     "line 1: malformed trace line: identify dart e1"),
+], ids=["vertex", "base", "vmap", "emap", "cmap", "degree", "cell", "perm",
+        "height", "trace"])
 def test_a_known_keyword_with_the_wrong_arity_is_malformed(parse, text,
                                                            message):
     # each was once reported as an unknown declaration
@@ -177,6 +196,22 @@ def test_a_branch_line_that_does_not_read_names_its_line(branch, message):
     with pytest.raises(ValueError) as info:
         parse_orbicomplex("vertex *\nedge a : * -> * label a\nrelator a\n"
                           f"{branch}\n")
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("parse, given, message", [
+    (parse_quotient, "perm a : 0\n", "quotient file is missing its degree line"),
+    (parse_presentation, "rels: a\n",
+     "presentation must read `gens: ... ; rels: ...`"),
+    (parse_presentation, "gens: a ; a\n",
+     "presentation must read `gens: ... ; rels: ...`"),
+    (format_fold_trace, [("edge", "e1", "e2")],
+     "unknown trace entry ('edge', 'e1', 'e2')"),
+], ids=["quotient-degree", "presentation-gens", "presentation-rels",
+        "trace-entry"])
+def test_a_whole_text_fault_is_refused(parse, given, message):
+    with pytest.raises(ValueError) as info:
+        parse(given)
     assert str(info.value) == message
 
 
@@ -297,6 +332,18 @@ def test_fold_trace_round_trip():
     assert parse_fold_trace(text) == tuple(res.trace)
 
 
+def test_fold_trace_round_trip_with_a_cell_merge():
+    y = parse_complex("vertex v\nedge e : v -> v label a\ncell f : e\n"
+                      "cell g : e\nbase v\n")
+    m = CellMorphism(y, ROSE_A, {"v": "*"}, {"e": ("a", 1)},
+                     {"f": CellImage("w", 0, 1), "g": CellImage("w", 0, 1)})
+    res = fold(m)
+    assert res.trace == (("cell", "f", "g"),)
+    text = format_fold_trace(res.trace)
+    assert text == "identify cell f g\n"
+    assert parse_fold_trace(text) == res.trace
+
+
 def test_audit_csv_schema():
     x = build_orbicomplex(Graph.rose("ab"), W("a b"), 2)
     cover = build_unwrapped_cover(x, find_exponent_n_quotient(x, 4, 0))
@@ -322,3 +369,21 @@ def test_dot_export_annotates_labels_and_side_counts():
     assert '"p" [shape=doublecircle];' in dot
     assert '"p" -> "q" [label="a0:a sides=1"];' in dot
     assert dot.rstrip().endswith("}")
+
+
+@pytest.mark.parametrize("name, header", [
+    ("x0", "digraph x0 {"),
+    ("my-cover", 'digraph "my-cover" {'),
+    ("graph", 'digraph "graph" {'),
+], ids=["identifier", "hyphen", "keyword"])
+def test_dot_export_quotes_a_graph_name_that_is_not_an_identifier(name,
+                                                                  header):
+    assert export_dot(sample_complex(), name=name).splitlines()[0] == header
+
+
+def test_dot_export_escapes_quotes_and_backslashes_in_names():
+    c = parse_complex('vertex p\nvertex q"r\nedge e : p -> q"r label a\\b\n'
+                      "base p\n")
+    lines = export_dot(c).splitlines()
+    assert '  "q\\"r" [shape=circle];' in lines
+    assert '  "p" -> "q\\"r" [label="e:a\\\\b sides=0"];' in lines
