@@ -154,7 +154,7 @@ def _cmd_subgroup_present(args) -> int:
         for r in report.rows:
             print(f"stage {r.stage}: chi1={r.chi1} chi2={r.chi2} "
                   f"cells={r.cells} free_edges={r.free_edges} "
-                  f"cursor={r.cursor} stable_for={r.cursor}")
+                  f"cursor={r.cursor} stable_for={r.stable_for}")
     _emit(args, format_presentation(pres.symbols, pres.relators))
     if not pres.conclusive:
         print("error: presentation is inconclusive within the stage budget")

@@ -58,13 +58,6 @@ class Graph:
             return None
         return (rec.label, d[1])
 
-    def darts(self) -> list[Dart]:
-        out: list[Dart] = []
-        for e in sorted(self.edges):
-            out.append((e, 1))
-            out.append((e, -1))
-        return out
-
     @cached_property
     def _adjacency(self) -> dict[str, tuple[Dart, ...]]:
         # the darts of each edge in turn, by edge id, are in dart_sort_key
@@ -507,30 +500,6 @@ def compose(outer: CellMorphism, inner: CellMorphism) -> CellMorphism:
     cmap = {cid: _compose_image(outer, im1)
             for cid, im1 in inner.cell_map.items()}
     return CellMorphism(inner.source, outer.target, vmap, emap, cmap)
-
-
-def _composite_equals(outer: CellMorphism, inner: CellMorphism,
-                      m: CellMorphism) -> bool:
-    """Whether ``compose(outer, inner) == m``, decided vertex by vertex,
-    edge by edge and cell by cell without building the composite; stops at
-    the first difference."""
-    if inner.target is not outer.source and inner.target != outer.source:
-        raise ValueError("composition mismatch: inner target is not outer source")
-    if (inner.source is not m.source and inner.source != m.source
-            or outer.target is not m.target and outer.target != m.target):
-        return False
-    vmap, emap, cmap = m.vertex_map, m.edge_map, m.cell_map
-    if (len(inner.vertex_map) != len(vmap) or len(inner.edge_map) != len(emap)
-            or len(inner.cell_map) != len(cmap)):
-        return False
-    outer_vmap = outer.vertex_map
-    if any(vmap.get(v) != outer_vmap[w] for v, w in inner.vertex_map.items()):
-        return False
-    if any(emap.get(e) != outer.dart_image(d)
-           for e, d in inner.edge_map.items()):
-        return False
-    return all(cmap.get(cid) == _compose_image(outer, im1)
-               for cid, im1 in inner.cell_map.items())
 
 
 def identity_morphism(c: TwoComplex) -> CellMorphism:

@@ -16,8 +16,8 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass
 
 from .complexes import (CellImage, CellMorphism, EdgeRec, Graph, TwoComplex,
-                        _check_morphism, _composite_equals, _find, _flatten,
-                        _immersion_fault, compose, reverse_path)
+                        _check_morphism, _find, _flatten, _immersion_fault,
+                        compose, reverse_path)
 from .errors import (FactorizationError, InvariantError, NotImmersionError,
                      NotMorphismError)
 
@@ -219,7 +219,7 @@ def fold(m: CellMorphism) -> FoldResult:
     witness = _check_morphism(projection)
     if witness is not None:
         raise InvariantError(f"fold projection is not a morphism: {witness}")
-    if not _composite_equals(inclusion, projection, m):
+    if compose(inclusion, projection) != m:
         raise InvariantError("fold composite drifted")
     cls = _immersion_fault(inclusion)
     if cls is not None:
@@ -254,7 +254,7 @@ def factor_unique(folded: FoldResult, through: CellMorphism,
     if witness is not None:
         raise FactorizationError(f"lift is not a morphism: {witness}")
     original = compose(folded.inclusion, folded.projection)
-    if not _composite_equals(through, lift_of, original):
+    if compose(through, lift_of) != original:
         raise FactorizationError("through ∘ lift does not equal the folded map")
 
     a = lift_of.source
@@ -297,9 +297,9 @@ def factor_unique(folded: FoldResult, through: CellMorphism,
     witness = _check_morphism(factor)
     if witness is not None:
         raise FactorizationError(f"factored map is not a morphism: {witness}")
-    if not _composite_equals(through, factor, folded.inclusion):
+    if compose(through, factor) != folded.inclusion:
         raise FactorizationError("factored map does not recover the folded immersion")
-    if not _composite_equals(factor, proj, lift_of):
+    if compose(factor, proj) != lift_of:
         raise FactorizationError("factored map does not recover the lift")
     cls = _immersion_fault(factor)
     if cls is not None:

@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .complexes import (CellImage, CellMorphism, Dart, EdgeRec, Graph,
-                        TwoComplex, _composite_equals, _immersion_fault,
-                        cell_image_path, collapse_with_rewrites,
-                        connected_components, dart_sort_key,
-                        euler_characteristic, find_free_faces_and_edges,
-                        require_valid, reverse_path)
+                        TwoComplex, _immersion_fault, cell_image_path,
+                        collapse_with_rewrites, compose, connected_components,
+                        dart_sort_key, euler_characteristic,
+                        find_free_faces_and_edges, require_valid, reverse_path)
 from .covers import UnwrappedCover, build_unwrapped_cover, \
     find_exponent_n_quotient, pull_back_subgroup, verify_cover
 from .diagrams import build_reduced_diagram
@@ -67,9 +66,9 @@ class StageRow:
 
     @property
     def stable_for(self) -> int:
-        """Candidates that left the stage unchanged: every sweep starts at
-        the first candidate and any change resets the cursor, so this is
-        ``cursor``.  Kept as a name because ``perfbench`` reads it."""
+        """Candidates that left the stage unchanged: each sweep starts at the
+        first candidate and a change resets the cursor, so this is ``cursor``.
+        Read by the CLI's stage line, ``textio.pipeline_csv`` and perfbench."""
         return self.cursor
 
 
@@ -518,8 +517,7 @@ def _refine(state: PipelineState, f_word: Word) -> PipelineState | None:
     if cls is not None:
         _invariant(False, f"chain map is not an immersion: {cls.witness}",
                    state)
-    _invariant(_composite_equals(folded.inclusion, chain_map,
-                                 state.to_cover),
+    _invariant(compose(folded.inclusion, chain_map) == state.to_cover,
                "chain triangle does not commute dart-exactly", state)
     collapsed, rewrites = collapse_with_rewrites(folded.folded)
     if _is_bijection(chain_map, collapsed):
@@ -639,13 +637,8 @@ def present_subgroup(generators: list[Word], x: OneRelatorOrbicomplex, *,
     if any(q.act(0, g) != 0 for g in cleaned):
         notes.append("input generators move the base point; presenting the "
                      "finite-index intersection with the cover stabilizer")
-    pulled = pull_back_subgroup(cleaned, q)
-    pulled = [p for p in pulled if p]
-    if not pulled:
-        notes.append("stabilizer intersection is trivial")
-        return (Presentation((), (), (), 0, True, tuple(notes)),
-                PipelineReport(()))
-    state = seed_immersion(pulled, cover)
+    # H = <cleaned> ≠ 1 and H ∩ Stab(0) has finite index in H, so is ≠ 1 too
+    state = seed_immersion(pull_back_subgroup(cleaned, q), cover)
     rows: list[StageRow] = []
     while True:
         state, changed = _sweep(state, max_word_len)

@@ -3,7 +3,8 @@
 A stacking assigns a rational height to every boundary position of every
 2-cell; for an orbicomplex the domain is the single relator circle.  The
 heights lift the boundary immersion into (1-skeleton) x (line); the lift must
-be an embedding, so no two positions over the same edge may share a height.
+be an embedding, so no two positions over the same edge may share a height,
+and the strands must not cross at a vertex.
 The stacking is good when every boundary circle contains a position of
 globally maximal height over its edge and a position of globally minimal
 height over its edge, where "globally" ranges over all circles.
@@ -14,10 +15,11 @@ stand in for real heights.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import TwoComplex
+from .complexes import TwoComplex, dart_reverse
 from .orbicomplex import OneRelatorOrbicomplex
 
 # the single boundary circle of an orbicomplex goes by this component id
@@ -38,15 +40,52 @@ class StackingVerdict:
     witness: str | None = None
 
 
+def _boundary_paths(c):
+    """The graph, and the dart at each position of each boundary circle."""
+    if isinstance(c, OneRelatorOrbicomplex):
+        return c.gamma, {ORBI_CIRCLE: c.relator}
+    return c.skeleton, c.cells
+
+
 def boundary_circles(c) -> dict[str, tuple[str, ...]]:
     """The edge traversed at each position of each boundary circle."""
-    if isinstance(c, OneRelatorOrbicomplex):
-        return {ORBI_CIRCLE: tuple(e for e, _ in c.relator)}
-    return {cid: tuple(e for e, _ in path) for cid, path in c.cells.items()}
+    return {cid: tuple(e for e, _ in path)
+            for cid, path in _boundary_paths(c)[1].items()}
+
+
+def _crossings(s: Stacking) -> list[str]:
+    """One problem for each vertex where the strands must cross.  Passage
+    ``(c, i)`` is where circle ``c`` goes from dart ``d_{i-1}`` into ``d_i``;
+    it uses the half-edges that ``d_i`` and the reverse of ``d_{i-1}`` leave
+    along.  The heights on a half-edge order the passages that use it; the
+    lift embeds at a vertex when these orders there have no cycle."""
+    # imported on use: loaded with orelco, graphlib adds 0.2 MB to every run
+    from graphlib import CycleError, TopologicalSorter
+    graph, paths = _boundary_paths(s.complex)
+    strands = defaultdict(list)     # half-edge -> (height, passage)
+    for cid, path in paths.items():
+        for i, d in enumerate(path):
+            h = s.heights[(cid, i)]
+            strands[d].append((h, (cid, i)))
+            strands[dart_reverse(d)].append((h, (cid, (i + 1) % len(path))))
+    below = defaultdict(lambda: defaultdict(set))   # vertex -> passage -> lower
+    for half, ordered in strands.items():
+        ordered.sort()
+        for (_, low), (_, high) in zip(ordered, ordered[1:]):
+            if low != high:     # a turn-back uses one half-edge twice
+                below[graph.dart_origin(half)][high].add(low)
+    problems = []
+    for v in sorted(below):
+        try:
+            TopologicalSorter(dict(sorted(below[v].items()))).prepare()
+        except CycleError as err:
+            chain = " < ".join(map(str, err.args[1]))
+            problems.append(f"strands cross at vertex {v}: passages {chain}")
+    return problems
 
 
 def validate_stacking(s: Stacking) -> list[str]:
-    """Domain coverage and the embedding invariant; empty when valid."""
+    """Domain coverage and embedding at edges and vertices; empty if valid."""
     problems: list[str] = []
     circles = boundary_circles(s.complex)
     wanted = {(cid, i) for cid, edges in circles.items()
@@ -69,7 +108,7 @@ def validate_stacking(s: Stacking) -> list[str]:
                 f"positions {prior} and {pos} over edge {e} share height {h}")
         else:
             seen[(e, h)] = pos
-    return problems
+    return problems or _crossings(s)
 
 
 def check_good_stacking(s: Stacking) -> StackingVerdict:

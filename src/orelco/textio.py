@@ -382,7 +382,7 @@ def pipeline_csv(report) -> str:
     out = [PIPELINE_CSV_HEADER]
     for r in report.rows:
         out.append(f"{r.stage},{r.chi1},{r.chi2},{r.cells},{r.free_edges},"
-                   f"{r.cursor},{r.cursor}")
+                   f"{r.cursor},{r.stable_for}")
     return "\n".join(out) + "\n"
 
 

@@ -181,10 +181,9 @@ def dehn_solve(word: Sequence[Letter], x: "OneRelatorOrbicomplex") -> DehnResult
     old prefix, no position before ``a - threshold + 1`` can match: those
     letters lie in that prefix, where the previous scan found none.
     """
-    n = x.branch_index
-    if n < 2:
+    if x.branch_index < 2:
         raise ValueError("word problem routine requires branch index >= 2")
-    base = x.relator
+    power = x.relator_power_path()
     u = tuple(word)
     symbols = x.gamma.edges
     last_sym, last_sign = None, 0
@@ -195,9 +194,9 @@ def dehn_solve(word: Sequence[Letter], x: "OneRelatorOrbicomplex") -> DehnResult
         elif sign != last_sign:
             raise ValueError("input word must be freely reduced")
         last_sym, last_sign = sym, sign
-    m = len(base) * n
+    m = len(power)
     threshold = m // 2 + 1
-    index = _match_index(base * n, threshold)
+    index = _match_index(power, threshold)
     steps: list[DehnStep] = []
     start = 0
     while u:

@@ -535,6 +535,28 @@ def test_an_invalid_stacking_is_a_usage_error(tmp_path, capsys, monkeypatch,
     assert out.startswith("config:") and out.count("\n") == 1
 
 
+@pytest.mark.parametrize("domain, base, stacking, message", [
+    ("--complex", "vertex v\nedge e : v -> v label a\ncell c : e e\nbase v\n",
+     "h c 0 0\nh c 1 1\n",
+     "strands cross at vertex v: passages ('c', 0) < ('c', 1) < ('c', 0)"),
+    ("--group", GROUP.replace("relator a b", "relator a a a b"),
+     "h w 0 0\nh w 1 2\nh w 2 1\nh w 3 0\n",
+     "strands cross at vertex *: passages ('w', 1) < ('w', 3) < ('w', 2)"
+     " < ('w', 1)"),
+], ids=["loop-twice", "relator"])
+def test_strands_that_cross_at_a_vertex_are_a_usage_error(
+        tmp_path, capsys, monkeypatch, domain, base, stacking, message):
+    # heights distinct over each edge, yet no embedding: once "good"
+    monkeypatch.chdir(tmp_path)
+    Path("d.txt").write_text(base)
+    Path("s.txt").write_text(stacking)
+    code, out, err = run(capsys, ["stacking", "check", domain, "d.txt",
+                                  "--stacking", "s.txt"])
+    assert code == 2
+    assert err == f"error: s.txt: stacking is not an embedding: {message}\n"
+    assert out.startswith("config:") and out.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["export", "dot", "--complex", "y.txt"],
     ["fold", "--source", "y.txt", "--target", "rose.txt", "--map", "m.txt"],

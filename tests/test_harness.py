@@ -263,7 +263,7 @@ def test_a_drawn_map_that_does_not_immerse_is_a_generator_violation(
 
 
 @pytest.mark.parametrize("check,broken,detail", [
-    ("_composite_equals", lambda *args: False,
+    ("compose", lambda *args: None,
      "fold does not factor the input"),
     ("_immersion_fault", lambda m: SimpleNamespace(witness="forced"),
      "folded map is not an immersion"),

@@ -866,6 +866,27 @@ def test_a_letter_outside_the_rose_is_refused_before_the_quotient_search(
             present_subgroup(gens, x, max_word_len=4)
 
 
+@pytest.mark.parametrize("relator, trivial", [("x1 x1~", True),
+                                               ("x1", False)])
+def test_an_emitted_relator_is_checked_in_the_group(x, monkeypatch, relator,
+                                                    trivial):
+    # no real input emits a relator yet, so one is appended to the
+    # presentation of <a>, whose one generator x1 is a~ a~
+    import orelco.pipeline as pipeline
+
+    def with_relator(*args):
+        pres = _presentation_from_stage(*args)
+        return replace(pres, relators=pres.relators + (W(relator),))
+    monkeypatch.setattr(pipeline, "_presentation_from_stage", with_relator)
+    if trivial:
+        pres, _ = present_subgroup([W("a")], x)
+        assert pres.symbols == ("x1",) and pres.relators == (W(relator),)
+    else:
+        with pytest.raises(PipelineInvariantError,
+                           match="emitted relator is not trivial"):
+            present_subgroup([W("a")], x)
+
+
 def test_budget_exhaustion_is_flagged_not_raised(x):
     pres, report = present_subgroup(STAB, x, max_stages=0)
     assert not pres.conclusive

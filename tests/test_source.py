@@ -1,7 +1,7 @@
 """Rules the library source keeps."""
 
 import ast
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import orelco
@@ -49,18 +49,37 @@ def test_only_covers_walks_the_relator_image():
     assert not found, found
 
 
-def _relator_power(node) -> bool:
-    """A product with a ``.relator`` attribute on either side."""
+def _is_relator(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "relator"
+
+
+def _relator_power(node, aliases=frozenset()) -> bool:
+    """A product with a ``.relator`` attribute, or a name in ``aliases``,
+    on either side."""
     return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
-            and any(isinstance(side, ast.Attribute) and side.attr == "relator"
+            and any(_is_relator(side) or isinstance(side, ast.Name)
+                    and side.id in aliases
                     for side in (node.left, node.right)))
+
+
+def _relator_aliases(fn) -> set:
+    """The local names that ``fn`` assigns a ``.relator`` attribute to."""
+    return {target.id for node in ast.walk(fn)
+            if isinstance(node, ast.Assign) and _is_relator(node.value)
+            for target in node.targets if isinstance(target, ast.Name)}
 
 
 def test_only_orbicomplex_spells_the_relator_power():
     # relator_power_path() is the one spelling of w^n; a product with
-    # x.relator elsewhere would be a second
-    found = _where("orbicomplex.py", _relator_power)
-    assert not found, found
+    # x.relator elsewhere, or with a local name for it, would be a second
+    found = set(_where("orbicomplex.py", _relator_power))
+    for name, tree in _library("orbicomplex.py"):
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                aliases = _relator_aliases(fn)
+                found.update(f"{name}:{node.lineno}" for node in ast.walk(fn)
+                             if _relator_power(node, aliases))
+    assert not found, sorted(found)
 
 
 def test_only_textio_reads_text():
@@ -125,6 +144,7 @@ def test_no_library_module_reads_the_environment():
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ACCEPTANCE = Path(__file__).resolve().with_name("test_acceptance.py")
 
 
 def _is_format(module: str, name: str) -> bool:
@@ -153,4 +173,28 @@ def test_every_library_function_has_a_caller():
             and not _is_format(module, stmt.name)
             and stmt.name not in orelco.__all__
             and not named_in[stmt.name] - {stmt}]
+    assert not dead, dead
+
+
+def test_every_library_method_is_read():
+    # a method, property or cached property that nothing reads as an
+    # attribute outside its own body is dead; the acceptance suite counts
+    # as a reader, being the pinned public contract
+    bench = sorted(PERFBENCH.glob("*.py"))
+    assert bench, f"no modules under {PERFBENCH}"
+    library = list(_library())
+    trees = [t for _, t in library] + [ast.parse(p.read_text(), str(p))
+                                       for p in bench + [ACCEPTANCE]]
+
+    def reads(root):
+        return Counter(node.attr for node in ast.walk(root)
+                       if isinstance(node, ast.Attribute)
+                       and isinstance(node.ctx, ast.Load))
+    everywhere = sum(map(reads, trees), Counter())
+    dead = [f"{module}:{cls.name}.{fn.name}" for module, tree in library
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for fn in cls.body
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not fn.name.startswith("__")
+            and everywhere[fn.name] == reads(fn)[fn.name]]
     assert not dead, dead
