@@ -27,7 +27,7 @@ from .textio import (audit_csv, export_dot, format_complex, format_cover,
                      format_presentation, format_quotient, parse_complex,
                      parse_cover_file, parse_morphism, parse_orbi_morphism,
                      parse_orbicomplex, parse_stacking, pipeline_csv)
-from .words import dehn_solve, format_word, free_reduce, parse_word
+from .words import dehn_solve, format_word, is_reduced, parse_word
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -90,7 +90,7 @@ def _cmd_word_solve(args) -> int:
     _echo("word solve", group=args.group, word=args.word)
     x = _load_torsion_group(args.group)
     word = _parse("--word", parse_word, args.word, x._rose_symbols)
-    if free_reduce(word) != word:
+    if not is_reduced(word):
         return _usage("--word must be freely reduced")
     result = dehn_solve(word, x)
     for s in result.steps:
@@ -167,6 +167,10 @@ def _cmd_audit_wcycles(args) -> int:
         _echo("audit wcycles", group=args.group, trials=args.trials,
               seed=args.seed, vertex_budget=args.vertex_budget,
               attach_prob=args.attach_prob, suites=args.suites)
+        if args.complex is not None or args.map is not None:
+            # a campaign draws its own maps and would ignore both files
+            return _usage("--trials runs a campaign, which takes no "
+                          "--complex or --map")
         if args.trials < 1:
             # no trial would run, and every suite would pass as 0/0
             return _usage("--trials must be at least 1")

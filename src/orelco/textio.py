@@ -1,9 +1,14 @@
 """Plain-text formats: complexes, morphisms, orbicomplexes, stackings,
 quotients, covers, presentations, fold traces, report CSVs, and DOT export.
 
-One declaration per line, `#` starts a comment, round-trips are bit-exact.
-Every reader goes through `_lines` and names a faulty line as `line N: ...`;
-a dart path is written as a word over edge ids (`e1 e2~ e3`).
+Each format has only the directions that a command uses. Complexes,
+morphisms and cover files are read and written, and round-trip bit-exactly.
+Group files (orbicomplexes), orbi maps and stackings are inputs, only read.
+Quotients, presentations and fold traces are reports, only written.
+
+One declaration per line, `#` starts a comment.  Every reader goes through
+`_lines` and names a faulty line as `line N: ...`; a dart path is written
+as a word over edge ids (`e1 e2~ e3`).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from .covers import FiniteQuotient, UnwrappedCover
 from .orbicomplex import (OneRelatorOrbicomplex, OrbiMorphism, WCyclesAudit,
                           build_orbicomplex)
 from .stacking import ORBI_CIRCLE, Position, Stacking
-from .words import Word, format_word, parse_word
+from .words import format_word, parse_word
 
 
 def _lines(text: str):
@@ -42,10 +47,6 @@ def _read(lineno: int, parse, text: str, what: str):
         raise _fail(lineno, f"cannot read {text!r} as {what}") from exc
 
 
-def _points(lineno: int, tokens: list[str]) -> tuple[int, ...]:
-    return tuple(_read(lineno, int, t, "an integer") for t in tokens)
-
-
 def _put(table: dict, key: str, value, lineno: int, what: str) -> None:
     # a second declaration of one name is refused, never read over the first
     if key in table:
@@ -57,7 +58,8 @@ def _put(table: dict, key: str, value, lineno: int, what: str) -> None:
 # complexes
 
 
-def _format_skeleton(g: Graph) -> list[str]:
+def format_complex(c: TwoComplex) -> str:
+    g = c.skeleton
     out = [f"vertex {v}" for v in sorted(g.vertices)]
     for e in sorted(g.edges):
         rec = g.edges[e]
@@ -65,11 +67,6 @@ def _format_skeleton(g: Graph) -> list[str]:
         if rec.label is not None:
             line += f" label {rec.label}"
         out.append(line)
-    return out
-
-
-def format_complex(c: TwoComplex) -> str:
-    out = _format_skeleton(c.skeleton)
     for cid in sorted(c.cells):
         out.append(f"cell {cid} : {format_word(c.cells[cid])}")
     out.append(f"base {c.base_vertex}")
@@ -172,14 +169,6 @@ def parse_morphism(text: str, source: TwoComplex,
     return CellMorphism(source, target, vmap, emap, cmap)
 
 
-def format_orbi_morphism(m: OrbiMorphism) -> str:
-    """Morphism into an orbicomplex: the plain format, the orbicell named `w`."""
-    cells = {cid: CellImage(ORBI_CIRCLE, offset, orient)
-             for cid, (offset, orient) in m.cell_align.items()}
-    return format_morphism(CellMorphism(m.source, m.target.presentation_complex,
-                                        m.vertex_map, m.edge_map, cells))
-
-
 def parse_orbi_morphism(text: str, source: TwoComplex,
                         target: OneRelatorOrbicomplex) -> OrbiMorphism:
     plain = parse_morphism(text, source, target.presentation_complex)
@@ -194,13 +183,6 @@ def parse_orbi_morphism(text: str, source: TwoComplex,
 
 # ---------------------------------------------------------------------------
 # orbicomplexes
-
-
-def format_orbicomplex(x: OneRelatorOrbicomplex) -> str:
-    out = _format_skeleton(x.gamma)
-    out.append(f"relator {format_word(x.relator)}")
-    out.append(f"branch {x.branch_index}")
-    return "\n".join(out) + "\n"
 
 
 def parse_orbicomplex(text: str) -> OneRelatorOrbicomplex:
@@ -223,11 +205,6 @@ def parse_orbicomplex(text: str) -> OneRelatorOrbicomplex:
 
 # ---------------------------------------------------------------------------
 # stackings
-
-
-def format_stacking(s: Stacking) -> str:
-    lines = [f"h {cid} {i} {h}" for (cid, i), h in sorted(s.heights.items())]
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def parse_stacking(text: str, complex) -> Stacking:
@@ -258,31 +235,6 @@ def format_quotient(q: FiniteQuotient) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_quotient(text: str) -> FiniteQuotient:
-    degree = None
-    perms: dict[str, tuple[int, ...]] = {}
-    for lineno, tokens in _lines(text):
-        if tokens[0] == "degree":
-            if len(tokens) != 2:
-                raise _malformed(lineno, tokens)
-            if degree is not None:
-                raise _fail(lineno, "duplicate degree")
-            degree = _read(lineno, int, tokens[1], "an integer")
-        elif tokens[0] == "perm":
-            if len(tokens) < 4 or tokens[2] != ":":
-                raise _malformed(lineno, tokens)
-            _put(perms, tokens[1], _points(lineno, tokens[3:]), lineno,
-                 f"perm {tokens[1]}")
-        else:
-            raise _fail(lineno, f"unknown declaration {tokens[0]!r}")
-    if degree is None:
-        raise ValueError("quotient file is missing its degree line")
-    for sym, p in perms.items():
-        if len(p) != degree:
-            raise ValueError(f"perm {sym} has {len(p)} entries, expected {degree}")
-    return FiniteQuotient(degree, perms)
-
-
 def format_cover(c: UnwrappedCover) -> str:
     out = [format_complex(c.cover).rstrip("\n")]
     for cid in sorted(c.families):
@@ -299,8 +251,8 @@ def parse_cover_file(text: str) -> tuple[TwoComplex, dict[str, tuple[int, ...]]]
     for lineno, tokens in extra:
         if len(tokens) < 4 or tokens[2] != ":":
             raise _malformed(lineno, tokens)
-        _put(families, tokens[1], _points(lineno, tokens[3:]), lineno,
-             f"family {tokens[1]}")
+        points = tuple(_read(lineno, int, t, "an integer") for t in tokens[3:])
+        _put(families, tokens[1], points, lineno, f"family {tokens[1]}")
     return _build_complex(*parts), families
 
 
@@ -309,24 +261,8 @@ def parse_cover_file(text: str) -> tuple[TwoComplex, dict[str, tuple[int, ...]]]
 
 
 def format_presentation(symbols, relators) -> str:
-    gens = " ".join(symbols)
     rels = " ; ".join(format_word(r) for r in relators)
-    return f"gens: {gens} ; rels: {rels}".rstrip() + "\n"
-
-
-def parse_presentation(text: str) -> tuple[tuple[str, ...], tuple[Word, ...]]:
-    body = text.strip()
-    if not body.startswith("gens:") or ";" not in body:
-        raise ValueError("presentation must read `gens: ... ; rels: ...`")
-    gens_part, _, rest = body.partition(";")
-    rest = rest.strip()
-    if not rest.startswith("rels:"):
-        raise ValueError("presentation must read `gens: ... ; rels: ...`")
-    symbols = tuple(gens_part[len("gens:"):].split())
-    rel_body = rest[len("rels:"):].strip()
-    relators = tuple(parse_word(chunk.strip())
-                     for chunk in rel_body.split(";") if chunk.strip())
-    return symbols, relators
+    return " ".join(["gens:", *symbols, "; rels:", rels]).rstrip() + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -343,21 +279,6 @@ def format_fold_trace(trace) -> str:
         else:
             raise ValueError(f"unknown trace entry {entry!r}")
     return "\n".join(out) + ("\n" if out else "")
-
-
-def parse_fold_trace(text: str):
-    entries = []
-    for lineno, tokens in _lines(text):
-        if len(tokens) != 4 or tokens[0] != "identify":
-            raise _fail(lineno, f"malformed trace line: {' '.join(tokens)}")
-        if tokens[1] == "dart":
-            entries.append(("dart", *_read(lineno, parse_word,
-                                           " ".join(tokens[2:]), "a word")))
-        elif tokens[1] == "cell":
-            entries.append(("cell", tokens[2], tokens[3]))
-        else:
-            raise _fail(lineno, f"unknown identification {tokens[1]!r}")
-    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------

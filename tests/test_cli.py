@@ -8,7 +8,7 @@ import pytest
 from orelco.cli import main
 from orelco.covers import build_unwrapped_cover, find_exponent_n_quotient
 from orelco.textio import (format_complex, format_cover, parse_complex,
-                           parse_cover_file, parse_presentation)
+                           parse_cover_file)
 
 GROUP = """\
 vertex *
@@ -172,9 +172,7 @@ def test_subgroup_present_conclusive(group_file, capsys, tmp_path):
                                 "--gens", "b ; a a ; a b a~",
                                 "--out", str(out_path)])
     assert code == 0
-    symbols, relators = parse_presentation(out_path.read_text())
-    assert len(symbols) == 2
-    assert relators == ()
+    assert out_path.read_text() == "gens: x1 x2 ; rels:\n"
     assert "stage 1:" in out
 
 
@@ -186,8 +184,8 @@ def test_subgroup_present_budget_exhausted_exits_3(group_file, capsys,
                                 "--max-stages", "0", "--out", str(out_path)])
     assert code == 3
     assert "error: presentation is inconclusive" in out
-    symbols, _ = parse_presentation(out_path.read_text())
-    assert symbols  # a presentation is still emitted
+    # a presentation is still emitted
+    assert out_path.read_text() == "gens: x1 x2 ; rels:\n"
 
 def test_subgroup_present_bad_gens_token_is_usage_error(group_file, capsys):
     code, out, err = run(capsys, ["subgroup", "present", "--group",
@@ -309,6 +307,24 @@ def test_out_of_range_campaign_flags_are_usage_errors(group_file, capsys,
                                   "--trials", "20", flag, value])
     assert code == 2
     assert err.startswith(f"error: {flag} ")
+    assert out.startswith("config:") and out.count("\n") == 1
+
+
+@pytest.mark.parametrize("files", [["--complex"], ["--map"],
+                                   ["--complex", "--map"]],
+                         ids=["complex", "map", "both"])
+def test_campaign_with_a_complex_or_map_is_a_usage_error(tmp_path, capsys,
+                                                          files):
+    # the campaign once ran and exited 0, ignoring both paths; no file is
+    # read, so paths that do not exist give the same error
+    missing = str(tmp_path / "missing.txt")
+    argv = ["audit", "wcycles", "--group", missing, "--trials", "3"]
+    for flag in files:
+        argv += [flag, missing]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert err == ("error: --trials runs a campaign, which takes no "
+                   "--complex or --map\n")
     assert out.startswith("config:") and out.count("\n") == 1
 
 

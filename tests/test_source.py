@@ -147,11 +147,6 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 ACCEPTANCE = Path(__file__).resolve().with_name("test_acceptance.py")
 
 
-def _is_format(module: str, name: str) -> bool:
-    # the text formats round-trip by promise, whoever calls them
-    return module == "textio.py" and name.startswith(("format_", "parse_"))
-
-
 def test_every_library_function_has_a_caller():
     # a module-level function that nothing names outside its own def is dead
     bench = sorted(PERFBENCH.glob("*.py"))
@@ -170,7 +165,6 @@ def test_every_library_function_has_a_caller():
             for stmt in tree.body
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
             and not stmt.name.startswith("__")
-            and not _is_format(module, stmt.name)
             and stmt.name not in orelco.__all__
             and not named_in[stmt.name] - {stmt}]
     assert not dead, dead
