@@ -162,8 +162,17 @@ def _cmd_subgroup_present(args) -> int:
     return EXIT_OK
 
 
+# the campaign-only flags of audit wcycles and their defaults
+_CAMPAIGN_DEFAULTS = {"vertex_budget": 6, "attach_prob": 0.5,
+                      "suites": ",".join(SUITES), "seed": 0}
+
+
 def _cmd_audit_wcycles(args) -> int:
+    given = [name for name in _CAMPAIGN_DEFAULTS
+             if getattr(args, name) is not None]
     if args.trials is not None:
+        vars(args).update((name, value) for name, value
+                          in _CAMPAIGN_DEFAULTS.items() if name not in given)
         _echo("audit wcycles", group=args.group, trials=args.trials,
               seed=args.seed, vertex_budget=args.vertex_budget,
               attach_prob=args.attach_prob, suites=args.suites)
@@ -206,6 +215,11 @@ def _cmd_audit_wcycles(args) -> int:
                       "or --trials for a campaign")
     _echo("audit wcycles", group=args.group, complex=args.complex,
           map=args.map, format=args.format)
+    if given:
+        # a single-map audit draws nothing and would ignore them
+        flag = "--" + given[0].replace("_", "-")
+        return _usage(f"{flag} is for a campaign (--trials), not for an "
+                      "audit of --complex and --map")
     x = _load(parse_orbicomplex, args.group)
     y = _load(parse_complex, args.complex)
     m = _load(parse_orbi_morphism, args.map, y, x)
@@ -214,6 +228,11 @@ def _cmd_audit_wcycles(args) -> int:
     except NotImmersionError as exc:
         # the inequality is claimed for immersions only: no counterexample
         return _usage(f"{args.map}: not an immersion: {exc}")
+    if not (audit.passed or audit.irreducible):
+        # nor for complexes with free faces
+        return _usage(f"{args.map}: the complex has free faces, so a "
+                      f"failed inequality (slack1={audit.slack1} "
+                      f"slack2={audit.slack2}) is no counterexample")
     name = Path(args.complex).stem
     if args.format == "csv":
         _emit(args, audit_csv([(name, audit)]))
@@ -325,10 +344,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--complex")
     p.add_argument("--map")
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--vertex-budget", type=int, default=6)
-    p.add_argument("--attach-prob", type=float, default=0.5)
-    p.add_argument("--suites", default=",".join(SUITES))
-    p.add_argument("--seed", type=int, default=0)
+    # None marks a campaign flag as not given; see _CAMPAIGN_DEFAULTS
+    p.add_argument("--vertex-budget", type=int)
+    p.add_argument("--attach-prob", type=float)
+    p.add_argument("--suites")
+    p.add_argument("--seed", type=int)
     p.add_argument("--format", choices=("csv", "text"), default="text")
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_audit_wcycles)

@@ -211,11 +211,6 @@ def connected_components(g: Graph) -> list[frozenset[str]]:
                             sorted(g.vertices)))
 
 
-def non_tree_edge_count(g: Graph) -> int:
-    """Edges outside a spanning forest; equals the total free-group rank."""
-    return len(g.edges) - len(g.vertices) + len(connected_components(g))
-
-
 def _find(parent: list[int], x: int) -> int:
     """The root of ``x`` in the union-find forest ``parent``."""
     while parent[x] != x:

@@ -85,7 +85,6 @@ class TrialRow:
 
 @dataclass(frozen=True)
 class CampaignReport:
-    config: CampaignConfig
     rows: tuple[TrialRow, ...]
     pass_counts: dict[str, tuple[int, int]]
     slack1_histogram: dict[int, int]
@@ -310,7 +309,7 @@ def run_property_campaign(cfg: CampaignConfig) -> CampaignReport:
             if produced:
                 counts["covers"][0] += 1
     return CampaignReport(
-        config=cfg, rows=tuple(rows),
+        rows=tuple(rows),
         pass_counts={k: (a, b) for k, (a, b) in counts.items()},
         slack1_histogram=dict(sorted(hist.items())))
 

@@ -14,13 +14,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from .complexes import (Classification, Dart, Graph, MapKind, TwoComplex,
                         CellImage, CellMorphism, _immersion_fault,
-                        euler_characteristic,
-                        find_free_faces_and_edges, non_tree_edge_count)
+                        euler_characteristic, find_free_faces_and_edges)
 from .errors import NotImmersionError
 from .words import is_cyclically_reduced, is_proper_power
 
@@ -143,10 +141,6 @@ class WCyclesAudit:
     slack2: int
     passed: bool
     irreducible: bool
-    free_face_count: int
-    nontree_edges: int
-    cell_bound: Fraction | None
-    cell_bound_ok: bool | None
 
 
 def wcycles_audit(m: OrbiMorphism) -> WCyclesAudit:
@@ -159,6 +153,8 @@ def wcycles_audit(m: OrbiMorphism) -> WCyclesAudit:
     The two inequalities are one: chi(Y) is chi(Y^1) + |cells| and deg is
     n|cells|, so slack2 always equals slack1, and ``passed`` reads slack1
     alone.  Both are still reported, as the output format has both columns.
+    A pass implies the cell bound cells <= (g-1)/(n-1), g the rank of Y^1:
+    g >= 1 - chi(Y^1), so n|cells| <= -chi(Y^1) <= g - 1.
     """
     deg = degree(m)
     n = m.target.branch_index
@@ -168,17 +164,9 @@ def wcycles_audit(m: OrbiMorphism) -> WCyclesAudit:
     slack1 = chi1 + deg
     slack2 = chi2 + (n - 1) * cells
     faces, _ = find_free_faces_and_edges(m.source)
-    g = non_tree_edge_count(m.source.skeleton)
-    if n >= 2:
-        bound = Fraction(g - 1, n - 1)
-        bound_ok = Fraction(cells) <= bound
-    else:
-        bound, bound_ok = None, None
     return WCyclesAudit(
         chi1=chi1, deg=deg, slack1=slack1, chi2=chi2, cells=cells,
-        slack2=slack2, passed=slack1 <= 0,
-        irreducible=not faces, free_face_count=len(faces),
-        nontree_edges=g, cell_bound=bound, cell_bound_ok=bound_ok)
+        slack2=slack2, passed=slack1 <= 0, irreducible=not faces)
 
 
 def presentation_complex(x: OneRelatorOrbicomplex) -> tuple[TwoComplex, OrbiMorphism]:

@@ -211,6 +211,7 @@ def test_subgroup_present_csv_report(group_file, capsys):
 
 
 def test_audit_single_immersion(group_file, capsys, tmp_path):
+    # the cover has free faces; a pass on it still exits 0
     y = tmp_path / "y.txt"
     y.write_text(COVER_COMPLEX)
     m = tmp_path / "m.txt"
@@ -220,6 +221,34 @@ def test_audit_single_immersion(group_file, capsys, tmp_path):
                                 "--format", "csv"])
     assert code == 0
     assert "y,-2,2,0,-1,1,0,1" in out
+
+
+# one disk over (ab)^2, its four sides on four distinct edges
+ONE_DISK = ("vertex p0\nvertex p1\nvertex p2\nvertex p3\n"
+            "edge a0 : p0 -> p1 label a\nedge b0 : p1 -> p2 label b\n"
+            "edge a1 : p2 -> p3 label a\nedge b1 : p3 -> p0 label b\n"
+            "cell c : a0 b0 a1 b1\nbase p0\n")
+ONE_DISK_MAP = ("vmap p0 *\nvmap p1 *\nvmap p2 *\nvmap p3 *\n"
+                "emap a0 a\nemap a1 a\nemap b0 b\nemap b1 b\n"
+                "cmap c w rot=0 orient=+\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv"])
+def test_audit_single_reducible_failure_is_a_usage_error(group_file, capsys,
+                                                         tmp_path, fmt):
+    # the inequality is claimed for complexes with no free faces; the disk
+    # once exited 1 with "inequality violated", a confident wrong answer
+    y = tmp_path / "y.txt"
+    y.write_text(ONE_DISK)
+    m = tmp_path / "m.txt"
+    m.write_text(ONE_DISK_MAP)
+    code, out, err = run(capsys, ["audit", "wcycles", "--group", group_file,
+                                  "--complex", str(y), "--map", str(m),
+                                  "--format", fmt])
+    assert code == 2
+    assert err == (f"error: {m}: the complex has free faces, so a failed "
+                   "inequality (slack1=2 slack2=2) is no counterexample\n")
+    assert out.startswith("config:") and out.count("\n") == 1
 
 
 def test_audit_single_malformed_map_is_usage_error(group_file, capsys,
@@ -326,6 +355,25 @@ def test_campaign_with_a_complex_or_map_is_a_usage_error(tmp_path, capsys,
     assert err == ("error: --trials runs a campaign, which takes no "
                    "--complex or --map\n")
     assert out.startswith("config:") and out.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag,value", [("--suites", "nosuch"),
+                                        ("--vertex-budget", "0"),
+                                        ("--attach-prob", "5"),
+                                        ("--seed", "3")])
+def test_single_map_audit_with_a_campaign_flag_is_a_usage_error(
+        tmp_path, capsys, flag, value):
+    # the single-map audit once exited 0 and ignored these; no file is
+    # read, so paths that do not exist give the same error
+    missing = str(tmp_path / "missing.txt")
+    code, out, err = run(capsys, ["audit", "wcycles", "--group", missing,
+                                  "--complex", missing, "--map", missing,
+                                  flag, value])
+    assert code == 2
+    assert err == (f"error: {flag} is for a campaign (--trials), not for "
+                   "an audit of --complex and --map\n")
+    assert out == (f"config: audit wcycles complex={missing} format=text "
+                   f"group={missing} map={missing}\n")
 
 
 def test_audit_campaign_csv_deterministic(group_file, capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from orelco.complexes import (EdgeRec, Graph, MapKind, TwoComplex,
-                              euler_characteristic)
+                              connected_components, euler_characteristic)
 from orelco.complexes import target_side
 from orelco.covers import (RANDOM_ATTEMPTS_PER_DEGREE, FiniteQuotient,
                            build_unwrapped_cover, find_exponent_n_quotient,
@@ -334,13 +334,19 @@ def test_cover_families_are_the_old_orbit_walk():
 
 
 def test_certificate_is_false_not_raised_for_other_symbols():
+    # the cover itself is sound; only its quotient fails to unwrap, and
+    # that alone fails the audit, with validate_quotient's text
     x = make_x("a b", 2)
     c = build_unwrapped_cover(x, Q_AB2)
     for perms in ({"a": (1, 0)}, {"a": (1, 0), "c": (0, 1)},
                   {"a": (1, 0), "b": (0, 1), "c": (0, 1)}):
-        other = UnwrappedCover(c.cover, c.covering_map, c.families,
-                               FiniteQuotient(2, perms))
-        assert verify_cover(other).torsion_free_certified is False
+        q = FiniteQuotient(2, perms)
+        report = verify_cover(UnwrappedCover(c.cover, c.covering_map,
+                                             c.families, q))
+        assert not report.passed
+        assert report.witnesses == tuple(
+            f"quotient does not unwrap: {problem}"
+            for problem in validate_quotient(q, x))
 
 
 def test_schreier_path():
@@ -385,9 +391,7 @@ def test_verify_worked_cover():
     assert rep.passed
     assert rep.witnesses == ()
     assert rep.euler == -1
-    assert rep.euler_expected == Fraction(-1)
     assert rep.degree == 2
-    assert rep.torsion_free_certified
 
 
 def test_build_second_cover():
@@ -401,7 +405,7 @@ def test_build_second_cover():
     assert euler_characteristic(c.cover, 2) == -2
     rep = verify_cover(c)
     assert rep.passed
-    assert rep.euler_expected == Fraction(-2)
+    assert rep.euler == -2
     assert degree(c.covering_map) == 3
 
 
@@ -452,9 +456,15 @@ def test_verify_cell_free_identity_cover():
     fake = UnwrappedCover(
         cover=rose_cx, covering_map=m_id, families={},
         quotient=FiniteQuotient(1, {"a": (0,), "b": (0,)}))
-    rep = verify_cover(fake)
-    assert rep.passed
-    assert rep.euler_expected is None
+    # a cover of graphs alone; the trivial quotient does not unwrap the
+    # disk, which is the one witness
+    assert verify_cover(fake).witnesses == (
+        "quotient does not unwrap: exponent condition violated: relator "
+        "image has a cycle of order 1, expected 2",)
+    unbranched = make_x("a b", 1)
+    assert verify_cover(UnwrappedCover(
+        rose_cx, OrbiMorphism.by_labels(rose_cx, unbranched), {},
+        fake.quotient)).passed
 
 
 def test_verify_names_each_vertex_whose_link_is_not_onto():
@@ -470,7 +480,9 @@ def test_verify_names_each_vertex_whose_link_is_not_onto():
         quotient=FiniteQuotient(1, {"a": (0,), "b": (0,)}))
     assert verify_cover(fake).witnesses == (
         "link at u is not onto the rose link",
-        "link at v is not onto the rose link")
+        "link at v is not onto the rose link",
+        "quotient does not unwrap: exponent condition violated: relator "
+        "image has a cycle of order 1, expected 2")
 
 
 def test_pull_back_full_group():
@@ -695,7 +707,9 @@ def test_the_screen_refuses_only_what_the_exponent_rule_refuses():
 
 def _parent_verify_cover(c):
     """``verify_cover`` as it read before it counted disk sides in one pass
-    over the cells: a sorted generator per edge over ``sides_over``."""
+    over the cells: a sorted generator per edge over ``sides_over``.  Its
+    torsion-free certificate is a witness per problem of the quotient, as
+    in ``verify_cover``."""
     witnesses = []
     x = c.covering_map.target
     m = c.covering_map.as_cell_morphism()
@@ -745,13 +759,11 @@ def _parent_verify_cover(c):
             if len(cover.cells[cid]) != n * len(w):
                 witnesses.append(f"cell {cid} has boundary length"
                                  f" {len(cover.cells[cid])}, expected {n * len(w)}")
-    else:
-        expected_chi = None
-    certified = not validate_quotient(c.quotient, x)
+    witnesses += [f"quotient does not unwrap: {problem}"
+                  for problem in validate_quotient(c.quotient, x)]
     return covers.CoverReport(
         passed=not witnesses, witnesses=tuple(witnesses), euler=chi,
-        euler_expected=expected_chi, degree=k,
-        torsion_free_certified=certified)
+        degree=k)
 
 
 def _seeded_covers():
@@ -838,3 +850,23 @@ def test_one_pass_cover_audit_reports_as_the_parent():
                  UnwrappedCover(segment, OrbiMorphism.by_labels(segment, x),
                                 {}, trivial)):
         assert verify_cover(fake) == _parent_verify_cover(fake)
+
+
+def test_every_seeded_cover_is_an_equality_case_within_the_cell_bound():
+    # over a rank-2 rose an unwrapped cover with n >= 2 makes the w-cycles
+    # inequality an equality, and the cell bound (n-1)|cells| <= g-1 that
+    # the audit implies holds, g the rank of the cover's graph
+    checked = 0
+    for c in _seeded_covers():
+        assert verify_cover(c).passed
+        n = c.covering_map.target.branch_index
+        if n < 2:
+            continue
+        assert len(c.covering_map.target.gamma.edges) == 2
+        g = c.cover.skeleton
+        rank = len(g.edges) - len(g.vertices) + len(connected_components(g))
+        audit = wcycles_audit(c.covering_map)
+        assert audit.slack1 == 0
+        assert (n - 1) * audit.cells <= rank - 1
+        checked += 1
+    assert checked >= 240

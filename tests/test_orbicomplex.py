@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from orelco.complexes import (EdgeRec, Graph, MapKind, TwoComplex,
@@ -138,10 +136,6 @@ def test_audit_tight_cover():
     assert rep.slack2 == 0
     assert rep.passed
     assert not rep.irreducible
-    assert rep.free_face_count == 4
-    assert rep.nontree_edges == 3
-    assert rep.cell_bound == Fraction(2)
-    assert rep.cell_bound_ok
 
 
 def test_audit_graph_only():
@@ -156,8 +150,6 @@ def test_audit_graph_only():
     assert rep.slack2 == -1
     assert rep.passed
     assert rep.irreducible
-    assert rep.cell_bound == Fraction(1)
-    assert rep.cell_bound_ok
 
 
 def test_audit_refuses_non_immersion():

@@ -170,25 +170,49 @@ def test_every_library_function_has_a_caller():
     assert not dead, dead
 
 
-def test_every_library_method_is_read():
-    # a method, property or cached property that nothing reads as an
-    # attribute outside its own body is dead; the acceptance suite counts
-    # as a reader, being the pinned public contract
+def _reads(root) -> Counter:
+    """How often each attribute name is read under ``root``."""
+    return Counter(node.attr for node in ast.walk(root)
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Load))
+
+
+def _classes_and_reads():
+    """Every library class, by module, and the attribute reads of the
+    library, ``perfbench`` and the acceptance suite, the pinned public
+    contract."""
     bench = sorted(PERFBENCH.glob("*.py"))
     assert bench, f"no modules under {PERFBENCH}"
     library = list(_library())
     trees = [t for _, t in library] + [ast.parse(p.read_text(), str(p))
                                        for p in bench + [ACCEPTANCE]]
+    classes = [(module, cls) for module, tree in library
+               for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)]
+    return classes, sum(map(_reads, trees), Counter())
 
-    def reads(root):
-        return Counter(node.attr for node in ast.walk(root)
-                       if isinstance(node, ast.Attribute)
-                       and isinstance(node.ctx, ast.Load))
-    everywhere = sum(map(reads, trees), Counter())
-    dead = [f"{module}:{cls.name}.{fn.name}" for module, tree in library
-            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+
+def test_every_library_method_is_read():
+    # a method, property or cached property that nothing reads as an
+    # attribute outside its own body is dead
+    classes, everywhere = _classes_and_reads()
+    dead = [f"{module}:{cls.name}.{fn.name}" for module, cls in classes
             for fn in cls.body
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
             and not fn.name.startswith("__")
-            and everywhere[fn.name] == reads(fn)[fn.name]]
+            and everywhere[fn.name] == _reads(fn)[fn.name]]
+    assert not dead, dead
+
+
+def test_every_report_field_is_read():
+    # a field of a report or audit that nothing reads outside its class is
+    # work done on every call for no reader
+    classes, everywhere = _classes_and_reads()
+    reports = [(module, cls) for module, cls in classes
+               if cls.name.endswith(("Report", "Audit"))]
+    assert reports, "no report or audit classes"
+    dead = [f"{module}:{cls.name}.{field.target.id}"
+            for module, cls in reports for field in cls.body
+            if isinstance(field, ast.AnnAssign)
+            and isinstance(field.target, ast.Name)
+            and everywhere[field.target.id] == _reads(cls)[field.target.id]]
     assert not dead, dead
