@@ -293,6 +293,8 @@ def _morphism_fault(m: CellMorphism, order) -> str | None:
             return f"vertex {v} has no image"
         if vmap[v] not in tverts:
             return f"vertex {v} maps to missing vertex {vmap[v]}"
+    if len(vmap) != len(src.skeleton.vertices):
+        return _stray("vertex", vmap, src.skeleton.vertices)
     sedges = src.skeleton.edges
     for e in order(sedges):
         if e not in emap:
@@ -307,6 +309,8 @@ def _morphism_fault(m: CellMorphism, order) -> str | None:
             return f"dart {(e, 1)} breaks origin commutation"
         if vmap[rec.head] != (image.head if s > 0 else image.tail):
             return f"dart {(e, -1)} breaks origin commutation"
+    if len(emap) != len(sedges):
+        return _stray("edge", emap, sedges)
     scells = src.cells
     for cid in order(scells):
         if cid not in cmap:
@@ -322,7 +326,14 @@ def _morphism_fault(m: CellMorphism, order) -> str | None:
         if (tuple([(emap[e][0], emap[e][1] * s) for e, s in path])
                 != cell_image_path(tgt, image)):
             return f"cell {cid} boundary does not match its image boundary"
+    if len(cmap) != len(scells):
+        return _stray("cell", cmap, scells)
     return None
+
+
+def _stray(kind: str, images: dict, parts) -> str:
+    # every part has an image, so a longer map names something else too
+    return f"{kind} map names {min(images.keys() - parts)}, not a source {kind}"
 
 
 def _check_morphism(m: CellMorphism) -> str | None:
@@ -504,3 +515,12 @@ def identity_morphism(c: TwoComplex) -> CellMorphism:
         {e: (e, 1) for e in c.skeleton.edges},
         {cid: CellImage(cid, 0, 1) for cid in c.cells},
     )
+
+
+def _restrict(m: CellMorphism, sub: TwoComplex) -> CellMorphism:
+    """``m`` on the subcomplex ``sub`` of its source."""
+    return CellMorphism(
+        sub, m.target,
+        {v: m.vertex_map[v] for v in sub.skeleton.vertices},
+        {e: m.edge_map[e] for e in sub.skeleton.edges},
+        {c: m.cell_map[c] for c in sub.cells})

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .complexes import (CellImage, CellMorphism, EdgeRec, Graph, TwoComplex,
                         _check_morphism, _find, _flatten, _immersion_fault,
-                        compose, reverse_path)
+                        _restrict, compose, reverse_path)
 from .errors import (FactorizationError, InvariantError, NotImmersionError,
                      NotMorphismError)
 
@@ -180,42 +180,29 @@ def fold(m: CellMorphism) -> FoldResult:
             out.append((root, s * sign))
         return tuple(out)
 
-    groups: dict = {}
+    # one pass in name order: each class of cells keeps its least member
+    kept_cells: dict[str, tuple] = {}
+    proj_cells: dict[str, CellImage] = {}
+    rep_of_key: dict = {}
+    merged = []
     for cid in sorted(a.cells):
         path = pushed_path(a.cells[cid])
-        key = _canonical_cell_key(path, m.cell_map[cid])
-        groups.setdefault(key, []).append((cid, path))
-
-    kept_cells: dict[str, tuple] = {}
-    rep_of: dict[str, str] = {}
-    for key in groups:
-        members = groups[key]
-        rep, rep_path = members[0]
-        kept_cells[rep] = rep_path
-        for cid, _ in members:
-            rep_of[cid] = rep
-        for cid, _ in members[1:]:
-            trace.append(("cell", rep, cid))
+        im_c = m.cell_map[cid]
+        rep = rep_of_key.setdefault(_canonical_cell_key(path, im_c), cid)
+        if rep == cid:
+            kept_cells[cid] = path
+        else:
+            merged.append(("cell", rep, cid))
+        im_k = m.cell_map[rep]
+        proj_cells[cid] = CellImage(
+            rep, (im_k.orient * (im_c.offset - im_k.offset)) % len(path),
+            im_c.orient * im_k.orient)
+    trace += sorted(merged)     # class by class, by each class's least cell
 
     folded = TwoComplex(Graph(vertices, edges), kept_cells, base)
-
-    proj_cells = {}
-    for cid in sorted(a.cells):
-        rep = rep_of[cid]
-        im_c, im_k = m.cell_map[cid], m.cell_map[rep]
-        length = len(a.cells[cid])
-        orient = im_c.orient * im_k.orient
-        offset = (im_k.orient * (im_c.offset - im_k.offset)) % length
-        proj_cells[cid] = CellImage(rep, offset, orient)
-
     projection = CellMorphism(
         a, folded, vertex_map, {e: edge_map[e] for e in skel}, proj_cells)
-    inclusion = CellMorphism(
-        folded, m.target,
-        {v: m.vertex_map[v] for v in vertices},
-        {r: m.edge_map[r] for r in roots},
-        {rep: m.cell_map[rep] for rep in kept_cells},
-    )
+    inclusion = _restrict(m, folded)
     witness = _check_morphism(projection)
     if witness is not None:
         raise InvariantError(f"fold projection is not a morphism: {witness}")
@@ -227,13 +214,16 @@ def fold(m: CellMorphism) -> FoldResult:
     return FoldResult(folded, projection, inclusion, tuple(trace))
 
 
-def _unanimous(values, what: str):
-    vals = list(values)
-    first = vals[0]
-    for v in vals[1:]:
-        if v != first:
-            raise FactorizationError(f"{what} lifts ambiguously: {first} vs {v}")
-    return first
+def _lifts(preimages, kind: str) -> dict:
+    """Each part of the folded complex to the one lift of its preimages;
+    ``preimages`` holds (part, preimage, lift) triples, met in sorted order."""
+    out = {}
+    for part, _, lift in sorted(preimages):
+        first = out.setdefault(part, lift)
+        if first != lift:
+            raise FactorizationError(
+                f"{kind} {part} lifts ambiguously: {first} vs {lift}")
+    return out
 
 
 def factor_unique(folded: FoldResult, through: CellMorphism,
@@ -259,41 +249,22 @@ def factor_unique(folded: FoldResult, through: CellMorphism,
 
     a = lift_of.source
     proj = folded.projection
-    c = folded.folded
 
-    pre_v: dict[str, list[str]] = {}
-    for v in sorted(a.skeleton.vertices):
-        pre_v.setdefault(proj.vertex_map[v], []).append(v)
-    vmap = {cv: _unanimous((lift_of.vertex_map[av] for av in pre_v[cv]),
-                           f"vertex {cv}")
-            for cv in sorted(c.skeleton.vertices)}
+    def cell_lift(cid):
+        down, x = proj.cell_map[cid], lift_of.cell_map[cid]
+        orient = x.orient * down.orient
+        length = len(through.source.cells[x.cell])
+        return CellImage(x.cell, (x.offset - orient * down.offset) % length,
+                         orient)
 
-    pre_e: dict[str, list] = {}
-    for e in sorted(a.skeleton.edges):
-        root, sign = proj.edge_map[e]
-        pre_e.setdefault(root, []).append((e, sign))
-    emap = {}
-    for r in sorted(c.skeleton.edges):
-        emap[r] = _unanimous(
-            (lift_of.dart_image((e, sign)) for e, sign in pre_e[r]),
-            f"edge {r}")
-
-    pre_c: dict[str, list[str]] = {}
-    for cid in sorted(a.cells):
-        pre_c.setdefault(proj.cell_map[cid].cell, []).append(cid)
-    cmap = {}
-    for k in sorted(c.cells):
-        candidates = []
-        for cid in pre_c[k]:
-            down = proj.cell_map[cid]
-            x = lift_of.cell_map[cid]
-            orient = x.orient * down.orient
-            length = len(through.source.cells[x.cell])
-            offset = (x.offset - orient * down.offset) % length
-            candidates.append(CellImage(x.cell, offset, orient))
-        cmap[k] = _unanimous(candidates, f"cell {k}")
-
-    factor = CellMorphism(c, through.source, vmap, emap, cmap)
+    vmap = _lifts(((proj.vertex_map[v], v, lift_of.vertex_map[v])
+                   for v in a.skeleton.vertices), "vertex")
+    emap = _lifts(((proj.edge_map[e][0], e,
+                    lift_of.dart_image((e, proj.edge_map[e][1])))
+                   for e in a.skeleton.edges), "edge")
+    cmap = _lifts(((proj.cell_map[cid].cell, cid, cell_lift(cid))
+                   for cid in a.cells), "cell")
+    factor = CellMorphism(folded.folded, through.source, vmap, emap, cmap)
     witness = _check_morphism(factor)
     if witness is not None:
         raise FactorizationError(f"factored map is not a morphism: {witness}")

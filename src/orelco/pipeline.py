@@ -13,10 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .complexes import (CellImage, CellMorphism, Dart, EdgeRec, Graph,
-                        TwoComplex, _immersion_fault, cell_image_path,
-                        collapse_with_rewrites, compose, connected_components,
-                        dart_sort_key, euler_characteristic,
-                        find_free_faces_and_edges, require_valid, reverse_path)
+                        TwoComplex, _immersion_fault, _restrict,
+                        cell_image_path, collapse_with_rewrites, compose,
+                        connected_components, dart_sort_key,
+                        euler_characteristic, find_free_faces_and_edges,
+                        require_valid, reverse_path)
 from .covers import UnwrappedCover, build_unwrapped_cover, \
     find_exponent_n_quotient, pull_back_subgroup, verify_cover
 from .diagrams import build_reduced_diagram
@@ -140,14 +141,6 @@ def _bfs_frame(y: TwoComplex, m: CellMorphism) -> _Frame:
 
 # ---------------------------------------------------------------------------
 # seeding
-
-
-def _restrict(m: CellMorphism, sub: TwoComplex) -> CellMorphism:
-    return CellMorphism(
-        sub, m.target,
-        {v: m.vertex_map[v] for v in sub.skeleton.vertices},
-        {e: m.edge_map[e] for e in sub.skeleton.edges},
-        {c: m.cell_map[c] for c in sub.cells})
 
 
 def _lift(z: TwoComplex, x0: TwoComplex, start: str) -> CellMorphism:

@@ -300,6 +300,28 @@ def test_audit_single_map_that_is_not_an_immersion_is_a_usage_error(
     assert out.startswith("config:") and out.count("\n") == 1
 
 
+STRAY_ENTRIES = {"vertex": ("vmap ghost *\n", "vertex map names ghost, "
+                            "not a source vertex"),
+                 "cell": ("cmap zz w rot=0 orient=+\n",
+                          "cell map names zz, not a source cell")}
+
+
+@pytest.mark.parametrize("extra, witness", STRAY_ENTRIES.values(),
+                         ids=STRAY_ENTRIES)
+def test_audit_single_map_with_a_stray_entry_is_a_usage_error(
+        group_file, capsys, tmp_path, extra, witness):
+    # it once audited the cover and exited 0
+    y = tmp_path / "y.txt"
+    y.write_text(COVER_COMPLEX)
+    m = tmp_path / "m.txt"
+    m.write_text(COVER_MAP + extra)
+    code, out, err = run(capsys, ["audit", "wcycles", "--group", group_file,
+                                  "--complex", str(y), "--map", str(m)])
+    assert code == 2
+    assert err == f"error: {m}: not an immersion: {witness}\n"
+    assert out.startswith("config:") and out.count("\n") == 1
+
+
 def test_audit_campaign_all_pass(group_file, capsys):
     code, out, _ = run(capsys, ["audit", "wcycles", "--group", group_file,
                                 "--trials", "40", "--seed", "5"])
@@ -545,6 +567,24 @@ def test_fold_map_with_an_unmapped_edge_is_a_usage_error(capsys, tmp_path):
                                   str(tgt), "--map", str(mp)])
     assert code == 2
     assert err == f"error: {mp}: not a morphism: edge b has no image\n"
+    assert out.startswith("config:") and out.count("\n") == 1
+
+
+@pytest.mark.parametrize("extra, witness", STRAY_ENTRIES.values(),
+                         ids=STRAY_ENTRIES)
+def test_fold_map_with_a_stray_entry_is_a_usage_error(capsys, tmp_path,
+                                                      extra, witness):
+    # it once exited 1 with "fold composite drifted"
+    src = tmp_path / "src.txt"
+    src.write_text("vertex u\nedge e1 : u -> u label a\nbase u\n")
+    tgt = tmp_path / "rose.txt"
+    tgt.write_text("vertex *\nedge a : * -> * label a\nbase *\n")
+    mp = tmp_path / "m.txt"
+    mp.write_text("vmap u *\nemap e1 a\n" + extra)
+    code, out, err = run(capsys, ["fold", "--source", str(src), "--target",
+                                  str(tgt), "--map", str(mp)])
+    assert code == 2
+    assert err == f"error: {mp}: not a morphism: {witness}\n"
     assert out.startswith("config:") and out.count("\n") == 1
 
 

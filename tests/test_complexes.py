@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 
@@ -346,6 +347,24 @@ def test_edge_image_with_a_bad_sign_is_not_a_morphism(sign):
     m = CellMorphism(loop, build_rose_complex(), {"u": "*"},
                      {"x": ("a", sign)}, {})
     witness = f"edge x has bad orientation sign {sign}"
+    assert classify_map(m) == Classification(MapKind.NOT_MORPHISM, witness)
+    with pytest.raises(NotMorphismError, match=witness):
+        fold(m)
+
+
+@pytest.mark.parametrize("field, image", [
+    ("vertex_map", "*"), ("edge_map", ("a", 1)),
+    ("cell_map", CellImage("d0", 0, 1))], ids=["vertex", "edge", "cell"])
+def test_a_map_that_names_a_part_its_source_lacks_is_not_a_morphism(field,
+                                                                    image):
+    # such a map once classified as an immersion; the least stray is named
+    from orelco.errors import NotMorphismError
+    from orelco.folding import fold
+    m = cover_map_x0()
+    images = {**getattr(m, field), "zz": image, "ghost": image}
+    m = dataclasses.replace(m, **{field: images})
+    kind = field.split("_")[0]
+    witness = f"{kind} map names ghost, not a source {kind}"
     assert classify_map(m) == Classification(MapKind.NOT_MORPHISM, witness)
     with pytest.raises(NotMorphismError, match=witness):
         fold(m)

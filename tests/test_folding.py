@@ -285,6 +285,28 @@ def test_factor_unique_rejects_unimmersed_target():
         factor_unique(res, two_loop_wedge(), identity_morphism(two_loop_wedge().source))
 
 
+def test_factor_unique_refuses_a_part_whose_lifts_disagree():
+    # a hand-made fold of two disjoint a-loops onto one, lifted into two
+    # disjoint roses: no map of the folded rose recovers both lifts
+    loops = TwoComplex(Graph(frozenset({"u1", "u2"}),
+                             {"e1": EdgeRec("u1", "u1", "a"),
+                              "e2": EdgeRec("u2", "u2", "a")}), {})
+    projection = CellMorphism(loops, ROSE_A, {"u1": "*", "u2": "*"},
+                              {"e1": ("a", 1), "e2": ("a", 1)}, {})
+    res = FoldResult(ROSE_A, projection, identity_morphism(ROSE_A), ())
+    roses = TwoComplex(Graph(frozenset({"x1", "x2"}),
+                             {"a1": EdgeRec("x1", "x1", "a"),
+                              "a2": EdgeRec("x2", "x2", "a")}), {})
+    through = CellMorphism(roses, ROSE_A, {"x1": "*", "x2": "*"},
+                           {"a1": ("a", 1), "a2": ("a", 1)}, {})
+    lift_of = CellMorphism(loops, roses, {"u1": "x1", "u2": "x2"},
+                           {"e1": ("a1", 1), "e2": ("a2", 1)}, {})
+    assert classify_map(through).kind >= MapKind.IMMERSION
+    with pytest.raises(FactorizationError) as info:
+        factor_unique(res, through, lift_of)
+    assert str(info.value) == "vertex * lifts ambiguously: x1 vs x2"
+
+
 @pytest.mark.parametrize("through, lift_of, message", [
     (lambda: identity_morphism(ROSE_A), lambda: two_loop_wedge(("z", "w")),
      "lift source differs from the folded map's source"),

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orelco.complexes import (CellImage, CellMorphism, EdgeRec, Graph,
-                              MapKind, TwoComplex, cell_image_path,
+                              MapKind, TwoComplex, _restrict, cell_image_path,
                               classify_map, collapse, collapse_with_rewrites,
                               dart_sort_key, euler_characteristic,
                               find_free_faces_and_edges, identity_morphism,
@@ -29,7 +29,7 @@ from orelco.orbicomplex import build_orbicomplex
 from orelco.pipeline import (_P, PipelineState, _apply_rewrites, _bfs_frame,
                              _candidate_word, _cell_cocycle, _glue_and_fold,
                              _hop_codes, _is_bijection, _lift,
-                             _presentation_from_stage, _refine, _restrict,
+                             _presentation_from_stage, _refine,
                              _sweep, candidate_words, present_subgroup,
                              seed_immersion)
 from orelco.words import (dehn_solve, format_word, free_reduce, inverse_word,
