@@ -228,19 +228,20 @@ def _cmd_audit_wcycles(args) -> int:
     except NotImmersionError as exc:
         # the inequality is claimed for immersions only: no counterexample
         return _usage(f"{args.map}: not an immersion: {exc}")
-    if not (audit.passed or audit.irreducible):
-        # nor for complexes with free faces
-        return _usage(f"{args.map}: the complex has free faces, so a "
-                      f"failed inequality (slack1={audit.slack1} "
-                      f"slack2={audit.slack2}) is no counterexample")
+    if not (audit.passed or audit.in_scope):
+        # nor for complexes outside the theorem's scope
+        return _usage(f"{args.map}: the complex is outside the inequality's "
+                      "scope (connected, no free faces, a 1-skeleton that is "
+                      "not a tree), so a failed inequality (slack1="
+                      f"{audit.slack1} slack2={audit.slack2}) is no "
+                      "counterexample")
     name = Path(args.complex).stem
     if args.format == "csv":
         _emit(args, audit_csv([(name, audit)]))
     else:
         print(f"audit {name}: chi1={audit.chi1} deg={audit.deg} "
               f"slack1={audit.slack1} chi2={audit.chi2} cells={audit.cells} "
-              f"slack2={audit.slack2} irreducible="
-              f"{1 if audit.irreducible else 0}")
+              f"slack2={audit.slack2} in_scope={1 if audit.in_scope else 0}")
     if not audit.passed:
         print(f"error: inequality violated: slack1={audit.slack1} "
               f"slack2={audit.slack2}")

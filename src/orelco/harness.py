@@ -44,6 +44,12 @@ class GeneratorParams:
     branch_index: int
     attach_probability: float = 0.5
 
+    def __post_init__(self):
+        if self.vertex_budget < 1:
+            raise ValueError("vertex_budget must be at least 1")
+        if not 0 <= self.attach_probability <= 1:
+            raise ValueError("attach_probability must be in [0, 1]")
+
     @cached_property
     def orbicomplex(self) -> OneRelatorOrbicomplex:
         """The rose orbicomplex of the relator, built on first use and kept
@@ -131,8 +137,6 @@ def closed_power_lifts(g: Graph, x: OneRelatorOrbicomplex):
 
 
 def _generate_uncollapsed(seed: int, params: GeneratorParams) -> OrbiMorphism:
-    if params.vertex_budget < 1:
-        raise ValueError("vertex budget must be >= 1")
     x = params.orbicomplex
     if x.branch_index < 2:
         raise ValueError("branch index must be >= 2")
@@ -182,13 +186,13 @@ def _run_wcycles_trial(rng: random.Random, seed: int,
     v = rng.randint(1, cfg.params.vertex_budget)
     gen_seed = rng.getrandbits(32)
     m = random_irreducible_immersion(gen_seed, cfg.params._with_budget(v))
-    # the audit refuses a map that does not immerse; a drawn tree is audited
-    # too, before the fallback loop replaces it
+    # the audit refuses a map that does not immerse; a draw outside its
+    # scope, a tree, is audited too, before the fallback loop replaces it
     try:
         audit = wcycles_audit(m)
     except NotImmersionError as err:
         raise _violation("generator-soundness", seed, err.witness) from err
-    if not m.source.cells and audit.chi1 > 0:
+    if not audit.in_scope:
         m = _fallback_loop(m.target)
         audit = wcycles_audit(m)
     row = TrialRow(

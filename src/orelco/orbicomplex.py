@@ -12,13 +12,13 @@ disk.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 from .complexes import (Classification, Dart, Graph, MapKind, TwoComplex,
                         CellImage, CellMorphism, _immersion_fault,
-                        euler_characteristic, find_free_faces_and_edges)
+                        connected_components, euler_characteristic,
+                        find_free_faces_and_edges)
 from .errors import NotImmersionError
 from .words import is_cyclically_reduced, is_proper_power
 
@@ -108,27 +108,16 @@ def check_orbi_immersion(m: OrbiMorphism) -> Classification:
     return Classification(MapKind.IMMERSION, None) if cls is None else cls
 
 
-def degree(m) -> int:
+def degree(m: OrbiMorphism) -> int:
     """Minimum number of preimages of a generic 2-cell point; immersions only.
 
-    For an orbicomplex target every source cell covers the branched disk
-    n-fold, so the degree is n times the source cell count.  For an ordinary
-    2-complex target it is the minimum preimage count over target cells.
+    Every source cell covers the branched disk n-fold, so the degree is n
+    times the source cell count.
     """
-    if isinstance(m, OrbiMorphism):
-        cls = _immersion_fault(m.as_cell_morphism(), len(m.target.relator))
-        count = m.target.branch_index * len(m.source.cells)
-    elif isinstance(m, CellMorphism):
-        cls = _immersion_fault(m)
-        # counted before the check raises, so a missing image is skipped
-        hits = Counter(m.cell_map[cid].cell for cid in m.source.cells
-                       if cid in m.cell_map)
-        count = min((hits[cid] for cid in m.target.cells), default=0)
-    else:
-        raise TypeError(f"degree undefined for {type(m).__name__}")
-    if cls is not None:
+    cls = check_orbi_immersion(m)
+    if cls.kind < MapKind.IMMERSION:
         raise NotImmersionError(cls.witness or "map is not an immersion")
-    return count
+    return m.target.branch_index * len(m.source.cells)
 
 
 @dataclass(frozen=True)
@@ -140,15 +129,16 @@ class WCyclesAudit:
     cells: int
     slack2: int
     passed: bool
-    irreducible: bool
+    in_scope: bool
 
 
 def wcycles_audit(m: OrbiMorphism) -> WCyclesAudit:
     """Audit the inequalities chi(Y^1) + deg <= 0 and chi(Y) + (n-1)|cells| <= 0.
 
     The map must be an immersion (otherwise the degree is undefined and the
-    call is refused).  A reducible source is still audited but flagged, since
-    the guarantee only covers irreducible complexes.
+    call is refused).  The inequality is claimed only for a connected source
+    with no free faces whose 1-skeleton is not a tree (chi(Y^1) <= 0);
+    ``in_scope`` says whether this source is one.
 
     The two inequalities are one: chi(Y) is chi(Y^1) + |cells| and deg is
     n|cells|, so slack2 always equals slack1, and ``passed`` reads slack1
@@ -163,10 +153,11 @@ def wcycles_audit(m: OrbiMorphism) -> WCyclesAudit:
     chi2 = euler_characteristic(m.source, dimension=2)
     slack1 = chi1 + deg
     slack2 = chi2 + (n - 1) * cells
-    faces, _ = find_free_faces_and_edges(m.source)
+    in_scope = (chi1 <= 0 and not find_free_faces_and_edges(m.source)[0]
+                and len(connected_components(m.source.skeleton)) == 1)
     return WCyclesAudit(
         chi1=chi1, deg=deg, slack1=slack1, chi2=chi2, cells=cells,
-        slack2=slack2, passed=slack1 <= 0, irreducible=not faces)
+        slack2=slack2, passed=slack1 <= 0, in_scope=in_scope)
 
 
 def presentation_complex(x: OneRelatorOrbicomplex) -> tuple[TwoComplex, OrbiMorphism]:

@@ -59,6 +59,8 @@ def _put(table: dict, key: str, value, lineno: int, what: str) -> None:
 
 
 def format_complex(c: TwoComplex) -> str:
+    if c.base_vertex is None:
+        raise ValueError("a complex file needs a base vertex")
     g = c.skeleton
     out = [f"vertex {v}" for v in sorted(g.vertices)]
     for e in sorted(g.edges):

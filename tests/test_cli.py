@@ -7,8 +7,9 @@ import pytest
 
 from orelco.cli import main
 from orelco.covers import build_unwrapped_cover, find_exponent_n_quotient
+from orelco.orbicomplex import WCyclesAudit
 from orelco.textio import (format_complex, format_cover, parse_complex,
-                           parse_cover_file)
+                           parse_cover_file, parse_orbicomplex)
 
 GROUP = """\
 vertex *
@@ -223,6 +224,10 @@ def test_audit_single_immersion(group_file, capsys, tmp_path):
     assert "y,-2,2,0,-1,1,0,1" in out
 
 
+OUT_OF_SCOPE_REASON = ("the complex is outside the inequality's scope "
+                       "(connected, no free faces, a 1-skeleton that is not "
+                       "a tree)")
+
 # one disk over (ab)^2, its four sides on four distinct edges
 ONE_DISK = ("vertex p0\nvertex p1\nvertex p2\nvertex p3\n"
             "edge a0 : p0 -> p1 label a\nedge b0 : p1 -> p2 label b\n"
@@ -246,9 +251,75 @@ def test_audit_single_reducible_failure_is_a_usage_error(group_file, capsys,
                                   "--complex", str(y), "--map", str(m),
                                   "--format", fmt])
     assert code == 2
-    assert err == (f"error: {m}: the complex has free faces, so a failed "
+    assert err == (f"error: {m}: {OUT_OF_SCOPE_REASON}, so a failed "
                    "inequality (slack1=2 slack2=2) is no counterexample\n")
     assert out.startswith("config:") and out.count("\n") == 1
+
+
+def _map_by_labels(complex_text: str) -> str:
+    """The map file sending every vertex to ``*``, every edge to its label
+    and every cell to the orbicell at rotation 0."""
+    y = parse_complex(complex_text)
+    return ("".join(f"vmap {v} *\n" for v in sorted(y.skeleton.vertices))
+            + "".join(f"emap {e} {rec.label}\n"
+                      for e, rec in sorted(y.skeleton.edges.items()))
+            + "".join(f"cmap {c} w rot=0 orient=+\n" for c in sorted(y.cells)))
+
+
+ABAB2 = GROUP.replace("relator a b", "relator a b a b~")
+
+
+def _cover_and_a_vertex() -> str:
+    """The degree-4 cover that ``cover build`` writes over (abab~)^2, with
+    one isolated vertex more."""
+    x = parse_orbicomplex(ABAB2)
+    cover = build_unwrapped_cover(x, find_exponent_n_quotient(x, 8, 0)).cover
+    return format_complex(cover) + "vertex lonely\n"
+
+
+OUT_OF_SCOPE = {"point": (GROUP, "vertex u\nbase u\n"),
+                "edge": (GROUP, "vertex u\nvertex v\n"
+                         "edge e : u -> v label a\nbase u\n"),
+                "cover-and-a-vertex": (ABAB2, _cover_and_a_vertex())}
+
+
+@pytest.mark.parametrize("group, complex_text", OUT_OF_SCOPE.values(),
+                         ids=OUT_OF_SCOPE)
+def test_audit_single_failure_outside_the_scope_is_a_usage_error(
+        capsys, tmp_path, group, complex_text):
+    # a point, a tree and a cover beside an isolated vertex each once exited
+    # 1 with "inequality violated"; the inequality covers none of them
+    g = tmp_path / "g.txt"
+    g.write_text(group)
+    y = tmp_path / "y.txt"
+    y.write_text(complex_text)
+    m = tmp_path / "m.txt"
+    m.write_text(_map_by_labels(complex_text))
+    code, out, err = run(capsys, ["audit", "wcycles", "--group", str(g),
+                                  "--complex", str(y), "--map", str(m)])
+    assert code == 2
+    assert err == (f"error: {m}: {OUT_OF_SCOPE_REASON}, so a failed "
+                   "inequality (slack1=1 slack2=1) is no counterexample\n")
+    assert out.startswith("config:") and out.count("\n") == 1
+
+
+def test_audit_single_failure_in_scope_is_a_violation(group_file, capsys,
+                                                      tmp_path, monkeypatch):
+    # no in-scope counterexample is known, so the audit is made to report one
+    import orelco.cli as cli
+    failing = WCyclesAudit(chi1=-2, deg=4, slack1=2, chi2=0, cells=2,
+                           slack2=2, passed=False, in_scope=True)
+    monkeypatch.setattr(cli, "wcycles_audit", lambda m: failing)
+    y = tmp_path / "y.txt"
+    y.write_text(COVER_COMPLEX)
+    m = tmp_path / "m.txt"
+    m.write_text(COVER_MAP)
+    code, out, err = run(capsys, ["audit", "wcycles", "--group", group_file,
+                                  "--complex", str(y), "--map", str(m)])
+    assert code == 1 and not err
+    assert out.splitlines()[1:] == [
+        "audit y: chi1=-2 deg=4 slack1=2 chi2=0 cells=2 slack2=2 in_scope=1",
+        "error: inequality violated: slack1=2 slack2=2"]
 
 
 def test_audit_single_malformed_map_is_usage_error(group_file, capsys,

@@ -328,12 +328,6 @@ def test_compose_orientation_product():
     assert sq.edge_map == {"a": ("a", 1), "b": ("b", 1)}
 
 
-def test_degree_dispatch_for_graph_cover():
-    m = cover_map_x0()
-    from orelco.orbicomplex import degree
-    assert degree(m) == 1  # one cell over the single target cell
-
-
 # ---------------------------------------------------------------------------
 # the map checks against the ordered scans they replaced
 

@@ -195,6 +195,31 @@ def test_degenerate_draws_are_substituted_not_failed():
     assert any(r.edges == 1 for r in rep.rows)
 
 
+@pytest.mark.parametrize("budget, prob, field", [
+    (0, 0.5, "vertex_budget"), (-3, 0.5, "vertex_budget"),
+    (4, 7, "attach_probability"), (4, -0.1, "attach_probability"),
+    (4, float("nan"), "attach_probability"),
+])
+def test_generator_params_refuse_their_own_bad_values(budget, prob, field):
+    # a budget of 0 once died inside a campaign's fold or wcycles suite with
+    # "empty range for randrange()", and a probability of 7 ran unchecked
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        GeneratorParams(budget, W("a b"), 2, prob)
+
+
+def test_the_generator_refuses_branch_index_one():
+    # the campaigns draw over F / <<w^n>> with n >= 2 only
+    with pytest.raises(ValueError, match="branch index must be >= 2"):
+        _generate_uncollapsed(0, GeneratorParams(3, W("a b"), 1))
+
+
+def test_a_covers_suite_that_draws_no_quotient_passes_no_trial(monkeypatch):
+    monkeypatch.setattr(harness, "QUOTIENT_ATTEMPTS", 0)
+    cfg = CampaignConfig(3, 4, GeneratorParams(3, W("a b"), 2),
+                         suites=("covers",))
+    assert run_property_campaign(cfg).pass_counts == {"covers": (0, 4)}
+
+
 def test_trial_seed_derivation_is_affine():
     assert trial_seed(7, 0) == 7 * 1_000_003
     assert trial_seed(7, 5) - trial_seed(7, 4) == 1

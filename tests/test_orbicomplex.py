@@ -1,7 +1,7 @@
 import pytest
 
-from orelco.complexes import (EdgeRec, Graph, MapKind, TwoComplex,
-                              identity_morphism)
+from orelco.complexes import EdgeRec, Graph, MapKind, TwoComplex
+from orelco.covers import build_unwrapped_cover, find_exponent_n_quotient
 from orelco.errors import NotImmersionError
 from orelco.orbicomplex import (OrbiMorphism, build_orbicomplex,
                                 check_orbi_immersion, degree,
@@ -112,18 +112,11 @@ def test_degree_cell_free_source():
     assert degree(m) == 0
 
 
-def test_degree_identity_two_complex():
-    c = build_x0()
-    assert degree(identity_morphism(c)) == 1
-
-
 def test_degree_refuses_non_immersion():
     x = make_x()
     _, m = presentation_complex(x)
     with pytest.raises(NotImmersionError):
         degree(m)
-    with pytest.raises(TypeError):
-        degree("nonsense")
 
 
 def test_audit_tight_cover():
@@ -135,7 +128,7 @@ def test_audit_tight_cover():
     assert rep.cells == 1
     assert rep.slack2 == 0
     assert rep.passed
-    assert not rep.irreducible
+    assert not rep.in_scope    # every edge is a free face
 
 
 def test_audit_graph_only():
@@ -149,7 +142,7 @@ def test_audit_graph_only():
     assert rep.slack1 == -1
     assert rep.slack2 == -1
     assert rep.passed
-    assert rep.irreducible
+    assert rep.in_scope
 
 
 def test_audit_refuses_non_immersion():
@@ -157,3 +150,53 @@ def test_audit_refuses_non_immersion():
     _, m = presentation_complex(x)
     with pytest.raises(NotImmersionError):
         wcycles_audit(m)
+
+
+def tight_cover_of_abab2():
+    """The degree-4 unwrapped cover of ``(abab~)^2`` that ``cover build``
+    writes with its default budget and seed, mapped by labels."""
+    x = build_orbicomplex(Graph.rose(["a", "b"]), (A, B, A, ("b", -1)), 2)
+    cover = build_unwrapped_cover(x, find_exponent_n_quotient(x, 8, 0)).cover
+    return OrbiMorphism.by_labels(cover, x)
+
+
+def test_audit_tight_cover_is_in_scope():
+    rep = wcycles_audit(tight_cover_of_abab2())
+    assert (rep.chi1, rep.deg, rep.slack1, rep.cells) == (-4, 4, 0, 2)
+    assert rep.passed and rep.in_scope
+
+
+def _point():
+    return TwoComplex(Graph(frozenset({"u"}), {}), {}, base_vertex="u")
+
+
+def _edge():
+    g = Graph(frozenset({"u", "v"}), {"e": EdgeRec("u", "v", "a")})
+    return TwoComplex(g, {}, base_vertex="u")
+
+
+def _cover_and_a_vertex():
+    cover = tight_cover_of_abab2()
+    g = cover.source.skeleton
+    y = TwoComplex(Graph(g.vertices | {"lonely"}, g.edges),
+                   cover.source.cells, cover.source.base_vertex)
+    return OrbiMorphism.by_labels(y, cover.target)
+
+
+OUT_OF_SCOPE = {
+    "point": (lambda: OrbiMorphism.by_labels(_point(), make_x()), (1, 0, 1)),
+    "edge": (lambda: OrbiMorphism.by_labels(_edge(), make_x()), (1, 0, 1)),
+    "cover-and-a-vertex": (_cover_and_a_vertex, (-3, 4, 1)),
+}
+
+
+@pytest.mark.parametrize("build, numbers", OUT_OF_SCOPE.values(),
+                         ids=OUT_OF_SCOPE)
+def test_audit_scope_needs_a_connected_source_that_is_not_a_tree(build,
+                                                                 numbers):
+    # each immerses with no free faces and fails the inequality, but a
+    # tree's chi(Y^1) is 1 and an isolated vertex disconnects the cover,
+    # so none of them is a counterexample
+    rep = wcycles_audit(build())
+    assert (rep.chi1, rep.deg, rep.slack1) == numbers
+    assert not rep.passed and not rep.in_scope

@@ -38,6 +38,13 @@ def test_complex_round_trip_is_bit_exact():
     assert text.endswith("base p\n")
 
 
+def test_a_complex_without_a_base_is_not_written():
+    # it was once written with "base None", which the parser then refused
+    g = Graph(frozenset({"v"}), {"a": EdgeRec("v", "v", "a")})
+    with pytest.raises(ValueError, match="needs a base vertex"):
+        format_complex(TwoComplex(g, {}))
+
+
 def test_complex_parser_rejects_malformed_lines():
     with pytest.raises(ValueError, match="missing its base"):
         parse_complex("vertex v\n")
