@@ -18,7 +18,7 @@ from .errors import (BudgetExhaustedError, NotImmersionError,
                      NotMorphismError, OrelcoError)
 from .folding import fold
 from .harness import (SUITES, CampaignConfig, GeneratorParams, campaign_csv,
-                      run_property_campaign)
+                      check_suites, run_property_campaign)
 from .orbicomplex import wcycles_audit
 from .pipeline import present_subgroup
 from .stacking import check_good_stacking, is_branched
@@ -184,7 +184,9 @@ def _cmd_audit_wcycles(args) -> int:
             # no trial would run, and every suite would pass as 0/0
             return _usage("--trials must be at least 1")
         suites = tuple(args.suites.split(","))
-        if not set(suites) <= set(SUITES):
+        try:
+            check_suites(suites)
+        except ValueError:
             return _usage(f"--suites must name some of {','.join(SUITES)},"
                           f" got {args.suites!r}")
         if args.vertex_budget < 1:

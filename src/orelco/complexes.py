@@ -234,8 +234,7 @@ class MapKind(IntEnum):
     COVERING = 3
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     kind: MapKind
     witness: str | None = None
 
@@ -266,13 +265,12 @@ def target_side(image: CellImage, pos: int, length: int) -> tuple[str, int]:
     return (image.cell, (image.offset - pos) % length)
 
 
-@dataclass(frozen=True)
-class CellMorphism:
+class CellMorphism(NamedTuple):
     source: TwoComplex
     target: TwoComplex
     vertex_map: dict[str, str]
     edge_map: dict[str, Dart]
-    cell_map: dict[str, CellImage] = field(default_factory=dict)
+    cell_map: dict[str, CellImage]
 
     def dart_image(self, d: Dart) -> Dart:
         e, s = self.edge_map[d[0]]

@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from .complexes import (Dart, EdgeRec, Graph, MapKind, TwoComplex,
                         euler_characteristic)
@@ -201,8 +202,7 @@ def find_exponent_n_quotient(x: OneRelatorOrbicomplex, max_degree: int,
         f"no exponent-{n} quotient of degree <= {max_degree} found")
 
 
-@dataclass(frozen=True)
-class UnwrappedCover:
+class UnwrappedCover(NamedTuple):
     cover: TwoComplex
     covering_map: OrbiMorphism
     families: dict[str, tuple[int, ...]]
@@ -241,8 +241,7 @@ def build_unwrapped_cover(x: OneRelatorOrbicomplex,
     return UnwrappedCover(cover, covering_map, families, q)
 
 
-@dataclass(frozen=True)
-class CoverReport:
+class CoverReport(NamedTuple):
     passed: bool
     witnesses: tuple[str, ...]
     euler: int

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from dataclasses import dataclass, replace
 from functools import partial
 from itertools import chain, compress, repeat
 from operator import itemgetter
+from typing import NamedTuple
 
 from .complexes import (Dart, EdgeRec, Graph, TwoComplex, _check_morphism,
                         _components, _find, _flatten, require_valid)
@@ -27,8 +27,7 @@ from .words import (Letter, Word, _foreign_letter, dehn_solve, free_reduce,
                     inverse_letter, inverse_word, splice)
 
 
-@dataclass(frozen=True)
-class VanKampenDiagram:
+class VanKampenDiagram(NamedTuple):
     """Disk diagram: every 2-cell spells the relator power of the target."""
 
     diagram: TwoComplex
@@ -293,8 +292,8 @@ class _DiskBuilder:
     def freeze(self, x: OneRelatorOrbicomplex) -> VanKampenDiagram:
         complex_, boundary = self.snapshot()
         require_valid(complex_)
-        labeling = replace(OrbiMorphism.by_labels(complex_, x),
-                           cell_align=dict(self.cell_align))
+        labeling = OrbiMorphism.by_labels(complex_, x)._replace(
+            cell_align=dict(self.cell_align))
         return VanKampenDiagram(complex_, boundary, self.readout(), labeling)
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, insort
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import (CellImage, CellMorphism, EdgeRec, Graph, TwoComplex,
                         _check_morphism, _find, _flatten, _immersion_fault,
@@ -24,8 +24,7 @@ from .errors import (FactorizationError, InvariantError, NotImmersionError,
 TraceEntry = tuple  # ("dart", dart, dart) or ("cell", kept_id, dropped_id)
 
 
-@dataclass(frozen=True)
-class FoldResult:
+class FoldResult(NamedTuple):
     folded: TwoComplex
     projection: CellMorphism
     inclusion: CellMorphism

@@ -19,6 +19,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 from .complexes import (EdgeRec, Graph, MapKind, TwoComplex, collapse,
                         component_of, identity_morphism)
@@ -66,16 +67,14 @@ class GeneratorParams:
         return out
 
 
-@dataclass(frozen=True)
-class CampaignConfig:
+class CampaignConfig(NamedTuple):
     master_seed: int
     trials: int
     params: GeneratorParams
     suites: tuple[str, ...] = SUITES
 
 
-@dataclass(frozen=True)
-class TrialRow:
+class TrialRow(NamedTuple):
     trial: int
     seed: int
     vertices: int
@@ -89,8 +88,7 @@ class TrialRow:
     passed: bool
 
 
-@dataclass(frozen=True)
-class CampaignReport:
+class CampaignReport(NamedTuple):
     rows: tuple[TrialRow, ...]
     pass_counts: dict[str, tuple[int, int]]
     slack1_histogram: dict[int, int]
@@ -288,7 +286,17 @@ def _run_cover_trial(rng: random.Random, seed: int,
 # campaign driver
 
 
+def check_suites(suites: tuple[str, ...]) -> None:
+    """Raise ``ValueError`` naming the first of ``suites`` outside
+    ``SUITES``: a misspelt suite would run no trial and pass as 0/0."""
+    for suite in suites:
+        if suite not in SUITES:
+            raise ValueError(f"unknown suite {suite!r}; the suites are "
+                             f"{', '.join(SUITES)}")
+
+
 def run_property_campaign(cfg: CampaignConfig) -> CampaignReport:
+    check_suites(cfg.suites)
     x = cfg.params.orbicomplex
     rose_complex = TwoComplex(x.gamma, {}, base_vertex="*")
     rows: list[TrialRow] = []

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .complexes import (Classification, Dart, Graph, MapKind, TwoComplex,
                         CellImage, CellMorphism, _immersion_fault,
@@ -69,8 +70,7 @@ def build_orbicomplex(gamma: Graph, relator: tuple[Dart, ...],
     return OneRelatorOrbicomplex(gamma, tuple(relator), branch_index)
 
 
-@dataclass(frozen=True)
-class OrbiMorphism:
+class OrbiMorphism(NamedTuple):
     source: TwoComplex
     target: OneRelatorOrbicomplex
     vertex_map: dict[str, str]
@@ -120,8 +120,7 @@ def degree(m: OrbiMorphism) -> int:
     return m.target.branch_index * len(m.source.cells)
 
 
-@dataclass(frozen=True)
-class WCyclesAudit:
+class WCyclesAudit(NamedTuple):
     chi1: int
     deg: int
     slack1: int

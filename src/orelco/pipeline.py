@@ -10,7 +10,7 @@ candidates up to the length budget leaves the complex unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .complexes import (CellImage, CellMorphism, Dart, EdgeRec, Graph,
                         TwoComplex, _immersion_fault, _restrict,
@@ -30,8 +30,7 @@ from .words import Word, _foreign_letter, dehn_solve, free_reduce, inverse_word
 # state
 
 
-@dataclass(frozen=True)
-class PipelineState:
+class PipelineState(NamedTuple):
     cover: UnwrappedCover
     stage: int
     current: TwoComplex
@@ -46,8 +45,7 @@ class PipelineState:
         return self.cover.covering_map.target
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     symbols: tuple[str, ...]
     relators: tuple[Word, ...]
     gen_words: tuple[Word, ...]
@@ -56,8 +54,7 @@ class Presentation:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class StageRow:
+class StageRow(NamedTuple):
     stage: int
     chi1: int
     chi2: int
@@ -73,8 +70,7 @@ class StageRow:
         return self.cursor
 
 
-@dataclass(frozen=True)
-class PipelineReport:
+class PipelineReport(NamedTuple):
     rows: tuple[StageRow, ...]
 
 
@@ -96,8 +92,7 @@ def _invariant(cond: bool, message: str, state: PipelineState) -> None:
 # breadth-first frame
 
 
-@dataclass(frozen=True)
-class _Frame:
+class _Frame(NamedTuple):
     gens: tuple[Dart, ...]          # one canonical dart per non-tree edge
     hops: tuple[tuple[Dart, ...], ...]      # per gen: its loop at the base
     hop_words: tuple[tuple[Word, Word], ...]  # reduced labels, and inverse
@@ -519,9 +514,9 @@ def _refine(state: PipelineState, f_word: Word) -> PipelineState | None:
     new_paths = tuple(
         _apply_rewrites(chain_map.path_image(p), rewrites, surviving)
         for p in state.gen_paths)
-    new_state = replace(state, stage=state.stage + 1, current=collapsed,
-                        to_cover=_restrict(folded.inclusion, collapsed),
-                        cursor=0, gen_paths=new_paths)
+    new_state = state._replace(stage=state.stage + 1, current=collapsed,
+                               to_cover=_restrict(folded.inclusion, collapsed),
+                               cursor=0, gen_paths=new_paths)
     _check_stage(new_state)
     return new_state
 
@@ -555,10 +550,10 @@ def _sweep(state: PipelineState,
             break
         f_word = _candidate_word(word, frame)
         if dehn_solve(f_word, x).trivial:
-            new_state = _refine(replace(state, cursor=cursor), f_word)
+            new_state = _refine(state._replace(cursor=cursor), f_word)
             if new_state is not None:
                 return new_state, True
-    return replace(state, cursor=cursor), False
+    return state._replace(cursor=cursor), False
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,8 @@ stand in for real heights.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .complexes import TwoComplex, dart_reverse
 from .orbicomplex import OneRelatorOrbicomplex
@@ -28,14 +28,12 @@ ORBI_CIRCLE = "w"
 Position = tuple[str, int]
 
 
-@dataclass(frozen=True)
-class Stacking:
+class Stacking(NamedTuple):
     complex: TwoComplex | OneRelatorOrbicomplex
     heights: dict[Position, Fraction]
 
 
-@dataclass(frozen=True)
-class StackingVerdict:
+class StackingVerdict(NamedTuple):
     good: bool
     witness: str | None = None
 

@@ -8,9 +8,8 @@ package's path algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from .orbicomplex import OneRelatorOrbicomplex
@@ -105,8 +104,7 @@ def _foreign_letter(sym: str) -> ValueError:
     return ValueError(f"letter {sym!r} is not a loop of the rose")
 
 
-@dataclass(frozen=True)
-class DehnStep:
+class DehnStep(NamedTuple):
     """One replacement: the matched subword and the rotation that supplied it."""
 
     position: int
@@ -115,8 +113,7 @@ class DehnStep:
     sign: int
 
 
-@dataclass(frozen=True)
-class DehnResult:
+class DehnResult(NamedTuple):
     trivial: bool
     remnant: Word
     steps: tuple[DehnStep, ...]

@@ -10,7 +10,6 @@ the same diagram and the same errors.
 
 import heapq
 from collections import Counter, defaultdict
-from dataclasses import replace
 from itertools import chain
 from operator import itemgetter
 
@@ -286,8 +285,8 @@ class StringDiskBuilder:
                x: OneRelatorOrbicomplex) -> tuple[TwoComplex, OrbiMorphism]:
         complex_ = self.snapshot()
         require_valid(complex_)
-        labeling = replace(OrbiMorphism.by_labels(complex_, x),
-                           cell_align=dict(self.cell_align))
+        labeling = OrbiMorphism.by_labels(complex_, x)._replace(
+            cell_align=dict(self.cell_align))
         return complex_, labeling
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 
@@ -356,7 +355,7 @@ def test_a_map_that_names_a_part_its_source_lacks_is_not_a_morphism(field,
     from orelco.folding import fold
     m = cover_map_x0()
     images = {**getattr(m, field), "zz": image, "ghost": image}
-    m = dataclasses.replace(m, **{field: images})
+    m = m._replace(**{field: images})
     kind = field.split("_")[0]
     witness = f"{kind} map names ghost, not a source {kind}"
     assert classify_map(m) == Classification(MapKind.NOT_MORPHISM, witness)

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import itertools
 import os
@@ -316,7 +315,7 @@ def test_factor_unique_refuses_a_part_whose_lifts_disagree():
      two_loop_wedge,
      "immersion target differs from the fold target"),
     (lambda: identity_morphism(ROSE_A),
-     lambda: dataclasses.replace(two_loop_wedge(), edge_map={"e1": ("a", 1)}),
+     lambda: two_loop_wedge()._replace(edge_map={"e1": ("a", 1)}),
      "lift is not a morphism: edge e2 has no image"),
 ], ids=["lift-source", "lift-target", "fold-target", "lift-not-morphism"])
 def test_factor_unique_refuses_inputs_outside_its_contract(through, lift_of,

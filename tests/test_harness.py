@@ -121,6 +121,18 @@ def test_zero_trials_gives_an_empty_passing_report():
     assert campaign_csv(rep) == CSV_HEADER + "\n"
 
 
+@pytest.mark.parametrize("suites", [("nosuch",), ("wcycles", "cover"),
+                                    "fold"])
+def test_an_unknown_suite_is_refused_not_passed(suites):
+    # ("nosuch",) once ran nothing and reported {'nosuch': (0, 0)}, a pass;
+    # a bare string is read letter by letter, so it is refused too
+    bad = next(s for s in suites if s not in harness.SUITES)
+    cfg = CampaignConfig(3, 3, GeneratorParams(4, W("a b"), 2), suites)
+    with pytest.raises(ValueError, match=f"^unknown suite '{bad}'; the suites"
+                                         f" are wcycles, fold, covers$"):
+        run_property_campaign(cfg)
+
+
 def test_campaign_passes_and_reproduces_byte_identically():
     cfg = CampaignConfig(7, 150, GeneratorParams(6, W("a b"), 2))
     rep1 = run_property_campaign(cfg)
@@ -251,7 +263,7 @@ def test_violation_aborts_with_the_reproduction_seed(monkeypatch):
 
     def broken_audit(m):
         real = wcycles_audit(m)
-        return type(real)(**{**real.__dict__, "passed": False})
+        return real._replace(passed=False)
 
     monkeypatch.setattr(harness, "wcycles_audit", broken_audit)
     cfg = CampaignConfig(2, 3, GeneratorParams(3, W("a b"), 2),

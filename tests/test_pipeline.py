@@ -6,7 +6,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -466,11 +465,11 @@ def test_screen_passes_over_nontrivial_candidates_only(relator, n, gens):
                 screened += 1
                 assert not trivial
             elif trivial:
-                expected = _refine(replace(state, cursor=tried), f_word)
+                expected = _refine(state._replace(cursor=tried), f_word)
                 if expected is not None:
                     break
         if expected is None:
-            expected = replace(state, cursor=tried + 1)
+            expected = state._replace(cursor=tried + 1)
         state, changed = _sweep(state, SCREEN_WORD_LEN)
         assert state == expected
     assert screened >= 0.8 * total
@@ -876,7 +875,7 @@ def test_an_emitted_relator_is_checked_in_the_group(x, monkeypatch, relator,
 
     def with_relator(*args):
         pres = _presentation_from_stage(*args)
-        return replace(pres, relators=pres.relators + (W(relator),))
+        return pres._replace(relators=pres.relators + (W(relator),))
     monkeypatch.setattr(pipeline, "_presentation_from_stage", with_relator)
     if trivial:
         pres, _ = present_subgroup([W("a")], x)

@@ -198,18 +198,29 @@ def _reads(root) -> Counter:
                    and isinstance(node.ctx, ast.Load))
 
 
+def _named(node):
+    """The name a decorator, base or callee ``node`` gives: ``x`` in ``x``,
+    ``m.x`` and ``x(...)``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _classes():
+    """(file name, class) of every library class."""
+    return [(name, cls) for name, tree in _library() for cls in ast.walk(tree)
+            if isinstance(cls, ast.ClassDef)]
+
+
 def _classes_and_reads():
     """Every library class, by module, and the attribute reads of the
     library, ``perfbench`` and the acceptance suite, the pinned public
     contract."""
     bench = sorted(PERFBENCH.glob("*.py"))
     assert bench, f"no modules under {PERFBENCH}"
-    library = list(_library())
-    trees = [t for _, t in library] + [ast.parse(p.read_text(), str(p))
-                                       for p in bench + [ACCEPTANCE]]
-    classes = [(module, cls) for module, tree in library
-               for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)]
-    return classes, sum(map(_reads, trees), Counter())
+    trees = [t for _, t in _library()] + [ast.parse(p.read_text(), str(p))
+                                          for p in bench + [ACCEPTANCE]]
+    return _classes(), sum(map(_reads, trees), Counter())
 
 
 def test_every_library_method_is_read():
@@ -237,3 +248,33 @@ def test_every_report_field_is_read():
             and isinstance(field.target, ast.Name)
             and everywhere[field.target.id] == _reads(cls)[field.target.id]]
     assert not dead, dead
+
+
+def test_a_dataclass_is_one_that_caches_on_its_instance():
+    # a dataclass execs about six generated methods at every import, ten
+    # times what a NamedTuple costs; only a cached_property, which needs an
+    # instance __dict__, is worth that
+    found = [f"{name}:{cls.name}" for name, cls in _classes()
+             if any(_named(d) == "dataclass" for d in cls.decorator_list)
+             and not any(_named(d) == "cached_property"
+                         for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                         for d in fn.decorator_list)]
+    assert not found, found
+
+
+_MUTABLE = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
+            ast.SetComp)
+
+
+def test_no_named_tuple_field_defaults_to_a_mutable_value():
+    # a NamedTuple default is one object shared by every instance that
+    # takes it, so a dict default would be one dict for them all
+    found = [f"{name}:{cls.name}.{field.target.id}" for name, cls in _classes()
+             if any(_named(b) == "NamedTuple" for b in cls.bases)
+             for field in cls.body
+             if isinstance(field, ast.AnnAssign) and field.value is not None
+             and (isinstance(field.value, _MUTABLE)
+                  or isinstance(field.value, ast.Call)
+                  and _named(field.value) in ("dict", "list", "set", "field"))]
+    assert not found, found
+
