@@ -18,7 +18,8 @@ from .errors import (BudgetExhaustedError, NotImmersionError,
                      NotMorphismError, OrelcoError)
 from .folding import fold
 from .harness import (SUITES, CampaignConfig, GeneratorParams, campaign_csv,
-                      check_suites, run_property_campaign)
+                      check_suites, generator_params_problem,
+                      run_property_campaign)
 from .orbicomplex import wcycles_audit
 from .pipeline import present_subgroup
 from .stacking import check_good_stacking, is_branched
@@ -165,6 +166,10 @@ def _cmd_subgroup_present(args) -> int:
 # the campaign-only flags of audit wcycles and their defaults
 _CAMPAIGN_DEFAULTS = {"vertex_budget": 6, "attach_prob": 0.5,
                       "suites": ",".join(SUITES), "seed": 0}
+# the flags of the generator parameters that ``generator_params_problem``
+# names
+_PARAM_FLAGS = {"vertex_budget": "--vertex-budget",
+                "attach_probability": "--attach-prob"}
 
 
 def _cmd_audit_wcycles(args) -> int:
@@ -189,10 +194,11 @@ def _cmd_audit_wcycles(args) -> int:
         except ValueError:
             return _usage(f"--suites must name some of {','.join(SUITES)},"
                           f" got {args.suites!r}")
-        if args.vertex_budget < 1:
-            return _usage("--vertex-budget must be at least 1")
-        if not 0 <= args.attach_prob <= 1:
-            return _usage("--attach-prob must be in [0, 1]")
+        problem = generator_params_problem(args.vertex_budget,
+                                           args.attach_prob)
+        if problem is not None:
+            name, rule = problem
+            return _usage(f"{_PARAM_FLAGS[name]} {rule}")
         x = _load_torsion_group(args.group)
         # the campaign runs over the rose of the relator's letters
         missing = set(x._rose_symbols) - {sym for sym, _ in x.relator}

@@ -69,9 +69,9 @@ def relator_cycles(perms: dict[str, Perm], x: OneRelatorOrbicomplex,
     {0..degree-1} per letter) in order of least points, each walked from its
     least point through the letters' permutations, only when asked for.
 
-    The first is the cycle through point 0.  When its length is not n, the
-    exponent rule fails whatever the other cycles are: that is the
-    samplers' screen, ``screen_draw``.
+    The first is the cycle through point 0.  ``_unwrap_cycles`` walks them
+    for ``validate_quotient`` and the cover builder; ``screen_draw`` tests
+    the length of the first without building it.
     """
     steps = [perms[sym] if sign > 0 else _inverse(perms[sym])
              for sym, sign in x.relator]
@@ -89,15 +89,25 @@ def relator_cycles(perms: dict[str, Perm], x: OneRelatorOrbicomplex,
         yield tuple(cycle)
 
 
-def screen_draw(perms: dict[str, Perm], x: OneRelatorOrbicomplex,
-                degree: int) -> bool:
+def screen_draw(perms: dict[str, Perm], x: OneRelatorOrbicomplex) -> bool:
     """Whether the relator image's cycle through point 0 has length n.
 
-    A draw that fails breaks the exponent rule, so the campaign sampler and
-    the quotient search drop it before they build a quotient;
-    ``validate_quotient`` decides every draw that passes.
+    Point 0 walks through the relator at most n times and the walk stops at
+    its first return to 0; an inverse letter is read as ``p.index``.  A
+    draw that fails breaks the exponent rule, whatever the other cycles
+    are, so the campaign sampler and the quotient search drop it before
+    they build a quotient; ``validate_quotient`` decides every draw that
+    passes.
     """
-    return len(next(relator_cycles(perms, x, degree))) == x.branch_index
+    n = x.branch_index
+    point = 0
+    for rounds in range(1, n + 1):
+        for sym, sign in x.relator:
+            p = perms[sym]
+            point = p[point] if sign > 0 else p.index(point)
+        if point == 0:
+            return rounds == n
+    return False
 
 
 def _unwrap_cycles(q: FiniteQuotient, x: OneRelatorOrbicomplex
@@ -162,7 +172,7 @@ def _accept_draw(perms: dict[str, Perm], x: OneRelatorOrbicomplex,
                  degree: int) -> FiniteQuotient | None:
     """The quotient of ``perms`` when ``validate_quotient`` accepts it, or
     None; a draw that fails ``screen_draw`` is dropped unbuilt."""
-    if not screen_draw(perms, x, degree):
+    if not screen_draw(perms, x):
         return None
     q = FiniteQuotient(degree, perms)
     return None if validate_quotient(q, x) else q

@@ -38,6 +38,18 @@ QUOTIENT_ATTEMPTS = 500
 SUITES = ("wcycles", "fold", "covers")
 
 
+def generator_params_problem(vertex_budget: int, attach_probability: float
+                             ) -> tuple[str, str] | None:
+    """The first generator parameter outside its range and the rule it
+    breaks, or None: the vertex budget is at least 1 and the attach
+    probability in [0, 1], which NaN is not."""
+    if vertex_budget < 1:
+        return "vertex_budget", "must be at least 1"
+    if not 0 <= attach_probability <= 1:
+        return "attach_probability", "must be in [0, 1]"
+    return None
+
+
 @dataclass(frozen=True)
 class GeneratorParams:
     vertex_budget: int
@@ -46,10 +58,10 @@ class GeneratorParams:
     attach_probability: float = 0.5
 
     def __post_init__(self):
-        if self.vertex_budget < 1:
-            raise ValueError("vertex_budget must be at least 1")
-        if not 0 <= self.attach_probability <= 1:
-            raise ValueError("attach_probability must be in [0, 1]")
+        problem = generator_params_problem(self.vertex_budget,
+                                           self.attach_probability)
+        if problem is not None:
+            raise ValueError(" ".join(problem))
 
     @cached_property
     def orbicomplex(self) -> OneRelatorOrbicomplex:
@@ -247,22 +259,42 @@ def random_uniform_quotient(rng: random.Random, x: OneRelatorOrbicomplex,
     """Rejection-sample a quotient that ``validate_quotient`` accepts, with
     one permutation per loop of the rose.
 
-    Each draw is screened first (``screen_draw``): when the relator image's
-    cycle through point 0 is not of length n, the draw breaks the exponent
-    rule and is dropped unbuilt.  ``validate_quotient`` decides every draw
-    that passes, so the screen changes no draw and no random state."""
+    A draw is a degree, as ``rng.choice`` picks it from the multiples of n,
+    and then a permutation per loop, as ``rng.shuffle`` shuffles
+    ``range(degree)``.  Each index is drawn straight from ``getrandbits`` by
+    the rule of ``Random._randbelow_with_getrandbits``, in the order of
+    ``choice`` and ``shuffle``, so the draws and the generator's final
+    state are theirs.  Each draw is screened first (``screen_draw``): when
+    the relator image's cycle through point 0 is not of length n, the draw
+    breaks the exponent rule and is dropped unbuilt.  ``validate_quotient``
+    decides every draw that passes, so the screen changes no draw and no
+    random state."""
     n = x.branch_index
     if max_degree < n:
         raise ValueError(f"max_degree must be at least the branch index {n},"
                          f" got {max_degree}")
     symbols = x._rose_symbols
     degrees = range(n, max_degree + 1, n)
+    getrandbits = rng.getrandbits
+    count = len(degrees)
+    bits = count.bit_length()
     for _ in range(QUOTIENT_ATTEMPTS):
-        d = rng.choice(degrees)
+        # rng.choice(degrees): an index below count
+        r = getrandbits(bits)
+        while r >= count:
+            r = getrandbits(bits)
+        d = degrees[r]
         perms = {}
         for sym in symbols:
+            # rng.shuffle(p): p[i] swaps with an index below i + 1
             p = list(range(d))
-            rng.shuffle(p)
+            for i in range(d - 1, 0, -1):
+                m = i + 1
+                k = m.bit_length()
+                j = getrandbits(k)
+                while j >= m:
+                    j = getrandbits(k)
+                p[i], p[j] = p[j], p[i]
             perms[sym] = tuple(p)
         q = _accept_draw(perms, x, d)
         if q is not None:

@@ -432,6 +432,28 @@ def test_out_of_range_campaign_flags_are_usage_errors(group_file, capsys,
     assert out.startswith("config:") and out.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--vertex-budget", "0"], "--vertex-budget must be at least 1"),
+    (["--vertex-budget", "-4"], "--vertex-budget must be at least 1"),
+    (["--attach-prob", "1.5"], "--attach-prob must be in [0, 1]"),
+    (["--attach-prob", "-0.5"], "--attach-prob must be in [0, 1]"),
+    (["--attach-prob", "nan"], "--attach-prob must be in [0, 1]"),
+    (["--attach-prob", "nan", "--vertex-budget", "0"],
+     "--vertex-budget must be at least 1"),
+], ids=["budget-0", "budget-negative", "prob-above", "prob-below",
+        "prob-nan", "both"])
+def test_generator_flags_follow_the_generators_rule(tmp_path, capsys, flags,
+                                                    message):
+    # harness.generator_params_problem decides both flags, the budget
+    # first, before the group file is read: the path does not exist
+    missing = str(tmp_path / "missing.txt")
+    code, out, err = run(capsys, ["audit", "wcycles", "--group", missing,
+                                  "--trials", "3"] + flags)
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert out.startswith("config:") and out.count("\n") == 1
+
+
 @pytest.mark.parametrize("files", [["--complex"], ["--map"],
                                    ["--complex", "--map"]],
                          ids=["complex", "map", "both"])

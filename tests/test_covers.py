@@ -544,7 +544,7 @@ def _parent_find_exponent_n_quotient(x: OneRelatorOrbicomplex,
             continue
         for _ in range(RANDOM_ATTEMPTS_PER_DEGREE):
             perms = {s: tuple(rng.sample(range(k), k)) for s in symbols}
-            if not screen_draw(perms, x, k):
+            if not screen_draw(perms, x):
                 continue
             q = FiniteQuotient(k, perms)
             if not validate_quotient(q, x):
@@ -649,7 +649,7 @@ def test_every_candidate_the_search_validates_passes_the_screen(monkeypatch):
         x = build_orbicomplex(Graph.rose(list(rose)),
                               parse_word("a b a~ b~"), 2)
         find_exponent_n_quotient(x, 12, 0)
-        assert received and all(screen_draw(q.perms, x, q.degree)
+        assert received and all(screen_draw(q.perms, x)
                                 for q in received), rose
         received.clear()
 
@@ -687,7 +687,7 @@ def test_the_screen_refuses_only_what_the_exponent_rule_refuses():
             zero = old.orbits(image)[0]
             assert next(covers.relator_cycles(perms, x, k)) == zero
             problems = validate_quotient(q, x)
-            passed = covers.screen_draw(perms, x, k)
+            passed = covers.screen_draw(perms, x)
             assert passed == (len(zero) == n), (perms, relator)
             if not passed:
                 tally["screened"] += 1
@@ -703,6 +703,51 @@ def test_the_screen_refuses_only_what_the_exponent_rule_refuses():
         # accepted draws, screened draws and draws that only the full rule
         # refuses all occur, for every relator and kind of input
         assert min(tally.values()) >= 20, (relator, tally)
+
+
+# (relator, n, length of the relator image's cycle through point 0, a, b):
+# lengths 1, n, n + 1 and 2n, over relators with inverse letters
+SCREEN_CASES = {
+    "aba-b n=2 len=1": ("a b a b~", 2, 1, (2, 1, 0), (2, 1, 0)),
+    "aba-b n=2 len=2": ("a b a b~", 2, 2, (2, 1, 0, 3), (1, 2, 3, 0)),
+    "aba-b n=2 len=3": ("a b a b~", 2, 3, (1, 2, 0), (2, 0, 1)),
+    "aba-b n=2 len=4": ("a b a b~", 2, 4, (4, 3, 1, 5, 0, 2),
+                        (2, 3, 4, 5, 0, 1)),
+    "aba-b n=3 len=1": ("a b a b~", 3, 1, (2, 0, 1), (2, 1, 0)),
+    "aba-b n=3 len=3": ("a b a b~", 3, 3, (2, 1, 0), (1, 2, 0)),
+    "aba-b n=3 len=4": ("a b a b~", 3, 4, (3, 2, 0, 5, 1, 4),
+                        (5, 3, 2, 4, 0, 1)),
+    "aba-b n=3 len=6": ("a b a b~", 3, 6, (6, 4, 1, 2, 7, 3, 0, 5),
+                        (1, 3, 7, 6, 2, 5, 0, 4)),
+    "[a,b] n=2 len=1": ("a b a~ b~", 2, 1, (1, 2, 0), (1, 2, 0)),
+    "[a,b] n=2 len=2": ("a b a~ b~", 2, 2, (3, 0, 2, 1), (2, 0, 1, 3)),
+    "[a,b] n=2 len=3": ("a b a~ b~", 2, 3, (1, 2, 0), (1, 0, 2)),
+    "[a,b] n=2 len=4": ("a b a~ b~", 2, 4, (4, 3, 1, 5, 2, 0),
+                        (5, 1, 3, 2, 4, 0)),
+    "[a,b] n=3 len=1": ("a b a~ b~", 3, 1, (1, 2, 0), (1, 2, 0)),
+    "[a,b] n=3 len=3": ("a b a~ b~", 3, 3, (1, 0, 2), (2, 1, 0)),
+    "[a,b] n=3 len=4": ("a b a~ b~", 3, 4, (2, 0, 3, 1, 4, 5),
+                        (2, 1, 5, 4, 0, 3)),
+    "[a,b] n=3 len=6": ("a b a~ b~", 3, 6, (7, 5, 3, 0, 2, 6, 1, 4),
+                        (2, 6, 1, 0, 3, 4, 7, 5)),
+}
+
+
+@pytest.mark.parametrize("relator, n, length, a, b", SCREEN_CASES.values(),
+                         ids=SCREEN_CASES)
+def test_the_screen_passes_a_cycle_of_length_n_only(relator, n, length, a,
+                                                    b):
+    # the walk stops at its first return to 0 or after n rounds: a return
+    # before round n, and none by round n, both refuse
+    x = make_x(relator, n)
+    q = FiniteQuotient(len(a), {"a": a, "b": b})
+    zero = old.orbits(q.permutation_of(x.relator))[0]
+    assert zero[0] == 0 and len(zero) == length
+    assert screen_draw(q.perms, x) == (length == n)
+    if length != n:
+        assert validate_quotient(q, x)[0] == (
+            "exponent condition violated: relator image has a cycle of"
+            f" order {length}, expected {n}")
 
 
 def _parent_verify_cover(c):

@@ -350,6 +350,49 @@ def test_uniform_quotient_draws_do_not_depend_on_the_test_order(relator, n):
 
 
 
+def test_uniform_quotient_draws_are_those_of_choice_and_shuffle(monkeypatch):
+    # degrees up to 80 and lists of 1-20 degrees, so that getrandbits is
+    # asked for every bit length from 1 to 7, and a range that is not a
+    # power of two is drawn again; each draw is refused, so that three are
+    # made per call
+    drawn, bits, indices = [], [], 0
+
+    def refuse(perms, x, degree):
+        drawn.append((degree, perms))
+
+    monkeypatch.setattr(harness, "_accept_draw", refuse)
+    monkeypatch.setattr(harness, "QUOTIENT_ATTEMPTS", 3)
+    for n in (1, 2, 3, 4):
+        x = build_orbicomplex(Graph.rose(["a", "b"]), W("a b"), n)
+        for count in range(1, 21):
+            max_degree = n * count + count % n
+            rng, ref = random.Random(count), random.Random(count)
+            getrandbits = rng.getrandbits
+
+            def counted(k):
+                bits.append(k)
+                return getrandbits(k)
+
+            rng.getrandbits = counted
+            drawn.clear()
+            assert random_uniform_quotient(rng, x, max_degree) is None
+            degrees = range(n, max_degree + 1, n)
+            expected = []
+            for _ in range(3):
+                d = ref.choice(degrees)
+                perms = {}
+                for sym in "ab":
+                    p = list(range(d))
+                    ref.shuffle(p)
+                    perms[sym] = tuple(p)
+                expected.append((d, perms))
+                indices += 1 + 2 * (d - 1)
+            assert drawn == expected, (n, count)
+            assert rng.getstate() == ref.getstate(), (n, count)
+    assert set(bits) == set(range(1, 8))
+    assert len(bits) > indices
+
+
 def test_uniform_quotients_draw_for_every_rose_loop():
     # <a, b | a^3>: the relator lacks b, and the reference, which draws for
     # the relator's letters only, never finds a quotient
