@@ -15,7 +15,7 @@ from .folding import FoldResult, factor_unique, fold
 from .harness import (CampaignConfig, CampaignReport, GeneratorParams,
                       random_irreducible_immersion, random_uniform_quotient,
                       run_property_campaign)
-from .orbicomplex import (OneRelatorOrbicomplex, OrbiMorphism, WCyclesAudit,
+from .orbicomplex import (OneRelatorOrbicomplex, WCyclesAudit,
                           build_orbicomplex, check_orbi_immersion, degree,
                           wcycles_audit)
 from .pipeline import (Presentation, PipelineReport, PipelineState,
@@ -34,7 +34,7 @@ __all__ = [
     "GeneratorParams", "Graph", "InvalidComplexError", "InvariantError",
     "MapKind",
     "NotImmersionError", "NotMorphismError", "OneRelatorOrbicomplex",
-    "OrbiMorphism", "OrelcoError", "PipelineInvariantError", "PipelineReport",
+    "OrelcoError", "PipelineInvariantError", "PipelineReport",
     "PipelineState", "Presentation", "Stacking", "StackingVerdict",
     "TwoComplex", "UnwrappedCover", "WCyclesAudit", "build_orbicomplex",
     "build_reduced_diagram", "build_unwrapped_cover", "check_good_stacking",

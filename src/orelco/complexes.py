@@ -279,6 +279,11 @@ class CellMorphism(NamedTuple):
     def path_image(self, path: Iterable[Dart]) -> tuple[Dart, ...]:
         return tuple(self.dart_image(d) for d in path)
 
+    @property
+    def cell_align(self) -> dict[str, tuple[int, int]]:
+        """``{cell: (offset, orient)}``, read only by perfbench/workloads.py."""
+        return {cid: im[1:] for cid, im in self.cell_map.items()}
+
 
 def _morphism_fault(m: CellMorphism, order) -> str | None:
     """First broken morphism condition met scanning vertices, then edges,

@@ -18,11 +18,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .complexes import (Dart, EdgeRec, Graph, MapKind, TwoComplex,
-                        euler_characteristic)
+from .complexes import (CellMorphism, Dart, EdgeRec, Graph, MapKind,
+                        TwoComplex, euler_characteristic)
 from .errors import (BudgetExhaustedError, InvalidComplexError,
                      InvariantError)
-from .orbicomplex import (OneRelatorOrbicomplex, OrbiMorphism,
+from .orbicomplex import (OneRelatorOrbicomplex, by_labels,
                           check_orbi_immersion)
 from .words import Word, free_reduce, inverse_word
 
@@ -214,9 +214,10 @@ def find_exponent_n_quotient(x: OneRelatorOrbicomplex, max_degree: int,
 
 class UnwrappedCover(NamedTuple):
     cover: TwoComplex
-    covering_map: OrbiMorphism
+    covering_map: CellMorphism
     families: dict[str, tuple[int, ...]]
     quotient: FiniteQuotient
+    orbicomplex: OneRelatorOrbicomplex
 
 
 def build_unwrapped_cover(x: OneRelatorOrbicomplex,
@@ -243,12 +244,12 @@ def build_unwrapped_cover(x: OneRelatorOrbicomplex,
         cells[f"f{index}"] = lift[0]
         families[f"f{index}"] = orbit
     cover = TwoComplex(g, cells, base_vertex="p0")
-    covering_map = OrbiMorphism.by_labels(cover, x)
+    covering_map = by_labels(cover, x)
     cls = check_orbi_immersion(covering_map)
     if cls.kind < MapKind.IMMERSION:
         raise InvalidComplexError(
             f"unwrapped cover does not immerse: {cls.witness}")
-    return UnwrappedCover(cover, covering_map, families, q)
+    return UnwrappedCover(cover, covering_map, families, q, x)
 
 
 class CoverReport(NamedTuple):
@@ -264,10 +265,10 @@ def verify_cover(c: UnwrappedCover) -> CoverReport:
     chi(cover) = k (chi(rose) + 1/n), and the torsion-free certificate, a
     witness for each problem ``validate_quotient`` finds in the quotient."""
     witnesses = []
-    x = c.covering_map.target
-    m = c.covering_map.as_cell_morphism()
+    x = c.orbicomplex
+    m = c.covering_map
     cover = c.cover
-    cls = check_orbi_immersion(c.covering_map)
+    cls = check_orbi_immersion(m)
     if cls.kind < MapKind.IMMERSION:
         witnesses.append(f"not an immersion: {cls.witness}")
     g = cover.skeleton

@@ -19,10 +19,11 @@ from itertools import chain, compress, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
-from .complexes import (Dart, EdgeRec, Graph, TwoComplex, _check_morphism,
-                        _components, _find, _flatten, require_valid)
+from .complexes import (CellImage, CellMorphism, Dart, EdgeRec, Graph,
+                        TwoComplex, _check_morphism, _components, _find,
+                        _flatten, require_valid)
 from .errors import DiagramError
-from .orbicomplex import OneRelatorOrbicomplex, OrbiMorphism
+from .orbicomplex import OneRelatorOrbicomplex, by_labels
 from .words import (Letter, Word, _foreign_letter, dehn_solve, free_reduce,
                     inverse_letter, inverse_word, splice)
 
@@ -33,7 +34,7 @@ class VanKampenDiagram(NamedTuple):
     diagram: TwoComplex
     boundary: tuple[Dart, ...]
     boundary_word: Word
-    labeling: OrbiMorphism
+    labeling: CellMorphism
 
 
 class _DiskBuilder:
@@ -292,8 +293,8 @@ class _DiskBuilder:
     def freeze(self, x: OneRelatorOrbicomplex) -> VanKampenDiagram:
         complex_, boundary = self.snapshot()
         require_valid(complex_)
-        labeling = OrbiMorphism.by_labels(complex_, x)._replace(
-            cell_align=dict(self.cell_align))
+        labeling = by_labels(complex_, x)._replace(cell_map={
+            cid: CellImage("d0", *a) for cid, a in self.cell_align.items()})
         return VanKampenDiagram(complex_, boundary, self.readout(), labeling)
 
 
@@ -387,7 +388,7 @@ def build_reduced_diagram(u: Word, x: OneRelatorOrbicomplex) -> VanKampenDiagram
         raise DiagramError("boundary readout drifted during cancellation")
     builder.check_disk()
     diagram = builder.freeze(x)
-    witness = _check_morphism(diagram.labeling.as_cell_morphism())
+    witness = _check_morphism(diagram.labeling)
     if witness is not None:
         raise DiagramError(f"diagram labelling is not a morphism: {witness}")
     return diagram

@@ -28,9 +28,8 @@ from .covers import (FiniteQuotient, _accept_draw, build_unwrapped_cover,
                      verify_cover)
 from .errors import InvariantError, NotImmersionError, OrelcoError
 from .folding import factor_unique, fold
-from .orbicomplex import (OneRelatorOrbicomplex, OrbiMorphism,
-                          build_orbicomplex, check_orbi_immersion,
-                          wcycles_audit)
+from .orbicomplex import (OneRelatorOrbicomplex, build_orbicomplex,
+                          by_labels, check_orbi_immersion, wcycles_audit)
 from .words import Word
 
 SEED_STRIDE = 1_000_003
@@ -146,7 +145,7 @@ def closed_power_lifts(g: Graph, x: OneRelatorOrbicomplex):
     return tuple(sorted(found))
 
 
-def _generate_uncollapsed(seed: int, params: GeneratorParams) -> OrbiMorphism:
+def _generate_uncollapsed(seed: int, params: GeneratorParams) -> CellMorphism:
     x = params.orbicomplex
     if x.branch_index < 2:
         raise ValueError("branch index must be >= 2")
@@ -159,27 +158,26 @@ def _generate_uncollapsed(seed: int, params: GeneratorParams) -> OrbiMorphism:
             continue
         trial = dict(cells)
         trial[f"c{k}"] = lift
-        candidate = OrbiMorphism.by_labels(TwoComplex(g, trial, base_vertex="u0"), x)
+        candidate = by_labels(TwoComplex(g, trial, base_vertex="u0"), x)
         if check_orbi_immersion(candidate).kind >= MapKind.IMMERSION:
             cells = trial
-    return OrbiMorphism.by_labels(TwoComplex(g, cells, base_vertex="u0"), x)
+    return by_labels(TwoComplex(g, cells, base_vertex="u0"), x)
 
 
 def random_irreducible_immersion(seed: int,
-                                 params: GeneratorParams) -> OrbiMorphism:
+                                 params: GeneratorParams) -> CellMorphism:
     """Random immersed complex over the rose orbicomplex with no free faces;
     degenerate outputs (cell-free graphs, a single vertex) are allowed."""
     raw = _generate_uncollapsed(seed, params)
-    y = collapse(raw.source)
-    return OrbiMorphism.by_labels(y, raw.target)
+    return by_labels(collapse(raw.source), params.orbicomplex)
 
 
-def _fallback_loop(x: OneRelatorOrbicomplex) -> OrbiMorphism:
+def _fallback_loop(x: OneRelatorOrbicomplex) -> CellMorphism:
     """Deterministic cell-free substitute with nonpositive graph Euler
     characteristic, used when a draw degenerates to a tree."""
     sym = x.relator[0][0]
     g = Graph(frozenset({"u0"}), {f"{sym}0": EdgeRec("u0", "u0", sym)})
-    return OrbiMorphism.by_labels(TwoComplex(g, {}, base_vertex="u0"), x)
+    return by_labels(TwoComplex(g, {}, base_vertex="u0"), x)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +201,7 @@ def _run_wcycles_trial(rng: random.Random, seed: int,
     except NotImmersionError as err:
         raise _violation("generator-soundness", seed, err.witness) from err
     if not audit.in_scope:
-        m = _fallback_loop(m.target)
+        m = _fallback_loop(cfg.params.orbicomplex)
         audit = wcycles_audit(m)
     row = TrialRow(
         trial=trial, seed=seed,

@@ -4,16 +4,16 @@ An orbicomplex here is a rose, one vertex with one loop per generator named
 by its label, together with a cyclically reduced, primitive relator word w
 and a branch index n: the 2-cell is a disk whose boundary wraps n times
 around w.  As the loops are named by their labels, the relator's path in the
-rose is the relator word itself.  A complex mapping in has every 2-cell
-boundary of length n|w| spelling the n-th power of w up to rotation and
-orientation; boundary position p lies over side (p + offset) mod |w| of the
-disk.
+rose is the relator word itself.  A map in is a ``CellMorphism`` into the
+presentation complex, every 2-cell onto its disk ``d0``: its boundary spells
+w^n up to rotation and orientation, and boundary position p lies over side
+(p + offset) mod |w| of the disk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .complexes import (Classification, Dart, Graph, MapKind, TwoComplex,
@@ -70,45 +70,41 @@ def build_orbicomplex(gamma: Graph, relator: tuple[Dart, ...],
     return OneRelatorOrbicomplex(gamma, tuple(relator), branch_index)
 
 
-class OrbiMorphism(NamedTuple):
-    source: TwoComplex
-    target: OneRelatorOrbicomplex
-    vertex_map: dict[str, str]
-    edge_map: dict[str, Dart]
-    cell_align: dict[str, tuple[int, int]]
-
-    @classmethod
-    def by_labels(cls, y: TwoComplex, x: OneRelatorOrbicomplex) -> "OrbiMorphism":
-        """The map onto the orbicomplex by labels: every edge onto the loop
-        of its label, every cell at offset 0."""
-        vertex = next(iter(x.gamma.vertices))
-        return cls(y, x,
-                   {v: vertex for v in y.skeleton.vertices},
-                   {e: (rec.label, 1) for e, rec in y.skeleton.edges.items()},
-                   {cid: (0, 1) for cid in y.cells})
-
-    def as_cell_morphism(self) -> CellMorphism:
-        """The same map as a map of complexes into the target's presentation
-        complex."""
-        return CellMorphism(
-            self.source, self.target.presentation_complex, self.vertex_map,
-            self.edge_map,
-            {cid: CellImage("d0", offset, orient)
-             for cid, (offset, orient) in self.cell_align.items()})
+def by_labels(y: TwoComplex, x: OneRelatorOrbicomplex) -> CellMorphism:
+    """The map into ``x.presentation_complex`` by labels: every edge onto
+    the loop of its label, every cell onto the disk ``d0`` at offset 0."""
+    vertex = next(iter(x.gamma.vertices))
+    return CellMorphism(
+        y, x.presentation_complex, dict.fromkeys(y.skeleton.vertices, vertex),
+        {e: (rec.label, 1) for e, rec in y.skeleton.edges.items()},
+        dict.fromkeys(y.cells, CellImage("d0", 0, 1)))
 
 
-def check_orbi_immersion(m: OrbiMorphism) -> Classification:
+_decompose = lru_cache(maxsize=64)(is_proper_power)   # keyed by the cell path
+
+
+def _disk_shape(target: TwoComplex) -> tuple[int, int]:
+    """``(|w|, n)`` read off a presentation complex: its one cell is w^n
+    with w primitive, as ``build_orbicomplex`` refuses powers."""
+    if len(target.cells) != 1:
+        raise ValueError("the target must be a presentation complex, with "
+                         f"one cell, not {len(target.cells)}")
+    _, root, n = _decompose(*target.cells.values())
+    return len(root), n
+
+
+def check_orbi_immersion(m: CellMorphism) -> Classification:
     """Classify a map into an orbicomplex as not_morphism, morphism or immersion.
 
     Immersion means the skeleton map is link-injective and, over every source
     edge, the incident cell sides land on pairwise distinct sides of the disk:
     boundary positions of the presentation complex modulo |w|.
     """
-    cls = _immersion_fault(m.as_cell_morphism(), len(m.target.relator))
+    cls = _immersion_fault(m, _disk_shape(m.target)[0])
     return Classification(MapKind.IMMERSION, None) if cls is None else cls
 
 
-def degree(m: OrbiMorphism) -> int:
+def degree(m: CellMorphism) -> int:
     """Minimum number of preimages of a generic 2-cell point; immersions only.
 
     Every source cell covers the branched disk n-fold, so the degree is n
@@ -117,7 +113,7 @@ def degree(m: OrbiMorphism) -> int:
     cls = check_orbi_immersion(m)
     if cls.kind < MapKind.IMMERSION:
         raise NotImmersionError(cls.witness or "map is not an immersion")
-    return m.target.branch_index * len(m.source.cells)
+    return _disk_shape(m.target)[1] * len(m.source.cells)
 
 
 class WCyclesAudit(NamedTuple):
@@ -131,7 +127,7 @@ class WCyclesAudit(NamedTuple):
     in_scope: bool
 
 
-def wcycles_audit(m: OrbiMorphism) -> WCyclesAudit:
+def wcycles_audit(m: CellMorphism) -> WCyclesAudit:
     """Audit the inequalities chi(Y^1) + deg <= 0 and chi(Y) + (n-1)|cells| <= 0.
 
     The map must be an immersion (otherwise the degree is undefined and the
@@ -146,12 +142,11 @@ def wcycles_audit(m: OrbiMorphism) -> WCyclesAudit:
     g >= 1 - chi(Y^1), so n|cells| <= -chi(Y^1) <= g - 1.
     """
     deg = degree(m)
-    n = m.target.branch_index
     cells = len(m.source.cells)
     chi1 = euler_characteristic(m.source, dimension=1)
     chi2 = euler_characteristic(m.source, dimension=2)
     slack1 = chi1 + deg
-    slack2 = chi2 + (n - 1) * cells
+    slack2 = chi2 + deg - cells     # chi2 + (n - 1)|cells|
     in_scope = (chi1 <= 0 and not find_free_faces_and_edges(m.source)[0]
                 and len(connected_components(m.source.skeleton)) == 1)
     return WCyclesAudit(
@@ -159,8 +154,8 @@ def wcycles_audit(m: OrbiMorphism) -> WCyclesAudit:
         slack2=slack2, passed=slack1 <= 0, in_scope=in_scope)
 
 
-def presentation_complex(x: OneRelatorOrbicomplex) -> tuple[TwoComplex, OrbiMorphism]:
+def presentation_complex(x: OneRelatorOrbicomplex) -> tuple[TwoComplex, CellMorphism]:
     """The ordinary complex with one disk glued along the full relator power,
-    together with its natural map to the orbicomplex (offset 0, positive)."""
+    together with its map to the orbicomplex by labels."""
     cx = x.presentation_complex
-    return cx, OrbiMorphism.by_labels(cx, x)
+    return cx, by_labels(cx, x)

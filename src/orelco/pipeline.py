@@ -42,7 +42,7 @@ class PipelineState(NamedTuple):
 
     @property
     def orbicomplex(self) -> OneRelatorOrbicomplex:
-        return self.cover.covering_map.target
+        return self.cover.orbicomplex
 
 
 class Presentation(NamedTuple):

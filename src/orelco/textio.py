@@ -18,7 +18,7 @@ from fractions import Fraction
 from .complexes import (CellImage, CellMorphism, Dart, EdgeRec, Graph,
                         TwoComplex, validate_complex)
 from .covers import FiniteQuotient, UnwrappedCover
-from .orbicomplex import (OneRelatorOrbicomplex, OrbiMorphism, WCyclesAudit,
+from .orbicomplex import (OneRelatorOrbicomplex, WCyclesAudit,
                           build_orbicomplex)
 from .stacking import ORBI_CIRCLE, Position, Stacking
 from .words import format_word, parse_word
@@ -172,15 +172,15 @@ def parse_morphism(text: str, source: TwoComplex,
 
 
 def parse_orbi_morphism(text: str, source: TwoComplex,
-                        target: OneRelatorOrbicomplex) -> OrbiMorphism:
-    plain = parse_morphism(text, source, target.presentation_complex)
-    for cid in sorted(plain.cell_map):
-        if plain.cell_map[cid].cell != ORBI_CIRCLE:
+                        target: OneRelatorOrbicomplex) -> CellMorphism:
+    """The file names the orbicell ``w``; the map takes each cell to ``d0``."""
+    m = parse_morphism(text, source, target.presentation_complex)
+    for cid in sorted(m.cell_map):
+        if m.cell_map[cid].cell != ORBI_CIRCLE:
             raise ValueError(f"cmap {cid}: the orbicell is named {ORBI_CIRCLE!r},"
-                             f" got {plain.cell_map[cid].cell!r}")
-    return OrbiMorphism(source, target, plain.vertex_map, plain.edge_map,
-                        {cid: (im.offset, im.orient)
-                         for cid, im in plain.cell_map.items()})
+                             f" got {m.cell_map[cid].cell!r}")
+    return m._replace(cell_map={cid: im._replace(cell="d0")
+                                for cid, im in m.cell_map.items()})
 
 
 # ---------------------------------------------------------------------------

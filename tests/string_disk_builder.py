@@ -13,12 +13,12 @@ from collections import Counter, defaultdict
 from itertools import chain
 from operator import itemgetter
 
-from orelco.complexes import (Dart, EdgeRec, Graph, TwoComplex,
-                              _check_morphism, dart_reverse, require_valid,
-                              reverse_path)
+from orelco.complexes import (CellImage, CellMorphism, Dart, EdgeRec, Graph,
+                              TwoComplex, _check_morphism, dart_reverse,
+                              require_valid, reverse_path)
 from orelco.diagrams import VanKampenDiagram
 from orelco.errors import DiagramError
-from orelco.orbicomplex import OneRelatorOrbicomplex, OrbiMorphism
+from orelco.orbicomplex import OneRelatorOrbicomplex, by_labels
 from orelco.words import (Letter, Word, _foreign_letter, dehn_solve,
                           free_reduce, inverse_letter, inverse_word, splice)
 
@@ -282,11 +282,12 @@ class StringDiskBuilder:
     # -- export ----------------------------------------------------------
 
     def freeze(self,
-               x: OneRelatorOrbicomplex) -> tuple[TwoComplex, OrbiMorphism]:
+               x: OneRelatorOrbicomplex) -> tuple[TwoComplex, CellMorphism]:
         complex_ = self.snapshot()
         require_valid(complex_)
-        labeling = OrbiMorphism.by_labels(complex_, x)._replace(
-            cell_align=dict(self.cell_align))
+        labeling = by_labels(complex_, x)._replace(cell_map={
+            cid: CellImage("d0", *align)
+            for cid, align in self.cell_align.items()})
         return complex_, labeling
 
 
@@ -349,7 +350,7 @@ def reference_build(u: Word, x: OneRelatorOrbicomplex) -> VanKampenDiagram:
                 raise _foreign_letter(sym)
         complex_ = StringDiskBuilder("v0").snapshot()
         return VanKampenDiagram(complex_, (), (),
-                                OrbiMorphism.by_labels(complex_, x))
+                                by_labels(complex_, x))
     result = dehn_solve(reduced_u, x)
     if not result.trivial:
         raise ValueError("word is nontrivial; it bounds no disk diagram")
@@ -370,7 +371,7 @@ def reference_build(u: Word, x: OneRelatorOrbicomplex) -> VanKampenDiagram:
         raise DiagramError("boundary readout drifted during cancellation")
     builder.check_disk()
     complex_, labeling = builder.freeze(x)
-    witness = _check_morphism(labeling.as_cell_morphism())
+    witness = _check_morphism(labeling)
     if witness is not None:
         raise DiagramError(f"diagram labelling is not a morphism: {witness}")
     return VanKampenDiagram(complex_, tuple(builder.boundary),

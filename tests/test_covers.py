@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from orelco.complexes import (EdgeRec, Graph, MapKind, TwoComplex,
-                              connected_components, euler_characteristic)
+from orelco.complexes import (CellMorphism, EdgeRec, Graph, MapKind,
+                              TwoComplex, connected_components,
+                              euler_characteristic)
 from orelco.complexes import target_side
 from orelco.covers import (RANDOM_ATTEMPTS_PER_DEGREE, FiniteQuotient,
                            build_unwrapped_cover, find_exponent_n_quotient,
@@ -15,9 +16,8 @@ from orelco.covers import (RANDOM_ATTEMPTS_PER_DEGREE, FiniteQuotient,
 import orelco.covers as covers
 from orelco.errors import BudgetExhaustedError, InvariantError, OrelcoError
 from orelco.harness import random_uniform_quotient
-from orelco.orbicomplex import (OneRelatorOrbicomplex, OrbiMorphism,
-                                build_orbicomplex,
-                                check_orbi_immersion, degree,
+from orelco.orbicomplex import (OneRelatorOrbicomplex, build_orbicomplex,
+                                by_labels, check_orbi_immersion, degree,
                                 presentation_complex, wcycles_audit)
 from orelco.words import parse_word
 
@@ -342,7 +342,7 @@ def test_certificate_is_false_not_raised_for_other_symbols():
                   {"a": (1, 0), "b": (0, 1), "c": (0, 1)}):
         q = FiniteQuotient(2, perms)
         report = verify_cover(UnwrappedCover(c.cover, c.covering_map,
-                                             c.families, q))
+                                             c.families, q, x))
         assert not report.passed
         assert report.witnesses == tuple(
             f"quotient does not unwrap: {problem}"
@@ -440,7 +440,7 @@ def test_verify_rejects_wrapped_presentation_complex():
     cx, m = presentation_complex(x)
     fake = UnwrappedCover(
         cover=cx, covering_map=m, families={"d0": (0,)},
-        quotient=FiniteQuotient(1, {"a": (0,), "b": (0,)}))
+        quotient=FiniteQuotient(1, {"a": (0,), "b": (0,)}), orbicomplex=x)
     rep = verify_cover(fake)
     assert not rep.passed
     assert any("side" in w or "immersion" in w for w in rep.witnesses)
@@ -451,11 +451,11 @@ def test_verify_rejects_wrapped_presentation_complex():
 def test_verify_cell_free_identity_cover():
     x = make_x("a b", 2)
     rose_cx = TwoComplex(skeleton=Graph.rose(["a", "b"]), cells={})
-    m_id = OrbiMorphism(rose_cx, x, {"*": "*"},
+    m_id = CellMorphism(rose_cx, x.presentation_complex, {"*": "*"},
                         {"a": ("a", 1), "b": ("b", 1)}, {})
     fake = UnwrappedCover(
         cover=rose_cx, covering_map=m_id, families={},
-        quotient=FiniteQuotient(1, {"a": (0,), "b": (0,)}))
+        quotient=FiniteQuotient(1, {"a": (0,), "b": (0,)}), orbicomplex=x)
     # a cover of graphs alone; the trivial quotient does not unwrap the
     # disk, which is the one witness
     assert verify_cover(fake).witnesses == (
@@ -463,8 +463,8 @@ def test_verify_cell_free_identity_cover():
         "image has a cycle of order 1, expected 2",)
     unbranched = make_x("a b", 1)
     assert verify_cover(UnwrappedCover(
-        rose_cx, OrbiMorphism.by_labels(rose_cx, unbranched), {},
-        fake.quotient)).passed
+        rose_cx, by_labels(rose_cx, unbranched), {}, fake.quotient,
+        unbranched)).passed
 
 
 def test_verify_names_each_vertex_whose_link_is_not_onto():
@@ -476,8 +476,8 @@ def test_verify_names_each_vertex_whose_link_is_not_onto():
                "b2": EdgeRec("w", "w", "b")})
     y = TwoComplex(g, {})
     fake = UnwrappedCover(
-        cover=y, covering_map=OrbiMorphism.by_labels(y, x), families={},
-        quotient=FiniteQuotient(1, {"a": (0,), "b": (0,)}))
+        cover=y, covering_map=by_labels(y, x), families={},
+        quotient=FiniteQuotient(1, {"a": (0,), "b": (0,)}), orbicomplex=x)
     assert verify_cover(fake).witnesses == (
         "link at u is not onto the rose link",
         "link at v is not onto the rose link",
@@ -756,10 +756,10 @@ def _parent_verify_cover(c):
     torsion-free certificate is a witness per problem of the quotient, as
     in ``verify_cover``."""
     witnesses = []
-    x = c.covering_map.target
-    m = c.covering_map.as_cell_morphism()
+    x = c.orbicomplex
+    m = c.covering_map
     cover = c.cover
-    cls = check_orbi_immersion(c.covering_map)
+    cls = check_orbi_immersion(m)
     if cls.kind < MapKind.IMMERSION:
         witnesses.append(f"not an immersion: {cls.witness}")
     g = cover.skeleton
@@ -838,19 +838,21 @@ def _doctored(c, rng):
     """(kind, cover) pairs that break the audit on purpose, each from
     ``c``; the last kind, with no cells and no families, is a plain graph
     cover that passes."""
-    x, cover, align = c.covering_map.target, c.cover, c.covering_map.cell_align
+    x, cover, cmap = c.orbicomplex, c.cover, c.covering_map.cell_map
 
-    def remap(y, cell_align=None, families=None):
-        m = OrbiMorphism.by_labels(y, x)
-        if cell_align is not None:
-            m = OrbiMorphism(y, x, m.vertex_map, m.edge_map, cell_align)
+    def remap(y, cell_map=None, families=None):
+        m = by_labels(y, x)
+        if cell_map is not None:
+            m = m._replace(cell_map=cell_map)
         return UnwrappedCover(y, m, c.families if families is None
-                              else families, c.quotient)
+                              else families, c.quotient, x)
 
     cid = rng.choice(sorted(cover.cells))
-    offset, orient = align[cid]
-    yield "offset", remap(cover, {**align, cid: (offset + 1, orient)})
-    yield "orientation", remap(cover, {**align, cid: (offset, -orient)})
+    image = cmap[cid]
+    yield "offset", remap(cover, {**cmap,
+                                  cid: image._replace(offset=image.offset + 1)})
+    yield "orientation", remap(cover, {**cmap,
+                                       cid: image._replace(orient=-image.orient)})
     path = list(cover.cells[cid])
     pos = rng.randrange(len(path))
     label = cover.skeleton.edges[path[pos][0]].label
@@ -889,11 +891,11 @@ def test_one_pass_cover_audit_reports_as_the_parent():
                                {"a0": EdgeRec("u", "v", "a"),
                                 "b0": EdgeRec("u", "u", "b"),
                                 "b1": EdgeRec("v", "v", "b")}), {})
-    for fake in (UnwrappedCover(cx, m, {"d0": (0,)}, trivial),
-                 UnwrappedCover(rose_cx, OrbiMorphism.by_labels(rose_cx, x),
-                                {}, trivial),
-                 UnwrappedCover(segment, OrbiMorphism.by_labels(segment, x),
-                                {}, trivial)):
+    for fake in (UnwrappedCover(cx, m, {"d0": (0,)}, trivial, x),
+                 UnwrappedCover(rose_cx, by_labels(rose_cx, x), {}, trivial,
+                                x),
+                 UnwrappedCover(segment, by_labels(segment, x), {}, trivial,
+                                x)):
         assert verify_cover(fake) == _parent_verify_cover(fake)
 
 
@@ -904,10 +906,10 @@ def test_every_seeded_cover_is_an_equality_case_within_the_cell_bound():
     checked = 0
     for c in _seeded_covers():
         assert verify_cover(c).passed
-        n = c.covering_map.target.branch_index
+        n = c.orbicomplex.branch_index
         if n < 2:
             continue
-        assert len(c.covering_map.target.gamma.edges) == 2
+        assert len(c.orbicomplex.gamma.edges) == 2
         g = c.cover.skeleton
         rank = len(g.edges) - len(g.vertices) + len(connected_components(g))
         audit = wcycles_audit(c.covering_map)

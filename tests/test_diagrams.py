@@ -20,7 +20,7 @@ from orelco.diagrams import (VanKampenDiagram, _DiskBuilder,
                              _replay_conjugates, build_reduced_diagram,
                              find_mirror, mirror_witness)
 from orelco.errors import DiagramError
-from orelco.orbicomplex import (OrbiMorphism, build_orbicomplex,
+from orelco.orbicomplex import (build_orbicomplex, by_labels,
                                 check_orbi_immersion)
 from orelco.textio import format_complex
 from orelco.words import (DehnStep, dehn_solve, free_reduce, inverse_word,
@@ -32,6 +32,12 @@ W = parse_word
 
 def x_ab2():
     return build_orbicomplex(Graph.rose("ab"), (("a", 1), ("b", 1)), 2)
+
+
+def alignment(m):
+    """Each cell's (offset, orientation) on the disk ``d0``."""
+    assert {im.cell for im in m.cell_map.values()} <= {"d0"}
+    return {cid: (im.offset, im.orient) for cid, im in m.cell_map.items()}
 
 
 def assert_disk_accounting(d):
@@ -124,7 +130,7 @@ def test_a_word_that_cancels_away_bounds_one_vertex(text):
     x = x_ab2()
     point = TwoComplex(Graph(frozenset({"v0"}), {}), {}, base_vertex="v0")
     assert build_reduced_diagram(W(text), x) == VanKampenDiagram(
-        point, (), (), OrbiMorphism.by_labels(point, x))
+        point, (), (), by_labels(point, x))
 
 
 def test_stem_sews_onto_second_disk():
@@ -405,7 +411,7 @@ def test_diagram_corpus_is_byte_stable():
         d = build_reduced_diagram(u, x)
         h.update(format_complex(d.diagram).encode())
         h.update(repr(d.boundary).encode())
-        h.update(repr(sorted(d.labeling.cell_align.items())).encode())
+        h.update(repr(sorted(alignment(d.labeling).items())).encode())
     assert h.hexdigest() == CORPUS_DIGEST
 
 
@@ -546,7 +552,7 @@ def test_incremental_cancellation_matches_the_reference_loop(mirror_calls):
         assert got == hits
         assert format_complex(d.diagram) == format_complex(ref.snapshot())
         assert d.boundary == tuple(ref.boundary)
-        assert d.labeling.cell_align == ref.cell_align
+        assert alignment(d.labeling) == ref.cell_align
         cancelled += len(hits)
     assert cancelled >= 120
 
@@ -709,7 +715,7 @@ def _diagram_text(d):
     alignments, and the order of its vertex set and edge table."""
     g = d.diagram.skeleton
     return (format_complex(d.diagram), d.boundary, d.boundary_word,
-            sorted(d.labeling.cell_align.items()), list(g.vertices),
+            sorted(alignment(d.labeling).items()), list(g.vertices),
             list(g.edges))
 
 

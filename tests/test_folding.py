@@ -556,8 +556,8 @@ def random_rose_morphisms(rng, count):
 
 
 def diagram_morphisms(count, seed, conjugates=(2, 6), stems=(0, 5)):
-    """Reduced disk diagrams of conjugate products as maps into the
-    presentation complex, labelled the way the benchmark labels them; each
+    """The labellings of reduced disk diagrams of conjugate products, maps
+    into the presentation complex like those the benchmark folds; each
     product has ``conjugates`` conjugates, each stem ``stems`` letters
     (both inclusive ranges)."""
     rng = random.Random(seed)
@@ -574,12 +574,8 @@ def diagram_morphisms(count, seed, conjugates=(2, 6), stems=(0, 5)):
                 body = q if rng.random() < 0.5 else inverse_word(q)
                 product += stem + body + inverse_word(stem)
             d = build_reduced_diagram(free_reduce(product), x)
-            out.append(CellMorphism(
-                d.diagram, cx,
-                {v: "*" for v in d.diagram.skeleton.vertices},
-                dict(d.labeling.edge_map),
-                {cid: CellImage("d0", off, orient)
-                 for cid, (off, orient) in d.labeling.cell_align.items()}))
+            assert d.labeling.target is cx
+            out.append(d.labeling)
     return out
 
 

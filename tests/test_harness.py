@@ -16,7 +16,7 @@ from orelco.harness import (CSV_HEADER, QUOTIENT_ATTEMPTS, CampaignConfig,
                             closed_power_lifts, random_irreducible_immersion,
                             random_uniform_quotient, run_property_campaign,
                             trial_seed)
-from orelco.orbicomplex import (OrbiMorphism, build_orbicomplex,
+from orelco.orbicomplex import (build_orbicomplex, by_labels,
                                 check_orbi_immersion, presentation_complex,
                                 wcycles_audit)
 from orelco.words import parse_word
@@ -36,18 +36,21 @@ def test_full_rose_attachment_is_rejected_by_side_injectivity():
     y = m.source
     assert len(y.skeleton.edges) == 2
     assert not y.cells
-    assert len(closed_power_lifts(y.skeleton, m.target)) == 1
+    assert m.target is AB2.orbicomplex.presentation_complex
+    assert len(closed_power_lifts(y.skeleton, AB2.orbicomplex)) == 1
 
 
 def test_uncollapsed_draw_matches_the_worked_cover():
-    m = _generate_uncollapsed(20, GeneratorParams(2, W("a b"), 2, 1.0))
+    params = GeneratorParams(2, W("a b"), 2, 1.0)
+    m = _generate_uncollapsed(20, params)
     y = m.source
     assert (len(y.skeleton.vertices), len(y.skeleton.edges),
             len(y.cells)) == (2, 4, 1)
     audit = wcycles_audit(m)
     assert audit.deg == 2 and audit.slack1 == 0 and audit.chi1 == -2
 
-    x = m.target
+    x = params.orbicomplex
+    assert m.target is x.presentation_complex
     cover = build_unwrapped_cover(x, find_exponent_n_quotient(x, 4, 0)).cover
     assert len(cover.skeleton.vertices) == len(y.skeleton.vertices)
     assert len(cover.skeleton.edges) == len(y.skeleton.edges)
@@ -106,7 +109,7 @@ def test_the_generator_keeps_both_cells_of_the_degree_4_cover():
     cells = {}
     for k, lift in enumerate(closed_power_lifts(cover.skeleton, x)):
         trial = {**cells, f"c{k}": lift}
-        m = OrbiMorphism.by_labels(
+        m = by_labels(
             TwoComplex(cover.skeleton, trial, base_vertex=cover.base_vertex), x)
         if check_orbi_immersion(m).kind >= MapKind.IMMERSION:
             cells = trial
@@ -275,7 +278,7 @@ def test_violation_aborts_with_the_reproduction_seed(monkeypatch):
 def _two_a_darts_leave_u0(x):
     g = Graph(frozenset({"u0", "u1", "u2"}),
               {"a0": EdgeRec("u0", "u1", "a"), "a1": EdgeRec("u0", "u2", "a")})
-    return OrbiMorphism.by_labels(TwoComplex(g, {}, base_vertex="u0"), x)
+    return by_labels(TwoComplex(g, {}, base_vertex="u0"), x)
 
 
 @pytest.mark.parametrize("drawn", [

@@ -1,12 +1,15 @@
 import pytest
 
-from orelco.complexes import EdgeRec, Graph, MapKind, TwoComplex
+from orelco.complexes import (CellImage, CellMorphism, EdgeRec, Graph,
+                              MapKind, TwoComplex)
 from orelco.covers import build_unwrapped_cover, find_exponent_n_quotient
 from orelco.errors import NotImmersionError
-from orelco.orbicomplex import (OrbiMorphism, build_orbicomplex,
+from orelco.orbicomplex import (build_orbicomplex, by_labels,
                                 check_orbi_immersion, degree,
                                 presentation_complex, wcycles_audit)
+from orelco.words import parse_word
 
+W = parse_word
 A = ("a", 1)
 B = ("b", 1)
 
@@ -32,11 +35,11 @@ def build_x0():
 def x0_to_x(offset=0):
     x = make_x()
     c = build_x0()
-    return OrbiMorphism(
-        source=c, target=x,
+    return CellMorphism(
+        source=c, target=x.presentation_complex,
         vertex_map={"p0": "*", "p1": "*"},
         edge_map={"a0": ("a", 1), "a1": ("a", 1), "b0": ("b", 1), "b1": ("b", 1)},
-        cell_align={"f0": (offset, 1)},
+        cell_map={"f0": CellImage("d0", offset, 1)},
     )
 
 
@@ -106,7 +109,7 @@ def test_degree_orbicomplex_target():
 def test_degree_cell_free_source():
     x = make_x()
     rose_cx = TwoComplex(skeleton=Graph.rose(["a", "b"]), cells={})
-    m = OrbiMorphism(rose_cx, x, {"*": "*"},
+    m = CellMorphism(rose_cx, x.presentation_complex, {"*": "*"},
                      {"a": ("a", 1), "b": ("b", 1)}, {})
     assert check_orbi_immersion(m).kind == MapKind.IMMERSION
     assert degree(m) == 0
@@ -134,7 +137,7 @@ def test_audit_tight_cover():
 def test_audit_graph_only():
     x = make_x()
     rose_cx = TwoComplex(skeleton=Graph.rose(["a", "b"]), cells={})
-    m = OrbiMorphism(rose_cx, x, {"*": "*"},
+    m = CellMorphism(rose_cx, x.presentation_complex, {"*": "*"},
                      {"a": ("a", 1), "b": ("b", 1)}, {})
     rep = wcycles_audit(m)
     assert rep.chi1 == -1
@@ -157,7 +160,7 @@ def tight_cover_of_abab2():
     writes with its default budget and seed, mapped by labels."""
     x = build_orbicomplex(Graph.rose(["a", "b"]), (A, B, A, ("b", -1)), 2)
     cover = build_unwrapped_cover(x, find_exponent_n_quotient(x, 8, 0)).cover
-    return OrbiMorphism.by_labels(cover, x)
+    return by_labels(cover, x)
 
 
 def test_audit_tight_cover_is_in_scope():
@@ -180,12 +183,13 @@ def _cover_and_a_vertex():
     g = cover.source.skeleton
     y = TwoComplex(Graph(g.vertices | {"lonely"}, g.edges),
                    cover.source.cells, cover.source.base_vertex)
-    return OrbiMorphism.by_labels(y, cover.target)
+    return CellMorphism(y, cover.target, {**cover.vertex_map, "lonely": "*"},
+                        cover.edge_map, cover.cell_map)
 
 
 OUT_OF_SCOPE = {
-    "point": (lambda: OrbiMorphism.by_labels(_point(), make_x()), (1, 0, 1)),
-    "edge": (lambda: OrbiMorphism.by_labels(_edge(), make_x()), (1, 0, 1)),
+    "point": (lambda: by_labels(_point(), make_x()), (1, 0, 1)),
+    "edge": (lambda: by_labels(_edge(), make_x()), (1, 0, 1)),
     "cover-and-a-vertex": (_cover_and_a_vertex, (-3, 4, 1)),
 }
 
@@ -200,3 +204,79 @@ def test_audit_scope_needs_a_connected_source_that_is_not_a_tree(build,
     rep = wcycles_audit(build())
     assert (rep.chi1, rep.deg, rep.slack1) == numbers
     assert not rep.passed and not rep.in_scope
+
+
+# (relator, n) -> (kind, degree, audit) of the presentation complex and of
+# the least unwrapped cover found, each mapped by labels; degree and audit
+# are None where the map does not immerse.  The numbers are those of the
+# map type that carried the orbicomplex itself, before the target was read
+# off the presentation complex's one cell.
+_ONE_CELL = (-1, 1, 0, 0, 1, 0, True)
+SHAPES = {
+    ("a", 1): ((2, 1, _ONE_CELL + (False,)), (2, 1, _ONE_CELL + (False,))),
+    ("a", 2): ((1, None, None), (2, 2, (-2, 2, 0, -1, 1, 0, True, False))),
+    ("a", 3): ((1, None, None), (2, 3, (-3, 3, 0, -2, 1, 0, True, False))),
+    ("a b", 1): ((2, 1, _ONE_CELL + (False,)), (2, 1, _ONE_CELL + (False,))),
+    ("a b", 2): ((1, None, None), (2, 2, (-2, 2, 0, -1, 1, 0, True, False))),
+    ("a b", 3): ((1, None, None), (2, 3, (-3, 3, 0, -2, 1, 0, True, False))),
+    ("a a b", 1): ((2, 1, _ONE_CELL + (False,)),
+                   (2, 1, _ONE_CELL + (False,))),
+    ("a a b", 2): ((1, None, None), (2, 2, (-2, 2, 0, -1, 1, 0, True, False))),
+    ("a a b", 3): ((1, None, None), (2, 3, (-3, 3, 0, -2, 1, 0, True, False))),
+    ("a b a b~", 1): ((2, 1, _ONE_CELL + (True,)),
+                      (2, 1, _ONE_CELL + (True,))),
+    ("a b a b~", 2): ((1, None, None),
+                      (2, 4, (-4, 4, 0, -2, 2, 0, True, True))),
+    ("a b a b~", 3): ((1, None, None),
+                      (2, 3, (-3, 3, 0, -2, 1, 0, True, True))),
+}
+
+
+def _numbers(m):
+    kind = check_orbi_immersion(m).kind
+    if kind < MapKind.IMMERSION:
+        return kind, None, None
+    return kind, degree(m), tuple(wcycles_audit(m))
+
+
+def _rotated(m, k):
+    return m._replace(cell_map={cid: im._replace(offset=im.offset + k)
+                                for cid, im in m.cell_map.items()})
+
+
+@pytest.mark.parametrize("relator, n", SHAPES, ids=[f"{w}^{n}" for w, n in SHAPES])
+def test_the_target_cell_gives_the_relator_length_and_branch_index(relator, n):
+    # |w| and n are read off the one cell w^n of the presentation complex
+    x = build_orbicomplex(Graph.rose(["a", "b"]), W(relator), n)
+    cover = build_unwrapped_cover(x, find_exponent_n_quotient(x, 6, 0))
+    maps = (presentation_complex(x)[1], cover.covering_map)
+    assert tuple(map(_numbers, maps)) == SHAPES[relator, n]
+    # side positions count modulo |w|: a rotation by |w| is the same map,
+    # a rotation by one misreads the cover's cells unless |w| is 1
+    m = cover.covering_map
+    assert _numbers(_rotated(m, len(x.relator))) == _numbers(m)
+    assert (check_orbi_immersion(_rotated(m, 1)).kind == MapKind.NOT_MORPHISM
+            ) == (len(x.relator) > 1)
+
+
+def _rose_without_cells():
+    return TwoComplex(Graph.rose(["a", "b"]), {})
+
+
+def _cover_with_two_cells():
+    cover = tight_cover_of_abab2().source
+    assert len(cover.cells) == 2
+    return cover
+
+
+@pytest.mark.parametrize("target", [_rose_without_cells,
+                                    _cover_with_two_cells],
+                         ids=["cell-free-rose", "two-cell-cover"])
+def test_a_target_without_exactly_one_cell_is_refused(target):
+    # a point maps onto a vertex of either target, so only the target's
+    # cell count is wrong
+    tgt = target()
+    m = CellMorphism(_point(), tgt, {"u": min(tgt.skeleton.vertices)}, {}, {})
+    for check in (check_orbi_immersion, degree, wcycles_audit):
+        with pytest.raises(ValueError, match="one cell, not"):
+            check(m)

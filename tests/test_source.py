@@ -125,7 +125,7 @@ def test_no_library_module_calls_gcd():
     assert not found, found
 
 
-_MAP_TYPES = ("OrbiMorphism", "CellMorphism")
+_MAP_TYPES = ("CellMorphism",)
 
 
 def _tests_a_map_type(node) -> bool:
@@ -144,6 +144,17 @@ def test_no_library_function_branches_on_the_map_type():
     # for the ordinary one; each function takes one map type
     found = _where(None, _tests_a_map_type)
     assert not found, found
+
+
+def test_only_cell_morphism_declares_an_edge_map():
+    # a map into an orbicomplex is a CellMorphism into its presentation
+    # complex; a second class with an edge_map field would be a second
+    # map type beside it
+    found = [f"{name}:{cls.name}" for name, cls in _classes()
+             for field in cls.body
+             if isinstance(field, ast.AnnAssign)
+             and getattr(field.target, "id", None) == "edge_map"]
+    assert found == ["complexes.py:CellMorphism"], found
 
 
 _ENVIRONMENT = ("environ", "environb", "getenv", "getenvb")

@@ -7,7 +7,7 @@ from orelco.complexes import (CellImage, CellMorphism, EdgeRec, Graph,
 from orelco.covers import (FiniteQuotient, build_unwrapped_cover,
                            find_exponent_n_quotient)
 from orelco.folding import fold
-from orelco.orbicomplex import OrbiMorphism, build_orbicomplex, wcycles_audit
+from orelco.orbicomplex import build_orbicomplex, by_labels, wcycles_audit
 from orelco.pipeline import PipelineReport, StageRow, present_subgroup
 from orelco.textio import (audit_csv, export_dot, format_complex,
                            format_cover, format_fold_trace, format_morphism,
@@ -233,7 +233,30 @@ def test_orbi_morphism_reads_literal_text():
     for cmap, align in (("rot=0 orient=+", (0, 1)),
                         ("rot=3 orient=-", (3, -1))):
         m = parse_orbi_morphism(maps + f"cmap f w {cmap}\n", y, x)
-        assert m == OrbiMorphism(y, x, vertex_map, edge_map, {"f": align})
+        assert m == CellMorphism(y, x.presentation_complex, vertex_map,
+                                 edge_map, {"f": CellImage("d0", *align)})
+
+
+def test_a_label_map_file_parses_to_the_map_by_labels():
+    x = build_orbicomplex(Graph.rose("ab"), W("a b"), 2)
+    y = build_unwrapped_cover(x, find_exponent_n_quotient(x, 4, 0)).cover
+    text = ("".join(f"vmap {v} *\n" for v in sorted(y.skeleton.vertices))
+            + "".join(f"emap {e} {rec.label}\n"
+                      for e, rec in sorted(y.skeleton.edges.items()))
+            + "".join(f"cmap {c} w rot=0 orient=+\n" for c in sorted(y.cells)))
+    m = parse_orbi_morphism(text, y, x)
+    assert m == by_labels(y, x)
+    assert m.target is x.presentation_complex
+
+
+def test_orbi_morphism_parser_refuses_the_disk_name():
+    # the file names the orbicell w; d0 is only the presentation complex's
+    # name for its disk
+    x = build_orbicomplex(Graph.rose("ab"), W("a b"), 2)
+    y = build_unwrapped_cover(x, find_exponent_n_quotient(x, 4, 0)).cover
+    with pytest.raises(ValueError) as err:
+        parse_orbi_morphism("cmap f0 d0 rot=0 orient=+\n", y, x)
+    assert str(err.value) == "cmap f0: the orbicell is named 'w', got 'd0'"
 
 
 def test_orbi_morphism_parser_rejects_other_cell_names():
