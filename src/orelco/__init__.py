@@ -20,8 +20,7 @@ from .orbicomplex import (OneRelatorOrbicomplex, WCyclesAudit,
                           wcycles_audit)
 from .pipeline import (Presentation, PipelineReport, PipelineState,
                        present_subgroup, seed_immersion)
-from .stacking import (Stacking, StackingVerdict, check_good_stacking,
-                       is_branched)
+from .stacking import Stacking, StackingVerdict, check_good_stacking
 from .words import (DehnResult, DehnStep, dehn_solve, format_word,
                     free_reduce, inverse_word, parse_word)
 
@@ -43,7 +42,7 @@ __all__ = [
     "factor_unique", "find_exponent_n_quotient",
     "find_free_faces_and_edges", "fold", "format_word", "free_reduce",
     "identity_morphism", "inverse_word",
-    "is_branched", "parse_word", "present_subgroup",
+    "parse_word", "present_subgroup",
     "pull_back_subgroup", "random_irreducible_immersion",
     "random_uniform_quotient", "run_property_campaign",
     "seed_immersion", "verify_cover", "wcycles_audit",

@@ -22,7 +22,7 @@ from .harness import (SUITES, CampaignConfig, GeneratorParams, campaign_csv,
                       run_property_campaign)
 from .orbicomplex import wcycles_audit
 from .pipeline import present_subgroup
-from .stacking import check_good_stacking, is_branched
+from .stacking import check_good_stacking
 from .textio import (audit_csv, export_dot, format_complex, format_cover,
                      format_fold_trace, format_morphism,
                      format_presentation, format_quotient, parse_complex,
@@ -285,14 +285,14 @@ def _cmd_stacking_check(args) -> int:
     if (args.group is None) == (args.complex is None):
         return _usage("stacking check needs exactly one of "
                       "--group or --complex")
-    base = (_load(parse_orbicomplex, args.group) if args.group
-            else _load(parse_complex, args.complex))
+    x = _load(parse_orbicomplex, args.group) if args.group else None
+    base = x.relator_circle if x else _load(parse_complex, args.complex)
     s = _load(parse_stacking, args.stacking, base)
     try:
         verdict = check_good_stacking(s)
     except ValueError as exc:
         return _usage(f"{args.stacking}: {exc}")
-    print(f"branched: {1 if is_branched(s) else 0}")
+    print(f"branched: {int(x is not None and x.branch_index >= 2)}")
     if verdict.good:
         print("result: good")
         return EXIT_OK

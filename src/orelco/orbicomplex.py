@@ -23,6 +23,9 @@ from .complexes import (Classification, Dart, Graph, MapKind, TwoComplex,
 from .errors import NotImmersionError
 from .words import is_cyclically_reduced, is_proper_power
 
+# the text name of the orbicomplex's cell in stacking and orbi map files
+ORBI_CIRCLE = "w"
+
 
 @dataclass(frozen=True)
 class OneRelatorOrbicomplex:
@@ -38,6 +41,12 @@ class OneRelatorOrbicomplex:
         """The ordinary complex with one disk ``d0`` glued along the full
         relator power; maps into the orbicomplex are maps into it."""
         return TwoComplex(self.gamma, {"d0": self.relator_power_path()})
+
+    @cached_property
+    def relator_circle(self) -> TwoComplex:
+        """One cell ``w`` that reads the relator once: the domain of a
+        stacking over the orbicomplex."""
+        return TwoComplex(self.gamma, {ORBI_CIRCLE: self.relator})
 
     @cached_property
     def _rose_symbols(self) -> list[str]:

@@ -609,6 +609,9 @@ def present_subgroup(generators: list[Word], x: OneRelatorOrbicomplex, *,
     foreign = [s for g in generators for s, _ in g if s not in x.gamma.edges]
     if foreign:
         raise _foreign_letter(foreign[0])
+    if max_degree < 1:
+        # checked before the trivial subgroup returns, as the search would
+        raise ValueError(f"max_degree must be at least 1, got {max_degree}")
     notes: list[str] = []
     cleaned = [free_reduce(g) for g in generators]
     cleaned = [g for g in cleaned if g]

@@ -1,10 +1,11 @@
 """Stackings: boundary lifts with heights, and the good-stacking check.
 
 A stacking assigns a rational height to every boundary position of every
-2-cell; for an orbicomplex the domain is the single relator circle.  The
-heights lift the boundary immersion into (1-skeleton) x (line); the lift must
-be an embedding, so no two positions over the same edge may share a height,
-and the strands must not cross at a vertex.
+2-cell of a ``TwoComplex``; for a one-relator group the domain is the
+relator circle, the one-cell complex ``x.relator_circle``.  The heights lift
+the boundary immersion into (1-skeleton) x (line); the lift must be an
+embedding, so no two positions over the same edge may share a height, and
+the strands must not cross at a vertex.
 The stacking is good when every boundary circle contains a position of
 globally maximal height over its edge and a position of globally minimal
 height over its edge, where "globally" ranges over all circles.
@@ -16,20 +17,18 @@ stand in for real heights.
 from __future__ import annotations
 
 from collections import defaultdict
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .complexes import TwoComplex, dart_reverse
-from .orbicomplex import OneRelatorOrbicomplex
 
-# the single boundary circle of an orbicomplex goes by this component id
-ORBI_CIRCLE = "w"
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 Position = tuple[str, int]
 
 
 class Stacking(NamedTuple):
-    complex: TwoComplex | OneRelatorOrbicomplex
+    complex: TwoComplex
     heights: dict[Position, Fraction]
 
 
@@ -38,17 +37,9 @@ class StackingVerdict(NamedTuple):
     witness: str | None = None
 
 
-def _boundary_paths(c):
-    """The graph, and the dart at each position of each boundary circle."""
-    if isinstance(c, OneRelatorOrbicomplex):
-        return c.gamma, {ORBI_CIRCLE: c.relator}
-    return c.skeleton, c.cells
-
-
-def boundary_circles(c) -> dict[str, tuple[str, ...]]:
+def boundary_circles(c: TwoComplex) -> dict[str, tuple[str, ...]]:
     """The edge traversed at each position of each boundary circle."""
-    return {cid: tuple(e for e, _ in path)
-            for cid, path in _boundary_paths(c)[1].items()}
+    return {cid: tuple(e for e, _ in path) for cid, path in c.cells.items()}
 
 
 def _crossings(s: Stacking) -> list[str]:
@@ -59,7 +50,7 @@ def _crossings(s: Stacking) -> list[str]:
     lift embeds at a vertex when these orders there have no cycle."""
     # imported on use: loaded with orelco, graphlib adds 0.2 MB to every run
     from graphlib import CycleError, TopologicalSorter
-    graph, paths = _boundary_paths(s.complex)
+    graph, paths = s.complex.skeleton, s.complex.cells
     strands = defaultdict(list)     # half-edge -> (height, passage)
     for cid, path in paths.items():
         for i, d in enumerate(path):
@@ -133,9 +124,3 @@ def check_good_stacking(s: Stacking) -> StackingVerdict:
                 False, f"component {cid} has no global-minimum position")
     return StackingVerdict(True)
 
-
-def is_branched(s: Stacking) -> bool:
-    """Branched stackings live on orbicomplexes with branch index >= 2, where
-    every 2-cell carries a cone point of index at least 2."""
-    return (isinstance(s.complex, OneRelatorOrbicomplex)
-            and s.complex.branch_index >= 2)

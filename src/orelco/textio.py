@@ -13,14 +13,12 @@ as a word over edge ids (`e1 e2~ e3`).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .complexes import (CellImage, CellMorphism, Dart, EdgeRec, Graph,
                         TwoComplex, validate_complex)
 from .covers import FiniteQuotient, UnwrappedCover
-from .orbicomplex import (OneRelatorOrbicomplex, WCyclesAudit,
+from .orbicomplex import (ORBI_CIRCLE, OneRelatorOrbicomplex, WCyclesAudit,
                           build_orbicomplex)
-from .stacking import ORBI_CIRCLE, Position, Stacking
+from .stacking import Position, Stacking
 from .words import format_word, parse_word
 
 
@@ -209,9 +207,11 @@ def parse_orbicomplex(text: str) -> OneRelatorOrbicomplex:
 # stackings
 
 
-def parse_stacking(text: str, complex) -> Stacking:
+def parse_stacking(text: str, complex: TwoComplex) -> Stacking:
     """Read `h <cell> <position> <rational>` lines; other declarations are
     skipped, so a stacking may ride along in a complex file."""
+    # imported on use: only this reader needs fractions, which loads decimal
+    from fractions import Fraction
     heights: dict[Position, Fraction] = {}
     for lineno, tokens in _lines(text):
         if tokens[0] != "h":

@@ -789,6 +789,29 @@ def test_stacking_check_orbicomplex_domain(group_file, capsys, tmp_path):
     assert "result: good" in out
 
 
+@pytest.mark.parametrize("domain, base, stacking, branched", [
+    ("--group", GROUP, "h w 0 0\nh w 1 1/2\n", 1),
+    ("--group", GROUP.replace("branch 2", "branch 1"),
+     "h w 0 0\nh w 1 1/2\n", 0),
+    ("--complex", "vertex v\nedge e : v -> v label a\ncell c : e\nbase v\n",
+     "h c 0 0\n", 0),
+], ids=["group-n2", "group-n1", "complex"])
+def test_stacking_check_prints_branched_only_for_a_branched_group(
+        tmp_path, capsys, monkeypatch, domain, base, stacking, branched):
+    # branched means a group file with branch index at least 2; a complex
+    # or a group with n = 1 carries no cone point
+    monkeypatch.chdir(tmp_path)
+    Path("d.txt").write_text(base)
+    Path("s.txt").write_text(stacking)
+    code, out, err = run(capsys, ["stacking", "check", domain, "d.txt",
+                                  "--stacking", "s.txt"])
+    given = ("complex=None group=d.txt" if domain == "--group"
+             else "complex=d.txt group=None")
+    assert (code, err) == (0, "")
+    assert out == (f"config: stacking check {given} stacking=s.txt\n"
+                   f"branched: {branched}\nresult: good\n")
+
+
 def test_stacking_check_requires_one_domain(group_file, capsys, tmp_path):
     s = tmp_path / "s.txt"
     s.write_text("h w 0 0\nh w 1 1/2\n")

@@ -11,7 +11,7 @@ from orelco.covers import (FiniteQuotient, build_unwrapped_cover,
 from orelco.errors import OrelcoError
 import orelco.harness as harness
 from orelco.harness import (CSV_HEADER, QUOTIENT_ATTEMPTS, CampaignConfig,
-                            GeneratorParams, TrialRow, _generate_uncollapsed,
+                            GeneratorParams, _generate_uncollapsed,
                             _random_labeled_graph, campaign_csv,
                             closed_power_lifts, random_irreducible_immersion,
                             random_uniform_quotient, run_property_campaign,

@@ -852,6 +852,18 @@ def test_negative_stage_budget_is_rejected(x):
         present_subgroup(STAB, x, max_stages=-1)
 
 
+@pytest.mark.parametrize("gens", [[], ["a a~"], ["a"]],
+                         ids=["none", "trivial-word", "a"])
+@pytest.mark.parametrize("max_degree", [0, -2])
+def test_an_empty_degree_budget_is_rejected_for_every_subgroup(
+        x, gens, max_degree):
+    # the trivial subgroup once returned a conclusive empty presentation,
+    # while <a> raised this error from the quotient search
+    with pytest.raises(ValueError, match=(
+            f"^max_degree must be at least 1, got {max_degree}$")):
+        present_subgroup([W(g) for g in gens], x, max_degree=max_degree)
+
+
 def test_a_letter_outside_the_rose_is_refused_before_the_quotient_search(
         x, monkeypatch):
     # the letter check comes before free reduction, so c c~ is refused too
@@ -860,9 +872,12 @@ def test_a_letter_outside_the_rose_is_refused_before_the_quotient_search(
     def no_search(*args):
         raise AssertionError("the quotient search ran")
     monkeypatch.setattr(pipeline, "find_exponent_n_quotient", no_search)
+    # and before the degree budget, as at max_degree=0 it always was
     for gens in ([W("c")], [W("c c~")], [W("a b"), W("a c")]):
-        with pytest.raises(ValueError, match="letter 'c' is not a loop"):
-            present_subgroup(gens, x, max_word_len=4)
+        for max_degree in (8, 0):
+            with pytest.raises(ValueError, match="letter 'c' is not a loop"):
+                present_subgroup(gens, x, max_word_len=4,
+                                 max_degree=max_degree)
 
 
 @pytest.mark.parametrize("relator, trivial", [("x1 x1~", True),

@@ -125,24 +125,27 @@ def test_no_library_module_calls_gcd():
     assert not found, found
 
 
-_MAP_TYPES = ("CellMorphism",)
+_LIBRARY_TYPES = ("CellMorphism", "Graph", "OneRelatorOrbicomplex",
+                  "TwoComplex")
 
 
-def _tests_a_map_type(node) -> bool:
-    """``isinstance(m, T)`` with ``T`` a map type, alone or in a tuple."""
+def _tests_a_library_type(node) -> bool:
+    """``isinstance(x, T)`` with ``T`` a map or complex type of the library,
+    alone or in a tuple."""
     if not (_calls("isinstance")(node) and len(node.args) == 2):
         return False
     kinds = node.args[1]
     return any((getattr(kind, "id", None) or getattr(kind, "attr", None))
-               in _MAP_TYPES
+               in _LIBRARY_TYPES
                for kind in (kinds.elts if isinstance(kinds, ast.Tuple)
                             else [kinds]))
 
 
-def test_no_library_function_branches_on_the_map_type():
+def test_no_library_function_branches_on_a_library_type():
     # degree once took either map type and ran a second immersion check
-    # for the ordinary one; each function takes one map type
-    found = _where(None, _tests_a_map_type)
+    # for the ordinary one, and a stacking once took a complex or an
+    # orbicomplex; each function takes one map type and one complex type
+    found = _where(None, _tests_a_library_type)
     assert not found, found
 
 

@@ -7,9 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orelco.complexes import EdgeRec, Graph, TwoComplex
-from orelco.orbicomplex import build_orbicomplex
-from orelco.stacking import (ORBI_CIRCLE, Stacking, boundary_circles,
-                             check_good_stacking, is_branched,
+from orelco.orbicomplex import ORBI_CIRCLE, build_orbicomplex
+from orelco.stacking import (Stacking, boundary_circles, check_good_stacking,
                              validate_stacking)
 from orelco.textio import parse_stacking
 from orelco.words import parse_word
@@ -78,16 +77,22 @@ def test_missing_and_unknown_positions_are_rejected():
 
 def test_orbicomplex_domain_is_the_relator_circle():
     x = build_orbicomplex(Graph.rose("ab"), parse_word("a b a b~"), 3)
-    circles = boundary_circles(x)
+    circle = x.relator_circle
+    circles = boundary_circles(circle)
     assert set(circles) == {ORBI_CIRCLE}
     assert circles[ORBI_CIRCLE] == ("a", "b", "a", "b")
+    # one cell reading w once, not the disk's w^n, over the rose, no base
+    assert circle.cells == {ORBI_CIRCLE: x.relator}
+    assert circle.skeleton is x.gamma and circle.base_vertex is None
+    assert x.relator_circle is circle
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.permutations(list(range(4))))
 def test_single_circle_injective_heights_are_always_good(perm):
     x = build_orbicomplex(Graph.rose("ab"), parse_word("a b a b~"), 2)
-    s = Stacking(x, {(ORBI_CIRCLE, i): F(perm[i]) for i in range(4)})
+    s = Stacking(x.relator_circle,
+                 {(ORBI_CIRCLE, i): F(perm[i]) for i in range(4)})
     assert check_good_stacking(s).good
 
 
@@ -107,16 +112,6 @@ def test_verdict_is_order_invariant(perm, shift, scale):
         v0 = check_good_stacking(s)
         assert check_good_stacking(moved).good == v0.good
         assert check_good_stacking(ranked).good == v0.good
-
-
-def test_branched_predicate():
-    x2 = build_orbicomplex(Graph.rose("ab"), parse_word("a b"), 2)
-    x1 = build_orbicomplex(Graph.rose("ab"), parse_word("a b"), 1)
-    plain = square_complex()
-    h = {(ORBI_CIRCLE, 0): F(0), (ORBI_CIRCLE, 1): F(1)}
-    assert is_branched(Stacking(x2, h))
-    assert not is_branched(Stacking(x1, h))
-    assert not is_branched(Stacking(plain, {("c", i): F(i) for i in range(4)}))
 
 
 def test_parse_reads_rational_heights():

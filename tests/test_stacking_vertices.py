@@ -6,9 +6,8 @@ from fractions import Fraction
 import pytest
 
 from orelco.complexes import EdgeRec, Graph, TwoComplex
-from orelco.orbicomplex import build_orbicomplex
-from orelco.stacking import (ORBI_CIRCLE, Stacking, check_good_stacking,
-                             validate_stacking)
+from orelco.orbicomplex import ORBI_CIRCLE, build_orbicomplex
+from orelco.stacking import Stacking, check_good_stacking, validate_stacking
 from orelco.words import parse_word
 
 F = Fraction
@@ -23,7 +22,8 @@ def loops(cells, *names):
 
 def relator_circle(word, heights):
     x = build_orbicomplex(Graph.rose("ab"), parse_word(word), 2)
-    return Stacking(x, {(ORBI_CIRCLE, i): F(h) for i, h in enumerate(heights)})
+    return Stacking(x.relator_circle,
+                    {(ORBI_CIRCLE, i): F(h) for i, h in enumerate(heights)})
 
 
 def test_a_cell_twice_round_a_loop_is_refused():

@@ -8,7 +8,7 @@ from orelco.covers import (FiniteQuotient, build_unwrapped_cover,
                            find_exponent_n_quotient)
 from orelco.folding import fold
 from orelco.orbicomplex import build_orbicomplex, by_labels, wcycles_audit
-from orelco.pipeline import PipelineReport, StageRow, present_subgroup
+from orelco.pipeline import PipelineReport, StageRow
 from orelco.textio import (audit_csv, export_dot, format_complex,
                            format_cover, format_fold_trace, format_morphism,
                            format_presentation, format_quotient,
