@@ -285,8 +285,9 @@ def _cmd_stacking_check(args) -> int:
     if (args.group is None) == (args.complex is None):
         return _usage("stacking check needs exactly one of "
                       "--group or --complex")
-    x = _load(parse_orbicomplex, args.group) if args.group else None
-    base = x.relator_circle if x else _load(parse_complex, args.complex)
+    x = None if args.group is None else _load(parse_orbicomplex, args.group)
+    base = (x.relator_circle if x is not None
+            else _load(parse_complex, args.complex))
     s = _load(parse_stacking, args.stacking, base)
     try:
         verdict = check_good_stacking(s)
@@ -333,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subparsers(sub, "cover").add_parser("build")
     p.add_argument("--group", required=True)
     p.add_argument("--max-degree", type=int, default=8)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="accepted and ignored")
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_cover_build)
 
@@ -343,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-degree", type=int, default=8)
     p.add_argument("--max-word-len", type=int, default=12)
     p.add_argument("--max-stages", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="accepted and ignored")
     p.add_argument("--format", choices=("csv", "text"), default="text")
     p.add_argument("--out")
     p.set_defaults(handler=_cmd_subgroup_present)

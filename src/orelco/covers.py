@@ -5,14 +5,14 @@ A finite quotient is a permutation action of the free group on points
 exactly the branch index n, the Schreier cover of the rose supports one
 2-cell per orbit of the w-image, each of boundary length n|w|: the unwrapped
 cover, an honest 2-complex immersing into the orbicomplex and covering it
-away from the cone point.  The same permutation data drives the Schreier
-subgroup pull-back used to intersect a subgroup with the cover's group.
+away from the cone point.  The quotient search returns one of the least
+degree.  The same permutation data drives the Schreier subgroup pull-back
+used to intersect a subgroup with the cover's group.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -177,38 +177,86 @@ def _accept_draw(perms: dict[str, Perm], x: OneRelatorOrbicomplex,
     return None if validate_quotient(q, x) else q
 
 
-RANDOM_ATTEMPTS_PER_DEGREE = 500
+SEARCH_NODE_BUDGET = 3_000_000
+
+
+def unwrapping_actions(x: OneRelatorOrbicomplex, degree: int):
+    """The permutations of the rose symbols of each transitive action on
+    {0..degree-1} in which every cycle of the relator image has length n,
+    once each, read from its standard coset table: Sims' low-index search
+    (*Computation with Finitely Presented Groups*, 1994, ch. 5; Culler and
+    Dunfield's ``low_index`` is one in C++).  The first undefined entry in
+    row-major order (point, symbol, direction) takes each earlier point whose
+    opposite entry is free, then the next new point.  A branch is cut when
+    ``w^n`` read from some point returns at a multiple of ``|w|`` before its
+    end, or reads in full without returning.  Raises ``BudgetExhaustedError``
+    after ``SEARCH_NODE_BUDGET`` entries are tried."""
+    # column 2i reads symbol i forwards and column 2i + 1 backwards
+    column = {s: 2 * i for i, s in enumerate(x._rose_symbols)}
+    width = 2 * len(column)
+    period = len(x.relator)
+    path = [column[s] + (sign < 0) for s, sign in x.relator] * x.branch_index
+    table = [-1] * (degree * width)
+    budget = iter(range(SEARCH_NODE_BUDGET))
+
+    def refused(start: int) -> bool:
+        point = start
+        for j, col in enumerate(path, 1):
+            point = table[point * width + col]
+            if point < 0:
+                return False
+            if point == start and j % period == 0:
+                return j < len(path)
+        return True
+
+    def search(pos: int, used: int):
+        while pos < len(table) and table[pos] >= 0:
+            pos += 1
+        if pos == len(table):
+            yield {s: tuple(table[c::width]) for s, c in column.items()}
+            return
+        row, col = divmod(pos, width)
+        if row >= used:
+            return  # the rows of the points reached are full: not transitive
+        for point in range(min(used + 1, degree)):
+            opposite = point * width + (col ^ 1)
+            if table[opposite] >= 0:
+                continue
+            if next(budget, None) is None:
+                raise BudgetExhaustedError(
+                    f"search node budget of {SEARCH_NODE_BUDGET} exhausted"
+                    f" at degree {degree}")
+            table[pos], table[opposite] = point, row
+            reached = max(used, point + 1)
+            if not any(refused(p) for p in range(reached)):
+                yield from search(pos + 1, reached)
+            table[pos] = table[opposite] = -1
+
+    return search(0, 1)
 
 
 def find_exponent_n_quotient(x: OneRelatorOrbicomplex, max_degree: int,
                              seed: int) -> FiniteQuotient:
-    """Search for a quotient that ``validate_quotient`` accepts.  Cyclic
-    quotients Z/m (m a multiple of n), each letter a shift, are tried
-    exhaustively first.  Then seeded random permutation assignments of
-    increasing degree.  Every candidate of both phases is screened on the
-    relator image's cycle through point 0 (``screen_draw``), and
-    ``validate_quotient`` decides every candidate that passes.
-    """
+    """A quotient that ``validate_quotient`` accepts, of the least degree
+    that has one: for each multiple m of n up to ``max_degree``, the cyclic
+    quotients Z/m (each letter a shift), then ``unwrapping_actions(x, m)``.
+    ``seed`` is accepted and ignored.  Raises ``BudgetExhaustedError`` when
+    none of degree at most ``max_degree`` exists, or when the enumerator's
+    node budget runs out, naming the degree."""
     if max_degree < 1:
         raise ValueError(f"max_degree must be at least 1, got {max_degree}")
     symbols = x._rose_symbols
     n = x.branch_index
-    degrees = range(n, max_degree + 1, n)
-    for m in degrees:
-        for rev in itertools.product(range(m), repeat=len(symbols)):
-            q = _accept_draw({s: tuple((i + c) % m for i in range(m))
-                              for s, c in zip(symbols, reversed(rev))}, x, m)
-            if q is not None:
-                return q
-    rng = random.Random(seed)
-    for k in degrees:
-        for _ in range(RANDOM_ATTEMPTS_PER_DEGREE):
-            q = _accept_draw({s: tuple(rng.sample(range(k), k))
-                              for s in symbols}, x, k)
+    for m in range(n, max_degree + 1, n):
+        shifts = ({s: tuple((i + c) % m for i in range(m))
+                   for s, c in zip(symbols, reversed(rev))}
+                  for rev in itertools.product(range(m), repeat=len(symbols)))
+        for perms in itertools.chain(shifts, unwrapping_actions(x, m)):
+            q = _accept_draw(perms, x, m)
             if q is not None:
                 return q
     raise BudgetExhaustedError(
-        f"no exponent-{n} quotient of degree <= {max_degree} found")
+        f"no exponent-{n} quotient of degree <= {max_degree} exists")
 
 
 class UnwrappedCover(NamedTuple):

@@ -597,7 +597,8 @@ def present_subgroup(generators: list[Word], x: OneRelatorOrbicomplex, *,
                      max_stages: int = 200, seed: int = 0
                      ) -> tuple[Presentation, PipelineReport]:
     """Full run: quotient search, cover, stabilizer intersection, seeding,
-    and refinement sweeps until stabilization or budget exhaustion."""
+    and refinement sweeps until stabilization or budget exhaustion.  The
+    quotient search is exact, so ``seed`` is accepted and ignored."""
     if x.branch_index < 2:
         raise ValueError("subgroup presentation requires branch index >= 2")
     if max_word_len < 1:

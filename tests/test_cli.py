@@ -149,7 +149,18 @@ def test_cover_build_budget_exhausted_exits_3(group_file, capsys):
     code, _, err = run(capsys, ["cover", "build", "--group", group_file,
                                 "--max-degree", "1"])
     assert code == 3
-    assert err.startswith("error:")
+    assert err == "error: no exponent-2 quotient of degree <= 1 exists\n"
+
+
+def test_cover_build_finds_the_least_degree(capsys, tmp_path):
+    # no cyclic quotient of degree 3 unwraps this relator, but one exists
+    group = tmp_path / "g.txt"
+    group.write_text(GROUP.replace("relator a b\nbranch 2",
+                                   "relator b a a b b a\nbranch 3"))
+    code, out, _ = run(capsys, ["cover", "build", "--group", str(group),
+                                "--max-degree", "12", "--seed", "7"])
+    assert code == 0
+    assert "cover: degree=3 vertices=3 edges=6 cells=1 chi=-2 pass=1" in out
 
 
 @pytest.mark.parametrize("command", [["cover", "build"],
@@ -813,11 +824,14 @@ def test_stacking_check_prints_branched_only_for_a_branched_group(
 
 
 def test_stacking_check_requires_one_domain(group_file, capsys, tmp_path):
+    # an empty path names a domain all the same, one that cannot be read
     s = tmp_path / "s.txt"
     s.write_text("h w 0 0\nh w 1 1/2\n")
-    code, _, err = run(capsys, ["stacking", "check", "--stacking", str(s)])
-    assert code == 2
-    assert err.startswith("error:")
+    for domain in ([], ["--group", ""], ["--complex", ""]):
+        code, _, err = run(capsys, ["stacking", "check", *domain,
+                                    "--stacking", str(s)])
+        assert code == 2, domain
+        assert err.startswith("error:")
 
 
 def test_export_dot_accepts_cover_file(group_file, capsys, tmp_path):

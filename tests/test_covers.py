@@ -9,9 +9,9 @@ from orelco.complexes import (CellMorphism, EdgeRec, Graph, MapKind,
                               TwoComplex, connected_components,
                               euler_characteristic)
 from orelco.complexes import target_side
-from orelco.covers import (RANDOM_ATTEMPTS_PER_DEGREE, FiniteQuotient,
-                           build_unwrapped_cover, find_exponent_n_quotient,
-                           pull_back_subgroup, screen_draw, validate_quotient,
+from orelco.covers import (FiniteQuotient, build_unwrapped_cover,
+                           find_exponent_n_quotient, pull_back_subgroup,
+                           screen_draw, unwrapping_actions, validate_quotient,
                            verify_cover, UnwrappedCover)
 import orelco.covers as covers
 from orelco.errors import BudgetExhaustedError, InvariantError, OrelcoError
@@ -91,20 +91,56 @@ def test_cover_invariants_raise_typed_errors(monkeypatch):
             build_unwrapped_cover(x, Q_AB2)
 
 
-def test_find_quotient_budget_error():
-    with pytest.raises(BudgetExhaustedError):
-        find_exponent_n_quotient(make_x("a b", 2), 1, 7)
+def test_find_quotient_budget_error(monkeypatch):
+    # a finished enumeration proves that none exists; a spent budget does not
+    for word, max_degree in (("a b", 1), ("a b a b~", 2)):
+        with pytest.raises(BudgetExhaustedError, match=(
+                f"^no exponent-2 quotient of degree <= {max_degree} exists$")):
+            find_exponent_n_quotient(make_x(word, 2), max_degree, 7)
+    monkeypatch.setattr(covers, "SEARCH_NODE_BUDGET", 5)
+    with pytest.raises(BudgetExhaustedError, match=(
+            "^search node budget of 5 exhausted at degree 2$")):
+        find_exponent_n_quotient(make_x("a b a~ b~", 2), 8, 7)
 
 
-def test_find_quotient_random_phase():
+def test_find_quotient_ignores_the_seed():
     # the commutator has zero exponent sums, so no cyclic quotient can work
     x = make_x("a b a~ b~", 2)
     q = find_exponent_n_quotient(x, 12, 11)
-    assert q.degree % 2 == 0
-    assert validate_quotient(q, x) == []
-    assert old.accepts(q, x)
-    again = find_exponent_n_quotient(x, 12, 11)
-    assert again == q
+    assert q.degree == 4 and old.accepts(q, x)
+    assert all(find_exponent_n_quotient(x, 12, s) == q for s in (0, 7, -3))
+
+
+# (relator, n): the number of unwrapping actions of each degree
+UNWRAPPING_COUNTS = {
+    ("a b", 2): {2: 2, 4: 10, 6: 74, 8: 706},
+    ("a b a b~", 2): {2: 0, 4: 28, 6: 0, 8: 1980},
+    ("a a b b b", 2): {2: 2, 4: 14, 6: 164, 8: 1670},
+    ("a b a b~", 3): {3: 9, 6: 567},
+    ("a b", 3): {3: 6, 6: 228},
+}
+
+
+@pytest.mark.parametrize("relator, n", UNWRAPPING_COUNTS)
+def test_unwrapping_actions_yield_each_action_once(relator, n):
+    x = make_x(relator, n)
+    for degree, count in UNWRAPPING_COUNTS[relator, n].items():
+        tables = list(unwrapping_actions(x, degree))
+        assert len(tables) == count, degree
+        assert len({tuple(t.values()) for t in tables}) == count
+        assert all(old.accepts(FiniteQuotient(degree, t), x) for t in tables)
+
+
+# relators over the rose on a, b whose least exponent-3 quotient has degree
+# 3 but no cyclic one
+NON_CYCLIC_DEGREE_3 = ("a a b~ b~ b~ a", "a~ a~ b a~ a~ b~ a~ a~",
+                       "b a a b b a", "b~ a~ b~ a b~", "b~ b~ a~ b~ a~ a~",
+                       "a~ b~ a b~ b~", "b~ a a b a", "b~ b~ a~ b a b~ b~")
+
+
+@pytest.mark.parametrize("relator", NON_CYCLIC_DEGREE_3)
+def test_find_quotient_returns_the_least_degree(relator):
+    assert find_exponent_n_quotient(make_x(relator, 3), 12, 0).degree == 3
 
 
 def test_validate_quotient_catches_problems():
@@ -507,50 +543,23 @@ def test_pull_back_outputs_fix_base_point():
             assert Q_AB2.act(0, word) == 0
 
 
-def _parent_find_exponent_n_quotient(x: OneRelatorOrbicomplex,
-                                     max_degree: int,
-                                     seed: int) -> FiniteQuotient:
-    """``find_exponent_n_quotient`` as it read when its cyclic phase derived
-    the exponent rule from exponent sums and gcds."""
-    if max_degree < 1:
-        raise ValueError(f"max_degree must be at least 1, got {max_degree}")
+def _parent_cyclic_quotient(x: OneRelatorOrbicomplex,
+                            m: int) -> FiniteQuotient | None:
+    """The first cyclic quotient Z/m, each letter a shift, that
+    ``find_exponent_n_quotient`` tried when it derived the exponent rule
+    from exponent sums and gcds, or None."""
     symbols = x._rose_symbols
-    n = x.branch_index
-    w = x.relator
-    if n == 1:
-        return FiniteQuotient(1, {s: (0,) for s in symbols})
-    exponents = {}
-    for s in symbols:
-        exponents[s] = sum(sign for sym, sign in w if sym == s)
-    for m in range(n, max_degree + 1, n):
-        for rev in itertools.product(range(m), repeat=len(symbols)):
-            assignment = tuple(reversed(rev))
-            if math.gcd(m, *assignment) != 1:
-                continue  # not transitive
-            value = sum(c * exponents[s] for c, s in zip(assignment, symbols)) % m
-            if m // math.gcd(value, m) != n:
-                continue
-            perms = {s: tuple((i + c) % m for i in range(m))
-                     for s, c in zip(symbols, assignment)}
-            q = FiniteQuotient(m, perms)
-            problems = validate_quotient(q, x)
-            if problems:
-                raise InvariantError(
-                    "cyclic quotient fails validation: " + "; ".join(problems))
-            return q
-    rng = random.Random(seed)
-    for k in range(n, max_degree + 1):
-        if k % n != 0:
-            continue
-        for _ in range(RANDOM_ATTEMPTS_PER_DEGREE):
-            perms = {s: tuple(rng.sample(range(k), k)) for s in symbols}
-            if not screen_draw(perms, x):
-                continue
-            q = FiniteQuotient(k, perms)
-            if not validate_quotient(q, x):
-                return q
-    raise BudgetExhaustedError(
-        f"no exponent-{n} quotient of degree <= {max_degree} found")
+    exponents = {s: sum(sign for sym, sign in x.relator if sym == s)
+                 for s in symbols}
+    for rev in itertools.product(range(m), repeat=len(symbols)):
+        assignment = tuple(reversed(rev))
+        if math.gcd(m, *assignment) != 1:
+            continue  # not transitive
+        value = sum(c * exponents[s] for c, s in zip(assignment, symbols)) % m
+        if m // math.gcd(value, m) == x.branch_index:
+            return FiniteQuotient(m, {s: tuple((i + c) % m for i in range(m))
+                                      for s, c in zip(symbols, assignment)})
+    return None
 
 
 # letters missing from w (b, and c on the rose on a, b, c) and zero exponent
@@ -566,78 +575,43 @@ def _search_result(search, *args):
         return type(err).__name__, str(err)
 
 
-def _is_cyclic(q):
-    return all(p == tuple((i + p[0]) % q.degree for i in range(q.degree))
-               for p in q.perms.values())
-
-
 def test_cyclic_phase_finds_the_parents_quotients():
-    # the same quotient or the same error, message and all, as the search
-    # that derived the rule itself
+    # the least degree at which the enumerator yields a table, and there the
+    # parent's cyclic quotient when it has one; else the same error
     seen = {}
-    for word, n, rose, max_degree, seed in itertools.product(
+    for word, n, rose, max_degree in itertools.product(
             CYCLIC_GRID_RELATORS, (1, 2, 3, 4), ("ab", "abc"),
-            (0, 1, 2, 3, 4, 6, 8, 12), (0, 7)):
+            (0, 1, 2, 3, 4, 6, 8, 12)):
         x = build_orbicomplex(Graph.rose(list(rose)), parse_word(word), n)
-        want = _search_result(_parent_find_exponent_n_quotient, x,
-                              max_degree, seed)
-        got = _search_result(find_exponent_n_quotient, x, max_degree, seed)
-        assert got == want, (word, n, rose, max_degree, seed)
-        if isinstance(want, FiniteQuotient):
-            kind = "cyclic" if _is_cyclic(want) else "random"
-            kind += ", n = 1" if n == 1 else ""
+        got = _search_result(find_exponent_n_quotient, x, max_degree, 7)
+        least = next((m for m in range(n, max_degree + 1, n)
+                      if next(unwrapping_actions(x, m), None)), None)
+        if max_degree < 1:
+            want = ("ValueError",
+                    f"max_degree must be at least 1, got {max_degree}")
+        elif least is None:
+            want = ("BudgetExhaustedError", f"no exponent-{n} quotient of"
+                    f" degree <= {max_degree} exists")
         else:
-            kind = want[0] + (", max_degree < n" if max_degree < n else "")
+            want = _parent_cyclic_quotient(x, least)
+        if want is None:
+            assert got.degree == least and old.accepts(got, x), (word, n, rose)
+            kind = "enumerated"
+        else:
+            assert got == want, (word, n, rose, max_degree)
+            kind = (want[0] + (", max_degree < n" if max_degree < n else "")
+                    if isinstance(want, tuple) else
+                    "cyclic" + (", n = 1" if n == 1 else ""))
         seen[kind] = seen.get(kind, 0) + 1
     assert sorted(seen) == [
         "BudgetExhaustedError", "BudgetExhaustedError, max_degree < n",
-        "ValueError, max_degree < n", "cyclic", "cyclic, n = 1", "random"]
+        "ValueError, max_degree < n", "cyclic", "cyclic, n = 1", "enumerated"]
     assert min(seen.values()) >= 20, seen
 
 
-def _parent_random_phase(x, max_degree, seed):
-    """``find_exponent_n_quotient``'s random phase as it read before it
-    screened each draw: every draw is built and validated."""
-    symbols = x._rose_symbols
-    n = x.branch_index
-    rng = random.Random(seed)
-    for k in range(n, max_degree + 1):
-        if k % n != 0:
-            continue
-        for _ in range(covers.RANDOM_ATTEMPTS_PER_DEGREE):
-            perms = {s: tuple(rng.sample(range(k), k)) for s in symbols}
-            q = FiniteQuotient(k, perms)
-            if not validate_quotient(q, x):
-                return q
-    raise BudgetExhaustedError(
-        f"no exponent-{n} quotient of degree <= {max_degree} found")
-
-
-def _search_outcome(search, *args):
-    try:
-        return search(*args)
-    except BudgetExhaustedError as err:
-        return str(err)
-
-
-def test_screened_random_phase_finds_the_parents_quotients():
-    # no cyclic quotient of the commutator works, so the random phase runs;
-    # at degree 2 the image is always trivial, so the budget runs out
-    x = make_x("a b a~ b~", 2)
-    found = {}
-    for max_degree in (3, 8, 12):
-        for seed in range(50):
-            want = _search_outcome(_parent_random_phase, x, max_degree, seed)
-            got = _search_outcome(find_exponent_n_quotient, x, max_degree,
-                                  seed)
-            assert got == want, (max_degree, seed)
-            found[max_degree] = found.get(max_degree, 0) + isinstance(
-                want, FiniteQuotient)
-    assert found == {3: 0, 8: 50, 12: 50}
-
-
 def test_every_candidate_the_search_validates_passes_the_screen(monkeypatch):
-    # both phases screen a candidate before they build and validate it
+    # the cyclic shifts and the enumerator's table are screened before
+    # they are built and validated
     validate, received = covers.validate_quotient, []
 
     def spy(q, x):

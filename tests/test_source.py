@@ -178,6 +178,15 @@ def test_no_library_module_reads_the_environment():
     assert not found, found
 
 
+def test_only_harness_draws_random_numbers():
+    # the campaigns sample; the quotient search, the covers and the pipeline
+    # are deterministic by construction, whatever seed they are passed
+    found = _where("harness.py", lambda node: isinstance(node, ast.ImportFrom)
+                   and node.module == "random" or isinstance(node, ast.Import)
+                   and any(a.name == "random" for a in node.names))
+    assert not found, found
+
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 ACCEPTANCE = Path(__file__).resolve().with_name("test_acceptance.py")
 
