@@ -6,7 +6,7 @@ from .complexes import (CellImage, CellMorphism, EdgeRec, Graph, MapKind,
                         find_free_faces_and_edges, identity_morphism)
 from .covers import (CoverReport, FiniteQuotient, UnwrappedCover,
                      build_unwrapped_cover, find_exponent_n_quotient,
-                     pull_back_subgroup, verify_cover)
+                     verify_cover)
 from .diagrams import build_reduced_diagram
 from .errors import (BudgetExhaustedError, DiagramError, FactorizationError,
                      InvalidComplexError, InvariantError, NotImmersionError,
@@ -43,7 +43,7 @@ __all__ = [
     "find_free_faces_and_edges", "fold", "format_word", "free_reduce",
     "identity_morphism", "inverse_word",
     "parse_word", "present_subgroup",
-    "pull_back_subgroup", "random_irreducible_immersion",
+    "random_irreducible_immersion",
     "random_uniform_quotient", "run_property_campaign",
     "seed_immersion", "verify_cover", "wcycles_audit",
 ]

@@ -6,8 +6,9 @@ exactly the branch index n, the Schreier cover of the rose supports one
 2-cell per orbit of the w-image, each of boundary length n|w|: the unwrapped
 cover, an honest 2-complex immersing into the orbicomplex and covering it
 away from the cone point.  The quotient search returns one of the least
-degree.  The same permutation data drives the Schreier subgroup pull-back
-used to intersect a subgroup with the cover's group.
+degree.  The cover's 1-skeleton is the quotient's Schreier graph, whose
+fibre product with a subgroup's graph gives the subgroup's intersection
+with the cover's group.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import (BudgetExhaustedError, InvalidComplexError,
                      InvariantError)
 from .orbicomplex import (OneRelatorOrbicomplex, by_labels,
                           check_orbi_immersion)
-from .words import Word, free_reduce, inverse_word
+from .words import Word
 
 Perm = tuple[int, ...]
 
@@ -381,38 +382,3 @@ def verify_cover(c: UnwrappedCover) -> CoverReport:
     return CoverReport(passed=not witnesses, witnesses=tuple(witnesses),
                        euler=chi, degree=k)
 
-
-def pull_back_subgroup(generators: list[Word],
-                       q: FiniteQuotient) -> list[Word]:
-    """Generators of the subgroup's intersection with the point stabilizer.
-
-    Builds the coset graph of the generated subgroup acting on the orbit of
-    point 0, takes a breadth-first spanning tree, and returns the Schreier
-    generators t_p h t_{p.h}^{-1} of the non-tree edges, freely reduced, in
-    breadth-first point order and input generator order.
-    """
-    transversal: dict[int, Word] = {0: ()}
-    order = [0]
-    tree: set[tuple[int, int]] = set()
-    queue = [0]
-    while queue:
-        p = queue.pop(0)
-        for i, h in enumerate(generators):
-            # the tree edge is keyed by the point the generator leaves
-            for step, forward in ((tuple(h), True), (inverse_word(h), False)):
-                r = q.act(p, step)
-                if r not in transversal:
-                    transversal[r] = free_reduce(transversal[p] + step)
-                    tree.add((p if forward else r, i))
-                    order.append(r)
-                    queue.append(r)
-    out: list[Word] = []
-    for p in order:
-        for i, h in enumerate(generators):
-            if (p, i) in tree:
-                continue
-            r = q.act(p, h)
-            word = free_reduce(
-                transversal[p] + tuple(h) + inverse_word(transversal[r]))
-            out.append(word)
-    return out

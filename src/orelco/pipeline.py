@@ -1,7 +1,7 @@
 """Subgroup presentation pipeline: seed, refine, stabilize.
 
-Given subgroup generators, the pipeline intersects with the cover stabilizer,
-seeds an immersed wedge over the unwrapped cover, and then repeatedly tests
+Given subgroup generators, the pipeline seeds their intersection with the
+cover's group, a fibre product immersed in the unwrapped cover, then tests
 candidate loops for triviality, gluing a reduced disk diagram along each
 trivial one.  Each gluing is a base-point merge followed by an ordinary fold,
 then a free-face collapse.  The run stabilizes when a full sweep of
@@ -19,7 +19,7 @@ from .complexes import (CellImage, CellMorphism, Dart, EdgeRec, Graph,
                         euler_characteristic, find_free_faces_and_edges,
                         require_valid, reverse_path)
 from .covers import UnwrappedCover, build_unwrapped_cover, \
-    find_exponent_n_quotient, pull_back_subgroup, verify_cover
+    find_exponent_n_quotient, verify_cover
 from .diagrams import build_reduced_diagram
 from .errors import PipelineInvariantError
 from .folding import fold
@@ -182,39 +182,55 @@ def _lift(z: TwoComplex, x0: TwoComplex, start: str) -> CellMorphism:
 
 def seed_immersion(generators: list[Word],
                    cover: UnwrappedCover) -> PipelineState:
-    """Fold a wedge of loops spelling the generators as paths in the cover."""
-    kept = [free_reduce(g) for g in generators]
-    kept = [g for g in kept if g]
+    """The seed of ``H ∩ K``, ``H`` generated by ``generators`` and ``K`` the
+    cover's group: the fibre product of their wedge with the cover's Schreier
+    graph, a copy of each generator from ``v{p}`` to ``v{p.g}`` per point
+    ``p`` of 0's orbit, lifted into ``X0``, folded and cut to its core, the
+    edges that the hops of its frame cross (Stallings 1983)."""
+    kept = [g for g in map(free_reduce, generators) if g]
     if not kept:
         raise ValueError("at least one nonempty generator is required")
-    x0 = cover.covering_map.source
-    base = x0.base_vertex
+    q = cover.quotient
+    foreign = [s for g in kept for s, _ in g if s not in q.perms]
+    if foreign:
+        raise _foreign_letter(foreign[0])
+    orbit = [0]
     edges: dict[str, EdgeRec] = {}
-    for j, gen in enumerate(kept):
-        lift = x0.skeleton.read(gen, base)
-        if lift is None or lift[1] != base:
-            raise ValueError(
-                f"generator {j} is not a closed loop at the base vertex")
-        cur = "v0"
-        for t, (sym, sign) in enumerate(gen):
-            nxt = "v0" if t == len(gen) - 1 else f"v{j}.{t + 1}"
-            tail, head = (cur, nxt) if sign > 0 else (nxt, cur)
-            edges[f"w{j}.{t}"] = EdgeRec(tail, head, sym)
-            cur = nxt
-    vertices = frozenset(v for rec in edges.values()
-                         for v in (rec.tail, rec.head))
-    wedge = TwoComplex(Graph(vertices, edges), {}, base_vertex="v0")
-    require_valid(wedge)
-    folded = fold(_lift(wedge, x0, base))
+    for p in orbit:                 # the list grows as the loop reads it
+        for j, gen in enumerate(kept):
+            end = q.act(p, gen)
+            if end not in orbit:
+                orbit.append(end)
+            cur = f"v{p}"
+            for t, (sym, sign) in enumerate(gen):
+                nxt = f"v{end}" if t == len(gen) - 1 else f"v{p}.{j}.{t + 1}"
+                tail, head = (cur, nxt) if sign > 0 else (nxt, cur)
+                edges[f"w{p}.{j}.{t}"] = EdgeRec(tail, head, sym)
+                cur = nxt
+    vertices = frozenset(v for rec in edges.values() for v in rec[:2])
+    product = TwoComplex(Graph(vertices, edges), {}, base_vertex="v0")
+    require_valid(product)
+    folded = fold(_lift(product, cover.cover, cover.cover.base_vertex))
     y0 = folded.folded
-    reads = [y0.skeleton.read(gen, y0.base_vertex) for gen in kept]
-    if None in reads:
-        raise PipelineInvariantError("generator does not read on the seed")
+    for j, gen in enumerate(kept):
+        read = y0.skeleton.read(gen, y0.base_vertex)
+        over = f"p{q.act(0, gen)}"
+        if read is None or folded.inclusion.vertex_map[read[1]] != over:
+            raise PipelineInvariantError(
+                f"generator {j} does not read on the seed from its base"
+                f" to a vertex over {over}")
+    frame = _bfs_frame(y0, folded.inclusion)
+    hopped = {e for hop in frame.hops for e, _ in hop}
+    core = {e: rec for e, rec in y0.skeleton.edges.items() if e in hopped}
+    seed = TwoComplex(
+        Graph(frozenset(v for rec in core.values() for v in rec[:2]), core),
+        {}, base_vertex=y0.base_vertex)
     state = PipelineState(
-        cover=cover, stage=0, current=y0, to_cover=folded.inclusion, cursor=0,
-        seed_generator_count=len(kept),
-        seed_free_edges=len(find_free_faces_and_edges(y0)[1]),
-        gen_paths=tuple(path for path, _ in reads))
+        cover=cover, stage=0, current=seed,
+        to_cover=_restrict(folded.inclusion, seed), cursor=0,
+        seed_generator_count=len(frame.gens),
+        seed_free_edges=len(find_free_faces_and_edges(seed)[1]),
+        gen_paths=frame.hops)
     _check_stage(state)
     return state
 
@@ -239,11 +255,11 @@ def _check_stage(state: PipelineState) -> None:
         pos = state.current.base_vertex
         for d in path:
             _invariant(d[0] in g.edges and g.dart_origin(d) == pos,
-                       "input generator no longer traces through the stage",
+                       "seed generator no longer traces through the stage",
                        state)
             pos = g.dart_terminus(d)
         _invariant(pos == state.current.base_vertex,
-                   "input generator no longer closes at the base", state)
+                   "seed generator no longer closes at the base", state)
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +612,7 @@ def present_subgroup(generators: list[Word], x: OneRelatorOrbicomplex, *,
                      max_degree: int = 8, max_word_len: int = 12,
                      max_stages: int = 200, seed: int = 0
                      ) -> tuple[Presentation, PipelineReport]:
-    """Full run: quotient search, cover, stabilizer intersection, seeding,
+    """Full run: quotient search, cover, seed of the stabilizer intersection
     and refinement sweeps until stabilization or budget exhaustion.  The
     quotient search is exact, so ``seed`` is accepted and ignored."""
     if x.branch_index < 2:
@@ -614,8 +630,7 @@ def present_subgroup(generators: list[Word], x: OneRelatorOrbicomplex, *,
         # checked before the trivial subgroup returns, as the search would
         raise ValueError(f"max_degree must be at least 1, got {max_degree}")
     notes: list[str] = []
-    cleaned = [free_reduce(g) for g in generators]
-    cleaned = [g for g in cleaned if g]
+    cleaned = [g for g in map(free_reduce, generators) if g]
     if not cleaned:
         notes.append("trivial subgroup; empty presentation emitted directly")
         return (Presentation((), (), (), 0, True, tuple(notes)),
@@ -629,8 +644,7 @@ def present_subgroup(generators: list[Word], x: OneRelatorOrbicomplex, *,
     if any(q.act(0, g) != 0 for g in cleaned):
         notes.append("input generators move the base point; presenting the "
                      "finite-index intersection with the cover stabilizer")
-    # H = <cleaned> ≠ 1 and H ∩ Stab(0) has finite index in H, so is ≠ 1 too
-    state = seed_immersion(pull_back_subgroup(cleaned, q), cover)
+    state = seed_immersion(cleaned, cover)
     rows: list[StageRow] = []
     while True:
         state, changed = _sweep(state, max_word_len)

@@ -10,8 +10,8 @@ from orelco.complexes import (CellMorphism, EdgeRec, Graph, MapKind,
                               euler_characteristic)
 from orelco.complexes import target_side
 from orelco.covers import (FiniteQuotient, build_unwrapped_cover,
-                           find_exponent_n_quotient, pull_back_subgroup,
-                           screen_draw, unwrapping_actions, validate_quotient,
+                           find_exponent_n_quotient, screen_draw,
+                           unwrapping_actions, validate_quotient,
                            verify_cover, UnwrappedCover)
 import orelco.covers as covers
 from orelco.errors import BudgetExhaustedError, InvariantError, OrelcoError
@@ -519,28 +519,6 @@ def test_verify_names_each_vertex_whose_link_is_not_onto():
         "link at v is not onto the rose link",
         "quotient does not unwrap: exponent condition violated: relator "
         "image has a cycle of order 1, expected 2")
-
-
-def test_pull_back_full_group():
-    gens = [(A,), (B,)]
-    out = pull_back_subgroup(gens, Q_AB2)
-    assert out == [(B,), (A, A), (A, B, ("a", -1))]
-
-
-def test_pull_back_cyclic_subgroup():
-    out = pull_back_subgroup([(A, B)], Q_AB2)
-    assert out == [(A, B, A, B)]
-
-
-def test_pull_back_already_in_stabilizer():
-    out = pull_back_subgroup([(B,), (A, A)], Q_AB2)
-    assert out == [(B,), (A, A)]
-
-
-def test_pull_back_outputs_fix_base_point():
-    for gens in [[(A,), (B,)], [(A, B)], [(A, B, ("a", -1)), (B, B)]]:
-        for word in pull_back_subgroup(gens, Q_AB2):
-            assert Q_AB2.act(0, word) == 0
 
 
 def _parent_cyclic_quotient(x: OneRelatorOrbicomplex,

@@ -18,11 +18,11 @@ from orelco.complexes import (CellImage, CellMorphism, EdgeRec, Graph,
                               dart_sort_key, euler_characteristic,
                               find_free_faces_and_edges, identity_morphism,
                               reverse_path)
-from orelco.covers import (build_unwrapped_cover, find_exponent_n_quotient,
-                           pull_back_subgroup)
+from orelco.covers import (FiniteQuotient, build_unwrapped_cover,
+                           find_exponent_n_quotient)
 from orelco.diagrams import build_reduced_diagram
 from orelco.errors import InvalidComplexError, PipelineInvariantError
-from orelco.folding import _canonical_cell_key
+from orelco.folding import _canonical_cell_key, fold
 from orelco.harness import random_uniform_quotient
 from orelco.orbicomplex import build_orbicomplex
 from orelco.pipeline import (_P, PipelineState, _apply_rewrites, _bfs_frame,
@@ -62,9 +62,21 @@ def test_seed_rejects_empty_generator_list(cover):
         seed_immersion([W("a a~")], cover)
 
 
-def test_seed_rejects_open_generator(cover):
-    with pytest.raises(ValueError, match="closed loop"):
-        seed_immersion([W("a")], cover)
+def test_seed_refuses_a_letter_outside_the_rose(cover):
+    with pytest.raises(ValueError, match="letter 'c' is not a loop"):
+        seed_immersion([W("a"), W("b c")], cover)
+
+
+def hop_words(state):
+    return [w for w, _ in _bfs_frame(state.current, state.to_cover).hop_words]
+
+
+def test_seed_accepts_a_generator_that_moves_point_0(cover):
+    # a swaps the two points, so <a> meets the cover's group in <a a>
+    assert cover.quotient.act(0, W("a")) == 1
+    state = seed_immersion([W("a")], cover)
+    assert state.seed_generator_count == 1
+    assert hop_words(state) == [W("a~ a~")]
 
 
 def test_seed_folds_stabilizer_wedge_onto_cover_skeleton(cover):
@@ -76,12 +88,104 @@ def test_seed_folds_stabilizer_wedge_onto_cover_skeleton(cover):
     assert classify_map(state.to_cover).kind >= MapKind.IMMERSION
     assert state.seed_generator_count == 3
     assert state.seed_free_edges == 4
-    assert len(state.gen_paths) == len(STAB)
-    for path, gen in zip(state.gen_paths, STAB):
+    for gen in STAB:
+        assert y.skeleton.read(gen, y.base_vertex)[1] == y.base_vertex
+    assert len(state.gen_paths) == 3
+    for path in state.gen_paths:
         assert path
         assert y.path_is_closed(path)
         assert y.skeleton.dart_origin(path[0]) == y.base_vertex
-        assert tuple(map(y.skeleton.dart_label, path)) == gen
+
+
+@pytest.mark.parametrize("gens,expected", [
+    (["a", "b"], ["a~ a~", "b", "a b a~"]),
+    (["a b"], ["b~ a~ b~ a~"]),
+    (["b", "a a"], ["a~ a~", "b"]),
+    (["a b a~", "b b"], ["b~ b~", "a b a~"]),
+], ids=["full", "cyclic", "in-stabilizer", "conjugate"])
+def test_seed_hops_fix_point_0(cover, gens, expected):
+    # a basis of H ∩ K, read off the seed
+    words = hop_words(seed_immersion([W(g) for g in gens], cover))
+    assert words == [W(g) for g in expected]
+    assert all(cover.quotient.act(0, w) == 0 for w in words)
+
+
+def test_seed_over_a_relabelled_quotient_is_a_typed_error():
+    # the cover's quotient with points 1 and 2 swapped: the product still
+    # lifts by labels, but a ends over p1 in the cover, where the copies of
+    # the wedge say p2
+    _, cover = screen_cover("a b", 3)
+    q = cover.quotient
+    swap = (0, 2, 1)
+    relabelled = FiniteQuotient(q.degree, {
+        s: tuple(swap[p[swap[i]]] for i in range(q.degree))
+        for s, p in q.perms.items()})
+    with pytest.raises(PipelineInvariantError,
+                       match="generator 0 does not read .* over p2"):
+        seed_immersion([W("a")], cover._replace(quotient=relabelled))
+    assert hop_words(seed_immersion([W("a")], cover)) == [W("a a a")]
+
+
+def closes(y, word):
+    read = y.skeleton.read(word, y.base_vertex)
+    return read is not None and read[1] == y.base_vertex
+
+
+def rose_fold(gens):
+    """The fold of the wedge of ``gens`` over the rose on a and b: a reduced
+    word reads a loop at its base exactly when it lies in the subgroup that
+    ``gens`` generate (Stallings 1983)."""
+    edges = {}
+    for j, gen in enumerate(gens):
+        ends = ["o"] + [f"o{j}.{t}" for t in range(1, len(gen))] + ["o"]
+        for t, (sym, sign) in enumerate(gen):
+            tail, head = ends[t:t + 2][::sign]
+            edges[f"e{j}.{t}"] = EdgeRec(tail, head, sym)
+    wedge = TwoComplex(Graph(frozenset(v for r in edges.values()
+                                       for v in r[:2]), edges),
+                       base_vertex="o")
+    rose = TwoComplex(Graph.rose("ab"), base_vertex="*")
+    return fold(_lift(wedge, rose, "*")).folded
+
+
+def reduced_words(max_len):
+    words, out = [()], []
+    for _ in range(max_len):
+        words = [w + (l,) for w in words for l in W("a a~ b b~")
+                 if not w or l != (w[-1][0], -w[-1][1])]
+        out += words
+    return out
+
+
+def test_seed_loops_are_the_words_of_the_subgroup_that_fix_point_0():
+    # over seeded subgroups of the five corpus groups, a reduced word of at
+    # most six letters reads a loop at the seed's base exactly when it lies
+    # in H and fixes point 0
+    covers = {g: screen_cover(*g)[1] for g in CORPUS_GROUPS}
+    words = reduced_words(6)
+    moved = 0
+    for relator, n, gens in random_subgroups(40, 1):
+        kept = [g for g in map(free_reduce, gens) if g]
+        if not kept:
+            continue
+        q = covers[relator, n].quotient
+        moved += any(q.act(0, g) for g in kept)
+        y = seed_immersion(gens, covers[relator, n]).current
+        h = rose_fold(kept)
+        for u in words:
+            assert closes(y, u) == (closes(h, u) and q.act(0, u) == 0)
+    assert moved >= 20
+
+
+def test_the_seed_is_cut_to_its_core():
+    # H = <b~ b~ a~ b> folds to a graph whose base has degree 1, so the
+    # product's copies at points 1 and 2 leave a hair of two edges, which
+    # the seed drops
+    x, cover = screen_cover("a b", 3)
+    y = seed_immersion([W("b~ b~ a~ b")], cover).current
+    assert (len(y.skeleton.vertices), len(y.skeleton.edges)) == (7, 7)
+    _, report = present_subgroup([W("b~ b~ a~ b")], x, max_word_len=5)
+    assert [tuple(r) for r in report.rows] == [(1, 1, 1, 0, 6, 0)] * 2
 
 
 def test_lifted_cells_have_exactly_one_cover_image(x, cover):
@@ -309,8 +413,7 @@ def test_present_stage_streams_match_the_plain_walk(relator, n, gens,
     # the streams over the real letter codes of the seed stage and of the
     # stable stage, whose stream the sweep walks to its last item
     _, cover = screen_cover(relator, n)
-    pulled = pull_back_subgroup([W(g) for g in gens], cover.quotient)
-    seed = state = seed_immersion([p for p in pulled if p], cover)
+    seed = state = seed_immersion([W(g) for g in gens], cover)
     changed = True
     while changed:
         state, changed = _sweep(state, max_len)
@@ -448,8 +551,7 @@ def test_screen_passes_over_nontrivial_candidates_only(relator, n, gens):
     # the screen passes over is nontrivial, and both sweeps end in the same
     # state at every stage
     x, cover = screen_cover(relator, n)
-    pulled = pull_back_subgroup([W(g) for g in gens], cover.quotient)
-    state = seed_immersion(pulled, cover)
+    state = seed_immersion([W(g) for g in gens], cover)
     screened = total = 0
     changed = True
     while changed:
@@ -500,8 +602,7 @@ def test_sweep_builds_label_words_for_code_zero_candidates_only(
     monkeypatch.setattr(pipeline, "dehn_solve", counted("dehn", dehn_solve))
     monkeypatch.setattr(pipeline, "_refine", refine)
     _, cover = screen_cover(relator, n)
-    pulled = pull_back_subgroup([W(g) for g in gens], cover.quotient)
-    state = seed_immersion(pulled, cover)
+    state = seed_immersion([W(g) for g in gens], cover)
     screened = 0
     changed = True
     while changed:
@@ -523,8 +624,7 @@ def test_every_stage_map_is_the_label_lift(relator, n, gens):
     # those labels from the base rebuilds the stage map exactly
     _, cover = screen_cover(relator, n)
     x0 = cover.cover
-    pulled = pull_back_subgroup([W(g) for g in gens], cover.quotient)
-    state = seed_immersion(pulled, cover)
+    state = seed_immersion([W(g) for g in gens], cover)
     changed = True
     while changed:
         y = state.current
@@ -554,6 +654,40 @@ def test_rank_five_presentation_pinned_across_commits():
     text = "\n".join(lines) + "\n"
     assert len(pres.symbols) == 5
     assert hashlib.sha256(text.encode()).hexdigest() == RANK_FIVE_DIGEST
+
+
+CORPUS_GROUPS = [("a b", 2), ("a b a b~", 2), ("a a b b b", 2), ("a b", 3),
+                 ("a b a b~", 3)]
+
+
+def random_subgroups(count, seed, max_gen_len=5):
+    """``count`` seeded draws of a group of ``CORPUS_GROUPS`` and one to
+    three words of 1 to ``max_gen_len`` letters, not reduced."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        relator, n = rng.choice(CORPUS_GROUPS)
+        gens = [tuple((rng.choice("ab"), rng.choice((1, -1)))
+                      for _ in range(rng.randint(1, max_gen_len)))
+                for _ in range(rng.randint(1, 3))]
+        yield relator, n, gens
+
+
+CORPUS_DIGEST = (
+    "7284befc7056280fe648e3069ce6b785377f3005b343b33a149ebee3d21a5263")
+
+
+def test_random_subgroup_corpus_pinned():
+    # every presentation, note and stage row over 300 seeded subgroups, most
+    # of them with a generator that moves point 0; the digest was computed
+    # before the seed became a fibre product
+    groups = {g: screen_cover(*g)[0] for g in CORPUS_GROUPS}
+    digest = hashlib.sha256()
+    for relator, n, gens in random_subgroups(300, 0):
+        pres, report = present_subgroup(gens, groups[relator, n],
+                                        max_word_len=5)
+        digest.update(repr((tuple(pres), tuple(map(tuple, report.rows)))
+                           ).encode())
+    assert digest.hexdigest() == CORPUS_DIGEST
 
 
 # ---------------------------------------------------------------------------
