@@ -236,6 +236,11 @@ def unwrapping_actions(x: OneRelatorOrbicomplex, degree: int):
     return search(0, 1)
 
 
+def _check_max_degree(max_degree: int) -> None:
+    if max_degree < 1:
+        raise ValueError(f"max_degree must be at least 1, got {max_degree}")
+
+
 def find_exponent_n_quotient(x: OneRelatorOrbicomplex, max_degree: int,
                              seed: int) -> FiniteQuotient:
     """A quotient that ``validate_quotient`` accepts, of the least degree
@@ -244,8 +249,7 @@ def find_exponent_n_quotient(x: OneRelatorOrbicomplex, max_degree: int,
     ``seed`` is accepted and ignored.  Raises ``BudgetExhaustedError`` when
     none of degree at most ``max_degree`` exists, or when the enumerator's
     node budget runs out, naming the degree."""
-    if max_degree < 1:
-        raise ValueError(f"max_degree must be at least 1, got {max_degree}")
+    _check_max_degree(max_degree)
     symbols = x._rose_symbols
     n = x.branch_index
     for m in range(n, max_degree + 1, n):

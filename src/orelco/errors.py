@@ -37,16 +37,17 @@ class BudgetExhaustedError(OrelcoError):
     """A bounded search ran out of budget before reaching a conclusion."""
 
 
-class PipelineInvariantError(OrelcoError):
+class PipelineInvariantError(InvariantError):
     """A hard invariant of the refinement pipeline was breached.
 
-    Carries a full state dump so the breach can be studied offline.
+    Carries a state dump, kept in ``dump`` and appended to the message, so
+    the breach can be studied offline.
     """
 
     def __init__(self, message: str, dump: str = ""):
-        super().__init__(message)
+        super().__init__(f"{message}: {dump}" if dump else message)
         self.dump = dump
 
 
-class DiagramError(OrelcoError):
+class DiagramError(InvariantError):
     """A disk diagram reached a configuration the reducer cannot handle."""

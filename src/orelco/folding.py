@@ -11,8 +11,6 @@ factored immersion through any other immersion D -> B is unique, which
 
 from __future__ import annotations
 
-import heapq
-from bisect import bisect_left, insort
 from typing import NamedTuple
 
 from .complexes import (CellImage, CellMorphism, EdgeRec, Graph, TwoComplex,
@@ -63,23 +61,23 @@ def _canonical_cell_key(path, image: CellImage):
 def fold(m: CellMorphism) -> FoldResult:
     """Fold ``m`` into projection ∘ inclusion with the inclusion an immersion.
 
-    Stallings folding on a worklist.  The live darts at each quotient vertex
-    sit in sorted buckets by image, and a heap holds the least dart of every
-    bucket with two or more darts.  Each step identifies the two least darts
-    of the bucket whose least dart is least overall, so the trace is
-    deterministic; the folded complex is independent of the order anyway.
+    Stallings folding on a worklist.  Each quotient vertex keeps one dart
+    per image in a dict, and a stack holds the pairs of darts that clash.
+    Joining the classes of a pair meets the vertices their reverses start
+    at: the smaller dict merges into the larger, and each image the two
+    share pushes a new clash.  The result does not depend on the order of
+    the folds, so the trace is read off it: one dart entry per edge folded
+    onto another, in edge id order, then the merged cells.
 
     The loop runs on numbers.  Edge ``i`` is the ``i``-th edge id in sorted
-    order and its darts are ``2i`` (forward) and ``2i + 1`` (reverse), so
-    the order of dart numbers is the order of (edge id, reverse) pairs.
-    Vertices are numbered in name order, so the smaller number of two
-    merged vertices is the smaller name, which survives.  The image of a
-    dart is numbered ``2j`` for ``(f, +1)`` and ``2j + 1`` for ``(f, -1)``,
-    with ``j`` counting target edges ``f`` as they are met.
-
-    Identified vertices and darts are two union-finds on ``complexes._find``.
-    A dart class holds one dart of each of its edges and is rooted at its
-    least dart, so edge ``i`` folds onto the edge of the root of ``2i``.
+    order, with darts ``2i`` (forward) and ``2i + 1`` (reverse); vertices
+    are numbered in name order, so the smaller of two merged numbers is the
+    smaller name, which survives.  The image of a dart is ``2j`` for
+    ``(f, +1)`` and ``2j + 1`` for ``(f, -1)``, ``j`` counting target edges
+    ``f`` as they are met.  Vertices and darts are two union-finds on
+    ``complexes._find``; a dart class holds one dart of each of its edges
+    and is rooted at its least dart, so edge ``i`` folds onto the edge of
+    the root of ``2i``.
     """
     witness = _check_morphism(m)
     if witness is not None:
@@ -92,73 +90,42 @@ def fold(m: CellMorphism) -> FoldResult:
     vparent = list(range(len(vertex_names)))
     target_no: dict[str, int] = {}
     origin: list[int] = []      # origin[k]: vertex number where dart k starts
-    image: list[int] = []       # image[k]: image number of dart k
-    buckets: list[dict[int, list[int]] | None] = [{} for _ in vertex_names]
+    darts_at: list[dict[int, int]] = [{} for _ in vertex_names]
+    clashes: list[tuple[int, int]] = []
     for i, e in enumerate(edge_names):
         tail, head, _ = skel[e]
         f, g = m.edge_map[e]
-        j = target_no.get(f)
-        if j is None:
-            j = target_no[f] = len(target_no)
-        img = 2 * j + (g < 0)
-        t, h = vertex_no[tail], vertex_no[head]
-        origin.append(t)
-        origin.append(h)
-        image.append(img)
-        image.append(img ^ 1)
-        buckets[t].setdefault(img, []).append(2 * i)
-        buckets[h].setdefault(img ^ 1, []).append(2 * i + 1)
+        img = 2 * target_no.setdefault(f, len(target_no)) + (g < 0)
+        origin += (vertex_no[tail], vertex_no[head])
+        for k in (2 * i, 2 * i + 1):
+            other = darts_at[origin[k]].setdefault(img ^ (k & 1), k)
+            if other != k:
+                clashes.append((other, k))
 
     dparent = list(range(2 * len(edge_names)))
-    trace: list[TraceEntry] = []
-    heap = [b[0] for at in buckets for b in at.values() if len(b) > 1]
-    heapq.heapify(heap)
-    while heap:
-        k1 = heapq.heappop(heap)
-        b = buckets[_find(vparent, origin[k1])].get(image[k1])
-        if b is None or len(b) < 2 or b[0] != k1:
-            continue    # stale: the bucket changed after this entry
-        k2 = b.pop(1)
-        if len(b) > 1:
-            heapq.heappush(heap, k1)
-        e1, e2 = k1 >> 1, k2 >> 1
-        s1, s2 = 1 - 2 * (k1 & 1), 1 - 2 * (k2 & 1)
-        trace.append(("dart", (edge_names[e1], s1), (edge_names[e2], s2)))
-        # k1 < k2 in different edges, so e1 < e2 and k1 stays the root.
-        # Both darts of e2 leave their buckets.  The reverse of e2 shares
-        # its bucket with the smaller reverse of e1, or the two buckets
-        # merge below, so no entry is lost.
-        back = k2 ^ 1
-        t1, t2 = _find(vparent, origin[k1 ^ 1]), _find(vparent, origin[back])
-        at2 = buckets[t2]
-        rb = at2[image[back]]
-        del rb[bisect_left(rb, back)]
-        if not rb:
-            del at2[image[back]]
+    while clashes:
+        k1, k2 = clashes.pop()
+        t1 = _find(vparent, origin[k1 ^ 1])
+        t2 = _find(vparent, origin[k2 ^ 1])
         _union_darts(dparent, k1, k2)
         if t1 == t2:
             continue
         if t2 < t1:
             t1, t2 = t2, t1
         vparent[t2] = t1    # the smaller name survives
-        keep, lose = buckets[t1], buckets[t2]
-        buckets[t2] = None
+        keep, lose = darts_at[t1], darts_at[t2]
         if len(keep) < len(lose):
             keep, lose = lose, keep
-        for img, small in lose.items():
-            big = keep.setdefault(img, small)
-            if big is small:
-                continue
-            if len(big) < len(small):
-                big, small = small, big
-                keep[img] = big
-            for k in small:
-                insort(big, k)
-            heapq.heappush(heap, big[0])
-        buckets[t1] = keep
+        for im, k in lose.items():
+            other = keep.setdefault(im, k)
+            if other != k:
+                clashes.append((other, k))
+        darts_at[t1] = keep
 
     edge_map = {e: (edge_names[r >> 1], 1 - 2 * (r & 1))
                 for e, r in zip(edge_names, _flatten(dparent)[::2])}
+    trace: list[TraceEntry] = [("dart", (r, 1), (e, s))
+                               for e, (r, s) in edge_map.items() if r != e]
     roots = [e for e, (r, _) in edge_map.items() if r == e]
     vroot = _flatten(vparent)
     vertex_map = {v: vertex_names[vroot[vertex_no[v]]]

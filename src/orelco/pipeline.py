@@ -18,8 +18,8 @@ from .complexes import (CellImage, CellMorphism, Dart, EdgeRec, Graph,
                         connected_components, dart_sort_key,
                         euler_characteristic, find_free_faces_and_edges,
                         require_valid, reverse_path)
-from .covers import UnwrappedCover, build_unwrapped_cover, \
-    find_exponent_n_quotient, verify_cover
+from .covers import UnwrappedCover, _check_max_degree, \
+    build_unwrapped_cover, find_exponent_n_quotient, verify_cover
 from .diagrams import build_reduced_diagram
 from .errors import PipelineInvariantError
 from .folding import fold
@@ -626,9 +626,7 @@ def present_subgroup(generators: list[Word], x: OneRelatorOrbicomplex, *,
     foreign = [s for g in generators for s, _ in g if s not in x.gamma.edges]
     if foreign:
         raise _foreign_letter(foreign[0])
-    if max_degree < 1:
-        # checked before the trivial subgroup returns, as the search would
-        raise ValueError(f"max_degree must be at least 1, got {max_degree}")
+    _check_max_degree(max_degree)     # before the trivial subgroup returns
     notes: list[str] = []
     cleaned = [g for g in map(free_reduce, generators) if g]
     if not cleaned:

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from orelco.cli import main
-from orelco.covers import build_unwrapped_cover, find_exponent_n_quotient
+from orelco.covers import (CoverReport, build_unwrapped_cover,
+                           find_exponent_n_quotient)
 from orelco.orbicomplex import WCyclesAudit
 from orelco.textio import (format_complex, format_cover, parse_complex,
                            parse_cover_file, parse_orbicomplex)
@@ -198,6 +199,18 @@ def test_subgroup_present_budget_exhausted_exits_3(group_file, capsys,
     assert "error: presentation is inconclusive" in out
     # a presentation is still emitted
     assert out_path.read_text() == "gens: x1 x2 ; rels:\n"
+
+def test_a_failed_cover_audit_prints_its_witnesses(group_file, capsys,
+                                                   monkeypatch):
+    import orelco.pipeline as pipeline
+    report = CoverReport(False, ("edge a0 is not covered",), 0, 2)
+    monkeypatch.setattr(pipeline, "verify_cover", lambda cover: report)
+    code, out, err = run(capsys, ["subgroup", "present", "--group",
+                                  group_file, "--gens", "a a"])
+    assert code == 1
+    assert err == "error: cover audit failed: edge a0 is not covered\n"
+    assert out.startswith("config:") and out.count("\n") == 1
+
 
 def test_subgroup_present_bad_gens_token_is_usage_error(group_file, capsys):
     code, out, err = run(capsys, ["subgroup", "present", "--group",

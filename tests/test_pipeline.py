@@ -18,10 +18,11 @@ from orelco.complexes import (CellImage, CellMorphism, EdgeRec, Graph,
                               dart_sort_key, euler_characteristic,
                               find_free_faces_and_edges, identity_morphism,
                               reverse_path)
-from orelco.covers import (FiniteQuotient, build_unwrapped_cover,
+from orelco.covers import (CoverReport, FiniteQuotient, build_unwrapped_cover,
                            find_exponent_n_quotient)
 from orelco.diagrams import build_reduced_diagram
-from orelco.errors import InvalidComplexError, PipelineInvariantError
+from orelco.errors import (DiagramError, InvalidComplexError, InvariantError,
+                           PipelineInvariantError)
 from orelco.folding import _canonical_cell_key, fold
 from orelco.harness import random_uniform_quotient
 from orelco.orbicomplex import build_orbicomplex
@@ -1030,9 +1031,25 @@ def test_an_emitted_relator_is_checked_in_the_group(x, monkeypatch, relator,
         pres, _ = present_subgroup([W("a")], x)
         assert pres.symbols == ("x1",) and pres.relators == (W(relator),)
     else:
+        # the message carries the state summary after the breach
         with pytest.raises(PipelineInvariantError,
-                           match="emitted relator is not trivial"):
+                           match=r"emitted relator is not trivial: "
+                                 r"stage=\d+ cursor=\d+ V=\d+ E=\d+ cells="):
             present_subgroup([W("a")], x)
+
+
+def test_a_failed_cover_audit_names_its_witnesses(x, monkeypatch):
+    import orelco.pipeline as pipeline
+    report = CoverReport(False, ("edge a0 is not covered", "euler is off"),
+                         0, 2)
+    monkeypatch.setattr(pipeline, "verify_cover", lambda cover: report)
+    with pytest.raises(InvariantError) as info:
+        present_subgroup([W("a")], x)
+    assert isinstance(info.value, PipelineInvariantError)
+    assert str(info.value) == ("cover audit failed: edge a0 is not covered; "
+                               "euler is off")
+    assert info.value.dump == "edge a0 is not covered; euler is off"
+    assert issubclass(DiagramError, InvariantError)
 
 
 def test_budget_exhaustion_is_flagged_not_raised(x):
