@@ -28,7 +28,8 @@ from .textio import (audit_csv, export_dot, format_complex, format_cover,
                      format_presentation, format_quotient, parse_complex,
                      parse_cover_file, parse_morphism, parse_orbi_morphism,
                      parse_orbicomplex, parse_stacking, pipeline_csv)
-from .words import dehn_solve, format_word, is_reduced, parse_word
+from .words import (_require_torsion, dehn_solve, format_word, is_reduced,
+                    parse_word)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -58,11 +59,7 @@ def _load(parse, path: str, *context):
 
 
 def _load_torsion_group(path: str):
-    x = _load(parse_orbicomplex, path)
-    if x.branch_index < 2:
-        raise SystemExit(_usage(f"{path}: branch index must be at least 2, "
-                                f"got {x.branch_index}"))
-    return x
+    return _load(lambda t: _require_torsion(parse_orbicomplex(t)), path)
 
 
 def _parse(source: str, parse, text: str, *context):
@@ -215,7 +212,7 @@ def _cmd_audit_wcycles(args) -> int:
         else:
             for suite, (passed, total) in sorted(report.pass_counts.items()):
                 print(f"suite {suite}: {passed}/{total}")
-            zeros = report.slack1_histogram.get(0, 0)
+            zeros = sum(r.slack1 == 0 for r in report.rows)
             print(f"slack1 tight in {zeros} of {len(report.rows)} trials")
         return EXIT_OK
     if args.complex is None or args.map is None:

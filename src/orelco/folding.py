@@ -19,14 +19,24 @@ from .complexes import (CellImage, CellMorphism, EdgeRec, Graph, TwoComplex,
 from .errors import (FactorizationError, InvariantError, NotImmersionError,
                      NotMorphismError)
 
-TraceEntry = tuple  # ("dart", dart, dart) or ("cell", kept_id, dropped_id)
-
 
 class FoldResult(NamedTuple):
     folded: TwoComplex
     projection: CellMorphism
     inclusion: CellMorphism
-    trace: tuple[TraceEntry, ...]
+
+    @property
+    def trace(self) -> tuple:
+        """The folds, read off the projection, which the order of the folds
+        does not change: ``("dart", (r, 1), (e, s))`` for each edge ``e``
+        folded onto the dart ``(r, s)``, in edge id order, then the sorted
+        ``("cell", kept, dropped)`` for each merged cell."""
+        p = self.projection
+        darts = [("dart", (r, 1), (e, s))
+                 for e, (r, s) in sorted(p.edge_map.items()) if r != e]
+        return tuple(darts + sorted(("cell", im.cell, c)
+                                    for c, im in p.cell_map.items()
+                                    if im.cell != c))
 
 
 def _union_darts(parent: list[int], k1: int, k2: int) -> None:
@@ -66,8 +76,7 @@ def fold(m: CellMorphism) -> FoldResult:
     Joining the classes of a pair meets the vertices their reverses start
     at: the smaller dict merges into the larger, and each image the two
     share pushes a new clash.  The result does not depend on the order of
-    the folds, so the trace is read off it: one dart entry per edge folded
-    onto another, in edge id order, then the merged cells.
+    the folds, so ``FoldResult.trace`` is read off the projection.
 
     The loop runs on numbers.  Edge ``i`` is the ``i``-th edge id in sorted
     order, with darts ``2i`` (forward) and ``2i + 1`` (reverse); vertices
@@ -124,8 +133,6 @@ def fold(m: CellMorphism) -> FoldResult:
 
     edge_map = {e: (edge_names[r >> 1], 1 - 2 * (r & 1))
                 for e, r in zip(edge_names, _flatten(dparent)[::2])}
-    trace: list[TraceEntry] = [("dart", (r, 1), (e, s))
-                               for e, (r, s) in edge_map.items() if r != e]
     roots = [e for e, (r, _) in edge_map.items() if r == e]
     vroot = _flatten(vparent)
     vertex_map = {v: vertex_names[vroot[vertex_no[v]]]
@@ -150,21 +157,16 @@ def fold(m: CellMorphism) -> FoldResult:
     kept_cells: dict[str, tuple] = {}
     proj_cells: dict[str, CellImage] = {}
     rep_of_key: dict = {}
-    merged = []
     for cid in sorted(a.cells):
         path = pushed_path(a.cells[cid])
         im_c = m.cell_map[cid]
         rep = rep_of_key.setdefault(_canonical_cell_key(path, im_c), cid)
         if rep == cid:
             kept_cells[cid] = path
-        else:
-            merged.append(("cell", rep, cid))
         im_k = m.cell_map[rep]
         proj_cells[cid] = CellImage(
             rep, (im_k.orient * (im_c.offset - im_k.offset)) % len(path),
             im_c.orient * im_k.orient)
-    trace += sorted(merged)     # class by class, by each class's least cell
-
     folded = TwoComplex(Graph(vertices, edges), kept_cells, base)
     projection = CellMorphism(
         a, folded, vertex_map, {e: edge_map[e] for e in skel}, proj_cells)
@@ -177,7 +179,7 @@ def fold(m: CellMorphism) -> FoldResult:
     cls = _immersion_fault(inclusion)
     if cls is not None:
         raise NotImmersionError(f"folded map failed its immersion check: {cls.witness}")
-    return FoldResult(folded, projection, inclusion, tuple(trace))
+    return FoldResult(folded, projection, inclusion)
 
 
 def _lifts(preimages, kind: str) -> dict:

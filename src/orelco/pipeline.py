@@ -24,7 +24,8 @@ from .diagrams import build_reduced_diagram
 from .errors import PipelineInvariantError
 from .folding import fold
 from .orbicomplex import OneRelatorOrbicomplex
-from .words import Word, _foreign_letter, dehn_solve, free_reduce, inverse_word
+from .words import (Word, _foreign_letter, _require_torsion, dehn_solve,
+                    free_reduce, inverse_word)
 
 # ---------------------------------------------------------------------------
 # state
@@ -615,8 +616,7 @@ def present_subgroup(generators: list[Word], x: OneRelatorOrbicomplex, *,
     """Full run: quotient search, cover, seed of the stabilizer intersection
     and refinement sweeps until stabilization or budget exhaustion.  The
     quotient search is exact, so ``seed`` is accepted and ignored."""
-    if x.branch_index < 2:
-        raise ValueError("subgroup presentation requires branch index >= 2")
+    _require_torsion(x)
     if max_word_len < 1:
         # no candidate would be tried, and the seed would pass as stable
         raise ValueError(

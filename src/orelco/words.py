@@ -104,6 +104,15 @@ def _foreign_letter(sym: str) -> ValueError:
     return ValueError(f"letter {sym!r} is not a loop of the rose")
 
 
+def _require_torsion(x: "OneRelatorOrbicomplex") -> "OneRelatorOrbicomplex":
+    """``x`` when its branch index is at least 2, as the word problem, the
+    subgroup pipeline and the campaigns need."""
+    if x.branch_index < 2:
+        raise ValueError(
+            f"branch index must be at least 2, got {x.branch_index}")
+    return x
+
+
 class DehnStep(NamedTuple):
     """One replacement: the matched subword and the rotation that supplied it."""
 
@@ -178,9 +187,7 @@ def dehn_solve(word: Sequence[Letter], x: "OneRelatorOrbicomplex") -> DehnResult
     old prefix, no position before ``a - threshold + 1`` can match: those
     letters lie in that prefix, where the previous scan found none.
     """
-    if x.branch_index < 2:
-        raise ValueError("word problem routine requires branch index >= 2")
-    power = x.relator_power_path()
+    power = _require_torsion(x).relator_power_path()
     u = tuple(word)
     symbols = x.gamma.edges
     last_sym, last_sign = None, 0

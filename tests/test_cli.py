@@ -426,6 +426,22 @@ def test_audit_campaign_all_pass(group_file, capsys):
     assert "suite covers: 40/40" in out
 
 
+# sha256 of the whole stdout of a seeded text campaign over ab/2 with all
+# three suites; its last line counts the rows whose slack1 is 0
+CAMPAIGN_TEXT_DIGEST = \
+    "c100044b6717a72070dbbfb80c95ed585395c5f156a90e0b9d4462e1cd5acbfb"
+
+
+def test_the_text_campaign_summary_is_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.txt").write_text(GROUP)
+    code, out, _ = run(capsys, ["audit", "wcycles", "--group", "g.txt",
+                                "--trials", "60", "--seed", "3"])
+    assert code == 0
+    assert "slack1 tight in 34 of 60 trials\n" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == CAMPAIGN_TEXT_DIGEST
+
+
 @pytest.mark.parametrize("argv", [
     ["subgroup", "present", "--gens", "b ; a a", "--max-word-len", "0"],
     ["subgroup", "present", "--gens", "b ; a a", "--max-word-len", "-3"],

@@ -523,10 +523,9 @@ def _base_morphism(rng):
         y = _generate_uncollapsed(rng.getrandbits(32), params).source
         m, x = identity_morphism(y), None
     elif kind == 2:
-        rose = TwoComplex(Graph.rose(["a", "b"]), {}, base_vertex="*")
-        res = fold(_random_rose_morphism(rng, rng.randint(1, 6), ["a", "b"],
-                                         rose))
-        m, x = rng.choice([res.projection, res.inclusion]), None
+        res = fold(_random_rose_morphism(rng, rng.randint(1, 6), x))
+        m = rng.choice([res.projection, res.inclusion])
+        x = x if m is res.inclusion else None
     else:
         q = random_uniform_quotient(rng, x, 3 * n)
         m = (identity_morphism(x.presentation_complex) if q is None

@@ -587,6 +587,45 @@ def test_cyclic_phase_finds_the_parents_quotients():
     assert min(seen.values()) >= 20, seen
 
 
+def _standard_table(perms: dict) -> dict:
+    """``perms`` renumbered as ``unwrapping_actions`` numbers its tables:
+    0 stays 0, and each other point takes the next number when it is first
+    met, scanning the numbered points in order and at each every symbol
+    forwards, then backwards."""
+    inverses = {s: _naive_inverse(p) for s, p in perms.items()}
+    order = [0]
+    for p in order:
+        for s in sorted(perms):
+            for image in (perms[s][p], inverses[s][p]):
+                if image not in order:
+                    order.append(image)
+    number = {p: i for i, p in enumerate(order)}
+    return {s: tuple(number[perms[s][p]] for p in order)
+            for s in sorted(perms)}
+
+
+def test_each_cyclic_quotient_is_one_of_the_enumerators_tables():
+    # over ab/2 and the benchmark's three present groups, every cyclic
+    # quotient the search tries first is an action that unwrapping_actions
+    # yields too; the cyclic phase only decides which least-degree action
+    # is returned, and for these groups that is not the enumerator's first
+    for word, n in (("a b", 2), ("a b", 3), ("a b a b~", 2)):
+        x = make_x(word, n)
+        cyclic = []
+        for m in range(n, 9, n):
+            tables = list(unwrapping_actions(x, m))
+            for rev in itertools.product(range(m), repeat=2):
+                perms = {s: tuple((i + c) % m for i in range(m))
+                         for s, c in zip("ab", reversed(rev))}
+                if covers._accept_draw(perms, x, m) is not None:
+                    assert _standard_table(perms) in tables, (word, perms)
+                    cyclic.append(perms)
+        q = find_exponent_n_quotient(x, 8, 0)
+        assert q.perms == cyclic[0]
+        first = next(unwrapping_actions(x, q.degree))
+        assert _standard_table(q.perms) != first
+
+
 def test_every_candidate_the_search_validates_passes_the_screen(monkeypatch):
     # the cyclic shifts and the enumerator's table are screened before
     # they are built and validated

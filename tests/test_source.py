@@ -118,6 +118,23 @@ def test_only_complexes_defines_a_find():
     assert not found, found
 
 
+def _states_the_torsion_rule(node) -> bool:
+    """The refusal ``<...>.branch_index < 2``."""
+    return (isinstance(node, ast.Compare) and len(node.ops) == 1
+            and isinstance(node.ops[0], ast.Lt)
+            and getattr(node.left, "attr", None) == "branch_index"
+            and ast.dump(node.comparators[0]) == ast.dump(ast.Constant(2)))
+
+
+def test_only_words_states_the_torsion_rule():
+    # words._require_torsion is the one home of n >= 2; a second comparison
+    # would be a second message for the same rule
+    found = _where("words.py", _states_the_torsion_rule)
+    assert not found, found
+    assert [node for _, tree in _library() for node in ast.walk(tree)
+            if _states_the_torsion_rule(node)], "the rule has no home"
+
+
 def test_no_library_module_calls_gcd():
     # covers.validate_quotient is the one home of the exponent-n rule; a gcd
     # of exponent sums would be a second derivation of it

@@ -91,6 +91,20 @@ def test_dehn_rejects_unreduced_input_after_the_branch_check():
     assert x.relator is x.relator
 
 
+def test_every_caller_states_the_torsion_rule_in_one_message():
+    from orelco.harness import GeneratorParams, random_irreducible_immersion
+    from orelco.pipeline import present_subgroup
+    x = make_x([A, B], 1)
+    calls = [lambda: dehn_solve((A,), x),
+             lambda: present_subgroup([(A,)], x),
+             lambda: random_irreducible_immersion(
+                 0, GeneratorParams(3, x.relator, 1))]
+    for call in calls:
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == "branch index must be at least 2, got 1"
+
+
 def test_cyclically_reduced_predicate():
     assert is_cyclically_reduced((A, B))
     assert not is_cyclically_reduced((A, B, Ai))
