@@ -11,7 +11,6 @@ cells go homeomorphically to cells.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -33,11 +32,15 @@ class EdgeRec(NamedTuple):
     label: str | None = None
 
 
-@dataclass(frozen=True)
-class Graph:
+# A record with cached tables subclasses a NamedTuple of its fields: the
+# subclass has the instance __dict__ that cached_property writes, and the
+# fields stay read-only, compare and hash by value.
+class _GraphFields(NamedTuple):
     vertices: frozenset[str]
     edges: dict[str, EdgeRec]
 
+
+class Graph(_GraphFields):
     @staticmethod
     def rose(symbols: Iterable[str]) -> "Graph":
         """One vertex with a labeled loop per symbol; edge id equals the label."""
@@ -110,11 +113,19 @@ class Graph:
         return tuple(path), v
 
 
-@dataclass(frozen=True)
-class TwoComplex:
+class _TwoComplexFields(NamedTuple):
     skeleton: Graph
-    cells: dict[str, tuple[Dart, ...]] = field(default_factory=dict)
-    base_vertex: str | None = None
+    cells: dict[str, tuple[Dart, ...]]
+    base_vertex: str | None
+
+
+class TwoComplex(_TwoComplexFields):
+    def __new__(cls, skeleton: Graph,
+                cells: dict[str, tuple[Dart, ...]] | None = None,
+                base_vertex: str | None = None) -> TwoComplex:
+        # a fresh dict for each complex made without cells
+        return super().__new__(cls, skeleton, {} if cells is None else cells,
+                               base_vertex)
 
     @cached_property
     def sides_over(self) -> dict[str, tuple[tuple[str, int], ...]]:
@@ -152,6 +163,9 @@ def validate_complex(c: TwoComplex) -> list[str]:
         for d in path:
             if d[0] not in g.edges:
                 problems.append(f"cell {cid} references missing edge {d[0]}")
+                bad_ref = True
+            elif d[1] not in (1, -1):
+                problems.append(f"cell {cid} has a dart with bad sign {d[1]}")
                 bad_ref = True
         if bad_ref:
             continue

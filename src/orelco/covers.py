@@ -14,7 +14,6 @@ with the cover's group.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -40,11 +39,12 @@ def _inverse(p: Perm) -> Perm:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class FiniteQuotient:
+class _FiniteQuotientFields(NamedTuple):
     degree: int
     perms: dict[str, Perm]
 
+
+class FiniteQuotient(_FiniteQuotientFields):
     @cached_property
     def _inverses(self) -> dict[str, Perm]:
         return {s: _inverse(p) for s, p in self.perms.items()}

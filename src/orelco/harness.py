@@ -17,7 +17,6 @@ byte-identical reports.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -49,18 +48,21 @@ def generator_params_problem(vertex_budget: int, attach_probability: float
     return None
 
 
-@dataclass(frozen=True)
-class GeneratorParams:
+class _GeneratorParamsFields(NamedTuple):
     vertex_budget: int
     relator: Word
     branch_index: int
     attach_probability: float = 0.5
 
-    def __post_init__(self):
+
+class GeneratorParams(_GeneratorParamsFields):
+    def __new__(cls, *args, **kwargs) -> GeneratorParams:
+        self = super().__new__(cls, *args, **kwargs)
         problem = generator_params_problem(self.vertex_budget,
                                            self.attach_probability)
         if problem is not None:
             raise ValueError(" ".join(problem))
+        return self
 
     @cached_property
     def orbicomplex(self) -> OneRelatorOrbicomplex:
@@ -73,7 +75,7 @@ class GeneratorParams:
     def _with_budget(self, vertex_budget: int) -> GeneratorParams:
         """These parameters with another vertex budget, sharing this
         instance's orbicomplex, which the budget does not change."""
-        out = replace(self, vertex_budget=vertex_budget)
+        out = GeneratorParams(vertex_budget, *self[1:])
         out.__dict__["orbicomplex"] = self.orbicomplex
         return out
 

@@ -12,7 +12,6 @@ w^n up to rotation and orientation, and boundary position p lies over side
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -27,12 +26,13 @@ from .words import is_cyclically_reduced, is_proper_power
 ORBI_CIRCLE = "w"
 
 
-@dataclass(frozen=True)
-class OneRelatorOrbicomplex:
+class _OrbicomplexFields(NamedTuple):
     gamma: Graph
     relator: tuple[Dart, ...]
     branch_index: int
 
+
+class OneRelatorOrbicomplex(_OrbicomplexFields):
     def relator_power_path(self) -> tuple[Dart, ...]:
         return self.relator * self.branch_index
 

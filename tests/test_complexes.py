@@ -135,7 +135,9 @@ def test_validate_complex_catches_bad_cells():
 @pytest.mark.parametrize("cells, base, message", [
     ({"c": ()}, "*", "cell c has empty attaching path"),
     ({}, "v", "base vertex v missing"),
-], ids=["empty-path", "missing-base"])
+    ({"c": (("a", 2), ("a", -1))}, "*", "cell c has a dart with bad sign 2"),
+    ({"c": (("a", 0),)}, "*", "cell c has a dart with bad sign 0"),
+], ids=["empty-path", "missing-base", "sign-two", "sign-zero"])
 def test_validate_complex_names_each_fault(cells, base, message):
     c = TwoComplex(skeleton=Graph.rose(["a"]), cells=cells, base_vertex=base)
     assert validate_complex(c) == [message]

@@ -578,7 +578,7 @@ def test_cyclic_phase_finds_the_parents_quotients():
         else:
             assert got == want, (word, n, rose, max_degree)
             kind = (want[0] + (", max_degree < n" if max_degree < n else "")
-                    if isinstance(want, tuple) else
+                    if not isinstance(want, FiniteQuotient) else
                     "cyclic" + (", n = 1" if n == 1 else ""))
         seen[kind] = seen.get(kind, 0) + 1
     assert sorted(seen) == [

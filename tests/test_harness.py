@@ -219,6 +219,9 @@ def test_generator_params_refuse_their_own_bad_values(budget, prob, field):
     # "empty range for randrange()", and a probability of 7 ran unchecked
     with pytest.raises(ValueError, match=f"^{field} must be"):
         GeneratorParams(budget, W("a b"), 2, prob)
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        GeneratorParams(vertex_budget=budget, relator=W("a b"), branch_index=2,
+                        attach_probability=prob)
 
 
 def test_the_generator_refuses_branch_index_one():

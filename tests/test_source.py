@@ -1,6 +1,9 @@
 """Rules the library source keeps."""
 
 import ast
+import os
+import subprocess
+import sys
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -195,13 +198,52 @@ def test_no_library_module_reads_the_environment():
     assert not found, found
 
 
+def _imports(module):
+    def wanted(node):
+        return (isinstance(node, ast.ImportFrom) and node.module == module
+                or isinstance(node, ast.Import)
+                and any(a.name == module for a in node.names))
+    return wanted
+
+
 def test_only_harness_draws_random_numbers():
     # the campaigns sample; the quotient search, the covers and the pipeline
     # are deterministic by construction, whatever seed they are passed
-    found = _where("harness.py", lambda node: isinstance(node, ast.ImportFrom)
-                   and node.module == "random" or isinstance(node, ast.Import)
-                   and any(a.name == "random" for a in node.names))
+    found = _where("harness.py", _imports("random"))
     assert not found, found
+
+
+def test_no_library_module_imports_dataclasses():
+    # a dataclass execs about six generated methods at every import, and
+    # dataclasses imports inspect; a record that caches a table on its
+    # instance subclasses a NamedTuple, which keeps an instance __dict__
+    found = _where(None, _imports("dataclasses"))
+    assert not found, found
+
+
+UNUSED_AT_START = ("dataclasses", "inspect", "ast", "dis", "tokenize",
+                   "linecache")
+
+
+def test_importing_orelco_loads_no_module_it_does_not_use():
+    # each of these is read and run at every start of a command or a check;
+    # a fresh interpreter, as this one has them loaded already
+    probe = ("import sys\n"
+             "before = set(sys.modules)\n"
+             "import orelco\n"
+             "library = set(sys.modules)\n"
+             "import orelco.cli\n"
+             "print(sorted(library - before))\n"
+             "print(sorted(set(sys.modules) - library))\n")
+    path = os.pathsep.join(filter(None, [str(LIBRARY.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}).stdout
+    library, cli = map(ast.literal_eval, out.splitlines())
+    assert "orelco" in library and "orelco.cli" in cli
+    assert [m for m in UNUSED_AT_START if m in library] == []
+    assert [m for m in UNUSED_AT_START if m in cli] == []
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -288,18 +330,6 @@ def test_every_report_field_is_read():
             and isinstance(field.target, ast.Name)
             and everywhere[field.target.id] == _reads(cls)[field.target.id]]
     assert not dead, dead
-
-
-def test_a_dataclass_is_one_that_caches_on_its_instance():
-    # a dataclass execs about six generated methods at every import, ten
-    # times what a NamedTuple costs; only a cached_property, which needs an
-    # instance __dict__, is worth that
-    found = [f"{name}:{cls.name}" for name, cls in _classes()
-             if any(_named(d) == "dataclass" for d in cls.decorator_list)
-             and not any(_named(d) == "cached_property"
-                         for fn in cls.body if isinstance(fn, ast.FunctionDef)
-                         for d in fn.decorator_list)]
-    assert not found, found
 
 
 _MUTABLE = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp,
