@@ -28,8 +28,7 @@ from .textio import (audit_csv, export_dot, format_complex, format_cover,
                      format_presentation, format_quotient, parse_complex,
                      parse_cover_file, parse_morphism, parse_orbi_morphism,
                      parse_orbicomplex, parse_stacking, pipeline_csv)
-from .words import (_require_torsion, dehn_solve, format_word, is_reduced,
-                    parse_word)
+from .words import _require_torsion, dehn_solve, format_word, parse_word
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -87,10 +86,8 @@ def _cmd_group_define(args) -> int:
 def _cmd_word_solve(args) -> int:
     _echo("word solve", group=args.group, word=args.word)
     x = _load_torsion_group(args.group)
-    word = _parse("--word", parse_word, args.word, x._rose_symbols)
-    if not is_reduced(word):
-        return _usage("--word must be freely reduced")
-    result = dehn_solve(word, x)
+    word = _parse("--word", parse_word, args.word)
+    result = _parse("--word", dehn_solve, word, x)
     for s in result.steps:
         sign = "+" if s.sign > 0 else "-"
         print(f"step {s.position} {s.length} {s.rotation} {sign}")

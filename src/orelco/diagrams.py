@@ -24,7 +24,7 @@ from .complexes import (CellImage, CellMorphism, Dart, EdgeRec, Graph,
                         _flatten, require_valid)
 from .errors import DiagramError
 from .orbicomplex import OneRelatorOrbicomplex, by_labels
-from .words import (Letter, Word, _foreign_letter, dehn_solve, free_reduce,
+from .words import (Letter, Word, _check_letters, dehn_solve, free_reduce,
                     inverse_letter, inverse_word, splice)
 
 
@@ -360,15 +360,13 @@ def _replay_conjugates(u: Word, x: OneRelatorOrbicomplex, steps):
 def build_reduced_diagram(u: Word, x: OneRelatorOrbicomplex) -> VanKampenDiagram:
     """Disk diagram whose boundary spells the free reduction of ``u``.
 
-    Raises ValueError when the branch index is below 2, or when ``u`` has a
-    letter that is not a loop of the rose or is nontrivial in the group.
+    Raises ValueError when the branch index is below 2, when a letter of
+    ``u`` fails ``_check_letters``, or when ``u`` is nontrivial in the group.
     """
     reduced_u = free_reduce(u)
     if len(reduced_u) < len(u):
         # dehn_solve checks the letters that are left, not those that cancel
-        for sym, _ in u:
-            if sym not in x.gamma.edges:
-                raise _foreign_letter(sym)
+        _check_letters(u, x.gamma.edges)
     result = dehn_solve(reduced_u, x)
     if not result.trivial:
         raise ValueError("word is nontrivial; it bounds no disk diagram")

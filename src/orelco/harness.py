@@ -72,10 +72,15 @@ class GeneratorParams(_GeneratorParamsFields):
         return build_orbicomplex(Graph.rose(symbols), tuple(self.relator),
                                  self.branch_index)
 
+    @classmethod
+    def _make(cls, iterable) -> GeneratorParams:
+        # NamedTuple's _make, and _replace through it, skip __new__
+        return cls(*iterable)
+
     def _with_budget(self, vertex_budget: int) -> GeneratorParams:
         """These parameters with another vertex budget, sharing this
         instance's orbicomplex, which the budget does not change."""
-        out = GeneratorParams(vertex_budget, *self[1:])
+        out = self._make((vertex_budget, *self[1:]))
         out.__dict__["orbicomplex"] = self.orbicomplex
         return out
 

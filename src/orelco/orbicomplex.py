@@ -20,7 +20,7 @@ from .complexes import (Classification, Dart, Graph, MapKind, TwoComplex,
                         connected_components, euler_characteristic,
                         find_free_faces_and_edges)
 from .errors import NotImmersionError
-from .words import is_cyclically_reduced, is_proper_power
+from .words import _check_letters, is_cyclically_reduced, is_proper_power
 
 # the text name of the orbicomplex's cell in stacking and orbi map files
 ORBI_CIRCLE = "w"
@@ -69,9 +69,7 @@ def build_orbicomplex(gamma: Graph, relator: tuple[Dart, ...],
         raise ValueError("branch index must be >= 1")
     if not relator:
         raise ValueError("relator must be nonempty")
-    for d in relator:
-        if d[0] not in gamma.edges:
-            raise ValueError(f"relator references missing edge {d[0]}")
+    _check_letters(relator, gamma.edges)
     if not is_cyclically_reduced(relator):
         raise ValueError("relator backtracks, so it is not cyclically immersed")
     if is_proper_power(relator)[0]:

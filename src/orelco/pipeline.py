@@ -24,7 +24,7 @@ from .diagrams import build_reduced_diagram
 from .errors import PipelineInvariantError
 from .folding import fold
 from .orbicomplex import OneRelatorOrbicomplex
-from .words import (Word, _foreign_letter, _require_torsion, dehn_solve,
+from .words import (Word, _check_letters, _require_torsion, dehn_solve,
                     free_reduce, inverse_word)
 
 # ---------------------------------------------------------------------------
@@ -188,13 +188,11 @@ def seed_immersion(generators: list[Word],
     graph, a copy of each generator from ``v{p}`` to ``v{p.g}`` per point
     ``p`` of 0's orbit, lifted into ``X0``, folded and cut to its core, the
     edges that the hops of its frame cross (Stallings 1983)."""
+    q = cover.quotient
+    _check_letters((c for g in generators for c in g), q.perms)
     kept = [g for g in map(free_reduce, generators) if g]
     if not kept:
         raise ValueError("at least one nonempty generator is required")
-    q = cover.quotient
-    foreign = [s for g in kept for s, _ in g if s not in q.perms]
-    if foreign:
-        raise _foreign_letter(foreign[0])
     orbit = [0]
     edges: dict[str, EdgeRec] = {}
     for p in orbit:                 # the list grows as the loop reads it
@@ -623,9 +621,7 @@ def present_subgroup(generators: list[Word], x: OneRelatorOrbicomplex, *,
             f"max_word_len must be at least 1, got {max_word_len}")
     if max_stages < 0:
         raise ValueError(f"max_stages must be at least 0, got {max_stages}")
-    foreign = [s for g in generators for s, _ in g if s not in x.gamma.edges]
-    if foreign:
-        raise _foreign_letter(foreign[0])
+    _check_letters((c for g in generators for c in g), x.gamma.edges)
     _check_max_degree(max_degree)     # before the trivial subgroup returns
     notes: list[str] = []
     cleaned = [g for g in map(free_reduce, generators) if g]

@@ -9,7 +9,7 @@ package's path algebra.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Container, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
     from .orbicomplex import OneRelatorOrbicomplex
@@ -80,7 +80,6 @@ def is_proper_power(word: Sequence[Letter]) -> tuple[bool, Word, int]:
 
 def parse_word(text: str, alphabet: Iterable[str] | None = None) -> Word:
     """Parse whitespace-separated letters; ``~`` suffix marks an inverse."""
-    allowed = set(alphabet) if alphabet is not None else None
     letters: list[Letter] = []
     for token in text.split():
         if token.endswith("~"):
@@ -89,9 +88,9 @@ def parse_word(text: str, alphabet: Iterable[str] | None = None) -> Word:
             sym, sign = token, 1
         if not sym or "~" in sym:
             raise ValueError(f"bad letter token {token!r}")
-        if allowed is not None and sym not in allowed:
-            raise ValueError(f"letter {sym!r} not in alphabet")
         letters.append((sym, sign))
+    if alphabet is not None:
+        _check_letters(letters, set(alphabet))
     return tuple(letters)
 
 
@@ -99,9 +98,14 @@ def format_word(word: Sequence[Letter]) -> str:
     return " ".join(sym + ("~" if sign < 0 else "") for sym, sign in word)
 
 
-def _foreign_letter(sym: str) -> ValueError:
-    """The error for a letter that names no loop of the rose."""
-    return ValueError(f"letter {sym!r} is not a loop of the rose")
+def _check_letters(word: Iterable[Letter], symbols: Container[str]) -> None:
+    """Refuse the first letter of ``word``, in reading order, that names no
+    loop in ``symbols`` or whose sign is not 1 or -1."""
+    for sym, sign in word:
+        if sym not in symbols:
+            raise ValueError(f"letter {sym!r} is not a loop of the rose")
+        if sign != 1 and sign != -1:
+            raise ValueError(f"letter {sym!r} has sign {sign!r}, not 1 or -1")
 
 
 def _require_torsion(x: "OneRelatorOrbicomplex") -> "OneRelatorOrbicomplex":
@@ -172,8 +176,8 @@ def _match_index(relator: Word, threshold: int):
 def dehn_solve(word: Sequence[Letter], x: "OneRelatorOrbicomplex") -> DehnResult:
     """Decide triviality in the group of ``x`` by greedy long-subword replacement.
 
-    Raises ValueError when ``word`` is not freely reduced or has a letter
-    that is not a loop of the rose.
+    Raises ValueError at the first letter that is not a loop of the rose,
+    has a sign other than 1 or -1, or cancels the letter before it.
 
     Repeatedly finds a factor of a cyclic rotation of the relator power (or
     its inverse) of length at least floor(n|w|/2) + 1 and swaps it for the
@@ -192,10 +196,12 @@ def dehn_solve(word: Sequence[Letter], x: "OneRelatorOrbicomplex") -> DehnResult
     symbols = x.gamma.edges
     last_sym, last_sign = None, 0
     for sym, sign in u:
+        # a repeat of the letter before was checked with that letter
         if sym != last_sym:
-            if sym not in symbols:
-                raise _foreign_letter(sym)
+            if sym not in symbols or sign != 1 and sign != -1:
+                _check_letters([(sym, sign)], symbols)
         elif sign != last_sign:
+            _check_letters([(sym, sign)], symbols)
             raise ValueError("input word must be freely reduced")
         last_sym, last_sign = sym, sign
     m = len(power)

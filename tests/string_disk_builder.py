@@ -19,7 +19,7 @@ from orelco.complexes import (CellImage, CellMorphism, Dart, EdgeRec, Graph,
 from orelco.diagrams import VanKampenDiagram
 from orelco.errors import DiagramError
 from orelco.orbicomplex import OneRelatorOrbicomplex, by_labels
-from orelco.words import (Letter, Word, _foreign_letter, dehn_solve,
+from orelco.words import (Letter, Word, _check_letters, dehn_solve,
                           free_reduce, inverse_letter, inverse_word, splice)
 
 
@@ -345,9 +345,7 @@ def reference_build(u: Word, x: OneRelatorOrbicomplex) -> VanKampenDiagram:
     reduced_u = free_reduce(u)
     if not reduced_u:
         # dehn_solve checks the letters of a word that does not cancel away
-        for sym, _ in u:
-            if sym not in x.gamma.edges:
-                raise _foreign_letter(sym)
+        _check_letters(u, x.gamma.edges)
         complex_ = StringDiskBuilder("v0").snapshot()
         return VanKampenDiagram(complex_, (), (),
                                 by_labels(complex_, x))

@@ -105,18 +105,29 @@ def test_word_solve_nontrivial_prints_remnant(group_file, capsys):
 
 def test_word_solve_foreign_letter_is_usage_error(group_file, capsys):
     code, out, err = run(capsys, ["word", "solve", "--group", group_file,
-                                  "--word", "c"])
+                                  "--word", "a c"])
     assert code == 2
-    assert err.startswith("error:")
-    assert "result:" not in out
+    assert err == "error: --word: letter 'c' is not a loop of the rose\n"
+    assert out.startswith("config:") and out.count("\n") == 1
 
 
 def test_word_solve_unreduced_word_is_usage_error(group_file, capsys):
+    # dehn_solve's refusal, the one reducedness check, is the usage error
     code, out, err = run(capsys, ["word", "solve", "--group", group_file,
-                                  "--word", "a a~"])
+                                  "--word", "b a a~"])
     assert code == 2
-    assert err.startswith("error:") and "freely reduced" in err
-    assert "result:" not in out
+    assert err == "error: --word: input word must be freely reduced\n"
+    assert out.startswith("config:") and out.count("\n") == 1
+
+
+def test_a_relator_letter_that_the_rose_lacks_is_a_usage_error(tmp_path,
+                                                                 capsys):
+    group = tmp_path / "g.txt"
+    group.write_text(GROUP.replace("relator a b", "relator a c"))
+    code, out, err = run(capsys, ["group", "define", "--group", str(group)])
+    assert code == 2
+    assert err == f"error: {group}: letter 'c' is not a loop of the rose\n"
+    assert out.startswith("config:") and out.count("\n") == 1
 
 
 def test_cover_build_worked_example(group_file, capsys, tmp_path):
@@ -224,7 +235,7 @@ def test_subgroup_present_gens_letter_outside_the_group(group_file, capsys):
     code, out, err = run(capsys, ["subgroup", "present", "--group",
                                   group_file, "--gens", "a ; c"])
     assert code == 2
-    assert err.startswith("error: --gens: letter 'c' not in alphabet")
+    assert err == "error: --gens: letter 'c' is not a loop of the rose\n"
     assert out.startswith("config:") and out.count("\n") == 1
 
 

@@ -158,6 +158,22 @@ def test_complexes_made_without_cells_each_get_their_own():
     assert one.base_vertex is None
 
 
+def test_replace_and_make_check_like_the_constructor():
+    # NamedTuple's own _make builds with tuple.__new__, past the check
+    params = GeneratorParams(5, AB, 2, 0.25)
+    for fields in ((0, AB, 2, 0.25), (5, AB, 2, 1.5)):
+        with pytest.raises(ValueError) as made:
+            GeneratorParams(*fields)
+        with pytest.raises(ValueError) as remade:
+            GeneratorParams._make(fields)
+        with pytest.raises(ValueError) as replaced:
+            params._replace(**dict(zip(params._fields, fields)))
+        assert str(remade.value) == str(replaced.value) == str(made.value)
+    again = params._replace(vertex_budget=3)
+    assert again == GeneratorParams._make((3, AB, 2, 0.25))
+    assert type(again) is GeneratorParams
+
+
 def test_another_budget_is_checked_and_shares_the_orbicomplex():
     params = GeneratorParams(5, AB, 2, 0.25)
     with pytest.raises(ValueError) as made:

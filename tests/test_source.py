@@ -138,6 +138,35 @@ def test_only_words_states_the_torsion_rule():
             if _states_the_torsion_rule(node)], "the rule has no home"
 
 
+_LOOPS = ("edges", "perms", "_rose_symbols")
+
+
+def _in_loops(node) -> bool:
+    """``<...> [not] in <...>.edges``, or ``.perms`` or ``._rose_symbols``."""
+    return (isinstance(node, ast.Compare) and len(node.ops) == 1
+            and isinstance(node.ops[0], (ast.In, ast.NotIn))
+            and getattr(node.comparators[0], "attr", None) in _LOOPS)
+
+
+def _refuses_a_letter(node) -> bool:
+    """A raise guarded by a test of the loops, a comprehension that sifts
+    symbols by the loops, or a call of ``is_reduced``."""
+    if isinstance(node, ast.If):
+        return _in_loops(node.test) and isinstance(node.body[0], ast.Raise)
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+        return any(map(_in_loops, (c for g in node.generators for c in g.ifs)))
+    return _calls("is_reduced")(node)
+
+
+def test_only_words_refuses_a_letter():
+    # words._check_letters is the one letter rule, and dehn_solve's refusal
+    # the one reducedness rule; a loop of its own elsewhere once gave the
+    # same fault three wordings and let a sign of 2 through
+    found = _where("words.py", _refuses_a_letter)
+    assert not found, found
+    assert _where(None, _refuses_a_letter), "the rule has no home"
+
+
 def test_no_library_module_calls_gcd():
     # covers.validate_quotient is the one home of the exponent-n rule; a gcd
     # of exponent sums would be a second derivation of it

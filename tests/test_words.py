@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orelco.complexes import Graph
+from orelco.covers import build_unwrapped_cover, find_exponent_n_quotient
+from orelco.diagrams import build_reduced_diagram
 from orelco.orbicomplex import build_orbicomplex
+from orelco.pipeline import present_subgroup, seed_immersion
 from orelco.words import (DehnResult, DehnStep, dehn_solve, format_word,
                           free_reduce, inverse_word, is_cyclically_reduced,
                           is_proper_power, is_reduced, parse_word,
@@ -168,6 +171,51 @@ def test_dehn_rejects_a_letter_outside_the_rose():
             dehn_solve(parse_word(text), x)
     with pytest.raises(ValueError, match="freely reduced"):
         dehn_solve(parse_word("a a~ c"), x)
+
+
+def _sign_fault(sign):
+    return f"letter 'a' has sign {sign}, not 1 or -1"
+
+
+MALFORMED = {
+    "foreign": ((B, ("c", 1)), "letter 'c' is not a loop of the rose"),
+    "sign-2": ((("a", 2),), _sign_fault(2)),
+    "sign-0": ((B, ("a", 0)), _sign_fault(0)),
+    "a-then-sign-2": ((A, ("a", 2)), _sign_fault(2)),
+    # free reduction would cancel the pair before any check saw it
+    "cancelling-sign-2": ((("a", 2), ("a", -2)), _sign_fault(2)),
+}
+
+
+@pytest.fixture(scope="module")
+def entry_points():
+    """Each library call that takes a word over the rose {a, b}."""
+    x = make_x((A, B), 2)
+    cover = build_unwrapped_cover(x, find_exponent_n_quotient(x, 8, 0))
+    return {
+        "dehn_solve": lambda w: dehn_solve(w, x),
+        "build_orbicomplex": lambda w: build_orbicomplex(x.gamma, w, 2),
+        "present_subgroup": lambda w: present_subgroup([w], x),
+        "seed_immersion": lambda w: seed_immersion([w], cover),
+        "build_reduced_diagram": lambda w: build_reduced_diagram(w, x),
+        "parse_word": lambda w: parse_word(format_word(w), "ab"),
+    }
+
+
+@pytest.mark.parametrize("word, message", MALFORMED.values(), ids=MALFORMED)
+def test_every_entry_point_refuses_a_malformed_word_alike(entry_points, word,
+                                                          message):
+    # a sign other than 1 or -1 once read as a letter, and one entry point
+    # wrote "not in alphabet" where the others wrote "not a loop"
+    spelt = parse_word(format_word(word)) == word
+    refusals = {}
+    for name, call in entry_points.items():
+        if name == "parse_word" and not spelt:
+            continue        # text spells only the signs 1 and -1
+        with pytest.raises(ValueError) as refused:
+            call(word)
+        refusals[name] = str(refused.value)
+    assert refusals == dict.fromkeys(refusals, message)
 
 
 def test_dehn_rejects_branch_one():
