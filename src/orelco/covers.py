@@ -14,7 +14,6 @@ with the cover's group.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
 from typing import NamedTuple
 
 from .complexes import (CellMorphism, Dart, EdgeRec, Graph, MapKind,
@@ -23,7 +22,7 @@ from .errors import (BudgetExhaustedError, InvalidComplexError,
                      InvariantError)
 from .orbicomplex import (OneRelatorOrbicomplex, by_labels,
                           check_orbi_immersion)
-from .words import Word
+from .words import Word, _check_letters
 
 Perm = tuple[int, ...]
 
@@ -32,35 +31,26 @@ def _is_perm(p: Perm, k: int) -> bool:
     return len(p) == k and sorted(p) == list(range(k))
 
 
-def _inverse(p: Perm) -> Perm:
-    out = [0] * len(p)
-    for i, j in enumerate(p):
-        out[j] = i
-    return tuple(out)
+def _walk(perms: dict[str, Perm], point: int, word: Word) -> int:
+    """The image of ``point`` under ``word``: a letter reads its permutation
+    forwards, an inverse letter backwards, by searching the permutation."""
+    for sym, sign in word:
+        p = perms[sym]
+        point = p[point] if sign > 0 else p.index(point)
+    return point
 
 
-class _FiniteQuotientFields(NamedTuple):
+class FiniteQuotient(NamedTuple):
     degree: int
     perms: dict[str, Perm]
 
-
-class FiniteQuotient(_FiniteQuotientFields):
-    @cached_property
-    def _inverses(self) -> dict[str, Perm]:
-        return {s: _inverse(p) for s, p in self.perms.items()}
-
     def permutation_of(self, word: Word) -> Perm:
-        out = range(self.degree)
-        for sym, sign in word:
-            p = self.perms[sym] if sign > 0 else self._inverses[sym]
-            out = [p[i] for i in out]
-        return tuple(out)
+        _check_letters(word, self.perms)
+        return tuple(_walk(self.perms, p, word) for p in range(self.degree))
 
     def act(self, point: int, word: Word) -> int:
-        for sym, sign in word:
-            p = self.perms[sym] if sign > 0 else self._inverses[sym]
-            point = p[point]
-        return point
+        _check_letters(word, self.perms)
+        return _walk(self.perms, point, word)
 
 
 def relator_cycles(perms: dict[str, Perm], x: OneRelatorOrbicomplex,
@@ -73,8 +63,6 @@ def relator_cycles(perms: dict[str, Perm], x: OneRelatorOrbicomplex,
     for ``validate_quotient`` and the cover builder; ``screen_draw`` tests
     the length of the first without building it.
     """
-    steps = [perms[sym] if sign > 0 else _inverse(perms[sym])
-             for sym, sign in x.relator]
     seen = [False] * degree
     for i in range(degree):
         if seen[i]:
@@ -84,27 +72,23 @@ def relator_cycles(perms: dict[str, Perm], x: OneRelatorOrbicomplex,
         while not seen[j]:
             seen[j] = True
             cycle.append(j)
-            for p in steps:
-                j = p[j]
+            j = _walk(perms, j, x.relator)
         yield tuple(cycle)
 
 
 def screen_draw(perms: dict[str, Perm], x: OneRelatorOrbicomplex) -> bool:
     """Whether the relator image's cycle through point 0 has length n.
 
-    Point 0 walks through the relator at most n times and the walk stops at
-    its first return to 0; an inverse letter is read as ``p.index``.  A
-    draw that fails breaks the exponent rule, whatever the other cycles
-    are, so the campaign sampler and the quotient search drop it before
-    they build a quotient; ``validate_quotient`` decides every draw that
-    passes.
+    Point 0 walks through the relator (``_walk``) at most n times and the
+    walk stops at its first return to 0.  A draw that fails breaks the
+    exponent rule, whatever the other cycles are, so the campaign sampler
+    and the quotient search drop it before they build a quotient;
+    ``validate_quotient`` decides every draw that passes.
     """
     n = x.branch_index
     point = 0
     for rounds in range(1, n + 1):
-        for sym, sign in x.relator:
-            p = perms[sym]
-            point = p[point] if sign > 0 else p.index(point)
+        point = _walk(perms, point, x.relator)
         if point == 0:
             return rounds == n
     return False

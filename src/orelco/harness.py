@@ -27,8 +27,9 @@ from .covers import (FiniteQuotient, _accept_draw, build_unwrapped_cover,
                      verify_cover)
 from .errors import InvariantError, NotImmersionError, OrelcoError
 from .folding import factor_unique, fold
-from .orbicomplex import (OneRelatorOrbicomplex, build_orbicomplex,
-                          by_labels, check_orbi_immersion, wcycles_audit)
+from .orbicomplex import (OneRelatorOrbicomplex, _check_relator,
+                          build_orbicomplex, by_labels, check_orbi_immersion,
+                          wcycles_audit)
 from .words import Word, _require_torsion
 
 SEED_STRIDE = 1_000_003
@@ -62,6 +63,8 @@ class GeneratorParams(_GeneratorParamsFields):
                                            self.attach_probability)
         if problem is not None:
             raise ValueError(" ".join(problem))
+        _check_relator(self.relator, {sym for sym, _ in self.relator},
+                       self.branch_index)
         return self
 
     @cached_property

@@ -13,7 +13,7 @@ w^n up to rotation and orientation, and boundary position p lies over side
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from typing import NamedTuple
+from typing import Container, NamedTuple
 
 from .complexes import (Classification, Dart, Graph, MapKind, TwoComplex,
                         CellImage, CellMorphism, _immersion_fault,
@@ -65,16 +65,23 @@ def build_orbicomplex(gamma: Graph, relator: tuple[Dart, ...],
             rec != (vertex, vertex, e) for e, rec in gamma.edges.items()):
         raise ValueError("the graph must be a rose: one vertex, "
                          "each loop named by its label")
+    _check_relator(relator, gamma.edges, branch_index)
+    return OneRelatorOrbicomplex(gamma, tuple(relator), branch_index)
+
+
+def _check_relator(relator: tuple[Dart, ...], symbols: Container[str],
+                   branch_index: int) -> None:
+    """Refuse a branch index below 1, or a relator that is not a cyclically
+    reduced, primitive word over the loops ``symbols``."""
     if branch_index < 1:
         raise ValueError("branch index must be >= 1")
     if not relator:
         raise ValueError("relator must be nonempty")
-    _check_letters(relator, gamma.edges)
+    _check_letters(relator, symbols)
     if not is_cyclically_reduced(relator):
         raise ValueError("relator backtracks, so it is not cyclically immersed")
     if is_proper_power(relator)[0]:
         raise ValueError("relator is a proper power")
-    return OneRelatorOrbicomplex(gamma, tuple(relator), branch_index)
 
 
 def by_labels(y: TwoComplex, x: OneRelatorOrbicomplex) -> CellMorphism:

@@ -19,7 +19,7 @@ from orelco.harness import random_uniform_quotient
 from orelco.orbicomplex import (OneRelatorOrbicomplex, build_orbicomplex,
                                 by_labels, check_orbi_immersion, degree,
                                 presentation_complex, wcycles_audit)
-from orelco.words import parse_word
+from orelco.words import _check_letters, parse_word
 
 import old_quotient_rule as old
 
@@ -65,6 +65,21 @@ def test_permutation_of_and_act_match_a_letter_by_letter_fold():
             want = _naive_compose(want, p if sign > 0 else _naive_inverse(p))
         assert q.permutation_of(word) == want
         assert [q.act(i, word) for i in range(k)] == list(want)
+
+
+@pytest.mark.parametrize("word", [(("c", 1),), (("a", 2),), (("a", 0),),
+                                  (("a", 1), ("a", 2))],
+                         ids=["foreign", "sign 2", "sign 0", "late sign 2"])
+def test_the_quotient_readers_refuse_a_malformed_letter(word):
+    # a sign other than 1 read as the letter or its inverse, and a foreign
+    # letter was a bare KeyError; both readers now give the letter rule
+    with pytest.raises(ValueError) as rule:
+        _check_letters(word, Q_AB2.perms)
+    for read in (lambda: Q_AB2.act(0, word),
+                 lambda: Q_AB2.permutation_of(word)):
+        with pytest.raises(ValueError) as refused:
+            read()
+        assert str(refused.value) == str(rule.value)
 
 
 def test_find_quotient_worked_examples():
@@ -281,7 +296,7 @@ def _parent_validate_quotient(q, x):
     while frontier:
         p = frontier.pop()
         for s in symbols:
-            for image in (q.perms[s][p], q._inverses[s][p]):
+            for image in (q.perms[s][p], q.perms[s].index(p)):
                 if image not in reached:
                     reached.add(image)
                     frontier.append(image)

@@ -149,6 +149,29 @@ def test_campaign_passes_and_reproduces_byte_identically():
     assert text.splitlines()[0] == CSV_HEADER
 
 
+@pytest.mark.parametrize("relator, n", [
+    ((("a", 2), ("b", 1)), 2), ((), 2), (W("a a~ b"), 2), (W("a b a b"), 2),
+    (W("a b"), 0)], ids=["sign 2", "empty", "backtracks", "power", "n=0"])
+def test_a_bad_relator_is_refused_when_the_parameters_are_made(
+        monkeypatch, relator, n):
+    # the relator was once checked only at the first read of .orbicomplex,
+    # inside whichever campaign trial read it first
+    symbols = sorted({sym for sym, _ in relator})
+    with pytest.raises(ValueError) as built:
+        build_orbicomplex(Graph.rose(symbols), relator, n)
+    calls = []
+    monkeypatch.setattr(harness, "build_orbicomplex",
+                        lambda *args: calls.append(args))
+    good = GeneratorParams(3, W("a b"), 2)
+    for make in (lambda: GeneratorParams(3, relator, n),
+                 lambda: GeneratorParams._make((3, relator, n, 0.5)),
+                 lambda: good._replace(relator=relator, branch_index=n)):
+        with pytest.raises(ValueError) as made:
+            make()
+        assert str(made.value) == str(built.value)
+    assert calls == []      # refused by the check, not by a build
+
+
 def test_a_campaign_builds_its_orbicomplex_once(monkeypatch):
     calls = []
 

@@ -1038,6 +1038,27 @@ def test_an_emitted_relator_is_checked_in_the_group(x, monkeypatch, relator,
             present_subgroup([W("a")], x)
 
 
+@pytest.mark.parametrize("gen_word, trivial", [("a b", True), ("a", False)])
+def test_an_emitted_relator_is_read_over_its_generator_word(
+        x, monkeypatch, gen_word, trivial):
+    # x1 x1 over x1 = a b is (ab)^2, the relator; over x1 = a it is a^2,
+    # which is not trivial in the group
+    import orelco.pipeline as pipeline
+
+    def one_relator(*args):
+        return _presentation_from_stage(*args)._replace(
+            symbols=("x1",), relators=(W("x1 x1"),), gen_words=(W(gen_word),))
+    monkeypatch.setattr(pipeline, "_presentation_from_stage", one_relator)
+    if trivial:
+        pres, _ = present_subgroup([W("a")], x)
+        assert pres.relators == (W("x1 x1"),)
+        assert pres.gen_words == (W(gen_word),)
+    else:
+        with pytest.raises(PipelineInvariantError,
+                           match="emitted relator is not trivial"):
+            present_subgroup([W("a")], x)
+
+
 def test_a_failed_cover_audit_names_its_witnesses(x, monkeypatch):
     import orelco.pipeline as pipeline
     report = CoverReport(False, ("edge a0 is not covered", "euler is off"),

@@ -121,6 +121,27 @@ def test_only_complexes_defines_a_find():
     assert not found, found
 
 
+def _keeps_an_inverse_table(node) -> bool:
+    """A definition of ``_inverse`` or a read of an ``_inverses`` table."""
+    return ((isinstance(node, ast.FunctionDef) and node.name == "_inverse")
+            or (isinstance(node, ast.Attribute) and node.attr == "_inverses"))
+
+
+def test_only_covers_walk_reads_a_permutation_backwards():
+    # covers._walk is the one walk of a word through a quotient, and reads
+    # an inverse letter with p.index; an inverse table or a search of a
+    # permutation elsewhere would be a second walk
+    found = _where(None, _keeps_an_inverse_table)
+    assert not found, found
+    walk = [f"covers.py:{node.lineno}" for name, tree in _library()
+            if name == "covers.py" for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == "_walk"
+            for node in ast.walk(fn) if _calls("index")(node)]
+    assert walk, "covers._walk reads no inverse letter"
+    found = _where(None, _calls("index"))
+    assert sorted(found) == sorted(walk), found
+
+
 def _states_the_torsion_rule(node) -> bool:
     """The refusal ``<...>.branch_index < 2``."""
     return (isinstance(node, ast.Compare) and len(node.ops) == 1
