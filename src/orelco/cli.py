@@ -18,7 +18,7 @@ from .errors import (BudgetExhaustedError, NotImmersionError,
                      NotMorphismError, OrelcoError)
 from .folding import fold
 from .harness import (SUITES, CampaignConfig, GeneratorParams, campaign_csv,
-                      check_suites, generator_params_problem,
+                      check_suites, check_trials, generator_params_problem,
                       run_property_campaign)
 from .orbicomplex import wcycles_audit
 from .pipeline import present_subgroup
@@ -179,9 +179,7 @@ def _cmd_audit_wcycles(args) -> int:
             # a campaign draws its own maps and would ignore both files
             return _usage("--trials runs a campaign, which takes no "
                           "--complex or --map")
-        if args.trials < 1:
-            # no trial would run, and every suite would pass as 0/0
-            return _usage("--trials must be at least 1")
+        _parse("--trials", check_trials, args.trials)
         suites = tuple(args.suites.split(","))
         try:
             check_suites(suites)

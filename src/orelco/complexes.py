@@ -17,6 +17,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import InvalidComplexError
 from .words import Letter as Dart
+from .words import free_reduce
 from .words import inverse_letter as dart_reverse
 from .words import inverse_word as reverse_path
 
@@ -463,19 +464,21 @@ def find_free_faces_and_edges(
     return faces, free_edges
 
 
-def collapse_with_rewrites(
-        c: TwoComplex) -> tuple[TwoComplex, dict[Dart, tuple[Dart, ...]]]:
+def collapse_carrying(c: TwoComplex, paths: Iterable[tuple[Dart, ...]] = ()
+                      ) -> tuple[TwoComplex, tuple[tuple[Dart, ...], ...]]:
     """Remove free faces (cell plus edge) in (edge id, cell id) order until none
-    remain.  The dimension-2 Euler characteristic is unchanged by face
-    collapses.
+    remain, keeping the dimension-2 Euler characteristic, and carry each of
+    ``paths`` onto the surviving edges, freely reduced.
 
-    Also returns, for both darts of every removed face edge, the rest of its
-    cell's boundary between the same endpoints: the arc a path may take
-    instead.
+    Removing a face records, for each dart of its edge, the arc a path takes
+    instead: the rest of its cell's boundary between the same ends.  That arc
+    names only edges that still existed when its face was removed, each of
+    which survives or is removed later, so one stack pass that expands each
+    removed dart into its arc ends.
     """
     sides = {e: len(over) for e, over in c.sides_over.items()}
     cells = dict(c.cells)
-    rewrites: dict[Dart, tuple[Dart, ...]] = {}
+    arcs: dict[Dart, tuple[Dart, ...]] = {}
     free = sorted(e for e, k in sides.items() if k == 1)   # sorted is a heap
     while free:
         e = heapq.heappop(free)
@@ -485,24 +488,34 @@ def collapse_with_rewrites(
                         if cid in cells)
         path = cells.pop(cid)
         rest = path[pos + 1:] + path[:pos]
-        rewrites[path[pos]] = reverse_path(rest)
-        rewrites[dart_reverse(path[pos])] = rest
+        arcs[path[pos]] = reverse_path(rest)
+        arcs[dart_reverse(path[pos])] = rest
         del sides[e]
         for f, _ in path:
             if f in sides:
                 sides[f] -= 1
                 if sides[f] == 1:
                     heapq.heappush(free, f)
+    carried = []
+    for p in paths:
+        stack, out = list(p[::-1]), []
+        while stack:
+            d = stack.pop()
+            if d in arcs:
+                stack += arcs[d][::-1]
+            else:
+                out.append(d)
+        carried.append(free_reduce(out))
     vertices = c.skeleton.vertices
     g = Graph(vertices, {e: c.skeleton.edges[e] for e in sorted(sides)})
     return (TwoComplex(g, {cid: cells[cid] for cid in sorted(cells)},
                        c.base_vertex if c.base_vertex in vertices else None),
-            rewrites)
+            tuple(carried))
 
 
 def collapse(c: TwoComplex) -> TwoComplex:
-    """The collapsed complex of ``collapse_with_rewrites``."""
-    return collapse_with_rewrites(c)[0]
+    """The collapsed complex of ``collapse_carrying``."""
+    return collapse_carrying(c)[0]
 
 
 def _compose_image(outer: CellMorphism, image: CellImage) -> CellImage:

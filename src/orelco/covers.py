@@ -50,6 +50,8 @@ class FiniteQuotient(NamedTuple):
 
     def act(self, point: int, word: Word) -> int:
         _check_letters(word, self.perms)
+        if not 0 <= point < self.degree:
+            raise ValueError(f"point {point} is not in range({self.degree})")
         return _walk(self.perms, point, word)
 
 

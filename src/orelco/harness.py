@@ -330,7 +330,14 @@ def check_suites(suites: tuple[str, ...]) -> None:
                              f"{', '.join(SUITES)}")
 
 
+def check_trials(trials: int) -> None:
+    """Refuse fewer than one trial, which would pass every suite vacuously."""
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
+
+
 def run_property_campaign(cfg: CampaignConfig) -> CampaignReport:
+    check_trials(cfg.trials)
     check_suites(cfg.suites)
     x = cfg.params.orbicomplex
     rows: list[TrialRow] = []

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .complexes import (CellImage, CellMorphism, Dart, EdgeRec, Graph,
                         TwoComplex, _immersion_fault, _restrict,
-                        cell_image_path, collapse_with_rewrites, compose,
+                        cell_image_path, collapse_carrying, compose,
                         connected_components, dart_sort_key,
                         euler_characteristic, find_free_faces_and_edges,
                         require_valid, reverse_path)
@@ -469,26 +469,6 @@ def _glue_and_fold(state: PipelineState, diagram_vk):
                       state.to_cover.vertex_map[y.base_vertex]))
 
 
-def _apply_rewrites(path: tuple[Dart, ...], rewrites,
-                    surviving: set[str]) -> tuple[Dart, ...]:
-    work = list(path)
-    guard = 10_000
-    while guard:
-        guard -= 1
-        out: list[Dart] = []
-        dirty = False
-        for d in work:
-            if d[0] in surviving:
-                out.append(d)
-            else:
-                out.extend(rewrites[d])
-                dirty = True
-        work = out
-        if not dirty:
-            return free_reduce(work)
-    raise PipelineInvariantError("rewrite substitution did not terminate")
-
-
 def _is_bijection(m: CellMorphism, onto: TwoComplex) -> bool:
     """Whether ``m`` is one to one onto the parts of every dimension of
     ``onto``."""
@@ -522,16 +502,13 @@ def _refine(state: PipelineState, f_word: Word) -> PipelineState | None:
                    state)
     _invariant(compose(folded.inclusion, chain_map) == state.to_cover,
                "chain triangle does not commute dart-exactly", state)
-    collapsed, rewrites = collapse_with_rewrites(folded.folded)
+    collapsed, gen_paths = collapse_carrying(
+        folded.folded, [chain_map.path_image(p) for p in state.gen_paths])
     if _is_bijection(chain_map, collapsed):
         return None
-    surviving = set(collapsed.skeleton.edges)
-    new_paths = tuple(
-        _apply_rewrites(chain_map.path_image(p), rewrites, surviving)
-        for p in state.gen_paths)
     new_state = state._replace(stage=state.stage + 1, current=collapsed,
                                to_cover=_restrict(folded.inclusion, collapsed),
-                               cursor=0, gen_paths=new_paths)
+                               cursor=0, gen_paths=gen_paths)
     _check_stage(new_state)
     return new_state
 

@@ -164,6 +164,25 @@ def test_cover_build_budget_exhausted_exits_3(group_file, capsys):
     assert err == "error: no exponent-2 quotient of degree <= 1 exists\n"
 
 
+def test_cover_build_failing_audit_names_each_witness(group_file, capsys,
+                                                      tmp_path, monkeypatch):
+    # no built cover is known to fail its audit, so the audit is made to
+    # fail with two witnesses
+    import orelco.cli as cli
+    witnesses = ("edge a0 is not covered", "link at p1 is not onto")
+    monkeypatch.setattr(cli, "verify_cover",
+                        lambda cover: CoverReport(False, witnesses, 0, 2))
+    code, out, err = run(capsys, ["cover", "build", "--group", group_file,
+                                  "--out", str(tmp_path / "x0.txt")])
+    assert code == 1 and not err
+    lines = out.splitlines()
+    (cover_line,) = [line for line in lines if line.startswith("cover:")]
+    assert cover_line.endswith(" pass=0")
+    assert [line for line in lines if line.startswith("error:")] == [
+        f"error: {w}" for w in witnesses]
+    assert lines[-2:] == [f"error: {w}" for w in witnesses]
+
+
 def test_cover_build_finds_the_least_degree(capsys, tmp_path):
     # no cyclic quotient of degree 3 unwraps this relator, but one exists
     group = tmp_path / "g.txt"

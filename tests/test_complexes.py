@@ -5,14 +5,19 @@ import pytest
 
 from orelco.complexes import (CellImage, CellMorphism, Classification, EdgeRec,
                               Graph, MapKind, TwoComplex, cell_image_path, classify_map,
-                              collapse, collapse_with_rewrites, compose,
+                              collapse, collapse_carrying, compose,
                               connected_components, dart_reverse,
                               dart_sort_key, euler_characteristic,
                               find_free_faces_and_edges, identity_morphism,
                               require_valid, reverse_path,
                               target_side, validate_complex)
 from orelco.complexes import component_of
+from orelco.covers import build_unwrapped_cover
+from orelco.diagrams import build_reduced_diagram
 from orelco.errors import InvalidComplexError
+from orelco.harness import random_uniform_quotient
+from orelco.orbicomplex import build_orbicomplex
+from orelco.words import dehn_solve, free_reduce, inverse_word, parse_word
 
 
 def _rank(g):
@@ -287,20 +292,76 @@ def test_collapse_x0_eats_cell():
 
 
 def test_collapse_with_rewrites_follows_freed_faces():
-    # b is free first; removing c0 frees a, whose arc then runs over c twice
+    # b is free first; removing c0 frees a, whose arc then runs over c twice,
+    # so a path over b is carried across a onto c, and b a reduces away
     g = Graph(vertices=frozenset({"v"}),
               edges={s: EdgeRec("v", "v", s) for s in "abc"})
     c = TwoComplex(skeleton=g,
                    cells={"c0": (("a", 1), ("b", 1)),
                           "c1": (("a", 1), ("c", 1), ("c", 1))},
                    base_vertex="v")
-    out, rewrites = collapse_with_rewrites(c)
+    out, carried = collapse_carrying(
+        c, [(("b", 1),), (("b", -1),), (("a", 1),), (("a", -1),),
+            (("b", 1), ("c", 1), ("c", 1)), (("b", 1), ("a", 1)), ()])
     assert out == collapse(c)
     assert set(out.skeleton.edges) == {"c"}
     assert out.cells == {}
-    assert rewrites == {("b", 1): (("a", -1),), ("b", -1): (("a", 1),),
-                        ("a", 1): (("c", -1), ("c", -1)),
-                        ("a", -1): (("c", 1), ("c", 1))}
+    assert carried == ((("c", 1), ("c", 1)), (("c", -1), ("c", -1)),
+                       (("c", -1), ("c", -1)), (("c", 1), ("c", 1)),
+                       (("c", 1), ("c", 1), ("c", 1), ("c", 1)), (), ())
+    assert collapse_carrying(c) == (out, ())
+
+
+def _carrying_corpus():
+    """Covers of seeded quotient draws over ab/2 and ab/3, and the disk
+    diagrams of seeded trivial words, each with its orbicomplex."""
+    for k, (relator, n) in enumerate([("a b", 2), ("a b", 3)]):
+        x = build_orbicomplex(Graph.rose("ab"), parse_word(relator), n)
+        rng = random.Random(k)
+        for _ in range(100):
+            q = random_uniform_quotient(rng, x, 4 * n)
+            if q is not None:
+                yield build_unwrapped_cover(x, q).cover, x
+    for k, (relator, n) in enumerate([("a b", 2), ("a b a b~", 2),
+                                      ("a a b b b", 2), ("a b", 3)]):
+        x = build_orbicomplex(Graph.rose("ab"), parse_word(relator), n)
+        power = x.relator * n
+        rng = random.Random(k)
+        for _ in range(30):
+            word: list = []
+            for _ in range(rng.randint(1, 3)):
+                u = [(rng.choice("ab"), rng.choice((1, -1)))
+                     for _ in range(rng.randint(0, 3))]
+                word += [*u, *rng.choice((power, inverse_word(power))),
+                         *inverse_word(u)]
+            word = free_reduce(word)
+            if word:
+                yield build_reduced_diagram(word, x).diagram, x
+
+
+def test_carried_darts_pass_an_independent_oracle():
+    # each dart of each complex, carried by itself through the collapse, is
+    # a reduced path over the surviving edges between the dart's ends that
+    # equals the dart in the group, as the Dehn solver decides
+    removed = 0
+    for c, x in _carrying_corpus():
+        g = c.skeleton
+        darts = all_darts(g)
+        out, routes = collapse_carrying(c, [(d,) for d in darts])
+        h = out.skeleton
+        for d, route in zip(darts, routes):
+            removed += d[0] not in h.edges
+            assert all(e in h.edges for e, _ in route), (d, route)
+            v = g.dart_origin(d)
+            for step in route:
+                assert h.dart_origin(step) == v, (d, route)
+                v = h.dart_terminus(step)
+            assert v == g.dart_terminus(d), (d, route)
+            assert free_reduce(route) == route
+            loop = (g.dart_label(d),) + tuple(map(h.dart_label,
+                                                  reverse_path(route)))
+            assert dehn_solve(free_reduce(loop), x).trivial, (d, route)
+    assert removed >= 900, removed
 
 
 def test_compose_rotation_squares_to_identity():

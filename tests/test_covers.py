@@ -82,6 +82,17 @@ def test_the_quotient_readers_refuse_a_malformed_letter(word):
         assert str(refused.value) == str(rule.value)
 
 
+@pytest.mark.parametrize("point", [-1, 3, 5])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_act_refuses_a_point_outside_the_action(point, sign):
+    # -1 once read the permutation from its end and returned 0, and 5 raised
+    # a bare IndexError or tuple.index's ValueError
+    q = FiniteQuotient(3, {"a": (1, 2, 0), "b": (0, 1, 2)})
+    with pytest.raises(ValueError,
+                       match=fr"^point {point} is not in range\(3\)$"):
+        q.act(point, (("a", sign),))
+
+
 def test_find_quotient_worked_examples():
     q = find_exponent_n_quotient(make_x("a b", 2), 8, 7)
     assert q.degree == 2

@@ -116,14 +116,6 @@ def test_the_generator_keeps_both_cells_of_the_degree_4_cover():
     assert len(cells) == 2
 
 
-def test_zero_trials_gives_an_empty_passing_report():
-    cfg = CampaignConfig(3, 0, GeneratorParams(4, W("a b"), 2))
-    rep = run_property_campaign(cfg)
-    assert rep.rows == ()
-    assert all(counts == (0, 0) for counts in rep.pass_counts.values())
-    assert campaign_csv(rep) == CSV_HEADER + "\n"
-
-
 @pytest.mark.parametrize("suites", [("nosuch",), ("wcycles", "cover"),
                                     "fold"])
 def test_an_unknown_suite_is_refused_not_passed(suites):
@@ -133,6 +125,15 @@ def test_an_unknown_suite_is_refused_not_passed(suites):
     cfg = CampaignConfig(3, 3, GeneratorParams(4, W("a b"), 2), suites)
     with pytest.raises(ValueError, match=f"^unknown suite '{bad}'; the suites"
                                          f" are wcycles, fold, covers$"):
+        run_property_campaign(cfg)
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_a_campaign_of_no_trial_is_refused_not_passed(trials):
+    # -5 once reported {'wcycles': (-5, -5), ...} and 0 a 0/0 pass per suite
+    cfg = CampaignConfig(1, trials, GeneratorParams(4, W("a b"), 2))
+    with pytest.raises(ValueError,
+                       match=f"^trials must be at least 1, got {trials}$"):
         run_property_campaign(cfg)
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from orelco.complexes import (CellImage, CellMorphism, EdgeRec, Graph,
                               MapKind, TwoComplex, _restrict, cell_image_path,
-                              classify_map, collapse, collapse_with_rewrites,
+                              classify_map, collapse, collapse_carrying,
                               dart_sort_key, euler_characteristic,
                               find_free_faces_and_edges, identity_morphism,
                               reverse_path)
@@ -26,7 +26,7 @@ from orelco.errors import (DiagramError, InvalidComplexError, InvariantError,
 from orelco.folding import _canonical_cell_key, fold
 from orelco.harness import random_uniform_quotient
 from orelco.orbicomplex import build_orbicomplex
-from orelco.pipeline import (_P, PipelineState, _apply_rewrites, _bfs_frame,
+from orelco.pipeline import (_P, PipelineState, _bfs_frame,
                              _candidate_word, _cell_cocycle, _glue_and_fold,
                              _hop_codes, _is_bijection, _lift,
                              _presentation_from_stage, _refine,
@@ -836,7 +836,7 @@ def test_unchanged_rule_agrees_with_the_signature_on_a_corpus():
                         continue
                     folded = _glue_and_fold(state,
                                             build_reduced_diagram(word, x))
-                    collapsed, _ = collapse_with_rewrites(folded.folded)
+                    collapsed, _ = collapse_carrying(folded.folded)
                     unchanged = _is_bijection(
                         _restrict(folded.projection, y), collapsed)
                     assert unchanged == (
@@ -905,21 +905,20 @@ def test_bijection_needs_a_one_to_one_map():
 
 
 # ---------------------------------------------------------------------------
-# collapse with rewrites
+# collapse carrying paths
 
 
 def test_collapse_with_rewrites_matches_plain_collapse(cover):
     c = cover.cover
-    collapsed, rewrites = collapse_with_rewrites(c)
-    assert collapsed == collapse(c)
-    assert not collapsed.cells
-    removed = set(c.skeleton.edges) - set(collapsed.skeleton.edges)
+    removed = set(c.skeleton.edges) - set(collapse(c).skeleton.edges)
     assert len(removed) == 1
     (e,) = removed
-    surviving = set(collapsed.skeleton.edges)
-    arc = _apply_rewrites(((e, 1),), rewrites, surviving)
+    collapsed, (arc, back) = collapse_carrying(c, [((e, 1),), ((e, -1),)])
+    assert collapsed == collapse(c)
+    assert not collapsed.cells
     g = collapsed.skeleton
-    assert len(arc) == 3
+    assert len(arc) == 3 and back == reverse_path(arc)
+    assert all(d[0] in g.edges for d in arc)
     assert g.dart_origin(arc[0]) == c.skeleton.edges[e].tail
     assert g.dart_terminus(arc[-1]) == c.skeleton.edges[e].head
     for a, b in zip(arc, arc[1:]):
