@@ -110,7 +110,7 @@ def _cmd_cover_build(args) -> int:
     report = verify_cover(cover)
     print(format_quotient(q), end="")
     _emit(args, format_cover(cover))
-    print(f"cover: degree={report.degree} "
+    print(f"cover: degree={q.degree} "
           f"vertices={len(cover.cover.skeleton.vertices)} "
           f"edges={len(cover.cover.skeleton.edges)} "
           f"cells={len(cover.cover.cells)} chi={report.euler} "

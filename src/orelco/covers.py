@@ -251,11 +251,16 @@ def find_exponent_n_quotient(x: OneRelatorOrbicomplex, max_degree: int,
 
 
 class UnwrappedCover(NamedTuple):
+    """A cover with its cell families, quotient and orbicomplex.  Its map
+    into the orbicomplex is by labels, built on each read of the property."""
     cover: TwoComplex
-    covering_map: CellMorphism
     families: dict[str, tuple[int, ...]]
     quotient: FiniteQuotient
     orbicomplex: OneRelatorOrbicomplex
+
+    @property
+    def covering_map(self) -> CellMorphism:
+        return by_labels(self.cover, self.orbicomplex)
 
 
 def build_unwrapped_cover(x: OneRelatorOrbicomplex,
@@ -266,12 +271,9 @@ def build_unwrapped_cover(x: OneRelatorOrbicomplex,
     problem, orbits = _unwrap_cycles(q, x)
     if problem:
         raise ValueError(problem)
-    k = q.degree
-    edges = {}
-    for s in x._rose_symbols:
-        for i in range(k):
-            edges[f"{s}{i}"] = EdgeRec(f"p{i}", f"p{q.perms[s][i]}", s)
-    g = Graph(frozenset(f"p{i}" for i in range(k)), edges)
+    g = Graph(frozenset(f"p{i}" for i in range(q.degree)),
+              {f"{s}{i}": EdgeRec(f"p{i}", f"p{j}", s)
+               for s in x._rose_symbols for i, j in enumerate(q.perms[s])})
     cells: dict[str, tuple[Dart, ...]] = {}
     families: dict[str, tuple[int, ...]] = {}
     for index, orbit in enumerate(orbits):
@@ -281,46 +283,45 @@ def build_unwrapped_cover(x: OneRelatorOrbicomplex,
             raise InvariantError("relator power lift failed to close")
         cells[f"f{index}"] = lift[0]
         families[f"f{index}"] = orbit
-    cover = TwoComplex(g, cells, base_vertex="p0")
-    covering_map = by_labels(cover, x)
-    cls = check_orbi_immersion(covering_map)
+    c = UnwrappedCover(TwoComplex(g, cells, base_vertex="p0"), families, q, x)
+    cls = check_orbi_immersion(c.covering_map)
     if cls.kind < MapKind.IMMERSION:
         raise InvalidComplexError(
             f"unwrapped cover does not immerse: {cls.witness}")
-    return UnwrappedCover(cover, covering_map, families, q, x)
+    return c
 
 
 class CoverReport(NamedTuple):
-    passed: bool
     witnesses: tuple[str, ...]
     euler: int
-    degree: int
+
+    @property
+    def passed(self) -> bool:
+        return not self.witnesses
 
 
 def verify_cover(c: UnwrappedCover) -> CoverReport:
-    """Independent audit of a candidate unwrapped cover: graph-level covering,
-    per-edge disk-side accounting, the Euler identity chi(cover) =
+    """Independent audit of a candidate unwrapped cover, whose map is read by
+    labels: graph-level covering, per-edge disk-side accounting (position p
+    of a cell lies over side p mod |w|), the Euler identity chi(cover) =
     k (chi(rose) + 1/n), checked in integers as n chi(cover) =
-    k (n chi(rose) + 1), and the torsion-free certificate, a
-    witness for each problem ``validate_quotient`` finds in the quotient."""
+    k (n chi(rose) + 1), and the torsion-free certificate, a witness for
+    each problem ``validate_quotient`` finds in the quotient."""
     witnesses = []
     x = c.orbicomplex
-    m = c.covering_map
     cover = c.cover
-    cls = check_orbi_immersion(m)
+    cls = check_orbi_immersion(c.covering_map)
     if cls.kind < MapKind.IMMERSION:
         witnesses.append(f"not an immersion: {cls.witness}")
     g = cover.skeleton
-    # the images of the darts at each vertex, in one pass over the edges
+    # the darts at each vertex, as letters, in one pass over the edges
     links: dict[str, set[Dart]] = {v: set() for v in g.vertices}
-    for e, rec in g.edges.items():
-        f, s = m.edge_map[e]
-        links[rec.tail].add((f, s))
-        links[rec.head].add((f, -s))
-    onto = {u: set(x.gamma.darts_at(u)) for u in x.gamma.vertices}
-    for v in sorted(g.vertices):
-        if links[v] != onto[m.vertex_map[v]]:
-            witnesses.append(f"link at {v} is not onto the rose link")
+    for rec in g.edges.values():
+        links[rec.tail].add((rec.label, 1))
+        links[rec.head].add((rec.label, -1))
+    rose = set(x.gamma.darts_at(next(iter(x.gamma.vertices))))
+    witnesses += [f"link at {v} is not onto the rose link"
+                  for v in sorted(g.vertices) if links[v] != rose]
     w = x.relator
     n = x.branch_index
     k = c.quotient.degree
@@ -333,18 +334,14 @@ def verify_cover(c: UnwrappedCover) -> CoverReport:
         positions_of = {}
         for j, (sym, _) in enumerate(w):
             positions_of.setdefault(sym, []).append(j)
-        # each edge's disk-side positions, as target_side gives them, in
-        # one pass over the cells
+        # each edge's disk-side positions in one pass over the cells
         sides: dict[str, list[int]] = {e: [] for e in g.edges}
-        period = len(w)
-        for cid in sorted(cover.cells):
-            _, offset, orient = m.cell_map[cid]
-            step = 1 if orient > 0 else -1
-            for pos, (e, _) in enumerate(cover.cells[cid]):
-                sides[e].append((offset + step * pos) % period)
-        for e in sorted(g.edges):
+        for path in cover.cells.values():
+            for pos, (e, _) in enumerate(path):
+                sides[e].append(pos % len(w))
+        for e, rec in sorted(g.edges.items()):
             labels = sorted(sides[e])
-            expected = positions_of.get(m.edge_map[e][0], [])
+            expected = positions_of.get(rec.label, [])
             if labels != expected:
                 witnesses.append(
                     f"edge {e} carries disk sides {labels}, expected {expected}")
@@ -369,6 +366,5 @@ def verify_cover(c: UnwrappedCover) -> CoverReport:
                                  f" {len(cover.cells[cid])}, expected {n * len(w)}")
     witnesses += [f"quotient does not unwrap: {problem}"
                   for problem in validate_quotient(c.quotient, x)]
-    return CoverReport(passed=not witnesses, witnesses=tuple(witnesses),
-                       euler=chi, degree=k)
+    return CoverReport(tuple(witnesses), chi)
 

@@ -81,9 +81,13 @@ class GeneratorParams(_GeneratorParamsFields):
         return cls(*iterable)
 
     def _with_budget(self, vertex_budget: int) -> GeneratorParams:
-        """These parameters with another vertex budget, sharing this
-        instance's orbicomplex, which the budget does not change."""
-        out = self._make((vertex_budget, *self[1:]))
+        """These parameters with another vertex budget, checked alone, and
+        this instance's orbicomplex, which the budget does not change."""
+        problem = generator_params_problem(vertex_budget,
+                                           self.attach_probability)
+        if problem is not None:
+            raise ValueError(" ".join(problem))
+        out = super()._make((vertex_budget, *self[1:]))
         out.__dict__["orbicomplex"] = self.orbicomplex
         return out
 

@@ -171,7 +171,7 @@ def test_cover_build_failing_audit_names_each_witness(group_file, capsys,
     import orelco.cli as cli
     witnesses = ("edge a0 is not covered", "link at p1 is not onto")
     monkeypatch.setattr(cli, "verify_cover",
-                        lambda cover: CoverReport(False, witnesses, 0, 2))
+                        lambda cover: CoverReport(witnesses, 0))
     code, out, err = run(capsys, ["cover", "build", "--group", group_file,
                                   "--out", str(tmp_path / "x0.txt")])
     assert code == 1 and not err
@@ -233,7 +233,7 @@ def test_subgroup_present_budget_exhausted_exits_3(group_file, capsys,
 def test_a_failed_cover_audit_prints_its_witnesses(group_file, capsys,
                                                    monkeypatch):
     import orelco.pipeline as pipeline
-    report = CoverReport(False, ("edge a0 is not covered",), 0, 2)
+    report = CoverReport(("edge a0 is not covered",), 0)
     monkeypatch.setattr(pipeline, "verify_cover", lambda cover: report)
     code, out, err = run(capsys, ["subgroup", "present", "--group",
                                   group_file, "--gens", "a a"])

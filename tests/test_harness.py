@@ -197,6 +197,22 @@ def test_a_campaign_builds_its_orbicomplex_once(monkeypatch):
     assert fresh.pass_counts == rep.pass_counts
 
 
+def test_a_campaign_checks_its_relator_once(monkeypatch):
+    # each wcycles trial's parameters differ from the caller's in their
+    # vertex budget alone, so only that budget is checked again
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check_relator(*args)
+    check_relator = harness._check_relator
+    monkeypatch.setattr(harness, "_check_relator", counted)
+    params = GeneratorParams(5, W("a b a b~"), 2)
+    assert len(calls) == 1
+    run_property_campaign(CampaignConfig(4, 5, params))
+    assert len(calls) == 1
+
+
 def test_campaign_covers_other_relators():
     for w, n in ((W("a b a b~"), 2), (W("a b"), 3)):
         cfg = CampaignConfig(5, 60, GeneratorParams(5, w, n))

@@ -1060,8 +1060,7 @@ def test_an_emitted_relator_is_read_over_its_generator_word(
 
 def test_a_failed_cover_audit_names_its_witnesses(x, monkeypatch):
     import orelco.pipeline as pipeline
-    report = CoverReport(False, ("edge a0 is not covered", "euler is off"),
-                         0, 2)
+    report = CoverReport(("edge a0 is not covered", "euler is off"), 0)
     monkeypatch.setattr(pipeline, "verify_cover", lambda cover: report)
     with pytest.raises(InvariantError) as info:
         present_subgroup([W("a")], x)
