@@ -13,8 +13,7 @@ from .errors import (BudgetExhaustedError, DiagramError, FactorizationError,
                      NotMorphismError, OrelcoError, PipelineInvariantError)
 from .folding import FoldResult, factor_unique, fold
 from .harness import (CampaignConfig, CampaignReport, GeneratorParams,
-                      random_irreducible_immersion, random_uniform_quotient,
-                      run_property_campaign)
+                      random_irreducible_immersion, run_property_campaign)
 from .orbicomplex import (OneRelatorOrbicomplex, WCyclesAudit,
                           build_orbicomplex, check_orbi_immersion, degree,
                           wcycles_audit)
@@ -43,8 +42,7 @@ __all__ = [
     "find_free_faces_and_edges", "fold", "format_word", "free_reduce",
     "identity_morphism", "inverse_word",
     "parse_word", "present_subgroup",
-    "random_irreducible_immersion",
-    "random_uniform_quotient", "run_property_campaign",
+    "random_irreducible_immersion", "run_property_campaign",
     "seed_immersion", "verify_cover", "wcycles_audit",
 ]
 

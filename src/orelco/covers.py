@@ -83,9 +83,9 @@ def screen_draw(perms: dict[str, Perm], x: OneRelatorOrbicomplex) -> bool:
 
     Point 0 walks through the relator (``_walk``) at most n times and the
     walk stops at its first return to 0.  A draw that fails breaks the
-    exponent rule, whatever the other cycles are, so the campaign sampler
-    and the quotient search drop it before they build a quotient;
-    ``validate_quotient`` decides every draw that passes.
+    exponent rule, whatever the other cycles are, so the quotient search
+    drops it before it builds a quotient; ``validate_quotient`` decides
+    every draw that passes.
     """
     n = x.branch_index
     point = 0

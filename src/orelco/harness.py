@@ -9,8 +9,9 @@ filter, and collapses free faces so the emitted complex is irreducible.
 
 Campaigns derive one seed per trial from the master seed and audit three law
 families: the curvature inequalities on generated immersions, fold laws on
-random graph morphisms, and cover verification across random quotients.  Any
-violation aborts with the reproduction seed; identical configurations produce
+random graph morphisms, and cover verification on quotients drawn from the
+tables of ``covers.unwrapping_actions`` at degrees n and 2n.  Any violation
+aborts with the reproduction seed; identical configurations produce
 byte-identical reports.
 """
 
@@ -23,8 +24,8 @@ from typing import NamedTuple
 from .complexes import (EdgeRec, Graph, MapKind, TwoComplex, collapse,
                         component_of, identity_morphism)
 from .complexes import CellMorphism
-from .covers import (FiniteQuotient, _accept_draw, build_unwrapped_cover,
-                     verify_cover)
+from .covers import (FiniteQuotient, Perm, build_unwrapped_cover,
+                     unwrapping_actions, verify_cover)
 from .errors import InvariantError, NotImmersionError, OrelcoError
 from .folding import factor_unique, fold
 from .orbicomplex import (OneRelatorOrbicomplex, _check_relator,
@@ -33,7 +34,6 @@ from .orbicomplex import (OneRelatorOrbicomplex, _check_relator,
 from .words import Word, _require_torsion
 
 SEED_STRIDE = 1_000_003
-QUOTIENT_ATTEMPTS = 500
 SUITES = ("wcycles", "fold", "covers")
 
 
@@ -74,6 +74,18 @@ class GeneratorParams(_GeneratorParamsFields):
         symbols = sorted({sym for sym, _ in self.relator})
         return build_orbicomplex(Graph.rose(symbols), tuple(self.relator),
                                  self.branch_index)
+
+    @cached_property
+    def _cover_tables(self) -> tuple[tuple[int, tuple[dict[str, Perm], ...]],
+                                     ...]:
+        """Each of the degrees n and 2n that has an unwrapping action, with
+        every table ``unwrapping_actions`` yields at it: enumerated on first
+        use and kept on this instance, so that the covers trials of a
+        campaign draw from one tuple."""
+        x = self.orbicomplex
+        n = self.branch_index
+        found = ((d, tuple(unwrapping_actions(x, d))) for d in (n, 2 * n))
+        return tuple((d, tables) for d, tables in found if tables)
 
     @classmethod
     def _make(cls, iterable) -> GeneratorParams:
@@ -261,60 +273,18 @@ def _run_fold_trial(rng: random.Random, seed: int,
                          "self-factorization is not the identity")
 
 
-def random_uniform_quotient(rng: random.Random, x: OneRelatorOrbicomplex,
-                            max_degree: int) -> FiniteQuotient | None:
-    """Rejection-sample a quotient that ``validate_quotient`` accepts, with
-    one permutation per loop of the rose.
-
-    A draw is a degree, as ``rng.choice`` picks it from the multiples of n,
-    and then a permutation per loop, as ``rng.shuffle`` shuffles
-    ``range(degree)``.  Each index is drawn straight from ``getrandbits`` by
-    the rule of ``Random._randbelow_with_getrandbits``, in the order of
-    ``choice`` and ``shuffle``, so the draws and the generator's final
-    state are theirs.  Each draw is screened first (``screen_draw``): when
-    the relator image's cycle through point 0 is not of length n, the draw
-    breaks the exponent rule and is dropped unbuilt.  ``validate_quotient``
-    decides every draw that passes, so the screen changes no draw and no
-    random state."""
-    n = x.branch_index
-    if max_degree < n:
-        raise ValueError(f"max_degree must be at least the branch index {n},"
-                         f" got {max_degree}")
-    symbols = x._rose_symbols
-    degrees = range(n, max_degree + 1, n)
-    getrandbits = rng.getrandbits
-    count = len(degrees)
-    bits = count.bit_length()
-    for _ in range(QUOTIENT_ATTEMPTS):
-        # rng.choice(degrees): an index below count
-        r = getrandbits(bits)
-        while r >= count:
-            r = getrandbits(bits)
-        d = degrees[r]
-        perms = {}
-        for sym in symbols:
-            # rng.shuffle(p): p[i] swaps with an index below i + 1
-            p = list(range(d))
-            for i in range(d - 1, 0, -1):
-                m = i + 1
-                k = m.bit_length()
-                j = getrandbits(k)
-                while j >= m:
-                    j = getrandbits(k)
-                p[i], p[j] = p[j], p[i]
-            perms[sym] = tuple(p)
-        q = _accept_draw(perms, x, d)
-        if q is not None:
-            return q
-    return None
-
-
 def _run_cover_trial(rng: random.Random, seed: int,
-                     x: OneRelatorOrbicomplex) -> bool:
-    q = random_uniform_quotient(rng, x, max_degree=3 * x.branch_index)
-    if q is None:
+                     params: GeneratorParams) -> bool:
+    tables = params._cover_tables
+    if not tables:
         return False
-    cover = build_unwrapped_cover(x, q)
+    degree, actions = rng.choice(tables)
+    q = FiniteQuotient(degree, rng.choice(actions))
+    try:
+        cover = build_unwrapped_cover(params.orbicomplex, q)
+    except (ValueError, OrelcoError) as err:
+        raise _violation("cover", seed,
+                         f"drawn quotient refused: {err}") from err
     report = verify_cover(cover)
     if not report.passed:
         raise _violation("cover", seed, "; ".join(report.witnesses))
@@ -343,7 +313,6 @@ def check_trials(trials: int) -> None:
 def run_property_campaign(cfg: CampaignConfig) -> CampaignReport:
     check_trials(cfg.trials)
     check_suites(cfg.suites)
-    x = cfg.params.orbicomplex
     rows: list[TrialRow] = []
     covers_passed = 0
     for t in range(cfg.trials):
@@ -354,7 +323,7 @@ def run_property_campaign(cfg: CampaignConfig) -> CampaignReport:
         if "fold" in cfg.suites:
             _run_fold_trial(rng, seed, cfg)
         if "covers" in cfg.suites:
-            covers_passed += _run_cover_trial(rng, seed, x)
+            covers_passed += _run_cover_trial(rng, seed, cfg.params)
     # a wcycles or fold trial that fails raises, so every one of them passed
     return CampaignReport(tuple(rows), {
         suite: (covers_passed if suite == "covers" else cfg.trials,

@@ -5,6 +5,7 @@ wall-clock limits) are part of the contract and must not be reduced.
 """
 
 import hashlib
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -14,10 +15,10 @@ import pytest
 import orelco
 from orelco.cli import main
 from orelco.covers import (FiniteQuotient, build_unwrapped_cover,
-                           find_exponent_n_quotient, validate_quotient,
-                           verify_cover)
+                           find_exponent_n_quotient, unwrapping_actions,
+                           validate_quotient, verify_cover)
 from orelco.harness import (CampaignConfig, GeneratorParams, campaign_csv,
-                            random_uniform_quotient, run_property_campaign)
+                            run_property_campaign)
 from orelco.orbicomplex import (build_orbicomplex, degree, wcycles_audit)
 from orelco.complexes import Graph, euler_characteristic
 from orelco.pipeline import present_subgroup
@@ -114,22 +115,19 @@ def test_worked_cover_a_over_two_symbol_rose_branch_3():
 
 @pytest.mark.parametrize("relator,n", [(AB2, 2), (ABAB_INV, 2), (AB2, 3)])
 def test_families_have_cardinality_n(relator, n):
+    # the first ten tables of each degree up to 4n, enumerated lazily
     x = _orbi(relator, n)
-    rng = random.Random(100 + n + len(relator))
     found = 0
-    attempts = 0
-    while found < 20 and attempts < 400:
-        attempts += 1
-        q = random_uniform_quotient(rng, x, max_degree=4 * n)
-        if q is None:
-            continue
-        found += 1
-        cover = build_unwrapped_cover(x, q)
-        assert cover.families
-        for members in cover.families.values():
-            assert len(members) == n
-        total = sum(len(members) for members in cover.families.values())
-        assert total == len(cover.cover.cells) * n
+    for d in range(n, 4 * n + 1, n):
+        for perms in itertools.islice(unwrapping_actions(x, d), 10):
+            found += 1
+            cover = build_unwrapped_cover(x, FiniteQuotient(d, perms))
+            assert cover.families
+            for members in cover.families.values():
+                assert len(members) == n
+            total = sum(len(members)
+                        for members in cover.families.values())
+            assert total == len(cover.cover.cells) * n
     assert found >= 20  # 3 parametrizations give >= 60 quotients overall
 
 

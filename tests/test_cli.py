@@ -472,6 +472,18 @@ def test_the_text_campaign_summary_is_pinned(tmp_path, capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == CAMPAIGN_TEXT_DIGEST
 
 
+def test_a_spent_search_budget_in_the_covers_suite_exits_3(group_file, capsys,
+                                                           monkeypatch):
+    # the covers suite enumerates its tables under the enumerator's budget
+    import orelco.covers as covers
+    monkeypatch.setattr(covers, "SEARCH_NODE_BUDGET", 1)
+    code, out, err = run(capsys, ["audit", "wcycles", "--group", group_file,
+                                  "--trials", "2", "--suites", "covers"])
+    assert code == 3
+    assert err == "error: search node budget of 1 exhausted at degree 2\n"
+    assert "suite covers" not in out
+
+
 @pytest.mark.parametrize("argv", [
     ["subgroup", "present", "--gens", "b ; a a", "--max-word-len", "0"],
     ["subgroup", "present", "--gens", "b ; a a", "--max-word-len", "-3"],

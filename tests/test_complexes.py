@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -12,12 +13,14 @@ from orelco.complexes import (CellImage, CellMorphism, Classification, EdgeRec,
                               require_valid, reverse_path,
                               target_side, validate_complex)
 from orelco.complexes import component_of
-from orelco.covers import build_unwrapped_cover
+from orelco.covers import (FiniteQuotient, build_unwrapped_cover,
+                           unwrapping_actions)
 from orelco.diagrams import build_reduced_diagram
 from orelco.errors import InvalidComplexError
-from orelco.harness import random_uniform_quotient
 from orelco.orbicomplex import build_orbicomplex
 from orelco.words import dehn_solve, free_reduce, inverse_word, parse_word
+
+from quotient_draws import draw_quotient
 
 
 def _rank(g):
@@ -313,15 +316,14 @@ def test_collapse_with_rewrites_follows_freed_faces():
 
 
 def _carrying_corpus():
-    """Covers of seeded quotient draws over ab/2 and ab/3, and the disk
-    diagrams of seeded trivial words, each with its orbicomplex."""
-    for k, (relator, n) in enumerate([("a b", 2), ("a b", 3)]):
+    """Covers of the first twenty tables of each degree up to 4n over ab/2
+    and ab/3, and the disk diagrams of seeded trivial words, each with its
+    orbicomplex."""
+    for relator, n in [("a b", 2), ("a b", 3)]:
         x = build_orbicomplex(Graph.rose("ab"), parse_word(relator), n)
-        rng = random.Random(k)
-        for _ in range(100):
-            q = random_uniform_quotient(rng, x, 4 * n)
-            if q is not None:
-                yield build_unwrapped_cover(x, q).cover, x
+        for d in range(n, 4 * n + 1, n):
+            for perms in itertools.islice(unwrapping_actions(x, d), 20):
+                yield build_unwrapped_cover(x, FiniteQuotient(d, perms)).cover, x
     for k, (relator, n) in enumerate([("a b", 2), ("a b a b~", 2),
                                       ("a a b b b", 2), ("a b", 3)]):
         x = build_orbicomplex(Graph.rose("ab"), parse_word(relator), n)
@@ -573,7 +575,7 @@ def _base_morphism(rng):
     from orelco.covers import build_unwrapped_cover
     from orelco.folding import fold
     from orelco.harness import (GeneratorParams, _generate_uncollapsed,
-                                _random_rose_morphism, random_uniform_quotient)
+                                _random_rose_morphism)
     from orelco.words import parse_word
     relator, n = rng.choice([("a b", 2), ("a b a b~", 2), ("a b", 3)])
     params = GeneratorParams(rng.randint(1, 6), parse_word(relator), n,
@@ -590,9 +592,7 @@ def _base_morphism(rng):
         m = rng.choice([res.projection, res.inclusion])
         x = x if m is res.inclusion else None
     else:
-        q = random_uniform_quotient(rng, x, 3 * n)
-        m = (identity_morphism(x.presentation_complex) if q is None
-             else build_unwrapped_cover(x, q).covering_map)
+        m = build_unwrapped_cover(x, draw_quotient(rng, x)).covering_map
     return _shuffled(rng, m, reverse=0.3), x
 
 

@@ -15,13 +15,13 @@ from orelco.covers import (FiniteQuotient, build_unwrapped_cover,
                            verify_cover, UnwrappedCover)
 import orelco.covers as covers
 from orelco.errors import BudgetExhaustedError, InvariantError, OrelcoError
-from orelco.harness import random_uniform_quotient
 from orelco.orbicomplex import (OneRelatorOrbicomplex, build_orbicomplex,
                                 by_labels, check_orbi_immersion, degree,
                                 presentation_complex, wcycles_audit)
 from orelco.words import _check_letters, parse_word
 
 import old_quotient_rule as old
+from quotient_draws import draw_quotient
 
 A = ("a", 1)
 B = ("b", 1)
@@ -155,6 +155,17 @@ def test_unwrapping_actions_yield_each_action_once(relator, n):
         assert len(tables) == count, degree
         assert len({tuple(t.values()) for t in tables}) == count
         assert all(old.accepts(FiniteQuotient(degree, t), x) for t in tables)
+
+
+def test_unwrapping_actions_carry_every_rose_loop():
+    # <a, b | a^3>: the relator lacks b, and every table still permutes it
+    x = make_x("a", 3)
+    for degree, count in ((3, 6), (6, 228)):
+        tables = list(unwrapping_actions(x, degree))
+        assert len(tables) == count
+        for t in tables:
+            assert sorted(t) == ["a", "b"]
+            assert validate_quotient(FiniteQuotient(degree, t), x) == []
 
 
 # relators over the rose on a, b whose least exponent-3 quotient has degree
@@ -385,8 +396,7 @@ def test_cover_families_are_the_old_orbit_walk():
     rng = random.Random(4)
     for relator, n in RULE_GROUPS[:3]:
         x = make_x(relator, n)
-        pairs += [(x, random_uniform_quotient(rng, x, 3 * n))
-                  for _ in range(40)]
+        pairs += [(x, draw_quotient(rng, x)) for _ in range(40)]
     assert len(pairs) >= 140
     for x, q in pairs:
         c = build_unwrapped_cover(x, q)
@@ -843,7 +853,7 @@ def _seeded_covers():
     rng = random.Random(4)
     for relator, n in RULE_GROUPS[:3]:
         x = make_x(relator, n)
-        out += [build_unwrapped_cover(x, random_uniform_quotient(rng, x, 3 * n))
+        out += [build_unwrapped_cover(x, draw_quotient(rng, x))
                 for _ in range(40)]
     return out
 

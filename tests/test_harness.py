@@ -7,15 +7,14 @@ import pytest
 from orelco.complexes import (EdgeRec, Graph, MapKind, TwoComplex,
                               euler_characteristic, find_free_faces_and_edges)
 from orelco.covers import (FiniteQuotient, build_unwrapped_cover,
-                           find_exponent_n_quotient, validate_quotient)
+                           find_exponent_n_quotient, unwrapping_actions)
 from orelco.errors import OrelcoError
 import orelco.harness as harness
-from orelco.harness import (CSV_HEADER, QUOTIENT_ATTEMPTS, CampaignConfig,
-                            GeneratorParams, _generate_uncollapsed,
-                            _random_labeled_graph, campaign_csv,
-                            closed_power_lifts, random_irreducible_immersion,
-                            random_uniform_quotient, run_property_campaign,
-                            trial_seed)
+from orelco.harness import (CSV_HEADER, CampaignConfig, GeneratorParams,
+                            _generate_uncollapsed, _random_labeled_graph,
+                            campaign_csv, closed_power_lifts,
+                            random_irreducible_immersion,
+                            run_property_campaign, trial_seed)
 from orelco.orbicomplex import (build_orbicomplex, by_labels,
                                 check_orbi_immersion, presentation_complex,
                                 wcycles_audit)
@@ -24,6 +23,7 @@ from orelco.words import parse_word
 import random
 
 import old_quotient_rule as old
+from quotient_draws import draw_quotient
 
 W = parse_word
 AB2 = GeneratorParams(1, W("a b"), 2, attach_probability=1.0)
@@ -235,7 +235,7 @@ def test_the_two_wcycles_slacks_are_one(relator, n):
     x = build_orbicomplex(Graph.rose(["a", "b"]), W(relator), n)
     rng = random.Random(5)
     for _ in range(20):
-        cover = build_unwrapped_cover(x, random_uniform_quotient(rng, x, 3 * n))
+        cover = build_unwrapped_cover(x, draw_quotient(rng, x))
         audit = wcycles_audit(cover.covering_map)
         assert audit.cells > 0 and audit.slack2 == audit.slack1
 
@@ -272,36 +272,76 @@ def test_the_generator_refuses_branch_index_one():
 
 
 def test_a_covers_suite_that_draws_no_quotient_passes_no_trial(monkeypatch):
-    monkeypatch.setattr(harness, "QUOTIENT_ATTEMPTS", 0)
+    # no two-letter relator up to length 8 lacks a table at both n and 2n
+    # for n = 2, so the enumerator is made to yield none
+    monkeypatch.setattr(harness, "unwrapping_actions", lambda x, d: iter(()))
     cfg = CampaignConfig(3, 4, GeneratorParams(3, W("a b"), 2),
                          suites=("covers",))
     assert run_property_campaign(cfg).pass_counts == {"covers": (0, 4)}
 
 
+def test_a_refused_table_is_a_cover_violation_naming_the_seed(monkeypatch):
+    # the identity permutations leave every point of the relator image fixed
+    monkeypatch.setattr(harness, "unwrapping_actions", lambda x, d: iter(
+        [{"a": tuple(range(d)), "b": tuple(range(d))}]))
+    cfg = CampaignConfig(6, 3, GeneratorParams(3, W("a b"), 2),
+                         suites=("covers",))
+    with pytest.raises(OrelcoError) as err:
+        run_property_campaign(cfg)
+    assert str(err.value) == (
+        "cover violation: drawn quotient refused: exponent condition"
+        " violated: relator image has a cycle of order 1, expected 2;"
+        f" reproduce with trial seed {trial_seed(6, 0)}")
+    assert isinstance(err.value.__cause__, ValueError)
+
+
+def test_the_covers_tables_are_enumerated_once_per_params(monkeypatch):
+    # every trial, and a second campaign over the same parameters, reads
+    # the tables kept on the parameters
+    degrees = []
+
+    def counted(x, d):
+        degrees.append(d)
+        return unwrapping_actions(x, d)
+
+    monkeypatch.setattr(harness, "unwrapping_actions", counted)
+    params = GeneratorParams(3, W("a b"), 3)
+    for seed in (1, 2):
+        cfg = CampaignConfig(seed, 30, params, suites=("covers",))
+        assert run_property_campaign(cfg).pass_counts == {"covers": (30, 30)}
+    assert degrees == [3, 6]
+
+
+@pytest.mark.parametrize("relator,n", [("a b", 2), ("a b a b~", 2),
+                                       ("a b", 3), ("a a b b b", 2)])
+def test_covers_trials_draw_enumerated_tables(monkeypatch, relator, n):
+    # each draw is a table of degree n or 2n; every table-bearing degree is
+    # drawn, and more than one table of it wherever it has more than one
+    drawn = []
+
+    def recorded(x, q):
+        drawn.append(q)
+        return build_unwrapped_cover(x, q)
+
+    monkeypatch.setattr(harness, "build_unwrapped_cover", recorded)
+    params = GeneratorParams(3, W(relator), n)
+    x = params.orbicomplex
+    cfg = CampaignConfig(8, 200, params, suites=("covers",))
+    assert run_property_campaign(cfg).pass_counts == {"covers": (200, 200)}
+    tables = {d: list(unwrapping_actions(x, d)) for d in (n, 2 * n)}
+    assert len(drawn) == 200
+    seen = {d: set() for d in tables}
+    for q in drawn:
+        assert q.perms in tables[q.degree]
+        assert old.accepts(q, x)
+        seen[q.degree].add(tuple(q.perms.values()))
+    for d, found in tables.items():
+        assert len(seen[d]) >= min(len(found), 2), d
+
+
 def test_trial_seed_derivation_is_affine():
     assert trial_seed(7, 0) == 7 * 1_000_003
     assert trial_seed(7, 5) - trial_seed(7, 4) == 1
-
-
-@pytest.mark.parametrize("max_degree", [0, 1])
-def test_random_quotient_degree_bound_below_the_branch_index(max_degree):
-    # rng.choice once raised IndexError on the empty degree list
-    x = build_orbicomplex(Graph.rose("ab"), W("a b"), 2)
-    with pytest.raises(ValueError, match="max_degree must be at least"):
-        random_uniform_quotient(random.Random(0), x, max_degree)
-
-
-def test_random_uniform_quotients_validate_and_vary():
-    x = build_orbicomplex(Graph.rose("ab"), W("a b"), 2)
-    rng = random.Random(99)
-    seen = set()
-    for _ in range(60):
-        q = random_uniform_quotient(rng, x, max_degree=6)
-        assert q is not None
-        assert validate_quotient(q, x) == []
-        assert old.accepts(q, x)
-        seen.add((q.degree, tuple(sorted(q.perms.items()))))
-    assert len(seen) >= 5
 
 
 def test_violation_aborts_with_the_reproduction_seed(monkeypatch):
@@ -361,94 +401,6 @@ def test_broken_fold_law_is_a_fold_trial_violation(monkeypatch, check,
                          suites=("fold",))
     with pytest.raises(OrelcoError, match=f"fold-laws violation: {detail}"):
         run_property_campaign(cfg)
-
-
-def _random_uniform_quotient_validating_first(rng, x, max_degree):
-    """random_uniform_quotient with the two old checks in their first order,
-    validation before the exponent cycles, and with permutations drawn for
-    the relator's letters only.  Where the relator spans the rose, these
-    are the same draws."""
-    n = x.branch_index
-    symbols = sorted({sym for sym, _ in x.relator})
-    degrees = [d for d in range(n, max_degree + 1) if d % n == 0]
-    for _ in range(QUOTIENT_ATTEMPTS):
-        d = rng.choice(degrees)
-        perms = {}
-        for sym in symbols:
-            p = list(range(d))
-            rng.shuffle(p)
-            perms[sym] = tuple(p)
-        q = FiniteQuotient(d, perms)
-        if not old.validate_quotient(q, x) and \
-                old.has_uniform_exponent_cycles(q, x):
-            return q
-    return None
-
-
-@pytest.mark.parametrize("relator,n", [("a b", 2), ("a b a b~", 2), ("a b", 3)])
-def test_uniform_quotient_draws_do_not_depend_on_the_test_order(relator, n):
-    x = build_orbicomplex(Graph.rose(["a", "b"]), W(relator), n)
-    for seed in range(500):
-        rng, ref_rng = random.Random(seed), random.Random(seed)
-        q = random_uniform_quotient(rng, x, 3 * n)
-        assert q == _random_uniform_quotient_validating_first(ref_rng, x, 3 * n)
-        assert rng.getstate() == ref_rng.getstate()
-
-
-
-def test_uniform_quotient_draws_are_those_of_choice_and_shuffle(monkeypatch):
-    # degrees up to 80 and lists of 1-20 degrees, so that getrandbits is
-    # asked for every bit length from 1 to 7, and a range that is not a
-    # power of two is drawn again; each draw is refused, so that three are
-    # made per call
-    drawn, bits, indices = [], [], 0
-
-    def refuse(perms, x, degree):
-        drawn.append((degree, perms))
-
-    monkeypatch.setattr(harness, "_accept_draw", refuse)
-    monkeypatch.setattr(harness, "QUOTIENT_ATTEMPTS", 3)
-    for n in (1, 2, 3, 4):
-        x = build_orbicomplex(Graph.rose(["a", "b"]), W("a b"), n)
-        for count in range(1, 21):
-            max_degree = n * count + count % n
-            rng, ref = random.Random(count), random.Random(count)
-            getrandbits = rng.getrandbits
-
-            def counted(k):
-                bits.append(k)
-                return getrandbits(k)
-
-            rng.getrandbits = counted
-            drawn.clear()
-            assert random_uniform_quotient(rng, x, max_degree) is None
-            degrees = range(n, max_degree + 1, n)
-            expected = []
-            for _ in range(3):
-                d = ref.choice(degrees)
-                perms = {}
-                for sym in "ab":
-                    p = list(range(d))
-                    ref.shuffle(p)
-                    perms[sym] = tuple(p)
-                expected.append((d, perms))
-                indices += 1 + 2 * (d - 1)
-            assert drawn == expected, (n, count)
-            assert rng.getstate() == ref.getstate(), (n, count)
-    assert set(bits) == set(range(1, 8))
-    assert len(bits) > indices
-
-
-def test_uniform_quotients_draw_for_every_rose_loop():
-    # <a, b | a^3>: the relator lacks b, and the reference, which draws for
-    # the relator's letters only, never finds a quotient
-    x = build_orbicomplex(Graph.rose(["a", "b"]), W("a"), 3)
-    for seed in range(5):
-        assert _random_uniform_quotient_validating_first(
-            random.Random(seed), x, 9) is None
-        q = random_uniform_quotient(random.Random(seed), x, 9)
-        assert q is not None and sorted(q.perms) == ["a", "b"]
-        assert validate_quotient(q, x) == []
 
 
 def _parent_random_labeled_graph(rng, v, symbols):

@@ -24,7 +24,6 @@ from orelco.diagrams import build_reduced_diagram
 from orelco.errors import (DiagramError, InvalidComplexError, InvariantError,
                            PipelineInvariantError)
 from orelco.folding import _canonical_cell_key, fold
-from orelco.harness import random_uniform_quotient
 from orelco.orbicomplex import build_orbicomplex
 from orelco.pipeline import (_P, PipelineState, _bfs_frame,
                              _candidate_word, _cell_cocycle, _glue_and_fold,
@@ -34,6 +33,8 @@ from orelco.pipeline import (_P, PipelineState, _bfs_frame,
                              seed_immersion)
 from orelco.words import (dehn_solve, format_word, free_reduce, inverse_word,
                           parse_word)
+
+from quotient_draws import draw_quotient
 
 W = parse_word
 
@@ -823,8 +824,7 @@ def test_unchanged_rule_agrees_with_the_signature_on_a_corpus():
         x = build_orbicomplex(Graph.rose("ab"), W(relator), n)
         rng = random.Random(k)
         for _ in range(3):
-            cover = build_unwrapped_cover(
-                x, random_uniform_quotient(rng, x, 2 * n))
+            cover = build_unwrapped_cover(x, draw_quotient(rng, x))
             for start, walk in ((cover.cover, False),
                                 (one_skeleton(cover.cover), False),
                                 (one_skeleton(cover.cover), True)):
