@@ -7,7 +7,8 @@ import pytest
 from orelco.complexes import (EdgeRec, Graph, MapKind, TwoComplex,
                               euler_characteristic, find_free_faces_and_edges)
 from orelco.covers import (FiniteQuotient, build_unwrapped_cover,
-                           find_exponent_n_quotient, unwrapping_actions)
+                           find_exponent_n_quotient, unwrapping_actions,
+                           validate_quotient)
 from orelco.errors import OrelcoError
 import orelco.harness as harness
 from orelco.harness import (CSV_HEADER, CampaignConfig, GeneratorParams,
@@ -337,6 +338,29 @@ def test_covers_trials_draw_enumerated_tables(monkeypatch, relator, n):
         seen[q.degree].add(tuple(q.perms.values()))
     for d, found in tables.items():
         assert len(seen[d]) >= min(len(found), 2), d
+
+
+def test_random_uniform_quotients_validate_and_vary(monkeypatch):
+    # the quotients that the covers suite draws on ab/2
+    drawn = []
+
+    def recorded(x, q):
+        drawn.append(q)
+        return build_unwrapped_cover(x, q)
+
+    monkeypatch.setattr(harness, "build_unwrapped_cover", recorded)
+    params = GeneratorParams(99, W("a b"), 2)
+    x = params.orbicomplex
+    cfg = CampaignConfig(99, 60, params, suites=("covers",))
+    assert run_property_campaign(cfg).pass_counts == {"covers": (60, 60)}
+    seen = set()
+    for q in drawn:
+        assert q is not None
+        assert validate_quotient(q, x) == []
+        assert old.accepts(q, x)
+        seen.add((q.degree, tuple(sorted(q.perms.items()))))
+    assert len(drawn) == 60
+    assert len(seen) >= 5
 
 
 def test_trial_seed_derivation_is_affine():
