@@ -167,26 +167,39 @@ def _accept_draw(perms: dict[str, Perm], x: OneRelatorOrbicomplex,
 SEARCH_NODE_BUDGET = 3_000_000
 
 
-def unwrapping_actions(x: OneRelatorOrbicomplex, degree: int):
-    """The permutations of the rose symbols of each transitive action on
-    {0..degree-1} in which every cycle of the relator image has length n,
-    once each, read from its standard coset table: Sims' low-index search
-    (*Computation with Finitely Presented Groups*, 1994, ch. 5; Culler and
-    Dunfield's ``low_index`` is one in C++).  The first undefined entry in
-    row-major order (point, symbol, direction) takes each earlier point whose
-    opposite entry is free, then the next new point.  A branch is cut when
-    ``w^n`` read from some point returns at a multiple of ``|w|`` before its
-    end, or reads in full without returning.  Raises ``BudgetExhaustedError``
-    after ``SEARCH_NODE_BUDGET`` entries are tried."""
-    # column 2i reads symbol i forwards and column 2i + 1 backwards
-    column = {s: 2 * i for i, s in enumerate(x._rose_symbols)}
-    width = 2 * len(column)
-    period = len(x.relator)
-    path = [column[s] + (sign < 0) for s, sign in x.relator] * x.branch_index
-    table = [-1] * (degree * width)
-    budget = iter(range(SEARCH_NODE_BUDGET))
+class _CosetSearch:
+    """The partial coset table of the low-index search at one degree, and
+    the rule that cuts its branches.  Entry ``point * width + column`` is a
+    point's image, -1 while undefined; column 2i reads symbol i forwards and
+    column 2i + 1 backwards.  Each entry tried spends one node of the
+    search's ``SEARCH_NODE_BUDGET``."""
 
-    def refused(start: int) -> bool:
+    def __init__(self, x: OneRelatorOrbicomplex, degree: int):
+        self.column = {s: 2 * i for i, s in enumerate(x._rose_symbols)}
+        self.width = 2 * len(self.column)
+        self.period = len(x.relator)
+        self.path = [self.column[s] + (sign < 0)
+                     for s, sign in x.relator] * x.branch_index
+        # per column, for each step of the path that reads it, the columns
+        # that read the steps before it backwards, last first
+        self.before = [[[c ^ 1 for c in reversed(self.path[:j])]
+                        for j, c in enumerate(self.path) if c == col]
+                       for col in range(self.width)]
+        self.degree = degree
+        self.restart()
+
+    def restart(self) -> None:
+        """An empty table and a full budget."""
+        self.table = [-1] * (self.degree * self.width)
+        self.budget = iter(range(SEARCH_NODE_BUDGET))
+
+    def perms(self) -> dict[str, Perm]:
+        return {s: tuple(self.table[c::self.width])
+                for s, c in self.column.items()}
+
+    def refused(self, start: int) -> bool:
+        table, width, period, path = (self.table, self.width, self.period,
+                                      self.path)
         point = start
         for j, col in enumerate(path, 1):
             point = table[point * width + col]
@@ -196,30 +209,169 @@ def unwrapping_actions(x: OneRelatorOrbicomplex, degree: int):
                 return j < len(path)
         return True
 
-    def search(pos: int, used: int):
+    def free_points(self, pos: int, used: int):
+        """The first undefined entry at or after ``pos`` (the table's length
+        when the table is full), its row, and each point it may take, in
+        increasing order, with the index of the opposite entry and the
+        number of points then reached; none when the rows of the ``used``
+        points reached are full, as the action is then not transitive."""
+        table, width = self.table, self.width
         while pos < len(table) and table[pos] >= 0:
             pos += 1
-        if pos == len(table):
-            yield {s: tuple(table[c::width]) for s, c in column.items()}
-            return
         row, col = divmod(pos, width)
-        if row >= used:
-            return  # the rows of the points reached are full: not transitive
-        for point in range(min(used + 1, degree)):
-            opposite = point * width + (col ^ 1)
-            if table[opposite] >= 0:
-                continue
-            if next(budget, None) is None:
-                raise BudgetExhaustedError(
-                    f"search node budget of {SEARCH_NODE_BUDGET} exhausted"
-                    f" at degree {degree}")
-            table[pos], table[opposite] = point, row
-            reached = max(used, point + 1)
-            if not any(refused(p) for p in range(reached)):
-                yield from search(pos + 1, reached)
-            table[pos] = table[opposite] = -1
+        if pos == len(table) or row >= used:
+            return pos, row, []
+        opposites = ((point, point * width + (col ^ 1))
+                     for point in range(min(used + 1, self.degree)))
+        return pos, row, [(point, opposite, max(used, point + 1))
+                          for point, opposite in opposites
+                          if table[opposite] < 0]
 
-    return search(0, 1)
+    def enter(self, pos: int, row: int, point: int, opposite: int) -> bool:
+        """Whether no relator walk refuses the table with entry ``pos`` set
+        to ``point`` and its opposite to ``row``; both stay set when none
+        does.  Each call spends one node of the budget."""
+        if next(self.budget, None) is None:
+            raise BudgetExhaustedError(
+                f"search node budget of {SEARCH_NODE_BUDGET} exhausted"
+                f" at degree {self.degree}")
+        table = self.table
+        table[pos], table[opposite] = point, row
+        if any(self.refused(p) for p in self._starts_through(pos, point)):
+            table[pos] = table[opposite] = -1
+            return False
+        return True
+
+    def _starts_through(self, pos: int, point: int):
+        """The points whose walk of the path reads entry ``pos`` or its
+        opposite, found by reading the path backwards from the entry: only
+        their walks can be refused now that the table has the entry."""
+        table, width = self.table, self.width
+        row, col = divmod(pos, width)
+        for end, c in ((row, col), (point, col ^ 1)):
+            for back in self.before[c]:
+                p = end
+                for b in back:
+                    p = table[p * width + b]
+                    if p < 0:
+                        break
+                else:
+                    yield p
+
+
+def unwrapping_actions(x: OneRelatorOrbicomplex, degree: int):
+    """The permutations of the rose symbols of each transitive action on
+    {0..degree-1} in which every cycle of the relator image has length n,
+    once each, read from its standard coset table: Sims' low-index search
+    (*Computation with Finitely Presented Groups*, 1994, ch. 5; Culler and
+    Dunfield's ``low_index`` is one in C++).  The first undefined entry in
+    row-major order (point, symbol, direction) takes each earlier point whose
+    opposite entry is free, then the next new point.  A branch is cut when
+    ``w^n`` read from some point returns at a multiple of ``|w|`` before its
+    end, or reads in full without returning; after each entry only the
+    walks that read it are read again.  Raises ``BudgetExhaustedError``
+    after ``SEARCH_NODE_BUDGET`` entries are tried."""
+    search = _CosetSearch(x, degree)
+    table = search.table
+
+    def walk(pos: int, used: int):
+        pos, row, points = search.free_points(pos, used)
+        if pos == len(table):
+            yield search.perms()
+        for point, opposite, reached in points:
+            if search.enter(pos, row, point, opposite):
+                yield from walk(pos + 1, reached)
+                table[pos] = table[opposite] = -1
+
+    return walk(0, 1)
+
+
+# the bits of a draw's key that turn the branch order at one table entry
+_ORDER_BITS = 16
+# the nodes a search tree keeps, at most about 5 MB of them; a draw that
+# goes past them expands the nodes beyond again
+KEPT_TREE_NODES = 20_000
+# a branch of the search tree that holds no table, and a full table
+_NO_TABLE, _TABLE = object(), object()
+
+
+class UnwrappingActionTree:
+    """Seeded draws of one table each of ``unwrapping_actions(x, degree)``,
+    from its search tree, which is expanded only as far as the draws reach
+    and kept with every branch found to hold no table marked.
+
+    A draw takes ``rng.getrandbits`` once, for a key, and returns the first
+    table of the search in which the points for entry ``pos`` are tried in
+    increasing cyclic order from the key's ``pos``-th 16-bit field, modulo
+    their number; None when the degree has no table.  The draw is so a
+    function of the key alone, whatever earlier draws expanded.  It is not
+    uniform over the tables: a table on a branch with fewer siblings is
+    likelier.  A draw spends at most ``SEARCH_NODE_BUDGET`` entries on the
+    nodes it expands, and none on nodes kept.  The tree keeps the first
+    ``KEPT_TREE_NODES`` nodes that draws reach: all of them for ``ab``/3 at
+    degree 6 (about 1,600), and a part that grows by a few per draw for
+    ``ab``/5 at degree 10, whose search tries millions of entries."""
+
+    def __init__(self, x: OneRelatorOrbicomplex, degree: int):
+        self.degree = degree
+        self._search = _CosetSearch(x, degree)
+        self._bits = _ORDER_BITS * len(self._search.table)
+        self._root = None
+        self._kept = 1
+
+    def draw(self, rng) -> dict[str, Perm] | None:
+        key = rng.getrandbits(self._bits)
+        mask = (1 << _ORDER_BITS) - 1
+        # the table of the node the draw is at: expansions read it, and it is
+        # the table drawn when the draw ends
+        search = self._search
+        search.restart()
+        table = search.table
+
+        def expand(pos: int, used: int):
+            pos, row, points = search.free_points(pos, used)
+            if pos == len(table):
+                return _TABLE
+            if not points:
+                return _NO_TABLE
+            return pos, row, points, [None] * len(points)
+
+        # a node is _TABLE, _NO_TABLE, or (pos, row, points, children), where
+        # a child not yet reached is None; the search's table is the node's
+        def descend(node) -> bool:
+            if node is _TABLE:
+                return True
+            pos, row, points, children = node
+            k = len(points)
+            first = ((key >> (_ORDER_BITS * pos)) & mask) % k
+            # indices first - k .. -1 read first .. k - 1, then 0 .. first - 1
+            for j in range(first - k, first):
+                child = children[j]
+                if child is _NO_TABLE:
+                    continue
+                point, opposite, reached = points[j]
+                if child is not None:
+                    table[pos], table[opposite] = point, row
+                elif search.enter(pos, row, point, opposite):
+                    child = expand(pos + 1, reached)
+                    if self._kept < KEPT_TREE_NODES:
+                        children[j] = child
+                        self._kept += 1
+                else:
+                    children[j] = _NO_TABLE
+                    continue
+                if child is not _NO_TABLE and descend(child):
+                    return True
+                table[pos] = table[opposite] = -1
+                children[j] = _NO_TABLE
+            return False
+
+        if self._root is None:
+            self._root = expand(0, 1)
+        if self._root is _NO_TABLE or not descend(self._root):
+            self._root = _NO_TABLE
+            return None
+        return search.perms()
 
 
 def _check_max_degree(max_degree: int) -> None:

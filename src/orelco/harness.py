@@ -9,10 +9,10 @@ filter, and collapses free faces so the emitted complex is irreducible.
 
 Campaigns derive one seed per trial from the master seed and audit three law
 families: the curvature inequalities on generated immersions, fold laws on
-random graph morphisms, and cover verification on quotients drawn from the
-tables of ``covers.unwrapping_actions`` at degrees n and 2n.  Any violation
-aborts with the reproduction seed; identical configurations produce
-byte-identical reports.
+random graph morphisms, and cover verification on quotients drawn, one per
+trial, from the search trees of ``covers.unwrapping_actions`` at degrees n
+and 2n.  Any violation aborts with the reproduction seed; identical
+configurations produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from typing import NamedTuple
 from .complexes import (EdgeRec, Graph, MapKind, TwoComplex, collapse,
                         component_of, identity_morphism)
 from .complexes import CellMorphism
-from .covers import (FiniteQuotient, Perm, build_unwrapped_cover,
-                     unwrapping_actions, verify_cover)
+from .covers import (FiniteQuotient, UnwrappingActionTree,
+                     build_unwrapped_cover, verify_cover)
 from .errors import InvariantError, NotImmersionError, OrelcoError
 from .folding import factor_unique, fold
 from .orbicomplex import (OneRelatorOrbicomplex, _check_relator,
@@ -76,16 +76,13 @@ class GeneratorParams(_GeneratorParamsFields):
                                  self.branch_index)
 
     @cached_property
-    def _cover_tables(self) -> tuple[tuple[int, tuple[dict[str, Perm], ...]],
-                                     ...]:
-        """Each of the degrees n and 2n that has an unwrapping action, with
-        every table ``unwrapping_actions`` yields at it: enumerated on first
-        use and kept on this instance, so that the covers trials of a
-        campaign draw from one tuple."""
-        x = self.orbicomplex
+    def _action_trees(self) -> tuple[UnwrappingActionTree, ...]:
+        """The search trees of the unwrapping actions of degrees n and 2n,
+        kept on this instance, so that the covers trials of a campaign, and
+        every campaign over these parameters, expand each node once."""
         n = self.branch_index
-        found = ((d, tuple(unwrapping_actions(x, d))) for d in (n, 2 * n))
-        return tuple((d, tables) for d, tables in found if tables)
+        return tuple(UnwrappingActionTree(self.orbicomplex, d)
+                     for d in (n, 2 * n))
 
     @classmethod
     def _make(cls, iterable) -> GeneratorParams:
@@ -273,13 +270,25 @@ def _run_fold_trial(rng: random.Random, seed: int,
                          "self-factorization is not the identity")
 
 
+def _draw_cover_quotient(rng: random.Random, params: GeneratorParams
+                         ) -> FiniteQuotient | None:
+    """A covers trial's quotient: one of the degrees n and 2n, and a table
+    drawn from its search tree, or from the other degree's when it has
+    none; None when neither has one.  A degree with tables is so drawn in
+    half of the trials, or in all of them when the other has none."""
+    low, high = params._action_trees
+    for tree in ((low, high) if rng.getrandbits(1) else (high, low)):
+        perms = tree.draw(rng)
+        if perms is not None:
+            return FiniteQuotient(tree.degree, perms)
+    return None
+
+
 def _run_cover_trial(rng: random.Random, seed: int,
                      params: GeneratorParams) -> bool:
-    tables = params._cover_tables
-    if not tables:
+    q = _draw_cover_quotient(rng, params)
+    if q is None:
         return False
-    degree, actions = rng.choice(tables)
-    q = FiniteQuotient(degree, rng.choice(actions))
     try:
         cover = build_unwrapped_cover(params.orbicomplex, q)
     except (ValueError, OrelcoError) as err:

@@ -1,18 +1,11 @@
 """Seeded quotients for tests that need quotients which unwrap, drawn as
-the campaign's covers suite draws them: a degree among n and 2n that has a
-table, then one table of ``covers.unwrapping_actions`` at that degree."""
+the campaign's covers suite draws them, by ``harness._draw_cover_quotient``
+on the parameters of the orbicomplex's relator."""
 
-from orelco.covers import FiniteQuotient, unwrapping_actions
-
-# (rose symbols, relator, n) -> ((degree, tables), ...), for degrees with tables
-_TABLES: dict = {}
+from orelco.harness import GeneratorParams, _draw_cover_quotient
 
 
-def draw_quotient(rng, x) -> FiniteQuotient:
-    n = x.branch_index
-    key = (tuple(x._rose_symbols), x.relator, n)
-    if key not in _TABLES:
-        found = ((d, tuple(unwrapping_actions(x, d))) for d in (n, 2 * n))
-        _TABLES[key] = tuple((d, tables) for d, tables in found if tables)
-    degree, tables = rng.choice(_TABLES[key])
-    return FiniteQuotient(degree, rng.choice(tables))
+def draw_quotient(rng, x):
+    params = GeneratorParams(1, x.relator, x.branch_index)
+    assert params.orbicomplex._rose_symbols == x._rose_symbols
+    return _draw_cover_quotient(rng, params)

@@ -474,7 +474,7 @@ def test_the_text_campaign_summary_is_pinned(tmp_path, capsys, monkeypatch):
 
 def test_a_spent_search_budget_in_the_covers_suite_exits_3(group_file, capsys,
                                                            monkeypatch):
-    # the covers suite enumerates its tables under the enumerator's budget
+    # a covers draw expands the enumerator's search under its budget
     import orelco.covers as covers
     monkeypatch.setattr(covers, "SEARCH_NODE_BUDGET", 1)
     code, out, err = run(capsys, ["audit", "wcycles", "--group", group_file,

@@ -9,7 +9,8 @@ from orelco.complexes import (CellMorphism, EdgeRec, Graph, MapKind,
                               TwoComplex, connected_components,
                               euler_characteristic)
 from orelco.complexes import target_side
-from orelco.covers import (FiniteQuotient, build_unwrapped_cover,
+from orelco.covers import (FiniteQuotient, UnwrappingActionTree,
+                           build_unwrapped_cover,
                            find_exponent_n_quotient, screen_draw,
                            unwrapping_actions, validate_quotient,
                            verify_cover, UnwrappedCover)
@@ -166,6 +167,50 @@ def test_unwrapping_actions_carry_every_rose_loop():
         for t in tables:
             assert sorted(t) == ["a", "b"]
             assert validate_quotient(FiniteQuotient(degree, t), x) == []
+
+
+@pytest.mark.parametrize("relator, n", [("a b", 2), ("a b a b~", 2),
+                                         ("a a b b b", 2)])
+def test_drawn_actions_are_the_enumerated_ones(relator, n):
+    # a draw is one of the search's tables, or None where it has none, and
+    # 1000 seeded draws reach every table of degree n and 2n (the rarest of
+    # abab~/2 comes in about 1% of draws)
+    x = make_x(relator, n)
+    rng = random.Random(3)
+    for degree in (n, 2 * n):
+        tables = {tuple(t.values()) for t in unwrapping_actions(x, degree)}
+        assert len(tables) == UNWRAPPING_COUNTS[relator, n][degree]
+        tree = UnwrappingActionTree(x, degree)
+        drawn = [tree.draw(rng) for _ in range(1000)]
+        if not tables:
+            assert drawn == [None] * 1000
+        else:
+            assert {tuple(t.values()) for t in drawn} == tables
+
+
+@pytest.mark.parametrize("relator, n", [("a b", 3), ("a b", 5),
+                                         ("a b a~ b~", 2)])
+def test_a_draw_depends_on_its_seed_alone(relator, n, monkeypatch):
+    # the same seeds draw the same tables from one kept tree as from a new
+    # tree each, and from a tree that keeps 5 nodes; only the new trees
+    # spend the search's budget
+    x = make_x(relator, n)
+    kept = UnwrappingActionTree(x, 2 * n)
+    drawn = []
+    for seed in range(60):
+        drawn.append(UnwrappingActionTree(x, 2 * n).draw(random.Random(seed)))
+        assert kept.draw(random.Random(seed)) == drawn[-1]
+        assert old.accepts(FiniteQuotient(2 * n, drawn[-1]), x)
+    assert len({tuple(t.values()) for t in drawn}) >= 15
+    monkeypatch.setattr(covers, "KEPT_TREE_NODES", 5)
+    small = UnwrappingActionTree(x, 2 * n)
+    assert [small.draw(random.Random(seed)) for seed in range(60)] == drawn
+    assert small._kept == 5
+    monkeypatch.setattr(covers, "SEARCH_NODE_BUDGET", 1)
+    assert kept.draw(random.Random(0)) is not None
+    with pytest.raises(BudgetExhaustedError, match=(
+            f"^search node budget of 1 exhausted at degree {2 * n}$")):
+        UnwrappingActionTree(x, 2 * n).draw(random.Random(0))
 
 
 # relators over the rose on a, b whose least exponent-3 quotient has degree

@@ -6,9 +6,10 @@ import pytest
 
 from orelco.complexes import (EdgeRec, Graph, MapKind, TwoComplex,
                               euler_characteristic, find_free_faces_and_edges)
-from orelco.covers import (FiniteQuotient, build_unwrapped_cover,
-                           find_exponent_n_quotient, unwrapping_actions,
-                           validate_quotient)
+import orelco.covers as covers
+from orelco.covers import (FiniteQuotient, UnwrappingActionTree,
+                           build_unwrapped_cover, find_exponent_n_quotient,
+                           unwrapping_actions, validate_quotient)
 from orelco.errors import OrelcoError
 import orelco.harness as harness
 from orelco.harness import (CSV_HEADER, CampaignConfig, GeneratorParams,
@@ -22,6 +23,7 @@ from orelco.orbicomplex import (build_orbicomplex, by_labels,
 from orelco.words import parse_word
 
 import random
+import time
 
 import old_quotient_rule as old
 from quotient_draws import draw_quotient
@@ -274,8 +276,8 @@ def test_the_generator_refuses_branch_index_one():
 
 def test_a_covers_suite_that_draws_no_quotient_passes_no_trial(monkeypatch):
     # no two-letter relator up to length 8 lacks a table at both n and 2n
-    # for n = 2, so the enumerator is made to yield none
-    monkeypatch.setattr(harness, "unwrapping_actions", lambda x, d: iter(()))
+    # for n = 2, so the search trees are made to draw none
+    monkeypatch.setattr(UnwrappingActionTree, "draw", lambda tree, rng: None)
     cfg = CampaignConfig(3, 4, GeneratorParams(3, W("a b"), 2),
                          suites=("covers",))
     assert run_property_campaign(cfg).pass_counts == {"covers": (0, 4)}
@@ -283,8 +285,8 @@ def test_a_covers_suite_that_draws_no_quotient_passes_no_trial(monkeypatch):
 
 def test_a_refused_table_is_a_cover_violation_naming_the_seed(monkeypatch):
     # the identity permutations leave every point of the relator image fixed
-    monkeypatch.setattr(harness, "unwrapping_actions", lambda x, d: iter(
-        [{"a": tuple(range(d)), "b": tuple(range(d))}]))
+    monkeypatch.setattr(UnwrappingActionTree, "draw", lambda tree, rng: {
+        "a": tuple(range(tree.degree)), "b": tuple(range(tree.degree))})
     cfg = CampaignConfig(6, 3, GeneratorParams(3, W("a b"), 2),
                          suites=("covers",))
     with pytest.raises(OrelcoError) as err:
@@ -296,21 +298,54 @@ def test_a_refused_table_is_a_cover_violation_naming_the_seed(monkeypatch):
     assert isinstance(err.value.__cause__, ValueError)
 
 
-def test_the_covers_tables_are_enumerated_once_per_params(monkeypatch):
-    # every trial, and a second campaign over the same parameters, reads
-    # the tables kept on the parameters
-    degrees = []
+def test_the_covers_trees_are_kept_per_params(monkeypatch):
+    # every trial, and a second campaign over the same parameters, draws
+    # from the two trees kept on the parameters, and draws as from new ones
+    built, drawn = [], []
 
     def counted(x, d):
-        degrees.append(d)
-        return unwrapping_actions(x, d)
+        built.append(d)
+        return UnwrappingActionTree(x, d)
 
-    monkeypatch.setattr(harness, "unwrapping_actions", counted)
+    def recorded(x, q):
+        drawn.append(q)
+        return build_unwrapped_cover(x, q)
+
+    monkeypatch.setattr(harness, "UnwrappingActionTree", counted)
+    monkeypatch.setattr(harness, "build_unwrapped_cover", recorded)
     params = GeneratorParams(3, W("a b"), 3)
-    for seed in (1, 2):
+    for seed in (1, 2, 1):
         cfg = CampaignConfig(seed, 30, params, suites=("covers",))
         assert run_property_campaign(cfg).pass_counts == {"covers": (30, 30)}
-    assert degrees == [3, 6]
+    assert built == [3, 6]
+    assert drawn[:30] == drawn[60:] != drawn[30:60]
+    assert {q.degree for q in drawn} == {3, 6}
+
+
+@pytest.mark.parametrize("relator,n", [("a b", 5), ("a b c", 3)])
+def test_covers_trials_on_larger_groups_list_no_table(monkeypatch, relator,
+                                                      n):
+    # ab/5 has about 7e5 actions of degree 10 and abc/3 about 1.7e5 of
+    # degree 6; a draw expands about a hundred entries at most, so a budget
+    # of 1000 per draw passes and listing the tables would not
+    monkeypatch.setattr(covers, "SEARCH_NODE_BUDGET", 1000)
+    drawn = []
+
+    def recorded(x, q):
+        drawn.append(q)
+        return build_unwrapped_cover(x, q)
+
+    monkeypatch.setattr(harness, "build_unwrapped_cover", recorded)
+    params = GeneratorParams(3, W(relator), n)
+    start = time.perf_counter()
+    cfg = CampaignConfig(8, 100, params, suites=("covers",))
+    assert run_property_campaign(cfg).pass_counts == {"covers": (100, 100)}
+    assert time.perf_counter() - start < 30
+    x = params.orbicomplex
+    assert all(old.accepts(q, x) for q in drawn)
+    assert {q.degree for q in drawn} == {n, 2 * n}
+    large = [tuple(q.perms.values()) for q in drawn if q.degree == 2 * n]
+    assert len(set(large)) >= len(large) - 5
 
 
 @pytest.mark.parametrize("relator,n", [("a b", 2), ("a b a b~", 2),
