@@ -207,8 +207,9 @@ def _cmd_audit_wcycles(args) -> int:
         else:
             for suite, (passed, total) in sorted(report.pass_counts.items()):
                 print(f"suite {suite}: {passed}/{total}")
-            zeros = sum(r.slack1 == 0 for r in report.rows)
-            print(f"slack1 tight in {zeros} of {len(report.rows)} trials")
+            if "wcycles" in suites:
+                zeros = sum(r.slack1 == 0 for r in report.rows)
+                print(f"slack1 tight in {zeros} of {len(report.rows)} trials")
         return EXIT_OK
     if args.complex is None or args.map is None:
         return _usage("audit wcycles needs --complex and --map, "

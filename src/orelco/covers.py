@@ -5,10 +5,10 @@ A finite quotient is a permutation action of the free group on points
 exactly the branch index n, the Schreier cover of the rose supports one
 2-cell per orbit of the w-image, each of boundary length n|w|: the unwrapped
 cover, an honest 2-complex immersing into the orbicomplex and covering it
-away from the cone point.  The quotient search returns one of the least
-degree.  The cover's 1-skeleton is the quotient's Schreier graph, whose
-fibre product with a subgroup's graph gives the subgroup's intersection
-with the cover's group.
+away from the cone point.  The quotient search returns the first candidate
+of least degree that ``validate_quotient`` accepts.  The cover's 1-skeleton
+is the quotient's Schreier graph, whose fibre product with a subgroup's
+graph gives the subgroup's intersection with the cover's group.
 """
 
 from __future__ import annotations
@@ -55,55 +55,15 @@ class FiniteQuotient(NamedTuple):
         return _walk(self.perms, point, word)
 
 
-def relator_cycles(perms: dict[str, Perm], x: OneRelatorOrbicomplex,
-                   degree: int):
-    """The cycles of the relator image under ``perms`` (a permutation of
-    {0..degree-1} per letter) in order of least points, each walked from its
-    least point through the letters' permutations, only when asked for.
-
-    The first is the cycle through point 0.  ``_unwrap_cycles`` walks them
-    for ``validate_quotient`` and the cover builder; ``screen_draw`` tests
-    the length of the first without building it.
-    """
-    seen = [False] * degree
-    for i in range(degree):
-        if seen[i]:
-            continue
-        cycle = []
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            cycle.append(j)
-            j = _walk(perms, j, x.relator)
-        yield tuple(cycle)
-
-
-def screen_draw(perms: dict[str, Perm], x: OneRelatorOrbicomplex) -> bool:
-    """Whether the relator image's cycle through point 0 has length n.
-
-    Point 0 walks through the relator (``_walk``) at most n times and the
-    walk stops at its first return to 0.  A draw that fails breaks the
-    exponent rule, whatever the other cycles are, so the quotient search
-    drops it before it builds a quotient; ``validate_quotient`` decides
-    every draw that passes.
-    """
-    n = x.branch_index
-    point = 0
-    for rounds in range(1, n + 1):
-        point = _walk(perms, point, x.relator)
-        if point == 0:
-            return rounds == n
-    return False
-
-
 def _unwrap_cycles(q: FiniteQuotient, x: OneRelatorOrbicomplex
                    ) -> tuple[str | None, list[tuple[int, ...]]]:
     """``validate_quotient``'s problem, or None, and, when there is none,
-    the cycles of the relator image in ``relator_cycles`` order.
+    the cycles of the relator image in order of least points, each walked
+    from its least point through the letters' permutations (``_walk``).
 
-    The walk of ``relator_cycles`` stops at the first cycle whose length is
-    not the branch index.  Transitivity is checked by forward images alone:
-    in a finite group, the orbits of the generators are the group's orbits.
+    The walk stops at the first cycle whose length is not the branch index.
+    Transitivity is checked by forward images alone: in a finite group, the
+    orbits of the generators are the group's orbits.
     """
     symbols = x._rose_symbols
     perms = q.perms
@@ -115,11 +75,19 @@ def _unwrap_cycles(q: FiniteQuotient, x: OneRelatorOrbicomplex
             return f"image of {s} is not a permutation of degree {k}", []
     n = x.branch_index
     found: list[tuple[int, ...]] = []
-    for cycle in relator_cycles(perms, x, k):
+    seen = [False] * k
+    for i in range(k):
+        cycle, j = [], i
+        while not seen[j]:
+            seen[j] = True
+            cycle.append(j)
+            j = _walk(perms, j, x.relator)
+        if not cycle:
+            continue
         if len(cycle) != n:
             return ("exponent condition violated: relator image has a cycle"
                     f" of order {len(cycle)}, expected {n}"), []
-        found.append(cycle)
+        found.append(tuple(cycle))
     if k < 1:
         return "degree must be at least 1", []
     reached = {0}
@@ -152,16 +120,6 @@ def validate_quotient(q: FiniteQuotient, x: OneRelatorOrbicomplex) -> list[str]:
     """
     problem, _ = _unwrap_cycles(q, x)
     return [problem] if problem else []
-
-
-def _accept_draw(perms: dict[str, Perm], x: OneRelatorOrbicomplex,
-                 degree: int) -> FiniteQuotient | None:
-    """The quotient of ``perms`` when ``validate_quotient`` accepts it, or
-    None; a draw that fails ``screen_draw`` is dropped unbuilt."""
-    if not screen_draw(perms, x):
-        return None
-    q = FiniteQuotient(degree, perms)
-    return None if validate_quotient(q, x) else q
 
 
 SEARCH_NODE_BUDGET = 3_000_000
@@ -381,12 +339,12 @@ def _check_max_degree(max_degree: int) -> None:
 
 def find_exponent_n_quotient(x: OneRelatorOrbicomplex, max_degree: int,
                              seed: int) -> FiniteQuotient:
-    """A quotient that ``validate_quotient`` accepts, of the least degree
-    that has one: for each multiple m of n up to ``max_degree``, the cyclic
-    quotients Z/m (each letter a shift), then ``unwrapping_actions(x, m)``.
-    ``seed`` is accepted and ignored.  Raises ``BudgetExhaustedError`` when
-    none of degree at most ``max_degree`` exists, or when the enumerator's
-    node budget runs out, naming the degree."""
+    """The first candidate of the least degree that ``validate_quotient``
+    accepts: for each multiple m of n up to ``max_degree``, the cyclic
+    quotients Z/m (each letter a shift) in product order, then
+    ``unwrapping_actions(x, m)``.  ``seed`` is ignored.  Raises
+    ``BudgetExhaustedError`` when no degree up to ``max_degree`` has one, or
+    when the enumerator's node budget runs out, naming the degree."""
     _check_max_degree(max_degree)
     symbols = x._rose_symbols
     n = x.branch_index
@@ -395,8 +353,8 @@ def find_exponent_n_quotient(x: OneRelatorOrbicomplex, max_degree: int,
                    for s, c in zip(symbols, reversed(rev))}
                   for rev in itertools.product(range(m), repeat=len(symbols)))
         for perms in itertools.chain(shifts, unwrapping_actions(x, m)):
-            q = _accept_draw(perms, x, m)
-            if q is not None:
+            q = FiniteQuotient(m, perms)
+            if not validate_quotient(q, x):
                 return q
     raise BudgetExhaustedError(
         f"no exponent-{n} quotient of degree <= {max_degree} exists")

@@ -472,6 +472,16 @@ def test_the_text_campaign_summary_is_pinned(tmp_path, capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == CAMPAIGN_TEXT_DIGEST
 
 
+@pytest.mark.parametrize("suite", ["covers", "fold"])
+def test_a_campaign_without_wcycles_prints_no_slack_line(group_file, capsys,
+                                                         suite):
+    # the slack1 line counts wcycles rows, so it names only a suite that ran
+    code, out, _ = run(capsys, ["audit", "wcycles", "--group", group_file,
+                                "--trials", "3", "--suites", suite])
+    assert code == 0
+    assert out.splitlines()[1:] == [f"suite {suite}: 3/3"]
+
+
 def test_a_spent_search_budget_in_the_covers_suite_exits_3(group_file, capsys,
                                                            monkeypatch):
     # a covers draw expands the enumerator's search under its budget

@@ -11,7 +11,7 @@ from orelco.complexes import (CellMorphism, EdgeRec, Graph, MapKind,
 from orelco.complexes import target_side
 from orelco.covers import (FiniteQuotient, UnwrappingActionTree,
                            build_unwrapped_cover,
-                           find_exponent_n_quotient, screen_draw,
+                           find_exponent_n_quotient,
                            unwrapping_actions, validate_quotient,
                            verify_cover, UnwrappedCover)
 import orelco.covers as covers
@@ -136,6 +136,31 @@ def test_find_quotient_ignores_the_seed():
     q = find_exponent_n_quotient(x, 12, 11)
     assert q.degree == 4 and old.accepts(q, x)
     assert all(find_exponent_n_quotient(x, 12, s) == q for s in (0, 7, -3))
+
+
+# (relator, n, rose): the degree and the letters' permutations of the
+# quotient that the search returns
+PINNED_QUOTIENTS = {
+    ("a b", 2, "ab"): (2, {"a": (1, 0), "b": (0, 1)}),
+    ("a b a b~", 2, "ab"): (4, {"a": (1, 2, 3, 0), "b": (0, 1, 2, 3)}),
+    ("a a b b b", 2, "ab"): (2, {"a": (0, 1), "b": (1, 0)}),
+    ("a b a b~", 3, "ab"): (3, {"a": (1, 2, 0), "b": (0, 1, 2)}),
+    ("a b", 3, "ab"): (3, {"a": (1, 2, 0), "b": (0, 1, 2)}),
+    ("a b a~ b~", 2, "ab"): (4, {"a": (0, 2, 1, 3), "b": (1, 0, 3, 2)}),
+    ("a b a~ b~", 2, "abc"): (4, {"a": (0, 2, 1, 3), "b": (1, 0, 3, 2),
+                                  "c": (0, 1, 2, 3)}),
+    ("a b c", 2, "abc"): (2, {"a": (1, 0), "b": (0, 1), "c": (0, 1)}),
+    ("a", 3, "a"): (3, {"a": (1, 2, 0)}),
+}
+
+
+@pytest.mark.parametrize("group, want", PINNED_QUOTIENTS.items(),
+                         ids=[f"{w}/{n} over {r}"
+                              for w, n, r in PINNED_QUOTIENTS])
+def test_the_search_returns_the_pinned_quotient(group, want):
+    word, n, rose = group
+    x = build_orbicomplex(Graph.rose(list(rose)), parse_word(word), n)
+    assert find_exponent_n_quotient(x, 12, 0) == FiniteQuotient(*want)
 
 
 # (relator, n): the number of unwrapping actions of each degree
@@ -684,6 +709,15 @@ def _standard_table(perms: dict) -> dict:
             for s in sorted(perms)}
 
 
+def _shifts(x, m):
+    """The cyclic quotients Z/m, each letter a shift, in product order: the
+    first letter's shift turns fastest."""
+    symbols = x._rose_symbols
+    return [{s: tuple((i + c) % m for i in range(m))
+             for s, c in zip(symbols, reversed(rev))}
+            for rev in itertools.product(range(m), repeat=len(symbols))]
+
+
 def test_each_cyclic_quotient_is_one_of_the_enumerators_tables():
     # over ab/2 and the benchmark's three present groups, every cyclic
     # quotient the search tries first is an action that unwrapping_actions
@@ -694,10 +728,8 @@ def test_each_cyclic_quotient_is_one_of_the_enumerators_tables():
         cyclic = []
         for m in range(n, 9, n):
             tables = list(unwrapping_actions(x, m))
-            for rev in itertools.product(range(m), repeat=2):
-                perms = {s: tuple((i + c) % m for i in range(m))
-                         for s, c in zip("ab", reversed(rev))}
-                if covers._accept_draw(perms, x, m) is not None:
+            for perms in _shifts(x, m):
+                if not validate_quotient(FiniteQuotient(m, perms), x):
                     assert _standard_table(perms) in tables, (word, perms)
                     cyclic.append(perms)
         q = find_exponent_n_quotient(x, 8, 0)
@@ -706,9 +738,11 @@ def test_each_cyclic_quotient_is_one_of_the_enumerators_tables():
         assert _standard_table(q.perms) != first
 
 
-def test_every_candidate_the_search_validates_passes_the_screen(monkeypatch):
-    # the cyclic shifts and the enumerator's table are screened before
-    # they are built and validated
+def test_validate_quotient_decides_the_shifts_then_the_tables(monkeypatch):
+    # at each degree the search hands validate_quotient the cyclic shifts in
+    # product order, then the enumerator's tables, and returns the first
+    # quotient it accepts; the commutator has no shift that passes, so its
+    # quotient is an enumerator table
     validate, received = covers.validate_quotient, []
 
     def spy(q, x):
@@ -716,13 +750,20 @@ def test_every_candidate_the_search_validates_passes_the_screen(monkeypatch):
         return validate(q, x)
 
     monkeypatch.setattr(covers, "validate_quotient", spy)
-    for rose in ("ab", "abc"):
-        x = build_orbicomplex(Graph.rose(list(rose)),
-                              parse_word("a b a~ b~"), 2)
-        find_exponent_n_quotient(x, 12, 0)
-        assert received and all(screen_draw(q.perms, x)
-                                for q in received), rose
+    for word, n, rose in (("a b", 2, "ab"), ("a b a b~", 2, "ab"),
+                          ("a b", 3, "ab"), ("a b a~ b~", 2, "ab"),
+                          ("a b a~ b~", 2, "abc")):
+        x = build_orbicomplex(Graph.rose(list(rose)), parse_word(word), n)
         received.clear()
+        q = find_exponent_n_quotient(x, 12, 0)
+        candidates = (FiniteQuotient(m, perms) for m in range(n, 13, n)
+                      for perms in itertools.chain(_shifts(x, m),
+                                                   unwrapping_actions(x, m)))
+        assert received == list(itertools.islice(candidates, len(received)))
+        assert q is received[-1] and not validate(q, x)
+        assert all(validate(r, x) for r in received[:-1])
+        from_tables = q.perms not in _shifts(x, q.degree)
+        assert from_tables == (word == "a b a~ b~"), (word, n, rose)
 
 
 SCREEN_GROUPS = (("a b", 2), ("a b a b~", 2), ("a b", 3), ("a a b b b", 2),
@@ -745,34 +786,49 @@ def _screen_draws(rng, count, n):
             yield False, k, {s: tuple(rng.sample(range(k), k)) for s in "ab"}
 
 
+def _old_problems(q, x):
+    """``validate_quotient``'s verdict from the reference copies: the first
+    cycle of the relator image, from the least point, whose length is not
+    n, then transitivity."""
+    n = x.branch_index
+    for cycle in old.orbits(q.permutation_of(x.relator)):
+        if len(cycle) != n:
+            return ["exponent condition violated: relator image has a"
+                    f" cycle of order {len(cycle)}, expected {n}"]
+    return [p for p in old.validate_quotient(q, x)
+            if p == "action is not transitive"]
+
+
 def test_the_screen_refuses_only_what_the_exponent_rule_refuses():
+    # validate_quotient walks the cycle through point 0 first: a draw whose
+    # cycle there is not of length n is refused naming that length, and the
+    # reference rule decides every draw
     rng = random.Random(22)
     for relator, n in SCREEN_GROUPS:
         x = make_x(relator, n)
-        tally = {"accepted": 0, "screened": 0, "passed, refused": 0,
-                 "intransitive": 0, "degree not a multiple": 0}
+        tally = {"accepted": 0, "refused at point 0": 0,
+                 "refused elsewhere": 0, "intransitive": 0,
+                 "degree not a multiple": 0}
         for intransitive, k, perms in _screen_draws(rng, 2400, n):
             q = FiniteQuotient(k, perms)
             # the cycle through point 0, from the permutation of the word
-            image = q.permutation_of(x.relator)
-            zero = old.orbits(image)[0]
-            assert next(covers.relator_cycles(perms, x, k)) == zero
+            zero = old.orbits(q.permutation_of(x.relator))[0]
             problems = validate_quotient(q, x)
-            passed = covers.screen_draw(perms, x)
-            assert passed == (len(zero) == n), (perms, relator)
-            if not passed:
-                tally["screened"] += 1
+            assert problems == _old_problems(q, x), (perms, relator)
+            assert (not problems) == old.accepts(q, x), (perms, relator)
+            if len(zero) != n:
+                tally["refused at point 0"] += 1
                 assert problems == [
                     "exponent condition violated: relator image has a"
                     f" cycle of order {len(zero)}, expected {n}"]
             elif problems:
-                tally["passed, refused"] += 1
+                tally["refused elsewhere"] += 1
             else:
                 tally["accepted"] += 1
             tally["intransitive"] += intransitive
             tally["degree not a multiple"] += k % n != 0
-        # accepted draws, screened draws and draws that only the full rule
-        # refuses all occur, for every relator and kind of input
+        # accepted draws, draws refused at point 0's cycle and draws refused
+        # by a later check all occur, for every relator and kind of input
         assert min(tally.values()) >= 20, (relator, tally)
 
 
@@ -808,17 +864,19 @@ SCREEN_CASES = {
                          ids=SCREEN_CASES)
 def test_the_screen_passes_a_cycle_of_length_n_only(relator, n, length, a,
                                                     b):
-    # the walk stops at its first return to 0 or after n rounds: a return
-    # before round n, and none by round n, both refuse
+    # validate_quotient walks the cycle through point 0 first: one shorter
+    # or longer than n refuses the quotient, naming its length
     x = make_x(relator, n)
     q = FiniteQuotient(len(a), {"a": a, "b": b})
     zero = old.orbits(q.permutation_of(x.relator))[0]
     assert zero[0] == 0 and len(zero) == length
-    assert screen_draw(q.perms, x) == (length == n)
+    problems = validate_quotient(q, x)
+    assert problems == _old_problems(q, x)
+    assert (not problems) == old.accepts(q, x)
     if length != n:
-        assert validate_quotient(q, x)[0] == (
+        assert problems == [
             "exponent condition violated: relator image has a cycle of"
-            f" order {length}, expected {n}")
+            f" order {length}, expected {n}"]
 
 
 def _parent_verify_cover(c):
