@@ -300,9 +300,14 @@ class CellMorphism(NamedTuple):
         return {cid: im[1:] for cid, im in self.cell_map.items()}
 
 
-def _morphism_fault(m: CellMorphism, order) -> str | None:
+def _morphism_fault(m: CellMorphism, order, darts: set | None = None,
+                    sides: set | None = None,
+                    period: int | None = None) -> str | None:
     """First broken morphism condition met scanning vertices, then edges,
-    then cells, each in ``order``; None when ``m`` is a morphism."""
+    then cells, each in ``order``; None when ``m`` is a morphism.  Given the
+    sets, the scan also collects each dart's (origin, image) into ``darts``
+    and each cell side's (edge, target side) into ``sides``, with positions
+    modulo ``period`` or the cell length: a clash leaves a set short."""
     src, tgt = m.source, m.target
     vmap, emap, cmap = m.vertex_map, m.edge_map, m.cell_map
     tverts, tedges, tcells = tgt.skeleton.vertices, tgt.skeleton.edges, tgt.cells
@@ -327,6 +332,9 @@ def _morphism_fault(m: CellMorphism, order) -> str | None:
             return f"dart {(e, 1)} breaks origin commutation"
         if vmap[rec.head] != (image.head if s > 0 else image.tail):
             return f"dart {(e, -1)} breaks origin commutation"
+        if darts is not None:
+            darts.add((rec.tail, f, s))
+            darts.add((rec.head, f, -s))
     if len(emap) != len(sedges):
         return _stray("edge", emap, sedges)
     scells = src.cells
@@ -344,6 +352,11 @@ def _morphism_fault(m: CellMorphism, order) -> str | None:
         if (tuple([(emap[e][0], emap[e][1] * s) for e, s in path])
                 != cell_image_path(tgt, image)):
             return f"cell {cid} boundary does not match its image boundary"
+        if sides is not None:
+            cell, offset, orient = image
+            length = period or len(path)
+            sides.update((d[0], cell, (offset + orient * pos) % length)
+                         for pos, d in enumerate(path))
     if len(cmap) != len(scells):
         return _stray("cell", cmap, scells)
     return None
@@ -362,16 +375,7 @@ def _check_morphism(m: CellMorphism) -> str | None:
 
 
 def _check_link_injective(m: CellMorphism) -> str | None:
-    edges = m.source.skeleton.edges
-    # one (origin, image) pair per dart, so a clash shrinks the set; the
-    # ordered scan below only names the first clash
-    pairs = set()
-    for e, rec in edges.items():
-        f, s = m.edge_map[e]
-        pairs.add((rec.tail, f, s))
-        pairs.add((rec.head, f, -s))
-    if len(pairs) == 2 * len(edges):
-        return None
+    """The first two darts at a vertex, in sorted order, that share an image."""
     for v in sorted(m.source.skeleton.vertices):
         seen: dict[Dart, Dart] = {}
         for d in m.source.skeleton.darts_at(v):
@@ -384,21 +388,9 @@ def _check_link_injective(m: CellMorphism) -> str | None:
 
 def _check_side_injective(m: CellMorphism,
                           period: int | None = None) -> str | None:
-    """Sides over each source edge land on distinct target sides; with a
-    ``period``, target positions count modulo it (sides of a branched disk)."""
-    # one (edge, target side) pair per side, so a clash shrinks the set;
-    # the ordered scan below only names the first clash
-    pairs = set()
-    count = 0
-    for cid, path in m.source.cells.items():
-        cell, offset, orient = m.cell_map[cid]
-        length = period or len(path)
-        step = 1 if orient > 0 else -1
-        pairs.update((d[0], cell, (offset + step * pos) % length)
-                     for pos, d in enumerate(path))
-        count += len(path)
-    if len(pairs) == count:
-        return None
+    """The first two sides over an edge, in sorted order, that land on one
+    target side; with a ``period``, target positions count modulo it (sides
+    of a branched disk)."""
     for e in sorted(m.source.skeleton.edges):
         seen: dict[tuple[str, int], tuple[str, int]] = {}
         for cid, pos in m.source.sides_over[e]:
@@ -414,13 +406,16 @@ def _check_side_injective(m: CellMorphism,
 def _immersion_fault(m: CellMorphism,
                      period: int | None = None) -> Classification | None:
     """The classification below IMMERSION that ``m`` earns, or None when it
-    immerses; ``period`` as in ``_check_side_injective``."""
-    witness = _check_morphism(m)
-    if witness is not None:
-        return Classification(MapKind.NOT_MORPHISM, witness)
-    witness = _check_link_injective(m) or _check_side_injective(m, period)
-    if witness is not None:
-        return Classification(MapKind.MORPHISM, witness)
+    immerses; ``period`` as in ``_check_side_injective``.  One unordered
+    read decides; the ordered scans run only to name a fault."""
+    darts, sides = set(), set()
+    if _morphism_fault(m, iter, darts, sides, period) is not None:
+        return Classification(MapKind.NOT_MORPHISM, _morphism_fault(m, sorted))
+    src = m.source
+    if len(darts) < 2 * len(src.skeleton.edges):
+        return Classification(MapKind.MORPHISM, _check_link_injective(m))
+    if len(sides) < sum(map(len, src.cells.values())):
+        return Classification(MapKind.MORPHISM, _check_side_injective(m, period))
     return None
 
 
@@ -429,20 +424,16 @@ def classify_map(m: CellMorphism) -> Classification:
     cls = _immersion_fault(m)
     if cls is not None:
         return cls
-    # bijectivity of links and side sets over every vertex and edge
-    for v in sorted(m.source.skeleton.vertices):
-        have = {m.dart_image(d) for d in m.source.skeleton.darts_at(v)}
-        want = set(m.target.skeleton.darts_at(m.vertex_map[v]))
-        if have != want:
+    # an immersion injects each link and side set into its image's, so
+    # equal counts mean onto
+    src, tgt = m.source, m.target
+    for v in sorted(src.skeleton.vertices):
+        if (len(src.skeleton.darts_at(v))
+                != len(tgt.skeleton.darts_at(m.vertex_map[v]))):
             return Classification(
                 MapKind.IMMERSION, f"link at {v} is not onto the target link")
-    for e in sorted(m.source.skeleton.edges):
-        have = {
-            target_side(m.cell_map[cid], pos, len(m.source.cells[cid]))
-            for cid, pos in m.source.sides_over[e]
-        }
-        want = set(m.target.sides_over[m.edge_map[e][0]])
-        if have != want:
+    for e in sorted(src.skeleton.edges):
+        if len(src.sides_over[e]) != len(tgt.sides_over[m.edge_map[e][0]]):
             return Classification(
                 MapKind.IMMERSION, f"sides over {e} are not onto the target sides")
     return Classification(MapKind.COVERING, None)

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .complexes import (CellImage, CellMorphism, EdgeRec, Graph, TwoComplex,
-                        _check_morphism, _find, _flatten, _immersion_fault,
-                        _restrict, compose, reverse_path)
+from .complexes import (CellImage, CellMorphism, EdgeRec, Graph, MapKind,
+                        TwoComplex, _check_morphism, _find, _flatten,
+                        _immersion_fault, _restrict, compose, reverse_path)
 from .errors import (FactorizationError, InvariantError, NotImmersionError,
                      NotMorphismError)
 
@@ -233,14 +233,13 @@ def factor_unique(folded: FoldResult, through: CellMorphism,
     cmap = _lifts(((proj.cell_map[cid].cell, cid, cell_lift(cid))
                    for cid in a.cells), "cell")
     factor = CellMorphism(folded.folded, through.source, vmap, emap, cmap)
-    witness = _check_morphism(factor)
-    if witness is not None:
-        raise FactorizationError(f"factored map is not a morphism: {witness}")
+    cls = _immersion_fault(factor)
+    if cls is not None and cls.kind == MapKind.NOT_MORPHISM:
+        raise FactorizationError(f"factored map is not a morphism: {cls.witness}")
     if compose(through, factor) != folded.inclusion:
         raise FactorizationError("factored map does not recover the folded immersion")
     if compose(factor, proj) != lift_of:
         raise FactorizationError("factored map does not recover the lift")
-    cls = _immersion_fault(factor)
     if cls is not None:
         raise NotImmersionError(f"factored map is not an immersion: {cls.witness}")
     return factor

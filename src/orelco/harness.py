@@ -344,6 +344,12 @@ CSV_HEADER = "trial,seed,V,E,cells,chi1,deg,slack1,chi2,slack2,pass"
 
 
 def campaign_csv(report: CampaignReport) -> str:
+    """One row per ``wcycles`` trial; without that suite, which has the
+    only rows, one ``suite,passed,total`` row per suite in name order."""
+    if "wcycles" not in report.pass_counts:
+        return "suite,passed,total\n" + "".join(
+            f"{suite},{passed},{total}\n"
+            for suite, (passed, total) in sorted(report.pass_counts.items()))
     lines = [CSV_HEADER]
     for r in report.rows:
         lines.append(

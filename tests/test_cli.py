@@ -482,6 +482,19 @@ def test_a_campaign_without_wcycles_prints_no_slack_line(group_file, capsys,
     assert out.splitlines()[1:] == [f"suite {suite}: 3/3"]
 
 
+@pytest.mark.parametrize("suites", ["covers", "fold,covers"])
+def test_a_csv_campaign_without_wcycles_counts_each_suite(group_file, capsys,
+                                                          suites):
+    # the wcycles rows are the only per-trial rows; without them the CSV
+    # once printed a bare header and said nothing of the suites that ran
+    code, out, _ = run(capsys, ["audit", "wcycles", "--group", group_file,
+                                "--trials", "3", "--suites", suites,
+                                "--format", "csv"])
+    assert code == 0
+    rows = [f"{suite},3,3" for suite in sorted(suites.split(","))]
+    assert out.splitlines()[1:] == ["suite,passed,total", *rows]
+
+
 def test_a_spent_search_budget_in_the_covers_suite_exits_3(group_file, capsys,
                                                            monkeypatch):
     # a covers draw expands the enumerator's search under its budget

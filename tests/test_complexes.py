@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import re
@@ -570,18 +571,20 @@ def _shuffled(rng, m, reverse=0.0):
 def _base_morphism(rng):
     """A seeded morphism, with the orbicomplex it maps into when its target
     is a presentation complex: a generated immersion, the identity of a
-    generated complex, a fold's projection or inclusion, or an unwrapped
-    cover; some cells read backwards."""
+    generated complex, a fold's projection or inclusion, an unwrapped
+    cover, or the presentation complex by labels, whose sides clash modulo
+    |w| but not modulo its cell length; some cells read backwards."""
     from orelco.covers import build_unwrapped_cover
     from orelco.folding import fold
     from orelco.harness import (GeneratorParams, _generate_uncollapsed,
                                 _random_rose_morphism)
+    from orelco.orbicomplex import presentation_complex
     from orelco.words import parse_word
     relator, n = rng.choice([("a b", 2), ("a b a b~", 2), ("a b", 3)])
     params = GeneratorParams(rng.randint(1, 6), parse_word(relator), n,
                              attach_probability=0.8)
     x = params.orbicomplex
-    kind = rng.randrange(4)
+    kind = rng.randrange(5)
     if kind == 0:
         m = _generate_uncollapsed(rng.getrandbits(32), params)
     elif kind == 1:
@@ -591,8 +594,10 @@ def _base_morphism(rng):
         res = fold(_random_rose_morphism(rng, rng.randint(1, 6), x))
         m = rng.choice([res.projection, res.inclusion])
         x = x if m is res.inclusion else None
-    else:
+    elif kind == 3:
         m = build_unwrapped_cover(x, draw_quotient(rng, x)).covering_map
+    else:
+        m = presentation_complex(x)[1]
     return _shuffled(rng, m, reverse=0.3), x
 
 
@@ -681,12 +686,21 @@ WITNESS_FORMS = (
     r"sides over \S+ are not onto the target sides")
 
 
+def _rung(cls):
+    """The verdict's rung of the ladder, the morphism rung split into link
+    and side clashes."""
+    if cls.kind == MapKind.MORPHISM:
+        return "link" if cls.witness.startswith("darts") else "side"
+    return cls.kind.name
+
+
 def test_checks_name_the_witnesses_of_the_ordered_scans():
     from orelco.orbicomplex import check_orbi_immersion
     rng = random.Random(2018)
     kinds = set()
     forms = set()
-    compared = orbi_compared = 0
+    compared = orbi_compared = period_clashes = 0
+    rungs, orbi_rungs = collections.Counter(), collections.Counter()
     for trial in range(2000):
         m, x = _base_morphism(rng)
         if trial % 2:
@@ -695,17 +709,26 @@ def test_checks_name_the_witnesses_of_the_ordered_scans():
         assert cls == reference_classify_map(m), trial
         compared += 1
         kinds.add(cls.kind)
+        rungs[_rung(cls)] += 1
         if cls.witness is not None:
             form, = (f for f in WITNESS_FORMS if re.fullmatch(f, cls.witness))
             forms.add(form)
         if x is None or any(im.cell != "d0" for im in m.cell_map.values()):
             continue
         assert m.target is x.presentation_complex
-        assert check_orbi_immersion(m) == reference_check_orbi_immersion(m, x)
+        orbi = check_orbi_immersion(m)
+        assert orbi == reference_check_orbi_immersion(m, x)
         orbi_compared += 1
+        orbi_rungs[_rung(orbi)] += 1
+        # sides apart modulo the cell length that clash modulo |w|
+        period_clashes += (cls.kind >= MapKind.IMMERSION
+                           and orbi.kind == MapKind.MORPHISM)
     assert compared == 2000 and orbi_compared > 600
     assert kinds == set(MapKind)
     assert forms == set(WITNESS_FORMS)
+    assert period_clashes >= 20, period_clashes
+    assert len(rungs) == 5 and min(rungs.values()) >= 20, rungs
+    assert len(orbi_rungs) == 4 and min(orbi_rungs.values()) >= 20, orbi_rungs
 
 
 def _dart_walk_adjacency(g):
