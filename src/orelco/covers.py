@@ -17,7 +17,7 @@ import itertools
 from typing import NamedTuple
 
 from .complexes import (CellMorphism, Dart, EdgeRec, Graph, MapKind,
-                        TwoComplex, euler_characteristic)
+                        TwoComplex, _components, euler_characteristic)
 from .errors import (BudgetExhaustedError, InvalidComplexError,
                      InvariantError)
 from .orbicomplex import (OneRelatorOrbicomplex, by_labels,
@@ -62,8 +62,8 @@ def _unwrap_cycles(q: FiniteQuotient, x: OneRelatorOrbicomplex
     from its least point through the letters' permutations (``_walk``).
 
     The walk stops at the first cycle whose length is not the branch index.
-    Transitivity is checked by forward images alone: in a finite group, the
-    orbits of the generators are the group's orbits.
+    The action is transitive when point 0's component, over the arcs
+    ``p -> perm(p)``, holds every point.
     """
     symbols = x._rose_symbols
     perms = q.perms
@@ -90,16 +90,8 @@ def _unwrap_cycles(q: FiniteQuotient, x: OneRelatorOrbicomplex
         found.append(tuple(cycle))
     if k < 1:
         return "degree must be at least 1", []
-    reached = {0}
-    frontier = [0]
-    while frontier:
-        p = frontier.pop()
-        for s in symbols:
-            image = perms[s][p]
-            if image not in reached:
-                reached.add(image)
-                frontier.append(image)
-    if len(reached) != k:
+    arcs = ((p, perms[s][p]) for s in symbols for p in range(k))
+    if len(next(_components(range(k), arcs, (0,)))) != k:
         return "action is not transitive", []
     return None, found
 

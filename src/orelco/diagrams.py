@@ -25,7 +25,7 @@ from .complexes import (CellImage, CellMorphism, Dart, EdgeRec, Graph,
 from .errors import DiagramError
 from .orbicomplex import OneRelatorOrbicomplex, by_labels
 from .words import (Letter, Word, _check_letters, dehn_solve, free_reduce,
-                    inverse_letter, inverse_word, splice)
+                    inverse_letter, splice)
 
 
 class VanKampenDiagram(NamedTuple):
@@ -182,7 +182,7 @@ class _DiskBuilder:
         return tuple(map(self._letters.__getitem__, self.boundary))
 
     def check_disk(self) -> list[int]:
-        """Check that every edge is carried twice; returns the counts."""
+        """Check that every edge is carried two times; returns the counts."""
         counts = self.carried()
         if list(compress(counts, self._live)).count(2) < sum(self._live):
             for e in compress(range(len(counts)), self._live):
@@ -337,21 +337,18 @@ def find_mirror(c: TwoComplex):
 
 def _replay_conjugates(u: Word, x: OneRelatorOrbicomplex, steps):
     """Recover (prefix, rotation word, cell alignment) per trace step."""
-    q = x.relator_power_path()
-    m = len(q)
-    # a rotation of q or q^-1 is a window of that word written twice, and
-    # the inverse of the rotation's tail is a window of the other one
-    twice = {1: q * 2, -1: inverse_word(q) * 2}
+    m = len(x.relator) * x.branch_index
     out = []
     for step in steps:
         r, length = step.rotation, step.length
-        rot = twice[step.sign][r:r + m]
+        # a step off the table reads no rotation
+        rot, inv_rot = x._rotations.get((r, step.sign), ((), ()))
         if u[step.position:step.position + length] != rot[:length]:
             raise DiagramError(f"trace step {step} does not read its rotation")
         align = (r, 1) if step.sign > 0 else ((m - 1 - r) % m, -1)
         out.append((u[:step.position], rot, align))
         u, _ = splice(u, step.position, step.position + length,
-                      twice[-step.sign][m - r:2 * m - r - length])
+                      inv_rot[:m - length])
     if u:
         raise DiagramError("trace does not reduce the word to nothing")
     return out

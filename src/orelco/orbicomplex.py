@@ -20,7 +20,8 @@ from .complexes import (Classification, Dart, Graph, MapKind, TwoComplex,
                         connected_components, euler_characteristic,
                         find_free_faces_and_edges)
 from .errors import NotImmersionError
-from .words import _check_letters, is_cyclically_reduced, is_proper_power
+from .words import (Word, _check_letters, inverse_word, is_cyclically_reduced,
+                    is_proper_power)
 
 # the text name of the orbicomplex's cell in stacking and orbi map files
 ORBI_CIRCLE = "w"
@@ -47,6 +48,32 @@ class OneRelatorOrbicomplex(_OrbicomplexFields):
         """One cell ``w`` that reads the relator once: the domain of a
         stacking over the orbicomplex."""
         return TwoComplex(self.gamma, {ORBI_CIRCLE: self.relator})
+
+    @cached_property
+    def _rotations(self) -> dict[tuple[int, int], tuple[Word, Word]]:
+        """Each rotation of w^n and of its inverse, with its own inverse, keyed
+        by ``(rotation, sign)`` in table order, rotation 0 up and sign +1
+        first: the relators of Newman's spelling theorem."""
+        power = self.relator_power_path()
+        words = ((1, power), (-1, inverse_word(power)))
+        table = {}
+        for r in range(len(power)):
+            for sign, src in words:
+                rot = src[r:] + src[:r]
+                table[r, sign] = rot, inverse_word(rot)
+        return table
+
+    @cached_property
+    def _dehn_index(self) -> tuple[int, dict[Word, tuple]]:
+        """``dehn_solve``'s threshold floor(n|w|/2) + 1, and each rotation by its
+        first ``threshold`` letters as ``(rotation, sign, rot, inverse of
+        rot)``; for n >= 2 a key, longer than the period |w|, names one
+        rotation word, and the first in table order that spells it is kept."""
+        threshold = len(self.relator) * self.branch_index // 2 + 1
+        index: dict[Word, tuple] = {}
+        for (r, sign), (rot, inv) in self._rotations.items():
+            index.setdefault(rot[:threshold], (r, sign, rot, inv))
+        return threshold, index
 
     @cached_property
     def _rose_symbols(self) -> list[str]:

@@ -8,7 +8,6 @@ package's path algebra.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import TYPE_CHECKING, Container, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -153,26 +152,6 @@ def splice(u: Word, start: int, stop: int,
     return u[:left] + tuple(r[k:j]) + u[right:], left
 
 
-@lru_cache(maxsize=64)
-def _match_index(relator: Word, threshold: int):
-    """Each rotation of ``relator`` and of its inverse, keyed by its first
-    ``threshold`` letters, as ``(rotation, sign, rot, inverse of rot)``.
-
-    Every rotation has period ``|w|``, and the threshold exceeds ``|w|``, so
-    a key names one rotation word; where several rotations spell it, the
-    first in table order (rotation 0 up, sign +1 before -1) is kept.
-    """
-    m = len(relator)
-    inv = inverse_word(relator)
-    index: dict[Word, tuple[int, int, Word, Word]] = {}
-    for idx in range(m):
-        for sign, src in ((1, relator), (-1, inv)):
-            rot = src[idx:] + src[:idx]
-            index.setdefault(rot[:threshold], (idx, sign, rot,
-                                               inverse_word(rot)))
-    return index
-
-
 def dehn_solve(word: Sequence[Letter], x: "OneRelatorOrbicomplex") -> DehnResult:
     """Decide triviality in the group of ``x`` by greedy long-subword replacement.
 
@@ -191,7 +170,7 @@ def dehn_solve(word: Sequence[Letter], x: "OneRelatorOrbicomplex") -> DehnResult
     old prefix, no position before ``a - threshold + 1`` can match: those
     letters lie in that prefix, where the previous scan found none.
     """
-    power = _require_torsion(x).relator_power_path()
+    threshold, index = _require_torsion(x)._dehn_index
     u = tuple(word)
     symbols = x.gamma.edges
     last_sym, last_sign = None, 0
@@ -204,9 +183,6 @@ def dehn_solve(word: Sequence[Letter], x: "OneRelatorOrbicomplex") -> DehnResult
             _check_letters([(sym, sign)], symbols)
             raise ValueError("input word must be freely reduced")
         last_sym, last_sign = sym, sign
-    m = len(power)
-    threshold = m // 2 + 1
-    index = _match_index(power, threshold)
     steps: list[DehnStep] = []
     start = 0
     while u:
@@ -217,13 +193,13 @@ def dehn_solve(word: Sequence[Letter], x: "OneRelatorOrbicomplex") -> DehnResult
         else:
             return DehnResult(False, u, tuple(steps))
         idx, sign, rot, inv_rot = hit
-        cap = min(len(u) - i, m)
+        cap = min(len(u) - i, len(rot))
         length = threshold
         while length < cap and u[i + length] == rot[length]:
             length += 1
         # a match is a reduced factor longer than |w| of a word of period
         # |w|, so the relator power is cyclically reduced and so is the swap
-        u, kept = splice(u, i, i + length, inv_rot[:m - length])
+        u, kept = splice(u, i, i + length, inv_rot[:len(rot) - length])
         steps.append(DehnStep(i, length, idx, sign))
         start = max(0, kept - threshold + 1)
     return DehnResult(True, (), tuple(steps))

@@ -608,6 +608,21 @@ def test_verify_cell_free_identity_cover():
         rose_cx, {}, fake.quotient, unbranched)).passed
 
 
+def test_verify_names_a_cell_that_wraps_too_often():
+    # the cell reads its lift of (ab)^2 twice round, as (ab)^4
+    c = build_unwrapped_cover(make_x("a b", 2), Q_AB2)
+    path = c.cover.cells["f0"]
+    fake = c._replace(cover=TwoComplex(c.cover.skeleton, {"f0": path * 2},
+                                       c.cover.base_vertex))
+    assert verify_cover(fake).witnesses == (
+        "not an immersion: cell f0 boundary length differs from its image",
+        "edge a0 carries disk sides [0, 0], expected [0]",
+        "edge a1 carries disk sides [0, 0], expected [0]",
+        "edge b0 carries disk sides [1, 1], expected [1]",
+        "edge b1 carries disk sides [1, 1], expected [1]",
+        "cell f0 has boundary length 8, expected 4")
+
+
 def test_verify_names_each_vertex_whose_link_is_not_onto():
     # a is a segment u -> v, so u lacks the dart a~ and v the dart a
     x = make_x("a b", 2)

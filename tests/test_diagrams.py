@@ -20,8 +20,8 @@ from orelco.diagrams import (VanKampenDiagram, _DiskBuilder,
                              _replay_conjugates, build_reduced_diagram,
                              find_mirror, mirror_witness)
 from orelco.errors import DiagramError
-from orelco.orbicomplex import (build_orbicomplex, by_labels,
-                                check_orbi_immersion)
+from orelco.orbicomplex import (OneRelatorOrbicomplex, build_orbicomplex,
+                                by_labels, check_orbi_immersion)
 from orelco.textio import format_complex
 from orelco.words import (DehnStep, dehn_solve, free_reduce, inverse_word,
                           parse_word)
@@ -337,6 +337,21 @@ def test_step_off_its_rotation_is_a_diagram_error():
         _replay_conjugates(W("a b a b"), x_ab2(), (DehnStep(0, 4, 1, 1),))
     with pytest.raises(DiagramError, match="does not reduce the word"):
         _replay_conjugates(W("a b a b"), x_ab2(), ())
+
+
+def test_the_solver_and_the_replay_read_one_rotation_table(monkeypatch):
+    # both read the rotations of (ab)^{+-2} off the orbicomplex, which
+    # builds them, and the solver's index from them, once
+    built = []
+    for name in ("_rotations", "_dehn_index"):
+        prop = OneRelatorOrbicomplex.__dict__[name]
+        monkeypatch.setattr(prop, "func", lambda self, real=prop.func,
+                            name=name: built.append(name) or real(self))
+    x = x_ab2()
+    assert dehn_solve(W("a b a b"), x).trivial
+    build_reduced_diagram(W("a b a b"), x)
+    build_reduced_diagram(W("b~ a~ b~ a~"), x)
+    assert built == ["_dehn_index", "_rotations"]
 
 
 def test_replay_check_survives_optimized_python():

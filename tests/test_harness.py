@@ -298,6 +298,55 @@ def test_a_refused_table_is_a_cover_violation_naming_the_seed(monkeypatch):
     assert isinstance(err.value.__cause__, ValueError)
 
 
+FOLD_ONLY = CampaignConfig(5, 3, GeneratorParams(3, W("a b"), 2),
+                           suites=("fold",))
+
+
+def test_a_fold_that_is_not_idempotent_is_a_fold_violation(monkeypatch):
+    # the trial's second fold, of the inclusion, answers with its target
+    real, calls = harness.fold, []
+
+    def refold(m):
+        calls.append(m)
+        res = real(m)
+        return res if len(calls) == 1 else res._replace(folded=m.target)
+
+    monkeypatch.setattr(harness, "fold", refold)
+    with pytest.raises(OrelcoError) as err:
+        run_property_campaign(FOLD_ONLY)
+    assert str(err.value) == (
+        "fold-laws violation: fold is not idempotent;"
+        f" reproduce with trial seed {trial_seed(5, 0)}")
+
+
+def test_a_self_factorization_off_the_identity_is_a_fold_violation(
+        monkeypatch):
+    # the inclusion runs into the presentation complex, not onto the fold
+    monkeypatch.setattr(harness, "factor_unique",
+                        lambda res, f, g: res.inclusion)
+    with pytest.raises(OrelcoError) as err:
+        run_property_campaign(FOLD_ONLY)
+    assert str(err.value) == (
+        "fold-laws violation: self-factorization is not the identity;"
+        f" reproduce with trial seed {trial_seed(5, 0)}")
+
+
+def test_a_cover_with_witnesses_is_a_cover_violation_naming_them(
+        monkeypatch):
+    witnesses = ("edge a0 carries disk sides [0, 0], expected [0]",
+                 "cell f0 has boundary length 8, expected 4")
+    monkeypatch.setattr(harness, "verify_cover", lambda c: covers.verify_cover(
+        c)._replace(witnesses=witnesses))
+    cfg = CampaignConfig(5, 3, GeneratorParams(3, W("a b"), 2),
+                         suites=("covers",))
+    with pytest.raises(OrelcoError) as err:
+        run_property_campaign(cfg)
+    assert str(err.value) == (
+        "cover violation: edge a0 carries disk sides [0, 0], expected [0];"
+        " cell f0 has boundary length 8, expected 4;"
+        f" reproduce with trial seed {trial_seed(5, 0)}")
+
+
 def test_the_covers_trees_are_kept_per_params(monkeypatch):
     # every trial, and a second campaign over the same parameters, draws
     # from the two trees kept on the parameters, and draws as from new ones

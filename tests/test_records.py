@@ -69,7 +69,8 @@ CASES = {
         ("gamma", "relator", "branch_index"),
         f"OneRelatorOrbicomplex(gamma={ROSE_AB},"
         " relator=(('a', 1), ('b', 1)), branch_index=2)",
-        False, ("presentation_complex", "relator_circle", "_rose_symbols")),
+        False, ("presentation_complex", "relator_circle", "_rose_symbols",
+                "_rotations", "_dehn_index")),
     "GeneratorParams": Case(
         lambda: GeneratorParams(3, AB, 2),
         lambda: GeneratorParams(3, AB, 2, 0.25),
