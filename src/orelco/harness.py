@@ -10,9 +10,11 @@ filter, and collapses free faces so the emitted complex is irreducible.
 Campaigns derive one seed per trial from the master seed and audit three law
 families: the curvature inequalities on generated immersions, fold laws on
 random graph morphisms, and cover verification on quotients drawn, one per
-trial, from the search trees of ``covers.unwrapping_actions`` at degrees n
-and 2n.  Any violation aborts with the reproduction seed; identical
-configurations produce byte-identical reports.
+trial, from ``covers.UnwrappingActionTree``s at degrees n and 2n: each
+draw is the first table of the low-index search's one walk, in an order
+the trial's generator turns, whose walk in increasing order is
+``covers.unwrapping_actions``.  Any violation aborts with the reproduction
+seed; identical configurations produce byte-identical reports.
 """
 
 from __future__ import annotations

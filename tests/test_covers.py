@@ -238,6 +238,43 @@ def test_a_draw_depends_on_its_seed_alone(relator, n, monkeypatch):
         UnwrappingActionTree(x, 2 * n).draw(random.Random(0))
 
 
+@pytest.mark.parametrize("relator, n", [("a b", 2), ("a b a b~", 2),
+                                         ("a b", 3), ("a a b b b", 2)])
+@pytest.mark.parametrize("kept", [covers.KEPT_TREE_NODES, 5])
+def test_one_walk_serves_the_enumerator_and_the_draws(relator, n, kept,
+                                                       monkeypatch):
+    # every keyed walk of one tree yields each table of the enumerator once,
+    # and after 300 draws the walk in increasing order is the enumerator's:
+    # no kept node or branch marked as holding no table hides a table
+    monkeypatch.setattr(covers, "KEPT_TREE_NODES", kept)
+    x = make_x(relator, n)
+    for degree in (n, 2 * n):
+        listed = list(unwrapping_actions(x, degree))
+        tables = {tuple(t.values()) for t in listed}
+        tree = UnwrappingActionTree(x, degree)
+        for seed in range(20):
+            key = random.Random(seed).getrandbits(tree._bits)
+            walked = [tuple(t.values()) for t in tree.tables(key)]
+            assert len(walked) == len(tables) and set(walked) == tables
+        tree = UnwrappingActionTree(x, degree)
+        rng = random.Random(7)
+        for _ in range(300):
+            tree.draw(rng)
+        assert list(tree.tables(0)) == listed
+
+
+@pytest.mark.parametrize("degree", [0, -1])
+def test_a_degree_below_one_has_no_search(degree):
+    # an action on no points is not transitive, so neither entry point of
+    # the search yields one: both refuse the degree when called
+    x = make_x("a b", 2)
+    message = f"^degree must be at least 1, got {degree}$"
+    with pytest.raises(ValueError, match=message):
+        unwrapping_actions(x, degree)
+    with pytest.raises(ValueError, match=message):
+        UnwrappingActionTree(x, degree).draw(random.Random(0))
+
+
 # relators over the rose on a, b whose least exponent-3 quotient has degree
 # 3 but no cyclic one
 NON_CYCLIC_DEGREE_3 = ("a a b~ b~ b~ a", "a~ a~ b a~ a~ b~ a~ a~",
