@@ -7,5 +7,6 @@ from orelco.harness import GeneratorParams, _draw_cover_quotient
 
 def draw_quotient(rng, x):
     params = GeneratorParams(1, x.relator, x.branch_index)
-    assert params.orbicomplex._rose_symbols == x._rose_symbols
+    if params.orbicomplex._rose_symbols != x._rose_symbols:
+        raise ValueError("draws need the rose of the relator's letters")
     return _draw_cover_quotient(rng, params)

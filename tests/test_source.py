@@ -398,3 +398,18 @@ def test_no_named_tuple_field_defaults_to_a_mutable_value():
                   and _named(field.value) in ("dict", "list", "set", "field"))]
     assert not found, found
 
+
+
+def test_the_test_oracles_import_only_the_standard_library():
+    # tests/oracles.py is the second reading of the quotient rule; importing
+    # orelco, or a helper that does, would share the code that it checks
+    path = Path(__file__).with_name("oracles.py")
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"oracles.py:{node.lineno}" for node in ast.walk(tree)
+             if isinstance(node, ast.Import) and any(
+                 a.name.split(".")[0] not in sys.stdlib_module_names
+                 for a in node.names)
+             or isinstance(node, ast.ImportFrom) and (
+                 node.level or node.module.split(".")[0]
+                 not in sys.stdlib_module_names)]
+    assert not found, found
