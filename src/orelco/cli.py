@@ -180,6 +180,8 @@ def _cmd_audit_wcycles(args) -> int:
             return _usage("--trials runs a campaign, which takes no "
                           "--complex or --map")
         _parse("--trials", check_trials, args.trials)
+        if args.seed < 0:
+            return _usage(f"--seed must be at least 0, got {args.seed}")
         suites = tuple(args.suites.split(","))
         try:
             check_suites(suites)

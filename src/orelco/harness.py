@@ -323,6 +323,8 @@ def check_trials(trials: int) -> None:
 
 def run_property_campaign(cfg: CampaignConfig) -> CampaignReport:
     check_trials(cfg.trials)
+    if cfg.master_seed < 0:     # random.Random seeds with |s|: -s replays s
+        raise ValueError(f"seed must be at least 0, got {cfg.master_seed}")
     check_suites(cfg.suites)
     rows: list[TrialRow] = []
     covers_passed = 0

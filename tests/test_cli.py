@@ -525,11 +525,12 @@ def test_empty_budgets_are_usage_errors(group_file, capsys, argv):
     ("--suites", "nosuch"),
     ("--vertex-budget", "0"),
     ("--attach-prob", "5"),
+    ("--seed", "-1"),
 ])
 def test_out_of_range_campaign_flags_are_usage_errors(group_file, capsys,
                                                       flag, value):
-    # each once ran: a vacuous 0/0 pass, a randrange error with exit 1, and
-    # a pass with every cell attached
+    # each once ran: a vacuous 0/0 pass, a randrange error with exit 1, a
+    # pass with every cell attached, and seed 1's trials again
     code, out, err = run(capsys, ["audit", "wcycles", "--group", group_file,
                                   "--trials", "20", flag, value])
     assert code == 2

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import random
 import re
@@ -17,22 +18,16 @@ from orelco.complexes import component_of
 from orelco.covers import (FiniteQuotient, build_unwrapped_cover,
                            unwrapping_actions)
 from orelco.diagrams import build_reduced_diagram
-from orelco.errors import InvalidComplexError
-from orelco.orbicomplex import build_orbicomplex
+from orelco.errors import InvalidComplexError, NotMorphismError
+from orelco.folding import fold
+from orelco.harness import (GeneratorParams, _generate_uncollapsed,
+                            _random_rose_morphism)
+from orelco.orbicomplex import (build_orbicomplex, check_orbi_immersion,
+                                presentation_complex)
 from orelco.words import dehn_solve, free_reduce, inverse_word, parse_word
 
+import oracles
 from quotient_draws import draw_quotient
-
-
-def _rank(g):
-    """The rank of the free fundamental group of ``g``: its edges outside
-    a spanning forest."""
-    return len(g.edges) - len(g.vertices) + len(connected_components(g))
-
-
-def all_darts(g):
-    """Both darts of every edge, by edge id, forward dart first."""
-    return [(e, s) for e in sorted(g.edges) for s in (1, -1)]
 
 
 def build_x0():
@@ -63,23 +58,6 @@ def test_rose_darts():
     assert g.dart_label(("a", -1)) == ("a", -1)
     assert dart_reverse(("a", 1)) == ("a", -1)
     assert g.darts_at("*") == (("a", 1), ("a", -1), ("b", 1), ("b", -1))
-
-
-def test_darts_at_follows_dart_sort_key_order():
-    rng = random.Random(3)
-    for _ in range(300):
-        vertices = [f"v{k}" for k in range(rng.randint(1, 5))]
-        edges = {f"e{rng.randrange(60)}": EdgeRec(rng.choice(vertices),
-                                                  rng.choice(vertices))
-                 for _ in range(rng.randint(0, 14))}
-        g = Graph(frozenset(vertices), edges)
-        seen = []
-        for v in vertices:
-            darts = g.darts_at(v)
-            assert list(darts) == sorted(darts, key=dart_sort_key)
-            assert all(g.dart_origin(d) == v for d in darts)
-            seen.extend(darts)
-        assert sorted(seen) == sorted(all_darts(g))
 
 
 def test_read_walks_loops_both_ways():
@@ -113,7 +91,7 @@ def test_x0_incidence_and_euler():
     require_valid(c)
     assert euler_characteristic(c, dimension=1) == 2 - 4
     assert euler_characteristic(c, dimension=2) == 2 - 4 + 1
-    assert _rank(c.skeleton) == 3
+    assert oracles.rank(c.skeleton.vertices, c.skeleton.edges) == 3
     assert connected_components(c.skeleton) == [frozenset({"p0", "p1"})]
 
 
@@ -267,7 +245,7 @@ def test_collapse_annulus_keeps_euler():
     assert euler_characteristic(out, 2) == before == 0
     assert set(out.skeleton.edges) == {"a"}
     assert out.cells == {}
-    assert _rank(out.skeleton) == 1
+    assert oracles.rank(out.skeleton.vertices, out.skeleton.edges) == 1
 
 
 def test_collapse_disk_to_point():
@@ -349,7 +327,7 @@ def test_carried_darts_pass_an_independent_oracle():
     removed = 0
     for c, x in _carrying_corpus():
         g = c.skeleton
-        darts = all_darts(g)
+        darts = oracles.darts(g.edges)
         out, routes = collapse_carrying(c, [(d,) for d in darts])
         h = out.skeleton
         for d, route in zip(darts, routes):
@@ -394,13 +372,11 @@ def test_compose_orientation_product():
 
 
 # ---------------------------------------------------------------------------
-# the map checks against the ordered scans they replaced
+# the map checks against the ladder read from its definition
 
 
 @pytest.mark.parametrize("sign", [0, 5, -2])
 def test_edge_image_with_a_bad_sign_is_not_a_morphism(sign):
-    from orelco.errors import NotMorphismError
-    from orelco.folding import fold
     loop = TwoComplex(Graph(frozenset({"u"}), {"x": EdgeRec("u", "u", "a")}),
                       {})
     m = CellMorphism(loop, build_rose_complex(), {"u": "*"},
@@ -417,8 +393,6 @@ def test_edge_image_with_a_bad_sign_is_not_a_morphism(sign):
 def test_a_map_that_names_a_part_its_source_lacks_is_not_a_morphism(field,
                                                                     image):
     # such a map once classified as an immersion; the least stray is named
-    from orelco.errors import NotMorphismError
-    from orelco.folding import fold
     m = cover_map_x0()
     images = {**getattr(m, field), "zz": image, "ghost": image}
     m = m._replace(**{field: images})
@@ -427,116 +401,6 @@ def test_a_map_that_names_a_part_its_source_lacks_is_not_a_morphism(field,
     assert classify_map(m) == Classification(MapKind.NOT_MORPHISM, witness)
     with pytest.raises(NotMorphismError, match=witness):
         fold(m)
-
-
-def reference_cell_image_path(target, image):
-    q = target.cells[image.cell]
-    m = len(q)
-    if image.orient > 0:
-        return tuple(q[(i + image.offset) % m] for i in range(m))
-    return tuple(dart_reverse(q[(image.offset - i) % m]) for i in range(m))
-
-
-def reference_check_morphism(m):
-    """The morphism check as first written: one ordered scan, every dart
-    through ``dart_origin`` and ``dart_image``."""
-    src, tgt = m.source, m.target
-    for v in sorted(src.skeleton.vertices):
-        if v not in m.vertex_map:
-            return f"vertex {v} has no image"
-        if m.vertex_map[v] not in tgt.skeleton.vertices:
-            return f"vertex {v} maps to missing vertex {m.vertex_map[v]}"
-    for e in sorted(src.skeleton.edges):
-        if e not in m.edge_map:
-            return f"edge {e} has no image"
-        image = m.edge_map[e]
-        if image[0] not in tgt.skeleton.edges:
-            return f"edge {e} maps to missing edge {image[0]}"
-        d = (e, 1)
-        for dart in (d, dart_reverse(d)):
-            want = m.vertex_map[src.skeleton.dart_origin(dart)]
-            got = tgt.skeleton.dart_origin(m.dart_image(dart))
-            if want != got:
-                return f"dart {dart} breaks origin commutation"
-    for cid in sorted(src.cells):
-        if cid not in m.cell_map:
-            return f"cell {cid} has no image"
-        image = m.cell_map[cid]
-        if image.cell not in tgt.cells:
-            return f"cell {cid} maps to missing cell {image.cell}"
-        if image.orient not in (1, -1):
-            return f"cell {cid} has bad orientation flag"
-        path = src.cells[cid]
-        want_path = reference_cell_image_path(tgt, image)
-        if len(path) != len(want_path):
-            return f"cell {cid} boundary length differs from its image"
-        if m.path_image(path) != want_path:
-            return f"cell {cid} boundary does not match its image boundary"
-    return None
-
-
-def reference_check_link_injective(m):
-    for v in sorted(m.source.skeleton.vertices):
-        seen = {}
-        for d in m.source.skeleton.darts_at(v):
-            img = m.dart_image(d)
-            if img in seen:
-                return f"darts {seen[img]} and {d} at vertex {v} share image {img}"
-            seen[img] = d
-    return None
-
-
-def reference_check_side_injective(m, period=None):
-    for e in sorted(m.source.skeleton.edges):
-        seen = {}
-        for cid, pos in m.source.sides_over[e]:
-            side = target_side(m.cell_map[cid], pos,
-                               period or len(m.source.cells[cid]))
-            if side in seen:
-                return (f"sides {seen[side]} and {(cid, pos)} over edge {e}"
-                        f" share disk side {side}")
-            seen[side] = (cid, pos)
-    return None
-
-
-def reference_classify_map(m):
-    witness = reference_check_morphism(m)
-    if witness is not None:
-        return Classification(MapKind.NOT_MORPHISM, witness)
-    witness = (reference_check_link_injective(m)
-               or reference_check_side_injective(m))
-    if witness is not None:
-        return Classification(MapKind.MORPHISM, witness)
-    for v in sorted(m.source.skeleton.vertices):
-        have = {m.dart_image(d) for d in m.source.skeleton.darts_at(v)}
-        want = set(m.target.skeleton.darts_at(m.vertex_map[v]))
-        if have != want:
-            return Classification(
-                MapKind.IMMERSION, f"link at {v} is not onto the target link")
-    for e in sorted(m.source.skeleton.edges):
-        have = {
-            target_side(m.cell_map[cid], pos, len(m.source.cells[cid]))
-            for cid, pos in m.source.sides_over[e]
-        }
-        want = set(m.target.sides_over[m.edge_map[e][0]])
-        if have != want:
-            return Classification(
-                MapKind.IMMERSION, f"sides over {e} are not onto the target sides")
-    return Classification(MapKind.COVERING, None)
-
-
-def reference_check_orbi_immersion(m, x):
-    """The ladder of ``check_orbi_immersion`` for a map into the presentation
-    complex of ``x``, with sides counted modulo the relator length of ``x``
-    rather than one read off the target."""
-    witness = reference_check_morphism(m)
-    if witness is not None:
-        return Classification(MapKind.NOT_MORPHISM, witness)
-    witness = (reference_check_link_injective(m)
-               or reference_check_side_injective(m, len(x.relator)))
-    if witness is not None:
-        return Classification(MapKind.MORPHISM, witness)
-    return Classification(MapKind.IMMERSION, None)
 
 
 def _reread(rng, path, image, reverse):
@@ -574,12 +438,6 @@ def _base_morphism(rng):
     generated complex, a fold's projection or inclusion, an unwrapped
     cover, or the presentation complex by labels, whose sides clash modulo
     |w| but not modulo its cell length; some cells read backwards."""
-    from orelco.covers import build_unwrapped_cover
-    from orelco.folding import fold
-    from orelco.harness import (GeneratorParams, _generate_uncollapsed,
-                                _random_rose_morphism)
-    from orelco.orbicomplex import presentation_complex
-    from orelco.words import parse_word
     relator, n = rng.choice([("a b", 2), ("a b a b~", 2), ("a b", 3)])
     params = GeneratorParams(rng.randint(1, 6), parse_word(relator), n,
                              attach_probability=0.8)
@@ -694,21 +552,26 @@ def _rung(cls):
     return cls.kind.name
 
 
-def test_checks_name_the_witnesses_of_the_ordered_scans():
-    from orelco.orbicomplex import check_orbi_immersion
+# the witness of each verdict in the test below, which the ladder's
+# definition does not fix
+LADDER_WITNESS_DIGEST = \
+    "ccabd7605a32fe2335a81e57180d16dc6793516ac885feb4941dccfd93c21481"
+
+
+def test_checks_match_the_ladder_oracle_and_pinned_witnesses():
     rng = random.Random(2018)
-    kinds = set()
+    witnesses = hashlib.sha256()
     forms = set()
-    compared = orbi_compared = period_clashes = 0
+    orbi_compared = period_clashes = 0
     rungs, orbi_rungs = collections.Counter(), collections.Counter()
     for trial in range(2000):
         m, x = _base_morphism(rng)
         if trial % 2:
             m = _mutate(rng, m)
         cls = classify_map(m)
-        assert cls == reference_classify_map(m), trial
-        compared += 1
-        kinds.add(cls.kind)
+        assert cls.kind == oracles.map_rung(m), trial
+        assert (cls.witness is None) == (cls.kind == MapKind.COVERING), trial
+        witnesses.update(f"{cls.kind.name} {cls.witness}\n".encode())
         rungs[_rung(cls)] += 1
         if cls.witness is not None:
             form, = (f for f in WITNESS_FORMS if re.fullmatch(f, cls.witness))
@@ -717,42 +580,20 @@ def test_checks_name_the_witnesses_of_the_ordered_scans():
             continue
         assert m.target is x.presentation_complex
         orbi = check_orbi_immersion(m)
-        assert orbi == reference_check_orbi_immersion(m, x)
+        assert orbi.kind == oracles.map_rung(m, len(x.relator)), trial
+        assert (orbi.witness is None) == (orbi.kind == MapKind.IMMERSION)
+        witnesses.update(f"orbi {orbi.kind.name} {orbi.witness}\n".encode())
         orbi_compared += 1
         orbi_rungs[_rung(orbi)] += 1
         # sides apart modulo the cell length that clash modulo |w|
         period_clashes += (cls.kind >= MapKind.IMMERSION
                            and orbi.kind == MapKind.MORPHISM)
-    assert compared == 2000 and orbi_compared > 600
-    assert kinds == set(MapKind)
+    assert witnesses.hexdigest() == LADDER_WITNESS_DIGEST
+    assert orbi_compared > 600
     assert forms == set(WITNESS_FORMS)
     assert period_clashes >= 20, period_clashes
     assert len(rungs) == 5 and min(rungs.values()) >= 20, rungs
     assert len(orbi_rungs) == 4 and min(orbi_rungs.values()) >= 20, orbi_rungs
-
-
-def _dart_walk_adjacency(g):
-    """``Graph._adjacency`` as it read when it walked every dart."""
-    table = {v: [] for v in g.vertices}
-    for d in all_darts(g):
-        table[g.dart_origin(d)].append(d)
-    return {v: tuple(ds) for v, ds in table.items()}
-
-
-def _dart_walk_reader(g):
-    """``Graph._reader`` as it read when it walked every dart."""
-    table = {}
-    for d in all_darts(g):
-        letter = g.dart_label(d)
-        if letter is None:
-            continue
-        key = (g.dart_origin(d), letter)
-        if key in table:
-            raise InvalidComplexError(
-                f"darts {table[key]} and {d} at vertex {key[0]} both"
-                f" read {letter}")
-        table[key] = d
-    return table
 
 
 def _random_table_graph(rng):
@@ -783,11 +624,15 @@ def _random_table_graph(rng):
     return Graph(frozenset(vertices), edges)
 
 
-def _table_outcome(build, g):
+def _reads(g):
+    """How the library and the oracle read ``g``: items, or a clash text."""
     try:
-        return list(build(g).items())
+        got = list(g._reader.items())
     except InvalidComplexError as err:
-        return ("error", str(err))
+        got = str(err)
+    _, reads, clash = oracles.graph_tables(g.vertices, g.edges)
+    return got, (list(reads.items()) if clash is None else
+                 "darts {} and {} at vertex {} both read {}".format(*clash))
 
 
 def test_graph_tables_match_the_dart_walk():
@@ -800,14 +645,16 @@ def test_graph_tables_match_the_dart_walk():
         tally["loops"] += any(r.tail == r.head for r in recs)
         tally["multi"] += len({(r.tail, r.head) for r in recs}) < len(recs)
         tally["unlabelled"] += any(r.label is None for r in recs)
-        # the tuples and their order, vertex by vertex
-        want = _dart_walk_adjacency(g)
-        assert [(v, g.darts_at(v)) for v in sorted(g.vertices)] == [
-            (v, want[v]) for v in sorted(g.vertices)]
+        # the tuples and their order, vertex by vertex: dart_sort_key's
+        links, _, _ = oracles.graph_tables(g.vertices, g.edges)
+        assert {v: g.darts_at(v) for v in g.vertices} == links
+        assert all(list(ds) == sorted(ds, key=dart_sort_key)
+                   and all(g.dart_origin(d) == v for d in ds)
+                   for v, ds in links.items())
         assert g.darts_at("iso") == ()
-        want = _table_outcome(_dart_walk_reader, g)
-        assert _table_outcome(lambda g: g._reader, g) == want
-        tally["clashes" if isinstance(want, tuple) else "reads"] += 1
+        got, want = _reads(g)
+        assert got == want
+        tally["clashes" if isinstance(want, str) else "reads"] += 1
     assert min(tally.values()) >= 50, tally
 
 
@@ -826,8 +673,7 @@ def test_a_read_clash_names_the_first_of_two():
               "z2": EdgeRec("w", "w", "b")},
              "darts ('x', 1) and ('z0', 1) at vertex u both read ('a', 1)")):
         g = Graph(frozenset({"u", "v", "w"}), edges)
-        assert _table_outcome(_dart_walk_reader, g) == ("error", first)
-        assert _table_outcome(lambda g: g._reader, g) == ("error", first)
+        assert _reads(g) == (first, first)
 
 
 def test_component_of_is_the_component_that_holds_its_root():

@@ -8,28 +8,22 @@ from pathlib import Path
 import pytest
 
 from orelco.complexes import (CellImage, CellMorphism, EdgeRec, Graph,
-                              MapKind, TwoComplex, _check_morphism, _flatten,
-                              cell_image_path, classify_map, compose,
-                              connected_components, dart_sort_key,
-                              identity_morphism, reverse_path)
+                              MapKind, TwoComplex, _flatten, cell_image_path,
+                              classify_map, compose, identity_morphism,
+                              reverse_path)
 from orelco.diagrams import build_reduced_diagram
 from orelco.errors import (FactorizationError, InvariantError,
                            NotImmersionError, NotMorphismError)
-from orelco.folding import (FoldResult, _canonical_cell_key, _union_darts,
-                            factor_unique, fold)
+from orelco.folding import FoldResult, _union_darts, factor_unique, fold
 from orelco.harness import _random_rose_morphism
 from orelco.orbicomplex import build_orbicomplex
 from orelco.textio import format_complex, format_fold_trace, format_morphism
 from orelco.words import free_reduce, inverse_word, parse_word as W
 
+import oracles
+
 ROSE_AB = TwoComplex(skeleton=Graph.rose(["a", "b"]), cells={})
 ROSE_A = TwoComplex(skeleton=Graph.rose(["a"]), cells={})
-
-
-def _rank(g):
-    """The rank of the free fundamental group of ``g``: its edges outside
-    a spanning forest."""
-    return len(g.edges) - len(g.vertices) + len(connected_components(g))
 
 
 def two_loop_wedge(names=("e1", "e2")):
@@ -44,7 +38,8 @@ def test_fold_two_loops_to_one():
     res = fold(two_loop_wedge())
     assert set(res.folded.skeleton.edges) == {"e1"}
     assert set(res.folded.skeleton.vertices) == {"v"}
-    assert _rank(res.folded.skeleton) == 1
+    g = res.folded.skeleton
+    assert oracles.rank(g.vertices, g.edges) == 1
     assert res.projection.edge_map == {"e1": ("e1", 1), "e2": ("e1", 1)}
     assert res.trace == (("dart", ("e1", 1), ("e2", 1)),)
     assert classify_map(res.inclusion).kind >= MapKind.IMMERSION
@@ -111,7 +106,7 @@ def test_fold_stallings_membership():
     folded = res.folded
     assert len(folded.skeleton.vertices) == 2
     assert len(folded.skeleton.edges) == 3
-    assert _rank(folded.skeleton) == 2
+    assert oracles.rank(folded.skeleton.vertices, folded.skeleton.edges) == 2
     accepted = _accepted_words(res.inclusion, folded.base_vertex, 6)
 
     gens = {"x": (("a", 1),), "y": (("b", 1), ("a", 1), ("b", -1))}
@@ -227,7 +222,8 @@ def test_fold_never_increases_counts():
         assert len(c.skeleton.vertices) <= len(a.skeleton.vertices)
         assert len(c.skeleton.edges) <= len(a.skeleton.edges)
         assert len(c.cells) <= len(a.cells)
-        assert _rank(c.skeleton) <= _rank(a.skeleton)
+        assert oracles.rank(c.skeleton.vertices, c.skeleton.edges) \
+            <= oracles.rank(a.skeleton.vertices, a.skeleton.edges)
 
 
 def test_factor_unique_through_identity():
@@ -252,7 +248,6 @@ def test_factor_unique_with_cells():
 
 
 def test_factor_unique_recovers_deck_transformation():
-    from orelco.complexes import compose
     m = cover_map_x0()
     d = m.source
     relabel = CellMorphism(
@@ -326,151 +321,7 @@ def test_factor_unique_refuses_inputs_outside_its_contract(through, lift_of,
 
 
 # ---------------------------------------------------------------------------
-# the worklist fold against the quadratic fold it replaced
-
-
-class _ReferenceEdgeClasses:
-    def __init__(self, edges):
-        self.parent = {e: (e, 1) for e in edges}
-
-    def find(self, e):
-        root, sign = self.parent[e]
-        if root != e:
-            root2, sign2 = self.find(root)
-            root, sign = root2, sign * sign2
-            self.parent[e] = (root, sign)
-        return root, sign
-
-    def union_darts(self, e1, s1, e2, s2):
-        r1, g1 = self.find(e1)
-        r2, g2 = self.find(e2)
-        rel = s1 * g1 * s2 * g2
-        if r1 == r2:
-            assert rel == 1, "edge folded onto its own reverse"
-            return
-        if r1 < r2:
-            self.parent[r2] = (r1, rel)
-        else:
-            self.parent[r1] = (r2, rel)
-
-
-def reference_fold(m):
-    """The fold as first written: rebuild the quotient's darts after every
-    identification and take the clashing pair least under dart_sort_key."""
-    witness = _check_morphism(m)
-    if witness is not None:
-        raise NotMorphismError(witness)
-    a = m.source
-    vparent = {v: v for v in a.skeleton.vertices}
-
-    def vfind(v):
-        while vparent[v] != v:
-            vparent[v] = vparent[vparent[v]]
-            v = vparent[v]
-        return v
-
-    def vunion(u, v):
-        ru, rv = vfind(u), vfind(v)
-        if ru != rv:
-            if rv < ru:
-                ru, rv = rv, ru
-            vparent[rv] = ru
-
-    euf = _ReferenceEdgeClasses(a.skeleton.edges)
-
-    def quotient_state():
-        roots = sorted({euf.find(e)[0] for e in a.skeleton.edges})
-        ends = {}
-        at = {}
-        for r in roots:
-            rec = a.skeleton.edges[r]
-            tail, head = vfind(rec.tail), vfind(rec.head)
-            ends[r] = (tail, head)
-            at.setdefault(tail, []).append((r, 1))
-            at.setdefault(head, []).append((r, -1))
-        return roots, ends, at
-
-    while True:
-        _, ends, at = quotient_state()
-        pick = None
-        for v in sorted(at):
-            groups = {}
-            for d in sorted(at[v], key=dart_sort_key):
-                f, g = m.edge_map[d[0]]
-                groups.setdefault((f, g * d[1]), []).append(d)
-            for ds in groups.values():
-                if len(ds) >= 2:
-                    cand = (ds[0], ds[1])
-                    if pick is None or (dart_sort_key(cand[0]),
-                                        dart_sort_key(cand[1])) < (
-                            dart_sort_key(pick[0]), dart_sort_key(pick[1])):
-                        pick = cand
-        if pick is None:
-            break
-        d1, d2 = pick
-        t1 = ends[d1[0]][0 if d1[1] < 0 else 1]
-        t2 = ends[d2[0]][0 if d2[1] < 0 else 1]
-        vunion(t1, t2)
-        euf.union_darts(d1[0], d1[1], d2[0], d2[1])
-
-    roots, ends, _ = quotient_state()
-    edges = {}
-    for r in roots:
-        rec = a.skeleton.edges[r]
-        edges[r] = EdgeRec(vfind(rec.tail), vfind(rec.head), rec.label)
-    vertices = frozenset(vfind(v) for v in a.skeleton.vertices)
-    base = vfind(a.base_vertex) if a.base_vertex is not None else None
-
-    def pushed_path(path):
-        out = []
-        for e, s in path:
-            root, sign = euf.find(e)
-            out.append((root, s * sign))
-        return tuple(out)
-
-    groups = {}
-    for cid in sorted(a.cells):
-        path = pushed_path(a.cells[cid])
-        key = _canonical_cell_key(path, m.cell_map[cid])
-        groups.setdefault(key, []).append((cid, path))
-
-    kept_cells = {}
-    rep_of = {}
-    for key in groups:
-        members = groups[key]
-        rep, rep_path = members[0]
-        kept_cells[rep] = rep_path
-        for cid, _ in members:
-            rep_of[cid] = rep
-
-    folded = TwoComplex(Graph(vertices, edges), kept_cells, base)
-
-    proj_cells = {}
-    for cid in sorted(a.cells):
-        rep = rep_of[cid]
-        im_c, im_k = m.cell_map[cid], m.cell_map[rep]
-        length = len(a.cells[cid])
-        orient = im_c.orient * im_k.orient
-        offset = (im_k.orient * (im_c.offset - im_k.offset)) % length
-        proj_cells[cid] = CellImage(rep, offset, orient)
-
-    projection = CellMorphism(
-        a, folded,
-        {v: vfind(v) for v in a.skeleton.vertices},
-        {e: euf.find(e) for e in a.skeleton.edges},
-        proj_cells,
-    )
-    inclusion = CellMorphism(
-        folded, m.target,
-        {v: m.vertex_map[v] for v in vertices},
-        {r: m.edge_map[r] for r in roots},
-        {rep: m.cell_map[rep] for rep in kept_cells},
-    )
-    cls = classify_map(inclusion)
-    if cls.kind < MapKind.IMMERSION:
-        raise NotImmersionError(
-            f"folded map failed its immersion check: {cls.witness}")
-    return FoldResult(folded, projection, inclusion)
+# the worklist fold against the fold read from its definition
 
 
 CELL_TARGET = TwoComplex(
@@ -588,11 +439,18 @@ def _outcome(fold_fn, m):
 
 
 def _dict_orders(res: FoldResult):
+    """The key order of each dict of ``res`` but the two vertex maps, which
+    follow the order of a vertex set."""
     return [list(d) for d in (
         res.folded.skeleton.edges, res.folded.cells,
-        res.projection.vertex_map, res.projection.edge_map,
-        res.projection.cell_map, res.inclusion.vertex_map,
+        res.projection.edge_map, res.projection.cell_map,
         res.inclusion.edge_map, res.inclusion.cell_map)]
+
+
+# the dict orders of each fold in the test below, which the fold's
+# definition does not fix
+FOLD_ORDERS_DIGEST = \
+    "1e37b6b145975cc0c1bd5d842bf0281e9c8286c06a25ce279b55d58b7696af25"
 
 
 def test_worklist_fold_matches_the_reference():
@@ -605,22 +463,30 @@ def test_worklist_fold_matches_the_reference():
     corpus = ([random_cell_morphism(rng) for _ in range(300)]
               + random_rose_morphisms(rng, 300) + diagram_morphisms(3, 11)
               + long)
+    orders = hashlib.sha256()
     folds = 0
     for m in corpus:
-        got, want = _outcome(fold, m), _outcome(reference_fold, m)
-        assert got == want
-        if isinstance(want, FoldResult):
-            assert _dict_orders(got) == _dict_orders(want)
-            folds += len(want.trace) > 0
+        res = fold(m)
+        p, c, i = res.projection, res.folded, res.inclusion
+        assert (p.vertex_map, p.edge_map, p.cell_map, c.skeleton.vertices,
+                c.skeleton.edges, c.cells) == oracles.fold_parts(m)
+        base = m.source.base_vertex
+        assert c.base_vertex == (None if base is None else p.vertex_map[base])
+        # the inclusion is the input on the folded complex's parts
+        assert oracles.map_rung(i) >= oracles.IMMERSION
+        assert compose(i, p) == m
+        assert list(p.vertex_map) == list(m.source.skeleton.vertices)
+        assert list(i.vertex_map) == list(c.skeleton.vertices)
+        orders.update(repr(_dict_orders(res)).encode())
+        folds += len(res.trace) > 0
+    assert orders.hexdigest() == FOLD_ORDERS_DIGEST
     assert folds > 400
 
 
 def test_fold_trace_is_a_function_of_the_result():
     darts = 0
     for m in fold_corpus():
-        res = _outcome(fold, m)
-        if not isinstance(res, FoldResult):
-            continue
+        res = fold(m)
         entries = [t for t in res.trace if t[0] == "dart"]
         for _, d1, d2 in entries:
             assert m.dart_image(d1) == m.dart_image(d2)

@@ -141,6 +141,13 @@ def test_a_campaign_of_no_trial_is_refused_not_passed(trials):
         run_property_campaign(cfg)
 
 
+def test_a_negative_seed_is_refused_not_replayed():
+    # random.Random seeds with |s|, so seed -1 replayed seed 1's first trial
+    cfg = CampaignConfig(-1, 3, GeneratorParams(4, W("a b"), 2))
+    with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
+        run_property_campaign(cfg)
+
+
 def test_campaign_passes_and_reproduces_byte_identically():
     cfg = CampaignConfig(7, 150, GeneratorParams(6, W("a b"), 2))
     rep1 = run_property_campaign(cfg)
