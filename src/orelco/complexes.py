@@ -11,6 +11,7 @@ cells go homeomorphically to cells.
 from __future__ import annotations
 
 import heapq
+import itertools
 from enum import IntEnum
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -273,11 +274,13 @@ def cell_image_path(target: TwoComplex, image: CellImage) -> tuple[Dart, ...]:
     return reverse_path(q[k:] + q[:k])
 
 
-def target_side(image: CellImage, pos: int, length: int) -> tuple[str, int]:
-    """Target (cell, boundary position) hit by source boundary position ``pos``."""
-    if image.orient > 0:
-        return (image.cell, (pos + image.offset) % length)
-    return (image.cell, (image.offset - pos) % length)
+def _side_images(image: CellImage, size: int,
+                 period: int | None) -> list[tuple[str, int]]:
+    """The target (cell, boundary position) of each side ``pos`` < ``size``
+    of a cell mapped by ``image``: (offset + orient·pos) mod ``period or size``."""
+    cell, offset, orient = image
+    length = period or size
+    return [(cell, (offset + orient * pos) % length) for pos in range(size)]
 
 
 class CellMorphism(NamedTuple):
@@ -306,8 +309,8 @@ def _morphism_fault(m: CellMorphism, order, darts: set | None = None,
     """First broken morphism condition met scanning vertices, then edges,
     then cells, each in ``order``; None when ``m`` is a morphism.  Given the
     sets, the scan also collects each dart's (origin, image) into ``darts``
-    and each cell side's (edge, target side) into ``sides``, with positions
-    modulo ``period`` or the cell length: a clash leaves a set short."""
+    and each cell side's (edge, target side by ``_side_images`` with
+    ``period``) into ``sides``: a clash leaves a set short."""
     src, tgt = m.source, m.target
     vmap, emap, cmap = m.vertex_map, m.edge_map, m.cell_map
     tverts, tedges, tcells = tgt.skeleton.vertices, tgt.skeleton.edges, tgt.cells
@@ -353,10 +356,8 @@ def _morphism_fault(m: CellMorphism, order, darts: set | None = None,
                 != cell_image_path(tgt, image)):
             return f"cell {cid} boundary does not match its image boundary"
         if sides is not None:
-            cell, offset, orient = image
-            length = period or len(path)
-            sides.update((d[0], cell, (offset + orient * pos) % length)
-                         for pos, d in enumerate(path))
+            sides.update(zip([e for e, _ in path],
+                             _side_images(image, len(path), period)))
     if len(cmap) != len(scells):
         return _stray("cell", cmap, scells)
     return None
@@ -374,49 +375,47 @@ def _check_morphism(m: CellMorphism) -> str | None:
     return _morphism_fault(m, sorted)
 
 
-def _check_link_injective(m: CellMorphism) -> str | None:
-    """The first two darts at a vertex, in sorted order, that share an image."""
-    for v in sorted(m.source.skeleton.vertices):
-        seen: dict[Dart, Dart] = {}
-        for d in m.source.skeleton.darts_at(v):
-            img = m.dart_image(d)
-            if img in seen:
-                return f"darts {seen[img]} and {d} at vertex {v} share image {img}"
-            seen[img] = d
-    return None
-
-
-def _check_side_injective(m: CellMorphism,
-                          period: int | None = None) -> str | None:
-    """The first two sides over an edge, in sorted order, that land on one
-    target side; with a ``period``, target positions count modulo it (sides
-    of a branched disk)."""
-    for e in sorted(m.source.skeleton.edges):
-        seen: dict[tuple[str, int], tuple[str, int]] = {}
-        for cid, pos in m.source.sides_over[e]:
-            side = target_side(m.cell_map[cid], pos,
-                               period or len(m.source.cells[cid]))
-            if side in seen:
-                return (f"sides {seen[side]} and {(cid, pos)} over edge {e}"
-                        f" share disk side {side}")
-            seen[side] = (cid, pos)
+def _first_clash(m: CellMorphism, period: int | None):
+    """The first group, in sorted order, with two members of one image, as
+    (group, first member, second member, image): each vertex with its darts
+    under ``dart_image``, then each edge with its cell sides under
+    ``_side_images``; None when no group has a clash."""
+    src = m.source
+    images = {cid: _side_images(m.cell_map[cid], len(path), period)
+              for cid, path in src.cells.items()}
+    groups = itertools.chain(
+        ((v, [(d, m.dart_image(d)) for d in src.skeleton.darts_at(v)])
+         for v in sorted(src.skeleton.vertices)),
+        ((e, [(side, images[side[0]][side[1]]) for side in src.sides_over[e]])
+         for e in sorted(src.skeleton.edges)))
+    for group, members in groups:
+        seen: dict = {}
+        for member, image in members:
+            if image in seen:
+                return group, seen[image], member, image
+            seen[image] = member
     return None
 
 
 def _immersion_fault(m: CellMorphism,
                      period: int | None = None) -> Classification | None:
     """The classification below IMMERSION that ``m`` earns, or None when it
-    immerses; ``period`` as in ``_check_side_injective``.  One unordered
-    read decides; the ordered scans run only to name a fault."""
+    immerses; with a ``period``, target side positions count modulo it
+    (sides of a branched disk).  One unordered read decides; the ordered
+    scans run only to name a fault."""
     darts, sides = set(), set()
     if _morphism_fault(m, iter, darts, sides, period) is not None:
         return Classification(MapKind.NOT_MORPHISM, _morphism_fault(m, sorted))
     src = m.source
-    if len(darts) < 2 * len(src.skeleton.edges):
-        return Classification(MapKind.MORPHISM, _check_link_injective(m))
-    if len(sides) < sum(map(len, src.cells.values())):
-        return Classification(MapKind.MORPHISM, _check_side_injective(m, period))
-    return None
+    links = len(darts) < 2 * len(src.skeleton.edges)
+    if not links and len(sides) == sum(map(len, src.cells.values())):
+        return None
+    # a short link set has a clash at a vertex, which the scan meets first
+    group, first, second, image = _first_clash(m, period)
+    return Classification(MapKind.MORPHISM, (
+        f"darts {first} and {second} at vertex {group} share image {image}"
+        if links else
+        f"sides {first} and {second} over edge {group} share disk side {image}"))
 
 
 def classify_map(m: CellMorphism) -> Classification:

@@ -13,7 +13,7 @@ from orelco.complexes import (CellImage, CellMorphism, Classification, EdgeRec,
                               dart_sort_key, euler_characteristic,
                               find_free_faces_and_edges, identity_morphism,
                               require_valid, reverse_path,
-                              target_side, validate_complex)
+                              validate_complex)
 from orelco.complexes import component_of
 from orelco.covers import (FiniteQuotient, build_unwrapped_cover,
                            unwrapping_actions)
@@ -164,11 +164,40 @@ def test_cell_image_path_conventions():
         ("c", -1), ("b", -1), ("a", -1))
 
 
-def test_target_side_conventions():
-    assert target_side(CellImage("d", 1, 1), 0, 3) == ("d", 1)
-    assert target_side(CellImage("d", 1, 1), 2, 3) == ("d", 0)
-    assert target_side(CellImage("d", 0, -1), 1, 3) == ("d", 2)
-    assert target_side(CellImage("d", 2, -1), 1, 3) == ("d", 1)
+def _one_vertex_map(target, cells, images):
+    """The map by edge ids from one vertex with the target's loops and the
+    given cells, each sent by its image."""
+    src = TwoComplex(target.skeleton, cells)
+    return CellMorphism(src, target, {"*": "*"},
+                        {e: (e, 1) for e in target.skeleton.edges}, images)
+
+
+# side 2 of c2 lies on (1 + 2) mod 3 = 0, or on (2 - 2) mod 3 = 0, where
+# side 0 of c1 lies
+@pytest.mark.parametrize("c2, image", [
+    ((("b", 1), ("c", 1), ("a", 1)), CellImage("d", 1, 1)),
+    ((("c", -1), ("b", -1), ("a", -1)), CellImage("d", 2, -1)),
+], ids=["plus-one", "minus-one"])
+def test_side_clash_witness_by_orientation(c2, image):
+    m = _one_vertex_map(build_triangle_target(),
+                        {"c1": (("a", 1), ("b", 1), ("c", 1)), "c2": c2},
+                        {"c1": CellImage("d", 0, 1), "c2": image})
+    assert classify_map(m) == Classification(
+        MapKind.MORPHISM,
+        "sides ('c1', 0) and ('c2', 2) over edge a share disk side ('d', 0)")
+
+
+def test_side_clash_witness_modulo_the_relator_length():
+    # sides 1 and 3 over a lie on disk positions 2 and 0, apart modulo the
+    # cell length 4 and equal modulo |w| = 2
+    x = build_orbicomplex(Graph.rose("ab"), (("a", 1), ("b", 1)), 2)
+    m = _one_vertex_map(x.presentation_complex,
+                        {"c": (("b", 1), ("a", 1), ("b", 1), ("a", 1))},
+                        {"c": CellImage("d0", 1, 1)})
+    assert classify_map(m) == Classification(MapKind.COVERING, None)
+    assert check_orbi_immersion(m) == Classification(
+        MapKind.MORPHISM,
+        "sides ('c', 1) and ('c', 3) over edge a share disk side ('d0', 0)")
 
 
 def cover_map_x0():
