@@ -8,9 +8,10 @@ from .covers import (CoverReport, FiniteQuotient, UnwrappedCover,
                      build_unwrapped_cover, find_exponent_n_quotient,
                      verify_cover)
 from .diagrams import build_reduced_diagram
-from .errors import (BudgetExhaustedError, DiagramError, FactorizationError,
-                     InvalidComplexError, InvariantError, NotImmersionError,
-                     NotMorphismError, OrelcoError, PipelineInvariantError)
+from .errors import (ArgumentError, BudgetExhaustedError, DiagramError,
+                     FactorizationError, InvalidComplexError, InvariantError,
+                     NotImmersionError, NotMorphismError, OrelcoError,
+                     PipelineInvariantError)
 from .folding import FoldResult, factor_unique, fold
 from .harness import (CampaignConfig, CampaignReport, GeneratorParams,
                       random_irreducible_immersion, run_property_campaign)
@@ -26,8 +27,9 @@ from .words import (DehnResult, DehnStep, dehn_solve, format_word,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExhaustedError", "CampaignConfig", "CampaignReport", "CellImage",
-    "CellMorphism", "CoverReport", "DehnResult", "DehnStep", "DiagramError",
+    "ArgumentError", "BudgetExhaustedError", "CampaignConfig",
+    "CampaignReport", "CellImage", "CellMorphism", "CoverReport",
+    "DehnResult", "DehnStep", "DiagramError",
     "EdgeRec", "FactorizationError", "FiniteQuotient", "FoldResult",
     "GeneratorParams", "Graph", "InvalidComplexError", "InvariantError",
     "MapKind",

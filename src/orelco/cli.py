@@ -14,11 +14,11 @@ from pathlib import Path
 
 from .covers import build_unwrapped_cover, find_exponent_n_quotient, \
     verify_cover
-from .errors import (BudgetExhaustedError, NotImmersionError,
+from .errors import (ArgumentError, BudgetExhaustedError, NotImmersionError,
                      NotMorphismError, OrelcoError)
 from .folding import fold
-from .harness import (SUITES, CampaignConfig, GeneratorParams, campaign_csv,
-                      check_suites, check_trials, generator_params_problem,
+from .harness import (SUITES, CampaignConfig, GeneratorParams,
+                      _check_campaign, _check_generator_params, campaign_csv,
                       run_property_campaign)
 from .orbicomplex import wcycles_audit
 from .pipeline import present_subgroup
@@ -102,8 +102,6 @@ def _cmd_word_solve(args) -> int:
 def _cmd_cover_build(args) -> int:
     _echo("cover build", group=args.group, max_degree=args.max_degree,
           seed=args.seed)
-    if args.max_degree < 1:
-        return _usage("--max-degree must be at least 1")
     x = _load(parse_orbicomplex, args.group)
     q = find_exponent_n_quotient(x, args.max_degree, args.seed)
     cover = build_unwrapped_cover(x, q)
@@ -126,13 +124,6 @@ def _cmd_subgroup_present(args) -> int:
     _echo("subgroup present", group=args.group, gens=args.gens,
           max_degree=args.max_degree, max_stages=args.max_stages,
           max_word_len=args.max_word_len, seed=args.seed, format=args.format)
-    if args.max_word_len < 1:
-        # no candidate would be tried, and the seed would pass as stable
-        return _usage("--max-word-len must be at least 1")
-    if args.max_degree < 1:
-        return _usage("--max-degree must be at least 1")
-    if args.max_stages < 0:
-        return _usage("--max-stages must be at least 0")
     x = _load_torsion_group(args.group)
     gens = [_parse("--gens", parse_word, chunk, x._rose_symbols)
             for chunk in args.gens.split(";")]
@@ -160,10 +151,6 @@ def _cmd_subgroup_present(args) -> int:
 # the campaign-only flags of audit wcycles and their defaults
 _CAMPAIGN_DEFAULTS = {"vertex_budget": 6, "attach_prob": 0.5,
                       "suites": ",".join(SUITES), "seed": 0}
-# the flags of the generator parameters that ``generator_params_problem``
-# names
-_PARAM_FLAGS = {"vertex_budget": "--vertex-budget",
-                "attach_probability": "--attach-prob"}
 
 
 def _cmd_audit_wcycles(args) -> int:
@@ -179,20 +166,10 @@ def _cmd_audit_wcycles(args) -> int:
             # a campaign draws its own maps and would ignore both files
             return _usage("--trials runs a campaign, which takes no "
                           "--complex or --map")
-        _parse("--trials", check_trials, args.trials)
-        if args.seed < 0:
-            return _usage(f"--seed must be at least 0, got {args.seed}")
+        # refused before the group file is read
         suites = tuple(args.suites.split(","))
-        try:
-            check_suites(suites)
-        except ValueError:
-            return _usage(f"--suites must name some of {','.join(SUITES)},"
-                          f" got {args.suites!r}")
-        problem = generator_params_problem(args.vertex_budget,
-                                           args.attach_prob)
-        if problem is not None:
-            name, rule = problem
-            return _usage(f"{_PARAM_FLAGS[name]} {rule}")
+        _check_campaign(args.seed, args.trials, suites)
+        _check_generator_params(args.vertex_budget, args.attach_prob)
         x = _load_torsion_group(args.group)
         # the campaign runs over the rose of the relator's letters
         missing = set(x._rose_symbols) - {sym for sym, _ in x.relator}
@@ -207,11 +184,13 @@ def _cmd_audit_wcycles(args) -> int:
         if args.format == "csv":
             _emit(args, campaign_csv(report))
         else:
-            for suite, (passed, total) in sorted(report.pass_counts.items()):
-                print(f"suite {suite}: {passed}/{total}")
+            counts = sorted(report.pass_counts.items())
+            lines = [f"suite {s}: {p}/{t}" for s, (p, t) in counts]
             if "wcycles" in suites:
                 zeros = sum(r.slack1 == 0 for r in report.rows)
-                print(f"slack1 tight in {zeros} of {len(report.rows)} trials")
+                lines.append(f"slack1 tight in {zeros} of "
+                             f"{len(report.rows)} trials")
+            _emit(args, "\n".join(lines) + "\n")
         return EXIT_OK
     if args.complex is None or args.map is None:
         return _usage("audit wcycles needs --complex and --map, "
@@ -239,12 +218,10 @@ def _cmd_audit_wcycles(args) -> int:
                       f"{audit.slack1} slack2={audit.slack2}) is no "
                       "counterexample")
     name = Path(args.complex).stem
-    if args.format == "csv":
-        _emit(args, audit_csv([(name, audit)]))
-    else:
-        print(f"audit {name}: chi1={audit.chi1} deg={audit.deg} "
-              f"slack1={audit.slack1} chi2={audit.chi2} cells={audit.cells} "
-              f"slack2={audit.slack2} in_scope={1 if audit.in_scope else 0}")
+    _emit(args, audit_csv([(name, audit)]) if args.format == "csv" else
+          f"audit {name}: chi1={audit.chi1} deg={audit.deg} "
+          f"slack1={audit.slack1} chi2={audit.chi2} cells={audit.cells} "
+          f"slack2={audit.slack2} in_scope={1 if audit.in_scope else 0}\n")
     if not audit.passed:
         print(f"error: inequality violated: slack1={audit.slack1} "
               f"slack2={audit.slack2}")
@@ -396,6 +373,11 @@ def main(argv=None) -> int:
     except BudgetExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except ArgumentError as exc:
+        # the library's rule, refused under the flag's name
+        flag = ("attach-prob" if exc.name == "attach_probability"
+                else exc.name.replace("_", "-"))
+        return _usage(f"--{flag} {exc.rule}")
     except (ValueError, OrelcoError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

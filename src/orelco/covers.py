@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 from .complexes import (CellMorphism, Dart, EdgeRec, Graph, MapKind,
                         TwoComplex, _components, euler_characteristic)
-from .errors import (BudgetExhaustedError, InvalidComplexError,
-                     InvariantError)
+from .errors import (ArgumentError, BudgetExhaustedError,
+                     InvalidComplexError, InvariantError)
 from .orbicomplex import (OneRelatorOrbicomplex, by_labels,
                           check_orbi_immersion)
 from .words import Word, _check_letters
@@ -303,7 +303,8 @@ def unwrapping_actions(x: OneRelatorOrbicomplex, degree: int):
 
 def _check_max_degree(max_degree: int) -> None:
     if max_degree < 1:
-        raise ValueError(f"max_degree must be at least 1, got {max_degree}")
+        raise ArgumentError("max_degree",
+                            f"must be at least 1, got {max_degree}")
 
 
 def find_exponent_n_quotient(x: OneRelatorOrbicomplex, max_degree: int,

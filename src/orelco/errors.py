@@ -5,6 +5,16 @@ class OrelcoError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class ArgumentError(ValueError):
+    """An argument is outside its range; carries its ``name`` and the
+    ``rule`` it breaks, so a caller can refuse it under its own name."""
+
+    def __init__(self, name: str, rule: str):
+        super().__init__(f"{name} {rule}")
+        self.name = name
+        self.rule = rule
+
+
 class InvalidComplexError(OrelcoError):
     """A combinatorial complex violates one of its structural invariants."""
 

@@ -28,7 +28,8 @@ from .complexes import (EdgeRec, Graph, MapKind, TwoComplex, collapse,
 from .complexes import CellMorphism
 from .covers import (FiniteQuotient, UnwrappingActionTree,
                      build_unwrapped_cover, verify_cover)
-from .errors import InvariantError, NotImmersionError, OrelcoError
+from .errors import (ArgumentError, InvariantError, NotImmersionError,
+                     OrelcoError)
 from .folding import factor_unique, fold
 from .orbicomplex import (OneRelatorOrbicomplex, _check_relator,
                           build_orbicomplex, by_labels, check_orbi_immersion,
@@ -39,16 +40,15 @@ SEED_STRIDE = 1_000_003
 SUITES = ("wcycles", "fold", "covers")
 
 
-def generator_params_problem(vertex_budget: int, attach_probability: float
-                             ) -> tuple[str, str] | None:
-    """The first generator parameter outside its range and the rule it
-    breaks, or None: the vertex budget is at least 1 and the attach
-    probability in [0, 1], which NaN is not."""
+def _check_generator_params(vertex_budget: int,
+                            attach_probability: float) -> None:
+    """Raise ``ArgumentError`` naming the first generator parameter outside
+    its range: the vertex budget is at least 1 and the attach probability
+    in [0, 1], which NaN is not."""
     if vertex_budget < 1:
-        return "vertex_budget", "must be at least 1"
+        raise ArgumentError("vertex_budget", "must be at least 1")
     if not 0 <= attach_probability <= 1:
-        return "attach_probability", "must be in [0, 1]"
-    return None
+        raise ArgumentError("attach_probability", "must be in [0, 1]")
 
 
 class _GeneratorParamsFields(NamedTuple):
@@ -61,10 +61,7 @@ class _GeneratorParamsFields(NamedTuple):
 class GeneratorParams(_GeneratorParamsFields):
     def __new__(cls, *args, **kwargs) -> GeneratorParams:
         self = super().__new__(cls, *args, **kwargs)
-        problem = generator_params_problem(self.vertex_budget,
-                                           self.attach_probability)
-        if problem is not None:
-            raise ValueError(" ".join(problem))
+        _check_generator_params(self.vertex_budget, self.attach_probability)
         _check_relator(self.relator, {sym for sym, _ in self.relator},
                        self.branch_index)
         return self
@@ -94,10 +91,7 @@ class GeneratorParams(_GeneratorParamsFields):
     def _with_budget(self, vertex_budget: int) -> GeneratorParams:
         """These parameters with another vertex budget, checked alone, and
         this instance's orbicomplex, which the budget does not change."""
-        problem = generator_params_problem(vertex_budget,
-                                           self.attach_probability)
-        if problem is not None:
-            raise ValueError(" ".join(problem))
+        _check_generator_params(vertex_budget, self.attach_probability)
         out = super()._make((vertex_budget, *self[1:]))
         out.__dict__["orbicomplex"] = self.orbicomplex
         return out
@@ -306,26 +300,24 @@ def _run_cover_trial(rng: random.Random, seed: int,
 # campaign driver
 
 
-def check_suites(suites: tuple[str, ...]) -> None:
-    """Raise ``ValueError`` naming the first of ``suites`` outside
-    ``SUITES``: a misspelt suite would run no trial and pass as 0/0."""
-    for suite in suites:
-        if suite not in SUITES:
-            raise ValueError(f"unknown suite {suite!r}; the suites are "
-                             f"{', '.join(SUITES)}")
-
-
-def check_trials(trials: int) -> None:
-    """Refuse fewer than one trial, which would pass every suite vacuously."""
+def _check_campaign(master_seed: int, trials: int,
+                    suites: tuple[str, ...]) -> None:
+    """Raise ``ArgumentError`` naming the first of these outside its range:
+    with no trial, no suite or a misspelt one every suite would pass
+    vacuously, and ``random.Random`` seeds with |s|, so seed -s would
+    replay seed s."""
     if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+        raise ArgumentError("trials", f"must be at least 1, got {trials}")
+    if master_seed < 0:
+        raise ArgumentError("seed", f"must be at least 0, got {master_seed}")
+    if not suites or any(suite not in SUITES for suite in suites):
+        got = ",".join(map(str, suites))
+        raise ArgumentError("suites", f"must name some of {','.join(SUITES)}"
+                                      f", got {got!r}")
 
 
 def run_property_campaign(cfg: CampaignConfig) -> CampaignReport:
-    check_trials(cfg.trials)
-    if cfg.master_seed < 0:     # random.Random seeds with |s|: -s replays s
-        raise ValueError(f"seed must be at least 0, got {cfg.master_seed}")
-    check_suites(cfg.suites)
+    _check_campaign(cfg.master_seed, cfg.trials, cfg.suites)
     rows: list[TrialRow] = []
     covers_passed = 0
     for t in range(cfg.trials):

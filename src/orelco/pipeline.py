@@ -21,7 +21,7 @@ from .complexes import (CellImage, CellMorphism, Dart, EdgeRec, Graph,
 from .covers import UnwrappedCover, _check_max_degree, \
     build_unwrapped_cover, find_exponent_n_quotient, verify_cover
 from .diagrams import build_reduced_diagram
-from .errors import PipelineInvariantError
+from .errors import ArgumentError, PipelineInvariantError
 from .folding import fold
 from .orbicomplex import OneRelatorOrbicomplex
 from .words import (Word, _check_letters, _require_torsion, dehn_solve,
@@ -594,10 +594,11 @@ def present_subgroup(generators: list[Word], x: OneRelatorOrbicomplex, *,
     _require_torsion(x)
     if max_word_len < 1:
         # no candidate would be tried, and the seed would pass as stable
-        raise ValueError(
-            f"max_word_len must be at least 1, got {max_word_len}")
+        raise ArgumentError("max_word_len",
+                            f"must be at least 1, got {max_word_len}")
     if max_stages < 0:
-        raise ValueError(f"max_stages must be at least 0, got {max_stages}")
+        raise ArgumentError("max_stages",
+                            f"must be at least 0, got {max_stages}")
     _check_letters((c for g in generators for c in g), x.gamma.edges)
     _check_max_degree(max_degree)     # before the trivial subgroup returns
     notes: list[str] = []

@@ -199,13 +199,18 @@ def test_cover_build_finds_the_least_degree(capsys, tmp_path):
 @pytest.mark.parametrize("group", [GROUP, GROUP.replace("branch 2", "branch 1")])
 def test_max_degree_below_one_is_a_usage_error(tmp_path, capsys, command,
                                                 group):
-    # with branch 1 the degree-1 cover would be built over the budget
+    # with branch 1 the degree-1 cover would be built over the budget; a
+    # presentation reads the group file first and refuses branch 1 itself
     path = tmp_path / "g.txt"
     path.write_text(group)
     code, out, err = run(capsys, command + ["--group", str(path),
                                             "--max-degree", "0"])
     assert code == 2
-    assert err == "error: --max-degree must be at least 1\n"
+    if command[0] == "subgroup" and "branch 1" in group:
+        assert err == (f"error: {path}: branch index must be at least 2, "
+                       "got 1\n")
+    else:
+        assert err == "error: --max-degree must be at least 1, got 0\n"
     assert out.startswith("config:") and out.count("\n") == 1
 
 
@@ -276,6 +281,24 @@ def test_audit_single_immersion(group_file, capsys, tmp_path):
                                 "--format", "csv"])
     assert code == 0
     assert "y,-2,2,0,-1,1,0,1" in out
+
+
+def test_a_text_single_map_audit_honours_out(group_file, capsys, tmp_path):
+    # the audit line once went to stdout and no file was written
+    y = tmp_path / "y.txt"
+    y.write_text(COVER_COMPLEX)
+    m = tmp_path / "m.txt"
+    m.write_text(COVER_MAP)
+    argv = ["audit", "wcycles", "--group", group_file, "--complex", str(y),
+            "--map", str(m)]
+    code, printed, _ = run(capsys, argv)
+    out_path = tmp_path / "audit.txt"
+    assert run(capsys, argv + ["--out", str(out_path)])[:2] == (
+        code, printed.splitlines(keepends=True)[0])
+    assert code == 0
+    assert out_path.read_text() == (
+        "audit y: chi1=-2 deg=2 slack1=0 chi2=-1 cells=1 slack2=0 "
+        "in_scope=0\n")
 
 
 OUT_OF_SCOPE_REASON = ("the complex is outside the inequality's scope "
@@ -507,17 +530,43 @@ def test_a_spent_search_budget_in_the_covers_suite_exits_3(group_file, capsys,
     assert "suite covers" not in out
 
 
-@pytest.mark.parametrize("argv", [
-    ["subgroup", "present", "--gens", "b ; a a", "--max-word-len", "0"],
-    ["subgroup", "present", "--gens", "b ; a a", "--max-word-len", "-3"],
-    ["audit", "wcycles", "--trials", "0"],
-    ["audit", "wcycles", "--trials", "-5"],
-])
-def test_empty_budgets_are_usage_errors(group_file, capsys, argv):
-    # a budget that tries nothing must not print a vacuous pass
+PRESENT = ["subgroup", "present", "--gens", "b ; a a"]
+CAMPAIGN = ["audit", "wcycles", "--trials", "3"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (PRESENT + ["--max-word-len", "0"],
+     "--max-word-len must be at least 1, got 0"),
+    (PRESENT + ["--max-word-len", "-3"],
+     "--max-word-len must be at least 1, got -3"),
+    (["audit", "wcycles", "--trials", "0"],
+     "--trials must be at least 1, got 0"),
+    (["audit", "wcycles", "--trials", "-5"],
+     "--trials must be at least 1, got -5"),
+    (["cover", "build", "--max-degree", "0"],
+     "--max-degree must be at least 1, got 0"),
+    (PRESENT + ["--max-degree", "-2"],
+     "--max-degree must be at least 1, got -2"),
+    (PRESENT + ["--max-stages", "-1"],
+     "--max-stages must be at least 0, got -1"),
+    (CAMPAIGN + ["--seed", "-1"], "--seed must be at least 0, got -1"),
+    (CAMPAIGN + ["--suites", "nosuch"],
+     "--suites must name some of wcycles,fold,covers, got 'nosuch'"),
+    (CAMPAIGN + ["--suites", "wcycles,cover"],
+     "--suites must name some of wcycles,fold,covers, got 'wcycles,cover'"),
+    (CAMPAIGN + ["--suites", ""],
+     "--suites must name some of wcycles,fold,covers, got ''"),
+    (CAMPAIGN + ["--vertex-budget", "0"], "--vertex-budget must be at least 1"),
+    (CAMPAIGN + ["--attach-prob", "5"], "--attach-prob must be in [0, 1]"),
+], ids=["argv0", "argv1", "argv2", "argv3", "cover-max-degree",
+        "present-max-degree", "max-stages", "seed", "suites-unknown",
+        "suites-misspelt", "suites-empty", "vertex-budget", "attach-prob"])
+def test_empty_budgets_are_usage_errors(group_file, capsys, argv, message):
+    # every bounded flag: the library's rule under the flag's name, and no
+    # report, so a budget that tries nothing prints no vacuous pass
     code, out, err = run(capsys, argv + ["--group", group_file])
     assert code == 2
-    assert err.startswith("error: --") and "at least 1" in err
+    assert err == f"error: {message}\n"
     assert out.startswith("config:") and out.count("\n") == 1
 
 
@@ -550,7 +599,7 @@ def test_out_of_range_campaign_flags_are_usage_errors(group_file, capsys,
         "prob-nan", "both"])
 def test_generator_flags_follow_the_generators_rule(tmp_path, capsys, flags,
                                                     message):
-    # harness.generator_params_problem decides both flags, the budget
+    # harness._check_generator_params decides both flags, the budget
     # first, before the group file is read: the path does not exist
     missing = str(tmp_path / "missing.txt")
     code, out, err = run(capsys, ["audit", "wcycles", "--group", missing,
@@ -595,6 +644,20 @@ def test_single_map_audit_with_a_campaign_flag_is_a_usage_error(
                    "an audit of --complex and --map\n")
     assert out == (f"config: audit wcycles complex={missing} format=text "
                    f"group={missing} map={missing}\n")
+
+
+def test_a_text_campaign_honours_out(group_file, capsys, tmp_path):
+    # the suite lines once went to stdout, no file was written, and the
+    # run exited 0
+    argv = ["audit", "wcycles", "--group", group_file, "--trials", "5"]
+    code, printed, _ = run(capsys, argv)
+    out_path = tmp_path / "o.txt"
+    config, *report = printed.splitlines(keepends=True)
+    assert run(capsys, argv + ["--out", str(out_path)])[:2] == (code, config)
+    assert code == 0
+    assert out_path.read_text() == "".join(report)
+    assert report[:3] == ["suite covers: 5/5\n", "suite fold: 5/5\n",
+                          "suite wcycles: 5/5\n"]
 
 
 def test_audit_campaign_csv_deterministic(group_file, capsys):
@@ -712,7 +775,7 @@ def test_negative_stage_budget_is_a_usage_error(group_file, capsys):
             "--gens", "b ; a a ; a b a~"]
     code, out, err = run(capsys, argv + ["--max-stages", "-1"])
     assert code == 2
-    assert err == "error: --max-stages must be at least 0\n"
+    assert err == "error: --max-stages must be at least 0, got -1\n"
     assert out.startswith("config:") and out.count("\n") == 1
     code, _, _ = run(capsys, argv + ["--max-stages", "0"])
     assert code == 3

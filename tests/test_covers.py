@@ -747,7 +747,7 @@ def test_cyclic_phase_finds_the_parents_quotients():
         least = next((m for m in range(n, max_degree + 1, n)
                       if next(unwrapping_actions(x, m), None)), None)
         if max_degree < 1:
-            want = ("ValueError",
+            want = ("ArgumentError",
                     f"max_degree must be at least 1, got {max_degree}")
         elif least is None:
             want = ("BudgetExhaustedError", f"no exponent-{n} quotient of"
@@ -768,8 +768,9 @@ def test_cyclic_phase_finds_the_parents_quotients():
                     "cyclic" + (", n = 1" if n == 1 else ""))
         seen[kind] = seen.get(kind, 0) + 1
     assert sorted(seen) == [
-        "BudgetExhaustedError", "BudgetExhaustedError, max_degree < n",
-        "ValueError, max_degree < n", "cyclic", "cyclic, n = 1", "enumerated"]
+        "ArgumentError, max_degree < n", "BudgetExhaustedError",
+        "BudgetExhaustedError, max_degree < n", "cyclic", "cyclic, n = 1",
+        "enumerated"]
     assert min(seen.values()) >= 20, seen
 
 

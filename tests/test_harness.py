@@ -10,7 +10,7 @@ import orelco.covers as covers
 from orelco.covers import (FiniteQuotient, UnwrappingActionTree,
                            build_unwrapped_cover, find_exponent_n_quotient,
                            unwrapping_actions, validate_quotient)
-from orelco.errors import OrelcoError
+from orelco.errors import ArgumentError, OrelcoError
 import orelco.harness as harness
 from orelco.harness import (CSV_HEADER, CampaignConfig, GeneratorParams,
                             _generate_uncollapsed, _random_labeled_graph,
@@ -121,15 +121,17 @@ def test_the_generator_keeps_both_cells_of_the_degree_4_cover():
 
 
 @pytest.mark.parametrize("suites", [("nosuch",), ("wcycles", "cover"),
-                                    "fold"])
+                                    "fold", ()])
 def test_an_unknown_suite_is_refused_not_passed(suites):
-    # ("nosuch",) once ran nothing and reported {'nosuch': (0, 0)}, a pass;
-    # a bare string is read letter by letter, so it is refused too
-    bad = next(s for s in suites if s not in harness.SUITES)
+    # ("nosuch",) once ran nothing and reported {'nosuch': (0, 0)}, a pass,
+    # and () CampaignReport(rows=(), pass_counts={}); a bare string is read
+    # letter by letter, so it is refused too
     cfg = CampaignConfig(3, 3, GeneratorParams(4, W("a b"), 2), suites)
-    with pytest.raises(ValueError, match=f"^unknown suite '{bad}'; the suites"
-                                         f" are wcycles, fold, covers$"):
+    with pytest.raises(ArgumentError) as refused:
         run_property_campaign(cfg)
+    assert (refused.value.name, refused.value.rule) == (
+        "suites", "must name some of wcycles,fold,covers, "
+                  f"got {','.join(suites)!r}")
 
 
 @pytest.mark.parametrize("trials", [0, -5])

@@ -188,6 +188,42 @@ def test_only_words_refuses_a_letter():
     assert _where(None, _refuses_a_letter), "the rule has no home"
 
 
+def _is_number(node) -> bool:
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return False
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _bounds_a_flag(node) -> bool:
+    """A comparison of an ``args.<name>`` attribute with a number."""
+    sides = [node.left, *node.comparators] if isinstance(
+        node, ast.Compare) else []
+    return any(isinstance(side, ast.Attribute)
+               and getattr(side.value, "id", None) == "args"
+               for side in sides) and any(map(_is_number, sides))
+
+
+# the library arguments behind the CLI's bounded flags
+_BOUNDED = ("attach_probability", "max_degree", "max_stages", "max_word_len",
+            "seed", "suites", "trials", "vertex_budget")
+
+
+def test_only_the_library_states_an_argument_range():
+    # each range is one ArgumentError raise in the library, which the CLI
+    # reports under the flag's name; a bound of its own in cli.py was a
+    # second wording of the rule, and once drifted from it
+    found = [f"cli.py:{node.lineno}" for name, tree in _library()
+             if name == "cli.py" for node in ast.walk(tree)
+             if _bounds_a_flag(node)]
+    assert not found, found
+    homes = Counter(node.args[0].value for _, tree in _library()
+                    for node in ast.walk(tree) if _calls("ArgumentError")(node))
+    assert set(_BOUNDED) <= set(homes), "a rule has no home"
+    assert all(count == 1 for count in homes.values()), homes
+
+
 def test_no_library_module_calls_gcd():
     # covers.validate_quotient is the one home of the exponent-n rule; a gcd
     # of exponent sums would be a second derivation of it
