@@ -319,7 +319,7 @@ def test_collapse_x0_eats_cell():
     assert euler_characteristic(out, 2) == euler_characteristic(c, 2)
 
 
-def test_collapse_with_rewrites_follows_freed_faces():
+def test_collapse_carrying_follows_freed_faces():
     # b is free first; removing c0 frees a, whose arc then runs over c twice,
     # so a path over b is carried across a onto c, and b a reduces away
     g = Graph(vertices=frozenset({"v"}),

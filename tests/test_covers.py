@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -358,8 +359,12 @@ def test_find_quotient_refuses_an_empty_degree_budget():
                 find_exponent_n_quotient(x, max_degree, 7)
 
 
-RULE_GROUPS = (("a b", 2), ("a b a~ b~", 2), ("a b", 3), ("a a b", 2),
-               ("a b a b~", 3), ("a", 2))
+# the groups of the rule's corpus: branch index 1 lets a single point that no
+# generator moves pass the cycle check, so only the transitivity walk can
+# refuse it, and a lacks b, so the campaign's draw has no tree for it
+QUOTIENT_GROUPS = (("a b", 1), ("a b", 2), ("a b", 3), ("a", 2), ("a a b", 2),
+                   ("a a b b b", 2), ("a b a b~", 2), ("a b a b~", 3),
+                   ("a b a~ b~", 2))
 
 
 def _block_preserving(rng, blocks):
@@ -380,68 +385,52 @@ def _nonuniform_draw(rng, x):
         perms = {s: tuple(rng.sample(range(k), k)) for s in "ab"}
         lengths = {len(c) for c in oracles.relator_cycles(perms, k,
                                                           x.relator)}
-        if oracles.is_transitive(perms, k) and math.lcm(*lengths) == n \
-                and lengths != {n}:
+        if lengths != {n} and math.lcm(*lengths) == n \
+                and oracles.is_transitive(perms, k):
             return FiniteQuotient(k, perms)
     return None
 
 
-def _quotient_corpus(seed, count):
-    """(orbicomplex, quotient) pairs of every kind the rule must sort: random
-    permutations of degree 1-9, images that are not permutations, wrong
-    symbol sets, intransitive actions and order-n images whose cycles are
-    not all of length n."""
-    rng = random.Random(seed)
-    for i in range(count):
-        relator, n = RULE_GROUPS[i % len(RULE_GROUPS)]
-        x = make_x(relator, n)
-        kind = i // len(RULE_GROUPS) % 5
-        k = rng.choice((n, 2 * n, rng.randint(1, 9)))
+def _quotient_draws():
+    """3,000 seeded (orbicomplex, quotient) pairs of every shape the rule
+    sorts: random actions of degree 1-12 and n, 2n and 3n, wrong symbol
+    sets, images that are not permutations, actions that keep two blocks of
+    points (of any size, or each a multiple of n, so that some pass the
+    cycle check), transitive order-n images with a shorter cycle, degree 0
+    and the campaign's drawn unwrapping actions."""
+    rng = random.Random(5)
+    groups = [make_x(relator, n) for relator, n in QUOTIENT_GROUPS]
+    for i in range(3000):
+        x = groups[i % len(groups)]
+        n = x.branch_index
+        shape, q = rng.randrange(6), None
+        k = rng.choice((n, 2 * n, 3 * n, rng.randint(1, 12)))
         perms = {s: tuple(rng.sample(range(k), k)) for s in "ab"}
-        if kind == 1:
-            s = rng.choice("ab")
-            perms[s] = rng.choice((tuple(rng.choices(range(k), k=k)),
-                                   perms[s] + (k,), perms[s][1:]))
-        elif kind == 2:
+        if shape == 1:
             perms = rng.choice(({"a": perms["a"]},
                                 {**perms, "c": perms["a"]},
                                 {"a": perms["a"], "c": perms["b"]}))
-        elif kind == 3:
-            k = rng.randint(2, 9)
+        elif shape == 2:
+            s = rng.choice("ab")
+            perms[s] = rng.choice((tuple(rng.choices(range(k), k=k)),
+                                   perms[s] + (k,), perms[s][1:]))
+        elif shape == 3:
+            if rng.getrandbits(1):
+                k = rng.randint(2, 12)
+                cut = rng.randint(1, k - 1)
+            else:
+                cut = n * rng.randint(1, 2)
+                k = cut + n * rng.randint(1, 2)
             points = rng.sample(range(k), k)
-            cut = rng.randint(1, k - 1)
             blocks = (points[:cut], points[cut:])
             perms = {s: _block_preserving(rng, blocks) for s in "ab"}
-        elif kind == 4:
+        elif shape == 4 and n > 1:
             q = _nonuniform_draw(rng, x)
-            if q is not None:
-                yield x, q
-                continue
-        yield x, FiniteQuotient(k, perms)
-
-
-def test_validate_quotient_accepts_what_the_two_old_checks_accepted():
-    # the two checks, read from the oracle: a transitive action whose
-    # relator image has order n, and every cycle of that image of length n
-    tally = dict.fromkeys(("accepted", "symbols", "permutation",
-                           "transitive", "order", "nonuniform"), 0)
-    for x, q in _quotient_corpus(3, 600):
-        problems = validate_quotient(q, x)
-        assert problems == _oracle_problems(q, x), q
-        if sorted(q.perms) != sorted(x.gamma.edges):
-            kind = "symbols"
-        elif not oracles.is_action(q.perms, q.degree, x.gamma.edges):
-            kind = "permutation"
-        elif not oracles.is_transitive(q.perms, q.degree):
-            kind = "transitive"
-        else:
-            lengths = {len(c) for c in oracles.relator_cycles(
-                q.perms, q.degree, x.relator)}
-            kind = ("order" if math.lcm(*lengths) != x.branch_index else
-                    "nonuniform" if problems else "accepted")
-        tally[kind] += 1
-    # every kind of quotient is in the corpus, not just the easy ones
-    assert min(tally.values()) >= 20, tally
+        elif shape == 5 and rng.random() < 0.2:
+            k, perms = 0, {"a": (), "b": ()}
+        elif shape == 5 and x.relator != (A,):
+            q = draw_quotient(rng, x)
+        yield x, q or FiniteQuotient(k, perms)
 
 
 def _oracle_problems(q, x):
@@ -463,83 +452,86 @@ def _oracle_problems(q, x):
     return []
 
 
-def _rule_kind(problems, n):
-    if not problems:
-        return "valid"
-    for key, kind in (("rose symbols", "symbols"),
-                      ("not a permutation", "permutation"),
-                      ("degree must", "degree"), ("transitive", "transitive")):
-        if key in problems[0]:
-            return kind
-    order = int(problems[0].split("order ")[1].split(",")[0])
-    return "short" if order < n else "long"
+@pytest.fixture(scope="module")
+def quotient_draws():
+    """The seeded corpus as (orbicomplex, quotient, oracle problems)
+    triples, drawn once for the tests of the quotient rule."""
+    return [(x, q, _oracle_problems(q, x)) for x, q in _quotient_draws()]
 
 
-def _rule_corpus(seed, count):
-    """(orbicomplex, quotient) pairs of every shape the rule sorts: random
-    permutations of degree 1-9 and multiples of n, wrong symbol sets, images
-    that are not permutations, actions that keep two blocks of points (each
-    a multiple of n, so some pass the cycle check) and degree 0."""
-    rng = random.Random(seed)
-    # branch index 1 lets a single point that no generator moves pass the
-    # cycle check, so only the transitivity walk can refuse it
-    groups = RULE_GROUPS + (("a b", 1),)
-    for i in range(count):
-        relator, n = groups[i % len(groups)]
-        x = make_x(relator, n)
-        shape = rng.randrange(5)
-        k = rng.choice((n, 2 * n, 3 * n, rng.randint(1, 9)))
-        perms = {s: tuple(rng.sample(range(k), k)) for s in "ab"}
-        if shape == 1:
-            perms = rng.choice(({"a": perms["a"]},
-                                {**perms, "c": perms["a"]}))
-        elif shape == 2:
-            perms["b"] = rng.choice((tuple(rng.choices(range(k), k=k)),
-                                     perms["b"] + (k,), perms["b"][1:]))
-        elif shape == 3:
-            cut = n * rng.randint(1, 2)
-            k = cut + n * rng.randint(1, 2)
-            points = rng.sample(range(k), k)
-            blocks = (points[:cut], points[cut:])
-            perms = {s: _block_preserving(rng, blocks) for s in "ab"}
-        elif shape == 4 and rng.random() < 0.2:
-            k, perms = 0, {"a": (), "b": ()}
-        yield x, FiniteQuotient(k, perms)
-
-
-def test_one_walk_rule_gives_the_oracles_message_for_message():
-    tally = dict.fromkeys(("valid", "symbols", "permutation", "short", "long",
-                           "transitive", "degree"), 0)
-    for x, q in _rule_corpus(18, 2000):
-        want = _oracle_problems(q, x)
-        assert validate_quotient(q, x) == want, (q, x.relator)
-        tally[_rule_kind(want, x.branch_index)] += 1
-        if not want:
-            c = build_unwrapped_cover(x, q)
-            orbits = oracles.relator_cycles(q.perms, q.degree, x.relator)
-            assert c.families == {f"f{i}": orbit
-                                  for i, orbit in enumerate(orbits)}
+def test_validate_quotient_accepts_what_the_two_old_checks_accepted(
+        quotient_draws):
+    # the rule read from the oracle: a transitive action whose relator image
+    # has every cycle of length n, checked in validate_quotient's order
+    tally = collections.Counter()
+    for x, q, want in quotient_draws:
+        k, n = q.degree, x.branch_index
+        assert validate_quotient(q, x) == want, (q, x.relator, n)
+        tally.update({"accepted": not want, "n = 1": n == 1,
+                      "degree not a multiple of n": k % n != 0,
+                      "refused as intransitive":
+                          want == ["action is not transitive"]})
+        if sorted(q.perms) != sorted(x.gamma.edges):
+            tally["wrong symbols"] += 1
+        elif not oracles.is_action(q.perms, k, x.gamma.edges):
+            tally["not a permutation"] += 1
+        elif k == 0:
+            tally["degree 0"] += 1
         else:
+            cycles = oracles.relator_cycles(q.perms, k, x.relator)
+            lengths = {len(c) for c in cycles}
+            tally.update({
+                "refused at point 0": len(cycles[0]) != n,
+                "refused elsewhere": len(cycles[0]) == n and bool(want),
+                "short cycle": min(lengths) < n,
+                "long cycle": max(lengths) > n,
+                "order not n": math.lcm(*lengths) != n,
+                "order n, a shorter cycle": (math.lcm(*lengths) == n
+                                             and lengths != {n}),
+                "intransitive": not oracles.is_transitive(q.perms, k)})
+    # every kind of draw and verdict is in the corpus, not just the easy ones
+    assert len(tally) == 14 and min(tally.values()) >= 20, tally
+
+
+def test_one_walk_rule_gives_the_oracles_message_for_message(quotient_draws):
+    # build_unwrapped_cover refuses each refused quotient with the oracle's
+    # first problem
+    refused = 0
+    for x, q, want in quotient_draws:
+        if want:
+            refused += 1
             with pytest.raises(ValueError) as info:
                 build_unwrapped_cover(x, q)
-            assert str(info.value) == want[0]
-    # every kind of verdict is in the corpus, not just the easy ones
-    assert min(tally.values()) >= 20, tally
+            assert str(info.value) == want[0], (q, x.relator)
+    assert refused >= 2000
 
 
-def test_cover_families_are_the_old_orbit_walk():
-    pairs = [(x, q) for x, q in _quotient_corpus(3, 600)
-             if oracles.quotient_unwraps(q, x)]
-    rng = random.Random(4)
-    for relator, n in RULE_GROUPS[:3]:
-        x = make_x(relator, n)
-        pairs += [(x, draw_quotient(rng, x)) for _ in range(40)]
-    assert len(pairs) >= 140
-    for x, q in pairs:
-        c = build_unwrapped_cover(x, q)
-        orbits = oracles.relator_cycles(q.perms, q.degree, x.relator)
-        assert c.families == {f"f{i}": orbit for i, orbit in enumerate(orbits)}
-        assert list(c.families.values()) == orbits
+def test_cover_families_are_the_old_orbit_walk(quotient_draws):
+    # an accepted quotient's cover has the relator image's cycles for
+    # families, in order of least points
+    accepted = 0
+    for x, q, want in quotient_draws:
+        if not want:
+            accepted += 1
+            orbits = oracles.relator_cycles(q.perms, q.degree, x.relator)
+            assert list(build_unwrapped_cover(x, q).families.items()) == [
+                (f"f{i}", orbit) for i, orbit in enumerate(orbits)]
+    assert accepted >= 140
+
+
+def test_the_screen_refuses_only_what_the_exponent_rule_refuses(
+        quotient_draws):
+    # validate_quotient walks the cycle through point 0 first: an action
+    # whose cycle there is not of length n is refused naming that length
+    at_zero = 0
+    for x, q, want in quotient_draws:
+        k, n = q.degree, x.branch_index
+        if k and oracles.is_action(q.perms, k, x.gamma.edges):
+            zero = oracles.relator_cycles(q.perms, k, x.relator)[0]
+            if len(zero) != n:
+                at_zero += 1
+                assert want == _cycle_problem(len(zero), n), (q, x.relator)
+    assert at_zero >= 20
 
 
 def test_certificate_is_false_not_raised_for_other_symbols():
@@ -734,7 +726,7 @@ def _search_result(search, *args):
         return type(err).__name__, str(err)
 
 
-def test_cyclic_phase_finds_the_parents_quotients():
+def test_cyclic_phase_finds_the_first_unwrapping_shift_or_table():
     # the least degree at which the enumerator yields a table, and there the
     # first shift in product order that the oracle accepts, else the
     # enumerator's first table; else the same error
@@ -822,61 +814,9 @@ def test_validate_quotient_decides_the_shifts_then_the_tables(monkeypatch):
         assert from_tables == (word == "a b a~ b~"), (word, n, rose)
 
 
-SCREEN_GROUPS = (("a b", 2), ("a b a b~", 2), ("a b", 3), ("a a b b b", 2),
-                 ("a b a~ b~", 2))
-
-
-def _screen_draws(rng, count, n):
-    """(intransitive, degree, permutations): random permutations of degree
-    1-12, and intransitive actions that keep two blocks of points, each a
-    multiple of n in size, so that some of them pass the cycle rule."""
-    for _ in range(count):
-        if rng.random() < 0.3:
-            k = n * rng.randint(2, 12 // n)
-            points = rng.sample(range(k), k)
-            cut = n * rng.randint(1, k // n - 1)
-            blocks = (points[:cut], points[cut:])
-            yield True, k, {s: _block_preserving(rng, blocks) for s in "ab"}
-        else:
-            k = rng.randint(1, 12)
-            yield False, k, {s: tuple(rng.sample(range(k), k)) for s in "ab"}
-
-
-def test_the_screen_refuses_only_what_the_exponent_rule_refuses():
-    # validate_quotient walks the cycle through point 0 first: a draw whose
-    # cycle there is not of length n is refused naming that length, and the
-    # reference rule decides every draw
-    rng = random.Random(22)
-    for relator, n in SCREEN_GROUPS:
-        x = make_x(relator, n)
-        tally = {"accepted": 0, "refused at point 0": 0,
-                 "refused elsewhere": 0, "intransitive": 0,
-                 "degree not a multiple": 0}
-        for intransitive, k, perms in _screen_draws(rng, 2400, n):
-            q = FiniteQuotient(k, perms)
-            # the cycle through point 0, from the permutation of the word
-            zero = oracles.relator_cycles(perms, k, x.relator)[0]
-            problems = validate_quotient(q, x)
-            assert problems == _oracle_problems(q, x), (perms, relator)
-            if len(zero) != n:
-                tally["refused at point 0"] += 1
-                assert problems == [
-                    "exponent condition violated: relator image has a"
-                    f" cycle of order {len(zero)}, expected {n}"]
-            elif problems:
-                tally["refused elsewhere"] += 1
-            else:
-                tally["accepted"] += 1
-            tally["intransitive"] += intransitive
-            tally["degree not a multiple"] += k % n != 0
-        # accepted draws, draws refused at point 0's cycle and draws refused
-        # by a later check all occur, for every relator and kind of input
-        assert min(tally.values()) >= 20, (relator, tally)
-
-
 # (relator, n, length of the relator image's cycle through point 0, a, b):
 # lengths 1, n, n + 1 and 2n, over relators with inverse letters
-SCREEN_CASES = {
+POINT_0_CYCLE_CASES = {
     "aba-b n=2 len=1": ("a b a b~", 2, 1, (2, 1, 0), (2, 1, 0)),
     "aba-b n=2 len=2": ("a b a b~", 2, 2, (2, 1, 0, 3), (1, 2, 3, 0)),
     "aba-b n=2 len=3": ("a b a b~", 2, 3, (1, 2, 0), (2, 0, 1)),
@@ -902,10 +842,11 @@ SCREEN_CASES = {
 }
 
 
-@pytest.mark.parametrize("relator, n, length, a, b", SCREEN_CASES.values(),
-                         ids=SCREEN_CASES)
-def test_the_screen_passes_a_cycle_of_length_n_only(relator, n, length, a,
-                                                    b):
+@pytest.mark.parametrize("relator, n, length, a, b",
+                         POINT_0_CYCLE_CASES.values(),
+                         ids=POINT_0_CYCLE_CASES)
+def test_a_cycle_through_point_0_passes_at_length_n_only(relator, n, length,
+                                                         a, b):
     # validate_quotient walks the cycle through point 0 first: one shorter
     # or longer than n refuses the quotient, naming its length
     x = make_x(relator, n)
@@ -963,8 +904,10 @@ def test_verify_cover_names_each_doctored_fault(doctoring, witnesses):
     assert verify_cover(fake).witnesses == witnesses
 
 
-def _seeded_covers():
-    """Every cover this file builds from a seeded or worked quotient."""
+@pytest.fixture(scope="module")
+def seeded_covers(quotient_draws):
+    """Every cover this file builds from a worked, searched or seeded
+    quotient, built once for the tests that read them."""
     out = [build_unwrapped_cover(make_x("a b", 2), Q_AB2),
            build_unwrapped_cover(make_x("a", 3), FiniteQuotient(
                3, {"a": (1, 2, 0), "b": (0, 1, 2)}))]
@@ -974,15 +917,8 @@ def _seeded_covers():
         x = make_x(relator, n)
         out.append(build_unwrapped_cover(
             x, find_exponent_n_quotient(x, max_degree, seed)))
-    out += [build_unwrapped_cover(x, q) for x, q in _quotient_corpus(3, 600)
-            if oracles.quotient_unwraps(q, x)]
-    out += [build_unwrapped_cover(x, q) for x, q in _rule_corpus(18, 2000)
-            if not validate_quotient(q, x)]
-    rng = random.Random(4)
-    for relator, n in RULE_GROUPS[:3]:
-        x = make_x(relator, n)
-        out += [build_unwrapped_cover(x, draw_quotient(rng, x))
-                for _ in range(40)]
+    out += [build_unwrapped_cover(x, q) for x, q, want in quotient_draws
+            if not want]
     return out
 
 
@@ -1011,14 +947,14 @@ def _doctored(c, rng):
     yield "graph only", remap(bare, families={})
 
 
-def test_one_pass_cover_audit_names_the_faults_of_every_doctored_cover():
+def test_one_pass_cover_audit_names_the_faults_of_every_doctored_cover(
+        seeded_covers):
     # every seeded cover passes with chi = k(1 - r + 1/n), r the rose's
     # loops; each doctored kind draws the same kinds of witness from every
     # cover, named by their first words, and a cover of graphs alone passes
-    seeded = _seeded_covers()
-    assert len(seeded) >= 250
+    assert len(seeded_covers) >= 250
     rng = random.Random(22)
-    for c in seeded:
+    for c in seeded_covers:
         x, k = c.orbicomplex, c.quotient.degree
         report = verify_cover(c)
         assert report.passed
@@ -1033,23 +969,24 @@ def test_one_pass_cover_audit_names_the_faults_of_every_doctored_cover():
                          "graph only": []}
 
 
-def test_the_cover_records_keep_one_fact_per_field():
+def test_the_cover_records_keep_one_fact_per_field(seeded_covers):
     # the map is read by labels and the verdict from the witnesses
     assert UnwrappedCover._fields == ("cover", "families", "quotient",
                                       "orbicomplex")
     assert covers.CoverReport._fields == ("witnesses", "euler")
-    for c in _seeded_covers():
+    for c in seeded_covers:
         assert c.covering_map == by_labels(c.cover, c.orbicomplex)
         report = verify_cover(c)
         assert report.passed == (not report.witnesses)
 
 
-def test_every_seeded_cover_is_an_equality_case_within_the_cell_bound():
+def test_every_seeded_cover_is_an_equality_case_within_the_cell_bound(
+        seeded_covers):
     # over a rank-2 rose an unwrapped cover with n >= 2 makes the w-cycles
     # inequality an equality, and the cell bound (n-1)|cells| <= g-1 that
     # the audit implies holds, g the rank of the cover's graph
     checked = 0
-    for c in _seeded_covers():
+    for c in seeded_covers:
         assert verify_cover(c).passed
         n = c.orbicomplex.branch_index
         if n < 2:

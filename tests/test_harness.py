@@ -357,21 +357,29 @@ def test_a_cover_with_witnesses_is_a_cover_violation_naming_them(
         f" reproduce with trial seed {trial_seed(5, 0)}")
 
 
-def test_the_covers_trees_are_kept_per_params(monkeypatch):
-    # every trial, and a second campaign over the same parameters, draws
-    # from the two trees kept on the parameters, and draws as from new ones
-    built, drawn = [], []
-
-    def counted(x, d):
-        built.append(d)
-        return UnwrappingActionTree(x, d)
+def _record_drawn_quotients(monkeypatch):
+    """The list of quotients that the covers trials hand to
+    ``build_unwrapped_cover``, filled in order as the trials run."""
+    drawn = []
 
     def recorded(x, q):
         drawn.append(q)
         return build_unwrapped_cover(x, q)
 
-    monkeypatch.setattr(harness, "UnwrappingActionTree", counted)
     monkeypatch.setattr(harness, "build_unwrapped_cover", recorded)
+    return drawn
+
+
+def test_the_covers_trees_are_kept_per_params(monkeypatch):
+    # every trial, and a second campaign over the same parameters, draws
+    # from the two trees kept on the parameters, and draws as from new ones
+    built, drawn = [], _record_drawn_quotients(monkeypatch)
+
+    def counted(x, d):
+        built.append(d)
+        return UnwrappingActionTree(x, d)
+
+    monkeypatch.setattr(harness, "UnwrappingActionTree", counted)
     params = GeneratorParams(3, W("a b"), 3)
     for seed in (1, 2, 1):
         cfg = CampaignConfig(seed, 30, params, suites=("covers",))
@@ -388,13 +396,7 @@ def test_covers_trials_on_larger_groups_list_no_table(monkeypatch, relator,
     # degree 6; a draw expands about a hundred entries at most, so a budget
     # of 1000 per draw passes and listing the tables would not
     monkeypatch.setattr(covers, "SEARCH_NODE_BUDGET", 1000)
-    drawn = []
-
-    def recorded(x, q):
-        drawn.append(q)
-        return build_unwrapped_cover(x, q)
-
-    monkeypatch.setattr(harness, "build_unwrapped_cover", recorded)
+    drawn = _record_drawn_quotients(monkeypatch)
     params = GeneratorParams(3, W(relator), n)
     start = time.perf_counter()
     cfg = CampaignConfig(8, 100, params, suites=("covers",))
@@ -412,13 +414,7 @@ def test_covers_trials_on_larger_groups_list_no_table(monkeypatch, relator,
 def test_covers_trials_draw_enumerated_tables(monkeypatch, relator, n):
     # each draw is a table of degree n or 2n; every table-bearing degree is
     # drawn, and more than one table of it wherever it has more than one
-    drawn = []
-
-    def recorded(x, q):
-        drawn.append(q)
-        return build_unwrapped_cover(x, q)
-
-    monkeypatch.setattr(harness, "build_unwrapped_cover", recorded)
+    drawn = _record_drawn_quotients(monkeypatch)
     params = GeneratorParams(3, W(relator), n)
     x = params.orbicomplex
     cfg = CampaignConfig(8, 200, params, suites=("covers",))
@@ -436,13 +432,7 @@ def test_covers_trials_draw_enumerated_tables(monkeypatch, relator, n):
 
 def test_random_uniform_quotients_validate_and_vary(monkeypatch):
     # the quotients that the covers suite draws on ab/2
-    drawn = []
-
-    def recorded(x, q):
-        drawn.append(q)
-        return build_unwrapped_cover(x, q)
-
-    monkeypatch.setattr(harness, "build_unwrapped_cover", recorded)
+    drawn = _record_drawn_quotients(monkeypatch)
     params = GeneratorParams(99, W("a b"), 2)
     x = params.orbicomplex
     cfg = CampaignConfig(99, 60, params, suites=("covers",))
@@ -527,7 +517,7 @@ DRAWN_GRAPHS_DIGEST = (
     "c7abd3e365e2aac7136e3d4d6ffcc2ddb47672eb1b67a667c51b3265105d3259")
 
 
-def test_the_drawn_graph_is_the_component_of_u0_as_before():
+def test_the_drawn_graph_is_the_pinned_component_of_u0():
     digest = hashlib.sha256()
     sizes = set()
     for seed in range(400):

@@ -908,7 +908,7 @@ def test_bijection_needs_a_one_to_one_map():
 # collapse carrying paths
 
 
-def test_collapse_with_rewrites_matches_plain_collapse(cover):
+def test_collapse_carrying_matches_plain_collapse(cover):
     c = cover.cover
     removed = set(c.skeleton.edges) - set(collapse(c).skeleton.edges)
     assert len(removed) == 1

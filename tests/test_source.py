@@ -336,26 +336,47 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 ACCEPTANCE = Path(__file__).resolve().with_name("test_acceptance.py")
 
 
-def test_every_library_function_has_a_caller():
-    # a module-level function that nothing names outside its own def is dead
-    bench = sorted(PERFBENCH.glob("*.py"))
-    assert bench, f"no modules under {PERFBENCH}"
-    library = list(_library())
+def _unnamed(modules, trees, spared, params=False):
+    """``module:function`` of each module-level function of ``modules``,
+    (file name, tree) pairs, that ``spared`` does not spare and that no
+    top-level statement of ``trees`` names outside its own def; with
+    ``params`` a parameter names the function of its name too, as a test
+    names a pytest fixture."""
     named_in = defaultdict(set)     # name -> the top-level statements naming it
-    for tree in [t for _, t in library] + [ast.parse(p.read_text(), str(p))
-                                           for p in bench]:
+    for tree in trees:
         for stmt in tree.body:
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):
                     named_in[node.id].add(stmt)
                 elif isinstance(node, ast.Attribute):
                     named_in[node.attr].add(stmt)
-    dead = [f"{module}:{stmt.name}" for module, tree in library
+                elif params and isinstance(node, ast.arg):
+                    named_in[node.arg].add(stmt)
+    return [f"{module}:{stmt.name}" for module, tree in modules
             for stmt in tree.body
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and not stmt.name.startswith("__")
-            and stmt.name not in orelco.__all__
-            and not named_in[stmt.name] - {stmt}]
+            and not spared(stmt.name) and not named_in[stmt.name] - {stmt}]
+
+
+def test_every_library_function_has_a_caller():
+    # a module-level function that nothing names outside its own def is dead
+    bench = sorted(PERFBENCH.glob("*.py"))
+    assert bench, f"no modules under {PERFBENCH}"
+    library = list(_library())
+    trees = [t for _, t in library] + [ast.parse(p.read_text(), str(p))
+                                       for p in bench]
+    dead = _unnamed(library, trees, lambda name: name.startswith("__")
+                    or name in orelco.__all__)
+    assert not dead, dead
+
+
+def test_every_test_helper_has_a_caller():
+    # the same rule for the tests: a module-level function of tests/*.py
+    # other than a test that no other statement or parameter names is dead
+    paths = sorted(Path(__file__).parent.glob("*.py"))
+    tests = [(p.name, ast.parse(p.read_text(), str(p))) for p in paths]
+    dead = _unnamed(tests, [t for _, t in tests],
+                    lambda name: name.startswith("test_"), params=True)
     assert not dead, dead
 
 
