@@ -103,7 +103,7 @@ def _cmd_cover_build(args) -> int:
     _echo("cover build", group=args.group, max_degree=args.max_degree,
           seed=args.seed)
     x = _load(parse_orbicomplex, args.group)
-    q = find_exponent_n_quotient(x, args.max_degree, args.seed)
+    q = find_exponent_n_quotient(x, args.max_degree)
     cover = build_unwrapped_cover(x, q)
     report = verify_cover(cover)
     print(format_quotient(q), end="")
@@ -130,8 +130,7 @@ def _cmd_subgroup_present(args) -> int:
     gens = [g for g in gens if g]
     pres, report = present_subgroup(
         gens, x, max_degree=args.max_degree,
-        max_word_len=args.max_word_len, max_stages=args.max_stages,
-        seed=args.seed)
+        max_word_len=args.max_word_len, max_stages=args.max_stages)
     for note in pres.notes:
         print(f"note: {note}")
     if args.format == "csv":

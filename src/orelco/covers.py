@@ -169,9 +169,11 @@ class UnwrappingActionTree:
         symbols, where the points for entry ``pos`` are tried in increasing
         cyclic order from the key's ``pos``-th 16-bit field, modulo their
         number.  A walk spends ``SEARCH_NODE_BUDGET`` entries at most, none
-        on nodes kept, then raises ``BudgetExhaustedError``.  It resets the
-        tree's one table and budget: a walk left suspended must never be
-        resumed once a later walk of the same tree starts."""
+        on nodes kept, and raises ``BudgetExhaustedError`` past them or past
+        the interpreter's recursion limit.  The call, not the first
+        ``next``, resets the tree's one table and budget: a walk left
+        suspended must never be resumed once a later walk of the same tree
+        starts."""
         self._table = table = [-1] * (self.degree * self._width)
         self._budget = iter(range(SEARCH_NODE_BUDGET))
         mask = (1 << _ORDER_BITS) - 1
@@ -209,9 +211,17 @@ class UnwrappingActionTree:
                 table[pos] = table[opposite] = -1
             return children.count(_NO_TABLE) < k
 
+        def walk_within_limit(root):
+            try:
+                yield from walk(root)
+            except RecursionError:
+                raise BudgetExhaustedError(
+                    "search nests past the recursion limit"
+                    f" at degree {self.degree}") from None
+
         if self._root is None:
             self._root = self._expand(0, 1)
-        return walk(self._root)
+        return walk_within_limit(self._root)
 
     def draw(self, rng) -> dict[str, Perm] | None:
         """The first table of ``tables`` for the key of one
@@ -296,8 +306,8 @@ def unwrapping_actions(x: OneRelatorOrbicomplex, degree: int):
     {0..degree-1} in which every cycle of the relator image has length n,
     once each: the walk of a new ``UnwrappingActionTree`` in increasing
     order.  Raises ``ValueError`` at once for a degree below 1, and
-    ``BudgetExhaustedError`` after ``SEARCH_NODE_BUDGET`` entries are
-    tried."""
+    ``BudgetExhaustedError`` naming the degree when the walk tries
+    ``SEARCH_NODE_BUDGET`` entries or nests past the recursion limit."""
     return UnwrappingActionTree(x, degree).tables(0)
 
 
@@ -307,14 +317,14 @@ def _check_max_degree(max_degree: int) -> None:
                             f"must be at least 1, got {max_degree}")
 
 
-def find_exponent_n_quotient(x: OneRelatorOrbicomplex, max_degree: int,
-                             seed: int) -> FiniteQuotient:
+def find_exponent_n_quotient(x: OneRelatorOrbicomplex,
+                             max_degree: int) -> FiniteQuotient:
     """The first candidate of the least degree that ``validate_quotient``
     accepts: for each multiple m of n up to ``max_degree``, the cyclic
     quotients Z/m (each letter a shift) in product order, then
-    ``unwrapping_actions(x, m)``.  ``seed`` is ignored.  Raises
-    ``BudgetExhaustedError`` when no degree up to ``max_degree`` has one, or
-    when the enumerator's node budget runs out, naming the degree."""
+    ``unwrapping_actions(x, m)``.  Raises ``BudgetExhaustedError`` when no
+    degree up to ``max_degree`` has one, or as ``unwrapping_actions``
+    does, naming the degree."""
     _check_max_degree(max_degree)
     symbols = x._rose_symbols
     n = x.branch_index

@@ -61,14 +61,15 @@ def is_transitive(perms, degree):
     backwards, reaches every point; an action on no points is not."""
     if degree < 1:
         return False
+    both_ways = [*perms.values(), *map(inverse, perms.values())]
     reached, frontier = {0}, [0]
     while frontier:
         point = frontier.pop()
-        for p in perms.values():
-            for image in (p[point], inverse(p)[point]):
-                if image not in reached:
-                    reached.add(image)
-                    frontier.append(image)
+        for p in both_ways:
+            image = p[point]
+            if image not in reached:
+                reached.add(image)
+                frontier.append(image)
     return len(reached) == degree
 
 

@@ -159,7 +159,7 @@ def _random_word(rng, length):
 def test_dehn_corpus_2000_words():
     start = time.monotonic()
     x = _orbi(AB2, 2)
-    q = find_exponent_n_quotient(x, 8, 0)
+    q = find_exponent_n_quotient(x, 8)
     assert validate_quotient(q, x) == []
     power = AB2 * 2
     rng = random.Random(71)

@@ -152,7 +152,7 @@ def test_cover_build_round_trip_matches_library(group_file, capsys, tmp_path):
     assert code == 0
     x = __import__("orelco.textio", fromlist=["parse_orbicomplex"]) \
         .parse_orbicomplex(GROUP)
-    q = find_exponent_n_quotient(x, 8, 0)
+    q = find_exponent_n_quotient(x, 8)
     expected = format_cover(build_unwrapped_cover(x, q))
     assert out_path.read_text() == expected
 
@@ -350,7 +350,7 @@ def _cover_and_a_vertex() -> str:
     """The degree-4 cover that ``cover build`` writes over (abab~)^2, with
     one isolated vertex more."""
     x = parse_orbicomplex(ABAB2)
-    cover = build_unwrapped_cover(x, find_exponent_n_quotient(x, 8, 0)).cover
+    cover = build_unwrapped_cover(x, find_exponent_n_quotient(x, 8)).cover
     return format_complex(cover) + "vertex lonely\n"
 
 
@@ -528,6 +528,21 @@ def test_a_spent_search_budget_in_the_covers_suite_exits_3(group_file, capsys,
     assert code == 3
     assert err == "error: search node budget of 1 exhausted at degree 2\n"
     assert "suite covers" not in out
+
+
+def test_a_covers_search_past_the_recursion_limit_exits_3(tmp_path, capsys):
+    # a b/500 draws at degree 500, whose table nests deeper than the
+    # interpreter allows; it once escaped as a RecursionError traceback
+    group = tmp_path / "g.txt"
+    group.write_text(GROUP.replace("branch 2", "branch 500"))
+    code, out, err = run(capsys, ["audit", "wcycles", "--group", str(group),
+                                  "--trials", "1", "--suites", "covers"])
+    assert code == 3
+    assert out.splitlines() == [
+        f"config: audit wcycles attach_prob=0.5 group={group} seed=0"
+        " suites=covers trials=1 vertex_budget=6"]
+    assert err == ("error: search nests past the recursion limit at"
+                   " degree 500\n")
 
 
 PRESENT = ["subgroup", "present", "--gens", "b ; a a"]

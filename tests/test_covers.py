@@ -80,10 +80,10 @@ def test_act_refuses_a_point_outside_the_action(point, sign):
 
 
 def test_find_quotient_worked_examples():
-    q = find_exponent_n_quotient(make_x("a b", 2), 8, 7)
+    q = find_exponent_n_quotient(make_x("a b", 2), 8)
     assert q.degree == 2
     assert q.perms == {"a": (1, 0), "b": (0, 1)}
-    q2 = find_exponent_n_quotient(make_x("a", 3), 9, 7)
+    q2 = find_exponent_n_quotient(make_x("a", 3), 9)
     assert q2.degree == 3
     assert q2.perms == {"a": (1, 2, 0), "b": (0, 1, 2)}
 
@@ -96,7 +96,7 @@ def test_cover_invariants_raise_typed_errors(monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(covers, "validate_quotient", lambda q, x: ["broken"])
         with pytest.raises(BudgetExhaustedError):
-            find_exponent_n_quotient(x, 8, 7)
+            find_exponent_n_quotient(x, 8)
     with monkeypatch.context() as mp:
         mp.setattr(Graph, "read", lambda g, word, start: ((), start + "'"))
         with pytest.raises(InvariantError, match="failed to close"):
@@ -108,19 +108,20 @@ def test_find_quotient_budget_error(monkeypatch):
     for word, max_degree in (("a b", 1), ("a b a b~", 2)):
         with pytest.raises(BudgetExhaustedError, match=(
                 f"^no exponent-2 quotient of degree <= {max_degree} exists$")):
-            find_exponent_n_quotient(make_x(word, 2), max_degree, 7)
+            find_exponent_n_quotient(make_x(word, 2), max_degree)
     monkeypatch.setattr(covers, "SEARCH_NODE_BUDGET", 5)
     with pytest.raises(BudgetExhaustedError, match=(
             "^search node budget of 5 exhausted at degree 2$")):
-        find_exponent_n_quotient(make_x("a b a~ b~", 2), 8, 7)
+        find_exponent_n_quotient(make_x("a b a~ b~", 2), 8)
 
 
-def test_find_quotient_ignores_the_seed():
-    # the commutator has zero exponent sums, so no cyclic quotient can work
-    x = make_x("a b a~ b~", 2)
-    q = find_exponent_n_quotient(x, 12, 11)
-    assert q.degree == 4 and oracles.quotient_unwraps(q, x)
-    assert all(find_exponent_n_quotient(x, 12, s) == q for s in (0, 7, -3))
+def test_a_search_nesting_past_the_recursion_limit_spends_its_budget():
+    # the walk recurses once per entry it chooses, each setting two of the
+    # table's 2,000 entries, and so nests past the default limit: the same
+    # typed error as a spent node budget, not a RecursionError
+    with pytest.raises(BudgetExhaustedError, match=(
+            "^search nests past the recursion limit at degree 500$")):
+        next(unwrapping_actions(make_x("a b", 250), 500))
 
 
 # (relator, n, rose): the degree and the letters' permutations of the
@@ -145,7 +146,7 @@ PINNED_QUOTIENTS = {
 def test_the_search_returns_the_pinned_quotient(group, want):
     word, n, rose = group
     x = build_orbicomplex(Graph.rose(list(rose)), parse_word(word), n)
-    assert find_exponent_n_quotient(x, 12, 0) == FiniteQuotient(*want)
+    assert find_exponent_n_quotient(x, 12) == FiniteQuotient(*want)
 
 
 # (relator, n): the number of unwrapping actions of each degree
@@ -300,7 +301,7 @@ NON_CYCLIC_DEGREE_3 = ("a a b~ b~ b~ a", "a~ a~ b a~ a~ b~ a~ a~",
 
 @pytest.mark.parametrize("relator", NON_CYCLIC_DEGREE_3)
 def test_find_quotient_returns_the_least_degree(relator):
-    assert find_exponent_n_quotient(make_x(relator, 3), 12, 0).degree == 3
+    assert find_exponent_n_quotient(make_x(relator, 3), 12).degree == 3
 
 
 def _cycle_problem(length, n):
@@ -356,7 +357,7 @@ def test_find_quotient_refuses_an_empty_degree_budget():
     for x in (make_x("a b", 1), make_x("a b", 2)):
         for max_degree in (0, -3):
             with pytest.raises(ValueError, match="max_degree must be at least 1"):
-                find_exponent_n_quotient(x, max_degree, 7)
+                find_exponent_n_quotient(x, max_degree)
 
 
 # the groups of the rule's corpus: branch index 1 lets a single point that no
@@ -610,7 +611,7 @@ def test_build_second_cover():
 
 def test_build_degenerate_unwrap():
     x = make_x("a b", 1)
-    q = find_exponent_n_quotient(x, 4, 0)
+    q = find_exponent_n_quotient(x, 4)
     assert q.degree == 1
     c = build_unwrapped_cover(x, q)
     assert len(c.cover.skeleton.vertices) == 1
@@ -735,7 +736,7 @@ def test_cyclic_phase_finds_the_first_unwrapping_shift_or_table():
             CYCLIC_GRID_RELATORS, (1, 2, 3, 4), ("ab", "abc"),
             (0, 1, 2, 3, 4, 6, 8, 12)):
         x = build_orbicomplex(Graph.rose(list(rose)), parse_word(word), n)
-        got = _search_result(find_exponent_n_quotient, x, max_degree, 7)
+        got = _search_result(find_exponent_n_quotient, x, max_degree)
         least = next((m for m in range(n, max_degree + 1, n)
                       if next(unwrapping_actions(x, m), None)), None)
         if max_degree < 1:
@@ -780,7 +781,7 @@ def test_each_cyclic_quotient_is_one_of_the_enumerators_tables():
                 if not validate_quotient(FiniteQuotient(m, perms), x):
                     assert oracles.standard_table(perms) in tables, perms
                     cyclic.append(perms)
-        q = find_exponent_n_quotient(x, 8, 0)
+        q = find_exponent_n_quotient(x, 8)
         assert q.perms == cyclic[0]
         first = next(unwrapping_actions(x, q.degree))
         assert oracles.standard_table(q.perms) != first
@@ -803,7 +804,7 @@ def test_validate_quotient_decides_the_shifts_then_the_tables(monkeypatch):
                           ("a b a~ b~", 2, "abc")):
         x = build_orbicomplex(Graph.rose(list(rose)), parse_word(word), n)
         received.clear()
-        q = find_exponent_n_quotient(x, 12, 0)
+        q = find_exponent_n_quotient(x, 12)
         candidates = (FiniteQuotient(m, perms) for m in range(n, 13, n)
                       for perms in itertools.chain(_shifts(x, m),
                                                    unwrapping_actions(x, m)))
@@ -911,12 +912,11 @@ def seeded_covers(quotient_draws):
     out = [build_unwrapped_cover(make_x("a b", 2), Q_AB2),
            build_unwrapped_cover(make_x("a", 3), FiniteQuotient(
                3, {"a": (1, 2, 0), "b": (0, 1, 2)}))]
-    for relator, n, max_degree, seed in (("a b", 1, 4, 0),
-                                         ("a b a~ b~", 2, 12, 11),
-                                         ("a b", 2, 8, 7), ("a", 3, 9, 7)):
+    for relator, n, max_degree in (("a b", 1, 4), ("a b a~ b~", 2, 12),
+                                   ("a b", 2, 8), ("a", 3, 9)):
         x = make_x(relator, n)
         out.append(build_unwrapped_cover(
-            x, find_exponent_n_quotient(x, max_degree, seed)))
+            x, find_exponent_n_quotient(x, max_degree)))
     out += [build_unwrapped_cover(x, q) for x, q, want in quotient_draws
             if not want]
     return out

@@ -55,7 +55,7 @@ def test_uncollapsed_draw_matches_the_worked_cover():
 
     x = params.orbicomplex
     assert m.target is x.presentation_complex
-    cover = build_unwrapped_cover(x, find_exponent_n_quotient(x, 4, 0)).cover
+    cover = build_unwrapped_cover(x, find_exponent_n_quotient(x, 4)).cover
     assert len(cover.skeleton.vertices) == len(y.skeleton.vertices)
     assert len(cover.skeleton.edges) == len(y.skeleton.edges)
     assert len(cover.cells) == len(y.cells)

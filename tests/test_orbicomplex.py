@@ -159,7 +159,7 @@ def tight_cover_of_abab2():
     """The degree-4 unwrapped cover of ``(abab~)^2`` that ``cover build``
     writes with its default budget and seed, mapped by labels."""
     x = build_orbicomplex(Graph.rose(["a", "b"]), (A, B, A, ("b", -1)), 2)
-    cover = build_unwrapped_cover(x, find_exponent_n_quotient(x, 8, 0)).cover
+    cover = build_unwrapped_cover(x, find_exponent_n_quotient(x, 8)).cover
     return by_labels(cover, x)
 
 
@@ -248,7 +248,7 @@ def _rotated(m, k):
 def test_the_target_cell_gives_the_relator_length_and_branch_index(relator, n):
     # |w| and n are read off the one cell w^n of the presentation complex
     x = build_orbicomplex(Graph.rose(["a", "b"]), W(relator), n)
-    cover = build_unwrapped_cover(x, find_exponent_n_quotient(x, 6, 0))
+    cover = build_unwrapped_cover(x, find_exponent_n_quotient(x, 6))
     maps = (presentation_complex(x)[1], cover.covering_map)
     assert tuple(map(_numbers, maps)) == SHAPES[relator, n]
     # side positions count modulo |w|: a rotation by |w| is the same map,

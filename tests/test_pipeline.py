@@ -46,7 +46,7 @@ def x():
 
 @pytest.fixture(scope="module")
 def cover(x):
-    q = find_exponent_n_quotient(x, 4, 0)
+    q = find_exponent_n_quotient(x, 4)
     return build_unwrapped_cover(x, q)
 
 
@@ -462,7 +462,7 @@ def test_candidate_word_reads_the_reduced_hop_product(word):
     # the word read from the base is the product of the generators' hops
     # with its backtracks cancelled, and its image in the cover spells it
     x = build_orbicomplex(Graph.rose("ab"), W("a b"), 2)
-    q = find_exponent_n_quotient(x, 4, 0)
+    q = find_exponent_n_quotient(x, 4)
     cover = build_unwrapped_cover(x, q)
     state = seed_immersion(STAB, cover)
     y = state.current
@@ -495,7 +495,7 @@ def test_refine_refuses_a_word_that_does_not_close(cover):
 @functools.lru_cache(maxsize=None)
 def screen_cover(relator, n):
     x = build_orbicomplex(Graph.rose("ab"), W(relator), n)
-    return x, build_unwrapped_cover(x, find_exponent_n_quotient(x, 8, 0))
+    return x, build_unwrapped_cover(x, find_exponent_n_quotient(x, 8))
 
 
 SCREEN_GROUPS = [("a b", 2), ("a b a b~", 2), ("a b", 3)]
@@ -855,7 +855,7 @@ def test_a_cell_boundary_glues_to_an_unchanged_stage():
     # each boundary word of the cover's cells, read from the base in either
     # direction, glues one cell that fold merges into the cell it bounds
     x = build_orbicomplex(Graph.rose("ab"), W("a b a b~"), 2)
-    cover = build_unwrapped_cover(x, find_exponent_n_quotient(x, 4, 0))
+    cover = build_unwrapped_cover(x, find_exponent_n_quotient(x, 4))
     c = cover.cover
     assert (len(c.skeleton.vertices), len(c.skeleton.edges), len(c.cells)) \
         == (4, 8, 2)
@@ -878,7 +878,7 @@ def test_a_glued_cell_on_the_same_skeleton_is_a_change():
     # the chain map of the cover's 1-skeleton is a bijection on vertices
     # and edges; only the cells tell the stages apart
     x = build_orbicomplex(Graph.rose("ab"), W("a a b b b"), 2)
-    cover = build_unwrapped_cover(x, find_exponent_n_quotient(x, 4, 0))
+    cover = build_unwrapped_cover(x, find_exponent_n_quotient(x, 4))
     c = cover.cover
     path = next(iter(c.cells.values()))
     r = next(r for r, d in enumerate(path)

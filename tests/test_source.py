@@ -370,6 +370,39 @@ def test_every_library_function_has_a_caller():
     assert not dead, dead
 
 
+# (module, function, parameter): the unread parameters the library keeps.
+# present_subgroup's seed is passed by the benchmark workloads and the
+# acceptance suite, so its signature keeps the keyword.
+_UNREAD_KEPT = {("pipeline.py", "present_subgroup", "seed")}
+
+
+def _unread_params(fn, is_method):
+    """Each parameter of ``fn`` that no name in its body reads, nested
+    functions included; a method's receiver is not an input."""
+    args = fn.args
+    params = [a.arg for a in (*args.posonlyargs, *args.args,
+                              *args.kwonlyargs, args.vararg, args.kwarg)
+              if a is not None]
+    named = {node.id for stmt in fn.body for node in ast.walk(stmt)
+             if isinstance(node, ast.Name)}
+    return [p for p in params[is_method:] if p not in named]
+
+
+def test_no_library_function_takes_a_parameter_it_never_reads():
+    # the quotient search once took a seed that it never read: an input
+    # that changes nothing is a knob that suggests it does
+    found = set()
+    for module, tree in _library():
+        methods = {fn for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for fn in cls.body if isinstance(fn, ast.FunctionDef)
+                   and "staticmethod" not in map(_named, fn.decorator_list)}
+        found |= {(module, fn.name, p) for fn in ast.walk(tree)
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for p in _unread_params(fn, fn in methods)}
+    assert sorted(found - _UNREAD_KEPT) == [], found
+    assert found >= _UNREAD_KEPT, "an exemption names a parameter it reads"
+
+
 def test_every_test_helper_has_a_caller():
     # the same rule for the tests: a module-level function of tests/*.py
     # other than a test that no other statement or parameter names is dead

@@ -239,7 +239,7 @@ def test_orbi_morphism_reads_literal_text():
 
 def test_a_label_map_file_parses_to_the_map_by_labels():
     x = build_orbicomplex(Graph.rose("ab"), W("a b"), 2)
-    y = build_unwrapped_cover(x, find_exponent_n_quotient(x, 4, 0)).cover
+    y = build_unwrapped_cover(x, find_exponent_n_quotient(x, 4)).cover
     text = ("".join(f"vmap {v} *\n" for v in sorted(y.skeleton.vertices))
             + "".join(f"emap {e} {rec.label}\n"
                       for e, rec in sorted(y.skeleton.edges.items()))
@@ -253,7 +253,7 @@ def test_orbi_morphism_parser_refuses_the_disk_name():
     # the file names the orbicell w; d0 is only the presentation complex's
     # name for its disk
     x = build_orbicomplex(Graph.rose("ab"), W("a b"), 2)
-    y = build_unwrapped_cover(x, find_exponent_n_quotient(x, 4, 0)).cover
+    y = build_unwrapped_cover(x, find_exponent_n_quotient(x, 4)).cover
     with pytest.raises(ValueError) as err:
         parse_orbi_morphism("cmap f0 d0 rot=0 orient=+\n", y, x)
     assert str(err.value) == "cmap f0: the orbicell is named 'w', got 'd0'"
@@ -261,7 +261,7 @@ def test_orbi_morphism_parser_refuses_the_disk_name():
 
 def test_orbi_morphism_parser_rejects_other_cell_names():
     x = build_orbicomplex(Graph.rose("ab"), W("a b"), 2)
-    c = build_unwrapped_cover(x, find_exponent_n_quotient(x, 4, 0)).cover
+    c = build_unwrapped_cover(x, find_exponent_n_quotient(x, 4)).cover
     with pytest.raises(ValueError):
         parse_orbi_morphism("cmap c f rot=0 orient=+\n", c, x)
 
@@ -285,7 +285,7 @@ def test_quotient_text_is_pinned():
 
 def test_cover_file_round_trip():
     x = build_orbicomplex(Graph.rose("ab"), W("a b"), 2)
-    cover = build_unwrapped_cover(x, find_exponent_n_quotient(x, 4, 0))
+    cover = build_unwrapped_cover(x, find_exponent_n_quotient(x, 4))
     text = format_cover(cover)
     assert any(line.startswith("family f0 :") for line in text.splitlines())
     c, families = parse_cover_file(text)
@@ -326,7 +326,7 @@ def test_fold_trace_text_of_a_cell_merge():
 
 def test_audit_csv_schema():
     x = build_orbicomplex(Graph.rose("ab"), W("a b"), 2)
-    cover = build_unwrapped_cover(x, find_exponent_n_quotient(x, 4, 0))
+    cover = build_unwrapped_cover(x, find_exponent_n_quotient(x, 4))
     audit = wcycles_audit(cover.covering_map)
     text = audit_csv([("x0", audit)])
     lines = text.splitlines()

@@ -191,7 +191,7 @@ MALFORMED = {
 def entry_points():
     """Each library call that takes a word over the rose {a, b}."""
     x = make_x((A, B), 2)
-    cover = build_unwrapped_cover(x, find_exponent_n_quotient(x, 8, 0))
+    cover = build_unwrapped_cover(x, find_exponent_n_quotient(x, 8))
     return {
         "dehn_solve": lambda w: dehn_solve(w, x),
         "build_orbicomplex": lambda w: build_orbicomplex(x.gamma, w, 2),
