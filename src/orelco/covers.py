@@ -168,60 +168,65 @@ class UnwrappingActionTree:
         """Every table of the search once, as the permutations of the rose
         symbols, where the points for entry ``pos`` are tried in increasing
         cyclic order from the key's ``pos``-th 16-bit field, modulo their
-        number.  A walk spends ``SEARCH_NODE_BUDGET`` entries at most, none
-        on nodes kept, and raises ``BudgetExhaustedError`` past them or past
-        the interpreter's recursion limit.  The call, not the first
-        ``next``, resets the tree's one table and budget: a walk left
-        suspended must never be resumed once a later walk of the same tree
-        starts."""
+        number.  A walk holds its path itself and stops early only when it
+        spends ``SEARCH_NODE_BUDGET`` entries, none on nodes kept, raising
+        ``BudgetExhaustedError``.  The call, not the first ``next``, resets
+        the tree's one table and budget: a walk left suspended must never be
+        resumed once a later walk of the same tree starts."""
         self._table = table = [-1] * (self.degree * self._width)
         self._budget = iter(range(SEARCH_NODE_BUDGET))
         mask = (1 << _ORDER_BITS) - 1
 
         # a node is _TABLE, _NO_TABLE, or (pos, row, points, children), where
-        # a child not yet reached is None; the table is the node's.  A walk
-        # that ends returns whether it yielded a table.
-        def walk(node):
-            if node is _TABLE:
-                yield self._perms()
-                return True
-            if node is _NO_TABLE:
-                return False
-            pos, row, points, children = node
-            k = len(points)
-            first = ((key >> (_ORDER_BITS * pos)) & mask) % k
-            # indices first - k .. -1 read first .. k - 1, then 0 .. first - 1
-            for j in range(first - k, first):
-                child = children[j]
-                if child is _NO_TABLE:
-                    continue
-                point, opposite, reached = points[j]
-                if child is not None:
-                    table[pos], table[opposite] = point, row
-                elif self._enter(pos, row, point, opposite):
-                    child = self._expand(pos + 1, reached)
-                    if self._kept < KEPT_TREE_NODES:
-                        children[j] = child
-                        self._kept += 1
-                else:
-                    children[j] = _NO_TABLE
-                    continue
-                if not (yield from walk(child)):
-                    children[j] = _NO_TABLE
-                table[pos] = table[opposite] = -1
-            return children.count(_NO_TABLE) < k
-
-        def walk_within_limit(root):
-            try:
-                yield from walk(root)
-            except RecursionError:
-                raise BudgetExhaustedError(
-                    "search nests past the recursion limit"
-                    f" at degree {self.degree}") from None
+        # a child not yet reached is None; a node left with every child
+        # _NO_TABLE becomes one in its parent.  The path holds [node, branch
+        # indices left, branch taken or None] per node entered.
+        def walk(child):
+            path = []
+            while True:
+                held = child is _TABLE
+                if held:
+                    yield self._perms()
+                elif child is not _NO_TABLE:
+                    k = len(child[2])
+                    first = ((key >> (_ORDER_BITS * child[0])) & mask) % k
+                    # first - k .. -1 read first .. k - 1, then 0 .. first - 1
+                    path.append([child, iter(range(first - k, first)), None])
+                child = None
+                while child is None:
+                    if not path:
+                        return
+                    frame = path[-1]
+                    (pos, row, points, children), indices, taken = frame
+                    if taken is not None:
+                        if not held:
+                            children[taken] = _NO_TABLE
+                        table[pos] = table[points[taken][1]] = -1
+                    for j in indices:
+                        child = children[j]
+                        if child is _NO_TABLE:
+                            continue
+                        point, opposite, reached = points[j]
+                        if child is not None:
+                            table[pos], table[opposite] = point, row
+                        elif self._enter(pos, row, point, opposite):
+                            child = self._expand(pos + 1, reached)
+                            if self._kept < KEPT_TREE_NODES:
+                                children[j] = child
+                                self._kept += 1
+                        else:
+                            children[j] = _NO_TABLE
+                            continue
+                        frame[2] = j
+                        break
+                    else:
+                        child = None
+                        held = children.count(_NO_TABLE) < len(children)
+                        path.pop()
 
         if self._root is None:
             self._root = self._expand(0, 1)
-        return walk_within_limit(self._root)
+        return walk(self._root)
 
     def draw(self, rng) -> dict[str, Perm] | None:
         """The first table of ``tables`` for the key of one
@@ -306,8 +311,8 @@ def unwrapping_actions(x: OneRelatorOrbicomplex, degree: int):
     {0..degree-1} in which every cycle of the relator image has length n,
     once each: the walk of a new ``UnwrappingActionTree`` in increasing
     order.  Raises ``ValueError`` at once for a degree below 1, and
-    ``BudgetExhaustedError`` naming the degree when the walk tries
-    ``SEARCH_NODE_BUDGET`` entries or nests past the recursion limit."""
+    ``BudgetExhaustedError`` naming the degree only when the walk spends
+    ``SEARCH_NODE_BUDGET`` entries."""
     return UnwrappingActionTree(x, degree).tables(0)
 
 
@@ -323,8 +328,8 @@ def find_exponent_n_quotient(x: OneRelatorOrbicomplex,
     accepts: for each multiple m of n up to ``max_degree``, the cyclic
     quotients Z/m (each letter a shift) in product order, then
     ``unwrapping_actions(x, m)``.  Raises ``BudgetExhaustedError`` when no
-    degree up to ``max_degree`` has one, or as ``unwrapping_actions``
-    does, naming the degree."""
+    degree up to ``max_degree`` has one, or, naming the degree, when the
+    search at one degree spends ``SEARCH_NODE_BUDGET`` entries."""
     _check_max_degree(max_degree)
     symbols = x._rose_symbols
     n = x.branch_index

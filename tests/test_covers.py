@@ -115,13 +115,19 @@ def test_find_quotient_budget_error(monkeypatch):
         find_exponent_n_quotient(make_x("a b a~ b~", 2), 8)
 
 
-def test_a_search_nesting_past_the_recursion_limit_spends_its_budget():
-    # the walk recurses once per entry it chooses, each setting two of the
-    # table's 2,000 entries, and so nests past the default limit: the same
-    # typed error as a spent node budget, not a RecursionError
-    with pytest.raises(BudgetExhaustedError, match=(
-            "^search nests past the recursion limit at degree 500$")):
-        next(unwrapping_actions(make_x("a b", 250), 500))
+def test_a_search_finds_the_same_table_at_any_stack_depth():
+    # the walk holds its path itself: the first table of a b/250 at degree
+    # 500 nests 1,000 choices deep and is the same from 800 frames deeper
+    x = make_x("a b", 250)
+
+    def first_table(depth):
+        if depth:
+            return first_table(depth - 1)
+        return next(unwrapping_actions(x, 500))
+
+    table = first_table(0)
+    assert first_table(800) == table
+    assert validate_quotient(FiniteQuotient(500, table), x) == []
 
 
 # (relator, n, rose): the degree and the letters' permutations of the
