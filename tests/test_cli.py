@@ -1,10 +1,14 @@
 """End-to-end command-line tests: exit codes, reason lines, round-trips."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import orelco
 from orelco.cli import main
 from orelco.covers import (CoverReport, build_unwrapped_cover,
                            find_exponent_n_quotient)
@@ -540,6 +544,92 @@ def test_a_covers_draw_at_degree_500_passes(tmp_path, capsys):
                                   "--seed", "2"])
     assert (code, err) == (0, "")
     assert out.splitlines()[-1] == "suite covers: 1/1"
+
+
+Z2 = "vertex *\nedge a : * -> * label a\nrelator a\nbranch 2\n"
+COMMUTATOR = GROUP.replace("relator a b", "relator a b a~ b~")
+
+
+@pytest.mark.parametrize("group, argv, status, line", [
+    (Z2, ["word", "solve", "--word", "a a"], 0, "result: trivial"),
+    (Z2, ["word", "solve", "--word", "a a~"], 2,
+     "error: --word: input word must be freely reduced"),
+    (Z2, ["cover", "build"], 0,
+     "cover: degree=2 vertices=2 edges=2 cells=1 chi=1 pass=1"),
+    (Z2, ["cover", "build", "--max-degree", "1"], 3,
+     "error: no exponent-2 quotient of degree <= 1 exists"),
+    (Z2, ["cover", "build", "--max-degree", "0"], 2,
+     "error: --max-degree must be at least 1, got 0"),
+    (Z2, ["audit", "wcycles", "--trials", "2"], 0, "suite wcycles: 2/2"),
+    (Z2, ["audit", "wcycles", "--trials", "2", "--out", "audit.txt"], 0,
+     "suite wcycles: 2/2"),
+    (Z2, ["audit", "wcycles", "--trials", "2", "--suites", "covers"], 0,
+     "suite covers: 2/2"),
+    (Z2, ["audit", "wcycles", "--trials", "2", "--suites", "covers",
+          "--format", "csv"], 0, "covers,2,2"),
+    (Z2, ["audit", "wcycles", "--trials", "0"], 2,
+     "error: --trials must be at least 1, got 0"),
+    (Z2, ["audit", "wcycles", "--trials", "2", "--seed", "-1"], 2,
+     "error: --seed must be at least 0, got -1"),
+    # the commutator has no cyclic quotient: its cover's quotient is an
+    # enumerator table
+    (COMMUTATOR, ["cover", "build"], 0,
+     "cover: degree=4 vertices=4 edges=8 cells=2 chi=-2 pass=1"),
+    # no table has degree 2, so every covers draw falls back to degree 4
+    (COMMUTATOR, ["audit", "wcycles", "--trials", "20", "--suites", "covers"],
+     0, "suite covers: 20/20"),
+], ids=["z2-trivial-word", "z2-unreduced-word", "z2-cover",
+        "z2-cover-budget", "z2-cover-max-degree-0", "z2-campaign",
+        "z2-campaign-out", "z2-covers", "z2-covers-csv", "z2-trials-0",
+        "z2-seed-negative", "commutator-cover", "commutator-covers"])
+def test_a_command_over_a_small_group_prints_its_line(
+        tmp_path, capsys, monkeypatch, group, argv, status, line):
+    # a whole line of the report, on stdout or in --out, or of the error
+    monkeypatch.chdir(tmp_path)
+    Path("g.txt").write_text(group)
+    code, out, err = run(capsys, argv[:2] + ["--group", "g.txt"] + argv[2:])
+    assert code == status
+    report = Path("audit.txt").read_text() if "--out" in argv else out
+    assert line in (err if status else report).splitlines()
+
+
+def test_two_cells_reading_the_relator_power_are_no_immersion(
+        tmp_path, capsys, monkeypatch):
+    # each cell reads all of (ab)^2 from offset 0, so its two a-sides land
+    # on one side of the branched disk; the witness is the first clash
+    monkeypatch.chdir(tmp_path)
+    Path("g.txt").write_text(GROUP)
+    Path("twice.txt").write_text(
+        "vertex *\nedge a : * -> * label a\nedge b : * -> * label b\n"
+        "cell c1 : a b a b\ncell c2 : a b a b\nbase *\n")
+    Path("twice-map.txt").write_text(
+        "vmap * *\nemap a a\nemap b b\ncmap c1 w rot=0 orient=+\n"
+        "cmap c2 w rot=0 orient=+\n")
+    code, out, err = run(capsys, ["audit", "wcycles", "--group", "g.txt",
+                                  "--complex", "twice.txt",
+                                  "--map", "twice-map.txt"])
+    assert code == 2
+    assert err == ("error: twice-map.txt: not an immersion: sides ('c1', 0) "
+                   "and ('c1', 2) over edge a share disk side ('d0', 0)\n")
+    assert out.startswith("config:") and out.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, status", [
+    (["word", "solve", "--word", "a a"], 0),
+    (["word", "solve", "--word", "a a~"], 2),
+    (["cover", "build", "--max-degree", "1"], 3),
+], ids=["ok", "usage", "budget"])
+def test_the_module_exits_the_process_with_the_status(tmp_path, argv,
+                                                      status):
+    # main's status reaches the process through `python -m orelco.cli`
+    group = tmp_path / "z2.txt"
+    group.write_text(Z2)
+    path = os.pathsep.join(filter(None, [str(Path(orelco.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "orelco.cli", *argv,
+                           "--group", str(group)], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == status
 
 
 PRESENT = ["subgroup", "present", "--gens", "b ; a a"]

@@ -430,7 +430,8 @@ def test_covers_trials_draw_enumerated_tables(monkeypatch, relator, n):
         assert len(seen[d]) >= min(len(found), 2), d
 
 
-def test_random_uniform_quotients_validate_and_vary(monkeypatch):
+def test_the_covers_suite_draws_quotients_that_validate_and_vary(
+        monkeypatch):
     # the quotients that the covers suite draws on ab/2
     drawn = _record_drawn_quotients(monkeypatch)
     params = GeneratorParams(99, W("a b"), 2)

@@ -217,6 +217,28 @@ def test_cover_lookup_rejects_a_non_covering_skeleton():
         _lift(loop, TwoComplex(g), "v")
 
 
+def _one_loop(label, vertices=("u",), cells=None):
+    """A complex whose one edge ``e`` is a loop at its base ``u``."""
+    edges = {"e": EdgeRec("u", "u", label)}
+    return TwoComplex(Graph(frozenset(vertices), edges), cells, "u")
+
+
+@pytest.mark.parametrize("z, message", [
+    (_one_loop("c"), "no cover dart at p0 reads the label of ('e', 1)"),
+    # the a-dart at p0 ends at p1, so a loop cannot lift
+    (_one_loop("a"), "label lift is inconsistent"),
+    (_one_loop("b", vertices=("u", "v")),
+     "complex is not connected from the base"),
+    # b b reads no cover cell, whose boundaries alternate a and b
+    (_one_loop("b", cells={"c": (("e", 1), ("e", 1))}),
+     "lifted cell boundary matches no cover cell"),
+], ids=["foreign-label", "inconsistent", "disconnected", "foreign-cell"])
+def test_a_lift_that_breaks_an_invariant_says_which(cover, z, message):
+    with pytest.raises(PipelineInvariantError) as caught:
+        _lift(z, cover.cover, "p0")
+    assert str(caught.value) == message
+
+
 # ---------------------------------------------------------------------------
 # candidate enumeration
 
