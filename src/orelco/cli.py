@@ -12,8 +12,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .covers import build_unwrapped_cover, find_exponent_n_quotient, \
-    verify_cover
+from .complexes import euler_characteristic
+from .covers import build_unwrapped_cover, find_exponent_n_quotient
 from .errors import (ArgumentError, BudgetExhaustedError, NotImmersionError,
                      NotMorphismError, OrelcoError)
 from .folding import fold
@@ -104,19 +104,15 @@ def _cmd_cover_build(args) -> int:
           seed=args.seed)
     x = _load(parse_orbicomplex, args.group)
     q = find_exponent_n_quotient(x, args.max_degree)
+    # the build raises on a failed audit, so a printed cover passed it
     cover = build_unwrapped_cover(x, q)
-    report = verify_cover(cover)
     print(format_quotient(q), end="")
     _emit(args, format_cover(cover))
     print(f"cover: degree={q.degree} "
           f"vertices={len(cover.cover.skeleton.vertices)} "
           f"edges={len(cover.cover.skeleton.edges)} "
-          f"cells={len(cover.cover.cells)} chi={report.euler} "
-          f"pass={1 if report.passed else 0}")
-    if not report.passed:
-        for witness in report.witnesses:
-            print(f"error: {witness}")
-        return EXIT_VIOLATION
+          f"cells={len(cover.cover.cells)} "
+          f"chi={euler_characteristic(cover.cover)} pass=1")
     return EXIT_OK
 
 

@@ -10,7 +10,9 @@ of least degree that ``validate_quotient`` accepts: a cyclic quotient, or
 a table of the one low-index search, ``UnwrappingActionTree``, whose walk
 in increasing order is ``unwrapping_actions``.  The cover's 1-skeleton is
 the quotient's Schreier graph, whose fibre product with a subgroup's graph
-gives the subgroup's intersection with the cover's group.
+gives the subgroup's intersection with the cover's group.  A built cover
+is an audited cover: ``build_unwrapped_cover`` returns only what
+``verify_cover`` passes.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from typing import NamedTuple
 
 from .complexes import (CellMorphism, Dart, EdgeRec, Graph, MapKind,
                         TwoComplex, _components, euler_characteristic)
-from .errors import (ArgumentError, BudgetExhaustedError,
-                     InvalidComplexError, InvariantError)
+from .errors import ArgumentError, BudgetExhaustedError, InvariantError
 from .orbicomplex import (OneRelatorOrbicomplex, by_labels,
                           check_orbi_immersion)
 from .words import Word, _check_letters
@@ -362,7 +363,9 @@ def build_unwrapped_cover(x: OneRelatorOrbicomplex,
                           q: FiniteQuotient) -> UnwrappedCover:
     """Schreier cover of the rose with one 2-cell per orbit of the relator
     image, each the lift of the full relator power based at the least orbit
-    point."""
+    point.  Raises ``ValueError`` for a quotient that does not unwrap, and
+    ``InvariantError`` naming the witnesses of a failed ``verify_cover``,
+    which runs once here, so a built cover is an audited cover."""
     problem, orbits = _unwrap_cycles(q, x)
     if problem:
         raise ValueError(problem)
@@ -379,10 +382,9 @@ def build_unwrapped_cover(x: OneRelatorOrbicomplex,
         cells[f"f{index}"] = lift[0]
         families[f"f{index}"] = orbit
     c = UnwrappedCover(TwoComplex(g, cells, base_vertex="p0"), families, q, x)
-    cls = check_orbi_immersion(c.covering_map)
-    if cls.kind < MapKind.IMMERSION:
-        raise InvalidComplexError(
-            f"unwrapped cover does not immerse: {cls.witness}")
+    witnesses = verify_cover(c).witnesses
+    if witnesses:
+        raise InvariantError("cover audit failed: " + "; ".join(witnesses))
     return c
 
 
@@ -401,7 +403,9 @@ def verify_cover(c: UnwrappedCover) -> CoverReport:
     of a cell lies over side p mod |w|), the Euler identity chi(cover) =
     k (chi(rose) + 1/n), checked in integers as n chi(cover) =
     k (n chi(rose) + 1), and the torsion-free certificate, a witness for
-    each problem ``validate_quotient`` finds in the quotient."""
+    each problem ``validate_quotient`` finds in the quotient.
+    ``build_unwrapped_cover`` runs it once on every cover it builds; called
+    directly, it audits a cover record made elsewhere."""
     witnesses = []
     x = c.orbicomplex
     cover = c.cover

@@ -27,7 +27,7 @@ from .complexes import (EdgeRec, Graph, MapKind, TwoComplex, collapse,
                         component_of, identity_morphism)
 from .complexes import CellMorphism
 from .covers import (FiniteQuotient, UnwrappingActionTree,
-                     build_unwrapped_cover, verify_cover)
+                     build_unwrapped_cover)
 from .errors import (ArgumentError, InvariantError, NotImmersionError,
                      OrelcoError)
 from .folding import factor_unique, fold
@@ -285,14 +285,15 @@ def _run_cover_trial(rng: random.Random, seed: int,
     q = _draw_cover_quotient(rng, params)
     if q is None:
         return False
+    # the build refuses a quotient with ValueError, and raises its own
+    # InvariantError on a failed audit of the cover it made
     try:
-        cover = build_unwrapped_cover(params.orbicomplex, q)
-    except (ValueError, OrelcoError) as err:
+        build_unwrapped_cover(params.orbicomplex, q)
+    except ValueError as err:
         raise _violation("cover", seed,
                          f"drawn quotient refused: {err}") from err
-    report = verify_cover(cover)
-    if not report.passed:
-        raise _violation("cover", seed, "; ".join(report.witnesses))
+    except OrelcoError as err:
+        raise _violation("cover", seed, str(err)) from err
     return True
 
 

@@ -171,20 +171,19 @@ def test_cover_build_budget_exhausted_exits_3(group_file, capsys):
 def test_cover_build_failing_audit_names_each_witness(group_file, capsys,
                                                       tmp_path, monkeypatch):
     # no built cover is known to fail its audit, so the audit is made to
-    # fail with two witnesses
-    import orelco.cli as cli
+    # fail with two witnesses; the build raises before anything is written
+    import orelco.covers as covers
     witnesses = ("edge a0 is not covered", "link at p1 is not onto")
-    monkeypatch.setattr(cli, "verify_cover",
+    monkeypatch.setattr(covers, "verify_cover",
                         lambda cover: CoverReport(witnesses, 0))
+    out_path = tmp_path / "x0.txt"
     code, out, err = run(capsys, ["cover", "build", "--group", group_file,
-                                  "--out", str(tmp_path / "x0.txt")])
-    assert code == 1 and not err
-    lines = out.splitlines()
-    (cover_line,) = [line for line in lines if line.startswith("cover:")]
-    assert cover_line.endswith(" pass=0")
-    assert [line for line in lines if line.startswith("error:")] == [
-        f"error: {w}" for w in witnesses]
-    assert lines[-2:] == [f"error: {w}" for w in witnesses]
+                                  "--out", str(out_path)])
+    assert code == 1
+    assert out.startswith("config:") and out.count("\n") == 1
+    assert err == ("error: cover audit failed: edge a0 is not covered;"
+                   " link at p1 is not onto\n")
+    assert not out_path.exists()
 
 
 def test_cover_build_finds_the_least_degree(capsys, tmp_path):
@@ -241,9 +240,9 @@ def test_subgroup_present_budget_exhausted_exits_3(group_file, capsys,
 
 def test_a_failed_cover_audit_prints_its_witnesses(group_file, capsys,
                                                    monkeypatch):
-    import orelco.pipeline as pipeline
+    import orelco.covers as covers
     report = CoverReport(("edge a0 is not covered",), 0)
-    monkeypatch.setattr(pipeline, "verify_cover", lambda cover: report)
+    monkeypatch.setattr(covers, "verify_cover", lambda cover: report)
     code, out, err = run(capsys, ["subgroup", "present", "--group",
                                   group_file, "--gens", "a a"])
     assert code == 1

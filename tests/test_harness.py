@@ -10,7 +10,7 @@ import orelco.covers as covers
 from orelco.covers import (FiniteQuotient, UnwrappingActionTree,
                            build_unwrapped_cover, find_exponent_n_quotient,
                            unwrapping_actions, validate_quotient)
-from orelco.errors import ArgumentError, OrelcoError
+from orelco.errors import ArgumentError, InvariantError, OrelcoError
 import orelco.harness as harness
 from orelco.harness import (CSV_HEADER, CampaignConfig, GeneratorParams,
                             _generate_uncollapsed, _random_labeled_graph,
@@ -345,16 +345,60 @@ def test_a_cover_with_witnesses_is_a_cover_violation_naming_them(
         monkeypatch):
     witnesses = ("edge a0 carries disk sides [0, 0], expected [0]",
                  "cell f0 has boundary length 8, expected 4")
-    monkeypatch.setattr(harness, "verify_cover", lambda c: covers.verify_cover(
-        c)._replace(witnesses=witnesses))
+    real = covers.verify_cover
+    monkeypatch.setattr(covers, "verify_cover",
+                        lambda c: real(c)._replace(witnesses=witnesses))
     cfg = CampaignConfig(5, 3, GeneratorParams(3, W("a b"), 2),
                          suites=("covers",))
     with pytest.raises(OrelcoError) as err:
         run_property_campaign(cfg)
     assert str(err.value) == (
-        "cover violation: edge a0 carries disk sides [0, 0], expected [0];"
+        "cover violation: cover audit failed:"
+        " edge a0 carries disk sides [0, 0], expected [0];"
         " cell f0 has boundary length 8, expected 4;"
         f" reproduce with trial seed {trial_seed(5, 0)}")
+    assert type(err.value.__cause__) is InvariantError
+
+
+@pytest.mark.parametrize("error, detail", [
+    (ValueError("quotient does not unwrap"),
+     "drawn quotient refused: quotient does not unwrap"),
+    (InvariantError("relator power lift failed to close"),
+     "relator power lift failed to close"),
+], ids=["refused", "violation"])
+def test_a_covers_trial_names_its_two_failures_apart(monkeypatch, error,
+                                                      detail):
+    # a quotient the build refuses is told apart from a build that breaks
+    # one of its own invariants
+    def fail(x, q):
+        raise error
+
+    monkeypatch.setattr(harness, "build_unwrapped_cover", fail)
+    cfg = CampaignConfig(5, 3, GeneratorParams(3, W("a b"), 2),
+                         suites=("covers",))
+    with pytest.raises(OrelcoError) as err:
+        run_property_campaign(cfg)
+    assert str(err.value) == (
+        f"cover violation: {detail};"
+        f" reproduce with trial seed {trial_seed(5, 0)}")
+    assert err.value.__cause__ is error
+
+
+def test_a_covers_trial_checks_its_cover_immersion_once(monkeypatch):
+    # one immersion check per built cover: the build's audit, and no other
+    real, checks = covers.check_orbi_immersion, []
+
+    def counted(m):
+        checks.append(m)
+        return real(m)
+
+    monkeypatch.setattr(covers, "check_orbi_immersion", counted)
+    drawn = _record_drawn_quotients(monkeypatch)
+    cfg = CampaignConfig(1, 20, GeneratorParams(3, W("a b a b~"), 2),
+                         suites=("covers",))
+    passed, total = run_property_campaign(cfg).pass_counts["covers"]
+    assert total == 20 and passed == len(drawn) > 0
+    assert len(checks) == len(drawn)
 
 
 def _record_drawn_quotients(monkeypatch):

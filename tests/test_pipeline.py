@@ -1081,16 +1081,31 @@ def test_an_emitted_relator_is_read_over_its_generator_word(
 
 
 def test_a_failed_cover_audit_names_its_witnesses(x, monkeypatch):
-    import orelco.pipeline as pipeline
+    # the cover's build runs the audit and raises on its witnesses
+    import orelco.covers as covers
     report = CoverReport(("edge a0 is not covered", "euler is off"), 0)
-    monkeypatch.setattr(pipeline, "verify_cover", lambda cover: report)
+    monkeypatch.setattr(covers, "verify_cover", lambda cover: report)
     with pytest.raises(InvariantError) as info:
         present_subgroup([W("a")], x)
-    assert isinstance(info.value, PipelineInvariantError)
+    assert type(info.value) is InvariantError
     assert str(info.value) == ("cover audit failed: edge a0 is not covered; "
                                "euler is off")
-    assert info.value.dump == "edge a0 is not covered; euler is off"
     assert issubclass(DiagramError, InvariantError)
+
+
+def test_a_presentation_audits_its_cover_once(monkeypatch):
+    # the abab~2-small instance of the benchmark's present workload
+    import orelco.covers as covers
+    real, calls = covers.verify_cover, []
+
+    def counted(cover):
+        calls.append(cover)
+        return real(cover)
+
+    monkeypatch.setattr(covers, "verify_cover", counted)
+    x = build_orbicomplex(Graph.rose("ab"), W("a b a b~"), 2)
+    present_subgroup([W("a"), W("b a b~")], x, max_word_len=6)
+    assert len(calls) == 1
 
 
 def test_budget_exhaustion_is_flagged_not_raised(x):
