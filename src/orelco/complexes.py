@@ -418,24 +418,37 @@ def _immersion_fault(m: CellMorphism,
         f"sides {first} and {second} over edge {group} share disk side {image}"))
 
 
-def classify_map(m: CellMorphism) -> Classification:
-    """Place a map on the ladder not_morphism < morphism < immersion < covering."""
-    cls = _immersion_fault(m)
+def _covering_fault(m: CellMorphism,
+                    period: int | None = None) -> Classification | None:
+    """The classification below COVERING that ``m`` earns, or None when it
+    covers; with a ``period``, as in ``_immersion_fault``, a target edge's
+    sides are its distinct (cell, position mod ``period``).  An immersion
+    injects each link and side set into its image's, so equal totals mean
+    onto; the ordered scans run only to name a fault."""
+    cls = _immersion_fault(m, period)
     if cls is not None:
         return cls
-    # an immersion injects each link and side set into its image's, so
-    # equal counts mean onto
-    src, tgt = m.source, m.target
-    for v in sorted(src.skeleton.vertices):
-        if (len(src.skeleton.darts_at(v))
-                != len(tgt.skeleton.darts_at(m.vertex_map[v]))):
-            return Classification(
-                MapKind.IMMERSION, f"link at {v} is not onto the target link")
-    for e in sorted(src.skeleton.edges):
-        if len(src.sides_over[e]) != len(tgt.sides_over[m.edge_map[e][0]]):
-            return Classification(
-                MapKind.IMMERSION, f"sides over {e} are not onto the target sides")
-    return Classification(MapKind.COVERING, None)
+    src, emap, over = m.source, m.edge_map, m.target.sides_over
+    if period is not None:
+        over = {f: {(cid, pos % period) for cid, pos in over[f]}
+                for f in {f for f, _ in emap.values()}}
+    links = m.target.skeleton.darts_at
+    if (sum(len(links(w)) for w in m.vertex_map.values()) == 2 * len(emap)
+            and sum(len(over[f]) for f, _ in emap.values())
+            == sum(map(len, src.cells.values()))):
+        return None
+    faults = itertools.chain(
+        (f"link at {v} is not onto the target link"
+         for v in sorted(src.skeleton.vertices)
+         if len(src.skeleton.darts_at(v)) != len(links(m.vertex_map[v]))),
+        (f"sides over {e} are not onto the target sides" for e in sorted(emap)
+         if len(src.sides_over[e]) != len(over[emap[e][0]])))
+    return Classification(MapKind.IMMERSION, next(faults))
+
+
+def classify_map(m: CellMorphism) -> Classification:
+    """Place a map on the ladder not_morphism < morphism < immersion < covering."""
+    return _covering_fault(m) or Classification(MapKind.COVERING)
 
 
 def find_free_faces_and_edges(

@@ -12,7 +12,7 @@ in increasing order is ``unwrapping_actions``.  The cover's 1-skeleton is
 the quotient's Schreier graph, whose fibre product with a subgroup's graph
 gives the subgroup's intersection with the cover's group.  A built cover
 is an audited cover: ``build_unwrapped_cover`` returns only what
-``verify_cover`` passes.
+``verify_cover`` passes, and the audit reads covering off the map ladder.
 """
 
 from __future__ import annotations
@@ -20,11 +20,10 @@ from __future__ import annotations
 import itertools
 from typing import NamedTuple
 
-from .complexes import (CellMorphism, Dart, EdgeRec, Graph, MapKind,
-                        TwoComplex, _components, euler_characteristic)
+from .complexes import (CellMorphism, Dart, EdgeRec, Graph, TwoComplex,
+                        _components, _covering_fault, euler_characteristic)
 from .errors import ArgumentError, BudgetExhaustedError, InvariantError
-from .orbicomplex import (OneRelatorOrbicomplex, by_labels,
-                          check_orbi_immersion)
+from .orbicomplex import OneRelatorOrbicomplex, by_labels
 from .words import Word, _check_letters
 
 Perm = tuple[int, ...]
@@ -399,71 +398,32 @@ class CoverReport(NamedTuple):
 
 def verify_cover(c: UnwrappedCover) -> CoverReport:
     """Independent audit of a candidate unwrapped cover, whose map is read by
-    labels: graph-level covering, per-edge disk-side accounting (position p
-    of a cell lies over side p mod |w|), the Euler identity chi(cover) =
-    k (chi(rose) + 1/n), checked in integers as n chi(cover) =
-    k (n chi(rose) + 1), and the torsion-free certificate, a witness for
-    each problem ``validate_quotient`` finds in the quotient.
+    labels: one witness for the first fault of the covering rung
+    (``_covering_fault``, disk sides modulo |w|), then the family record,
+    the Euler identity chi(cover) = k (chi(rose) + 1/n), in integers, the
+    families' partition of the quotient points into orbits of size n, and
+    a witness for each problem ``validate_quotient`` finds in the quotient.
     ``build_unwrapped_cover`` runs it once on every cover it builds; called
     directly, it audits a cover record made elsewhere."""
-    witnesses = []
-    x = c.orbicomplex
-    cover = c.cover
-    cls = check_orbi_immersion(c.covering_map)
-    if cls.kind < MapKind.IMMERSION:
-        witnesses.append(f"not an immersion: {cls.witness}")
-    g = cover.skeleton
-    # the darts at each vertex, as letters, in one pass over the edges
-    links: dict[str, set[Dart]] = {v: set() for v in g.vertices}
-    for rec in g.edges.values():
-        links[rec.tail].add((rec.label, 1))
-        links[rec.head].add((rec.label, -1))
-    rose = set(x.gamma.darts_at(next(iter(x.gamma.vertices))))
-    witnesses += [f"link at {v} is not onto the rose link"
-                  for v in sorted(g.vertices) if links[v] != rose]
-    w = x.relator
-    n = x.branch_index
-    k = c.quotient.degree
-    chi = euler_characteristic(cover, 2)
+    x, cover = c.orbicomplex, c.cover
+    cls = _covering_fault(c.covering_map, len(x.relator))
+    witnesses = [f"not a covering: {cls.witness}"] if cls else []
     if sorted(c.families) != sorted(cover.cells):
         witnesses.append("family record does not match the cover's cells")
-    # the unwrap accounting below is vacuous for a cell-free candidate, which
-    # is then judged purely as a covering of graphs
-    if cover.cells or c.families:
-        positions_of = {}
-        for j, (sym, _) in enumerate(w):
-            positions_of.setdefault(sym, []).append(j)
-        # each edge's disk-side positions in one pass over the cells
-        sides: dict[str, list[int]] = {e: [] for e in g.edges}
-        for path in cover.cells.values():
-            for pos, (e, _) in enumerate(path):
-                sides[e].append(pos % len(w))
-        for e, rec in sorted(g.edges.items()):
-            labels = sorted(sides[e])
-            expected = positions_of.get(rec.label, [])
-            if labels != expected:
-                witnesses.append(
-                    f"edge {e} carries disk sides {labels}, expected {expected}")
-        n_expected = k * (n * euler_characteristic(x.presentation_complex, 1)
-                          + 1)
-        if n * chi != n_expected:
-            # imported on use: a passing cover needs no rational
-            from fractions import Fraction
-            witnesses.append(
-                f"Euler characteristic {chi} != {Fraction(n_expected, n)}")
-        points = [p for orbit in c.families.values() for p in orbit]
-        if sorted(points) != list(range(k)):
-            witnesses.append("families do not partition the quotient points")
-        for cid in sorted(c.families):
-            if cid not in cover.cells:
-                continue
-            if len(c.families[cid]) != n:
-                witnesses.append(f"family of {cid} has size"
-                                 f" {len(c.families[cid])}, expected {n}")
-            if len(cover.cells[cid]) != n * len(w):
-                witnesses.append(f"cell {cid} has boundary length"
-                                 f" {len(cover.cells[cid])}, expected {n * len(w)}")
+    n, k = x.branch_index, c.quotient.degree
+    chi = euler_characteristic(cover, 2)
+    n_expected = k * (n * euler_characteristic(x.presentation_complex, 1) + 1)
+    if n * chi != n_expected:
+        # imported on use: a passing cover needs no rational
+        from fractions import Fraction
+        witnesses.append(
+            f"Euler characteristic {chi} != {Fraction(n_expected, n)}")
+    points = [p for orbit in c.families.values() for p in orbit]
+    if sorted(points) != list(range(k)):
+        witnesses.append("families do not partition the quotient points")
+    witnesses += [f"family of {cid} has size {len(orbit)}, expected {n}"
+                  for cid, orbit in sorted(c.families.items())
+                  if cid in cover.cells and len(orbit) != n]
     witnesses += [f"quotient does not unwrap: {problem}"
                   for problem in validate_quotient(c.quotient, x)]
     return CoverReport(tuple(witnesses), chi)
-

@@ -2,12 +2,13 @@ import collections
 import itertools
 import math
 import random
+import re
 
 import pytest
 
 from orelco.complexes import (CellMorphism, EdgeRec, Graph, MapKind,
-                              TwoComplex, connected_components,
-                              euler_characteristic)
+                              TwoComplex, _covering_fault,
+                              connected_components, euler_characteristic)
 from orelco.covers import (FiniteQuotient, UnwrappingActionTree,
                            build_unwrapped_cover,
                            find_exponent_n_quotient,
@@ -649,10 +650,8 @@ def test_verify_rejects_wrapped_presentation_complex():
         quotient=FiniteQuotient(1, {"a": (0,), "b": (0,)}), orbicomplex=x)
     assert fake.covering_map == m
     assert verify_cover(fake).witnesses == (
-        "not an immersion: sides ('d0', 0) and ('d0', 2) over edge a share"
+        "not a covering: sides ('d0', 0) and ('d0', 2) over edge a share"
         " disk side ('d0', 0)",
-        "edge a carries disk sides [0, 0], expected [0]",
-        "edge b carries disk sides [1, 1], expected [1]",
         "Euler characteristic 0 != -1/2",
         "family of d0 has size 1, expected 2",
         "quotient does not unwrap: exponent condition violated: relator"
@@ -668,14 +667,20 @@ def test_verify_cell_free_identity_cover():
         cover=rose_cx, families={},
         quotient=FiniteQuotient(1, {"a": (0,), "b": (0,)}), orbicomplex=x)
     assert fake.covering_map == m_id
-    # a cover of graphs alone; the trivial quotient does not unwrap the
-    # disk, which is the one witness
+    # a cover of graphs alone covers no disk side, so it is refused even
+    # where the trivial quotient unwraps the disk
     assert verify_cover(fake).witnesses == (
+        "not a covering: sides over a are not onto the target sides",
+        "Euler characteristic -1 != -1/2",
+        "families do not partition the quotient points",
         "quotient does not unwrap: exponent condition violated: relator "
-        "image has a cycle of order 1, expected 2",)
+        "image has a cycle of order 1, expected 2")
     unbranched = make_x("a b", 1)
     assert verify_cover(UnwrappedCover(
-        rose_cx, {}, fake.quotient, unbranched)).passed
+        rose_cx, {}, fake.quotient, unbranched)).witnesses == (
+        "not a covering: sides over a are not onto the target sides",
+        "Euler characteristic -1 != 0",
+        "families do not partition the quotient points")
 
 
 def test_verify_names_a_cell_that_wraps_too_often():
@@ -685,15 +690,10 @@ def test_verify_names_a_cell_that_wraps_too_often():
     fake = c._replace(cover=TwoComplex(c.cover.skeleton, {"f0": path * 2},
                                        c.cover.base_vertex))
     assert verify_cover(fake).witnesses == (
-        "not an immersion: cell f0 boundary length differs from its image",
-        "edge a0 carries disk sides [0, 0], expected [0]",
-        "edge a1 carries disk sides [0, 0], expected [0]",
-        "edge b0 carries disk sides [1, 1], expected [1]",
-        "edge b1 carries disk sides [1, 1], expected [1]",
-        "cell f0 has boundary length 8, expected 4")
+        "not a covering: cell f0 boundary length differs from its image",)
 
 
-def test_verify_names_each_vertex_whose_link_is_not_onto():
+def test_verify_names_the_first_vertex_whose_link_is_not_onto():
     # a is a segment u -> v, so u lacks the dart a~ and v the dart a
     x = make_x("a b", 2)
     g = Graph(frozenset({"u", "v", "w"}),
@@ -705,8 +705,9 @@ def test_verify_names_each_vertex_whose_link_is_not_onto():
         cover=y, families={},
         quotient=FiniteQuotient(1, {"a": (0,), "b": (0,)}), orbicomplex=x)
     assert verify_cover(fake).witnesses == (
-        "link at u is not onto the rose link",
-        "link at v is not onto the rose link",
+        "not a covering: link at u is not onto the target link",
+        "Euler characteristic -2 != -1/2",
+        "families do not partition the quotient points",
         "quotient does not unwrap: exponent condition violated: relator "
         "image has a cycle of order 1, expected 2")
 
@@ -874,21 +875,21 @@ def test_a_cycle_through_point_0_passes_at_length_n_only(relator, n, length,
 DOCTORED_CASES = {
     "dart": (dict(cells={"f0": (("b0", 1), ("b1", 1), ("a1", 1),
                                 ("b0", 1))}),
-             ("not an immersion: cell f0 boundary does not match its image"
-              " boundary",
-              "edge a0 carries disk sides [], expected [0]",
-              "edge b0 carries disk sides [0, 1], expected [1]")),
+             ("not a covering: cell f0 boundary does not match its image"
+              " boundary",)),
     "no families": (dict(families={}),
                     ("family record does not match the cover's cells",
                      "families do not partition the quotient points")),
     "no cells": (dict(cells={}),
-                 ("family record does not match the cover's cells",
-                  "edge a0 carries disk sides [], expected [0]",
-                  "edge a1 carries disk sides [], expected [0]",
-                  "edge b0 carries disk sides [], expected [1]",
-                  "edge b1 carries disk sides [], expected [1]",
+                 ("not a covering: sides over a0 are not onto the target"
+                  " sides",
+                  "family record does not match the cover's cells",
                   "Euler characteristic -2 != -1")),
-    "graph only": (dict(cells={}, families={}), ()),
+    "graph only": (dict(cells={}, families={}),
+                   ("not a covering: sides over a0 are not onto the target"
+                    " sides",
+                    "Euler characteristic -2 != -1",
+                    "families do not partition the quotient points")),
     "split family": (dict(families={"f0": (0,), "f1": (1,)}),
                      ("family record does not match the cover's cells",
                       "family of f0 has size 1, expected 2")),
@@ -929,35 +930,58 @@ def seeded_covers(quotient_draws):
 
 
 def _doctored(c, rng):
-    """(kind, cover) pairs that break the audit on purpose, each from
-    ``c``; the last kind, with no cells and no families, is a plain graph
-    cover that passes."""
+    """(kind, cover record) pairs, each ``c`` with one fault put in: a dart
+    moved to an edge of another label, the families dropped, every cell
+    dropped, with its family or without, one cell dropped, a cell doubled
+    with its family, a cell rotated by one letter, an edge relabelled, a
+    cell read twice round, and an edge dropped with the cells over it and
+    their families."""
     x, cover = c.orbicomplex, c.cover
+    g, cells, families = cover.skeleton, cover.cells, c.families
 
-    def remap(y, families=None):
-        return UnwrappedCover(y, c.families if families is None
-                              else families, c.quotient, x)
+    def record(cells, families=families, skeleton=g):
+        return UnwrappedCover(TwoComplex(skeleton, cells, cover.base_vertex),
+                              families, c.quotient, x)
 
-    cid = rng.choice(sorted(cover.cells))
-    path = list(cover.cells[cid])
+    cid = rng.choice(sorted(cells))
+    path = list(cells[cid])
     pos = rng.randrange(len(path))
-    label = cover.skeleton.edges[path[pos][0]].label
-    path[pos] = (rng.choice(sorted(e for e, rec in cover.skeleton.edges.items()
+    label = g.edges[path[pos][0]].label
+    path[pos] = (rng.choice(sorted(e for e, rec in g.edges.items()
                                    if rec.label != label)), path[pos][1])
-    yield "dart", remap(TwoComplex(cover.skeleton, {**cover.cells,
-                                                    cid: tuple(path)},
-                                   cover.base_vertex))
-    yield "no families", remap(cover, families={})
-    bare = TwoComplex(cover.skeleton, {}, cover.base_vertex)
-    yield "no cells", remap(bare)
-    yield "graph only", remap(bare, families={})
+    yield "dart", record({**cells, cid: tuple(path)})
+    yield "no families", record(cells, {})
+    yield "no cells", record({})
+    yield "graph only", record({}, {})
+    yield "one cell dropped", record({d: p for d, p in cells.items()
+                                      if d != cid})
+    twin = f"f{len(cells)}"
+    yield "cell doubled", record({**cells, twin: cells[cid]},
+                                 {**families, twin: families[cid]})
+    yield "cell rotated", record({**cells, cid: cells[cid][1:]
+                                  + cells[cid][:1]})
+    e = rng.choice(sorted(g.edges))
+    other = rng.choice(sorted(s for s in x.gamma.edges
+                              if s != g.edges[e].label))
+    yield "edge relabelled", record(cells, skeleton=Graph(g.vertices, {
+        **g.edges, e: g.edges[e]._replace(label=other)}))
+    yield "twice round", record({**cells, cid: cells[cid] * 2})
+    over = {d for d, _ in cover.sides_over[e]}
+    yield "edge dropped", record(
+        {d: p for d, p in cells.items() if d not in over},
+        {d: orbit for d, orbit in families.items() if d not in over},
+        Graph(g.vertices, {f: rec for f, rec in g.edges.items() if f != e}))
 
 
 def test_one_pass_cover_audit_names_the_faults_of_every_doctored_cover(
         seeded_covers):
     # every seeded cover passes with chi = k(1 - r + 1/n), r the rose's
     # loops; each doctored kind draws the same kinds of witness from every
-    # cover, named by their first words, and a cover of graphs alone passes
+    # cover, named by their first words, but for two: an edge dropped with
+    # the cells over it breaks the Euler identity only where other than one
+    # cell is over it, and the partition only where some cell is; a cell of
+    # w = a rotated by one letter reads a^n from another point of its
+    # orbit, so it is the same cell
     assert len(seeded_covers) >= 250
     rng = random.Random(22)
     for c in seeded_covers:
@@ -969,10 +993,34 @@ def test_one_pass_cover_audit_names_the_faults_of_every_doctored_cover(
         kinds = {kind: sorted({w.split()[0]
                                for w in verify_cover(bad).witnesses})
                  for kind, bad in _doctored(c, rng)}
-        assert kinds == {"dart": ["edge", "not"],
+        assert kinds.pop("edge dropped")[-1] == "not"
+        ladder = ["not"]
+        assert kinds == {"dart": ladder,
                          "no families": ["families", "family"],
-                         "no cells": ["Euler", "edge", "family"],
-                         "graph only": []}
+                         "no cells": ["Euler", "family", "not"],
+                         "graph only": ["Euler", "families", "not"],
+                         "one cell dropped": ["Euler", "family", "not"],
+                         "cell doubled": ["Euler", "families", "not"],
+                         "cell rotated": ladder if len(x.relator) > 1 else [],
+                         "edge relabelled": ladder,
+                         "twice round": ladder}
+
+
+def test_the_covering_rung_counts_disk_sides_modulo_the_period(
+        seeded_covers):
+    # each cover edge carries one side of the branched disk for each
+    # occurrence of its label in w; read as sides of the unbranched disk
+    # w^n, there are n times as many, so only an unbranched cover covers
+    for c in seeded_covers:
+        m, w = c.covering_map, c.orbicomplex.relator
+        assert _covering_fault(m, len(w)) is None
+        if c.orbicomplex.branch_index == 1:
+            assert _covering_fault(m) is None
+            continue
+        kind, witness = _covering_fault(m)
+        assert kind == MapKind.IMMERSION
+        assert re.fullmatch(r"sides over \S+ are not onto the target sides",
+                            witness)
 
 
 def test_the_cover_records_keep_one_fact_per_field(seeded_covers):

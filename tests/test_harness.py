@@ -385,14 +385,14 @@ def test_a_covers_trial_names_its_two_failures_apart(monkeypatch, error,
 
 
 def test_a_covers_trial_checks_its_cover_immersion_once(monkeypatch):
-    # one immersion check per built cover: the build's audit, and no other
-    real, checks = covers.check_orbi_immersion, []
+    # one ladder read per built cover: the build's audit, and no other
+    real, checks = covers._covering_fault, []
 
-    def counted(m):
+    def counted(m, period=None):
         checks.append(m)
-        return real(m)
+        return real(m, period)
 
-    monkeypatch.setattr(covers, "check_orbi_immersion", counted)
+    monkeypatch.setattr(covers, "_covering_fault", counted)
     drawn = _record_drawn_quotients(monkeypatch)
     cfg = CampaignConfig(1, 20, GeneratorParams(3, W("a b a b~"), 2),
                          suites=("covers",))
